@@ -724,26 +724,7 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
     want_vertices = pat_dropped.n
     if want_edges > g.m:
         return None
-    links = [e for e in range(g.m) if not g.is_loop(e)]
-
-    forests = [frozenset()]
-    seen = {frozenset()}
-
-    def grow(forest):
-        for e in links:
-            if e in forest:
-                continue
-            cand = forest | {e}
-            if cand in seen:
-                continue
-            if g.is_forest_edge_set(cand):
-                seen.add(cand)
-                forests.append(cand)
-                grow(cand)
-
-    grow(frozenset())
-    forests.sort(key=lambda f: (len(f), sorted(f)))
-    for K in forests:
+    for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
         if g.m - len(K) < want_edges:
             continue
         if not omega.is_balanced_set(K):

@@ -26,6 +26,7 @@ from .bias import (
     classify_balance,
     delta_y,
     is_tangled,
+    theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
 from .graph import MultiGraph
@@ -78,27 +79,39 @@ def graph_prism():
 # -- bias-set enumeration and classification ------------------------------------
 
 def theta_closed_subsets(g, candidate_cycles=None):
-    """All subsets of the candidate cycles satisfying the theta property."""
-    cycles = [frozenset(c.edges) for c in g.cycles()]
-    if candidate_cycles is not None:
-        pool = [frozenset(c) for c in candidate_cycles]
-    else:
-        pool = cycles
-    from .bias import theta_subgraphs
+    """All subsets of the candidate cycles (default: every cycle of g) that
+    satisfy the theta property, as frozensets of edge sets, sorted by
+    (size, tuple of candidate indices).
 
-    thetas = [inside for _, inside in theta_subgraphs(g)]
-    out = []
-    for k in range(len(pool) + 1):
-        for combo in combinations(pool, k):
-            bal = frozenset(combo)
-            ok = True
-            for inside in thetas:
-                if sum(1 for c in inside if c in bal) == 2:
-                    ok = False
-                    break
-            if ok:
-                out.append(bal)
-    return out
+    Backtracking decides the candidates in index order.  A theta is checked
+    (not exactly two of its cycles balanced; cycles outside the pool count
+    as unbalanced) as soon as its last pool cycle has been decided, so no
+    violating prefix is extended."""
+    if candidate_cycles is None:
+        pool = [frozenset(c.edges) for c in g.cycles()]
+    else:
+        pool = [frozenset(c) for c in candidate_cycles]
+    index = {c: i for i, c in enumerate(pool)}
+    # checks[i]: pool-index masks of the thetas whose last pool cycle is i
+    checks = [[] for _ in pool]
+    for _, inside in theta_subgraphs(g):
+        idx = [index[c] for c in inside if c in index]
+        if idx:
+            checks[max(idx)].append(sum(1 << i for i in idx))
+    found = []
+
+    def extend(i, mask):
+        if i == len(pool):
+            found.append(mask)
+            return
+        for m in (mask, mask | 1 << i):
+            if all((m & t).bit_count() != 2 for t in checks[i]):
+                extend(i + 1, m)
+
+    extend(0, 0)
+    chosen = [tuple(i for i in range(len(pool)) if mask >> i & 1) for mask in found]
+    chosen.sort(key=lambda idx: (len(idx), idx))
+    return [frozenset(pool[i] for i in idx) for idx in chosen]
 
 
 def iso_classes(g, bias_sets):

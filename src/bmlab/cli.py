@@ -2,10 +2,12 @@
 
 Exit codes: 0 pass/success, 1 fail/negative answer, 2 usage or parse
 error, 3 bound exhausted / undecided.  Every subcommand takes --json.
-The BMLAB_BOUNDS environment variable scales the default search bounds.
+The BMLAB_BOUNDS environment variable scales the default search bounds
+(for `verify`, each claim's own max_vertices/max_edges defaults).
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -303,6 +305,18 @@ def cmd_unroll(args):
     return EXIT_PASS
 
 
+def _claim_kwargs(claim, kwargs, scale):
+    """The options among kwargs that the claim declares; with scale > 1,
+    also the claim's own max_vertices/max_edges defaults times scale."""
+    params = inspect.signature(claim).parameters
+    out = {k: v for k, v in kwargs.items() if k in params}
+    if scale > 1:
+        for k in ("max_vertices", "max_edges"):
+            if k in params:
+                out[k] = int(params[k].default * scale)
+    return out
+
+
 def cmd_verify(args):
     names = verify.all_claims() if args.all else [args.claim]
     if not args.all and args.claim not in verify.CLAIMS:
@@ -315,14 +329,10 @@ def cmd_verify(args):
     if args.q is not None:
         kwargs["q"] = args.q
     scale = bounds_scale()
-    if scale > 1:
-        # raise the family bounds of the structure-theorem claims
-        kwargs["max_vertices"] = int(5 * scale)
-        kwargs["max_edges"] = int(8 * scale)
     reports = []
     worst = EXIT_PASS
     for name in names:
-        rep = verify.run_claim(name, **kwargs)
+        rep = verify.run_claim(name, **_claim_kwargs(verify.CLAIMS[name], kwargs, scale))
         reports.append(rep)
         line = "%-30s %-10s %6.2fs %s" % (
             rep.claim, rep.status.upper(), rep.seconds,
@@ -330,7 +340,6 @@ def cmd_verify(args):
         if not args.json:
             print(line)
         if rep.status == "fail":
-            worst = EXIT_FAIL if worst != EXIT_FAIL else worst
             worst = EXIT_FAIL
         elif rep.status == "undecided" and worst == EXIT_PASS:
             worst = EXIT_UNDECIDED

@@ -12,7 +12,7 @@ carries the inverse.
 from dataclasses import dataclass
 from itertools import product
 
-from .bias import BiasedGraph, biased_minor
+from .bias import BiasedGraph
 from .errors import (
     BmlabError,
     GraphMismatch,
@@ -434,13 +434,6 @@ def induced_gain(gg, contract, delete, new_joint_gain=None):
     return current, total_vmap, total_emap
 
 
-def induced_realization_check(gg, omega, contract, delete):
-    """Assert the induced gains realize the corresponding biased minor."""
-    mg, _, _ = induced_gain(gg, contract, delete)
-    bm = biased_minor(omega, contract, delete, check=False)
-    return induced_bias(mg).balanced == bm.omega.balanced
-
-
 # -- enumeration helpers -------------------------------------------------------
 
 def normalized_gain_functions(graph, group, forest=None):
@@ -467,10 +460,6 @@ def realizations(omega, group, forest=None):
     return out
 
 
-def switching_class_count(omega, group):
-    return len(realizations(omega, group))
-
-
 def scaling_orbits(reps):
     """Group normalized additive realizations into switching-and-scaling
     orbits; returns a list of lists."""
@@ -489,7 +478,3 @@ def scaling_orbits(reps):
                 seen.add(j)
         orbits.append([reps[k] for k in orbit])
     return orbits
-
-
-def switching_scaling_class_count(omega, group):
-    return len(scaling_orbits(realizations(omega, group)))

@@ -228,6 +228,22 @@ class MultiGraph:
             parent[ru] = rv
         return True
 
+    def link_forests(self):
+        """All forests of links (acyclic edge sets, the empty one included)
+        as frozensets, in lexicographic order of their sorted edge ids."""
+        out = []
+
+        def grow(forest, comp, start):
+            out.append(frozenset(forest))
+            for e in range(start, self.m):
+                u, v = self.edges[e]
+                cu, cv = comp[u], comp[v]
+                if cu != cv:
+                    grow(forest + [e], [cu if c == cv else c for c in comp], e + 1)
+
+        grow([], list(range(self.n)), 0)
+        return out
+
     # -- cycles ----------------------------------------------------------
     def cycles(self, max_edges=DEFAULT_CYCLE_EDGE_BOUND):
         """All cycles, each once, sorted by (length, edge ids).
@@ -236,12 +252,12 @@ class MultiGraph:
         Enumeration is by backtracking over simple paths anchored at the
         smallest vertex of the cycle.
         """
-        if self._cycles is not None:
-            return self._cycles
         if self.m > max_edges:
             raise BoundExceeded(
                 "cycle enumeration bound %d edges exceeded (%d)" % (max_edges, self.m)
             )
+        if self._cycles is not None:
+            return self._cycles
         found = set()
         for e in range(self.m):
             if self.is_loop(e):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from bmlab import catalog
@@ -9,6 +11,7 @@ from bmlab.bias import (
     fat_theta_parts,
     find_link_minor,
     is_tangled,
+    theta_subgraphs,
 )
 from bmlab.errors import BadGlue, BmlabError
 from bmlab.graph import MultiGraph
@@ -163,3 +166,39 @@ def test_multigraph_generation_counts():
     assert sorted((g.n, g.m) for g in gs) == [
         (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (3, 4)
     ]
+
+
+def _theta_closed_subsets_oracle(g, candidate_cycles=None):
+    """Brute force: every subset of the pool, by size then index tuple,
+    kept when no theta has exactly two of its cycles in it."""
+    if candidate_cycles is None:
+        pool = [frozenset(c.edges) for c in g.cycles()]
+    else:
+        pool = [frozenset(c) for c in candidate_cycles]
+    thetas = [inside for _, inside in theta_subgraphs(g)]
+    out = []
+    for k in range(len(pool) + 1):
+        for combo in combinations(pool, k):
+            bal = frozenset(combo)
+            if all(sum(1 for c in inside if c in bal) != 2 for inside in thetas):
+                out.append(bal)
+    return out
+
+
+def test_theta_closed_subsets_matches_oracle_on_small_graphs():
+    graphs = catalog.multigraphs_up_to_iso(4, 7)
+    assert len(graphs) == 63
+    for g in graphs:
+        assert catalog.theta_closed_subsets(g) == _theta_closed_subsets_oracle(g)
+
+
+@pytest.mark.parametrize("g,length", [
+    (catalog.graph_k4(), None),
+    (catalog.graph_2c3(), 3),
+    (catalog.graph_tube(), 4),
+], ids=["k4", "2c3-triangles", "tube-quads"])
+def test_theta_closed_subsets_matches_oracle_on_catalog_pools(g, length):
+    pool = None
+    if length is not None:
+        pool = [frozenset(c.edges) for c in g.cycles() if len(c) == length]
+    assert catalog.theta_closed_subsets(g, pool) == _theta_closed_subsets_oracle(g, pool)

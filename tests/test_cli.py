@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bmlab import catalog, formats
+from bmlab import catalog, formats, verify
 from bmlab.cli import main
 
 
@@ -169,6 +169,26 @@ def test_verify_json(capsys):
     assert main(["verify", "base-count", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["reports"][0]["status"] == "pass"
+
+
+def test_verify_bounds_scale_each_claims_own_defaults(monkeypatch, capsys):
+    calls = {}
+
+    def fake(name, **kwargs):
+        calls[name] = kwargs
+        return verify.VerifyReport(name, "pass")
+
+    monkeypatch.setattr(verify, "run_claim", fake)
+    monkeypatch.setenv("BMLAB_BOUNDS", "2")
+    assert main(["verify", "--all", "--seed", "7"]) == 0
+    assert calls["unique-balancing-subdivision"] == {
+        "max_vertices": 8, "max_edges": 14, "seed": 7}
+    assert calls["tangled-minor"] == {"max_vertices": 10, "max_edges": 16}
+    assert calls["contraction-inequiv"] == {}
+    assert calls["canonical-frame"] == {"seed": 7}
+    monkeypatch.delenv("BMLAB_BOUNDS")
+    assert main(["verify", "unique-balancing-subdivision"]) == 0
+    assert calls["unique-balancing-subdivision"] == {}
 
 
 def test_usage_exit_codes(capsys):

@@ -73,6 +73,28 @@ def test_cycle_bound():
         g.cycles(max_edges=4)
 
 
+def test_cycle_bound_checked_after_memo():
+    g = MultiGraph(2, [(0, 1)] * 5)
+    assert len(g.cycles()) == 10
+    with pytest.raises(BoundExceeded):
+        g.cycles(max_edges=4)
+
+
+def _acyclic_link_subsets(g):
+    """Brute force: every subset of links that is a forest, in
+    lexicographic order of sorted edge ids."""
+    links = [e for e in range(g.m) if not g.is_loop(e)]
+    subsets = [c for k in range(len(links) + 1) for c in combinations(links, k)]
+    return [frozenset(c) for c in sorted(subsets) if g.is_forest_edge_set(c)]
+
+
+@pytest.mark.parametrize("g", [
+    k4(), two_c3(), MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 0)]),
+], ids=["k4", "2c3", "loops"])
+def test_link_forests_brute_force(g):
+    assert g.link_forests() == _acyclic_link_subsets(g)
+
+
 def test_not_a_cycle():
     with pytest.raises(NotACycle):
         Cycle.from_edges(k4(), {0, 1})

@@ -1,14 +1,23 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from bmlab import catalog, formats
 from bmlab.bias import find_biased_subdivision, is_tangled
 from bmlab.errors import UnknownClaim
-from bmlab.gains import CyclicGroup, GainGraph, induced_bias
+from bmlab.gains import (
+    CyclicGroup,
+    GainGraph,
+    induced_bias,
+    induced_gain,
+    normalized_gain_functions,
+    switch,
+    switching_equivalent,
+)
 from bmlab.graph import MultiGraph
-from bmlab.verify import all_claims, run_claim
+from bmlab.verify import _contraction_failures, all_claims, run_claim
 
 
 def test_registry_names():
@@ -84,3 +93,48 @@ def test_tube_minor_property_sampled():
         )
         assert found, (g.edges, sorted(map(sorted, om.balanced)))
     assert checked >= 10  # the sampler actually exercised the hypothesis
+
+
+def _pairwise_equivalent(g, gfs):
+    """Brute force: (forest, i, j) for every nonempty link forest and pair
+    whose contracted gain functions are switching equivalent."""
+    out = set()
+    for F in g.link_forests():
+        if not F:
+            continue
+        for i, j in combinations(range(len(gfs)), 2):
+            m1, _, _ = induced_gain(gfs[i], F, set())
+            m2, _, _ = induced_gain(gfs[j], F, set())
+            if switching_equivalent(m1, m2) is not None:
+                out.add((tuple(sorted(F)), i, j))
+    return out
+
+
+def _found(failures):
+    return {(tuple(f["forest"]), f["i"], f["j"]) for f in failures}
+
+
+def test_contraction_failures_agree_with_pairwise_decisions():
+    g = catalog.tube("B_0").omega.graph
+    gfs = list(normalized_gain_functions(g, CyclicGroup(2)))
+    pairs, failures = _contraction_failures(g, gfs)
+    forests = sum(1 for F in g.link_forests() if F)
+    assert pairs == forests * len(gfs) * (len(gfs) - 1) // 2
+    assert _found(failures) == _pairwise_equivalent(g, gfs) == set()
+
+
+def test_contraction_failures_negative_control():
+    """A switched copy of one gain function is equivalent to it on every
+    contraction; each such pair is reported with a checked witness."""
+    g = catalog.tube("B_0").omega.graph
+    gfs = list(normalized_gain_functions(g, CyclicGroup(3)))[:6]
+    gfs.append(switch(gfs[4], {1: 2, 3: 1}))
+    assert gfs[6].gains != gfs[4].gains
+    pairs, failures = _contraction_failures(g, gfs)
+    assert failures
+    assert _found(failures) == _pairwise_equivalent(g, gfs)
+    assert {(f["i"], f["j"]) for f in failures} == {(4, 6)}
+    for f in failures:
+        m1, _, _ = induced_gain(gfs[f["i"]], f["forest"], set())
+        m2, _, _ = induced_gain(gfs[f["j"]], f["forest"], set())
+        assert switch(m1, f["eta"]).gains == m2.gains
