@@ -95,13 +95,11 @@ class BiasedGraph:
                     cycles=violation[1],
                 )
         self._balance_class = None
+        self._bias_data = None  # matroid rank data, built on first use
 
     # -- basics ------------------------------------------------------------
     def cycles(self):
         return self.graph.cycles()
-
-    def is_balanced_cycle(self, edge_set):
-        return frozenset(edge_set) in self.balanced
 
     def unbalanced_cycles(self):
         return [c for c in self.cycles() if frozenset(c.edges) not in self.balanced]
@@ -122,12 +120,12 @@ class BiasedGraph:
             if self.graph.is_loop(e) and frozenset((e,)) not in self.balanced
         )
 
-    def balanced_loops(self):
-        return tuple(
-            e
-            for e in range(self.graph.m)
-            if self.graph.is_loop(e) and frozenset((e,)) in self.balanced
-        )
+    def drop_isolated(self):
+        """The biased graph with isolated vertices deleted.  Edge ids are
+        unchanged (MultiGraph.drop_isolated keeps edge order and names), so
+        the balanced set carries over as it is."""
+        g, _ = self.graph.drop_isolated()
+        return BiasedGraph(g, self.balanced, check=False)
 
     def __eq__(self, other):
         return (
@@ -338,11 +336,6 @@ def biased_minor(omega, contract, delete, check=True):
     return BiasedMinor(current, total_vmap, total_emap, link_minor)
 
 
-def biased_subgraph(omega, edge_ids):
-    """Restriction to an edge subset (vertices kept)."""
-    return biased_minor(omega, frozenset(), frozenset(range(omega.graph.m)) - frozenset(edge_ids))
-
-
 # -- Delta-Y and Y-Delta -------------------------------------------------------
 
 def _triangle_vertices(g, X):
@@ -547,11 +540,6 @@ def unroll(omega, u):
     return BiasedGraph(g2, balanced)
 
 
-def fully_unrolled(omega, u):
-    """Canonical representative of the rolling equivalence class at u."""
-    return unroll(omega, u)
-
-
 def biased_equal_unoriented(om1, om2):
     """Equality as labeled biased graphs ignoring declared edge orientations."""
     g1, g2 = om1.graph, om2.graph
@@ -692,19 +680,6 @@ def biased_isomorphic(om1, om2):
     return False
 
 
-def biased_isomorphic_up_to_isolated(om1, om2):
-    g1, _ = om1.graph.drop_isolated()
-    g2, _ = om2.graph.drop_isolated()
-
-    def remap(om, g):
-        emap = {om.graph.edge_index(nm): g.edge_index(nm) for nm in g.edge_names}
-        return BiasedGraph(
-            g, {frozenset(emap[e] for e in c) for c in om.balanced}, check=False
-        )
-
-    return biased_isomorphic(remap(om1, g1), remap(om2, g2))
-
-
 @dataclass(frozen=True)
 class MinorRecipe:
     contract: frozenset
@@ -720,8 +695,7 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
     if g.n > max_vertices or g.m > max_edges:
         raise BoundExceeded("link-minor search bound exceeded")
     want_edges = pattern.graph.m
-    pat_dropped, _ = pattern.graph.drop_isolated()
-    want_vertices = pat_dropped.n
+    pat = pattern.drop_isolated()
     if want_edges > g.m:
         return None
     for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
@@ -735,27 +709,11 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
             result = biased_minor(omega, K, D, check=False)
             if not result.is_link_minor:
                 continue
-            mg, _ = result.omega.graph.drop_isolated()
-            if mg.n != want_vertices:
+            minor = result.omega.drop_isolated()
+            if minor.graph.n != pat.graph.n:
                 continue
-            iso = _iso_up_to_isolated(result.omega, pattern)
-            if iso is not None:
+            for iso in biased_isomorphisms(minor, pat):
                 return MinorRecipe(K, D, iso)
-    return None
-
-
-def _iso_up_to_isolated(om1, om2):
-    g1, _ = om1.graph.drop_isolated()
-    g2, _ = om2.graph.drop_isolated()
-
-    def remap(om, g):
-        emap = {om.graph.edge_index(nm): g.edge_index(nm) for nm in g.edge_names}
-        return BiasedGraph(
-            g, {frozenset(emap[e] for e in c) for c in om.balanced}, check=False
-        )
-
-    for iso in biased_isomorphisms(remap(om1, g1), remap(om2, g2)):
-        return iso
     return None
 
 

@@ -25,6 +25,7 @@ from .bias import (
     unroll,
 )
 from .errors import (
+    BmlabError,
     BoundExceeded,
     GroupMismatch,
     MatroidMismatch,
@@ -123,16 +124,6 @@ def lift_matrix(gg):
     form = complete_lift_matrix(gg)
     mat = form.matrix.submatrix_cols(list(range(gg.graph.m)))
     return CanonicalForm(LIFT, gg, mat, gg.graph.edges)
-
-
-def canonical_matrix(gg, kind):
-    if kind == FRAME:
-        return frame_matrix(gg)
-    if kind == LIFT:
-        return lift_matrix(gg)
-    if kind == COMPLETE_LIFT:
-        return complete_lift_matrix(gg)
-    raise ValueError("unknown kind %r" % kind)
 
 
 # -- matrix-level Delta-Y ------------------------------------------------------
@@ -692,7 +683,7 @@ def _parse_frame_columns(W, omega, f):
 def _joint_gain_mul(group):
     try:
         return group.smallest_non_identity()
-    except Exception:
+    except BmlabError:
         return None
 
 
@@ -789,7 +780,7 @@ def _roll_reachable(omega, variant):
         try:
             a = unroll(omega, u)
             b = unroll(variant, u)
-        except Exception:
+        except BmlabError:
             continue
         if biased_equal_unoriented(a, b):
             return True
@@ -918,7 +909,7 @@ def enumerate_representations(
         for cls in out:
             try:
                 res = canonicalize_representation(cls.matrix, biased_graph, hint=hint)
-            except Exception:
+            except BmlabError:
                 res = None
             if res is not None and res.status == "ok":
                 cls.kind = res.kind

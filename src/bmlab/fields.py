@@ -171,10 +171,6 @@ class GF:
     def show(self, a):
         return str(a)
 
-    @property
-    def is_finite(self):
-        return True
-
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q
 
@@ -225,10 +221,6 @@ class Rationals:
 
     def show(self, a):
         return str(a)
-
-    @property
-    def is_finite(self):
-        return False
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

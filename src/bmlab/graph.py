@@ -89,9 +89,6 @@ class MultiGraph:
     def links_at(self, v):
         return tuple(e for e in self._incident[v] if not self.is_loop(e))
 
-    def loops_at(self, v):
-        return tuple(e for e in self._incident[v] if self.is_loop(e))
-
     def degree(self, v):
         return sum(2 if self.is_loop(e) else 1 for e in self._incident[v])
 

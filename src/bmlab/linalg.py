@@ -121,24 +121,6 @@ class FieldMatrix:
     def __repr__(self):
         return "FieldMatrix(%dx%d over %r)" % (self.nrows, self.ncols, self.field)
 
-    def pretty(self):
-        f = self.field
-        width = max(
-            [len(f.show(x)) for r in self.rows for x in r]
-            + [len(c) for c in self.col_labels]
-        )
-        head = " " * (max(len(x) for x in self.row_labels) + 1) + " ".join(
-            c.rjust(width) for c in self.col_labels
-        )
-        lines = [head]
-        for lbl, r in zip(self.row_labels, self.rows):
-            lines.append(
-                lbl.ljust(max(len(x) for x in self.row_labels))
-                + " "
-                + " ".join(f.show(x).rjust(width) for x in r)
-            )
-        return "\n".join(lines)
-
 
 def rref(A):
     """Reduced row echelon form.

@@ -262,16 +262,10 @@ def _lift_rank_mask(data, mask):
     return nv - len(comps) + eps
 
 
-_BIAS_CACHE = {}
-
-
 def _bias_data(omega):
-    key = id(omega)
-    data = _BIAS_CACHE.get(key)
-    if data is None or data[0] is not omega:
-        data = (omega, _BiasData(omega))
-        _BIAS_CACHE[key] = data
-    return data[1]
+    if omega._bias_data is None:
+        omega._bias_data = _BiasData(omega)
+    return omega._bias_data
 
 
 def frame_matroid(omega):

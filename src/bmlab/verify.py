@@ -1,6 +1,7 @@
 """The claim registry behind `bmlab verify`: one registered claim per paper
-result, each an exhaustive or seeded desk-scale computation that returns a
-VerifyReport.  Fail reports always carry a concrete counterexample object.
+result, each an exhaustive or seeded desk-scale computation that returns its
+failures and counts; run_claim turns them into a VerifyReport.  Fail reports
+always carry a concrete counterexample object.
 """
 
 import random
@@ -31,6 +32,7 @@ from .canonical import (
     FRAME,
     LIFT,
     CanonicalizeResult,
+    _roll_reachable,
     canonicalize_representation,
     complete_lift_matrix,
     delta_y_matrix,
@@ -39,7 +41,7 @@ from .canonical import (
     lift_matrix,
     y_delta_matrix,
 )
-from .errors import UnknownClaim
+from .errors import BmlabError, BoundExceeded, UnknownClaim
 from .fields import gf
 from .gains import (
     AdditiveGroup,
@@ -94,46 +96,75 @@ class VerifyReport:
         }
 
 
-def _report(claim, failures, counts, t0, undecided=0):
-    status = "pass"
-    if failures:
-        status = "fail"
-    elif undecided:
-        status = "undecided"
-    if undecided:
-        counts = dict(counts)
-        counts["undecided"] = undecided
-    return VerifyReport(claim, status, counts, failures[:10], time.time() - t0)
+# -- registry ---------------------------------------------------------------------------
+
+MAX_WITNESSES = 10
+
+CLAIMS = dict()  # claim id -> function, filled only by @claim
+
+
+def claim(name):
+    """Register the decorated function, unchanged, as CLAIMS[name].
+
+    A claim takes its options as declared parameters and returns
+    (failures, counts); run_claim times it and builds the report."""
+
+    def register(fn):
+        CLAIMS[name] = fn
+        return fn
+
+    return register
+
+
+def run_claim(name, **options):
+    """Run one claim.  An option the claim does not declare raises
+    TypeError; a search bound hit inside the claim gives `undecided`."""
+    try:
+        fn = CLAIMS[name]
+    except KeyError:
+        raise UnknownClaim("no claim registered under %r" % name)
+    t0 = time.perf_counter()
+    try:
+        failures, counts = fn(**options)
+    except BoundExceeded as exc:
+        return VerifyReport(name, "undecided", {"undecided": str(exc)}, [],
+                            time.perf_counter() - t0)
+    return VerifyReport(name, "fail" if failures else "pass", counts,
+                        failures[:MAX_WITNESSES], time.perf_counter() - t0)
+
+
+def all_claims():
+    return sorted(CLAIMS)
 
 
 # -- section 3 counts ------------------------------------------------------------
 
-def claim_seven_dwarves(**kw):
-    t0 = time.time()
+@claim("seven-dwarves")
+def claim_seven_dwarves():
     names = [nb.name for nb in catalog.classify_k4()]
     failures = [] if len(names) == 7 else [{"got": names}]
-    return _report("seven-dwarves", failures, {"classes": len(names)}, t0)
+    return failures, {"classes": len(names)}
 
 
-def claim_2c3_proper_count(**kw):
-    t0 = time.time()
+@claim("2c3-proper-count")
+def claim_2c3_proper_count():
     names = [nb.name for nb in catalog.classify_2c3_proper()]
     failures = [] if len(names) == 6 else [{"got": names}]
-    return _report("2c3-proper-count", failures, {"classes": len(names)}, t0)
+    return failures, {"classes": len(names)}
 
 
-def claim_tube_count(**kw):
-    t0 = time.time()
+@claim("tube-count")
+def claim_tube_count():
     names = [nb.name for nb in catalog.classify_tube_proper()]
     failures = [] if len(names) == 3 else [{"got": names}]
-    return _report("tube-count", failures, {"classes": len(names)}, t0)
+    return failures, {"classes": len(names)}
 
 
-def claim_base_count(**kw):
-    t0 = time.time()
+@claim("base-count")
+def claim_base_count():
     base = catalog.base_graphs()
     failures = [] if len(base) == 13 else [{"got": [nb.name for nb in base]}]
-    return _report("base-count", failures, {"classes": len(base)}, t0)
+    return failures, {"classes": len(base)}
 
 
 # -- canonical representation theorems -------------------------------------------
@@ -152,9 +183,9 @@ def _random_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True):
     return MultiGraph(n, edges)
 
 
-def claim_canonical_frame(seed=DEFAULT_SEED, samples=200, q=5, **kw):
+@claim("canonical-frame")
+def claim_canonical_frame(seed=DEFAULT_SEED, samples=200, q=5):
     """Thm: vector matroid of the frame matrix equals the frame matroid."""
-    t0 = time.time()
     rng = random.Random(seed)
     group = MultiplicativeGroup(q)
     failures = []
@@ -167,12 +198,12 @@ def claim_canonical_frame(seed=DEFAULT_SEED, samples=200, q=5, **kw):
         eq, w = matroids_equal(vector_matroid(A), frame_matroid(om))
         if not eq:
             failures.append({"sample": k, "edges": list(g.edges), "gains": gains, "subset": w})
-    return _report("canonical-frame", failures, {"samples": samples, "q": q}, t0)
+    return failures, {"samples": samples, "q": q}
 
 
-def claim_canonical_lift(seed=DEFAULT_SEED, samples=200, q=5, **kw):
+@claim("canonical-lift")
+def claim_canonical_lift(seed=DEFAULT_SEED, samples=200, q=5):
     """Thm: vector matroid of the complete lift matrix equals L0."""
-    t0 = time.time()
     rng = random.Random(seed)
     group = AdditiveGroup(q)
     failures = []
@@ -185,7 +216,7 @@ def claim_canonical_lift(seed=DEFAULT_SEED, samples=200, q=5, **kw):
         eq, w = matroids_equal(vector_matroid(A), complete_lift_matroid(om))
         if not eq:
             failures.append({"sample": k, "edges": list(g.edges), "gains": gains, "subset": w})
-    return _report("canonical-lift", failures, {"samples": samples, "q": q}, t0)
+    return failures, {"samples": samples, "q": q}
 
 
 # -- section 4.1 biconditionals ----------------------------------------------------
@@ -200,11 +231,10 @@ def _lift_reps_with_matrices(om, q):
     return [(gg, lift_matrix(gg).matrix) for gg in reps]
 
 
-def _biconditional_frame(claim, graphs, fields, seed):
+def _biconditional_frame(graphs, fields, seed):
     """Exhaustive: distinct normalized realizations (= distinct switching
     classes) must give projectively inequivalent frame matrices; switched
     copies must stay equivalent (seeded samples, exact decision)."""
-    t0 = time.time()
     rng = random.Random(seed)
     failures = []
     pairs = reps_total = 0
@@ -237,15 +267,13 @@ def _biconditional_frame(claim, graphs, fields, seed):
                 if w is None:
                     failures.append({"graph": nb.name, "q": q, "rep": i,
                                      "why": "switched copy not equivalent"})
-    return _report(claim, failures,
-                   {"graphs": len(graphs), "fields": list(fields),
-                    "realizations": reps_total, "pairs": pairs}, t0)
+    return failures, {"graphs": len(graphs), "fields": list(fields),
+                      "realizations": reps_total, "pairs": pairs}
 
 
-def _biconditional_lift(claim, graphs, fields, seed):
+def _biconditional_lift(graphs, fields, seed):
     """Exhaustive: normalized additive realizations pair up projectively
     exactly within switching-and-scaling orbits."""
-    t0 = time.time()
     rng = random.Random(seed)
     failures = []
     pairs = reps_total = 0
@@ -273,14 +301,12 @@ def _biconditional_lift(claim, graphs, fields, seed):
                 if (w is not None) != (keys[i] == keys[j]):
                     failures.append({"graph": nb.name, "q": q, "pair": (i, j),
                                      "why": "key/decision disagreement"})
-    return _report(claim, failures,
-                   {"graphs": len(graphs), "fields": list(fields),
-                    "realizations": reps_total, "pairs": pairs}, t0)
+    return failures, {"graphs": len(graphs), "fields": list(fields),
+                      "realizations": reps_total, "pairs": pairs}
 
 
-def _biconditional_cross(claim, graphs, fields):
+def _biconditional_cross(graphs, fields):
     """Frame forms are never projectively equivalent to lift forms."""
-    t0 = time.time()
     failures = []
     checked = 0
     for nb in graphs:
@@ -295,8 +321,7 @@ def _biconditional_cross(claim, graphs, fields):
             if both:
                 failures.append({"graph": nb.name, "q": q,
                                  "why": "frame and lift forms equivalent"})
-    return _report(claim, failures,
-                   {"graphs": len(graphs), "fields": list(fields), "cross_pairs": checked}, t0)
+    return failures, {"graphs": len(graphs), "fields": list(fields), "cross_pairs": checked}
 
 
 def _sample_pairs(rng, n, k):
@@ -318,45 +343,53 @@ def _sample_indices(rng, n, k):
     return sorted({rng.randrange(n) for _ in range(k)})
 
 
-def claim_lemma_2c3_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED, **kw):
-    return _biconditional_frame("lemma-2c3-frame", catalog.classify_2c3_proper(), fields, seed)
+@claim("lemma-2c3-frame")
+def claim_lemma_2c3_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
+    return _biconditional_frame(catalog.classify_2c3_proper(), fields, seed)
 
 
-def claim_lemma_2c3_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED, **kw):
-    return _biconditional_lift("lemma-2c3-lift", catalog.classify_2c3_proper(), fields, seed)
+@claim("lemma-2c3-lift")
+def claim_lemma_2c3_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
+    return _biconditional_lift(catalog.classify_2c3_proper(), fields, seed)
 
 
-def claim_lemma_2c3_cross(fields=DEFAULT_FIELDS, **kw):
-    return _biconditional_cross("lemma-2c3-frame-vs-lift", catalog.classify_2c3_proper(), fields)
+@claim("lemma-2c3-frame-vs-lift")
+def claim_lemma_2c3_cross(fields=DEFAULT_FIELDS):
+    return _biconditional_cross(catalog.classify_2c3_proper(), fields)
 
 
 def _proper_k4():
     return [nb for nb in catalog.classify_k4() if not any(len(c) == 3 for c in nb.omega.balanced)]
 
 
-def claim_lemma_k4_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED, **kw):
-    return _biconditional_frame("lemma-k4-frame", _proper_k4(), fields, seed)
+@claim("lemma-k4-frame")
+def claim_lemma_k4_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
+    return _biconditional_frame(_proper_k4(), fields, seed)
 
 
-def claim_lemma_k4_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED, **kw):
-    return _biconditional_lift("lemma-k4-lift", _proper_k4(), fields, seed)
+@claim("lemma-k4-lift")
+def claim_lemma_k4_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
+    return _biconditional_lift(_proper_k4(), fields, seed)
 
 
-def claim_lemma_k4_cross(fields=DEFAULT_FIELDS, **kw):
-    return _biconditional_cross("lemma-k4-frame-vs-lift", _proper_k4(), fields)
+@claim("lemma-k4-frame-vs-lift")
+def claim_lemma_k4_cross(fields=DEFAULT_FIELDS):
+    return _biconditional_cross(_proper_k4(), fields)
 
 
-def claim_lemma_tube_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED, **kw):
-    return _biconditional_frame("lemma-tube-frame", catalog.classify_tube_proper(), fields, seed)
+@claim("lemma-tube-frame")
+def claim_lemma_tube_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
+    return _biconditional_frame(catalog.classify_tube_proper(), fields, seed)
 
 
-def claim_lemma_tube_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED, **kw):
-    return _biconditional_lift("lemma-tube-lift", catalog.classify_tube_proper(), fields, seed)
+@claim("lemma-tube-lift")
+def claim_lemma_tube_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
+    return _biconditional_lift(catalog.classify_tube_proper(), fields, seed)
 
 
-def claim_u2_criterion(fields=DEFAULT_FIELDS, **kw):
+@claim("u2-criterion")
+def claim_u2_criterion(fields=DEFAULT_FIELDS):
     """Lemma: A_F(U_2,phi) ~ A_F(U_2,psi) iff the 2-cycle gains agree."""
-    t0 = time.time()
     failures = []
     checked = 0
     u2 = catalog.u2().omega
@@ -373,13 +406,13 @@ def claim_u2_criterion(fields=DEFAULT_FIELDS, **kw):
             if (keys[i] == keys[j]) != (gains[i] == gains[j]):
                 failures.append({"q": q, "pair": (i, j),
                                  "gains": (gains[i], gains[j])})
-    return _report("u2-criterion", failures, {"fields": list(fields), "pairs": checked}, t0)
+    return failures, {"fields": list(fields), "pairs": checked}
 
 
-def claim_u3_lift_criterion(fields=DEFAULT_FIELDS, **kw):
+@claim("u3-lift-criterion")
+def claim_u3_lift_criterion(fields=DEFAULT_FIELDS):
     """Lemma: A_L(U_3,phi) ~ A_L(U_3,psi) iff the restrictions to the theta
     links are switching-and-scaling equivalent."""
-    t0 = time.time()
     failures = []
     checked = 0
     u3 = catalog.u3().omega
@@ -401,17 +434,16 @@ def claim_u3_lift_criterion(fields=DEFAULT_FIELDS, **kw):
             equiv = switching_scaling_equivalent(restr[i], restr[j]) is not None
             if (keys[i] == keys[j]) != equiv:
                 failures.append({"q": q, "pair": (i, j), "restriction_equiv": equiv})
-    return _report("u3-lift-criterion", failures, {"fields": list(fields), "pairs": checked}, t0)
+    return failures, {"fields": list(fields), "pairs": checked}
 
 
 # -- section 4.2: all representations are canonical --------------------------------
 
-def _allreps(claim, named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
+def _allreps(named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
     """Enumerate all representations of F(omega); every class must
     canonicalize, and the class count must equal the independent count of
     gain-function classes (switching for frame, switching-and-scaling for
     lift, restricted to the kinds that represent the matroid)."""
-    t0 = time.time()
     failures = []
     counts = {}
     for nb in named_graphs:
@@ -443,25 +475,27 @@ def _allreps(claim, named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
             if cls.kind not in expect_kinds:
                 failures.append({"graph": nb.name, "q": q, "class": k,
                                  "why": "not canonicalizable", "kind": cls.kind})
-    return _report(claim, failures, {"q": q, "per_graph": counts}, t0)
+    return failures, {"q": q, "per_graph": counts}
 
 
-def claim_allreps_2c3(q=4, **kw):
-    return _allreps("allreps-2c3", catalog.classify_2c3_proper(), q)
+@claim("allreps-2c3")
+def claim_allreps_2c3(q=4):
+    return _allreps(catalog.classify_2c3_proper(), q)
 
 
-def claim_allreps_k4(q=4, **kw):
-    return _allreps("allreps-k4", _proper_k4(), q)
+@claim("allreps-k4")
+def claim_allreps_k4(q=4):
+    return _allreps(_proper_k4(), q)
 
 
-def claim_allreps_tube_frame(q=4, **kw):
-    return _allreps("allreps-tube-frame", catalog.classify_tube_proper(), q,
-                    expect_kinds=("frame",))
+@claim("allreps-tube-frame")
+def claim_allreps_tube_frame(q=4):
+    return _allreps(catalog.classify_tube_proper(), q, expect_kinds=("frame",))
 
 
-def claim_allreps_tube_lift(q=4, **kw):
+@claim("allreps-tube-lift")
+def claim_allreps_tube_lift(q=4):
     """Every representation of L(2C4'',B) is a unique canonical lift."""
-    t0 = time.time()
     failures = []
     counts = {}
     for nb in catalog.classify_tube_proper():
@@ -476,21 +510,18 @@ def claim_allreps_tube_lift(q=4, **kw):
         for k, cls in enumerate(classes):
             if cls.kind != "lift":
                 failures.append({"graph": nb.name, "class": k, "kind": cls.kind})
-    return _report("allreps-tube-lift", failures, {"q": q, "per_graph": counts}, t0)
+    return failures, {"q": q, "per_graph": counts}
 
 
-def claim_allreps_contracted_tube(q=5, **kw):
+@claim("allreps-contracted-tube")
+def claim_allreps_contracted_tube(q=5):
     """Lemma: every representation of F(2C3-e,B) is projectively equivalent
     to a frame matrix particular to the graph or one of its roll-ups, and
     to a lift matrix particular to the graph."""
-    t0 = time.time()
     failures = []
     counts = {}
     for nb in catalog.contracted_tubes():
-        om0 = nb.omega
-        g0, _ = om0.graph.drop_isolated()
-        emap = {om0.graph.edge_index(nm): g0.edge_index(nm) for nm in g0.edge_names}
-        om = BiasedGraph(g0, {frozenset(emap[e] for e in c) for c in om0.balanced})
+        om = nb.omega.drop_isolated()
         FO = frame_matroid(om)
         classes = enumerate_representations(FO, q)
         counts[nb.name] = {"classes": len(classes)}
@@ -499,7 +530,7 @@ def claim_allreps_contracted_tube(q=5, **kw):
             lres = canonicalize_representation(cls.matrix, om, hint=LIFT)
             if fres.status != "ok" or fres.kind != FRAME:
                 failures.append({"graph": nb.name, "class": k, "why": "no frame form"})
-            elif fres.rolled_edges and not _roll_up_of(om, fres.variant):
+            elif fres.rolled_edges and not _roll_reachable(om, fres.variant):
                 failures.append({"graph": nb.name, "class": k,
                                  "why": "frame variant not a roll-up"})
             if lres.status != "ok" or lres.kind != LIFT:
@@ -507,28 +538,16 @@ def claim_allreps_contracted_tube(q=5, **kw):
             elif lres.rolled_edges:
                 failures.append({"graph": nb.name, "class": k,
                                  "why": "lift form not particular to the graph"})
-    return _report("allreps-contracted-tube", failures, {"q": q, "per_graph": counts}, t0)
+    return failures, {"q": q, "per_graph": counts}
 
 
-def _roll_up_of(om, variant):
-    """variant equals om with some union of unbalancing classes rolled."""
-    bal = classify_balance(om).balancing_vertices
-    for u in bal:
-        try:
-            if biased_equal_unoriented(unroll(om, u), unroll(variant, u)):
-                return True
-        except Exception:
-            continue
-    return False
-
-
-def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12, **kw):
+@claim("allreps-t2prime-splits")
+def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
     """Lemma L:SplitsOf2C3, verified the way the paper proves it: nabla_Y
     reduces each T'_{2,i} to a smaller graph whose representations are
     exhaustively canonical, Whittle's exchange bijection is checked on
     matrix representatives, and scrambles of canonical T'_{2,i} matrices
     round-trip."""
-    t0 = time.time()
     rng = random.Random(seed)
     failures = []
     counts = {}
@@ -545,7 +564,7 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12, **kw):
                 continue
             try:
                 img, _ = y_delta(om, v)
-            except Exception:
+            except BmlabError:
                 continue
             FO = frame_matroid(om)
             star = [g.edge_names[e] for e in g.incident_edges(v)]
@@ -556,7 +575,7 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12, **kw):
             A = frame_matrix(reps[0]).matrix
             try:
                 NA = y_delta_matrix(A, star)
-            except Exception as exc:
+            except (BmlabError, ValueError) as exc:
                 failures.append({"graph": nb.name, "why": "nabla failed: %s" % exc})
                 break
             eq, w = matroids_equal(vector_matroid(NA), frame_matroid(img))
@@ -586,7 +605,7 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12, **kw):
             elif switching_equivalent(res.form.gain_graph, gg) is None:
                 failures.append({"graph": nb.name, "sample": k,
                                  "why": "recovered gains not switching-equivalent"})
-    return _report("allreps-t2prime-splits", failures, {"q": q, "per_graph": counts}, t0)
+    return failures, {"q": q, "per_graph": counts}
 
 
 def _scramble(rng, f, A):
@@ -620,10 +639,10 @@ def _tangled_targets():
     return out
 
 
-def claim_tangled_minor(max_vertices=5, max_edges=8, **kw):
+@claim("tangled-minor")
+def claim_tangled_minor(max_vertices=5, max_edges=8):
     """Thm: every tangled biased graph has a link minor that is a biased K4
     with no balanced triangle or a biased 2C3 with no balanced 2-cycle."""
-    t0 = time.time()
     family = catalog.tangled_family(max_vertices, max_edges)
     targets = _tangled_targets()
     failures = []
@@ -641,18 +660,17 @@ def claim_tangled_minor(max_vertices=5, max_edges=8, **kw):
                 "edges": list(om.graph.edges),
                 "balanced": [sorted(c) for c in om.balanced],
             })
-    return _report("tangled-minor", failures,
-                   {"tangled_graphs": len(family),
-                    "bounds": [max_vertices, max_edges]}, t0)
+    return failures, {"tangled_graphs": len(family),
+                      "bounds": [max_vertices, max_edges]}
 
 
-def claim_tangled_subgraph(max_vertices=5, max_edges=8, **kw):
+@claim("tangled-subgraph")
+def claim_tangled_subgraph(max_vertices=5, max_edges=8):
     """Thm: every vertically 2-connected properly unbalanced biased graph
     contains a subdivision of a base biased graph or of T'_{2,i}.
 
     Checked on the tangled family (the non-tangled case is P:TubeMinor,
     covered by its own property test)."""
-    t0 = time.time()
     family = catalog.tangled_family(max_vertices, max_edges)
     patterns = list(catalog.base_graphs()) + [
         catalog.t2_prime_split(1),
@@ -677,15 +695,14 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8, **kw):
                 "edges": list(om.graph.edges),
                 "balanced": [sorted(c) for c in om.balanced],
             })
-    return _report("tangled-subgraph", failures,
-                   {"tangled_2connected": len(family),
-                    "bounds": [max_vertices, max_edges]}, t0)
+    return failures, {"tangled_2connected": len(family),
+                      "bounds": [max_vertices, max_edges]}
 
 
-def claim_tangled_no_extend(fields=(4, 5), **kw):
+@claim("tangled-no-extend")
+def claim_tangled_no_extend(fields=(4, 5)):
     """Lemma: a frame matrix of a tangled base graph never extends by a
     joint column to a representation of the lift matroid, and vice versa."""
-    t0 = time.time()
     failures = []
     checked = 0
     for nb in _tangled_targets():
@@ -713,8 +730,7 @@ def claim_tangled_no_extend(fields=(4, 5), **kw):
                     if found:
                         failures.append({"graph": nb.name, "q": q,
                                          "why": "lift extended to frame"})
-    return _report("tangled-no-extend", failures,
-                   {"fields": list(fields), "extensions_checked": checked}, t0)
+    return failures, {"fields": list(fields), "extensions_checked": checked}
 
 
 def _with_joint(om, vertex):
@@ -738,20 +754,17 @@ def _extension_exists(A, target_oracle, f):
     return False
 
 
+@claim("unique-balancing-subdivision")
 def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
-                                       seed=DEFAULT_SEED, samples=40, **kw):
+                                       seed=DEFAULT_SEED, samples=40):
     """Prop: a vertically 2-connected biased graph with a contrabalanced
     theta, a unique balancing vertex, and no joints elsewhere contains a
     subdivision of D_{1,0}, B_0', B_1' or B_2'.
 
     Exhaustive on small loopless graphs plus seeded random instances."""
-    t0 = time.time()
     patterns = [catalog.dwarf("D_{1,0}")]
     for nb in catalog.contracted_tubes():
-        g0, _ = nb.omega.graph.drop_isolated()
-        emap = {nb.omega.graph.edge_index(nm): g0.edge_index(nm) for nm in g0.edge_names}
-        patterns.append(catalog.NamedBiasedGraph(
-            nb.name, BiasedGraph(g0, {frozenset(emap[e] for e in c) for c in nb.omega.balanced}), ""))
+        patterns.append(catalog.NamedBiasedGraph(nb.name, nb.omega.drop_isolated(), ""))
     failures = []
     hypotheses = 0
 
@@ -792,16 +805,15 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
         om = induced_bias(gg)
         tried += 1
         check(om)
-    return _report("unique-balancing-subdivision", failures,
-                   {"hypothesis_instances": hypotheses}, t0)
+    return failures, {"hypothesis_instances": hypotheses}
 
 
-def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60, **kw):
+@claim("inequivalence-localized")
+def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60):
     """Thm: switching-inequivalent realizations of a vertically 2-connected
     loopless properly unbalanced biased graph stay inequivalent on a base
     link minor, or on a U_3 link minor (theta part) together with a U_2
     minor (2-cycle part), the latter only when not tangled."""
-    t0 = time.time()
     rng = random.Random(seed)
     failures = []
     instances = []
@@ -824,8 +836,7 @@ def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60, **kw):
                 "phi": phi.gains,
                 "psi": psi.gains,
             })
-    return _report("inequivalence-localized", failures,
-                   {"pairs_checked": len(instances)}, t0)
+    return failures, {"pairs_checked": len(instances)}
 
 
 def _minor_recipes(g, keep_edges):
@@ -849,12 +860,10 @@ def _localization_certificate(om, phi, psi):
             mres = biased_minor(om, K, D, check=False)
             if not mres.is_link_minor:
                 continue
-            md, _ = mres.omega.graph.drop_isolated()
-            if md.n != nb.omega.graph.n:
+            minor = mres.omega.drop_isolated()
+            if minor.graph.n != nb.omega.graph.n:
                 continue
-            if not biased_isomorphic(
-                _dropped(mres.omega), _dropped(nb.omega)
-            ):
+            if not biased_isomorphic(minor, nb.omega.drop_isolated()):
                 continue
             mphi, _, _ = induced_gain(phi, K, D)
             mpsi, _, _ = induced_gain(psi, K, D)
@@ -870,7 +879,7 @@ def _localization_certificate(om, phi, psi):
         mres = biased_minor(om, K, D, check=False)
         if not mres.is_link_minor:
             continue
-        if not biased_isomorphic(_dropped(mres.omega), _dropped(u3)):
+        if not biased_isomorphic(mres.omega.drop_isolated(), u3.drop_isolated()):
             continue
         mphi, _, _ = induced_gain(phi, K, D)
         mpsi, _, _ = induced_gain(psi, K, D)
@@ -907,35 +916,26 @@ def _localization_certificate(om, phi, psi):
     return False
 
 
-def _dropped(om):
-    g, _ = om.graph.drop_isolated()
-    emap = {om.graph.edge_index(nm): g.edge_index(nm) for nm in g.edge_names}
-    return BiasedGraph(g, {frozenset(emap[e] for e in c) for c in om.balanced}, check=False)
-
-
 # -- main theorems -------------------------------------------------------------------
 
-def claim_main2(fields=(4, 5), seed=DEFAULT_SEED, **kw):
+@claim("main2")
+def claim_main2(fields=(4, 5), seed=DEFAULT_SEED):
     """Thm T:ProjectiveIsSwitching bundled over all 13 base graphs."""
-    t0 = time.time()
     base = list(catalog.base_graphs())
-    sub = []
-    for rep in (
-        _biconditional_frame("main2/frame", base, fields, seed),
-        _biconditional_lift("main2/lift", base, fields, seed + 1),
-        _biconditional_cross("main2/cross", base, fields),
-    ):
-        sub.append(rep)
-    failures = [w for rep in sub for w in rep.witnesses]
-    counts = {rep.claim.split("/")[1]: rep.counts for rep in sub}
-    return _report("main2", failures, counts, t0)
+    parts = {
+        "frame": _biconditional_frame(base, fields, seed),
+        "lift": _biconditional_lift(base, fields, seed + 1),
+        "cross": _biconditional_cross(base, fields),
+    }
+    failures = [w for found, _ in parts.values() for w in found]
+    return failures, {key: counts for key, (_, counts) in parts.items()}
 
 
-def claim_main3_roundtrip(seed=DEFAULT_SEED, samples=100, q=5, **kw):
+@claim("main3-roundtrip")
+def claim_main3_roundtrip(seed=DEFAULT_SEED, samples=100, q=5):
     """Thm T:MainTheorem1 mechanics: seeded scrambles of canonical matrices
     on B_0, D_{0,2}, T_0 are recovered with the correct kind and
     switching-equivalent gains."""
-    t0 = time.time()
     rng = random.Random(seed)
     f = gf(q)
     graphs = [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"), catalog.biased_2c3("T_0")]
@@ -972,18 +972,18 @@ def claim_main3_roundtrip(seed=DEFAULT_SEED, samples=100, q=5, **kw):
                              "why": "gains not equivalent"})
         if not res.witness.verify(scr, res.form.matrix):
             failures.append({"graph": name, "kind": kind, "why": "witness inexact"})
-    return _report("main3-roundtrip", failures, {"samples": done, "q": q}, t0)
+    return failures, {"samples": done, "q": q}
 
 
-def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5, **kw):
+@claim("main4-samples")
+def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5):
     """Thm on almost-balanced graphs: scrambles canonicalize to a form
     particular to the graph or to a roll-up variant (reported)."""
-    t0 = time.time()
     rng = random.Random(seed)
     f = gf(q)
     instances = []
     for nb in catalog.contracted_tubes():
-        instances.append((nb.name, _dropped(nb.omega)))
+        instances.append((nb.name, nb.omega.drop_isolated()))
     instances.append(("D_{1,0}", catalog.dwarf("D_{1,0}").omega))
     p2 = MultiGraph(3, [(0, 2), (2, 1)])
     instances.append(("fat-theta-3x2", catalog.fat_theta([p2, p2, p2])))
@@ -1007,24 +1007,24 @@ def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5, **kw):
             failures.append({"graph": name, "kind": kind, "status": res.status,
                              "reason": res.reason})
             continue
-        if res.rolled_edges and not _roll_up_of(om, res.variant):
+        if res.rolled_edges and not _roll_reachable(om, res.variant):
             failures.append({"graph": name, "kind": kind,
                              "why": "variant not roll-reachable"})
         if not res.witness.verify(scr, res.form.matrix):
             failures.append({"graph": name, "kind": kind, "why": "witness inexact"})
-    return _report("main4-samples", failures, {"samples": done, "q": q}, t0)
+    return failures, {"samples": done, "q": q}
 
 
 # -- gains / operations propositions ---------------------------------------------------
 
-def claim_contraction_inequiv(**kw):
+@claim("contraction-inequiv")
+def claim_contraction_inequiv():
     """Prop: switching-inequivalent gain functions stay inequivalent after
     contracting any forest.  Exhaustive over catalog graphs, all nonempty
     link forests, all pairs of normalized gain functions over Z_2 and Z_3.
     Pairs are decided by grouping each forest's contracted functions by
     their normalized gains (_contraction_failures); `pairs` still counts
     every (forest, pair) decided."""
-    t0 = time.time()
     failures = []
     pairs_checked = 0
     seen = set()
@@ -1037,7 +1037,7 @@ def claim_contraction_inequiv(**kw):
             pairs, found = _contraction_failures(g, list(normalized_gain_functions(g, group)))
             pairs_checked += pairs
             failures += found
-    return _report("contraction-inequiv", failures, {"pairs": pairs_checked}, t0)
+    return failures, {"pairs": pairs_checked}
 
 
 def _contraction_failures(g, gfs):
@@ -1072,10 +1072,10 @@ def _contraction_failures(g, gfs):
     return pairs, failures
 
 
-def claim_deltawye_matroid(fields=(4, 5), **kw):
+@claim("deltawye-matroid")
+def claim_deltawye_matroid(fields=(4, 5)):
     """Prop: F(Delta_X omega) and L0(Delta_X omega) agree with the
     matrix-level exchange of the canonical representations."""
-    t0 = time.time()
     failures = []
     checked = 0
     pool = list(catalog.classify_k4()) + list(catalog.classify_2c3_proper())
@@ -1106,14 +1106,14 @@ def claim_deltawye_matroid(fields=(4, 5), **kw):
                 if not eq:
                     failures.append({"graph": nb.name, "q": q, "kind": "lift0",
                                      "subset": w})
-    return _report("deltawye-matroid", failures, {"checked": checked}, t0)
+    return failures, {"checked": checked}
 
 
-def claim_deltawye_gains(**kw):
+@claim("deltawye-gains")
+def claim_deltawye_gains():
     """Prop: realizations of omega correspond to realizations of
     Delta_X omega, up to switching (counts compared; the identity-on-X
     normalized realizations literally coincide)."""
-    t0 = time.time()
     failures = []
     checked = 0
     groups = [CyclicGroup(2), CyclicGroup(3), MultiplicativeGroup(4),
@@ -1133,17 +1133,17 @@ def claim_deltawye_gains(**kw):
             if n1 != n2:
                 failures.append({"graph": nb.name, "group": repr(group),
                                  "classes": (n1, n2)})
-    return _report("deltawye-gains", failures, {"checked": checked}, t0)
+    return failures, {"checked": checked}
 
 
-def claim_rollup_frame(**kw):
+@claim("rollup-frame")
+def claim_rollup_frame():
     """Funk's proposition: rolling preserves the frame matroid; unrolling a
     roll-up restores the graph; double roll-ups preserve F on fat thetas."""
-    t0 = time.time()
     failures = []
     checked = 0
     instances = [catalog.dwarf("D_{1,0}"), catalog.dwarf("D_{2,1}")]
-    instances += [catalog.NamedBiasedGraph(nb.name, _dropped(nb.omega), "")
+    instances += [catalog.NamedBiasedGraph(nb.name, nb.omega.drop_isolated(), "")
                   for nb in catalog.contracted_tubes()]
     for nb in instances:
         om = nb.omega
@@ -1176,12 +1176,12 @@ def claim_rollup_frame(**kw):
             checked += 1
             if not eq:
                 failures.append({"fat_theta": len(parts), "pair": (i, j), "subset": w})
-    return _report("rollup-frame", failures, {"checked": checked}, t0)
+    return failures, {"checked": checked}
 
 
-def claim_subdivision_classes(q=4, **kw):
+@claim("subdivision-classes")
+def claim_subdivision_classes(q=4):
     """Prop: representation class counts transfer to one-edge subdivisions."""
-    t0 = time.time()
     failures = []
     counts = {}
     for name in ("T_2'", "T_4"):
@@ -1193,7 +1193,7 @@ def claim_subdivision_classes(q=4, **kw):
         counts[name] = {"base": len(base_classes), "subdivided": len(sub_classes)}
         if len(base_classes) != len(sub_classes):
             failures.append({"graph": name, "q": q, "counts": counts[name]})
-    return _report("subdivision-classes", failures, {"q": q, "per_graph": counts}, t0)
+    return failures, {"q": q, "per_graph": counts}
 
 
 def _subdivide_edge(om, e):
@@ -1212,56 +1212,3 @@ def _subdivide_edge(om, e):
         else:
             balanced.add(c)
     return BiasedGraph(g2, balanced)
-
-
-# -- registry ---------------------------------------------------------------------------
-
-CLAIMS = {
-    "seven-dwarves": claim_seven_dwarves,
-    "2c3-proper-count": claim_2c3_proper_count,
-    "tube-count": claim_tube_count,
-    "base-count": claim_base_count,
-    "canonical-frame": claim_canonical_frame,
-    "canonical-lift": claim_canonical_lift,
-    "lemma-2c3-frame": claim_lemma_2c3_frame,
-    "lemma-2c3-lift": claim_lemma_2c3_lift,
-    "lemma-2c3-frame-vs-lift": claim_lemma_2c3_cross,
-    "lemma-k4-frame": claim_lemma_k4_frame,
-    "lemma-k4-lift": claim_lemma_k4_lift,
-    "lemma-k4-frame-vs-lift": claim_lemma_k4_cross,
-    "lemma-tube-frame": claim_lemma_tube_frame,
-    "lemma-tube-lift": claim_lemma_tube_lift,
-    "u2-criterion": claim_u2_criterion,
-    "u3-lift-criterion": claim_u3_lift_criterion,
-    "allreps-2c3": claim_allreps_2c3,
-    "allreps-t2prime-splits": claim_allreps_t2prime_splits,
-    "allreps-k4": claim_allreps_k4,
-    "allreps-tube-frame": claim_allreps_tube_frame,
-    "allreps-tube-lift": claim_allreps_tube_lift,
-    "allreps-contracted-tube": claim_allreps_contracted_tube,
-    "tangled-minor": claim_tangled_minor,
-    "tangled-subgraph": claim_tangled_subgraph,
-    "inequivalence-localized": claim_inequivalence_localized,
-    "tangled-no-extend": claim_tangled_no_extend,
-    "unique-balancing-subdivision": claim_unique_balancing_subdivision,
-    "main2": claim_main2,
-    "main3-roundtrip": claim_main3_roundtrip,
-    "main4-samples": claim_main4_samples,
-    "contraction-inequiv": claim_contraction_inequiv,
-    "deltawye-matroid": claim_deltawye_matroid,
-    "deltawye-gains": claim_deltawye_gains,
-    "rollup-frame": claim_rollup_frame,
-    "subdivision-classes": claim_subdivision_classes,
-}
-
-
-def run_claim(name, **kwargs):
-    try:
-        fn = CLAIMS[name]
-    except KeyError:
-        raise UnknownClaim("no claim registered under %r" % name)
-    return fn(**kwargs)
-
-
-def all_claims():
-    return sorted(CLAIMS)

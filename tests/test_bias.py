@@ -117,6 +117,24 @@ def test_tangled_balanced_graph_false():
     assert is_tangled(om) == (False, None)
 
 
+def _remapped_balanced(om):
+    """The balanced set carried over by edge names onto the graph without
+    isolated vertices (the remap BiasedGraph.drop_isolated replaces)."""
+    g, _ = om.graph.drop_isolated()
+    emap = {om.graph.edge_index(nm): g.edge_index(nm) for nm in g.edge_names}
+    return {frozenset(emap[e] for e in c) for c in om.balanced}
+
+
+def test_drop_isolated_keeps_edge_ids():
+    graphs = [catalog.by_name(name).omega for name in catalog.catalog_names()]
+    graphs.append(BiasedGraph(MultiGraph(5, [(4, 2), (2, 4), (2, 0)]), [{0, 1}]))
+    assert any(om.graph.n > len(om.graph.vertices_of(range(om.graph.m))) for om in graphs)
+    for om in graphs:
+        dropped = om.drop_isolated()
+        assert dropped.graph == om.graph.drop_isolated()[0]
+        assert dropped.balanced == _remapped_balanced(om)
+
+
 # -- minors ---------------------------------------------------------------
 
 def test_contract_balanced_triangle_edge():

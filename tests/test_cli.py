@@ -4,6 +4,7 @@ import pytest
 
 from bmlab import catalog, formats, verify
 from bmlab.cli import main
+from bmlab.errors import BoundExceeded
 
 
 def write(tmp_path, name, text):
@@ -189,6 +190,24 @@ def test_verify_bounds_scale_each_claims_own_defaults(monkeypatch, capsys):
     monkeypatch.delenv("BMLAB_BOUNDS")
     assert main(["verify", "unique-balancing-subdivision"]) == 0
     assert calls["unique-balancing-subdivision"] == {}
+
+
+def test_verify_all_reports_a_bound_hit_as_undecided(monkeypatch, capsys):
+    def passing():
+        return [], {}
+
+    def bounded():
+        raise BoundExceeded("link-minor search bound exceeded")
+
+    for name in verify.all_claims():
+        monkeypatch.setitem(verify.CLAIMS, name, passing)
+    monkeypatch.setitem(verify.CLAIMS, "base-count", bounded)
+    assert main(["verify", "--all", "--json"]) == 3
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 35
+    undecided = [r for r in reports if r["status"] != "pass"]
+    assert [(r["claim"], r["status"]) for r in undecided] == [("base-count", "undecided")]
+    assert undecided[0]["counts"] == {"undecided": "link-minor search bound exceeded"}
 
 
 def test_usage_exit_codes(capsys):

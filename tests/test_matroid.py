@@ -1,3 +1,4 @@
+import weakref
 from itertools import combinations
 
 import pytest
@@ -209,3 +210,12 @@ def test_explicit_matroid_round_trip():
     again = explicit_matroid(("a", "b", "c"), table)
     eq, _ = matroids_equal(u2, again)
     assert eq
+
+
+def test_rank_data_does_not_outlive_its_biased_graph():
+    om = triangle_biased(False)
+    F = frame_matroid(om)
+    ref = weakref.ref(om)
+    del om
+    assert ref() is None
+    assert F.rank_mask(0b111) == 3

@@ -1,10 +1,11 @@
+import inspect
 import json
 import random
 from itertools import combinations
 
 import pytest
 
-from bmlab import catalog, formats
+from bmlab import catalog, formats, verify
 from bmlab.bias import find_biased_subdivision, is_tangled
 from bmlab.errors import UnknownClaim
 from bmlab.gains import (
@@ -47,15 +48,29 @@ def test_seeded_claims_deterministic():
     assert a.counts == b.counts
 
 
-def test_fail_reports_carry_witnesses():
-    # force a failure by shrinking the sample family and lying about the
-    # claim: run u2-criterion against a doctored registry entry is
-    # overkill; instead check the report structure of a passing claim and
-    # that the canonical-frame claim records concrete failures when fed an
-    # absurd field (monkeypatched comparison is not needed: witnesses list
-    # is empty exactly on pass)
-    rep = run_claim("tube-count")
-    assert rep.status == "pass" and rep.witnesses == []
+def test_claims_declare_their_options():
+    for name, fn in verify.CLAIMS.items():
+        kinds = [p.kind for p in inspect.signature(fn).parameters.values()]
+        assert inspect.Parameter.VAR_KEYWORD not in kinds, name
+
+
+def test_undeclared_option_is_an_error():
+    for name in all_claims():
+        with pytest.raises(TypeError):
+            run_claim(name, bogus=1)
+
+
+def test_fail_reports_carry_witnesses(monkeypatch):
+    monkeypatch.setattr(verify, "CLAIMS", dict(verify.CLAIMS))
+
+    @verify.claim("twelve-failures")
+    def twelve_failures():
+        return [{"k": k} for k in range(12)], {"checked": 12}
+
+    rep = run_claim("twelve-failures")
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"k": k} for k in range(10)]
+    assert rep.counts == {"checked": 12}
 
 
 def test_tube_minor_property_sampled():
