@@ -19,7 +19,7 @@ from .errors import (
     StructureMissing,
     ThetaViolation,
 )
-from .graph import Cycle, MultiGraph, edge_bijections, graph_isomorphisms, iter_subdivisions
+from .graph import MultiGraph, edge_bijections, graph_isomorphisms, iter_subdivisions
 
 BALANCED = "balanced"
 ALMOST_BALANCED = "almost-balanced"
@@ -701,15 +701,10 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
     for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
         if g.m - len(K) < want_edges:
             continue
-        if not omega.is_balanced_set(K):
-            continue
         remaining = [e for e in range(g.m) if e not in K]
         for keep in combinations(remaining, want_edges):
             D = frozenset(remaining) - frozenset(keep)
-            result = biased_minor(omega, K, D, check=False)
-            if not result.is_link_minor:
-                continue
-            minor = result.omega.drop_isolated()
+            minor = biased_minor(omega, K, D, check=False).omega.drop_isolated()
             if minor.graph.n != pat.graph.n:
                 continue
             for iso in biased_isomorphisms(minor, pat):

@@ -12,16 +12,15 @@ the extra element e0 give v0_hat, balanced loops the zero column.  The
 lift matrix drops the e0 column.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 from .bias import (
     ALMOST_BALANCED,
     BALANCED,
-    PROPERLY_UNBALANCED,
     BiasedGraph,
+    biased_equal_unoriented,
     classify_balance,
-    unbalancing_classes,
     unroll,
 )
 from .errors import (
@@ -35,17 +34,12 @@ from .errors import (
     NotVertically2Connected,
 )
 from .fields import gf
-from .gains import (
-    AdditiveGroup,
-    GainGraph,
-    MultiplicativeGroup,
-    induced_bias,
-    is_realization,
-)
+from .gains import AdditiveGroup, GainGraph, MultiplicativeGroup, induced_bias
+from .graph import MultiGraph
 from .linalg import (
     FieldMatrix,
     ProjWitness,
-    diagonally_equivalent,
+    all_column_ranks,
     invert,
     left_null_space,
     projective_key,
@@ -53,13 +47,7 @@ from .linalg import (
     rref,
     vector_matroid,
 )
-from .matroid import (
-    MatroidOracle,
-    complete_lift_matroid,
-    frame_matroid,
-    lift_matroid,
-    matroids_equal,
-)
+from .matroid import frame_matroid, lift_matroid, matroids_equal
 
 FRAME = "frame"
 LIFT = "lift"
@@ -392,110 +380,100 @@ def canonicalize_representation(A, omega, hint=None):
     if not ok2:
         raise NotVertically2Connected("canonicalization needs vertical 2-connectivity")
     MA = vector_matroid(A)
-    FO = frame_matroid(omega)
-    LO = lift_matroid(omega)
-    match_frame = matroids_equal(MA, FO)[0]
-    match_lift = matroids_equal(MA, LO)[0]
-    if not match_frame and not match_lift:
+    matched = [k for k in (FRAME, LIFT) if matroids_equal(MA, _parts(k)[0](omega))[0]]
+    if not matched:
         raise MatroidMismatch("matrix does not represent F(omega) or L(omega)")
-    kinds = []
-    if hint in (FRAME, LIFT):
-        kinds = [hint] + [k for k in (FRAME, LIFT) if k != hint]
-    else:
-        kinds = [FRAME, LIFT]
-    kinds = [
-        k
-        for k in kinds
-        if (k == FRAME and match_frame) or (k == LIFT and match_lift)
-    ]
-    attempts = {}
-    for kind in kinds:
-        res = (
-            _attempt_frame(A, omega)
-            if kind == FRAME
-            else _attempt_lift(A, omega)
-        )
-        attempts[kind] = res
-        if res.status == "ok":
-            other = [k for k in (FRAME, LIFT) if k != kind]
-            other_state = "not-attempted"
-            if other[0] in attempts:
-                other_state = "ok" if attempts[other[0]].status == "ok" else "no"
-            elif other[0] in kinds:
-                other_res = (
-                    _attempt_frame(A, omega)
-                    if other[0] == FRAME
-                    else _attempt_lift(A, omega)
-                )
-                other_state = "ok" if other_res.status == "ok" else "no"
-            res.other_kind = other_state
-            return res
-    reasons = "; ".join(
-        "%s: %s" % (k, attempts[k].reason) for k in attempts
-    )
-    return CanonicalizeResult(status="undecided", reason=reasons or "no kind matched")
+    rows = _vertex_rows(A, omega)
+    result, reasons = None, []
+    for kind in sorted(matched, key=lambda k: k != hint):
+        if isinstance(rows, CanonicalizeResult):
+            res = rows
+        else:
+            res = _attempt(A, MA, omega, kind, rows)
+        if result is not None:
+            result.other_kind = "ok" if res.status == "ok" else "no"
+        elif res.status == "ok":
+            result = res
+            result.other_kind = "no" if reasons else "not-attempted"
+        else:
+            reasons.append("%s: %s" % (kind, res.reason))
+    return result or CanonicalizeResult(status="undecided", reason="; ".join(reasons))
 
 
-def _row_candidates(A_rows, f, cols, nrows):
-    """Left null space of the chosen columns, as row vectors."""
-    sub = FieldMatrix(f, [[row[j] for j in cols] for row in A_rows])
-    return left_null_space(sub)
-
-
-def _attempt_frame(A, omega):
+def _vertex_rows(A, omega):
+    """The step both kinds share: the row of vertex x spans the left null
+    space of the columns that avoid x.  Returns (R, E, fixed, free) -- the
+    nonzero rows of rref(A), the matching rows of its transform, the
+    vertices whose row is determined up to scale, and the balancing
+    vertices whose rows span a plane -- or an undecided result."""
     f = A.field
     g = omega.graph
     R, E, piv = rref(A)
     r = len(piv)
     if r != g.n:
         return CanonicalizeResult(status="undecided", reason="rank != |V|")
-    Rr = [list(R.rows[i]) for i in range(r)]
-    tag = classify_balance(omega).tag
-    bal_vertices = ()
-    if tag == ALMOST_BALANCED:
-        bal_vertices = classify_balance(omega).balancing_vertices
-    elif tag == BALANCED:
+    balance = classify_balance(omega)
+    if balance.tag == BALANCED:
         return CanonicalizeResult(status="undecided", reason="balanced input out of scope")
-    fixed_rows = {}
-    free_rows = {}
+    bal_vertices = balance.balancing_vertices if balance.tag == ALMOST_BALANCED else ()
+    Rr = R.rows[:r]
+    fixed, free = {}, {}
     for x in range(g.n):
         cols = [e for e in range(g.m) if x not in g.endpoints(e)]
-        null = _row_candidates(Rr, f, cols, r)
+        null = left_null_space(FieldMatrix(f, [[row[j] for j in cols] for row in Rr]))
         if len(null) == 1:
-            fixed_rows[x] = null[0]
+            fixed[x] = null[0]
         elif len(null) == 2 and x in bal_vertices:
-            free_rows[x] = null
+            free[x] = null
         else:
             return CanonicalizeResult(
                 status="undecided",
                 reason="row space at vertex %d has dimension %d" % (x, len(null)),
             )
+    return FieldMatrix(f, Rr), FieldMatrix(f, E.rows[:r]), fixed, free
+
+
+def _parts(kind):
+    """(matroid, row transform, column parser, canonical matrix) of a kind,
+    looked up at call time so that replaced module functions are used."""
+    return {
+        FRAME: (frame_matroid, _frame_rows, _parse_frame_columns, frame_matrix),
+        LIFT: (lift_matroid, _lift_rows, _parse_lift_columns, lift_matrix),
+    }[kind]
+
+
+def _attempt(A, MA, omega, kind, rows):
+    """Shape the vertex rows for one kind, read a gain graph off the shaped
+    matrix and certify it.  A form particular to omega itself is returned
+    at once; one particular to a roll-up variant only if none is found."""
+    matroid, shape, parse, canonical = _parts(kind)
+    f = A.field
+    g = omega.graph
+    R, E, fixed, free = rows
     fallback = None
-    for choice in _line_choices(f, free_rows):
-        T_rows = []
-        for x in range(g.n):
-            T_rows.append(fixed_rows[x] if x in fixed_rows else choice[x])
-        Tm = FieldMatrix(f, T_rows)
-        try:
-            invert(Tm)
-        except ValueError:
+    for choice in _line_choices(f, free):
+        T = shape(f, [fixed[x] if x in fixed else choice[x] for x in range(g.n)])
+        if T is None:
             continue
-        W = Tm.mul(FieldMatrix(f, Rr))
-        parsed = _parse_frame_columns(W, omega, f)
+        W = T.mul(R)
+        parsed = parse(W, omega, f)
         if parsed is None:
             continue
-        gg, variant, rolled = parsed
-        if not matroids_equal(vector_matroid(A), frame_matroid(variant))[0]:
+        group, edges, gains, rolled = parsed
+        gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
+        variant = induced_bias(gg)
+        if not rolled and variant.balanced != omega.balanced:
+            continue
+        if not matroids_equal(MA, matroid(variant))[0]:
             continue
         if rolled and not _roll_reachable(omega, variant):
             continue
-        form = frame_matrix(gg)
+        form = canonical(gg)
         scales = _column_scales(W, form.matrix, f)
         if scales is None:
             continue
-        Tfull = Tm.mul(FieldMatrix(f, E.rows[:r]))
         witness = ProjWitness(
-            Tfull.with_labels(
+            T.mul(E).with_labels(
                 row_labels=form.matrix.row_labels, col_labels=A.row_labels
             ),
             FieldMatrix.diagonal(f, scales, A.col_labels),
@@ -504,7 +482,7 @@ def _attempt_frame(A, omega):
             continue
         result = CanonicalizeResult(
             status="ok",
-            kind=FRAME,
+            kind=kind,
             form=form,
             witness=witness,
             variant=variant,
@@ -514,101 +492,34 @@ def _attempt_frame(A, omega):
             return result
         if fallback is None:
             fallback = result
-    if fallback is not None:
-        return fallback
-    return CanonicalizeResult(status="undecided", reason="no frame shaping found")
+    return fallback or CanonicalizeResult(
+        status="undecided", reason="no %s shaping found" % kind
+    )
 
 
-def _attempt_lift(A, omega):
-    f = A.field
-    g = omega.graph
-    R, E, piv = rref(A)
-    r = len(piv)
-    if r != g.n:
-        return CanonicalizeResult(status="undecided", reason="rank != |V|")
-    Rr = [list(R.rows[i]) for i in range(r)]
-    tag = classify_balance(omega).tag
-    bal_vertices = ()
-    if tag == ALMOST_BALANCED:
-        bal_vertices = classify_balance(omega).balancing_vertices
-    elif tag == BALANCED:
-        return CanonicalizeResult(status="undecided", reason="balanced input out of scope")
-    fixed_rows = {}
-    free_rows = {}
-    for x in range(g.n):
-        cols = [e for e in range(g.m) if x not in g.endpoints(e)]
-        null = _row_candidates(Rr, f, cols, r)
-        if len(null) == 1:
-            fixed_rows[x] = null[0]
-        elif len(null) == 2 and x in bal_vertices:
-            free_rows[x] = null
-        else:
-            return CanonicalizeResult(
-                status="undecided",
-                reason="row space at vertex %d has dimension %d" % (x, len(null)),
-            )
-    fallback = None
-    for choice in _line_choices(f, free_rows):
-        rows = {}
-        for x in range(g.n):
-            rows[x] = fixed_rows[x] if x in fixed_rows else choice[x]
-        # scale rows so they sum to zero: solve sum alpha_x t_x = 0
-        stack = FieldMatrix(f, [list(rows[x]) for x in range(g.n)])
-        null = left_null_space(stack)
-        null = [a for a in null if all(x != f.zero for x in a)]
-        if len(null) != 1:
-            # try: solution space may be bigger/smaller depending on choice
-            continue
-        alpha = null[0]
-        vrows = [
-            [f.mul(alpha[x], val) for val in rows[x]] for x in range(g.n)
-        ]
-        # v0 row: first standard basis vector completing the V-rows to full rank
-        v0 = None
-        for i in range(r):
-            cand = [f.one if k == i else f.zero for k in range(r)]
-            if rank_of_columns(f, [list(col) for col in zip(*(vrows + [cand]))]) == r:
-                v0 = cand
-                break
-        if v0 is None:
-            continue
-        Wm = FieldMatrix(f, vrows + [v0]).mul(FieldMatrix(f, Rr))
-        parsed = _parse_lift_columns(Wm, omega, f)
-        if parsed is None:
-            continue
-        gg, variant, moved = parsed
-        if not matroids_equal(vector_matroid(A), lift_matroid(variant))[0]:
-            continue
-        if moved and not _roll_reachable(omega, variant):
-            continue
-        form = lift_matrix(gg)
-        scales = _column_scales(Wm, form.matrix, f)
-        if scales is None:
-            continue
-        Tfull = FieldMatrix(f, vrows + [v0]).mul(FieldMatrix(f, E.rows[:r]))
-        witness = ProjWitness(
-            Tfull.with_labels(
-                row_labels=form.matrix.row_labels, col_labels=A.row_labels
-            ),
-            FieldMatrix.diagonal(f, scales, A.col_labels),
-        )
-        if not witness.verify(A, form.matrix):
-            continue
-        result = CanonicalizeResult(
-            status="ok",
-            kind=LIFT,
-            form=form,
-            witness=witness,
-            variant=variant,
-            rolled_edges=tuple(sorted(moved)),
-        )
-        if not moved:
-            return result
-        if fallback is None:
-            fallback = result
-    if fallback is not None:
-        return fallback
-    return CanonicalizeResult(status="undecided", reason="no lift shaping found")
+def _frame_rows(f, rows):
+    """Frame row transform: the vertex rows, kept only when invertible."""
+    T = FieldMatrix(f, rows)
+    try:
+        invert(T)
+    except ValueError:
+        return None
+    return T
+
+
+def _lift_rows(f, rows):
+    """Lift row transform: the vertex rows scaled to sum to zero, then the
+    first standard basis row completing them to full rank (the v0 row)."""
+    r = len(rows)
+    null = [a for a in left_null_space(FieldMatrix(f, rows)) if f.zero not in a]
+    if len(null) != 1:
+        return None
+    vrows = [[f.mul(a, val) for val in row] for a, row in zip(null[0], rows)]
+    for i in range(r):
+        v0 = [f.one if k == i else f.zero for k in range(r)]
+        if rank_of_columns(f, [list(col) for col in zip(*(vrows + [v0]))]) == r:
+            return FieldMatrix(f, vrows + [v0])
+    return None
 
 
 def _line_choices(f, free_rows):
@@ -632,8 +543,8 @@ def _line_choices(f, free_rows):
 
 
 def _parse_frame_columns(W, omega, f):
-    """Read a gain graph off a vertex-row-shaped matrix; returns
-    (gain graph, variant biased graph, rolled edge ids) or None."""
+    """Read multiplicative gains off a vertex-row-shaped matrix; returns
+    (group, edges, gains, rolled edge ids) or None."""
     g = omega.graph
     group = MultiplicativeGroup(f.q)
     new_edges = []
@@ -670,14 +581,7 @@ def _parse_frame_columns(W, omega, f):
                 rolled.append(e)
             else:
                 return None
-    from .graph import MultiGraph
-
-    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
-    gg = GainGraph(g2, group, gains)
-    variant = induced_bias(gg)
-    if not rolled and variant.balanced != omega.balanced:
-        return None
-    return gg, variant, rolled
+    return group, new_edges, gains, rolled
 
 
 def _joint_gain_mul(group):
@@ -688,7 +592,8 @@ def _joint_gain_mul(group):
 
 
 def _parse_lift_columns(W, omega, f):
-    """Read an additive gain graph off a (vertex rows + v0)-shaped matrix."""
+    """Read additive gains off a (vertex rows + v0)-shaped matrix; returns
+    (group, edges, gains, edge ids turned into joints) or None."""
     g = omega.graph
     group = AdditiveGroup(f.q)
     v0 = g.n
@@ -736,14 +641,7 @@ def _parse_lift_columns(W, omega, f):
                 return None
             w = v if u == vbal else u
             new_edges[e] = (w, w)
-    from .graph import MultiGraph
-
-    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
-    gg = GainGraph(g2, group, gains)
-    variant = induced_bias(gg)
-    if not moved and variant.balanced != omega.balanced:
-        return None
-    return gg, variant, moved
+    return group, new_edges, gains, moved
 
 
 def _column_scales(W, target, f):
@@ -773,8 +671,6 @@ def _roll_reachable(omega, variant):
     """Variant reachable from omega by rolling: compare full unrollings at
     each balancing vertex of omega (ignoring edge orientations, which
     unrolling does not preserve)."""
-    from .bias import biased_equal_unoriented
-
     bal = classify_balance(omega).balancing_vertices
     for u in bal:
         try:
@@ -909,7 +805,7 @@ def enumerate_representations(
         for cls in out:
             try:
                 res = canonicalize_representation(cls.matrix, biased_graph, hint=hint)
-            except BmlabError:
+            except (MatroidMismatch, NotVertically2Connected):
                 res = None
             if res is not None and res.status == "ok":
                 cls.kind = res.kind
@@ -918,7 +814,5 @@ def enumerate_representations(
 
 
 def _matroid_matches(A, target_ranks, f):
-    from .linalg import all_column_ranks
-
     have = all_column_ranks(A)
     return have == target_ranks

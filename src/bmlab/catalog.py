@@ -16,20 +16,19 @@ Fixed labelings (chosen to match the matrix displays used in the tests):
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .bias import (
     BiasedGraph,
     biased_isomorphic,
     biased_minor,
-    check_theta_property,
     classify_balance,
     delta_y,
     is_tangled,
     theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
-from .graph import MultiGraph
+from .graph import MultiGraph, edge_bijections, graph_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -392,8 +391,6 @@ def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True)
     Generated from multiplicity vectors on vertex pairs, canonicalized by
     minimizing over vertex permutations.  Isolated vertices are excluded
     (every graph uses a dense vertex range)."""
-    from itertools import permutations as perms
-
     out = []
     seen = set()
     for nv in range(1, max_vertices + 1):
@@ -412,7 +409,7 @@ def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True)
                 if any(d < min_degree for d in deg):
                     return
                 key = None
-                for p in perms(range(nv)):
+                for p in permutations(range(nv)):
                     table = {}
                     for (u, v), m in zip(pairs, mult):
                         if m:
@@ -445,8 +442,6 @@ def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True)
 
 def graph_automorphism_maps(g):
     """All (vertex permutation, edge map) automorphisms of a multigraph."""
-    from .graph import edge_bijections, graph_isomorphisms
-
     out = []
     for perm in graph_isomorphisms(g, g):
         for emap in edge_bijections(g, g, perm):

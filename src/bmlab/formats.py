@@ -32,7 +32,7 @@ from .errors import ParseError
 from .fields import QQ, gf
 from .gains import AdditiveGroup, CyclicGroup, GainGraph, MultiplicativeGroup
 from .graph import MultiGraph
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, ProjWitness
 from .matroid import (
     complete_lift_matroid,
     explicit_matroid,
@@ -273,8 +273,6 @@ def witness_to_json(w):
 
 
 def witness_from_json(obj):
-    from .linalg import ProjWitness
-
     if obj.get("kind") != "projective-witness":
         raise ParseError("not a projective-witness object")
     return ProjWitness(parse_matrix(obj["T"]), parse_matrix(obj["S"]))

@@ -9,7 +9,6 @@ stored on the declared orientation of each edge; the reverse orientation
 carries the inverse.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from .bias import BiasedGraph
@@ -362,8 +361,6 @@ def induced_gain(gg, contract, delete, new_joint_gain=None):
     for e in contract | delete:
         g._check_edge(e)
     group = gg.group
-    if new_joint_gain is None and contract:
-        pass  # resolved lazily; only needed when a joint is contracted
 
     def delete_edges(cur, dels):
         g2, vmap, emap = cur.graph.minor(set(), dels)

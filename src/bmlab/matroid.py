@@ -8,8 +8,6 @@ sets straight from the rank oracle; the graphical characterizations
 separate cross-check.
 """
 
-from itertools import combinations
-
 from .bias import BiasedGraph
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
 from .graph import MultiGraph
@@ -393,7 +391,6 @@ def _subgraph_shape(omega, edge_set):
                     if (
                         len(ends) == 2
                         and all(d in (1, 2) for d in deg_rest.values())
-                        and len(ends) == 2
                         and sum(1 for v in ends if v in v1) == 1
                         and sum(1 for v in ends if v in v2) == 1
                         and all(

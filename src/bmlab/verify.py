@@ -7,7 +7,7 @@ always carry a concrete counterexample object.
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, product
 
 from . import catalog
 from .bias import (
@@ -27,11 +27,11 @@ from .bias import (
     unbalancing_classes,
     unroll,
     double_roll_up,
+    y_delta,
 )
 from .canonical import (
     FRAME,
     LIFT,
-    CanonicalizeResult,
     _roll_reachable,
     canonicalize_representation,
     complete_lift_matrix,
@@ -54,6 +54,7 @@ from .gains import (
     normalized_gain_functions,
     realizations,
     scaling_orbits,
+    switch,
     switching_equivalent,
     switching_scaling_equivalent,
     walk_gain,
@@ -68,8 +69,8 @@ from .linalg import (
 )
 from .matroid import (
     complete_lift_matroid,
+    extend_with_joint,
     frame_matroid,
-    graphic_matroid,
     lift_matroid,
     matroids_equal,
 )
@@ -260,8 +261,6 @@ def _biconditional_frame(graphs, fields, seed):
             for i in _sample_indices(rng, len(reps), 3):
                 gg, A = reps[i]
                 eta = {v: rng.choice(group.elements) for v in range(om.graph.n)}
-                from .gains import switch
-
                 B = frame_matrix(switch(gg, eta)).matrix
                 w = projectively_equivalent(A, B)
                 if w is None:
@@ -555,8 +554,6 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
         nb = catalog.t2_prime_split(i)
         om = nb.omega
         # nabla at a degree-3 vertex whose star is a genuine triad
-        from .bias import y_delta
-
         done = False
         g = om.graph
         for v in range(g.n):
@@ -711,7 +708,7 @@ def claim_tangled_no_extend(fields=(4, 5)):
         for q in fields:
             f = gf(q)
             for vertex in range(min(g.n, 2)):  # joint position (up to symmetry)
-                ext = _with_joint(om, vertex)
+                ext = extend_with_joint(om, vertex=vertex, name="l1")
                 L_ext = lift_matroid(ext)
                 F_ext = frame_matroid(ext)
                 reps = realizations(om, MultiplicativeGroup(q))[:2]
@@ -733,18 +730,10 @@ def claim_tangled_no_extend(fields=(4, 5)):
     return failures, {"fields": list(fields), "extensions_checked": checked}
 
 
-def _with_joint(om, vertex):
-    from .matroid import extend_with_joint
-
-    return extend_with_joint(om, vertex=vertex, name="l1")
-
-
 def _extension_exists(A, target_oracle, f):
     """Does some extra column make M([A | v]) equal the target oracle?"""
-    from itertools import product as iproduct
-
     labels = list(A.col_labels) + ["l1"]
-    for vec in iproduct(range(f.q), repeat=A.nrows):
+    for vec in product(range(f.q), repeat=A.nrows):
         if all(x == 0 for x in vec):
             continue
         rows = [list(r) + [vec[i]] for i, r in enumerate(A.rows)]
@@ -855,12 +844,7 @@ def _localization_certificate(om, phi, psi):
     for nb in targets:
         want = nb.omega.graph.m
         for K, D in _minor_recipes(g, want):
-            if not om.is_balanced_set(K):
-                continue
-            mres = biased_minor(om, K, D, check=False)
-            if not mres.is_link_minor:
-                continue
-            minor = mres.omega.drop_isolated()
+            minor = biased_minor(om, K, D, check=False).omega.drop_isolated()
             if minor.graph.n != nb.omega.graph.n:
                 continue
             if not biased_isomorphic(minor, nb.omega.drop_isolated()):
@@ -877,8 +861,6 @@ def _localization_certificate(om, phi, psi):
     found_u3 = False
     for K, D in _minor_recipes(g, 4):
         mres = biased_minor(om, K, D, check=False)
-        if not mres.is_link_minor:
-            continue
         if not biased_isomorphic(mres.omega.drop_isolated(), u3.drop_isolated()):
             continue
         mphi, _, _ = induced_gain(phi, K, D)

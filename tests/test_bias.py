@@ -145,6 +145,24 @@ def test_contract_balanced_triangle_edge():
     assert mn.omega.balanced == {frozenset({0, 1})}  # balanced 2-cycle
 
 
+def test_link_forest_recipes_need_no_guards():
+    # find_link_minor and verify._localization_certificate contract a link
+    # forest K and delete some D of the rest: K holds no cycle, so it is
+    # balanced, and contracting it never contracts a joint
+    recipes = 0
+    for g in catalog.multigraphs_up_to_iso(4, 5):
+        for om in catalog.bias_sets_up_to_aut(g):
+            for K in g.link_forests():
+                rest = [e for e in range(g.m) if e not in K]
+                for keep in range(len(rest) + 1):
+                    for kept in combinations(rest, keep):
+                        D = frozenset(rest) - frozenset(kept)
+                        assert om.is_balanced_set(K)
+                        assert biased_minor(om, K, D, check=False).is_link_minor
+                        recipes += 1
+    assert recipes == 8296
+
+
 def test_contract_joint_moves_links():
     g = MultiGraph(2, [(0, 0), (0, 1)])
     om = BiasedGraph(g, [])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bmlab import catalog
+from bmlab import canonical, catalog
 from bmlab.bias import BiasedGraph, biased_isomorphic, delta_y, y_delta
 from bmlab.canonical import (
     FRAME,
@@ -15,7 +15,7 @@ from bmlab.canonical import (
     lift_matrix,
     y_delta_matrix,
 )
-from bmlab.errors import GroupMismatch, MatroidMismatch, NotTriangle
+from bmlab.errors import BoundExceeded, GroupMismatch, MatroidMismatch, NotTriangle
 from bmlab.fields import gf
 from bmlab.gains import (
     AdditiveGroup,
@@ -41,6 +41,7 @@ from bmlab.matroid import (
     matroids_equal,
     uniform_matroid,
 )
+from bmlab.verify import run_claim
 
 
 def scramble(rng, A):
@@ -411,16 +412,27 @@ def test_canonicalize_round_trip_b0_lift():
     assert res.status == "ok" and res.kind == LIFT
     assert switching_scaling_equivalent(res.form.gain_graph, gg) is not None
     assert res.witness.verify(scr, res.form.matrix)
+    # B_0 is not tangled, so F(B_0) != L(B_0) and the frame kind is never tried
+    assert res.other_kind == "not-attempted"
 
 
-def test_canonicalize_tangled_kind_exclusive():
+def test_canonicalize_tangled_kind_exclusive(monkeypatch):
     # for tangled graphs F = L and exactly one kind canonicalizes
     rng = random.Random(103)
     t0 = catalog.biased_2c3("T_0").omega
     fgg = realizations(t0, MultiplicativeGroup(5))[0]
     scr = scramble(rng, frame_matrix(fgg).matrix)
+    calls = []
+    real_rref = canonical.rref
+
+    def counted_rref(A):
+        calls.append(A)
+        return real_rref(A)
+
+    monkeypatch.setattr(canonical, "rref", counted_rref)
     res = canonicalize_representation(scr, t0)
     assert res.kind == FRAME and res.other_kind == "no"
+    assert len(calls) == 1  # both kinds share one row reduction
     lgg = realizations(t0, AdditiveGroup(5))[0]
     scr2 = scramble(rng, lift_matrix(lgg).matrix)
     res2 = canonicalize_representation(scr2, t0)
@@ -435,6 +447,16 @@ def test_canonicalize_matroid_mismatch():
         canonicalize_representation(A, t0)
 
 
+def test_canonicalize_undecided_reasons_join():
+    # a balanced graph has F = L of rank |V| - 1: both kinds stop at the
+    # shared rank check and each reports it
+    d43 = catalog.dwarf("D_{4,3}").omega
+    gg = realizations(d43, MultiplicativeGroup(5))[0]
+    res = canonicalize_representation(frame_matrix(gg).matrix, d43)
+    assert res.status == "undecided" and res.kind is None
+    assert res.reason == "frame: rank != |V|; lift: rank != |V|"
+
+
 def test_canonicalize_contracted_tube_rolls():
     # representations of F(2C3-e, contrabalanced) canonicalize to a frame
     # form particular to a roll-up, and to a lift form particular to the
@@ -444,12 +466,25 @@ def test_canonicalize_contracted_tube_rolls():
     assert classes
     for cls in classes[:3]:
         fres = canonicalize_representation(cls.matrix, b0p, hint=FRAME)
-        assert fres.status == "ok" and fres.kind == FRAME
+        assert fres.status == "ok" and fres.kind == FRAME and fres.other_kind == "ok"
         lres = canonicalize_representation(cls.matrix, b0p, hint=LIFT)
         assert lres.status == "ok" and lres.kind == LIFT and not lres.rolled_edges
+        assert lres.other_kind == "ok"
 
 
 # -- enumeration -----------------------------------------------------------------
+
+def test_enumerate_reports_a_canonicalization_bound_hit(monkeypatch):
+    # a bound hit is undecided, not a class that failed to canonicalize
+    def hit_bound(*args, **kwargs):
+        raise BoundExceeded("canonicalization bound")
+
+    monkeypatch.setattr(canonical, "canonicalize_representation", hit_bound)
+    b1 = catalog.tube("B_1").omega
+    with pytest.raises(BoundExceeded):
+        enumerate_representations(frame_matroid(b1), 4, biased_graph=b1)
+    assert run_claim("allreps-tube-frame").status == "undecided"
+
 
 def test_enumerate_u24_class_counts():
     u24 = uniform_matroid(2, ("e1", "e2", "e3", "e4"))
