@@ -7,6 +7,7 @@ cycles, stored extensionally as frozensets of edge ids.  No theta subgraph
 may contain exactly two balanced cycles; the constructor enforces this.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -213,18 +214,6 @@ class BiasedMinor:
     is_link_minor: bool
 
 
-def _contract_link(omega, e):
-    g, vmap, emap = omega.graph.minor({e}, set())
-    new_cycles = {frozenset(c.edges) for c in g.cycles()}
-    old_of_new = {ne: oe for oe, ne in emap.items()}
-    balanced = set()
-    for c in new_cycles:
-        old = frozenset(old_of_new[x] for x in c)
-        if old in omega.balanced or (old | {e}) in omega.balanced:
-            balanced.add(c)
-    return BiasedGraph(g, balanced, check=False), vmap, emap
-
-
 def _contract_joint(omega, e):
     """Contract an unbalanced loop at v: loops at v become balanced, links
     at v become joints at their other endpoint, cycles through v die."""
@@ -233,38 +222,24 @@ def _contract_joint(omega, e):
     new_edges = []
     new_names = []
     emap = {}
-    jointified = []
     for f, (a, b) in enumerate(g0.edges):
         if f == e:
             continue
-        if a == v and b == v:
-            na, nb = v, v
-        elif a == v or b == v:
+        if a == v or b == v:
             w = b if a == v else a
-            na, nb = w, w
-            jointified.append(f)
-        else:
-            na, nb = a, b
+            a = b = w
         emap[f] = len(new_edges)
-        new_edges.append((na, nb))
+        new_edges.append((a, b))
         new_names.append(g0.edge_names[f])
     g = MultiGraph(g0.n, new_edges, new_names, g0.vertex_names)
-    balanced = set()
-    for c in g.cycles():
-        ce = frozenset(c.edges)
-        old = frozenset(o for o, nn in emap.items() if nn in ce)
-        if len(ce) == 1:
-            (x,) = ce
-            (old_x,) = old
-            if old_x in jointified:
-                continue  # new joints stay unbalanced
-            a, b = g0.endpoints(old_x)
-            if a == v and b == v:
-                balanced.add(ce)  # loops at v become balanced
-            elif old in omega.balanced:
-                balanced.add(ce)
-        elif old in omega.balanced:
-            balanced.add(ce)
+    balanced = {
+        frozenset(emap[x] for x in c)
+        for c in omega.balanced
+        if v not in g0.vertices_of(c)
+    }
+    balanced.update(
+        frozenset((emap[f],)) for f in g0.incident_edges(v) if f != e and g0.is_loop(f)
+    )
     vmap = {u: u for u in range(g0.n)}
     return BiasedGraph(g, balanced, check=False), vmap, emap
 
@@ -272,10 +247,13 @@ def _contract_joint(omega, e):
 def biased_minor(omega, contract, delete, check=True):
     """Biased minor: deletions first, then contractions.
 
-    Contractions are processed by current edge type: links first (in id
-    order), then balanced loops (equal to deletion), then unbalanced loops
-    (joint contraction), repeating until the contraction set is exhausted.
-    Tracks whether the result is a link minor (no joint was contracted).
+    The links of the contraction set are contracted first, as the forest K
+    picked greedily in id order; the rest of the set are then loops.  A
+    cycle of G/K is balanced exactly when it is the image B - K of a
+    balanced cycle B, so no cycle is enumerated.  The remaining loops are
+    processed in id order: balanced loops are deleted, unbalanced ones
+    contracted as joints.  Tracks whether the result is a link minor (no
+    joint was contracted).
     """
     contract = set(contract)
     delete = set(delete)
@@ -285,48 +263,39 @@ def biased_minor(omega, contract, delete, check=True):
     for e in contract | delete:
         g._check_edge(e)
 
-    # deletions
-    gg, vmap, emap = g.minor(set(), delete)
-    balanced = {
-        frozenset(emap[x] for x in c)
-        for c in omega.balanced
-        if all(x in emap for x in c)
-    }
+    K, _ = g.acyclic_contraction_form(contract, ())
+    gg, total_vmap, total_emap = g.minor(K, delete)
+    balanced = set()
+    for c in omega.balanced:
+        if not c & delete:
+            # the image is a closed connected walk, so it is a cycle when
+            # every vertex it meets has degree 2 (a loop counting twice)
+            image = frozenset(total_emap[x] for x in c - K)
+            degree = Counter(v for x in image for v in gg.endpoints(x))
+            if all(d == 2 for d in degree.values()):
+                balanced.add(image)
     current = BiasedGraph(gg, balanced, check=False)
-    total_vmap = vmap
-    total_emap = {e: emap[e] for e in emap}
-    pending = {total_emap[e] for e in contract}
+    pending = {total_emap[e] for e in contract - K}
     link_minor = True
 
-    def compose(vm1, em1, vm2, em2):
-        vm = {v: vm2[vm1[v]] for v in vm1}
-        em = {e: em2[em1[e]] for e in em1 if em1[e] in em2}
-        return vm, em
-
     while pending:
-        links = sorted(e for e in pending if not current.graph.is_loop(e))
-        if links:
-            e = links[0]
-            nxt, vm, em = _contract_link(current, e)
+        bal_loops = sorted(e for e in pending if frozenset((e,)) in current.balanced)
+        if bal_loops:
+            e = bal_loops[0]
+            gg, vm, em = current.graph.minor(set(), {e})
+            bal = {
+                frozenset(em[x] for x in c)
+                for c in current.balanced
+                if all(x in em for x in c)
+            }
+            nxt = BiasedGraph(gg, bal, check=False)
         else:
-            bal_loops = sorted(
-                e for e in pending if frozenset((e,)) in current.balanced
-            )
-            if bal_loops:
-                e = bal_loops[0]
-                gg, vm, em = current.graph.minor(set(), {e})
-                bal = {
-                    frozenset(em[x] for x in c)
-                    for c in current.balanced
-                    if all(x in em for x in c)
-                }
-                nxt = BiasedGraph(gg, bal, check=False)
-            else:
-                e = sorted(pending)[0]
-                nxt, vm, em = _contract_joint(current, e)
-                link_minor = False
-        pending = {em[x] for x in pending if x != e and x in em}
-        total_vmap, total_emap = compose(total_vmap, total_emap, vm, em)
+            e = min(pending)
+            nxt, vm, em = _contract_joint(current, e)
+            link_minor = False
+        pending = {em[x] for x in pending if x != e}
+        total_vmap = {v: vm[total_vmap[v]] for v in total_vmap}
+        total_emap = {x: em[y] for x, y in total_emap.items() if y in em}
         current = nxt
 
     if check:
@@ -334,6 +303,19 @@ def biased_minor(omega, contract, delete, check=True):
         if violation is not None:
             raise ThetaViolation("minor violates theta property", *violation)
     return BiasedMinor(current, total_vmap, total_emap, link_minor)
+
+
+def link_minors(omega, keep_edges):
+    """Every link minor of omega with exactly keep_edges edges, as
+    (K, D, minor).  K runs over the link forests by size, then by sorted
+    edge ids; for each K the kept edges run over the combinations of the
+    other edges in order, and D is the rest of them."""
+    g = omega.graph
+    for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
+        rest = [e for e in range(g.m) if e not in K]
+        for keep in combinations(rest, keep_edges):
+            D = frozenset(rest) - frozenset(keep)
+            yield K, D, biased_minor(omega, K, D, check=False)
 
 
 # -- Delta-Y and Y-Delta -------------------------------------------------------
@@ -694,21 +676,13 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
     g = omega.graph
     if g.n > max_vertices or g.m > max_edges:
         raise BoundExceeded("link-minor search bound exceeded")
-    want_edges = pattern.graph.m
     pat = pattern.drop_isolated()
-    if want_edges > g.m:
-        return None
-    for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
-        if g.m - len(K) < want_edges:
+    for K, D, minor in link_minors(omega, pattern.graph.m):
+        minor = minor.omega.drop_isolated()
+        if minor.graph.n != pat.graph.n:
             continue
-        remaining = [e for e in range(g.m) if e not in K]
-        for keep in combinations(remaining, want_edges):
-            D = frozenset(remaining) - frozenset(keep)
-            minor = biased_minor(omega, K, D, check=False).omega.drop_isolated()
-            if minor.graph.n != pat.graph.n:
-                continue
-            for iso in biased_isomorphisms(minor, pat):
-                return MinorRecipe(K, D, iso)
+        for iso in biased_isomorphisms(minor, pat):
+            return MinorRecipe(K, D, iso)
     return None
 
 

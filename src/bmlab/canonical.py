@@ -17,7 +17,6 @@ from itertools import product
 
 from .bias import (
     ALMOST_BALANCED,
-    BALANCED,
     BiasedGraph,
     biased_equal_unoriented,
     classify_balance,
@@ -413,8 +412,6 @@ def _vertex_rows(A, omega):
     if r != g.n:
         return CanonicalizeResult(status="undecided", reason="rank != |V|")
     balance = classify_balance(omega)
-    if balance.tag == BALANCED:
-        return CanonicalizeResult(status="undecided", reason="balanced input out of scope")
     bal_vertices = balance.balancing_vertices if balance.tag == ALMOST_BALANCED else ()
     Rr = R.rows[:r]
     fixed, free = {}, {}

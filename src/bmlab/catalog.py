@@ -476,24 +476,25 @@ def tangled_family(max_vertices=5, max_edges=8):
     vertex), and pendant edges, balanced loops and balanced components
     affect neither tangledness nor the target minors, so the normalized
     family is exhaustive for the structure theorems."""
-    key = ("tangled", max_vertices, max_edges)
-    if key in _CACHE:
-        return _CACHE[key]
-    out = _CACHE[key] = []
-    for g in multigraphs_up_to_iso(max_vertices, max_edges):
-        if g.n < 3:
-            continue
-        # a tangled graph has no balancing vertex: every vertex must be
-        # avoided by some cycle
-        cycles = g.cycles()
-        if not cycles:
-            continue
-        if any(
-            all(v in g.vertices_of(c.edges) for c in cycles) for v in range(g.n)
-        ):
-            continue
-        for om in bias_sets_up_to_aut(g):
-            flag, _ = is_tangled(om)
-            if flag:
-                out.append(om)
-    return out
+
+    def build():
+        out = []
+        for g in multigraphs_up_to_iso(max_vertices, max_edges):
+            if g.n < 3:
+                continue
+            # a tangled graph has no balancing vertex: every vertex must be
+            # avoided by some cycle
+            cycles = g.cycles()
+            if not cycles:
+                continue
+            if any(
+                all(v in g.vertices_of(c.edges) for c in cycles) for v in range(g.n)
+            ):
+                continue
+            for om in bias_sets_up_to_aut(g):
+                flag, _ = is_tangled(om)
+                if flag:
+                    out.append(om)
+        return out
+
+    return _cached(("tangled", max_vertices, max_edges), build)

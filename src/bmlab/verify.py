@@ -15,13 +15,13 @@ from .bias import (
     balancing_vertices,
     biased_equal_unoriented,
     biased_isomorphic,
-    biased_minor,
     classify_balance,
     delta_y,
     fat_theta_parts,
     find_biased_subdivision,
     find_link_minor,
     is_tangled,
+    link_minors,
     roll_up,
     theta_subgraphs,
     unbalancing_classes,
@@ -675,10 +675,12 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
         catalog.t2_prime_split(3),
     ]
     failures = []
+    checked = 0
     for om in family:
         ok2, _ = om.is_vertically_k_connected(2)
         if not ok2:
             continue
+        checked += 1
         found = None
         for nb in patterns:
             if nb.omega.graph.m > om.graph.m or nb.omega.graph.n > om.graph.n:
@@ -692,7 +694,7 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
                 "edges": list(om.graph.edges),
                 "balanced": [sorted(c) for c in om.balanced],
             })
-    return failures, {"tangled_2connected": len(family),
+    return failures, {"tangled_2connected": checked,
                       "bounds": [max_vertices, max_edges]}
 
 
@@ -828,23 +830,12 @@ def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60):
     return failures, {"pairs_checked": len(instances)}
 
 
-def _minor_recipes(g, keep_edges):
-    """All (forest K, delete D) recipes leaving exactly keep_edges edges."""
-    for K in g.link_forests():
-        rest = [e for e in range(g.m) if e not in K]
-        if len(rest) < keep_edges:
-            continue
-        for keep in combinations(rest, keep_edges):
-            yield K, frozenset(rest) - frozenset(keep)
-
-
 def _localization_certificate(om, phi, psi):
     targets = catalog.base_graphs()
-    g = om.graph
     for nb in targets:
         want = nb.omega.graph.m
-        for K, D in _minor_recipes(g, want):
-            minor = biased_minor(om, K, D, check=False).omega.drop_isolated()
+        for K, D, mres in link_minors(om, want):
+            minor = mres.omega.drop_isolated()
             if minor.graph.n != nb.omega.graph.n:
                 continue
             if not biased_isomorphic(minor, nb.omega.drop_isolated()):
@@ -859,8 +850,7 @@ def _localization_certificate(om, phi, psi):
         return False
     u3 = catalog.u3().omega
     found_u3 = False
-    for K, D in _minor_recipes(g, 4):
-        mres = biased_minor(om, K, D, check=False)
+    for K, D, mres in link_minors(om, 4):
         if not biased_isomorphic(mres.omega.drop_isolated(), u3.drop_isolated()):
             continue
         mphi, _, _ = induced_gain(phi, K, D)
@@ -880,11 +870,8 @@ def _localization_certificate(om, phi, psi):
         return False
     # U_2 minor: compare 2-cycle gains; allow joint contractions by taking
     # any pair of parallel links of a minor with inequivalent 2-cycle gain
-    for K, D in _minor_recipes(g, 2):
-        mres = biased_minor(om, K, D, check=False)
+    for K, D, mres in link_minors(om, 2):
         mg = mres.omega.graph
-        if mg.m != 2:
-            continue
         e1, e2 = 0, 1
         if mg.is_loop(e1) or mg.is_loop(e2):
             continue

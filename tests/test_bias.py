@@ -1,13 +1,16 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
-from bmlab import catalog
+from bmlab import catalog, verify
 from bmlab.bias import (
     BiasedGraph,
+    BiasedMinor,
     balancing_vertices,
     biased_equal_unoriented,
     biased_isomorphic,
+    biased_isomorphisms,
     biased_minor,
     check_theta_property,
     classify_balance,
@@ -17,6 +20,7 @@ from bmlab.bias import (
     find_biased_subdivision,
     find_link_minor,
     is_tangled,
+    link_minors,
     roll_up,
     theta_subgraphs,
     unbalancing_classes,
@@ -24,6 +28,7 @@ from bmlab.bias import (
     y_delta,
 )
 from bmlab.errors import NotACycle, NotBalancedTriangle, ThetaViolation
+from bmlab.gains import CyclicGroup, GainGraph, induced_bias
 from bmlab.graph import MultiGraph
 from bmlab.matroid import frame_matroid, matroids_equal
 
@@ -161,6 +166,211 @@ def test_link_forest_recipes_need_no_guards():
                         assert biased_minor(om, K, D, check=False).is_link_minor
                         recipes += 1
     assert recipes == 8296
+
+
+# The one-link-at-a-time biased minor that biased_minor replaced, kept as
+# the reference: every contraction step re-enumerates the cycles of the new
+# graph and decides each one from its preimage.
+
+def _ref_contract_link(omega, e):
+    g, vmap, emap = omega.graph.minor({e}, set())
+    new_cycles = {frozenset(c.edges) for c in g.cycles()}
+    old_of_new = {ne: oe for oe, ne in emap.items()}
+    balanced = set()
+    for c in new_cycles:
+        old = frozenset(old_of_new[x] for x in c)
+        if old in omega.balanced or (old | {e}) in omega.balanced:
+            balanced.add(c)
+    return BiasedGraph(g, balanced, check=False), vmap, emap
+
+
+def _ref_contract_joint(omega, e):
+    g0 = omega.graph
+    (v,) = set(g0.endpoints(e))
+    new_edges = []
+    new_names = []
+    emap = {}
+    jointified = []
+    for f, (a, b) in enumerate(g0.edges):
+        if f == e:
+            continue
+        if a == v and b == v:
+            na, nb = v, v
+        elif a == v or b == v:
+            w = b if a == v else a
+            na, nb = w, w
+            jointified.append(f)
+        else:
+            na, nb = a, b
+        emap[f] = len(new_edges)
+        new_edges.append((na, nb))
+        new_names.append(g0.edge_names[f])
+    g = MultiGraph(g0.n, new_edges, new_names, g0.vertex_names)
+    balanced = set()
+    for c in g.cycles():
+        ce = frozenset(c.edges)
+        old = frozenset(o for o, nn in emap.items() if nn in ce)
+        if len(ce) == 1:
+            (old_x,) = old
+            if old_x in jointified:
+                continue  # new joints stay unbalanced
+            a, b = g0.endpoints(old_x)
+            if a == v and b == v:
+                balanced.add(ce)  # loops at v become balanced
+            elif old in omega.balanced:
+                balanced.add(ce)
+        elif old in omega.balanced:
+            balanced.add(ce)
+    vmap = {u: u for u in range(g0.n)}
+    return BiasedGraph(g, balanced, check=False), vmap, emap
+
+
+def _reference_biased_minor(omega, contract, delete):
+    contract = set(contract)
+    delete = set(delete)
+    gg, vmap, emap = omega.graph.minor(set(), delete)
+    balanced = {
+        frozenset(emap[x] for x in c)
+        for c in omega.balanced
+        if all(x in emap for x in c)
+    }
+    current = BiasedGraph(gg, balanced, check=False)
+    total_vmap = vmap
+    total_emap = dict(emap)
+    pending = {total_emap[e] for e in contract}
+    link_minor = True
+    while pending:
+        links = sorted(e for e in pending if not current.graph.is_loop(e))
+        if links:
+            e = links[0]
+            nxt, vm, em = _ref_contract_link(current, e)
+        else:
+            bal_loops = sorted(
+                e for e in pending if frozenset((e,)) in current.balanced
+            )
+            if bal_loops:
+                e = bal_loops[0]
+                gg, vm, em = current.graph.minor(set(), {e})
+                bal = {
+                    frozenset(em[x] for x in c)
+                    for c in current.balanced
+                    if all(x in em for x in c)
+                }
+                nxt = BiasedGraph(gg, bal, check=False)
+            else:
+                e = sorted(pending)[0]
+                nxt, vm, em = _ref_contract_joint(current, e)
+                link_minor = False
+        pending = {em[x] for x in pending if x != e and x in em}
+        total_vmap = {v: vm[total_vmap[v]] for v in total_vmap}
+        total_emap = {x: em[y] for x, y in total_emap.items() if y in em}
+        current = nxt
+    return BiasedMinor(current, total_vmap, total_emap, link_minor)
+
+
+def _minor_key(mn):
+    g = mn.omega.graph
+    return (g.n, g.edges, g.edge_names, g.vertex_names, mn.omega.balanced,
+            mn.vertex_map, mn.edge_map, mn.is_link_minor)
+
+
+def _random_gain_graphs(seed, count):
+    """Induced biases of seeded random Z_3-gain graphs, loops included."""
+    rng = random.Random(seed)
+    group = CyclicGroup(3)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 3), rng.randint(2, 6)
+        g = MultiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+        out.append(induced_bias(GainGraph(g, group, {e: rng.randrange(3) for e in range(m)})))
+    return out
+
+
+def test_biased_minor_matches_one_link_at_a_time():
+    # every contract / delete / keep labelling of the edges
+    graphs = [
+        BiasedGraph(g, bal, check=False)
+        for g in catalog.multigraphs_up_to_iso(4, 4)
+        for bal in catalog.theta_closed_subsets(g)
+    ]
+    graphs += [nb.omega for nb in (catalog.u2(), catalog.u3())]  # the ones with joints
+    graphs += _random_gain_graphs(1, 40)
+    assert any(om.joints() for om in graphs[-40:])
+    pairs = joints = 0
+    for om in graphs:
+        for labels in product((None, "contract", "delete"), repeat=om.graph.m):
+            K = {e for e, x in enumerate(labels) if x == "contract"}
+            D = {e for e, x in enumerate(labels) if x == "delete"}
+            want = _reference_biased_minor(om, K, D)
+            assert _minor_key(biased_minor(om, K, D, check=False)) == _minor_key(want)
+            pairs += 1
+            joints += not want.is_link_minor
+    assert pairs > 10000 and joints > 3000
+
+
+def _parent_find_link_minor(omega, pattern):
+    g = omega.graph
+    want_edges = pattern.graph.m
+    pat = pattern.drop_isolated()
+    if want_edges > g.m:
+        return None
+    for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
+        if g.m - len(K) < want_edges:
+            continue
+        remaining = [e for e in range(g.m) if e not in K]
+        for keep in combinations(remaining, want_edges):
+            D = frozenset(remaining) - frozenset(keep)
+            minor = _reference_biased_minor(omega, K, D).omega.drop_isolated()
+            if minor.graph.n != pat.graph.n:
+                continue
+            for iso in biased_isomorphisms(minor, pat):
+                return K, D, iso
+    return None
+
+
+def test_link_minors_recipe_for_recipe():
+    for om in (catalog.tube("B_0").omega, catalog.dwarf("D_{0,0}").omega):
+        g = om.graph
+        for keep_edges in (0, 3, g.m):
+            got = list(link_minors(om, keep_edges))
+            forests = sorted(g.link_forests(), key=lambda f: (len(f), sorted(f)))
+            want = [
+                (K, frozenset(rest) - frozenset(kept))
+                for K in forests
+                for rest in [[e for e in range(g.m) if e not in K]]
+                for kept in combinations(rest, keep_edges)
+            ]
+            assert [(K, D) for K, D, _ in got] == want
+            for K, D, mn in got:
+                assert _minor_key(mn) == _minor_key(biased_minor(om, K, D, check=False))
+
+
+def test_find_link_minor_matches_parent_loop():
+    targets = [nb.omega for nb in verify._tangled_targets()]
+    found = 0
+    for om in catalog.tangled_family(4, 7):
+        for t in targets:
+            rec = find_link_minor(om, t)
+            want = _parent_find_link_minor(om, t)
+            assert (rec and (rec.contract, rec.delete, rec.iso)) == want
+            found += rec is not None
+    assert found == 87
+
+
+def test_biased_minor_enumerates_no_cycles(monkeypatch):
+    # a link, a balanced loop and a joint, built before cycles() is disabled
+    k4 = catalog.dwarf("D_{1,0}").omega
+    loops = BiasedGraph(MultiGraph(2, [(0, 0), (0, 1), (0, 1), (1, 1)]), [{0}, {1, 2}])
+    u2 = catalog.u2().omega
+
+    def no_cycles(self, max_edges=None):
+        raise AssertionError("cycles() called")
+
+    monkeypatch.setattr(MultiGraph, "cycles", no_cycles)
+    assert biased_minor(k4, {0}, set(), check=False).is_link_minor
+    assert biased_minor(loops, {0, 1, 2}, set(), check=False).is_link_minor
+    assert not biased_minor(loops, {3}, set(), check=False).is_link_minor
+    assert not biased_minor(u2, set(u2.joints()), set(), check=False).is_link_minor
 
 
 def test_contract_joint_moves_links():

@@ -13,7 +13,7 @@ from bmlab.bias import (
     is_tangled,
     theta_subgraphs,
 )
-from bmlab.errors import BadGlue, BmlabError
+from bmlab.errors import BadGlue, BmlabError, BoundExceeded
 from bmlab.graph import MultiGraph
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
 
@@ -155,6 +155,29 @@ def test_tangled_family_small():
     targets = [nb.omega for nb in catalog.classify_2c3_proper()]
     for om in fam:
         assert any(biased_isomorphic(om, t) for t in targets)
+
+
+def test_tangled_family_caches_only_a_complete_build(monkeypatch):
+    key = ("tangled", 4, 6)
+    real = catalog.bias_sets_up_to_aut
+    calls = []
+
+    def third_call_fails(g, predicate=None):
+        calls.append(g)
+        if len(calls) == 3:
+            raise BoundExceeded("injected")
+        return real(g, predicate)
+
+    catalog._CACHE.pop(key, None)
+    try:
+        monkeypatch.setattr(catalog, "bias_sets_up_to_aut", third_call_fails)
+        with pytest.raises(BoundExceeded):
+            catalog.tangled_family(4, 6)
+        monkeypatch.setattr(catalog, "bias_sets_up_to_aut", real)
+        assert key not in catalog._CACHE
+        assert len(catalog.tangled_family(4, 6)) == 10
+    finally:
+        catalog._CACHE.pop(key, None)
 
 
 def test_multigraph_generation_counts():

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from bmlab import catalog, formats, verify
-from bmlab.bias import find_biased_subdivision, is_tangled
+from bmlab.bias import BiasedGraph, find_biased_subdivision, is_tangled
 from bmlab.errors import UnknownClaim
 from bmlab.gains import (
     CyclicGroup,
@@ -71,6 +71,30 @@ def test_fail_reports_carry_witnesses(monkeypatch):
     assert rep.status == "fail"
     assert rep.witnesses == [{"k": k} for k in range(10)]
     assert rep.counts == {"checked": 12}
+
+
+def test_tangled_subgraph_counts_the_members_it_checks(monkeypatch):
+    real = catalog.tangled_family
+    # two 2-cycles sharing vertex 1: a cut vertex, so not vertically 2-connected
+    bowtie = BiasedGraph(MultiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)]), [])
+    assert not bowtie.is_vertically_k_connected(2)[0]
+    family = real(4, 6)
+    assert all(om.is_vertically_k_connected(2)[0] for om in family)
+    monkeypatch.setattr(catalog, "tangled_family", lambda mv, me: real(mv, me) + [bowtie])
+    rep = run_claim("tangled-subgraph", max_vertices=4, max_edges=6)
+    assert rep.status == "pass"
+    assert rep.counts["tangled_2connected"] == len(family) == 10
+
+
+def test_tangled_minor_negative_control(monkeypatch):
+    # without the 2C3 targets some tangled graphs have no target minor
+    k4_targets = [nb for nb in verify._tangled_targets() if nb.omega.graph.n == 4]
+    assert 0 < len(k4_targets) < len(verify._tangled_targets())
+    monkeypatch.setattr(verify, "_tangled_targets", lambda: k4_targets)
+    rep = run_claim("tangled-minor", max_vertices=4, max_edges=6)
+    assert rep.status == "fail"
+    assert len(rep.witnesses) == 6
+    assert all(w["edges"] and "balanced" in w for w in rep.witnesses)
 
 
 def test_tube_minor_property_sampled():
