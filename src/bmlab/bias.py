@@ -20,7 +20,7 @@ from .errors import (
     StructureMissing,
     ThetaViolation,
 )
-from .graph import MultiGraph, edge_bijections, graph_isomorphisms, iter_subdivisions
+from .graph import MultiGraph, edge_bijections, find, graph_isomorphisms, iter_subdivisions
 
 BALANCED = "balanced"
 ALMOST_BALANCED = "almost-balanced"
@@ -216,22 +216,11 @@ class BiasedMinor:
 
 def _contract_joint(omega, e):
     """Contract an unbalanced loop at v: loops at v become balanced, links
-    at v become joints at their other endpoint, cycles through v die."""
+    at v become joints at their other endpoint, cycles through v die.
+    Returns (biased graph, edge_map); no vertex moves."""
     g0 = omega.graph
     (v,) = set(g0.endpoints(e))
-    new_edges = []
-    new_names = []
-    emap = {}
-    for f, (a, b) in enumerate(g0.edges):
-        if f == e:
-            continue
-        if a == v or b == v:
-            w = b if a == v else a
-            a = b = w
-        emap[f] = len(new_edges)
-        new_edges.append((a, b))
-        new_names.append(g0.edge_names[f])
-    g = MultiGraph(g0.n, new_edges, new_names, g0.vertex_names)
+    g, emap = g0.contract_joint(e)
     balanced = {
         frozenset(emap[x] for x in c)
         for c in omega.balanced
@@ -240,8 +229,7 @@ def _contract_joint(omega, e):
     balanced.update(
         frozenset((emap[f],)) for f in g0.incident_edges(v) if f != e and g0.is_loop(f)
     )
-    vmap = {u: u for u in range(g0.n)}
-    return BiasedGraph(g, balanced, check=False), vmap, emap
+    return BiasedGraph(g, balanced, check=False), emap
 
 
 def biased_minor(omega, contract, delete, check=True):
@@ -278,11 +266,12 @@ def biased_minor(omega, contract, delete, check=True):
     pending = {total_emap[e] for e in contract - K}
     link_minor = True
 
+    # neither loop step moves a vertex, so total_vmap is already final
     while pending:
         bal_loops = sorted(e for e in pending if frozenset((e,)) in current.balanced)
         if bal_loops:
             e = bal_loops[0]
-            gg, vm, em = current.graph.minor(set(), {e})
+            gg, _, em = current.graph.minor(set(), {e})
             bal = {
                 frozenset(em[x] for x in c)
                 for c in current.balanced
@@ -291,10 +280,9 @@ def biased_minor(omega, contract, delete, check=True):
             nxt = BiasedGraph(gg, bal, check=False)
         else:
             e = min(pending)
-            nxt, vm, em = _contract_joint(current, e)
+            nxt, em = _contract_joint(current, e)
             link_minor = False
         pending = {em[x] for x in pending if x != e}
-        total_vmap = {v: vm[total_vmap[v]] for v in total_vmap}
         total_emap = {x: em[y] for x, y in total_emap.items() if y in em}
         current = nxt
 
@@ -443,22 +431,15 @@ def unbalancing_classes(omega, u):
         raise NotBalancingVertex("vertex %d is not balancing after loop deletion" % u)
     delta_u = list(g.links_at(u))
     parent = {e: e for e in delta_u}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for c in omega.balanced:
         pair = sorted(c & set(delta_u))
         if len(pair) == 2:
-            ra, rb = find(pair[0]), find(pair[1])
+            ra, rb = find(parent, pair[0]), find(parent, pair[1])
             if ra != rb:
                 parent[ra] = rb
     groups = {}
     for e in delta_u:
-        groups.setdefault(find(e), []).append(e)
+        groups.setdefault(find(parent, e), []).append(e)
     classes = [frozenset(v) for _, v in sorted(groups.items())]
     joints = omega.joints()
     j_prime = frozenset(e for e in joints if u not in g.endpoints(e))
@@ -577,24 +558,17 @@ def fat_theta_parts(omega):
             w = u if u not in (x, y) else v
             piece_of[e] = comp_of[w]
     parent = list(range(npieces))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for c in omega.balanced:
         pieces = {piece_of[e] for e in c}
         first = None
         for p in pieces:
             if first is None:
-                first = find(p)
+                first = find(parent, p)
             else:
-                parent[find(p)] = first
+                parent[find(parent, p)] = first
     groups = {}
     for e in range(g.m):
-        groups.setdefault(find(piece_of[e]), set()).add(e)
+        groups.setdefault(find(parent, piece_of[e]), set()).add(e)
     parts = sorted((frozenset(es) for es in groups.values()), key=min)
     if len(parts) < 2:
         return None

@@ -9,6 +9,7 @@ The BMLAB_BOUNDS environment variable scales the default search bounds
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -43,10 +44,16 @@ EXIT_UNDECIDED = 3
 
 
 def bounds_scale():
+    """The BMLAB_BOUNDS factor; anything but a finite number >= 1 is a
+    usage error, since the variable only raises the bounds."""
+    text = os.environ.get("BMLAB_BOUNDS", "1")
     try:
-        return float(os.environ.get("BMLAB_BOUNDS", "1"))
+        scale = float(text)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not 1 <= scale < math.inf:
+        raise ParseError("BMLAB_BOUNDS must be a finite number >= 1, got %r" % text)
+    return scale
 
 
 def _read(path):

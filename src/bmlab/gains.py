@@ -20,7 +20,6 @@ from .errors import (
     UnknownEdge,
 )
 from .fields import gf
-from .graph import MultiGraph
 
 
 class GainGroup:
@@ -41,17 +40,6 @@ class GainGroup:
             if x != self.identity:
                 return x
         raise BmlabError("group %r is trivial" % (self,))
-
-    def power(self, a, n):
-        r = self.identity
-        if n >= 0:
-            for _ in range(n):
-                r = self.op(r, a)
-        else:
-            inv = self.inv(a)
-            for _ in range(-n):
-                r = self.op(r, inv)
-        return r
 
 
 class MultiplicativeGroup(GainGroup):
@@ -343,14 +331,16 @@ def switching_scaling_equivalent(gg1, gg2):
     return None
 
 
-def induced_gain(gg, contract, delete, new_joint_gain=None):
+def induced_gain(gg, contract, delete):
     """Induced gains on a minor, following the section-2 semantics.
 
-    Links of the contraction set are contracted first (each normalized to
-    identity gain, then merged), then balanced loops are deleted, then
-    remaining unbalanced loops are joint-contracted: links at the joint's
-    vertex become joints at their other endpoint with the smallest
-    non-identity gain, loops there become balanced (identity gain).
+    The links of the contraction set are contracted first, as the forest K
+    picked greedily in id order: one switching makes every edge of K
+    identity and one minor contracts K and deletes the deletion set.  The
+    rest of the contraction set are then loops, processed in id order:
+    identity loops are deleted, the others contracted as joints (links at
+    the joint's vertex become joints at their other endpoint with the
+    smallest non-identity gain, loops there get identity gain).
     Returns (gain graph, vertex_map, edge_map).
     """
     contract = set(contract)
@@ -362,72 +352,47 @@ def induced_gain(gg, contract, delete, new_joint_gain=None):
         g._check_edge(e)
     group = gg.group
 
-    def delete_edges(cur, dels):
-        g2, vmap, emap = cur.graph.minor(set(), dels)
-        gains = {emap[e]: cur.gains[e] for e in emap}
-        return GainGraph(g2, group, gains), vmap, emap
+    # switch K's links to identity gain in id order; eta changes by one
+    # factor on all of v's class (the vertices K's earlier links joined to
+    # v), so those earlier links keep identity gain
+    K, _ = g.acyclic_contraction_form(contract, ())
+    eta = [group.identity] * g.n
+    comp = list(range(g.n))
+    for e in sorted(K):
+        u, v = g.edges[e]
+        c = group.inv(group.op(group.op(group.inv(eta[u]), gg.gains[e]), eta[v]))
+        cu, cv = comp[u], comp[v]
+        for w in range(g.n):
+            if comp[w] == cv:
+                eta[w] = group.op(eta[w], c)
+                comp[w] = cu
+    switched = switch(gg, dict(enumerate(eta)))
+    mg, total_vmap, total_emap = g.minor(K, delete)
+    current = GainGraph(mg, group, {y: switched.gains[x] for x, y in total_emap.items()})
+    pending = {total_emap[e] for e in contract - K}
 
-    current, total_vmap, total_emap = delete_edges(gg, delete)
-    pending = {total_emap[e] for e in contract}
-
-    def compose(vm1, em1, vm2, em2):
-        vm = {v: vm2[vm1[v]] for v in vm1}
-        em = {e: em2[em1[e]] for e in em1 if em1[e] in em2}
-        return vm, em
-
+    # neither loop step moves a vertex, so total_vmap is already final
     while pending:
-        links = sorted(e for e in pending if not current.graph.is_loop(e))
-        if links:
-            e = links[0]
-            u, v = current.graph.endpoints(e)
-            # switch at v so the gain becomes the identity, then contract
-            eta = {v: current.group.inv(current.gains[e])}
-            switched = switch(current, eta)
-            g2, vmap, emap = current.graph.minor({e}, set())
-            gains = {emap[x]: switched.gains[x] for x in emap}
-            nxt = GainGraph(g2, group, gains)
+        identity_loops = sorted(e for e in pending if current.gains[e] == group.identity)
+        if identity_loops:
+            e = identity_loops[0]
+            mg, _, em = current.graph.minor(set(), {e})
+            gains = {y: current.gains[x] for x, y in em.items()}
         else:
-            loops_bal = sorted(
-                e for e in pending if current.gains[e] == group.identity
-            )
-            if loops_bal:
-                e = loops_bal[0]
-                nxt, vmap, emap = delete_edges(current, {e})
-            else:
-                e = sorted(pending)[0]
-                (v,) = set(current.graph.endpoints(e))
-                joint_gain = (
-                    new_joint_gain
-                    if new_joint_gain is not None
-                    else group.smallest_non_identity()
-                )
-                new_edges = []
-                new_names = []
-                emap = {}
-                gains = {}
-                for f, (a, b) in enumerate(current.graph.edges):
-                    if f == e:
-                        continue
-                    emap[f] = len(new_edges)
-                    if a == v and b == v:
-                        new_edges.append((v, v))
-                        gains[emap[f]] = group.identity
-                    elif a == v or b == v:
-                        w = b if a == v else a
-                        new_edges.append((w, w))
-                        gains[emap[f]] = joint_gain
-                    else:
-                        new_edges.append((a, b))
-                        gains[emap[f]] = current.gains[f]
-                    new_names.append(current.graph.edge_names[f])
-                g2 = MultiGraph(
-                    current.graph.n, new_edges, new_names, current.graph.vertex_names
-                )
-                nxt = GainGraph(g2, group, gains)
-                vmap = {u: u for u in range(current.graph.n)}
-        pending = {emap[x] for x in pending if x != e and x in emap}
-        total_vmap, total_emap = compose(total_vmap, total_emap, vmap, emap)
-        current = nxt
+            e = min(pending)
+            (v,) = set(current.graph.endpoints(e))
+            mg, em = current.graph.contract_joint(e)
+            gains = {}
+            for x, y in em.items():
+                if v not in current.graph.edges[x]:
+                    gains[y] = current.gains[x]
+                elif current.graph.is_loop(x):
+                    gains[y] = group.identity
+                else:
+                    gains[y] = group.smallest_non_identity()
+        pending = {em[x] for x in pending if x != e}
+        total_emap = {x: em[y] for x, y in total_emap.items() if y in em}
+        current = GainGraph(mg, group, gains)
     return current, total_vmap, total_emap
 
 

@@ -18,6 +18,15 @@ DEFAULT_CYCLE_EDGE_BOUND = 24
 DEFAULT_SUBDIVISION_BOUND = (12, 24)  # host vertices, host edges
 
 
+def find(parent, x):
+    """Union-find root of x, halving the path on the way; parent is a list
+    or a dict sending each element to its parent."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class OrientedEdge:
     """An edge index together with a direction along it."""
@@ -145,24 +154,17 @@ class MultiGraph:
         """Partition an edge set into connected components (as edge sets)."""
         edge_ids = sorted(edge_ids)
         parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in edge_ids:
             u, v = self.edges[e]
             for x in (u, v):
                 if x not in parent:
                     parent[x] = x
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[ru] = rv
         comps = {}
         for e in edge_ids:
-            r = find(self.edges[e][0])
+            r = find(parent, self.edges[e][0])
             comps.setdefault(r, []).append(e)
         return [frozenset(es) for _, es in sorted(comps.items())]
 
@@ -193,16 +195,9 @@ class MultiGraph:
     def spanning_forest(self):
         """Maximal forest as a sorted tuple of edge ids (Kruskal, id order)."""
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         forest = []
         for e, (u, v) in enumerate(self.edges):
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 forest.append(e)
@@ -210,16 +205,9 @@ class MultiGraph:
 
     def is_forest_edge_set(self, edge_ids):
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in edge_ids:
             u, v = self.edges[e]
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 return False
             parent[ru] = rv
@@ -398,24 +386,17 @@ class MultiGraph:
         for e in contract | delete:
             self._check_edge(e)
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in sorted(contract):
             u, v = self.edges[e]
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[min(ru, rv)] = max(ru, rv)
         classes = {}
         for v in range(self.n):
-            classes.setdefault(find(v), []).append(v)
+            classes.setdefault(find(parent, v), []).append(v)
         reps = sorted(classes, key=lambda r: min(classes[r]))
         new_index = {rep: i for i, rep in enumerate(reps)}
-        vmap = {v: new_index[find(v)] for v in range(self.n)}
+        vmap = {v: new_index[find(parent, v)] for v in range(self.n)}
         new_edges, new_names, emap = [], [], {}
         for e, (u, v) in enumerate(self.edges):
             if e in contract or e in delete:
@@ -429,23 +410,37 @@ class MultiGraph:
         g = MultiGraph(len(reps), new_edges, new_names, vnames)
         return g, vmap, emap
 
+    def contract_joint(self, e):
+        """Contract the loop e at v as a joint; returns (graph, edge_map).
+
+        e is removed, every other link at v becomes a loop at its far end
+        and loops at v stay where they are.  Vertices keep their indices;
+        edge_map sends every other old edge id to its new id.
+        """
+        u, v = self.endpoints(e)
+        if u != v:
+            raise ValueError("edge %d is not a loop" % e)
+        new_edges, new_names, emap = [], [], {}
+        for f, (a, b) in enumerate(self.edges):
+            if f == e:
+                continue
+            if a == v or b == v:
+                a = b = b if a == v else a
+            emap[f] = len(new_edges)
+            new_edges.append((a, b))
+            new_names.append(self.edge_names[f])
+        return MultiGraph(self.n, new_edges, new_names, self.vertex_names), emap
+
     def acyclic_contraction_form(self, contract, delete):
         """Normalize (K, D) so that K is a maximal forest of G|K."""
         contract = frozenset(contract)
         delete = frozenset(delete)
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         keep = []
         moved = []
         for e in sorted(contract):
             u, v = self.edges[e]
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 moved.append(e)
             else:

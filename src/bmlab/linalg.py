@@ -52,9 +52,6 @@ class FieldMatrix:
         ]
         return FieldMatrix(field, rows, labels, labels)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def column(self, j):
         return tuple(r[j] for r in self.rows)
 

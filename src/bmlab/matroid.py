@@ -10,7 +10,7 @@ separate cross-check.
 
 from .bias import BiasedGraph
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
-from .graph import MultiGraph
+from .graph import MultiGraph, find
 
 CIRCUIT_BOUND = 14
 EQUALITY_BOUND = 20
@@ -191,13 +191,6 @@ class _BiasData:
     def components(self, mask):
         """List of (vertex set, edge mask) for G|X components."""
         parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         edges = []
         i = 0
         m = mask
@@ -211,12 +204,12 @@ class _BiasData:
             for x in (u, v):
                 if x not in parent:
                     parent[x] = x
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[ru] = rv
         comps = {}
         for e in edges:
-            r = find(self.endpoints[e][0])
+            r = find(parent, self.endpoints[e][0])
             vs, em = comps.get(r, (set(), 0))
             u, v = self.endpoints[e]
             vs.add(u)

@@ -187,37 +187,29 @@ def _random_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True):
 @claim("canonical-frame")
 def claim_canonical_frame(seed=DEFAULT_SEED, samples=200, q=5):
     """Thm: vector matroid of the frame matrix equals the frame matroid."""
-    rng = random.Random(seed)
-    group = MultiplicativeGroup(q)
-    failures = []
-    for k in range(samples):
-        g = _random_multigraph(rng)
-        gains = {e: rng.choice(group.elements) for e in range(g.m)}
-        gg = GainGraph(g, group, gains)
-        om = induced_bias(gg)
-        A = frame_matrix(gg).matrix
-        eq, w = matroids_equal(vector_matroid(A), frame_matroid(om))
-        if not eq:
-            failures.append({"sample": k, "edges": list(g.edges), "gains": gains, "subset": w})
-    return failures, {"samples": samples, "q": q}
+    return _canonical_samples(seed, samples, MultiplicativeGroup(q), frame_matrix, frame_matroid)
 
 
 @claim("canonical-lift")
 def claim_canonical_lift(seed=DEFAULT_SEED, samples=200, q=5):
     """Thm: vector matroid of the complete lift matrix equals L0."""
+    return _canonical_samples(seed, samples, AdditiveGroup(q), complete_lift_matrix,
+                              complete_lift_matroid)
+
+
+def _canonical_samples(seed, samples, group, matrix, matroid):
+    """Seeded random gain graphs over group: does the vector matroid of
+    matrix(gg) equal matroid(induced bias)?"""
     rng = random.Random(seed)
-    group = AdditiveGroup(q)
     failures = []
     for k in range(samples):
         g = _random_multigraph(rng)
         gains = {e: rng.choice(group.elements) for e in range(g.m)}
         gg = GainGraph(g, group, gains)
-        om = induced_bias(gg)
-        A = complete_lift_matrix(gg).matrix
-        eq, w = matroids_equal(vector_matroid(A), complete_lift_matroid(om))
+        eq, w = matroids_equal(vector_matroid(matrix(gg).matrix), matroid(induced_bias(gg)))
         if not eq:
             failures.append({"sample": k, "edges": list(g.edges), "gains": gains, "subset": w})
-    return failures, {"samples": samples, "q": q}
+    return failures, {"samples": samples, "q": group.q}
 
 
 # -- section 4.1 biconditionals ----------------------------------------------------
@@ -628,12 +620,7 @@ def _scramble(rng, f, A):
 # -- structure theorems -------------------------------------------------------------
 
 def _tangled_targets():
-    out = []
-    for nb in catalog.classify_k4():
-        if not any(len(c) == 3 for c in nb.omega.balanced):
-            out.append(nb)
-    out.extend(catalog.classify_2c3_proper())
-    return out
+    return _proper_k4() + list(catalog.classify_2c3_proper())
 
 
 @claim("tangled-minor")

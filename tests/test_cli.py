@@ -192,6 +192,18 @@ def test_verify_bounds_scale_each_claims_own_defaults(monkeypatch, capsys):
     assert calls["unique-balancing-subdivision"] == {}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "abc", "0"])
+def test_bad_bounds_scale_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
+    from bmlab.matroid import uniform_matroid
+
+    M = uniform_matroid(2, ("e1", "e2", "e3", "e4"))
+    path = write(tmp_path, "u24.matroid", formats.emit_matroid(M))
+    monkeypatch.setenv("BMLAB_BOUNDS", value)
+    for argv in (["verify", "base-count"], ["enumerate-reps", path, "--q", "4"]):
+        assert main(argv) == 2
+        assert "BMLAB_BOUNDS" in capsys.readouterr().err
+
+
 def test_verify_all_reports_a_bound_hit_as_undecided(monkeypatch, capsys):
     def passing():
         return [], {}

@@ -328,6 +328,116 @@ def test_induced_gain_realizes_biased_minor():
             assert induced_bias(mg).balanced == bm.omega.balanced
 
 
+# The one-link-at-a-time induced_gain that the one-minor version replaced,
+# kept as the reference: deletions first, then each contracted link is
+# switched to identity gain and contracted by its own minor call.
+
+def _reference_induced_gain(gg, contract, delete):
+    contract = set(contract)
+    delete = set(delete)
+    group = gg.group
+
+    def delete_edges(cur, dels):
+        g2, vmap, emap = cur.graph.minor(set(), dels)
+        gains = {emap[e]: cur.gains[e] for e in emap}
+        return GainGraph(g2, group, gains), vmap, emap
+
+    current, total_vmap, total_emap = delete_edges(gg, delete)
+    pending = {total_emap[e] for e in contract}
+    while pending:
+        links = sorted(e for e in pending if not current.graph.is_loop(e))
+        if links:
+            e = links[0]
+            u, v = current.graph.endpoints(e)
+            switched = switch(current, {v: group.inv(current.gains[e])})
+            g2, vmap, emap = current.graph.minor({e}, set())
+            nxt = GainGraph(g2, group, {emap[x]: switched.gains[x] for x in emap})
+        else:
+            loops_bal = sorted(e for e in pending if current.gains[e] == group.identity)
+            if loops_bal:
+                e = loops_bal[0]
+                nxt, vmap, emap = delete_edges(current, {e})
+            else:
+                e = sorted(pending)[0]
+                (v,) = set(current.graph.endpoints(e))
+                new_edges, new_names, emap, gains = [], [], {}, {}
+                for f, (a, b) in enumerate(current.graph.edges):
+                    if f == e:
+                        continue
+                    emap[f] = len(new_edges)
+                    if a == v and b == v:
+                        new_edges.append((v, v))
+                        gains[emap[f]] = group.identity
+                    elif a == v or b == v:
+                        w = b if a == v else a
+                        new_edges.append((w, w))
+                        gains[emap[f]] = group.smallest_non_identity()
+                    else:
+                        new_edges.append((a, b))
+                        gains[emap[f]] = current.gains[f]
+                    new_names.append(current.graph.edge_names[f])
+                g2 = MultiGraph(current.graph.n, new_edges, new_names, current.graph.vertex_names)
+                nxt = GainGraph(g2, group, gains)
+                vmap = {u: u for u in range(current.graph.n)}
+        pending = {emap[x] for x in pending if x != e and x in emap}
+        total_vmap = {v: vmap[total_vmap[v]] for v in total_vmap}
+        total_emap = {x: emap[y] for x, y in total_emap.items() if y in emap}
+        current = nxt
+    return current, total_vmap, total_emap
+
+
+def _gain_minor_key(result):
+    mg, vmap, emap = result
+    g = mg.graph
+    return (g.n, g.edges, g.edge_names, g.vertex_names, mg.gains, vmap, emap)
+
+
+def test_induced_gain_matches_one_link_at_a_time(monkeypatch):
+    # every contract / delete / keep labelling of the edges
+    joint_calls = []
+    contract_joint = MultiGraph.contract_joint
+
+    def counting(self, e):
+        joint_calls.append(e)
+        return contract_joint(self, e)
+
+    monkeypatch.setattr(MultiGraph, "contract_joint", counting)
+    rng = random.Random(1)
+    graphs = list(catalog.multigraphs_up_to_iso(4, 5))
+    for _ in range(10):  # loops from the start
+        n, m = rng.randint(1, 3), rng.randint(4, 5)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]))
+    pairs = joints = 0
+    for g in graphs:
+        for group in (CyclicGroup(3), MultiplicativeGroup(5), AdditiveGroup(4)):
+            gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
+            for labels in product((None, "contract", "delete"), repeat=g.m):
+                K = {e for e, x in enumerate(labels) if x == "contract"}
+                D = {e for e, x in enumerate(labels) if x == "delete"}
+                before = len(joint_calls)
+                got = _gain_minor_key(induced_gain(gg, K, D))
+                assert got == _gain_minor_key(_reference_induced_gain(gg, K, D))
+                pairs += 1
+                joints += len(joint_calls) > before
+    assert pairs > 10000 and joints > 1000
+
+
+def test_induced_gain_contracts_a_link_forest_in_one_minor(monkeypatch):
+    calls = []
+    minor = MultiGraph.minor
+
+    def counting(self, contract, delete):
+        calls.append((contract, delete))
+        return minor(self, contract, delete)
+
+    monkeypatch.setattr(MultiGraph, "minor", counting)
+    k4 = catalog.graph_k4()
+    gg = GainGraph(k4, CyclicGroup(3), {e: e % 3 for e in range(k4.m)})
+    mg, _, _ = induced_gain(gg, k4.spanning_forest(), set())
+    assert len(calls) == 1
+    assert mg.graph.n == 1 and mg.graph.m == 3
+
+
 def test_contraction_preserves_inequivalence():
     g = two_c3()
     group = CyclicGroup(3)

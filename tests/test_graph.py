@@ -190,6 +190,16 @@ def test_minor_overlap_rejected():
         k4().minor({0}, {0})
 
 
+def test_contract_joint_rewrites_links_at_the_loop():
+    g = MultiGraph(3, [(0, 0), (0, 0), (0, 1), (2, 0), (1, 2)])
+    h, emap = g.contract_joint(0)
+    assert h.edges == ((0, 0), (1, 1), (2, 2), (1, 2))
+    assert h.edge_names == ("e2", "e3", "e4", "e5")
+    assert emap == {1: 0, 2: 1, 3: 2, 4: 3}
+    with pytest.raises(ValueError):
+        g.contract_joint(2)
+
+
 def test_acyclic_contraction_normal_form():
     g = two_c3()
     K = {0, 1, 2}  # contains the 2-cycle {0,1}

@@ -6,18 +6,23 @@ from itertools import combinations
 import pytest
 
 from bmlab import catalog, formats, verify
-from bmlab.bias import BiasedGraph, find_biased_subdivision, is_tangled
+from bmlab.bias import BiasedGraph, classify_balance, find_biased_subdivision, is_tangled
+from bmlab.canonical import frame_matrix
 from bmlab.errors import UnknownClaim
+from bmlab.fields import gf
 from bmlab.gains import (
     CyclicGroup,
     GainGraph,
+    MultiplicativeGroup,
     induced_bias,
     induced_gain,
     normalized_gain_functions,
+    realizations,
     switch,
     switching_equivalent,
 )
 from bmlab.graph import MultiGraph
+from bmlab.matroid import extend_with_joint, frame_matroid
 from bmlab.verify import _contraction_failures, all_claims, run_claim
 
 
@@ -177,3 +182,41 @@ def test_contraction_failures_negative_control():
         m1, _, _ = induced_gain(gfs[f["i"]], f["forest"], set())
         m2, _, _ = induced_gain(gfs[f["j"]], f["forest"], set())
         assert switch(m1, f["eta"]).gains == m2.gains
+
+
+def test_inequivalence_localized_negative_control(monkeypatch):
+    """A switched copy is equivalent to its original on every minor, so the
+    localization certificate finds no inequivalence on any route."""
+    minor_sizes = []
+
+    def recording(gg, contract, delete):
+        result = induced_gain(gg, contract, delete)
+        minor_sizes.append(result[0].graph.m)
+        return result
+
+    monkeypatch.setattr(verify, "induced_gain", recording)
+    rng = random.Random(3)
+    group = CyclicGroup(3)
+    tangled = []
+    for g in catalog.multigraphs_up_to_iso(4, 7):
+        for om in catalog.bias_sets_up_to_aut(g):
+            if not om.is_vertically_k_connected(2)[0]:
+                continue
+            if classify_balance(om).tag != "properly-unbalanced":
+                continue
+            for phi in realizations(om, group)[:1]:
+                psi = switch(phi, {v: rng.choice(group.elements) for v in range(g.n)})
+                assert psi.gains != phi.gains
+                assert not verify._localization_certificate(om, phi, psi)
+                tangled.append(is_tangled(om)[0])
+    assert len(tangled) >= 5 and True in tangled and False in tangled
+    assert 6 in minor_sizes and 4 in minor_sizes  # base and U_3 routes ran
+
+
+@pytest.mark.parametrize("name, q", [("D_{0,0}", 5), ("D_{0,2}", 4)])
+def test_extension_exists_positive_control(name, q):
+    # a joint column at vertex 0 extends a frame matrix to the frame matroid
+    om = catalog.dwarf(name).omega
+    A = frame_matrix(realizations(om, MultiplicativeGroup(q))[0]).matrix
+    ext = extend_with_joint(om, vertex=0, name="l1")
+    assert verify._extension_exists(A, frame_matroid(ext), gf(q))
