@@ -414,12 +414,19 @@ def normalized_gain_functions(graph, group, forest=None):
 
 
 def realizations(omega, group, forest=None):
-    """Normalized realizations of a biased graph over a group (exhaustive)."""
-    out = []
-    for gg in normalized_gain_functions(omega.graph, group, forest):
-        if induced_bias(gg).balanced == omega.balanced:
-            out.append(gg)
-    return out
+    """Normalized realizations of a biased graph over a group (exhaustive):
+    the gain functions gg with induced_bias(gg).balanced == omega.balanced.
+
+    Each gain function is rejected at its first cycle whose gain disagrees
+    with omega's bias."""
+    cycles = [(c, c.edges in omega.balanced) for c in omega.graph.cycles(24)]
+    if sum(balanced for _, balanced in cycles) != len(omega.balanced):
+        return []  # some balanced set is not a cycle that induced_bias lists
+    return [
+        gg for gg in normalized_gain_functions(omega.graph, group, forest)
+        if all((cycle_gain(gg, c) == group.identity) == balanced
+               for c, balanced in cycles)
+    ]
 
 
 def scaling_orbits(reps):

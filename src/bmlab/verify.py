@@ -41,7 +41,7 @@ from .canonical import (
     lift_matrix,
     y_delta_matrix,
 )
-from .errors import BmlabError, BoundExceeded, UnknownClaim
+from .errors import BmlabError, BoundExceeded, GroundSetMismatch, UnknownClaim
 from .fields import gf
 from .gains import (
     AdditiveGroup,
@@ -63,6 +63,7 @@ from .graph import MultiGraph
 from .linalg import (
     FieldMatrix,
     invert,
+    left_null_space,
     projective_key,
     projectively_equivalent,
     vector_matroid,
@@ -696,11 +697,12 @@ def claim_tangled_no_extend(fields=(4, 5)):
         g = om.graph
         for q in fields:
             f = gf(q)
+            reps = realizations(om, MultiplicativeGroup(q))[:2]
+            lreps = realizations(om, AdditiveGroup(q))[:2]
             for vertex in range(min(g.n, 2)):  # joint position (up to symmetry)
                 ext = extend_with_joint(om, vertex=vertex, name="l1")
                 L_ext = lift_matroid(ext)
                 F_ext = frame_matroid(ext)
-                reps = realizations(om, MultiplicativeGroup(q))[:2]
                 for gg in reps:
                     A = frame_matrix(gg).matrix
                     found = _extension_exists(A, L_ext, f)
@@ -708,7 +710,6 @@ def claim_tangled_no_extend(fields=(4, 5)):
                     if found:
                         failures.append({"graph": nb.name, "q": q,
                                          "why": "frame extended to lift"})
-                lreps = realizations(om, AdditiveGroup(q))[:2]
                 for gg in lreps:
                     A = lift_matrix(gg).matrix
                     found = _extension_exists(A, F_ext, f)
@@ -720,15 +721,33 @@ def claim_tangled_no_extend(fields=(4, 5)):
 
 
 def _extension_exists(A, target_oracle, f):
-    """Does some extra column make M([A | v]) equal the target oracle?"""
-    labels = list(A.col_labels) + ["l1"]
-    for vec in product(range(f.q), repeat=A.nrows):
-        if all(x == 0 for x in vec):
-            continue
-        rows = [list(r) + [vec[i]] for i, r in enumerate(A.rows)]
-        B = FieldMatrix(f, rows, A.row_labels, labels)
-        if matroids_equal(vector_matroid(B), target_oracle)[0]:
-            return True
+    """Does some extra column l1 make M([A | v]) equal the target oracle?
+
+    A single-element extension is fixed by its modular cut (Oxley, *Matroid
+    Theory*, 2nd ed., 7.2): v must lie in span(A_S) for every S with
+    r(S + l1) = r(S).  Only one v per projective point of the intersection
+    W of those spans is tried, and each is still checked on every subset."""
+    n = A.ncols
+    labels = A.col_labels + ("l1",)
+    if target_oracle.labels != labels:
+        raise GroundSetMismatch("the target's ground set must be A's columns, then l1")
+    MA = vector_matroid(A)
+    if any(target_oracle.rank_mask(S) != MA.rank_mask(S) for S in range(1 << n)):
+        return False
+    H = []  # rows whose common null space is W; W = {0} when l1 is a loop
+    for S in range(1 << n):
+        if target_oracle.rank_mask(S | 1 << n) == MA.rank_mask(S):
+            H += left_null_space(A.submatrix_cols([j for j in range(n) if S >> j & 1]))
+    W = left_null_space(FieldMatrix(f, [[h[i] for h in H] for i in range(A.nrows)]))
+    for lead in range(len(W)):
+        for tail in product(range(f.q), repeat=len(W) - lead - 1):
+            vec = list(W[lead])
+            for c, w in zip(tail, W[lead + 1:]):
+                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, w)]
+            rows = [list(r) + [vec[i]] for i, r in enumerate(A.rows)]
+            B = FieldMatrix(f, rows, A.row_labels, labels)
+            if matroids_equal(vector_matroid(B), target_oracle)[0]:
+                return True
     return False
 
 

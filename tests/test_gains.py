@@ -468,3 +468,35 @@ def test_graph_mismatch_errors():
     b = GainGraph(catalog.graph_k4(), CyclicGroup(2), {e: 0 for e in range(6)})
     with pytest.raises(GraphMismatch):
         switching_equivalent(a, b)
+
+
+def _realizations_by_induced_bias(omega, group):
+    """The filter `realizations` replaced: the whole induced bias of every
+    normalized gain function, compared as a set."""
+    return [gg for gg in normalized_gain_functions(omega.graph, group)
+            if induced_bias(gg).balanced == omega.balanced]
+
+
+def test_realizations_match_the_induced_bias_filter():
+    cases = [om for g in catalog.multigraphs_up_to_iso(4, 6)
+             for om in catalog.bias_sets_up_to_aut(g)]
+    cases += [nb.omega for nb in catalog.base_graphs() + catalog.contracted_tubes()]
+    compared = found = 0
+    for group in (MultiplicativeGroup(3), MultiplicativeGroup(4), AdditiveGroup(3)):
+        for om in cases:
+            g = om.graph
+            if len(group.elements) ** (g.m - len(g.spanning_forest())) > 3000:
+                continue
+            fast = realizations(om, group)
+            assert [gg.gains for gg in fast] == [
+                gg.gains for gg in _realizations_by_induced_bias(om, group)]
+            compared += 1
+            found += len(fast)
+    assert (compared, found) == (699, 960)
+
+
+def test_realizations_of_a_non_cycle_balanced_set_are_empty():
+    g = two_c3()
+    om = BiasedGraph(g, [frozenset([0])], check=False)  # one link is no cycle
+    assert _realizations_by_induced_bias(om, CyclicGroup(2)) == []
+    assert realizations(om, CyclicGroup(2)) == []

@@ -1,16 +1,17 @@
 import inspect
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from bmlab import catalog, formats, verify
 from bmlab.bias import BiasedGraph, classify_balance, find_biased_subdivision, is_tangled
-from bmlab.canonical import frame_matrix
+from bmlab.canonical import frame_matrix, lift_matrix
 from bmlab.errors import UnknownClaim
 from bmlab.fields import gf
 from bmlab.gains import (
+    AdditiveGroup,
     CyclicGroup,
     GainGraph,
     MultiplicativeGroup,
@@ -22,7 +23,8 @@ from bmlab.gains import (
     switching_equivalent,
 )
 from bmlab.graph import MultiGraph
-from bmlab.matroid import extend_with_joint, frame_matroid
+from bmlab.linalg import FieldMatrix, vector_matroid
+from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 from bmlab.verify import _contraction_failures, all_claims, run_claim
 
 
@@ -220,3 +222,61 @@ def test_extension_exists_positive_control(name, q):
     A = frame_matrix(realizations(om, MultiplicativeGroup(q))[0]).matrix
     ext = extend_with_joint(om, vertex=0, name="l1")
     assert verify._extension_exists(A, frame_matroid(ext), gf(q))
+
+
+def _extension_exists_brute(A, target_oracle, f):
+    """The exhaustive search: every nonzero column v, each compared with
+    the target on all subsets (the oracle for `verify._extension_exists`)."""
+    labels = list(A.col_labels) + ["l1"]
+    for vec in product(range(f.q), repeat=A.nrows):
+        if all(x == 0 for x in vec):
+            continue
+        rows = [list(r) + [vec[i]] for i, r in enumerate(A.rows)]
+        B = FieldMatrix(f, rows, A.row_labels, labels)
+        if matroids_equal(vector_matroid(B), target_oracle)[0]:
+            return True
+    return False
+
+
+def test_extension_exists_matches_brute_force():
+    """Frame and lift matrices of every tangled target over GF(3), a joint
+    at either vertex: none extends to the other kind's matroid, and each
+    extends to its own kind's."""
+    f = gf(3)
+    answers = []
+    for nb in verify._tangled_targets():
+        om = nb.omega
+        frames = [frame_matrix(gg).matrix for gg in realizations(om, MultiplicativeGroup(3))[:2]]
+        lifts = [lift_matrix(gg).matrix for gg in realizations(om, AdditiveGroup(3))[:2]]
+        for vertex in (0, 1):
+            ext = extend_with_joint(om, vertex=vertex, name="l1")
+            F, L = frame_matroid(ext), lift_matroid(ext)
+            cases = [(A, L, F) for A in frames] + [(A, F, L) for A in lifts]
+            for A, other, same in cases:
+                for target, expected in ((other, False), (same, True)):
+                    found = verify._extension_exists(A, target, f)
+                    assert found == _extension_exists_brute(A, target, f) == expected
+                    answers.append(found)
+    assert answers.count(False) == answers.count(True) == 16
+
+
+def test_extension_to_a_loop_does_not_exist():
+    # a balanced loop l1 is a loop of the frame matroid: only v = 0 gives it
+    om = catalog.dwarf("D_{0,2}").omega
+    A = frame_matrix(realizations(om, MultiplicativeGroup(4))[0]).matrix
+    ext = extend_with_joint(om, vertex=0, name="l1")
+    loop = BiasedGraph(ext.graph, set(ext.balanced) | {frozenset([om.graph.m])})
+    target = frame_matroid(loop)
+    assert target.rank(["l1"]) == 0
+    assert not verify._extension_exists(A, target, gf(4))
+    assert not _extension_exists_brute(A, target, gf(4))
+
+
+def test_tangled_no_extend_negative_control(monkeypatch):
+    # with the frame matroid as the lift target, every frame matrix extends
+    monkeypatch.setattr(verify, "lift_matroid", frame_matroid)
+    rep = run_claim("tangled-no-extend", fields=(3,))
+    assert rep.status == "fail"
+    assert rep.counts["extensions_checked"] == 16
+    assert len(rep.witnesses) == 4
+    assert all(w["why"] == "frame extended to lift" for w in rep.witnesses)
