@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fields import gf
 from .gains import AdditiveGroup, GainGraph, MultiplicativeGroup, induced_bias
-from .graph import MultiGraph
+from .graph import MultiGraph, find
 from .linalg import (
     FieldMatrix,
     ProjWitness,
@@ -695,11 +695,17 @@ def enumerate_representations(
 ):
     """All F_q-representations of M up to projective equivalence.
 
-    Fixes the lex-first basis, enumerates standard forms [I | D] whose
-    support is forced by the fundamental circuits, filters by matroid
-    equality, deduplicates by the projective canonical key, and (when a
-    biased graph is supplied) classifies each class via
-    canonicalize_representation.
+    Fixes the lex-first basis and enumerates standard forms [I | D] whose
+    support is forced by the fundamental circuits.  On one basis, standard
+    forms are projectively equivalent iff a diagonal scaling maps one to
+    the other; fixing to 1 the entries on a spanning forest of the support
+    graph leaves one member per scaling orbit (Brylawski-Lucas; Oxley,
+    Matroid Theory, section 6.4).  Each standard form that passes the
+    matroid-equality filter is thus its own class, with count the orbit
+    size (q-1)^|forest|.  The forest is grown greedily in (column, row)
+    order and f.nonzero[0] is f.one, so each representative is the
+    lex-first member of its orbit.  When a biased graph is supplied, each
+    class is classified via canonicalize_representation.
     """
     f = gf(q)
     n = M.size
@@ -733,6 +739,16 @@ def enumerate_representations(
         support[j] = circ
     target_ranks = [M.rank_mask(s) for s in range(1 << n)]
     pos_of = {lbl_i: k for k, lbl_i in enumerate(basis)}
+    # support graph on the elements: basis rows and non-basis columns
+    parent = list(range(n))
+    forest = set()
+    for j in nonbasis:
+        for b in support[j]:
+            rj, rb = find(parent, j), find(parent, b)
+            if rj != rb:
+                parent[rj] = rb
+                forest.add((j, b))
+    orbit_size = (q - 1) ** len(forest)
 
     cols_fixed = {}
     for k, b in enumerate(basis):
@@ -740,19 +756,19 @@ def enumerate_representations(
         col[k] = f.one
         cols_fixed[b] = col
 
-    classes = {}
-    order = []
+    out = []
+    keys = set()
 
     def column_options(j):
-        rowsj = support[j]
+        free = [b for b in support[j] if (j, b) not in forest]
         opts = []
-        for values in product(f.nonzero, repeat=len(rowsj)):
+        for values in product(f.nonzero, repeat=len(free)):
             col = [f.zero] * r
-            for row_b, val in zip(rowsj, values):
-                col[pos_of[row_b]] = val
+            for b in support[j]:
+                col[pos_of[b]] = f.one
+            for b, val in zip(free, values):
+                col[pos_of[b]] = val
             opts.append(col)
-        if not rowsj:
-            opts = [[f.zero] * r]
         return opts
 
     def pair_ok(cols, j1, j2):
@@ -773,11 +789,11 @@ def enumerate_representations(
             )
             if _matroid_matches(A, target_ranks, f):
                 key = projective_key(A)
-                if key in classes:
-                    classes[key].count += 1
-                else:
-                    classes[key] = ReprClass(A, 1)
-                    order.append(key)
+                if key in keys:
+                    raise BmlabError("two forest-normalized standard forms "
+                                     "are projectively equivalent")
+                keys.add(key)
+                out.append(ReprClass(A, orbit_size))
             return
         j = nonbasis[idx]
         for col in column_options(j):
@@ -797,7 +813,6 @@ def enumerate_representations(
             del all_cols[j]
 
     rec(0)
-    out = [classes[k] for k in order]
     if biased_graph is not None:
         for cls in out:
             try:

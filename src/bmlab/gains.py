@@ -204,14 +204,20 @@ class GainGraph:
 def walk_gain(gg, walk):
     """Compose gains along a walk (validates the walk)."""
     gg.graph.check_walk(list(walk))
+    return _compose(gg, walk)
+
+
+def cycle_gain(gg, cycle):
+    """Gain of a Cycle, whose walk chains by construction and so is not
+    re-validated."""
+    return _compose(gg, cycle.walk)
+
+
+def _compose(gg, walk):
     out = gg.group.identity
     for oe in walk:
         out = gg.group.op(out, gg.gain(oe))
     return out
-
-
-def cycle_gain(gg, cycle):
-    return walk_gain(gg, cycle.walk)
 
 
 def induced_bias(gg, max_edges=24):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from bmlab.bias import BiasedGraph, biased_isomorphic, delta_y, y_delta
 from bmlab.canonical import (
     FRAME,
     LIFT,
+    ReprClass,
     canonicalize_representation,
     complete_lift_matrix,
     delta_y_matrix,
@@ -15,7 +17,14 @@ from bmlab.canonical import (
     lift_matrix,
     y_delta_matrix,
 )
-from bmlab.errors import BoundExceeded, GroupMismatch, MatroidMismatch, NotTriangle
+from bmlab.errors import (
+    BmlabError,
+    BoundExceeded,
+    GroupMismatch,
+    MatroidMismatch,
+    NotTriangle,
+    NotVertically2Connected,
+)
 from bmlab.fields import gf
 from bmlab.gains import (
     AdditiveGroup,
@@ -30,13 +39,17 @@ from bmlab.gains import (
 from bmlab.graph import MultiGraph
 from bmlab.linalg import (
     FieldMatrix,
+    all_column_ranks,
     invert,
+    projective_key,
     projectively_equivalent,
+    rank_of_columns,
     vector_matroid,
 )
 from bmlab.matroid import (
     complete_lift_matroid,
     frame_matroid,
+    graphic_matroid,
     lift_matroid,
     matroids_equal,
     uniform_matroid,
@@ -158,8 +171,6 @@ def test_all_zero_gains_lift_is_graphic_plus_joint():
     g = catalog.graph_k4()
     gg = GainGraph(g, AdditiveGroup(5), {e: 0 for e in range(6)})
     L0 = vector_matroid(complete_lift_matrix(gg).matrix)
-    from bmlab.matroid import graphic_matroid
-
     eq, _ = matroids_equal(L0.contract(["e0"]), graphic_matroid(g))
     assert eq
 
@@ -474,6 +485,128 @@ def test_canonicalize_contracted_tube_rolls():
 
 # -- enumeration -----------------------------------------------------------------
 
+def enumerate_by_scaling_every_entry(M, q, biased_graph=None, hint=None):
+    """Reference oracle: the enumerator that tries every nonzero value on
+    every support entry of the standard form and merges each diagonal
+    scaling orbit by projective_key, counting its members."""
+    f = gf(q)
+    n = M.size
+    r = M.full_rank()
+    basis = []
+    mask = 0
+    for i in range(n):
+        if M.rank_mask(mask | 1 << i) > M.rank_mask(mask):
+            mask |= 1 << i
+            basis.append(i)
+        if len(basis) == r:
+            break
+    nonbasis = [j for j in range(n) if j not in basis]
+    support = {}
+    for j in nonbasis:
+        if M.rank_mask(1 << j) == 0:
+            support[j] = []
+            continue
+        withj = mask | 1 << j
+        support[j] = [b for b in basis if M.rank_mask(withj & ~(1 << b)) == r]
+    target_ranks = [M.rank_mask(s) for s in range(1 << n)]
+    pos_of = {b: k for k, b in enumerate(basis)}
+    all_cols = {}
+    for k, b in enumerate(basis):
+        all_cols[b] = [f.one if i == k else f.zero for i in range(r)]
+    classes = {}
+    order = []
+
+    def column_options(j):
+        if not support[j]:
+            return [[f.zero] * r]
+        opts = []
+        for values in product(f.nonzero, repeat=len(support[j])):
+            col = [f.zero] * r
+            for b, val in zip(support[j], values):
+                col[pos_of[b]] = val
+            opts.append(col)
+        return opts
+
+    def pair_ok(j1, j2):
+        have = rank_of_columns(f, [all_cols[j1], all_cols[j2]])
+        return have == target_ranks[(1 << j1) | (1 << j2)]
+
+    def rec(idx):
+        if idx == len(nonbasis):
+            A = FieldMatrix(
+                f, [[all_cols[j][i] for j in range(n)] for i in range(r)],
+                None, M.labels,
+            )
+            if all_column_ranks(A) == target_ranks:
+                key = projective_key(A)
+                if key in classes:
+                    classes[key].count += 1
+                else:
+                    classes[key] = ReprClass(A, 1)
+                    order.append(key)
+            return
+        j = nonbasis[idx]
+        for col in column_options(j):
+            all_cols[j] = col
+            if all(pair_ok(j, j2) for j2 in nonbasis[:idx] + basis):
+                rec(idx + 1)
+            del all_cols[j]
+
+    rec(0)
+    out = [classes[k] for k in order]
+    if biased_graph is not None:
+        for cls in out:
+            try:
+                res = canonicalize_representation(cls.matrix, biased_graph, hint=hint)
+            except (MatroidMismatch, NotVertically2Connected):
+                res = None
+            if res is not None and res.status == "ok":
+                cls.kind = res.kind
+    return out
+
+
+def _class_table(classes):
+    return [(c.matrix.rows, c.matrix.col_labels, c.count, c.kind) for c in classes]
+
+
+def _differential_cases():
+    for nb in catalog.base_graphs():
+        om = nb.omega
+        yield nb.name + " frame", frame_matroid(om), 3, om, None
+        yield nb.name + " lift", lift_matroid(om), 3, om, LIFT
+    u24 = uniform_matroid(2, ("e1", "e2", "e3", "e4"))
+    for q in (4, 5):
+        yield "U_{2,4}", u24, q, None, None
+    k4 = graphic_matroid(catalog.graph_k4())
+    for q in (2, 3, 4, 5):
+        yield "M(K4)", k4, q, None, None
+
+
+def test_enumerate_matches_scaling_every_entry():
+    # one forest-normalized standard form per class gives the same classes,
+    # representatives, order, counts and kinds as merging every standard
+    # form by projective_key
+    diffs = []
+    n_classes = 0
+    for name, M, q, om, hint in _differential_cases():
+        got = _class_table(enumerate_representations(M, q, biased_graph=om, hint=hint))
+        want = _class_table(enumerate_by_scaling_every_entry(M, q, om, hint))
+        n_classes += len(want)
+        if got != want:
+            diffs.append((name, q))
+    assert diffs == []
+    assert n_classes == 22
+
+
+def test_enumerate_raises_on_a_repeated_class(monkeypatch):
+    # after forest normalization no two standard forms share a class, so a
+    # repeated key is a bug, not a member to count
+    monkeypatch.setattr(canonical, "projective_key", lambda A: "same")
+    u24 = uniform_matroid(2, ("e1", "e2", "e3", "e4"))
+    with pytest.raises(BmlabError):
+        enumerate_representations(u24, 4)
+
+
 def test_enumerate_reports_a_canonicalization_bound_hit(monkeypatch):
     # a bound hit is undecided, not a class that failed to canonicalize
     def hit_bound(*args, **kwargs):
@@ -493,8 +626,6 @@ def test_enumerate_u24_class_counts():
 
 
 def test_enumerate_graphic_k4_unique():
-    from bmlab.matroid import graphic_matroid
-
     M = graphic_matroid(catalog.graph_k4())
     for q in (2, 3, 4, 5):
         assert len(enumerate_representations(M, q)) == 1

@@ -125,6 +125,12 @@ def test_enumerate_reps_cli(tmp_path, capsys):
     assert main(["enumerate-reps", path, "--q", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["classes"]) == 2
+    # one class per U_{2,4} over GF(4) is 3^3 = 27 standard forms
+    assert [c["standard_forms"] for c in payload["classes"]] == [27, 27]
+    assert [c["matrix"] for c in payload["classes"]] == [
+        "rows 2 cols 4 field gf 4\nlabels e1 e2 e3 e4\n1 0 1 1\n0 1 1 %d\n" % x
+        for x in (2, 3)
+    ]
 
 
 def test_minor_cli(capsys, b0_file):

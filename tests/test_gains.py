@@ -495,6 +495,24 @@ def test_realizations_match_the_induced_bias_filter():
     assert (compared, found) == (699, 960)
 
 
+def test_realizations_do_not_revalidate_cycle_walks(monkeypatch):
+    # cycle walks come from graph.cycles and chain by construction
+    calls = []
+    real_check_walk = MultiGraph.check_walk
+
+    def counted_check_walk(self, walk):
+        calls.append(walk)
+        return real_check_walk(self, walk)
+
+    monkeypatch.setattr(MultiGraph, "check_walk", counted_check_walk)
+    b0 = catalog.tube("B_0").omega
+    reps = realizations(b0, MultiplicativeGroup(5))
+    assert reps and calls == []
+    assert induced_bias(reps[0]).balanced == b0.balanced and calls == []
+    walk_gain(reps[0], b0.graph.cycles()[0].walk)
+    assert len(calls) == 1  # the public walk_gain still validates
+
+
 def test_realizations_of_a_non_cycle_balanced_set_are_empty():
     g = two_c3()
     om = BiasedGraph(g, [frozenset([0])], check=False)  # one link is no cycle

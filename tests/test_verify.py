@@ -280,3 +280,15 @@ def test_tangled_no_extend_negative_control(monkeypatch):
     assert rep.counts["extensions_checked"] == 16
     assert len(rep.witnesses) == 4
     assert all(w["why"] == "frame extended to lift" for w in rep.witnesses)
+
+
+def test_allreps_negative_control(monkeypatch):
+    # an enumerator that loses one class per graph is caught by the
+    # independent count of gain-function classes
+    real = verify.enumerate_representations
+    monkeypatch.setattr(verify, "enumerate_representations",
+                        lambda *args, **kwargs: real(*args, **kwargs)[:-1])
+    rep = run_claim("allreps-tube-frame")
+    assert rep.status == "fail"
+    assert [w["graph"] for w in rep.witnesses] == ["B_1", "B_2"]  # B_0 has none
+    assert all(w["classes"] == w["expected"] - 1 for w in rep.witnesses)
