@@ -739,16 +739,25 @@ def enumerate_representations(
         support[j] = circ
     target_ranks = [M.rank_mask(s) for s in range(1 << n)]
     pos_of = {lbl_i: k for k, lbl_i in enumerate(basis)}
-    # support graph on the elements: basis rows and non-basis columns
+    # support graph on the elements: basis rows and non-basis columns.  Its
+    # greedy spanning forest's entries are 1 (in ones[j]); the other support
+    # entries, at rows free_rows[j], range over the nonzero elements
     parent = list(range(n))
-    forest = set()
+    forest_size = 0
+    ones = {}
+    free_rows = {}
     for j in nonbasis:
+        ones[j] = [f.zero] * r
+        free_rows[j] = []
         for b in support[j]:
             rj, rb = find(parent, j), find(parent, b)
             if rj != rb:
                 parent[rj] = rb
-                forest.add((j, b))
-    orbit_size = (q - 1) ** len(forest)
+                forest_size += 1
+                ones[j][pos_of[b]] = f.one
+            else:
+                free_rows[j].append(pos_of[b])
+    orbit_size = (q - 1) ** forest_size
 
     cols_fixed = {}
     for k, b in enumerate(basis):
@@ -760,14 +769,11 @@ def enumerate_representations(
     keys = set()
 
     def column_options(j):
-        free = [b for b in support[j] if (j, b) not in forest]
         opts = []
-        for values in product(f.nonzero, repeat=len(free)):
-            col = [f.zero] * r
-            for b in support[j]:
-                col[pos_of[b]] = f.one
-            for b, val in zip(free, values):
-                col[pos_of[b]] = val
+        for values in product(f.nonzero, repeat=len(free_rows[j])):
+            col = list(ones[j])
+            for i, val in zip(free_rows[j], values):
+                col[i] = val
             opts.append(col)
         return opts
 

@@ -421,35 +421,75 @@ def normalized_gain_functions(graph, group, forest=None):
 
 def realizations(omega, group, forest=None):
     """Normalized realizations of a biased graph over a group (exhaustive):
-    the gain functions gg with induced_bias(gg).balanced == omega.balanced.
+    the gain functions gg with induced_bias(gg).balanced == omega.balanced,
+    in the order normalized_gain_functions yields them.
 
-    Each gain function is rejected at its first cycle whose gain disagrees
-    with omega's bias."""
-    cycles = [(c, c.edges in omega.balanced) for c in omega.graph.cycles(24)]
-    if sum(balanced for _, balanced in cycles) != len(omega.balanced):
+    The free (non-forest) edges get their gains one at a time in id order,
+    and each cycle is checked as soon as its last free edge has one, so a
+    branch stops at its first cycle whose gain disagrees with omega's bias."""
+    g = omega.graph
+    cycles = g.cycles(24)
+    if sum(c.edges in omega.balanced for c in cycles) != len(omega.balanced):
         return []  # some balanced set is not a cycle that induced_bias lists
-    return [
-        gg for gg in normalized_gain_functions(omega.graph, group, forest)
-        if all((cycle_gain(gg, c) == group.identity) == balanced
-               for c, balanced in cycles)
-    ]
+    if forest is None:
+        forest = g.spanning_forest()
+    forest = frozenset(forest)
+    free = [e for e in range(g.m) if e not in forest]
+    slot = {e: k for k, e in enumerate(free)}
+    els = group.elements
+    identity = group.identity
+    op = {a: {b: group.op(a, b) for b in els} for a in els}
+    inv = {a: group.inv(a) for a in els}
+    # due[k]: the cycles whose last free edge is free[k], each as the
+    # (slot, forward) steps of its walk on free edges and its bias
+    due = [[] for _ in free]
+    for c in cycles:
+        steps = [(slot[oe.edge], oe.forward) for oe in c.walk if oe.edge in slot]
+        balanced = c.edges in omega.balanced
+        if steps:
+            due[max(k for k, _ in steps)].append((steps, balanced))
+        elif not balanced:
+            return []  # a cycle on forest edges has identity gain
+    values = [identity] * len(free)
+    out = []
+
+    def assign(k):
+        if k == len(free):
+            gains = dict.fromkeys(forest, identity)
+            gains.update(zip(free, values))
+            out.append(GainGraph(g, group, gains))
+            return
+        for x in els:
+            values[k] = x
+            for steps, balanced in due[k]:
+                gain = identity
+                for i, forward in steps:
+                    gain = op[gain][values[i] if forward else inv[values[i]]]
+                if (gain == identity) != balanced:
+                    break
+            else:
+                assign(k + 1)
+
+    assign(0)
+    return out
 
 
 def scaling_orbits(reps):
-    """Group normalized additive realizations into switching-and-scaling
-    orbits; returns a list of lists."""
-    orbits = []
-    seen = set()
-    for i, gg in enumerate(reps):
-        if i in seen:
-            continue
-        orbit = [i]
-        seen.add(i)
-        for j in range(i + 1, len(reps)):
-            if j in seen:
-                continue
-            if switching_scaling_equivalent(gg, reps[j]) is not None:
-                orbit.append(j)
-                seen.add(j)
-        orbits.append([reps[k] for k in orbit])
-    return orbits
+    """Group normalized additive realizations of one graph into
+    switching-and-scaling orbits; returns a list of lists, each orbit in
+    input order and the orbits in order of their first member.
+
+    Normalizing commutes with scaling, so two gain functions share an orbit
+    iff some scalar multiple of one's normal form is the other's: each is
+    filed under the least of its normal form's scalar multiples."""
+    orbits = {}
+    for gg in reps:
+        if gg.graph != reps[0].graph:
+            raise GraphMismatch("different underlying graphs")
+        if gg.group != reps[0].group or not gg.group.is_additive_field_group:
+            raise GroupMismatch("need matching additive field groups")
+        gains = normalize(gg)[0].gains
+        key = min(tuple(gg.group.scale(a, gains[e]) for e in range(gg.graph.m))
+                  for a in gg.group.scalars)
+        orbits.setdefault(key, []).append(gg)
+    return list(orbits.values())

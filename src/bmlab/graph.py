@@ -243,27 +243,39 @@ class MultiGraph:
             )
         if self._cycles is not None:
             return self._cycles
-        found = set()
-        for e in range(self.m):
-            if self.is_loop(e):
-                found.add(frozenset((e,)))
-        for v0 in range(self.n):
-            # simple paths from v0 using vertices > v0 internally
-            def extend(current, used_edges, visited):
-                for e in self._incident[current]:
-                    if e in used_edges or self.is_loop(e):
-                        continue
-                    w = self.other_end(e, current)
-                    if w == v0:
-                        if len(used_edges) >= 1:
-                            found.add(frozenset(used_edges | {e}))
-                        continue
-                    if w < v0 or w in visited:
-                        continue
-                    extend(w, used_edges | {e}, visited | {w})
+        forward = [OrientedEdge(e, True) for e in range(self.m)]
+        backward = [OrientedEdge(e, False) for e in range(self.m)]
+        out = [Cycle(frozenset((e,)), (forward[e],))
+               for e in range(self.m) if self.is_loop(e)]
+        on_path = [False] * self.n
+        path = []
 
-            extend(v0, frozenset(), frozenset((v0,)))
-        out = [Cycle.from_edges(self, es) for es in found]
+        def extend(v0, current):
+            # simple paths from v0 using vertices > v0 internally; each
+            # cycle is met in both directions and kept in the one whose
+            # first edge is the smaller, which is Cycle.from_edges's walk
+            for e in self._incident[current]:
+                u, w = self.edges[e]
+                if u == w:
+                    continue
+                step = forward[e] if u == current else backward[e]
+                if u != current:
+                    w = u
+                if w == v0:
+                    if path and path[0].edge < e:
+                        walk = tuple(path) + (step,)
+                        out.append(Cycle(frozenset(oe.edge for oe in walk), walk))
+                    continue
+                if w < v0 or on_path[w]:
+                    continue
+                on_path[w] = True
+                path.append(step)
+                extend(v0, w)
+                path.pop()
+                on_path[w] = False
+
+        for v0 in range(self.n):
+            extend(v0, v0)
         out.sort(key=lambda c: (len(c.edges), tuple(sorted(c.edges))))
         self._cycles = tuple(out)
         return self._cycles

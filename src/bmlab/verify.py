@@ -275,12 +275,7 @@ def _biconditional_lift(graphs, fields, seed):
             reps = _lift_reps_with_matrices(om, q)
             reps_total += len(reps)
             keys = [projective_key(A) for _, A in reps]
-            orbit_of = {}
-            orbits = scaling_orbits([gg for gg, _ in reps])
-            rep_index = {id(gg): k for k, (gg, _) in enumerate(reps)}
-            for oi, orbit in enumerate(orbits):
-                for gg in orbit:
-                    orbit_of[rep_index[id(gg)]] = oi
+            orbit_of = _orbit_indices([gg for gg, _ in reps])
             for i, j in combinations(range(len(reps)), 2):
                 pairs += 1
                 same_orbit = orbit_of[i] == orbit_of[j]
@@ -295,6 +290,15 @@ def _biconditional_lift(graphs, fields, seed):
                                      "why": "key/decision disagreement"})
     return failures, {"graphs": len(graphs), "fields": list(fields),
                       "realizations": reps_total, "pairs": pairs}
+
+
+def _orbit_indices(ggs):
+    """The index of each gain graph's switching-and-scaling orbit."""
+    orbit_of = {}
+    for k, orbit in enumerate(scaling_orbits(ggs)):
+        for gg in orbit:
+            orbit_of[id(gg)] = k
+    return [orbit_of[id(gg)] for gg in ggs]
 
 
 def _biconditional_cross(graphs, fields):
@@ -421,9 +425,10 @@ def claim_u3_lift_criterion(fields=DEFAULT_FIELDS):
             GainGraph(theta, group, {k: gg.gains[e] for k, e in enumerate(links)})
             for gg in reps
         ]
+        orbit_of = _orbit_indices(restr)
         for i, j in combinations(range(len(reps)), 2):
             checked += 1
-            equiv = switching_scaling_equivalent(restr[i], restr[j]) is not None
+            equiv = orbit_of[i] == orbit_of[j]
             if (keys[i] == keys[j]) != equiv:
                 failures.append({"q": q, "pair": (i, j), "restriction_equiv": equiv})
     return failures, {"fields": list(fields), "pairs": checked}

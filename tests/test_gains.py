@@ -20,6 +20,7 @@ from bmlab.gains import (
     normalized_gain_functions,
     realizations,
     scale_gains,
+    scaling_orbits,
     switch,
     switching_equivalent,
     switching_scaling_equivalent,
@@ -280,6 +281,51 @@ def test_scaling_against_brute_force():
                 if brute:
                     break
             assert fast == brute
+
+
+def _scaling_orbits_pairwise(reps):
+    """The pairwise grouping `scaling_orbits` replaced: each rep joins the
+    orbit of the first earlier rep that switching_scaling_equivalent
+    relates it to."""
+    orbits = []
+    seen = set()
+    for i, gg in enumerate(reps):
+        if i in seen:
+            continue
+        orbit = [i]
+        seen.add(i)
+        for j in range(i + 1, len(reps)):
+            if j not in seen and switching_scaling_equivalent(gg, reps[j]) is not None:
+                orbit.append(j)
+                seen.add(j)
+        orbits.append([reps[k] for k in orbit])
+    return orbits
+
+
+def test_scaling_orbits_match_pairwise_grouping():
+    cases = [list(normalized_gain_functions(two_c3(), AdditiveGroup(3)))]
+    cases.append(list(normalized_gain_functions(MultiGraph(2, [(0, 1)] * 3 + [(0, 0)]),
+                                                AdditiveGroup(4))))
+    for q in (4, 5):
+        for nb in catalog.base_graphs():
+            cases.append(realizations(nb.omega, AdditiveGroup(q)))
+    orbits = 0
+    for reps in cases:
+        got = scaling_orbits(reps)
+        want = _scaling_orbits_pairwise(reps)
+        assert [[id(gg) for gg in o] for o in got] == [[id(gg) for gg in o] for o in want]
+        orbits += len(got)
+    assert orbits > 50
+
+
+def test_scaling_orbits_need_one_additive_group():
+    gg = GainGraph(two_c3(), MultiplicativeGroup(5), {e: 1 for e in range(6)})
+    with pytest.raises(GroupMismatch):
+        scaling_orbits([gg])
+    a = GainGraph(two_c3(), AdditiveGroup(5), {e: 0 for e in range(6)})
+    b = GainGraph(catalog.graph_k4(), AdditiveGroup(5), {e: 0 for e in range(6)})
+    with pytest.raises(GraphMismatch):
+        scaling_orbits([a, b])
 
 
 def test_is_realization():

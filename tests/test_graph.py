@@ -1,7 +1,9 @@
+import random
 from itertools import combinations
 
 import pytest
 
+from bmlab import catalog
 from bmlab.errors import BoundExceeded, NotACycle
 from bmlab.graph import Cycle, MultiGraph, OrientedEdge, find_subdivision, graph_isomorphisms
 
@@ -65,6 +67,36 @@ def test_cycles_are_2_regular_connected():
         for c in g.cycles():
             # Cycle.from_edges revalidates 2-regularity and connectivity
             Cycle.from_edges(g, c.edges)
+
+
+def _cycles_by_subsets(g):
+    """Brute force: every edge set that Cycle.from_edges accepts, with its
+    walk, in the order cycles() promises."""
+    out = []
+    for k in range(1, g.m + 1):
+        for es in combinations(range(g.m), k):
+            try:
+                out.append(Cycle.from_edges(g, es))
+            except NotACycle:
+                pass
+    out.sort(key=lambda c: (len(c.edges), tuple(sorted(c.edges))))
+    return out
+
+
+def test_cycles_match_every_edge_subset():
+    rng = random.Random(7)
+    graphs = list(catalog.multigraphs_up_to_iso(4, 6))
+    graphs += [nb.omega.graph for nb in catalog.base_graphs()]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 8))]))
+    total = 0
+    for g in graphs:
+        got = g.cycles()
+        assert list(got) == _cycles_by_subsets(g)
+        total += len(got)
+    assert (len(graphs), total) == (86, 429)
 
 
 def test_cycle_bound():
