@@ -293,17 +293,32 @@ def biased_minor(omega, contract, delete, check=True):
     return BiasedMinor(current, total_vmap, total_emap, link_minor)
 
 
-def link_minors(omega, keep_edges):
-    """Every link minor of omega with exactly keep_edges edges, as
-    (K, D, minor).  K runs over the link forests by size, then by sorted
-    edge ids; for each K the kept edges run over the combinations of the
-    other edges in order, and D is the rest of them."""
+def link_minors(omega, pattern):
+    """Every link minor of omega isomorphic to `pattern` up to isolated
+    vertices, as (K, D, minor, iso): iso is the first biased isomorphism
+    from minor.omega.drop_isolated() to pattern.drop_isolated().  K runs
+    over the link forests by size, then by sorted edge ids; for each K the
+    kept edges run over the combinations of the other edges in order, and
+    D is the rest of them.  The minor's non-isolated vertices are the
+    K-classes its kept edges meet, so a pair that meets a number other
+    than the pattern's vertex count is skipped before anything is built."""
     g = omega.graph
+    pat = pattern.drop_isolated()
     for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
+        parent = list(range(g.n))
+        for e in K:
+            u, v = g.edges[e]
+            parent[find(parent, u)] = find(parent, v)
+        ends = [(find(parent, u), find(parent, v)) for u, v in g.edges]
         rest = [e for e in range(g.m) if e not in K]
-        for keep in combinations(rest, keep_edges):
+        for keep in combinations(rest, pat.graph.m):
+            if len({r for e in keep for r in ends[e]}) != pat.graph.n:
+                continue
             D = frozenset(rest) - frozenset(keep)
-            yield K, D, biased_minor(omega, K, D, check=False)
+            minor = biased_minor(omega, K, D, check=False)
+            for iso in biased_isomorphisms(minor.omega.drop_isolated(), pat):
+                yield K, D, minor, iso
+                break
 
 
 # -- Delta-Y and Y-Delta -------------------------------------------------------
@@ -650,13 +665,8 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
     g = omega.graph
     if g.n > max_vertices or g.m > max_edges:
         raise BoundExceeded("link-minor search bound exceeded")
-    pat = pattern.drop_isolated()
-    for K, D, minor in link_minors(omega, pattern.graph.m):
-        minor = minor.omega.drop_isolated()
-        if minor.graph.n != pat.graph.n:
-            continue
-        for iso in biased_isomorphisms(minor, pat):
-            return MinorRecipe(K, D, iso)
+    for K, D, _, iso in link_minors(omega, pattern):
+        return MinorRecipe(K, D, iso)
     return None
 
 

@@ -14,7 +14,6 @@ from .bias import (
     BiasedGraph,
     balancing_vertices,
     biased_equal_unoriented,
-    biased_isomorphic,
     classify_balance,
     delta_y,
     fat_theta_parts,
@@ -637,15 +636,10 @@ def claim_tangled_minor(max_vertices=5, max_edges=8):
     targets = _tangled_targets()
     failures = []
     for om in family:
-        found = None
-        for nb in targets:
-            if om.graph.m < nb.omega.graph.m:
-                continue
-            rec = find_link_minor(om, nb.omega)
-            if rec is not None:
-                found = nb.name
-                break
-        if found is None:
+        if not any(
+            om.graph.m >= nb.omega.graph.m and find_link_minor(om, nb.omega) is not None
+            for nb in targets
+        ):
             failures.append({
                 "edges": list(om.graph.edges),
                 "balanced": [sorted(c) for c in om.balanced],
@@ -674,15 +668,11 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
         if not ok2:
             continue
         checked += 1
-        found = None
-        for nb in patterns:
-            if nb.omega.graph.m > om.graph.m or nb.omega.graph.n > om.graph.n:
-                continue
-            emb = find_biased_subdivision(om, nb.omega)
-            if emb is not None:
-                found = nb.name
-                break
-        if found is None:
+        if not any(
+            nb.omega.graph.m <= om.graph.m and nb.omega.graph.n <= om.graph.n
+            and find_biased_subdivision(om, nb.omega) is not None
+            for nb in patterns
+        ):
             failures.append({
                 "edges": list(om.graph.edges),
                 "balanced": [sorted(c) for c in om.balanced],
@@ -842,15 +832,8 @@ def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60):
 
 
 def _localization_certificate(om, phi, psi):
-    targets = catalog.base_graphs()
-    for nb in targets:
-        want = nb.omega.graph.m
-        for K, D, mres in link_minors(om, want):
-            minor = mres.omega.drop_isolated()
-            if minor.graph.n != nb.omega.graph.n:
-                continue
-            if not biased_isomorphic(minor, nb.omega.drop_isolated()):
-                continue
+    for nb in catalog.base_graphs():
+        for K, D, _, _ in link_minors(om, nb.omega):
             mphi, _, _ = induced_gain(phi, K, D)
             mpsi, _, _ = induced_gain(psi, K, D)
             if switching_equivalent(mphi, mpsi) is None:
@@ -859,11 +842,7 @@ def _localization_certificate(om, phi, psi):
     tangled, _ = is_tangled(om)
     if tangled:
         return False
-    u3 = catalog.u3().omega
-    found_u3 = False
-    for K, D, mres in link_minors(om, 4):
-        if not biased_isomorphic(mres.omega.drop_isolated(), u3.drop_isolated()):
-            continue
+    for K, D, mres, _ in link_minors(om, catalog.u3().omega):
         mphi, _, _ = induced_gain(phi, K, D)
         mpsi, _, _ = induced_gain(psi, K, D)
         links = [e for e in range(mres.omega.graph.m) if not mres.omega.graph.is_loop(e)]
@@ -875,22 +854,16 @@ def _localization_certificate(om, phi, psi):
         tphi = GainGraph(th, mphi.group, {k: mphi.gains[e] for k, e in enumerate(links)})
         tpsi = GainGraph(th, mpsi.group, {k: mpsi.gains[e] for k, e in enumerate(links)})
         if switching_equivalent(tphi, tpsi) is None:
-            found_u3 = True
             break
-    if not found_u3:
+    else:
         return False
-    # U_2 minor: compare 2-cycle gains; allow joint contractions by taking
-    # any pair of parallel links of a minor with inequivalent 2-cycle gain
-    for K, D, mres in link_minors(om, 2):
-        mg = mres.omega.graph
-        e1, e2 = 0, 1
-        if mg.is_loop(e1) or mg.is_loop(e2):
-            continue
-        if set(mg.edges[e1]) != set(mg.edges[e2]):
-            continue
+    # U_2 minor: U_2 without its joints, the unbalanced 2-cycle; a balanced
+    # one has identity gain under both realizations, so it never certifies
+    two_cycle = BiasedGraph(MultiGraph(2, [(0, 1), (0, 1)]), [])
+    for K, D, mres, _ in link_minors(om, two_cycle):
         mphi, _, _ = induced_gain(phi, K, D)
         mpsi, _, _ = induced_gain(psi, K, D)
-        cyc = mg.cycles()[0]
+        cyc = mres.omega.graph.cycles()[0]
         if walk_gain(mphi, cyc.walk) != walk_gain(mpsi, cyc.walk):
             return True
     return False

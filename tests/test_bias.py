@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bmlab import catalog, verify
+from bmlab import bias, catalog, verify
 from bmlab.bias import (
     BiasedGraph,
     BiasedMinor,
@@ -308,41 +308,75 @@ def test_biased_minor_matches_one_link_at_a_time():
     assert pairs > 10000 and joints > 3000
 
 
-def _parent_find_link_minor(omega, pattern):
+def _parent_link_minors(omega, pattern):
+    """The search before link_minors took a pattern: every (K, D) pair,
+    each minor built by the reference routine and kept when it has the
+    pattern's vertex count and a biased isomorphism to it; yields
+    (K, D, first iso) in search order."""
     g = omega.graph
-    want_edges = pattern.graph.m
     pat = pattern.drop_isolated()
-    if want_edges > g.m:
-        return None
     for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
-        if g.m - len(K) < want_edges:
-            continue
         remaining = [e for e in range(g.m) if e not in K]
-        for keep in combinations(remaining, want_edges):
+        for keep in combinations(remaining, pat.graph.m):
             D = frozenset(remaining) - frozenset(keep)
             minor = _reference_biased_minor(omega, K, D).omega.drop_isolated()
             if minor.graph.n != pat.graph.n:
                 continue
             for iso in biased_isomorphisms(minor, pat):
-                return K, D, iso
-    return None
+                yield K, D, iso
+                break
+
+
+def _parent_find_link_minor(omega, pattern):
+    return next(_parent_link_minors(omega, pattern), None)
+
+
+def _link_minor_patterns():
+    """The tangled targets, U_3 and the unbalanced 2-cycle: the patterns
+    that find_link_minor and verify._localization_certificate search."""
+    two_cycle = BiasedGraph(MultiGraph(2, [(0, 1), (0, 1)]), [])
+    return [nb.omega for nb in verify._tangled_targets()] + [catalog.u3().omega, two_cycle]
 
 
 def test_link_minors_recipe_for_recipe():
-    for om in (catalog.tube("B_0").omega, catalog.dwarf("D_{0,0}").omega):
-        g = om.graph
-        for keep_edges in (0, 3, g.m):
-            got = list(link_minors(om, keep_edges))
-            forests = sorted(g.link_forests(), key=lambda f: (len(f), sorted(f)))
-            want = [
-                (K, frozenset(rest) - frozenset(kept))
-                for K in forests
-                for rest in [[e for e in range(g.m) if e not in K]]
-                for kept in combinations(rest, keep_edges)
-            ]
-            assert [(K, D) for K, D, _ in got] == want
-            for K, D, mn in got:
+    # each tangled target is a member with 6 edges; the 3-vertex members
+    # with 7 edges add contractions and deletions
+    hosts = [catalog.tube("B_0").omega]
+    hosts += catalog.tangled_family(4, 6) + catalog.tangled_family(3, 7)
+    patterns = _link_minor_patterns()
+    found = [0] * len(patterns)
+    for om in hosts:
+        for k, pat in enumerate(patterns):
+            got = list(link_minors(om, pat))
+            assert [(K, D, iso) for K, D, _, iso in got] == list(_parent_link_minors(om, pat))
+            for K, D, mn, _ in got:
                 assert _minor_key(mn) == _minor_key(biased_minor(om, K, D, check=False))
+            found[k] += len(got)
+    assert all(found)
+
+
+def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
+    om = next(om for om in catalog.tangled_family(4, 7) if om.graph.n == 4)
+    target = verify._tangled_targets()[0].omega
+    g, n = om.graph, target.drop_isolated().graph.n
+    pairs = [
+        (K, frozenset(rest) - frozenset(keep))
+        for K in g.link_forests()
+        for rest in [[e for e in range(g.m) if e not in K]]
+        for keep in combinations(rest, target.graph.m)
+    ]
+    want = sum(biased_minor(om, K, D).omega.drop_isolated().graph.n == n for K, D in pairs)
+    assert 0 < want < len(pairs)
+    calls = []
+    real = bias.biased_minor
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bias, "biased_minor", counting)
+    list(link_minors(om, target))
+    assert len(calls) == want
 
 
 def test_find_link_minor_matches_parent_loop():

@@ -6,7 +6,14 @@ from itertools import combinations, product
 import pytest
 
 from bmlab import catalog, formats, verify
-from bmlab.bias import BiasedGraph, classify_balance, find_biased_subdivision, is_tangled
+from bmlab.bias import (
+    BiasedGraph,
+    biased_isomorphic,
+    biased_minor,
+    classify_balance,
+    find_biased_subdivision,
+    is_tangled,
+)
 from bmlab.canonical import frame_matrix, lift_matrix
 from bmlab.errors import UnknownClaim
 from bmlab.fields import gf
@@ -21,6 +28,7 @@ from bmlab.gains import (
     realizations,
     switch,
     switching_equivalent,
+    walk_gain,
 )
 from bmlab.graph import MultiGraph
 from bmlab.linalg import FieldMatrix, vector_matroid
@@ -213,6 +221,98 @@ def test_inequivalence_localized_negative_control(monkeypatch):
                 tangled.append(is_tangled(om)[0])
     assert len(tangled) >= 5 and True in tangled and False in tangled
     assert 6 in minor_sizes and 4 in minor_sizes  # base and U_3 routes ran
+
+
+def _all_link_minors(om, keep_edges):
+    """Every (K, D, minor) with keep_edges kept edges, in link_minors' order."""
+    g = om.graph
+    for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
+        rest = [e for e in range(g.m) if e not in K]
+        for keep in combinations(rest, keep_edges):
+            D = frozenset(rest) - frozenset(keep)
+            yield K, D, biased_minor(om, K, D, check=False)
+
+
+def _parent_localization_certificate(om, phi, psi):
+    """The certificate that filtered every built minor itself: by vertex
+    count and isomorphism, or for U_2 by two parallel links."""
+    for nb in catalog.base_graphs():
+        for K, D, mres in _all_link_minors(om, nb.omega.graph.m):
+            minor = mres.omega.drop_isolated()
+            if minor.graph.n != nb.omega.graph.n:
+                continue
+            if not biased_isomorphic(minor, nb.omega.drop_isolated()):
+                continue
+            mphi, _, _ = induced_gain(phi, K, D)
+            mpsi, _, _ = induced_gain(psi, K, D)
+            if switching_equivalent(mphi, mpsi) is None:
+                return True
+    if is_tangled(om)[0]:
+        return False
+    u3 = catalog.u3().omega
+    found_u3 = False
+    for K, D, mres in _all_link_minors(om, 4):
+        if not biased_isomorphic(mres.omega.drop_isolated(), u3.drop_isolated()):
+            continue
+        mphi, _, _ = induced_gain(phi, K, D)
+        mpsi, _, _ = induced_gain(psi, K, D)
+        mg = mres.omega.graph
+        links = [e for e in range(mg.m) if not mg.is_loop(e)]
+        th = MultiGraph(mg.n, [mg.edges[e] for e in links], [mg.edge_names[e] for e in links])
+        tphi = GainGraph(th, mphi.group, {k: mphi.gains[e] for k, e in enumerate(links)})
+        tpsi = GainGraph(th, mpsi.group, {k: mpsi.gains[e] for k, e in enumerate(links)})
+        if switching_equivalent(tphi, tpsi) is None:
+            found_u3 = True
+            break
+    if not found_u3:
+        return False
+    for K, D, mres in _all_link_minors(om, 2):
+        mg = mres.omega.graph
+        if mg.is_loop(0) or mg.is_loop(1) or set(mg.edges[0]) != set(mg.edges[1]):
+            continue
+        mphi, _, _ = induced_gain(phi, K, D)
+        mpsi, _, _ = induced_gain(psi, K, D)
+        cyc = mg.cycles()[0]
+        if walk_gain(mphi, cyc.walk) != walk_gain(mpsi, cyc.walk):
+            return True
+    return False
+
+
+def test_localization_certificate_matches_parent(monkeypatch):
+    """The claim's (4, 7) instances, each inequivalent pair and each
+    (phi, phi), certified as the filtering loops did; without the base
+    graphs only the U_3 and U_2 routes can certify."""
+    instances = []
+    for g in catalog.multigraphs_up_to_iso(4, 7):
+        for om in catalog.bias_sets_up_to_aut(g):
+            if not om.is_vertically_k_connected(2)[0]:
+                continue
+            if classify_balance(om).tag != "properly-unbalanced":
+                continue
+            for group in (CyclicGroup(2), CyclicGroup(3)):
+                reps = realizations(om, group)
+                instances += [(om, phi, psi) for phi, psi in combinations(reps, 2)]
+                instances += [(om, phi, phi) for phi in reps]
+    assert len(instances) == 101
+    certified = []
+    for base in (True, False):
+        if not base:
+            monkeypatch.setattr(catalog, "base_graphs", lambda: ())
+        got = [verify._localization_certificate(*x) for x in instances]
+        assert got == [_parent_localization_certificate(*x) for x in instances]
+        certified.append(sum(got))
+    assert certified == [30, 10]
+
+
+def test_inequivalence_localized_negative_control_claim(monkeypatch):
+    """Every instance a pair (phi, phi): no minor tells them apart."""
+    real = verify.realizations
+    monkeypatch.setattr(verify, "realizations", lambda om, group: real(om, group)[:1] * 2)
+    rep = run_claim("inequivalence-localized")
+    assert rep.status == "fail"
+    assert rep.counts == {"pairs_checked": 41}
+    assert len(rep.witnesses) == 10
+    assert all(w["phi"] == w["psi"] and w["edges"] for w in rep.witnesses)
 
 
 @pytest.mark.parametrize("name, q", [("D_{0,0}", 5), ("D_{0,2}", 4)])
