@@ -157,12 +157,8 @@ class BalanceClass:
 
 def balancing_vertices(omega):
     """Vertices contained in every unbalanced cycle (loops included)."""
-    unbal = [c.edges for c in omega.unbalanced_cycles()]
-    out = []
-    for v in range(omega.graph.n):
-        if all(v in omega.graph.vertices_of(c) for c in unbal):
-            out.append(v)
-    return tuple(out)
+    spans = [omega.graph.vertices_of(c.edges) for c in omega.unbalanced_cycles()]
+    return tuple(v for v in range(omega.graph.n) if all(v in s for s in spans))
 
 
 def classify_balance(omega):
@@ -192,12 +188,11 @@ def is_tangled(omega):
     cycles.  Returns (flag, witness) where the witness is a disjoint
     unbalanced pair when one exists."""
     unbal = omega.unbalanced_cycles()
+    spans = [omega.graph.vertices_of(c.edges) for c in unbal]
     witness = None
-    for c1, c2 in combinations(unbal, 2):
-        if not (
-            omega.graph.vertices_of(c1.edges) & omega.graph.vertices_of(c2.edges)
-        ):
-            witness = (frozenset(c1.edges), frozenset(c2.edges))
+    for i, j in combinations(range(len(unbal)), 2):
+        if not spans[i] & spans[j]:
+            witness = (frozenset(unbal[i].edges), frozenset(unbal[j].edges))
             break
     if classify_balance(omega).tag != PROPERLY_UNBALANCED:
         return False, witness
@@ -297,14 +292,18 @@ def link_minors(omega, pattern):
     """Every link minor of omega isomorphic to `pattern` up to isolated
     vertices, as (K, D, minor, iso): iso is the first biased isomorphism
     from minor.omega.drop_isolated() to pattern.drop_isolated().  K runs
-    over the link forests by size, then by sorted edge ids; for each K the
-    kept edges run over the combinations of the other edges in order, and
-    D is the rest of them.  The minor's non-isolated vertices are the
-    K-classes its kept edges meet, so a pair that meets a number other
-    than the pattern's vertex count is skipped before anything is built."""
+    over the link forests by size, then by sorted edge ids, up to the size
+    that leaves as many K-classes as the pattern has vertices; for each K
+    the kept edges run over the combinations of the other edges in order,
+    and D is the rest of them.  The minor's non-isolated vertices are the
+    K-classes its kept edges meet, and a class's degree is the number of
+    kept edge ends in it (a loop counting twice), so a pair whose class
+    count or sorted class degrees differ from the pattern's is skipped
+    before anything is built."""
     g = omega.graph
     pat = pattern.drop_isolated()
-    for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
+    degrees = sorted(Counter(v for e in pat.graph.edges for v in e).values())
+    for K in sorted(g.link_forests(g.n - pat.graph.n), key=lambda f: (len(f), sorted(f))):
         parent = list(range(g.n))
         for e in K:
             u, v = g.edges[e]
@@ -312,7 +311,9 @@ def link_minors(omega, pattern):
         ends = [(find(parent, u), find(parent, v)) for u, v in g.edges]
         rest = [e for e in range(g.m) if e not in K]
         for keep in combinations(rest, pat.graph.m):
-            if len({r for e in keep for r in ends[e]}) != pat.graph.n:
+            kept_ends = [r for e in keep for r in ends[e]]
+            classes = set(kept_ends)
+            if len(classes) != pat.graph.n or sorted(map(kept_ends.count, classes)) != degrees:
                 continue
             D = frozenset(rest) - frozenset(keep)
             minor = biased_minor(omega, K, D, check=False)

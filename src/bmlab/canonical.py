@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bias import (
-    ALMOST_BALANCED,
     BiasedGraph,
     biased_equal_unoriented,
     classify_balance,
@@ -404,15 +403,18 @@ def _vertex_rows(A, omega):
     space of the columns that avoid x.  Returns (R, E, fixed, free) -- the
     nonzero rows of rref(A), the matching rows of its transform, the
     vertices whose row is determined up to scale, and the balancing
-    vertices whose rows span a plane -- or an undecided result."""
+    vertices whose rows span a plane -- or an undecided result.
+
+    Vertical 2-connectivity keeps G - x connected, so in F or L of rank
+    |V| the columns avoiding x have rank |V| - 1, or |V| - 2 exactly when
+    G - x has a vertex and is balanced: every row space is a line or, at a
+    balancing vertex, a plane."""
     f = A.field
     g = omega.graph
     R, E, piv = rref(A)
     r = len(piv)
     if r != g.n:
         return CanonicalizeResult(status="undecided", reason="rank != |V|")
-    balance = classify_balance(omega)
-    bal_vertices = balance.balancing_vertices if balance.tag == ALMOST_BALANCED else ()
     Rr = R.rows[:r]
     fixed, free = {}, {}
     for x in range(g.n):
@@ -420,13 +422,8 @@ def _vertex_rows(A, omega):
         null = left_null_space(FieldMatrix(f, [[row[j] for j in cols] for row in Rr]))
         if len(null) == 1:
             fixed[x] = null[0]
-        elif len(null) == 2 and x in bal_vertices:
-            free[x] = null
         else:
-            return CanonicalizeResult(
-                status="undecided",
-                reason="row space at vertex %d has dimension %d" % (x, len(null)),
-            )
+            free[x] = null
     return FieldMatrix(f, Rr), FieldMatrix(f, E.rows[:r]), fixed, free
 
 

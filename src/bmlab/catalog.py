@@ -16,7 +16,7 @@ Fixed labelings (chosen to match the matrix displays used in the tests):
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, groupby, permutations, product
 
 from .bias import (
     BiasedGraph,
@@ -385,11 +385,41 @@ def by_name(name):
 
 # -- exhaustive small families (for the verify harness) --------------------------
 
+def multigraph_key(nv, mult):
+    """Canonical key of the loopless multigraph on range(nv) whose vertex
+    pairs (u, v), u < v, carry the multiplicities in `mult`, a list of
+    ((u, v), m) items.  The key is the least sorted item tuple over the
+    relabelings that number the vertices by decreasing degree, so only
+    the orders within each degree class are tried.  Isomorphic graphs
+    have the same set of such relabelings, so equal keys mean isomorphic
+    graphs."""
+    deg = [0] * nv
+    for (u, v), m in mult:
+        deg[u] += m
+        deg[v] += m
+    order = sorted(range(nv), key=lambda v: -deg[v])
+    classes = [permutations(c) for _, c in groupby(order, key=deg.__getitem__)]
+    label = [0] * nv
+    key = None
+    for arrangement in product(*classes):
+        for i, v in enumerate(chain.from_iterable(arrangement)):
+            label[v] = i
+        cand = []
+        for (u, v), m in mult:
+            a, b = label[u], label[v]
+            cand.append(((a, b) if a < b else (b, a), m))
+        cand = tuple(sorted(cand))
+        if key is None or cand < key:
+            key = cand
+    return key
+
+
 def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True):
     """Connected loopless multigraphs up to isomorphism, as MultiGraphs.
 
     Generated from multiplicity vectors on vertex pairs, canonicalized by
-    minimizing over vertex permutations.  Isolated vertices are excluded
+    `multigraph_key` and emitted in the order of each class's first
+    vector, labelled by decreasing degree.  Isolated vertices are excluded
     (every graph uses a dense vertex range)."""
     out = []
     seen = set()
@@ -408,16 +438,7 @@ def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True)
                     deg[v] += m
                 if any(d < min_degree for d in deg):
                     return
-                key = None
-                for p in permutations(range(nv)):
-                    table = {}
-                    for (u, v), m in zip(pairs, mult):
-                        if m:
-                            a, b = p[u], p[v]
-                            table[(min(a, b), max(a, b))] = m
-                    cand = tuple(sorted(table.items()))
-                    if key is None or cand < key:
-                        key = cand
+                key = multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
                 if key in seen:
                     return
                 seen.add(key)
@@ -487,9 +508,8 @@ def tangled_family(max_vertices=5, max_edges=8):
             cycles = g.cycles()
             if not cycles:
                 continue
-            if any(
-                all(v in g.vertices_of(c.edges) for c in cycles) for v in range(g.n)
-            ):
+            spans = [g.vertices_of(c.edges) for c in cycles]
+            if any(all(v in s for s in spans) for v in range(g.n)):
                 continue
             for om in bias_sets_up_to_aut(g):
                 flag, _ = is_tangled(om)

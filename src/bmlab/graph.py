@@ -213,13 +213,16 @@ class MultiGraph:
             parent[ru] = rv
         return True
 
-    def link_forests(self):
+    def link_forests(self, max_size=None):
         """All forests of links (acyclic edge sets, the empty one included)
-        as frozensets, in lexicographic order of their sorted edge ids."""
+        with at most max_size edges, as frozensets, in lexicographic order
+        of their sorted edge ids."""
         out = []
 
         def grow(forest, comp, start):
             out.append(frozenset(forest))
+            if len(forest) == max_size:
+                return
             for e in range(start, self.m):
                 u, v = self.edges[e]
                 cu, cv = comp[u], comp[v]

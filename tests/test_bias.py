@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -356,17 +357,28 @@ def test_link_minors_recipe_for_recipe():
 
 
 def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
-    om = next(om for om in catalog.tangled_family(4, 7) if om.graph.n == 4)
     target = verify._tangled_targets()[0].omega
-    g, n = om.graph, target.drop_isolated().graph.n
+    om = next(
+        om for om in catalog.tangled_family(4, 7)
+        if om.graph.m == 7 and find_link_minor(om, target)
+    )
+    g = om.graph
     pairs = [
         (K, frozenset(rest) - frozenset(keep))
         for K in g.link_forests()
         for rest in [[e for e in range(g.m) if e not in K]]
         for keep in combinations(rest, target.graph.m)
     ]
-    want = sum(biased_minor(om, K, D).omega.drop_isolated().graph.n == n for K, D in pairs)
-    assert 0 < want < len(pairs)
+
+    def shape(h):
+        """Vertex count and sorted degrees, a loop counting twice."""
+        return h.n, sorted(Counter(v for e in h.edges for v in e).values())
+
+    n = target.drop_isolated().graph.n
+    minors = [biased_minor(om, K, D).omega.drop_isolated().graph for K, D in pairs]
+    with_n = sum(h.n == n for h in minors)
+    want = sum(shape(h) == shape(target.drop_isolated().graph) for h in minors)
+    assert 0 < want < with_n < len(pairs)
     calls = []
     real = bias.biased_minor
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from bmlab import canonical, catalog
-from bmlab.bias import BiasedGraph, biased_isomorphic, delta_y, y_delta
+from bmlab.bias import BiasedGraph, balancing_vertices, biased_isomorphic, delta_y, y_delta
 from bmlab.canonical import (
     FRAME,
     LIFT,
@@ -466,6 +466,47 @@ def test_canonicalize_undecided_reasons_join():
     res = canonicalize_representation(frame_matrix(gg).matrix, d43)
     assert res.status == "undecided" and res.kind is None
     assert res.reason == "frame: rank != |V|; lift: rank != |V|"
+
+
+def test_canonicalize_undecided_when_no_gain_realizes_the_joints():
+    # F of a link with a joint at each end is U_{2,3}.  GF(2)^x is trivial,
+    # so no multiplicative gain makes a loop unbalanced and the binary
+    # representation has no frame form particular to omega; over GF(3) the
+    # same matrix has one
+    om = BiasedGraph(MultiGraph(2, [(0, 1), (0, 0), (1, 1)]), [])
+    results = []
+    for q in (2, 3):
+        A = FieldMatrix(gf(q), [[1, 0, 1], [0, 1, 1]], None, om.graph.edge_names)
+        results.append(canonicalize_representation(A, om))
+    assert [(r.status, r.kind) for r in results] == [("undecided", None), ("ok", FRAME)]
+    assert results[0].reason == "frame: no frame shaping found"
+
+
+def test_vertex_row_spaces_are_lines_or_planes_at_balancing_vertices():
+    # canonicalization takes a vertex's row space to be a line, or a plane
+    # at a balancing vertex: in F and L of rank |V| of a vertically
+    # 2-connected biased graph, the edges avoiding x have rank |V| - 1, or
+    # |V| - 2 exactly when x meets every unbalanced cycle and is not alone
+    graphs = [MultiGraph(1, [(0, 0)] * k) for k in (1, 2)]
+    graphs += catalog.multigraphs_up_to_iso(4, 6)
+    for g in catalog.multigraphs_up_to_iso(3, 4):
+        for loops in ([0], [g.n - 1], [0, 0], [0, 1]):
+            graphs.append(MultiGraph(g.n, list(g.edges) + [(v, v) for v in loops]))
+    seen = set()
+    for g in graphs:
+        for om in catalog.bias_sets_up_to_aut(g):
+            if not om.is_vertically_k_connected(2)[0]:
+                continue
+            bal = balancing_vertices(om)
+            for M in (frame_matroid(om), lift_matroid(om)):
+                if M.full_rank() != g.n:
+                    continue
+                for x in range(g.n):
+                    avoid = sum(1 << e for e in range(g.m) if x not in g.endpoints(e))
+                    dim = g.n - M.rank_mask(avoid)
+                    assert dim == 1 + (g.n > 1 and x in bal)
+                    seen.add((g.n, dim))
+    assert {(1, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)} <= seen
 
 
 def test_canonicalize_contracted_tube_rolls():

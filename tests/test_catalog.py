@@ -1,4 +1,6 @@
-from itertools import combinations
+import random
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -189,6 +191,91 @@ def test_multigraph_generation_counts():
     assert sorted((g.n, g.m) for g in gs) == [
         (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (3, 4)
     ]
+
+
+def _multigraphs_oracle(max_vertices, max_edges, min_degree=2, connected=True):
+    """The generator before degree classes: each multiplicity vector's key
+    is its least relabeling over all nv! vertex permutations."""
+    out = []
+    seen = set()
+    for nv in range(1, max_vertices + 1):
+        pairs = list(combinations(range(nv), 2))
+        if not pairs:
+            continue
+
+        def rec(idx, left, mult):
+            if idx == len(pairs):
+                if sum(mult) == 0:
+                    return
+                deg = [0] * nv
+                for (u, v), m in zip(pairs, mult):
+                    deg[u] += m
+                    deg[v] += m
+                if any(d < min_degree for d in deg):
+                    return
+                key = _full_scan_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
+                if key in seen:
+                    return
+                seen.add(key)
+                edges = []
+                for (u, v), m in key:
+                    edges.extend([(u, v)] * m)
+                g = MultiGraph(nv, edges)
+                if connected and not g.is_connected():
+                    return
+                if g.n != len(g.vertices_of(range(g.m))) and g.m:
+                    return
+                out.append(g)
+                return
+            for m in range(0, left + 1):
+                mult[idx] = m
+                rec(idx + 1, left - m, mult)
+            mult[idx] = 0
+
+        rec(0, max_edges, [0] * len(pairs))
+    return out
+
+
+def _full_scan_key(nv, mult):
+    key = None
+    for p in permutations(range(nv)):
+        cand = tuple(sorted(((min(p[u], p[v]), max(p[u], p[v])), m) for (u, v), m in mult))
+        if key is None or cand < key:
+            key = cand
+    return key
+
+
+def _mult(g):
+    """g's ((u, v), multiplicity) items, u < v, in sorted order."""
+    return sorted(Counter((min(u, v), max(u, v)) for u, v in g.edges).items())
+
+
+@pytest.mark.parametrize("max_vertices", [1, 2, 3, 4, 5])
+def test_multigraphs_match_full_scan_oracle(max_vertices):
+    for max_edges in range(8):
+        got = catalog.multigraphs_up_to_iso(max_vertices, max_edges)
+        want = _multigraphs_oracle(max_vertices, max_edges)
+        assert len(got) == len(want)
+        for g, h in zip(got, want):
+            assert g.n == h.n
+            assert _full_scan_key(g.n, _mult(g)) == tuple(_mult(h))
+
+
+def test_multigraph_key_is_a_relabeling_invariant():
+    rng = random.Random(11)
+    keys = set()
+    graphs = catalog.multigraphs_up_to_iso(5, 7)
+    for g in graphs:
+        key = catalog.multigraph_key(g.n, _mult(g))
+        assert tuple(_mult(g)) == key
+        for _ in range(5):
+            perm = rng.sample(range(g.n), g.n)
+            edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+                     for u, v in g.edges]
+            rng.shuffle(edges)
+            assert catalog.multigraph_key(g.n, _mult(MultiGraph(g.n, edges))) == key
+        keys.add(key)
+    assert len(keys) == len(graphs) == 98
 
 
 def _theta_closed_subsets_oracle(g, candidate_cycles=None):

@@ -124,7 +124,10 @@ def _acyclic_link_subsets(g):
     k4(), two_c3(), MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 0)]),
 ], ids=["k4", "2c3", "loops"])
 def test_link_forests_brute_force(g):
-    assert g.link_forests() == _acyclic_link_subsets(g)
+    forests = _acyclic_link_subsets(g)
+    assert g.link_forests() == forests
+    for k in range(g.n):
+        assert g.link_forests(k) == [F for F in forests if len(F) <= k]
 
 
 def test_not_a_cycle():
