@@ -368,8 +368,15 @@ def canonicalize_representation(A, omega, hint=None):
     For properly unbalanced omega the result is particular to omega; for
     almost-balanced omega it may be particular to a roll-up variant, with
     the rolled edges reported.  Returns witness with T*A*S equal to the
-    canonical matrix entry-exactly.  Undecided only on structural bound
-    exhaustion, never wrong.
+    canonical matrix entry-exactly.
+
+    Never wrong; "undecided" means that the search found no canonical form,
+    which is not a bound running out: either rank(A) != |V| ("rank != |V|",
+    as for a balanced omega, whose F and L have rank |V| - 1), or no choice
+    of vertex rows gives a gain function realizing omega ("no <kind>
+    shaping found").  The latter also covers inputs with no canonical form
+    at all: over GF(2), F of a link with a joint at each end is U_{2,3},
+    but the trivial gain group GF(2)^x makes no loop unbalanced.
     """
     g = omega.graph
     if tuple(A.col_labels) != tuple(g.edge_names):

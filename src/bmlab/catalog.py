@@ -461,28 +461,52 @@ def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True)
     return out
 
 
-def graph_automorphism_maps(g):
-    """All (vertex permutation, edge map) automorphisms of a multigraph."""
-    out = []
+def automorphism_generators(g):
+    """Edge maps (tuples, edge -> image) that generate the automorphism group
+    of g acting on its edges: one edge bijection per vertex automorphism, and
+    a transposition of neighbouring edges in each class of parallel edges
+    (loops at one vertex form a class).  Every automorphism is one of those
+    bijections composed with a permutation inside the parallel classes.  The
+    identity is left out."""
+    identity = tuple(range(g.m))
+    gens = []
     for perm in graph_isomorphisms(g, g):
-        for emap in edge_bijections(g, g, perm):
-            out.append((perm, emap))
-    return out
+        emap = next(edge_bijections(g, g, perm))
+        gens.append(tuple(emap[e] for e in identity))
+    classes = {}
+    for e, (u, v) in enumerate(g.edges):
+        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
+    for es in classes.values():
+        for a, b in zip(es, es[1:]):
+            t = list(identity)
+            t[a], t[b] = b, a
+            gens.append(tuple(t))
+    return [t for t in gens if t != identity]
 
 
 def bias_sets_up_to_aut(g, predicate=None):
-    """Theta-closed bias sets on g, one per orbit of the automorphism group."""
-    auts = graph_automorphism_maps(g)
-    all_sets = theta_closed_subsets(g)
+    """Theta-closed bias sets on g, one per orbit of the automorphism group.
+
+    Each orbit is the closure of its first set (in `theta_closed_subsets`
+    order) under `automorphism_generators(g)`, each generator applied as a
+    table of cycle images."""
+    cycles = [frozenset(c.edges) for c in g.cycles()]
+    gens = [{c: frozenset(t[e] for e in c) for c in cycles}
+            for t in automorphism_generators(g)]
     reps = []
     seen = set()
-    for bal in all_sets:
+    for bal in theta_closed_subsets(g):
         if bal in seen:
             continue
-        orbit = set()
-        for _, emap in auts:
-            orbit.add(frozenset(frozenset(emap[e] for e in c) for c in bal))
-        seen |= orbit
+        seen.add(bal)
+        todo = [bal]
+        while todo:
+            cur = todo.pop()
+            for t in gens:
+                img = frozenset(t[c] for c in cur)
+                if img not in seen:
+                    seen.add(img)
+                    todo.append(img)
         om = BiasedGraph(g, bal, check=False)
         if predicate is None or predicate(om):
             reps.append(om)

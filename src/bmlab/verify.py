@@ -762,9 +762,6 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
 
     def check(om):
         nonlocal hypotheses
-        ok2, _ = om.is_vertically_k_connected(2)
-        if not ok2:
-            return
         if len(balancing_vertices(om)) != 1:
             return
         if not any(
@@ -783,9 +780,11 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
             "balanced": [sorted(c) for c in om.balanced],
         })
 
+    # vertical 2-connectivity depends only on the graph: test it first
     for g in catalog.multigraphs_up_to_iso(max_vertices, max_edges):
-        for om in catalog.bias_sets_up_to_aut(g):
-            check(om)
+        if g.is_vertically_k_connected(2)[0]:
+            for om in catalog.bias_sets_up_to_aut(g):
+                check(om)
     rng = random.Random(seed)
     tried = 0
     while tried < samples:
@@ -794,9 +793,9 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
             continue
         group = CyclicGroup(rng.choice((2, 3)))
         gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
-        om = induced_bias(gg)
         tried += 1
-        check(om)
+        if g.is_vertically_k_connected(2)[0]:
+            check(induced_bias(gg))
     return failures, {"hypothesis_instances": hypotheses}
 
 
@@ -810,9 +809,10 @@ def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60):
     failures = []
     instances = []
     for g in catalog.multigraphs_up_to_iso(4, 7):
+        if not g.is_vertically_k_connected(2)[0]:
+            continue
         for om in catalog.bias_sets_up_to_aut(g):
-            ok2, _ = om.is_vertically_k_connected(2)
-            if not ok2 or classify_balance(om).tag != "properly-unbalanced":
+            if classify_balance(om).tag != "properly-unbalanced":
                 continue
             for group in (CyclicGroup(2), CyclicGroup(3)):
                 reps = realizations(om, group)

@@ -16,7 +16,7 @@ from bmlab.bias import (
     theta_subgraphs,
 )
 from bmlab.errors import BadGlue, BmlabError, BoundExceeded
-from bmlab.graph import MultiGraph
+from bmlab.graph import MultiGraph, edge_bijections, graph_isomorphisms
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
 
 
@@ -312,3 +312,87 @@ def test_theta_closed_subsets_matches_oracle_on_catalog_pools(g, length):
     if length is not None:
         pool = [frozenset(c.edges) for c in g.cycles() if len(c) == length]
     assert catalog.theta_closed_subsets(g, pool) == _theta_closed_subsets_oracle(g, pool)
+
+
+def graph_automorphism_maps(g):
+    """All (vertex permutation, edge map) automorphisms of a multigraph."""
+    out = []
+    for perm in graph_isomorphisms(g, g):
+        for emap in edge_bijections(g, g, perm):
+            out.append((perm, emap))
+    return out
+
+
+def _bias_sets_up_to_aut_oracle(g):
+    """The orbit loop before generators: each orbit is the set of images of
+    its first theta-closed set under every automorphism."""
+    auts = graph_automorphism_maps(g)
+    reps = []
+    seen = set()
+    for bal in catalog.theta_closed_subsets(g):
+        if bal in seen:
+            continue
+        seen |= {frozenset(frozenset(emap[e] for e in c) for c in bal) for _, emap in auts}
+        reps.append(bal)
+    return reps
+
+
+# parallel links, and parallel loops at both ends of a parallel class
+_PARALLEL_GRAPHS = [MultiGraph(2, [(0, 1)] * k) for k in range(1, 7)] + [
+    MultiGraph(3, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 2), (1, 2), (2, 2), (2, 2)]),
+]
+
+
+def test_bias_sets_up_to_aut_matches_every_automorphism_oracle():
+    graphs = catalog.multigraphs_up_to_iso(4, 7) + _PARALLEL_GRAPHS
+    for g in graphs:
+        got = catalog.bias_sets_up_to_aut(g)
+        assert all(om.graph is g for om in got)
+        assert [om.balanced for om in got] == _bias_sets_up_to_aut_oracle(g)
+
+
+def _closure(gens, m):
+    """Every edge map that a composition of the generators gives."""
+    group = {tuple(range(m))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for t in gens:
+            b = tuple(t[a[e]] for e in range(m))
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return group
+
+
+@pytest.mark.parametrize("g", [
+    catalog.graph_k4(), catalog.graph_2c3(), catalog.graph_tube(), catalog.graph_u2(),
+    catalog.graph_prism(), *_PARALLEL_GRAPHS[-3:],
+], ids=["k4", "2c3", "tube", "u2", "prism", "5K2", "6K2", "loops"])
+def test_automorphism_generators_generate_every_automorphism(g):
+    auts = graph_automorphism_maps(g)
+    group = _closure(catalog.automorphism_generators(g), g.m)
+    assert group == {tuple(emap[e] for e in range(g.m)) for _, emap in auts}
+    # the automorphisms that fix every edge (the swap of kK2's two ends)
+    kernel = sum(1 for _, emap in auts if all(emap[e] == e for e in range(g.m)))
+    assert len(group) * kernel == len(auts)
+    assert kernel == (2 if g.n == 2 and not any(map(g.is_loop, range(g.m))) else 1)
+
+
+def test_orbits_take_one_edge_bijection_per_vertex_automorphism(monkeypatch):
+    g = MultiGraph(2, [(0, 1)] * 8)
+    taken = 0
+    real = catalog.edge_bijections
+
+    def counted(g, h, perm):
+        nonlocal taken
+        for emap in real(g, h, perm):
+            taken += 1
+            yield emap
+
+    monkeypatch.setattr(catalog, "edge_bijections", counted)
+    reps = catalog.bias_sets_up_to_aut(g)
+    # theta-closed sets on k parallel links are the set partitions of the
+    # links, so the orbits are the 22 integer partitions of 8
+    assert len(reps) == 22
+    assert taken <= len(list(graph_isomorphisms(g, g))) == 2
