@@ -9,7 +9,7 @@ may contain exactly two balanced cycles; the constructor enforces this.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (
     BoundExceeded,
@@ -673,18 +673,24 @@ def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
 
 def find_biased_subdivision(omega, pattern, max_vertices=12, max_edges=24):
     """Find a subgraph of `omega` that is a subdivision of the biased graph
-    `pattern` (bias transported along the subdivision).  Returns the
-    Embedding or None."""
-    for emb in iter_subdivisions(
-        omega.graph, pattern.graph, max_vertices, max_edges
-    ):
-        ok = True
-        for c in pattern.graph.cycles():
-            host_edges = emb.host_cycle_edges(c.edges)
-            want = frozenset(c.edges) in pattern.balanced
-            if (host_edges in omega.balanced) != want:
-                ok = False
-                break
-        if ok:
-            return emb
+    `pattern` (bias transported along the subdivision).  Returns the first
+    such Embedding of `iter_subdivisions` or None.
+
+    Each pattern cycle is checked as soon as the host path of its last edge
+    is placed, so no partial embedding that already carries a cycle to the
+    wrong bias is extended."""
+    closing = {}  # pattern edge -> the cycles it completes, with their bias
+    for c in pattern.graph.cycles():
+        closing.setdefault(max(c.edges), []).append(
+            (c.edges, frozenset(c.edges) in pattern.balanced))
+
+    def accept(e, edge_paths):
+        for edges, balanced in closing.get(e, ()):
+            host_cycle = frozenset(chain.from_iterable(edge_paths[x] for x in edges))
+            if (host_cycle in omega.balanced) != balanced:
+                return False
+        return True
+
+    for emb in iter_subdivisions(omega.graph, pattern.graph, max_vertices, max_edges, accept):
+        return emb
     return None

@@ -414,30 +414,35 @@ def multigraph_key(nv, mult):
     return key
 
 
-def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True):
-    """Connected loopless multigraphs up to isomorphism, as MultiGraphs.
+def multigraphs_up_to_iso(max_vertices, max_edges):
+    """Connected loopless multigraphs of minimum degree 2, up to
+    isomorphism, as MultiGraphs labelled by `multigraph_key`.
 
-    Generated from multiplicity vectors on vertex pairs, canonicalized by
-    `multigraph_key` and emitted in the order of each class's first
-    vector, labelled by decreasing degree.  Isolated vertices are excluded
-    (every graph uses a dense vertex range)."""
+    Every such graph has a labelling whose vertex degrees are
+    non-increasing, so the search recurses over multiplicity vectors on the
+    pairs (u, v), u < v, in `combinations` order and keeps only those.  A
+    branch is cut as soon as it is doomed: when a vertex's partial degree
+    exceeds the final degree of the last vertex before it whose pairs are
+    all set (degrees only grow), or when a vertex's last pair leaves it
+    with degree below 2.  Survivors are keyed by `multigraph_key`.  The
+    classes come by vertex count, then by their lexicographically least
+    multiplicity vector over all vertex relabelings (the vector met first
+    by a scan of all vectors in lexicographic order)."""
     out = []
-    seen = set()
-    for nv in range(1, max_vertices + 1):
+    for nv in range(2, max_vertices + 1):
         pairs = list(combinations(range(nv), 2))
-        if not pairs:
-            continue
+        index = {p: i for i, p in enumerate(pairs)}
+        relabelings = [
+            [index[(p[a], p[b]) if p[a] < p[b] else (p[b], p[a])] for a, b in pairs]
+            for p in permutations(range(nv))
+        ]
+        mult = [0] * len(pairs)
+        deg = [0] * nv
+        seen = set()
+        found = []  # (least vector over all relabelings, graph)
 
-        def rec(idx, left, mult):
+        def rec(idx, left):
             if idx == len(pairs):
-                if sum(mult) == 0:
-                    return
-                deg = [0] * nv
-                for (u, v), m in zip(pairs, mult):
-                    deg[u] += m
-                    deg[v] += m
-                if any(d < min_degree for d in deg):
-                    return
                 key = multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
                 if key in seen:
                     return
@@ -446,18 +451,34 @@ def multigraphs_up_to_iso(max_vertices, max_edges, min_degree=2, connected=True)
                 for (u, v), m in key:
                     edges.extend([(u, v)] * m)
                 g = MultiGraph(nv, edges)
-                if connected and not g.is_connected():
-                    return
-                if g.n != len(g.vertices_of(range(g.m))) and g.m:
-                    return
-                out.append(g)
+                if g.is_connected():
+                    first = min(tuple(mult[i] for i in r) for r in relabelings)
+                    found.append((first, g))
                 return
-            for m in range(0, left + 1):
+            u, v = pairs[idx]
+            # the pair (u, nv - 1) is u's last, so every vertex before u is
+            # final here, and u too once this pair is set
+            u_final = v == nv - 1
+            cap_v = u if u_final else u - 1
+            du, dv = deg[u], deg[v]
+            for m in range(left + 1):
+                deg[u], deg[v] = du + m, dv + m
+                if u and deg[u] > deg[u - 1]:
+                    break
+                if cap_v >= 0 and deg[v] > deg[cap_v]:
+                    break
+                if u_final and deg[u] < 2:
+                    continue
+                if idx == len(pairs) - 1 and deg[v] < 2:
+                    continue
                 mult[idx] = m
-                rec(idx + 1, left - m, mult)
+                rec(idx + 1, left - m)
             mult[idx] = 0
+            deg[u], deg[v] = du, dv
 
-        rec(0, max_edges, [0] * len(pairs))
+        rec(0, max_edges)
+        found.sort(key=lambda item: item[0])
+        out.extend(g for _, g in found)
     return out
 
 

@@ -536,12 +536,6 @@ class Embedding:
             out.update(p)
         return frozenset(out)
 
-    def host_cycle_edges(self, pattern_cycle_edges):
-        out = set()
-        for e in pattern_cycle_edges:
-            out.update(self.edge_paths[e])
-        return frozenset(out)
-
 
 def find_subdivision(host, pattern, max_vertices=None, max_edges=None):
     """First embedding of a subdivision of `pattern` inside `host`, or None."""
@@ -550,12 +544,16 @@ def find_subdivision(host, pattern, max_vertices=None, max_edges=None):
     return None
 
 
-def iter_subdivisions(host, pattern, max_vertices=None, max_edges=None):
+def iter_subdivisions(host, pattern, max_vertices=None, max_edges=None, accept=None):
     """Generate embeddings of subdivisions of `pattern` in `host`.
 
     Pattern must be loopless.  Branch vertices are distinct host vertices;
     each pattern edge maps to a host path; paths are internally disjoint
-    from each other and from branch vertices.
+    from each other and from branch vertices.  Pattern edges are placed in
+    increasing id order.  If given, `accept(e, edge_paths)` is called as
+    soon as the path of pattern edge e is placed (`edge_paths` maps every
+    placed pattern edge to its host path); when it returns False, no
+    embedding extending that placement is generated.
     """
     if max_vertices is None:
         max_vertices = DEFAULT_SUBDIVISION_BOUND[0]
@@ -608,9 +606,10 @@ def iter_subdivisions(host, pattern, max_vertices=None, max_edges=None):
                 cur = host.other_end(he, cur)
                 internal.add(cur)
             current_paths[e] = path
-            yield from assign_edges(
-                idx + 1, vmap, used_edges | set(path), used_internal | internal
-            )
+            if accept is None or accept(e, current_paths):
+                yield from assign_edges(
+                    idx + 1, vmap, used_edges | set(path), used_internal | internal
+                )
             del current_paths[e]
 
     current_paths = {}

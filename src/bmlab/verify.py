@@ -648,6 +648,10 @@ def claim_tangled_minor(max_vertices=5, max_edges=8):
                       "bounds": [max_vertices, max_edges]}
 
 
+def _subdivision_patterns():
+    return list(catalog.base_graphs()) + [catalog.t2_prime_split(i) for i in (1, 2, 3)]
+
+
 @claim("tangled-subgraph")
 def claim_tangled_subgraph(max_vertices=5, max_edges=8):
     """Thm: every vertically 2-connected properly unbalanced biased graph
@@ -656,11 +660,7 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
     Checked on the tangled family (the non-tangled case is P:TubeMinor,
     covered by its own property test)."""
     family = catalog.tangled_family(max_vertices, max_edges)
-    patterns = list(catalog.base_graphs()) + [
-        catalog.t2_prime_split(1),
-        catalog.t2_prime_split(2),
-        catalog.t2_prime_split(3),
-    ]
+    patterns = _subdivision_patterns()
     failures = []
     checked = 0
     for om in family:

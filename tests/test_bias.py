@@ -30,7 +30,7 @@ from bmlab.bias import (
 )
 from bmlab.errors import NotACycle, NotBalancedTriangle, ThetaViolation
 from bmlab.gains import CyclicGroup, GainGraph, induced_bias
-from bmlab.graph import MultiGraph
+from bmlab.graph import MultiGraph, iter_subdivisions
 from bmlab.matroid import frame_matroid, matroids_equal
 
 
@@ -580,6 +580,84 @@ def test_find_biased_subdivision_b0_in_itself():
     assert find_biased_subdivision(b0, b0) is not None
     b1 = catalog.tube("B_1").omega
     assert find_biased_subdivision(b0, b1) is None  # bias must match
+
+
+def _host_cycle_edges(emb, pattern_cycle_edges):
+    out = set()
+    for e in pattern_cycle_edges:
+        out.update(emb.edge_paths[e])
+    return frozenset(out)
+
+
+def _find_biased_subdivision_oracle(omega, pattern, max_vertices=12, max_edges=24):
+    """The search before the early bias checks: every embedding of the
+    underlying graphs, filtered afterwards on the bias of each pattern
+    cycle."""
+    for emb in iter_subdivisions(
+        omega.graph, pattern.graph, max_vertices, max_edges
+    ):
+        ok = True
+        for c in pattern.graph.cycles():
+            host_edges = _host_cycle_edges(emb, c.edges)
+            want = frozenset(c.edges) in pattern.balanced
+            if (host_edges in omega.balanced) != want:
+                ok = False
+                break
+        if ok:
+            return emb
+    return None
+
+
+def _embedding_items(emb):
+    return None if emb is None else (emb.vertex_map, emb.edge_paths)
+
+
+def test_find_biased_subdivision_matches_filter_oracle_on_tangled_members():
+    patterns = [nb.omega for nb in verify._subdivision_patterns()]
+    assert len(patterns) == 16
+    members = [om for om in catalog.tangled_family(4, 7)
+               if om.is_vertically_k_connected(2)[0]]
+    found = 0
+    for om in members:
+        for pattern in patterns:
+            got = find_biased_subdivision(om, pattern)
+            want = _find_biased_subdivision_oracle(om, pattern)
+            assert _embedding_items(got) == _embedding_items(want)
+            found += got is not None
+    assert (len(members), found) == (60, 73)
+
+
+def test_find_biased_subdivision_matches_filter_oracle_on_unique_balancing_instances(
+        monkeypatch):
+    compared = []
+
+    def both(omega, pattern):
+        got = find_biased_subdivision(omega, pattern)
+        want = _find_biased_subdivision_oracle(omega, pattern)
+        compared.append((_embedding_items(got) == _embedding_items(want), got is not None))
+        return got
+
+    monkeypatch.setattr(verify, "find_biased_subdivision", both)
+    rep = verify.run_claim("unique-balancing-subdivision", max_vertices=4, max_edges=6)
+    assert rep.status == "pass"
+    assert all(same for same, _ in compared)
+    assert (len(compared), sum(f for _, f in compared)) == (37, 16)
+
+
+def test_iter_subdivisions_prunes_rejected_placements():
+    b0 = catalog.tube("B_0").omega.graph
+    every = list(iter_subdivisions(b0, b0))
+    placed = []
+
+    def reject_host_edge_0_for_edge_0(e, edge_paths):
+        placed.append(e)
+        return not (e == 0 and edge_paths[0] == (0,))
+
+    kept = list(iter_subdivisions(b0, b0, accept=reject_host_edge_0_for_edge_0))
+    assert [emb.edge_paths for emb in kept] == [
+        emb.edge_paths for emb in every if emb.edge_paths[0] != (0,)]
+    assert 0 < len(kept) < len(every)
+    assert set(placed) == set(range(b0.m))
 
 
 def test_fat_theta_shape():

@@ -261,6 +261,83 @@ def test_multigraphs_match_full_scan_oracle(max_vertices):
             assert _full_scan_key(g.n, _mult(g)) == tuple(_mult(h))
 
 
+def _degree_class_oracle(max_vertices, max_edges, min_degree=2, connected=True):
+    """The generator before degree-sorted pruning: every multiplicity
+    vector, keyed by `multigraph_key`, in the order of each class's first
+    vector."""
+    out = []
+    seen = set()
+    for nv in range(1, max_vertices + 1):
+        pairs = list(combinations(range(nv), 2))
+        if not pairs:
+            continue
+
+        def rec(idx, left, mult):
+            if idx == len(pairs):
+                if sum(mult) == 0:
+                    return
+                deg = [0] * nv
+                for (u, v), m in zip(pairs, mult):
+                    deg[u] += m
+                    deg[v] += m
+                if any(d < min_degree for d in deg):
+                    return
+                key = catalog.multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
+                if key in seen:
+                    return
+                seen.add(key)
+                edges = []
+                for (u, v), m in key:
+                    edges.extend([(u, v)] * m)
+                g = MultiGraph(nv, edges)
+                if connected and not g.is_connected():
+                    return
+                if g.n != len(g.vertices_of(range(g.m))) and g.m:
+                    return
+                out.append(g)
+                return
+            for m in range(0, left + 1):
+                mult[idx] = m
+                rec(idx + 1, left - m, mult)
+            mult[idx] = 0
+
+        rec(0, max_edges, [0] * len(pairs))
+    return out
+
+
+@pytest.mark.parametrize("max_vertices", [1, 2, 3, 4, 5])
+def test_multigraphs_match_degree_class_oracle(max_vertices):
+    for max_edges in range(9):
+        got = catalog.multigraphs_up_to_iso(max_vertices, max_edges)
+        want = _degree_class_oracle(max_vertices, max_edges)
+        assert [(g.n, g.edges) for g in got] == [(h.n, h.edges) for h in want]
+
+
+def test_multigraphs_at_5_9():
+    got = catalog.multigraphs_up_to_iso(5, 9)
+    assert len(got) == 528
+    assert [(g.n, g.edges) for g in got] == [
+        (h.n, h.edges) for h in _degree_class_oracle(5, 9)]
+
+
+def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
+    real = catalog.multigraph_key
+    degrees = []
+
+    def key(nv, mult):
+        deg = [0] * nv
+        for (u, v), m in mult:
+            deg[u] += m
+            deg[v] += m
+        degrees.append(deg)
+        return real(nv, mult)
+
+    monkeypatch.setattr(catalog, "multigraph_key", key)
+    assert len(catalog.multigraphs_up_to_iso(5, 8)) == 235
+    assert all(d == sorted(d, reverse=True) and d[-1] >= 2 for d in degrees)
+    assert len(degrees) == 740
+
+
 def test_multigraph_key_is_a_relabeling_invariant():
     rng = random.Random(11)
     keys = set()

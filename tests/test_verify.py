@@ -112,6 +112,20 @@ def test_tangled_minor_negative_control(monkeypatch):
     assert all(w["edges"] and "balanced" in w for w in rep.witnesses)
 
 
+def test_tangled_subgraph_negative_control(monkeypatch):
+    # without the biased 2C3 patterns the 2C3 members contain no pattern
+    patterns = verify._subdivision_patterns()
+    kept = [nb for nb in patterns if nb.omega.graph.n > 3]
+    assert 0 < len(kept) < len(patterns)
+    monkeypatch.setattr(verify, "_subdivision_patterns", lambda: kept)
+    rep = run_claim("tangled-subgraph", max_vertices=4, max_edges=6)
+    assert rep.status == "fail"
+    assert len(rep.witnesses) == 6
+    assert all(w["edges"] and "balanced" in w for w in rep.witnesses)
+    assert all(len(w["edges"]) == 6 and max(map(max, w["edges"])) == 2
+               for w in rep.witnesses)
+
+
 def test_tube_minor_property_sampled():
     """Vertically 2-connected biased graphs with two vertex-disjoint
     non-loop unbalanced cycles contain a subdivision of B_0, B_1 or B_2
