@@ -27,12 +27,30 @@ ALMOST_BALANCED = "almost-balanced"
 PROPERLY_UNBALANCED = "properly-unbalanced"
 
 
+def _is_theta(g, union):
+    """Whether an edge set is a theta: loopless and connected, with exactly
+    two degree-3 vertices and every other vertex of degree 2."""
+    deg = {}
+    for e in union:
+        u, v = g.endpoints(e)
+        if u == v:
+            return False
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    degs = sorted(deg.values())
+    if degs.count(3) != 2 or any(d not in (2, 3) for d in degs):
+        return False
+    return len(g.edge_components(union)) == 1
+
+
 def theta_subgraphs(g, max_edges=24):
     """All theta subgraphs as (edge set, tuple of its three cycles).
 
     A theta is the union of two distinct cycles whose union is connected
     with exactly two degree-3 vertices and the rest degree 2; it then
-    contains exactly three cycles.
+    contains exactly three cycles.  Thetas are listed by the indices of
+    their two lowest cycles in g.cycles(), and each theta's cycles are in
+    that order.
     """
     cycles = g.cycles(max_edges)
     masks = [frozenset(c.edges) for c in cycles]
@@ -44,21 +62,7 @@ def theta_subgraphs(g, max_edges=24):
             continue
         if len(union) == len(masks[i]) + len(masks[j]):
             continue  # edge-disjoint cycles never form a theta
-        deg = {}
-        has_loop = False
-        for e in union:
-            u, v = g.endpoints(e)
-            if u == v:
-                has_loop = True
-                break
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        if has_loop:
-            continue
-        degs = sorted(deg.values())
-        if degs.count(3) != 2 or any(d not in (2, 3) for d in degs):
-            continue
-        if len(g.edge_components(union)) != 1:
+        if not _is_theta(g, union):
             continue
         inside = tuple(m for m in masks if m <= union)
         if len(inside) != 3:
@@ -69,16 +73,34 @@ def theta_subgraphs(g, max_edges=24):
 
 
 def check_theta_property(g, balanced, max_edges=24):
-    """Return None if ok, else (theta edge set, its three cycles)."""
+    """Return None if ok, else (theta edge set, its three cycles).
+
+    The three cycles of a theta are a, b and a ^ b, so a theta with exactly
+    two balanced cycles is a pair of balanced cycles whose symmetric
+    difference is an unbalanced cycle and whose union is a theta; only
+    such pairs are examined.  Of several violating thetas the one returned
+    is the first that theta_subgraphs lists: the one whose two lowest
+    cycle indices in g.cycles() are lexicographically least, with its
+    cycles in that order.
+    """
     balanced = frozenset(frozenset(c) for c in balanced)
-    cycle_sets = {frozenset(c.edges) for c in g.cycles(max_edges)}
+    index = {frozenset(c.edges): i for i, c in enumerate(g.cycles(max_edges))}
     for c in balanced:
-        if c not in cycle_sets:
+        if c not in index:
             raise NotACycle("balanced set member %s is not a cycle" % (sorted(c),))
-    for union, inside in theta_subgraphs(g, max_edges):
-        if sum(1 for c in inside if c in balanced) == 2:
-            return union, inside
-    return None
+    best = None
+    for a, b in combinations(balanced, 2):
+        c = a ^ b
+        if c not in index or c in balanced:
+            continue
+        inside = sorted((a, b, c), key=index.__getitem__)
+        key = (index[inside[0]], index[inside[1]])
+        if best is not None and key >= best[0]:
+            continue
+        union = a | b
+        if _is_theta(g, union):
+            best = key, union, tuple(inside)
+    return None if best is None else best[1:]
 
 
 class BiasedGraph:

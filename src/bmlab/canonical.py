@@ -691,7 +691,7 @@ class ReprClass:
     matrix: FieldMatrix
     count: int
     kind: str = None  # frame / lift / None (unclassified or not canonical)
-    canonical: CanonicalizeResult = None
+    canonical: CanonicalizeResult = None  # ok or undecided, with its reason
 
 
 def enumerate_representations(
@@ -827,11 +827,11 @@ def enumerate_representations(
         for cls in out:
             try:
                 res = canonicalize_representation(cls.matrix, biased_graph, hint=hint)
-            except (MatroidMismatch, NotVertically2Connected):
-                res = None
-            if res is not None and res.status == "ok":
+            except (MatroidMismatch, NotVertically2Connected) as exc:
+                res = CanonicalizeResult(status="undecided", reason=str(exc))
+            cls.canonical = res
+            if res.status == "ok":
                 cls.kind = res.kind
-                cls.canonical = res
     return out
 
 

@@ -7,6 +7,7 @@ The BMLAB_BOUNDS environment variable scales the default search bounds
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -355,7 +356,10 @@ def cmd_verify(args):
     return worst
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The bmlab argument parser, built once per process: parse_args keeps
+    no state between calls, so every main() call shares it."""
     p = argparse.ArgumentParser(
         prog="bmlab",
         description="biased graphs, gain graphs, frame/lift matroids, and "

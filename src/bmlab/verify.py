@@ -469,8 +469,11 @@ def _allreps(named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
                              "expected": expected})
         for k, cls in enumerate(classes):
             if cls.kind not in expect_kinds:
-                failures.append({"graph": nb.name, "q": q, "class": k,
-                                 "why": "not canonicalizable", "kind": cls.kind})
+                failure = {"graph": nb.name, "q": q, "class": k,
+                           "why": "not canonicalizable", "kind": cls.kind}
+                if cls.kind is None:
+                    failure["reason"] = cls.canonical.reason
+                failures.append(failure)
     return failures, {"q": q, "per_graph": counts}
 
 

@@ -71,9 +71,74 @@ def test_constructor_rejects_violations():
         BiasedGraph(k4(), tris[:2])
 
 
+def _check_theta_property_oracle(g, balanced, max_edges=24):
+    """The listing check that the balanced-pair walk replaced: the first
+    theta of theta_subgraphs with exactly two balanced cycles."""
+    balanced = frozenset(frozenset(c) for c in balanced)
+    cycle_sets = {frozenset(c.edges) for c in g.cycles(max_edges)}
+    for c in balanced:
+        if c not in cycle_sets:
+            raise NotACycle("balanced set member %s is not a cycle" % (sorted(c),))
+    for union, inside in theta_subgraphs(g, max_edges):
+        if sum(1 for c in inside if c in balanced) == 2:
+            return union, inside
+    return None
+
+
 def test_balanced_member_must_be_cycle():
-    with pytest.raises(NotACycle):
-        check_theta_property(k4(), [frozenset({0, 1})])
+    for check in (check_theta_property, _check_theta_property_oracle):
+        with pytest.raises(NotACycle, match=r"\[0, 1\] is not a cycle"):
+            check(k4(), triangles(k4())[:1] + [frozenset({0, 1})])
+
+
+def _theta_check_agrees(g, balanced):
+    got = check_theta_property(g, balanced)
+    assert got == _check_theta_property_oracle(g, balanced)
+    return got is not None
+
+
+@pytest.mark.parametrize("bound, max_cycles, inputs, violations", [
+    ((4, 6), 8, 978, 680),
+    ((4, 7), 10, 13810, 12550),
+])
+def test_theta_check_matches_listing_oracle_on_every_cycle_subset(
+        bound, max_cycles, inputs, violations):
+    seen = []
+    for g in catalog.multigraphs_up_to_iso(*bound):
+        cycles = [frozenset(c.edges) for c in g.cycles()]
+        if len(cycles) <= max_cycles:
+            seen += [_theta_check_agrees(g, bal)
+                     for r in range(len(cycles) + 1)
+                     for bal in combinations(cycles, r)]
+    assert (len(seen), sum(seen)) == (inputs, violations)
+
+
+def test_theta_check_matches_listing_oracle_on_seeded_subsets():
+    # larger graphs: seeded random subsets, and induced biases (theta-closed)
+    # with one cycle added or removed, which often breaks a single theta
+    rng = random.Random(15)
+    graphs = [g for g in catalog.multigraphs_up_to_iso(5, 8) if len(g.cycles()) > 10]
+    omegas = [induced_bias(GainGraph(g, CyclicGroup(3), {e: rng.randrange(3) for e in range(g.m)}))
+              for g in rng.sample(graphs, 40)]
+    omegas += [om for om in _random_gain_graphs(15, 60) if om.cycles()]  # loops included
+    kinds = Counter()
+    for om in omegas:
+        g = om.graph
+        cycles = [frozenset(c.edges) for c in g.cycles()]
+        kinds["closed", _theta_check_agrees(g, om.balanced)] += 1
+        for _ in range(5):
+            bal = [c for c in cycles if rng.random() < 0.5]
+            kinds["random", _theta_check_agrees(g, bal)] += 1
+            flipped = om.balanced ^ {rng.choice(cycles)}
+            kinds["flipped", _theta_check_agrees(g, flipped)] += 1
+    assert kinds["closed", True] == 0
+    assert min(kinds[k, v] for k in ("random", "flipped") for v in (False, True)) > 0
+
+
+def test_theta_check_matches_listing_oracle_on_the_catalog():
+    for name in catalog.catalog_names():
+        om = catalog.by_name(name).omega
+        assert not _theta_check_agrees(om.graph, om.balanced), name
 
 
 def test_classify_d10_unique_balancing_vertex():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bmlab import catalog, formats, verify
+from bmlab import catalog, cli, formats, verify
 from bmlab.cli import main
 from bmlab.errors import BoundExceeded
 
@@ -236,3 +236,42 @@ def test_usage_exit_codes(capsys):
 def test_parse_error_exit(tmp_path):
     path = write(tmp_path, "bad.bg", "vertices x\n")
     assert main(["check-theta", path]) == 2
+
+
+def test_build_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_answers_like_a_fresh_one(monkeypatch, capsys, b0_file):
+    # options set by one call must not leak into the next: --contract and
+    # --json before a bare call, usage errors (from main and from argparse)
+    # before valid calls
+    argvs = [
+        ["minor", b0_file, "--contract", "e3", "--json"],
+        ["minor", b0_file],
+        ["verify", "nonsense"],
+        ["check-theta", b0_file],
+        ["rank", "frame", b0_file, "--json"],
+        ["rank", "lift", b0_file, "e1", "e2"],
+        ["rank", "nonsense", b0_file],
+        ["classify", b0_file],
+        [],
+        ["minor", b0_file, "--delete", "e1"],
+    ]
+
+    def answers():
+        out = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    shared = answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert answers() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 2, 0]

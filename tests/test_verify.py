@@ -406,3 +406,17 @@ def test_allreps_negative_control(monkeypatch):
     assert rep.status == "fail"
     assert [w["graph"] for w in rep.witnesses] == ["B_1", "B_2"]  # B_0 has none
     assert all(w["classes"] == w["expected"] - 1 for w in rep.witnesses)
+
+
+def test_allreps_reports_why_a_class_has_no_canonical_form():
+    # over GF(2), F of a link with a joint at each end is U_{2,3}; its one
+    # class has no frame form, as GF(2)^x makes no loop unbalanced
+    g = MultiGraph(2, [(0, 0), (0, 1), (1, 1)])
+    nb = catalog.NamedBiasedGraph("joint-link-joint", BiasedGraph(g, []), "")
+    failures, _ = verify._allreps([nb], 2)
+    assert failures == [
+        {"graph": nb.name, "q": 2, "classes": 1, "expected": 0},
+        {"graph": nb.name, "q": 2, "class": 0, "why": "not canonicalizable",
+         "kind": None, "reason": "frame: no frame shaping found"},
+    ]
+    assert verify._allreps([nb], 3)[0] == []  # GF(3)^x has -1
