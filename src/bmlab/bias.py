@@ -28,8 +28,10 @@ PROPERLY_UNBALANCED = "properly-unbalanced"
 
 
 def _is_theta(g, union):
-    """Whether an edge set is a theta: loopless and connected, with exactly
-    two degree-3 vertices and every other vertex of degree 2."""
+    """Whether the union of two distinct cycles that share an edge is a
+    theta.  Such a union is connected and has no bridge, so it is a theta
+    iff it is loopless with exactly two degree-3 vertices and every other
+    vertex of degree 2."""
     deg = {}
     for e in union:
         u, v = g.endpoints(e)
@@ -37,23 +39,22 @@ def _is_theta(g, union):
             return False
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
-    degs = sorted(deg.values())
-    if degs.count(3) != 2 or any(d not in (2, 3) for d in degs):
-        return False
-    return len(g.edge_components(union)) == 1
+    degs = list(deg.values())
+    return degs.count(3) == 2 and all(d in (2, 3) for d in degs)
 
 
 def theta_subgraphs(g, max_edges=24):
     """All theta subgraphs as (edge set, tuple of its three cycles).
 
-    A theta is the union of two distinct cycles whose union is connected
-    with exactly two degree-3 vertices and the rest degree 2; it then
-    contains exactly three cycles.  Thetas are listed by the indices of
-    their two lowest cycles in g.cycles(), and each theta's cycles are in
-    that order.
+    A theta is the union of two distinct cycles a and b that share an edge
+    and whose union passes the degree test of _is_theta; its three cycles
+    are a, b and a ^ b.  Thetas are listed by the indices of their two
+    lowest cycles in g.cycles(), and each theta's cycles are in that order:
+    the first pair of a theta's cycles met is its two lowest, so a ^ b is
+    its highest.
     """
-    cycles = g.cycles(max_edges)
-    masks = [frozenset(c.edges) for c in cycles]
+    masks = [frozenset(c.edges) for c in g.cycles(max_edges)]
+    cycle_set = set(masks)
     seen = set()
     out = []
     for i, j in combinations(range(len(masks)), 2):
@@ -62,13 +63,11 @@ def theta_subgraphs(g, max_edges=24):
             continue
         if len(union) == len(masks[i]) + len(masks[j]):
             continue  # edge-disjoint cycles never form a theta
-        if not _is_theta(g, union):
-            continue
-        inside = tuple(m for m in masks if m <= union)
-        if len(inside) != 3:
+        third = masks[i] ^ masks[j]
+        if third not in cycle_set or not _is_theta(g, union):
             continue
         seen.add(union)
-        out.append((union, inside))
+        out.append((union, (masks[i], masks[j], third)))
     return out
 
 

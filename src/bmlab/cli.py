@@ -102,12 +102,7 @@ def cmd_catalog(args):
 
 
 def cmd_check_theta(args):
-    om_text = _read(args.biased_graph)
-    try:
-        om = formats.parse_biased_graph(om_text, check=False)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    om = formats.parse_biased_graph(_read(args.biased_graph), check=False)
     violation = check_theta_property(om.graph, om.balanced)
     if violation is None:
         _emit({"status": "ok"}, args.json, "ok: theta property holds")

@@ -165,7 +165,7 @@ class GF:
     def parse(self, token):
         v = int(token)
         if not 0 <= v < self.q:
-            raise BmlabError("element %d out of range for GF(%d)" % (v, self.q))
+            raise ValueError("element %d out of range for GF(%d)" % (v, self.q))
         return v
 
     def show(self, a):

@@ -28,7 +28,7 @@ import json
 import os
 
 from .bias import BiasedGraph
-from .errors import ParseError
+from .errors import BmlabError, NotACycle, ParseError, ThetaViolation, UnknownEdge
 from .fields import QQ, gf
 from .gains import AdditiveGroup, CyclicGroup, GainGraph, MultiplicativeGroup
 from .graph import MultiGraph
@@ -48,6 +48,29 @@ def _lines(text):
             yield i, line.split()
 
 
+def _int(token, what, i):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError("%s must be an integer, got %r" % (what, token), i)
+
+
+def _edge(g, name, i):
+    try:
+        return g.edge_index(name)
+    except UnknownEdge as exc:
+        raise ParseError(str(exc), i)
+
+
+def _construct(make, order, i):
+    """make(order) for a field or group order read on line i; the
+    constructors reject an order they do not support with a BmlabError."""
+    try:
+        return make(order)
+    except BmlabError as exc:
+        raise ParseError(str(exc), i)
+
+
 def parse_graph(text):
     n = None
     edges = []
@@ -56,20 +79,14 @@ def parse_graph(text):
         if parts[0] == "vertices":
             if len(parts) != 2:
                 raise ParseError("vertices takes one argument", i)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError("vertex count must be an integer", i)
+            n = _int(parts[1], "vertex count", i)
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise ParseError("edge takes name u v", i)
             if n is None:
                 raise ParseError("edge before vertices", i)
             names.append(parts[1])
-            try:
-                edges.append((int(parts[2]), int(parts[3])))
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", i)
+            edges.append((_int(parts[2], "edge endpoint", i), _int(parts[3], "edge endpoint", i)))
         elif parts[0] in ("balanced", "group", "gain"):
             continue
         else:
@@ -78,7 +95,7 @@ def parse_graph(text):
         raise ParseError("missing vertices line")
     try:
         return MultiGraph(n, edges, names or None)
-    except Exception as exc:
+    except (UnknownEdge, ValueError) as exc:
         raise ParseError(str(exc))
 
 
@@ -94,13 +111,10 @@ def parse_biased_graph(text, check=True):
     balanced = []
     for i, parts in _lines(text):
         if parts[0] == "balanced":
-            try:
-                balanced.append(g.edge_set(parts[1:]))
-            except Exception as exc:
-                raise ParseError(str(exc), i)
+            balanced.append(frozenset(_edge(g, name, i) for name in parts[1:]))
     try:
         return BiasedGraph(g, balanced, check=check)
-    except Exception as exc:
+    except (NotACycle, ThetaViolation) as exc:
         raise ParseError(str(exc))
 
 
@@ -111,14 +125,13 @@ def emit_biased_graph(om):
     return out
 
 
+_GROUPS = {"mul": MultiplicativeGroup, "add": AdditiveGroup, "zn": CyclicGroup}
+
+
 def _parse_group(parts, i):
-    if parts[1] == "mul":
-        return MultiplicativeGroup(int(parts[2]))
-    if parts[1] == "add":
-        return AdditiveGroup(int(parts[2]))
-    if parts[1] == "zn":
-        return CyclicGroup(int(parts[2]))
-    raise ParseError("unknown group kind %r" % parts[1], i)
+    if parts[1] not in _GROUPS:
+        raise ParseError("unknown group kind %r" % parts[1], i)
+    return _construct(_GROUPS[parts[1]], _int(parts[2], "group order", i), i)
 
 
 def parse_gain_graph(text):
@@ -135,8 +148,8 @@ def parse_gain_graph(text):
                 raise ParseError("gain before group", i)
             if len(parts) != 3:
                 raise ParseError("gain takes edge-name element", i)
-            e = g.edge_index(parts[1])
-            val = int(parts[2])
+            e = _edge(g, parts[1], i)
+            val = _int(parts[2], "gain", i)
             if val not in group.elements:
                 raise ParseError("element %d not in %r" % (val, group), i)
             gains[e] = val
@@ -170,9 +183,11 @@ def parse_matrix(text):
                 or parts[4] != "field"
             ):
                 raise ParseError("header: rows r cols c field {gf q | rational}", i)
-            r, c = int(parts[1]), int(parts[3])
+            r, c = _int(parts[1], "row count", i), _int(parts[3], "column count", i)
             if parts[5] == "gf":
-                field = gf(int(parts[6]))
+                if len(parts) != 7:
+                    raise ParseError("field gf takes its order q", i)
+                field = _construct(gf, _int(parts[6], "field order", i), i)
             elif parts[5] == "rational":
                 field = QQ
             else:
@@ -189,7 +204,7 @@ def parse_matrix(text):
                 )
             try:
                 rows.append([field.parse(tok) for tok in parts])
-            except Exception as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(str(exc), i)
     if header is None:
         raise ParseError("missing matrix header")
@@ -226,18 +241,26 @@ def parse_matroid(text, base_dir="."):
             if len(parts) != 3:
                 raise ParseError("rank takes subset and value", i)
             subset = () if parts[1] == "-" else tuple(parts[1].split(","))
-            ranks[frozenset(subset)] = int(parts[2])
-        elif parts[0] == "source":
-            source = parts[1]
-        elif parts[0] == "kind":
-            kind = parts[1]
+            ranks[frozenset(subset)] = _int(parts[2], "rank", i)
+        elif parts[0] in ("source", "kind"):
+            if len(parts) != 2:
+                raise ParseError("%s takes one argument" % parts[0], i)
+            if parts[0] == "source":
+                source = parts[1], i
+            else:
+                kind = parts[1]
         else:
             raise ParseError("unknown declaration %r" % parts[0], i)
     if source is not None:
         if kind not in ("frame", "lift", "lift0"):
             raise ParseError("kind must be frame, lift or lift0")
-        with open(os.path.join(base_dir, source)) as fh:
-            om = parse_biased_graph(fh.read())
+        path, i = source
+        try:
+            with open(os.path.join(base_dir, path)) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError("cannot read source %r: %s" % (path, exc.strerror), i)
+        om = parse_biased_graph(text)
         if kind == "frame":
             return frame_matroid(om)
         if kind == "lift":

@@ -8,6 +8,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
+from math import comb
 
 from . import catalog
 from .bias import (
@@ -140,32 +141,30 @@ def all_claims():
 
 # -- section 3 counts ------------------------------------------------------------
 
+def _count(members, expected):
+    """A count claim: members must number expected."""
+    names = [nb.name for nb in members]
+    return ([] if len(names) == expected else [{"got": names}]), {"classes": len(names)}
+
+
 @claim("seven-dwarves")
 def claim_seven_dwarves():
-    names = [nb.name for nb in catalog.classify_k4()]
-    failures = [] if len(names) == 7 else [{"got": names}]
-    return failures, {"classes": len(names)}
+    return _count(catalog.classify_k4(), 7)
 
 
 @claim("2c3-proper-count")
 def claim_2c3_proper_count():
-    names = [nb.name for nb in catalog.classify_2c3_proper()]
-    failures = [] if len(names) == 6 else [{"got": names}]
-    return failures, {"classes": len(names)}
+    return _count(catalog.classify_2c3_proper(), 6)
 
 
 @claim("tube-count")
 def claim_tube_count():
-    names = [nb.name for nb in catalog.classify_tube_proper()]
-    failures = [] if len(names) == 3 else [{"got": names}]
-    return failures, {"classes": len(names)}
+    return _count(catalog.classify_tube_proper(), 3)
 
 
 @claim("base-count")
 def claim_base_count():
-    base = catalog.base_graphs()
-    failures = [] if len(base) == 13 else [{"got": [nb.name for nb in base]}]
-    return failures, {"classes": len(base)}
+    return _count(catalog.base_graphs(), 13)
 
 
 # -- canonical representation theorems -------------------------------------------
@@ -214,79 +213,67 @@ def _canonical_samples(seed, samples, group, matrix, matroid):
 
 # -- section 4.1 biconditionals ----------------------------------------------------
 
-def _frame_reps_with_matrices(om, q):
-    reps = realizations(om, MultiplicativeGroup(q))
-    return [(gg, frame_matrix(gg).matrix) for gg in reps]
+def _reps_with_matrices(om, q, kind):
+    """The normalized realizations of om over GF(q)^x (frame) or GF(q)^+
+    (lift), each with its canonical frame or lift matrix."""
+    if kind == FRAME:
+        return [(gg, frame_matrix(gg).matrix) for gg in realizations(om, MultiplicativeGroup(q))]
+    return [(gg, lift_matrix(gg).matrix) for gg in realizations(om, AdditiveGroup(q))]
 
 
-def _lift_reps_with_matrices(om, q):
-    reps = realizations(om, AdditiveGroup(q))
-    return [(gg, lift_matrix(gg).matrix) for gg in reps]
+def _disagreements(keys, classes):
+    """The pairs (i, j), i < j, in that order, that one partition of the
+    indices puts in one block and the other does not: the partition by keys
+    and the partition by classes.  The partition by (key, class) refines
+    both, so they are equal iff all three have as many blocks; only
+    otherwise are pairs compared."""
+    if len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes))):
+        return []
+    return [(i, j) for i, j in combinations(range(len(keys)), 2)
+            if (keys[i] == keys[j]) != (classes[i] == classes[j])]
 
 
-def _biconditional_frame(graphs, fields, seed):
-    """Exhaustive: distinct normalized realizations (= distinct switching
-    classes) must give projectively inequivalent frame matrices; switched
-    copies must stay equivalent (seeded samples, exact decision)."""
+def _partition_failures(name, q, keys, classes):
+    """A failure for each pair of realizations of the named graph over GF(q)
+    whose matrices' projective keys and whose gain classes disagree."""
+    return [{"graph": name, "q": q, "pair": (i, j), "same_class": classes[i] == classes[j],
+             "proj_equiv": keys[i] == keys[j]} for i, j in _disagreements(keys, classes)]
+
+
+def _biconditional(graphs, fields, seed, kind):
+    """Exhaustive: two realizations have projectively equivalent canonical
+    matrices iff they are in one gain class, switching classes for frame
+    (distinct normalized realizations are distinct classes),
+    switching-and-scaling orbits for lift.  Seeded samples check the key
+    against the full decision and, for frame, that switched copies stay
+    equivalent (exact witnesses)."""
     rng = random.Random(seed)
     failures = []
     pairs = reps_total = 0
     for nb in graphs:
         om = nb.omega
         for q in fields:
-            reps = _frame_reps_with_matrices(om, q)
+            reps = _reps_with_matrices(om, q, kind)
             reps_total += len(reps)
             keys = [projective_key(A) for _, A in reps]
-            for i, j in combinations(range(len(reps)), 2):
-                pairs += 1
-                if keys[i] == keys[j]:
-                    failures.append({"graph": nb.name, "q": q, "pair": (i, j),
-                                     "why": "inequivalent classes projectively equivalent"})
-            # spot-check the key decision against the full procedure
+            classes = (list(range(len(reps))) if kind == FRAME
+                       else _orbit_indices([gg for gg, _ in reps]))
+            pairs += comb(len(reps), 2)
+            failures += _partition_failures(nb.name, q, keys, classes)
             for i, j in _sample_pairs(rng, len(reps), 4):
                 w = projectively_equivalent(reps[i][1], reps[j][1])
                 if (w is not None) != (keys[i] == keys[j]):
                     failures.append({"graph": nb.name, "q": q, "pair": (i, j),
                                      "why": "key/decision disagreement"})
-            # switching => projective equivalence, with exact witnesses
+            if kind != FRAME:
+                continue
             group = MultiplicativeGroup(q)
             for i in _sample_indices(rng, len(reps), 3):
                 gg, A = reps[i]
                 eta = {v: rng.choice(group.elements) for v in range(om.graph.n)}
-                B = frame_matrix(switch(gg, eta)).matrix
-                w = projectively_equivalent(A, B)
-                if w is None:
+                if projectively_equivalent(A, frame_matrix(switch(gg, eta)).matrix) is None:
                     failures.append({"graph": nb.name, "q": q, "rep": i,
                                      "why": "switched copy not equivalent"})
-    return failures, {"graphs": len(graphs), "fields": list(fields),
-                      "realizations": reps_total, "pairs": pairs}
-
-
-def _biconditional_lift(graphs, fields, seed):
-    """Exhaustive: normalized additive realizations pair up projectively
-    exactly within switching-and-scaling orbits."""
-    rng = random.Random(seed)
-    failures = []
-    pairs = reps_total = 0
-    for nb in graphs:
-        om = nb.omega
-        for q in fields:
-            reps = _lift_reps_with_matrices(om, q)
-            reps_total += len(reps)
-            keys = [projective_key(A) for _, A in reps]
-            orbit_of = _orbit_indices([gg for gg, _ in reps])
-            for i, j in combinations(range(len(reps)), 2):
-                pairs += 1
-                same_orbit = orbit_of[i] == orbit_of[j]
-                same_key = keys[i] == keys[j]
-                if same_orbit != same_key:
-                    failures.append({"graph": nb.name, "q": q, "pair": (i, j),
-                                     "same_orbit": same_orbit, "proj_equiv": same_key})
-            for i, j in _sample_pairs(rng, len(reps), 4):
-                w = projectively_equivalent(reps[i][1], reps[j][1])
-                if (w is not None) != (keys[i] == keys[j]):
-                    failures.append({"graph": nb.name, "q": q, "pair": (i, j),
-                                     "why": "key/decision disagreement"})
     return failures, {"graphs": len(graphs), "fields": list(fields),
                       "realizations": reps_total, "pairs": pairs}
 
@@ -307,8 +294,8 @@ def _biconditional_cross(graphs, fields):
     for nb in graphs:
         om = nb.omega
         for q in fields:
-            fr = _frame_reps_with_matrices(om, q)
-            lf = _lift_reps_with_matrices(om, q)
+            fr = _reps_with_matrices(om, q, FRAME)
+            lf = _reps_with_matrices(om, q, LIFT)
             fkeys = {projective_key(A) for _, A in fr}
             lkeys = {projective_key(A) for _, A in lf}
             checked += len(fr) * len(lf)
@@ -340,12 +327,12 @@ def _sample_indices(rng, n, k):
 
 @claim("lemma-2c3-frame")
 def claim_lemma_2c3_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional_frame(catalog.classify_2c3_proper(), fields, seed)
+    return _biconditional(catalog.classify_2c3_proper(), fields, seed, FRAME)
 
 
 @claim("lemma-2c3-lift")
 def claim_lemma_2c3_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional_lift(catalog.classify_2c3_proper(), fields, seed)
+    return _biconditional(catalog.classify_2c3_proper(), fields, seed, LIFT)
 
 
 @claim("lemma-2c3-frame-vs-lift")
@@ -359,12 +346,12 @@ def _proper_k4():
 
 @claim("lemma-k4-frame")
 def claim_lemma_k4_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional_frame(_proper_k4(), fields, seed)
+    return _biconditional(_proper_k4(), fields, seed, FRAME)
 
 
 @claim("lemma-k4-lift")
 def claim_lemma_k4_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional_lift(_proper_k4(), fields, seed)
+    return _biconditional(_proper_k4(), fields, seed, LIFT)
 
 
 @claim("lemma-k4-frame-vs-lift")
@@ -374,63 +361,51 @@ def claim_lemma_k4_cross(fields=DEFAULT_FIELDS):
 
 @claim("lemma-tube-frame")
 def claim_lemma_tube_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional_frame(catalog.classify_tube_proper(), fields, seed)
+    return _biconditional(catalog.classify_tube_proper(), fields, seed, FRAME)
 
 
 @claim("lemma-tube-lift")
 def claim_lemma_tube_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional_lift(catalog.classify_tube_proper(), fields, seed)
+    return _biconditional(catalog.classify_tube_proper(), fields, seed, LIFT)
+
+
+def _criterion(nb, fields, kind, classes_of):
+    """A lemma "two realizations of nb have projectively equivalent
+    canonical matrices iff classes_of puts them in one class", checked
+    exhaustively over each field."""
+    failures = []
+    pairs = 0
+    for q in fields:
+        reps = _reps_with_matrices(nb.omega, q, kind)
+        pairs += comb(len(reps), 2)
+        failures += _partition_failures(nb.name, q, [projective_key(A) for _, A in reps],
+                                        classes_of([gg for gg, _ in reps]))
+    return failures, {"fields": list(fields), "pairs": pairs}
 
 
 @claim("u2-criterion")
 def claim_u2_criterion(fields=DEFAULT_FIELDS):
     """Lemma: A_F(U_2,phi) ~ A_F(U_2,psi) iff the 2-cycle gains agree."""
-    failures = []
-    checked = 0
-    u2 = catalog.u2().omega
-    g = u2.graph
-    two_cycle = next(c for c in g.cycles() if len(c) == 2)
-    for q in fields:
-        group = MultiplicativeGroup(q)
-        reps = realizations(u2, group)
-        mats = [frame_matrix(gg).matrix for gg in reps]
-        keys = [projective_key(A) for A in mats]
-        gains = [walk_gain(gg, two_cycle.walk) for gg in reps]
-        for i, j in combinations(range(len(reps)), 2):
-            checked += 1
-            if (keys[i] == keys[j]) != (gains[i] == gains[j]):
-                failures.append({"q": q, "pair": (i, j),
-                                 "gains": (gains[i], gains[j])})
-    return failures, {"fields": list(fields), "pairs": checked}
+    u2 = catalog.u2()
+    two_cycle = next(c for c in u2.omega.graph.cycles() if len(c) == 2)
+    return _criterion(u2, fields, FRAME,
+                      lambda reps: [walk_gain(gg, two_cycle.walk) for gg in reps])
 
 
 @claim("u3-lift-criterion")
 def claim_u3_lift_criterion(fields=DEFAULT_FIELDS):
     """Lemma: A_L(U_3,phi) ~ A_L(U_3,psi) iff the restrictions to the theta
     links are switching-and-scaling equivalent."""
-    failures = []
-    checked = 0
-    u3 = catalog.u3().omega
-    g = u3.graph
+    return _criterion(catalog.u3(), fields, LIFT,
+                      lambda reps: _orbit_indices([_links_only(gg) for gg in reps]))
+
+
+def _links_only(gg):
+    """gg restricted to its links (the non-loop edges), on the same vertices."""
+    g = gg.graph
     links = [e for e in range(g.m) if not g.is_loop(e)]
-    theta = MultiGraph(2, [g.edges[e] for e in links],
-                       [g.edge_names[e] for e in links])
-    for q in fields:
-        group = AdditiveGroup(q)
-        reps = realizations(u3, group)
-        mats = [lift_matrix(gg).matrix for gg in reps]
-        keys = [projective_key(A) for A in mats]
-        restr = [
-            GainGraph(theta, group, {k: gg.gains[e] for k, e in enumerate(links)})
-            for gg in reps
-        ]
-        orbit_of = _orbit_indices(restr)
-        for i, j in combinations(range(len(reps)), 2):
-            checked += 1
-            equiv = orbit_of[i] == orbit_of[j]
-            if (keys[i] == keys[j]) != equiv:
-                failures.append({"q": q, "pair": (i, j), "restriction_equiv": equiv})
-    return failures, {"fields": list(fields), "pairs": checked}
+    sub = MultiGraph(g.n, [g.edges[e] for e in links], [g.edge_names[e] for e in links])
+    return GainGraph(sub, gg.group, {k: gg.gains[e] for k, e in enumerate(links)})
 
 
 # -- section 4.2: all representations are canonical --------------------------------
@@ -448,7 +423,6 @@ def _allreps(named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
         LO = lift_matroid(om)
         classes = enumerate_representations(FO, q, biased_graph=om, hint=hint)
         n_frame = len(realizations(om, MultiplicativeGroup(q)))
-        frame_represents = True
         lift_represents = matroids_equal(FO, LO)[0]
         n_lift = (
             len(scaling_orbits(realizations(om, AdditiveGroup(q))))
@@ -458,7 +432,6 @@ def _allreps(named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
         expected = (n_frame if "frame" in expect_kinds else 0) + (
             n_lift if "lift" in expect_kinds else 0
         )
-        got_kinds = [c.kind for c in classes]
         counts[nb.name] = {
             "classes": len(classes),
             "frame_classes": n_frame,
@@ -520,7 +493,7 @@ def claim_allreps_contracted_tube(q=5):
     failures = []
     counts = {}
     for nb in catalog.contracted_tubes():
-        om = nb.omega.drop_isolated()
+        om = nb.omega
         FO = frame_matroid(om)
         classes = enumerate_representations(FO, q)
         counts[nb.name] = {"classes": len(classes)}
@@ -553,6 +526,7 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
     for i in (1, 2, 3):
         nb = catalog.t2_prime_split(i)
         om = nb.omega
+        reps = realizations(om, MultiplicativeGroup(q))
         # nabla at a degree-3 vertex whose star is a genuine triad
         done = False
         g = om.graph
@@ -563,10 +537,8 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
                 img, _ = y_delta(om, v)
             except BmlabError:
                 continue
-            FO = frame_matroid(om)
             star = [g.edge_names[e] for e in g.incident_edges(v)]
             # matrix-level exchange on a canonical representative
-            reps = realizations(om, MultiplicativeGroup(q))
             if not reps:
                 break
             A = frame_matrix(reps[0]).matrix
@@ -587,7 +559,6 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
         if not done and not failures:
             failures.append({"graph": nb.name, "why": "no usable degree-3 vertex"})
         # scramble round-trips directly on T'_{2,i}
-        reps = realizations(om, MultiplicativeGroup(q))
         counts[nb.name] = {"frame_classes": len(reps)}
         f = gf(q)
         for k in range(samples):
@@ -627,6 +598,11 @@ def _scramble(rng, f, A):
 
 # -- structure theorems -------------------------------------------------------------
 
+def _bias_witness(om):
+    """The failure record of a structure claim: the biased graph itself."""
+    return {"edges": list(om.graph.edges), "balanced": [sorted(c) for c in om.balanced]}
+
+
 def _tangled_targets():
     return _proper_k4() + list(catalog.classify_2c3_proper())
 
@@ -643,10 +619,7 @@ def claim_tangled_minor(max_vertices=5, max_edges=8):
             om.graph.m >= nb.omega.graph.m and find_link_minor(om, nb.omega) is not None
             for nb in targets
         ):
-            failures.append({
-                "edges": list(om.graph.edges),
-                "balanced": [sorted(c) for c in om.balanced],
-            })
+            failures.append(_bias_witness(om))
     return failures, {"tangled_graphs": len(family),
                       "bounds": [max_vertices, max_edges]}
 
@@ -676,10 +649,7 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
             and find_biased_subdivision(om, nb.omega) is not None
             for nb in patterns
         ):
-            failures.append({
-                "edges": list(om.graph.edges),
-                "balanced": [sorted(c) for c in om.balanced],
-            })
+            failures.append(_bias_witness(om))
     return failures, {"tangled_2connected": checked,
                       "bounds": [max_vertices, max_edges]}
 
@@ -757,9 +727,7 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
     subdivision of D_{1,0}, B_0', B_1' or B_2'.
 
     Exhaustive on small loopless graphs plus seeded random instances."""
-    patterns = [catalog.dwarf("D_{1,0}")]
-    for nb in catalog.contracted_tubes():
-        patterns.append(catalog.NamedBiasedGraph(nb.name, nb.omega.drop_isolated(), ""))
+    patterns = [catalog.dwarf("D_{1,0}")] + list(catalog.contracted_tubes())
     failures = []
     hypotheses = 0
 
@@ -778,10 +746,7 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
                 continue
             if find_biased_subdivision(om, nb.omega) is not None:
                 return
-        failures.append({
-            "edges": list(om.graph.edges),
-            "balanced": [sorted(c) for c in om.balanced],
-        })
+        failures.append(_bias_witness(om))
 
     # vertical 2-connectivity depends only on the graph: test it first
     for g in catalog.multigraphs_up_to_iso(max_vertices, max_edges):
@@ -825,12 +790,7 @@ def claim_inequivalence_localized(seed=DEFAULT_SEED, samples=60):
     instances = instances[:samples]
     for om, phi, psi in instances:
         if not _localization_certificate(om, phi, psi):
-            failures.append({
-                "edges": list(om.graph.edges),
-                "balanced": [sorted(c) for c in om.balanced],
-                "phi": phi.gains,
-                "psi": psi.gains,
-            })
+            failures.append(dict(_bias_witness(om), phi=phi.gains, psi=psi.gains))
     return failures, {"pairs_checked": len(instances)}
 
 
@@ -845,18 +805,10 @@ def _localization_certificate(om, phi, psi):
     tangled, _ = is_tangled(om)
     if tangled:
         return False
-    for K, D, mres, _ in link_minors(om, catalog.u3().omega):
+    for K, D, _, _ in link_minors(om, catalog.u3().omega):
         mphi, _, _ = induced_gain(phi, K, D)
         mpsi, _, _ = induced_gain(psi, K, D)
-        links = [e for e in range(mres.omega.graph.m) if not mres.omega.graph.is_loop(e)]
-        th = MultiGraph(
-            mres.omega.graph.n,
-            [mres.omega.graph.edges[e] for e in links],
-            [mres.omega.graph.edge_names[e] for e in links],
-        )
-        tphi = GainGraph(th, mphi.group, {k: mphi.gains[e] for k, e in enumerate(links)})
-        tpsi = GainGraph(th, mpsi.group, {k: mpsi.gains[e] for k, e in enumerate(links)})
-        if switching_equivalent(tphi, tpsi) is None:
+        if switching_equivalent(_links_only(mphi), _links_only(mpsi)) is None:
             break
     else:
         return False
@@ -879,8 +831,8 @@ def claim_main2(fields=(4, 5), seed=DEFAULT_SEED):
     """Thm T:ProjectiveIsSwitching bundled over all 13 base graphs."""
     base = list(catalog.base_graphs())
     parts = {
-        "frame": _biconditional_frame(base, fields, seed),
-        "lift": _biconditional_lift(base, fields, seed + 1),
+        "frame": _biconditional(base, fields, seed, FRAME),
+        "lift": _biconditional(base, fields, seed + 1, LIFT),
         "cross": _biconditional_cross(base, fields),
     }
     failures = [w for found, _ in parts.values() for w in found]
@@ -937,9 +889,7 @@ def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5):
     particular to the graph or to a roll-up variant (reported)."""
     rng = random.Random(seed)
     f = gf(q)
-    instances = []
-    for nb in catalog.contracted_tubes():
-        instances.append((nb.name, nb.omega.drop_isolated()))
+    instances = [(nb.name, nb.omega) for nb in catalog.contracted_tubes()]
     instances.append(("D_{1,0}", catalog.dwarf("D_{1,0}").omega))
     p2 = MultiGraph(3, [(0, 2), (2, 1)])
     instances.append(("fat-theta-3x2", catalog.fat_theta([p2, p2, p2])))
@@ -1028,20 +978,24 @@ def _contraction_failures(g, gfs):
     return pairs, failures
 
 
+def _deltawye_instances():
+    """(named graph, X, Delta_X omega) for each biased K4 and proper biased
+    2C3 with a balanced triangle, X the least one by sorted edges."""
+    for nb in list(catalog.classify_k4()) + list(catalog.classify_2c3_proper()):
+        tris = [c for c in nb.omega.balanced if len(c) == 3]
+        if tris:
+            X = min(tris, key=sorted)
+            yield nb, X, delta_y(nb.omega, X)
+
+
 @claim("deltawye-matroid")
 def claim_deltawye_matroid(fields=(4, 5)):
     """Prop: F(Delta_X omega) and L0(Delta_X omega) agree with the
     matrix-level exchange of the canonical representations."""
     failures = []
     checked = 0
-    pool = list(catalog.classify_k4()) + list(catalog.classify_2c3_proper())
-    for nb in pool:
+    for nb, X, img in _deltawye_instances():
         om = nb.omega
-        tris = [c for c in om.balanced if len(c) == 3]
-        if not tris:
-            continue
-        X = min(tris, key=sorted)
-        img = delta_y(om, X)
         Xlabels = [om.graph.edge_names[e] for e in sorted(X)]
         for q in fields:
             freps = realizations(om, MultiplicativeGroup(q))
@@ -1074,16 +1028,9 @@ def claim_deltawye_gains():
     checked = 0
     groups = [CyclicGroup(2), CyclicGroup(3), MultiplicativeGroup(4),
               MultiplicativeGroup(5), AdditiveGroup(4), AdditiveGroup(5)]
-    pool = list(catalog.classify_k4()) + list(catalog.classify_2c3_proper())
-    for nb in pool:
-        om = nb.omega
-        tris = [c for c in om.balanced if len(c) == 3]
-        if not tris:
-            continue
-        X = min(tris, key=sorted)
-        img = delta_y(om, X)
+    for nb, _, img in _deltawye_instances():
         for group in groups:
-            n1 = len(realizations(om, group))
+            n1 = len(realizations(nb.omega, group))
             n2 = len(realizations(img, group))
             checked += 1
             if n1 != n2:
@@ -1099,8 +1046,7 @@ def claim_rollup_frame():
     failures = []
     checked = 0
     instances = [catalog.dwarf("D_{1,0}"), catalog.dwarf("D_{2,1}")]
-    instances += [catalog.NamedBiasedGraph(nb.name, nb.omega.drop_isolated(), "")
-                  for nb in catalog.contracted_tubes()]
+    instances += catalog.contracted_tubes()
     for nb in instances:
         om = nb.omega
         cls = classify_balance(om)

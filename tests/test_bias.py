@@ -47,6 +47,41 @@ def test_k4_has_six_thetas():
     assert len(theta_subgraphs(k4())) == 6
 
 
+def _theta_subgraphs_oracle(g, max_edges=24):
+    """The listing that scanned every cycle for each candidate union and
+    tested it for connectivity (the oracle for the degree test)."""
+    masks = [frozenset(c.edges) for c in g.cycles(max_edges)]
+    seen = set()
+    out = []
+    for i, j in combinations(range(len(masks)), 2):
+        union = masks[i] | masks[j]
+        if union in seen or len(union) == len(masks[i]) + len(masks[j]):
+            continue
+        degs = sorted(Counter(v for e in union for v in g.endpoints(e)).values())
+        if (any(g.is_loop(e) for e in union) or degs.count(3) != 2
+                or any(d not in (2, 3) for d in degs)
+                or len(g.edge_components(union)) != 1):
+            continue
+        inside = tuple(m for m in masks if m <= union)
+        if len(inside) != 3:
+            continue
+        seen.add(union)
+        out.append((union, inside))
+    return out
+
+
+def test_theta_subgraphs_match_the_cycle_scan_oracle():
+    graphs = [g for bound in ((5, 8), (5, 9), (4, 7))
+              for g in catalog.multigraphs_up_to_iso(*bound)]
+    graphs += [nb.omega.graph for nb in catalog.base_graphs()]
+    thetas = 0
+    for g in graphs:
+        got = theta_subgraphs(g)
+        assert got == _theta_subgraphs_oracle(g), g.edges
+        thetas += len(got)
+    assert (len(graphs), thetas) == (839, 9904)
+
+
 def test_theta_property_empty_ok():
     assert check_theta_property(k4(), []) is None
 

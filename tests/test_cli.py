@@ -238,6 +238,40 @@ def test_parse_error_exit(tmp_path):
     assert main(["check-theta", path]) == 2
 
 
+GAIN_HEAD = "vertices 2\nedge e1 0 1\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("proj-equiv", "rows x cols 2 field gf 3\n1 0\n",
+     "line 1: row count must be an integer, got 'x'"),
+    ("proj-equiv", "rows 1 cols 2 field gf\n1 0\n", "line 1: field gf takes its order q"),
+    ("proj-equiv", "rows 1 cols 2 field gf 6\n1 0\n", "line 1: 6 is not a prime power"),
+    ("proj-equiv", "rows 1 cols 2 field gf 3\n1 3\n", "line 2: element 3 out of range for GF(3)"),
+    ("bias", GAIN_HEAD + "group mul 5\ngain e1 x\n", "line 4: gain must be an integer, got 'x'"),
+    ("bias", GAIN_HEAD + "group mul 5\ngain e9 1\n", "line 4: no edge named 'e9'"),
+    ("bias", GAIN_HEAD + "group mul 6\ngain e1 1\n", "line 3: 6 is not a prime power"),
+    ("bias", GAIN_HEAD + "group zn y\ngain e1 0\n", "line 3: group order must be an integer"),
+    ("classify", GAIN_HEAD + "balanced e2\n", "line 3: no edge named 'e2'"),
+    ("enumerate-reps", "ground a\nrank - x\nrank a 1\n", "line 2: rank must be an integer"),
+    ("enumerate-reps", "source missing.bg\nkind frame\n",
+     "line 1: cannot read source 'missing.bg'"),
+    ("enumerate-reps", "source\nkind frame\n", "line 1: source takes one argument"),
+])
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, command, text, message):
+    path = write(tmp_path, "bad.txt", text)
+    extra = {"proj-equiv": [path], "enumerate-reps": ["--q", "3"]}.get(command, [])
+    assert main([command, path] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and message in err
+
+
+@pytest.mark.parametrize("command", [["check-theta"], ["classify"], ["rank", "frame"]])
+def test_cycle_bound_in_a_biased_graph_file_is_undecided(tmp_path, capsys, command):
+    text = "vertices 2\n" + "".join("edge e%d 0 1\n" % k for k in range(1, 26))
+    assert main(command + [write(tmp_path, "big.bg", text)]) == 3
+    assert capsys.readouterr().err.startswith("bound exceeded: cycle enumeration bound")
+
+
 def test_build_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 

@@ -420,3 +420,77 @@ def test_allreps_reports_why_a_class_has_no_canonical_form():
          "kind": None, "reason": "frame: no frame shaping found"},
     ]
     assert verify._allreps([nb], 3)[0] == []  # GF(3)^x has -1
+
+
+def _disagreements_oracle(keys, classes):
+    """The pair loop that _disagreements replaced: every pair compared."""
+    return [(i, j) for i, j in combinations(range(len(keys)), 2)
+            if (keys[i] == keys[j]) != (classes[i] == classes[j])]
+
+
+def test_disagreements_match_the_pair_loop_on_every_small_labelling():
+    inputs = differ = 0
+    for n in range(6):
+        for keys in product(range(3), repeat=n):
+            for classes in product("abc", repeat=n):
+                got = verify._disagreements(keys, classes)
+                assert got == _disagreements_oracle(keys, classes), (keys, classes)
+                inputs += 1
+                differ += bool(got)
+    assert inputs == sum(9 ** n for n in range(6)) and 0 < differ < inputs
+
+
+PAIR_WITNESS = {"graph", "q", "pair", "same_class", "proj_equiv"}
+BICONDITIONAL_CLAIMS = [
+    "lemma-2c3-frame", "lemma-2c3-lift", "lemma-2c3-frame-vs-lift",
+    "lemma-k4-frame", "lemma-k4-lift", "lemma-k4-frame-vs-lift",
+    "lemma-tube-frame", "lemma-tube-lift", "u2-criterion", "u3-lift-criterion", "main2",
+]
+
+
+@pytest.mark.parametrize("name", BICONDITIONAL_CLAIMS)
+def test_biconditional_claims_fail_when_every_key_is_equal(monkeypatch, name):
+    # one projective key for every matrix: inequivalent gain classes now
+    # look projectively equivalent (and frame forms equivalent to lift forms)
+    monkeypatch.setattr(verify, "projective_key", lambda A: 0)
+    rep = run_claim(name)
+    assert rep.status == "fail" and rep.witnesses
+    if name.endswith("-frame-vs-lift"):
+        assert all(w["why"] == "frame and lift forms equivalent" for w in rep.witnesses)
+        return
+    assert set(rep.witnesses[0]) == PAIR_WITNESS
+    for w in rep.witnesses:
+        if set(w) == PAIR_WITNESS:
+            assert w["proj_equiv"] and not w["same_class"]
+        else:  # the seeded spot check against the full decision
+            assert w["why"] == "key/decision disagreement"
+
+
+GOLDEN_COUNTS = {
+    "seven-dwarves": {"classes": 7},
+    "2c3-proper-count": {"classes": 6},
+    "tube-count": {"classes": 3},
+    "base-count": {"classes": 13},
+    "lemma-2c3-frame": {"fields": [2, 3, 4, 5], "graphs": 6, "pairs": 26, "realizations": 22},
+    "lemma-2c3-lift": {"fields": [2, 3, 4, 5], "graphs": 6, "pairs": 390, "realizations": 82},
+    "lemma-2c3-frame-vs-lift": {"cross_pairs": 188, "fields": [2, 3, 4, 5], "graphs": 6},
+    "lemma-k4-frame": {"fields": [2, 3, 4, 5], "graphs": 4, "pairs": 9, "realizations": 12},
+    "lemma-k4-lift": {"fields": [2, 3, 4, 5], "graphs": 4, "pairs": 173, "realizations": 40},
+    "lemma-k4-frame-vs-lift": {"cross_pairs": 72, "fields": [2, 3, 4, 5], "graphs": 4},
+    "lemma-tube-frame": {"fields": [2, 3, 4, 5], "graphs": 3, "pairs": 35, "realizations": 20},
+    "lemma-tube-lift": {"fields": [2, 3, 4, 5], "graphs": 3, "pairs": 383, "realizations": 60},
+    "u2-criterion": {"fields": [2, 3, 4, 5], "pairs": 379},
+    "u3-lift-criterion": {"fields": [2, 3, 4, 5], "pairs": 1287},
+    "main2": {
+        "frame": {"fields": [4, 5], "graphs": 13, "pairs": 70, "realizations": 51},
+        "lift": {"fields": [4, 5], "graphs": 13, "pairs": 941, "realizations": 169},
+        "cross": {"cross_pairs": 506, "fields": [4, 5], "graphs": 13},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
+def test_claim_counts_at_default_options(name):
+    rep = run_claim(name)
+    assert rep.status == "pass"
+    assert json.loads(json.dumps(rep.counts)) == GOLDEN_COUNTS[name]
