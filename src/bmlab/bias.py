@@ -22,6 +22,8 @@ from .errors import (
 )
 from .graph import MultiGraph, edge_bijections, find, graph_isomorphisms, iter_subdivisions
 
+LINK_MINOR_BOUND = (10, 20)  # host vertices, host edges
+
 BALANCED = "balanced"
 ALMOST_BALANCED = "almost-balanced"
 PROPERLY_UNBALANCED = "properly-unbalanced"
@@ -43,7 +45,7 @@ def _is_theta(g, union):
     return degs.count(3) == 2 and all(d in (2, 3) for d in degs)
 
 
-def theta_subgraphs(g, max_edges=24):
+def theta_subgraphs(g):
     """All theta subgraphs as (edge set, tuple of its three cycles).
 
     A theta is the union of two distinct cycles a and b that share an edge
@@ -53,7 +55,7 @@ def theta_subgraphs(g, max_edges=24):
     the first pair of a theta's cycles met is its two lowest, so a ^ b is
     its highest.
     """
-    masks = [frozenset(c.edges) for c in g.cycles(max_edges)]
+    masks = [frozenset(c.edges) for c in g.cycles()]
     cycle_set = set(masks)
     seen = set()
     out = []
@@ -71,7 +73,7 @@ def theta_subgraphs(g, max_edges=24):
     return out
 
 
-def check_theta_property(g, balanced, max_edges=24):
+def check_theta_property(g, balanced):
     """Return None if ok, else (theta edge set, its three cycles).
 
     The three cycles of a theta are a, b and a ^ b, so a theta with exactly
@@ -83,7 +85,7 @@ def check_theta_property(g, balanced, max_edges=24):
     cycles in that order.
     """
     balanced = frozenset(frozenset(c) for c in balanced)
-    index = {frozenset(c.edges): i for i, c in enumerate(g.cycles(max_edges))}
+    index = {frozenset(c.edges): i for i, c in enumerate(g.cycles())}
     for c in balanced:
         if c not in index:
             raise NotACycle("balanced set member %s is not a cycle" % (sorted(c),))
@@ -105,11 +107,11 @@ def check_theta_property(g, balanced, max_edges=24):
 class BiasedGraph:
     """A multigraph with a distinguished theta-closed set of balanced cycles."""
 
-    def __init__(self, graph, balanced, check=True, max_edges=24):
+    def __init__(self, graph, balanced, check=True):
         self.graph = graph
         self.balanced = frozenset(frozenset(c) for c in balanced)
         if check:
-            violation = check_theta_property(graph, self.balanced, max_edges)
+            violation = check_theta_property(graph, self.balanced)
             if violation is not None:
                 raise ThetaViolation(
                     "theta subgraph with exactly two balanced cycles",
@@ -251,13 +253,13 @@ def _contract_joint(omega, e):
 def biased_minor(omega, contract, delete, check=True):
     """Biased minor: deletions first, then contractions.
 
-    The links of the contraction set are contracted first, as the forest K
-    picked greedily in id order; the rest of the set are then loops.  A
-    cycle of G/K is balanced exactly when it is the image B - K of a
-    balanced cycle B, so no cycle is enumerated.  The remaining loops are
-    processed in id order: balanced loops are deleted, unbalanced ones
-    contracted as joints.  Tracks whether the result is a link minor (no
-    joint was contracted).
+    The links of the contraction set are contracted first, as the forest
+    K = spanning_forest(contract) picked greedily in id order; the rest of
+    the set are then loops.  A cycle of G/K is balanced exactly when it is
+    the image B - K of a balanced cycle B, so no cycle is enumerated.  The
+    remaining loops are processed in id order: balanced loops are deleted,
+    unbalanced ones contracted as joints.  Tracks whether the result is a
+    link minor (no joint was contracted).
     """
     contract = set(contract)
     delete = set(delete)
@@ -267,7 +269,7 @@ def biased_minor(omega, contract, delete, check=True):
     for e in contract | delete:
         g._check_edge(e)
 
-    K, _ = g.acyclic_contraction_form(contract, ())
+    K = frozenset(g.spanning_forest(contract))
     gg, total_vmap, total_emap = g.minor(K, delete)
     balanced = set()
     for c in omega.balanced:
@@ -570,22 +572,10 @@ def fat_theta_parts(omega):
     g = omega.graph
     if any(g.is_loop(e) for e in range(g.m)):
         return None
+    comps = g.components((x, y))
+    comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
+    npieces = len(comps)
     piece_of = {}
-    npieces = 0
-    comp_of = {}
-    for s in range(g.n):
-        if s in (x, y) or s in comp_of:
-            continue
-        stack = [s]
-        comp_of[s] = npieces
-        while stack:
-            v = stack.pop()
-            for e in g.incident_edges(v):
-                w = g.other_end(e, v)
-                if w not in (x, y) and w not in comp_of:
-                    comp_of[w] = npieces
-                    stack.append(w)
-        npieces += 1
     for e in range(g.m):
         u, v = g.endpoints(e)
         if {u, v} == {x, y}:
@@ -680,19 +670,20 @@ class MinorRecipe:
     iso: tuple = None  # (vertex permutation, edge map) minor -> pattern
 
 
-def find_link_minor(omega, pattern, max_vertices=10, max_edges=20):
+def find_link_minor(omega, pattern):
     """Search for a link minor of `omega` isomorphic to `pattern` up to
     isolated vertices.  Contractions range over forests of links (the
-    acyclic-contraction normal form).  Returns a MinorRecipe or None."""
+    acyclic-contraction normal form).  Returns a MinorRecipe or None; a
+    host larger than LINK_MINOR_BOUND raises BoundExceeded."""
     g = omega.graph
-    if g.n > max_vertices or g.m > max_edges:
+    if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:
         raise BoundExceeded("link-minor search bound exceeded")
     for K, D, _, iso in link_minors(omega, pattern):
         return MinorRecipe(K, D, iso)
     return None
 
 
-def find_biased_subdivision(omega, pattern, max_vertices=12, max_edges=24):
+def find_biased_subdivision(omega, pattern):
     """Find a subgraph of `omega` that is a subdivision of the biased graph
     `pattern` (bias transported along the subdivision).  Returns the first
     such Embedding of `iter_subdivisions` or None.
@@ -712,6 +703,6 @@ def find_biased_subdivision(omega, pattern, max_vertices=12, max_edges=24):
                 return False
         return True
 
-    for emb in iter_subdivisions(omega.graph, pattern.graph, max_vertices, max_edges, accept):
+    for emb in iter_subdivisions(omega.graph, pattern.graph, accept):
         return emb
     return None

@@ -78,7 +78,7 @@ def frame_matrix(gg):
     return CanonicalForm(FRAME, gg, mat, g.edges)
 
 
-def complete_lift_matrix(gg, joint_name="e0"):
+def complete_lift_matrix(gg):
     """Canonical complete lift matrix of an F^+ gain graph (extra row v0,
     extra column e0)."""
     if not isinstance(gg.group, AdditiveGroup):
@@ -100,7 +100,7 @@ def complete_lift_matrix(gg, joint_name="e0"):
         f,
         rows,
         tuple(g.vertex_names) + ("v0",),
-        tuple(g.edge_names) + (joint_name,),
+        tuple(g.edge_names) + ("e0",),
     )
     return CanonicalForm(COMPLETE_LIFT, gg, mat, g.edges)
 
@@ -168,19 +168,7 @@ def delta_y_matrix(A, triangle_cols):
     coef = f.neg(f.div(alpha, beta))
     t2[0] = coef
     t2[2] = f.neg(coef)
-    targets = [t1, t2]
-    for _ in range(2, n):
-        chosen = None
-        for s in range(n):
-            t = [f.zero] * n
-            t[s] = f.one
-            if rank_of_columns(f, targets + [t]) == len(targets) + 1:
-                chosen = t
-                break
-        if chosen is None:
-            raise NotTriangle("could not complete the target basis")
-        targets.append(chosen)
-    Tmat = FieldMatrix(f, [[targets[j][i] for j in range(n)] for i in range(n)])
+    Tmat = _std_basis_completion(f, [t1, t2], n)
     E0 = Tmat.mul(invert(base))
     invert(E0)  # must be a genuine row transform
     EA = E0.mul(FieldMatrix(f, A.rows))
@@ -286,23 +274,9 @@ def y_delta_matrix(A, triad_cols):
     t3 = [f.zero] * n
     t3[2] = f.one
     t3[0] = f.neg(f.one)
-    targets = [t1, t2, t3]
-    for _ in comp:
-        chosen = None
-        for s in range(n):
-            if s == center:
-                continue
-            t = [f.zero] * n
-            t[s] = f.one
-            if rank_of_columns(f, targets + [t]) == len(targets) + 1:
-                chosen = t
-                break
-        if chosen is None:
-            raise NotTriad("could not complete the target basis off the centre row")
-        targets.append(chosen)
-    if len(targets) != n:
-        raise NotTriad("row-count bookkeeping failed")
-    Tmat = FieldMatrix(f, [[targets[j][i] for j in range(n)] for i in range(n)])
+    # the completion takes e1 first, which puts e_center in the span, so it
+    # never uses the centre row
+    Tmat = _std_basis_completion(f, [t1, t2, t3], n)
     E0 = Tmat.mul(invert(base))
     invert(E0)  # must be a genuine row transform
     EA = E0.mul(FieldMatrix(f, A.rows))

@@ -28,7 +28,7 @@ from .bias import (
     theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
-from .graph import MultiGraph, edge_bijections, graph_isomorphisms
+from .graph import MultiGraph, edge_bijections, graph_isomorphisms, parallel_classes
 
 
 @dataclass(frozen=True)
@@ -77,26 +77,21 @@ def graph_prism():
 
 # -- bias-set enumeration and classification ------------------------------------
 
-def theta_closed_subsets(g, candidate_cycles=None):
-    """All subsets of the candidate cycles (default: every cycle of g) that
-    satisfy the theta property, as frozensets of edge sets, sorted by
-    (size, tuple of candidate indices).
+def theta_closed_subsets(g):
+    """All sets of cycles of g that satisfy the theta property, as
+    frozensets of edge sets, sorted by (size, tuple of indices in
+    g.cycles()).
 
-    Backtracking decides the candidates in index order.  A theta is checked
-    (not exactly two of its cycles balanced; cycles outside the pool count
-    as unbalanced) as soon as its last pool cycle has been decided, so no
-    violating prefix is extended."""
-    if candidate_cycles is None:
-        pool = [frozenset(c.edges) for c in g.cycles()]
-    else:
-        pool = [frozenset(c) for c in candidate_cycles]
+    Backtracking decides the cycles in index order.  A theta is checked
+    (not exactly two of its cycles balanced) as soon as its last cycle has
+    been decided, so no violating prefix is extended."""
+    pool = [frozenset(c.edges) for c in g.cycles()]
     index = {c: i for i, c in enumerate(pool)}
-    # checks[i]: pool-index masks of the thetas whose last pool cycle is i
+    # checks[i]: index masks of the thetas whose last cycle is i
     checks = [[] for _ in pool]
     for _, inside in theta_subgraphs(g):
-        idx = [index[c] for c in inside if c in index]
-        if idx:
-            checks[max(idx)].append(sum(1 << i for i in idx))
+        idx = [index[c] for c in inside]
+        checks[max(idx)].append(sum(1 << i for i in idx))
     found = []
 
     def extend(i, mask):
@@ -113,19 +108,12 @@ def theta_closed_subsets(g, candidate_cycles=None):
     return [frozenset(pool[i] for i in idx) for idx in chosen]
 
 
-def iso_classes(g, bias_sets):
-    """Group bias sets on a fixed graph into biased-isomorphism classes;
-    returns one representative per class (first in input order)."""
-    reps = []
-    for bal in bias_sets:
-        om = BiasedGraph(g, bal, check=False)
-        if not any(biased_isomorphic(om, r) for r in reps):
-            reps.append(om)
-    return reps
-
-
 def _count_by_length(om, length):
     return sum(1 for c in om.balanced if len(c) == length)
+
+
+def _no_balanced_2_cycle(om):
+    return _count_by_length(om, 2) == 0
 
 
 _CACHE = {}
@@ -141,8 +129,7 @@ def classify_k4():
     """The seven biased K_4's D_{t,q} (the Seven Dwarves)."""
 
     def build():
-        g = graph_k4()
-        reps = iso_classes(g, theta_closed_subsets(g))
+        reps = bias_sets_up_to_aut(graph_k4())
         assert len(reps) == 7, "expected seven biased K4's, got %d" % len(reps)
         named = []
         for om in reps:
@@ -172,9 +159,7 @@ def classify_2c3_proper():
     split by their Delta-images: Delta(T_2') ~ D_{1,0}, Delta(T_2) ~ D_{0,1}."""
 
     def build():
-        g = graph_2c3()
-        triangles = [frozenset(c.edges) for c in g.cycles() if len(c) == 3]
-        reps = iso_classes(g, theta_closed_subsets(g, triangles))
+        reps = bias_sets_up_to_aut(graph_2c3(), _no_balanced_2_cycle)
         assert len(reps) == 6, "expected six proper biased 2C3's, got %d" % len(reps)
         named = []
         d10 = dwarf("D_{1,0}").omega
@@ -207,9 +192,7 @@ def classify_tube_proper():
     their balanced quadrilateral count."""
 
     def build():
-        g = graph_tube()
-        quads = [frozenset(c.edges) for c in g.cycles() if len(c) == 4]
-        reps = iso_classes(g, theta_closed_subsets(g, quads))
+        reps = bias_sets_up_to_aut(graph_tube(), _no_balanced_2_cycle)
         assert len(reps) == 3, "expected three proper tubes, got %d" % len(reps)
         named = [
             NamedBiasedGraph("B_%d" % _count_by_length(om, 4), om, "biased tube")
@@ -321,31 +304,27 @@ def contracted_tube(name):
     raise BmlabError("no contracted tube named %s" % name)
 
 
-def fat_theta(parts, hubs=None):
+def fat_theta(parts):
     """Glue biased subgraphs along two hub vertices.
 
-    parts: list of MultiGraphs; hubs: list of (x_i, y_i) per part (default
-    (0, 1)).  All x_i are identified to one hub, all y_i to the other, and
-    the balanced cycles are exactly the cycles lying within a single part.
+    parts: list of MultiGraphs, each with its hubs at vertices 0 and 1.
+    All vertices 0 are identified to one hub, all vertices 1 to the other,
+    and the balanced cycles are exactly the cycles lying within a single
+    part.
     """
     if len(parts) < 2:
         raise BadGlue("need at least two parts")
-    if hubs is None:
-        hubs = [(0, 1)] * len(parts)
     n = 2
     edges = []
     names = []
     part_edge_sets = []
-    for k, (g, (x, y)) in enumerate(zip(parts, hubs)):
-        if x == y or not (0 <= x < g.n and 0 <= y < g.n):
+    for k, g in enumerate(parts):
+        if g.n < 2:
             raise BadGlue("hub vertices must be two distinct vertices of the part")
-        vmap = {}
-        vmap[x] = 0
-        vmap[y] = 1
-        for v in range(g.n):
-            if v not in (x, y):
-                vmap[v] = n
-                n += 1
+        vmap = {0: 0, 1: 1}
+        for v in range(2, g.n):
+            vmap[v] = n
+            n += 1
         ids = []
         for e, (u, v) in enumerate(g.edges):
             ids.append(len(edges))
@@ -494,10 +473,7 @@ def automorphism_generators(g):
     for perm in graph_isomorphisms(g, g):
         emap = next(edge_bijections(g, g, perm))
         gens.append(tuple(emap[e] for e in identity))
-    classes = {}
-    for e, (u, v) in enumerate(g.edges):
-        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
-    for es in classes.values():
+    for es in parallel_classes(g).values():
         for a, b in zip(es, es[1:]):
             t = list(identity)
             t[a], t[b] = b, a

@@ -58,8 +58,14 @@ def bounds_scale():
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise ParseError("cannot read %s: %s" % (path, reason))
 
 
 def _emit(payload, as_json, text=None):

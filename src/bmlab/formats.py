@@ -80,6 +80,8 @@ def parse_graph(text):
             if len(parts) != 2:
                 raise ParseError("vertices takes one argument", i)
             n = _int(parts[1], "vertex count", i)
+            if n < 0:
+                raise ParseError("vertex count must be >= 0, got %d" % n, i)
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise ParseError("edge takes name u v", i)
@@ -256,10 +258,12 @@ def parse_matroid(text, base_dir="."):
             raise ParseError("kind must be frame, lift or lift0")
         path, i = source
         try:
-            with open(os.path.join(base_dir, path)) as fh:
+            with open(os.path.join(base_dir, path), encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ParseError("cannot read source %r: %s" % (path, exc.strerror), i)
+        except UnicodeDecodeError:
+            raise ParseError("cannot read source %r: not UTF-8 text" % (path,), i)
         om = parse_biased_graph(text)
         if kind == "frame":
             return frame_matroid(om)

@@ -21,6 +21,8 @@ from .errors import (
 )
 from .fields import gf
 
+AXIOM_CHECK_ORDER = 257
+
 
 class GainGroup:
     """Shared interface: identity, op, inv, elements, deterministic order."""
@@ -151,10 +153,11 @@ class CyclicGroup(GainGroup):
         return ("zn", self.n)
 
 
-def group_axioms_hold(group, max_order=257):
-    """Exhaustive associativity/identity/inverse/commutativity check."""
+def group_axioms_hold(group):
+    """Exhaustive associativity/identity/inverse/commutativity check, for
+    groups of order at most AXIOM_CHECK_ORDER."""
     els = group.elements
-    if len(els) > max_order:
+    if len(els) > AXIOM_CHECK_ORDER:
         raise BmlabError("group too large for exhaustive axiom check")
     e = group.identity
     for a in els:
@@ -220,10 +223,10 @@ def _compose(gg, walk):
     return out
 
 
-def induced_bias(gg, max_edges=24):
+def induced_bias(gg):
     """The biased graph (G, B_phi): balanced = identity-gain cycles."""
     balanced = set()
-    for c in gg.graph.cycles(max_edges):
+    for c in gg.graph.cycles():
         if cycle_gain(gg, c) == gg.group.identity:
             balanced.add(frozenset(c.edges))
     return BiasedGraph(gg.graph, balanced, check=False)
@@ -267,11 +270,9 @@ def normalize(gg, forest=None):
     with switch(gg, eta) equal to the result; eta is the identity on the
     smallest vertex of each component."""
     g = gg.graph
-    if forest is None:
-        forest = g.spanning_forest()
-    forest = frozenset(forest)
-    expected = frozenset(g.spanning_forest())
-    if len(forest) != len(expected) or not g.is_forest_edge_set(forest):
+    maximal = g.spanning_forest()
+    forest = frozenset(maximal if forest is None else forest)
+    if len(forest) != len(maximal) or len(g.spanning_forest(forest)) != len(forest):
         raise NotMaximalForest("edge set is not a maximal forest")
     group = gg.group
     eta = {}
@@ -340,10 +341,11 @@ def switching_scaling_equivalent(gg1, gg2):
 def induced_gain(gg, contract, delete):
     """Induced gains on a minor, following the section-2 semantics.
 
-    The links of the contraction set are contracted first, as the forest K
-    picked greedily in id order: one switching makes every edge of K
-    identity and one minor contracts K and deletes the deletion set.  The
-    rest of the contraction set are then loops, processed in id order:
+    The links of the contraction set are contracted first, as the forest
+    K = spanning_forest(contract) picked greedily in id order: one
+    switching makes every edge of K identity and one minor contracts K and
+    deletes the deletion set.  The rest of the contraction set are then
+    loops, processed in id order:
     identity loops are deleted, the others contracted as joints (links at
     the joint's vertex become joints at their other endpoint with the
     smallest non-identity gain, loops there get identity gain).
@@ -361,7 +363,7 @@ def induced_gain(gg, contract, delete):
     # switch K's links to identity gain in id order; eta changes by one
     # factor on all of v's class (the vertices K's earlier links joined to
     # v), so those earlier links keep identity gain
-    K, _ = g.acyclic_contraction_form(contract, ())
+    K = frozenset(g.spanning_forest(contract))
     eta = [group.identity] * g.n
     comp = list(range(g.n))
     for e in sorted(K):
@@ -404,14 +406,12 @@ def induced_gain(gg, contract, delete):
 
 # -- enumeration helpers -------------------------------------------------------
 
-def normalized_gain_functions(graph, group, forest=None):
-    """All gain functions that are identity on the given maximal forest.
+def normalized_gain_functions(graph, group):
+    """All gain functions that are identity on the spanning forest.
 
     One per switching class on a connected graph (P:NormalizationUnique).
     Loops are free like any non-forest edge."""
-    if forest is None:
-        forest = graph.spanning_forest()
-    forest = frozenset(forest)
+    forest = frozenset(graph.spanning_forest())
     free = [e for e in range(graph.m) if e not in forest]
     for values in product(group.elements, repeat=len(free)):
         gains = {e: group.identity for e in forest}
@@ -419,7 +419,7 @@ def normalized_gain_functions(graph, group, forest=None):
         yield GainGraph(graph, group, gains)
 
 
-def realizations(omega, group, forest=None):
+def realizations(omega, group):
     """Normalized realizations of a biased graph over a group (exhaustive):
     the gain functions gg with induced_bias(gg).balanced == omega.balanced,
     in the order normalized_gain_functions yields them.
@@ -428,12 +428,10 @@ def realizations(omega, group, forest=None):
     and each cycle is checked as soon as its last free edge has one, so a
     branch stops at its first cycle whose gain disagrees with omega's bias."""
     g = omega.graph
-    cycles = g.cycles(24)
+    cycles = g.cycles()
     if sum(c.edges in omega.balanced for c in cycles) != len(omega.balanced):
         return []  # some balanced set is not a cycle that induced_bias lists
-    if forest is None:
-        forest = g.spanning_forest()
-    forest = frozenset(forest)
+    forest = frozenset(g.spanning_forest())
     free = [e for e in range(g.m) if e not in forest]
     slot = {e: k for k, e in enumerate(free)}
     els = group.elements

@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 
 from .errors import BoundExceeded, NotACycle, NotAWalk, UnknownEdge
 
-DEFAULT_CYCLE_EDGE_BOUND = 24
-DEFAULT_SUBDIVISION_BOUND = (12, 24)  # host vertices, host edges
+CYCLE_EDGE_BOUND = 24
+SUBDIVISION_BOUND = (12, 24)  # host vertices, host edges
 
 
 def find(parent, x):
@@ -43,6 +43,8 @@ class MultiGraph:
 
     def __init__(self, n, edges, edge_names=None, vertex_names=None):
         self.n = int(n)
+        if self.n < 0:
+            raise ValueError("vertex count must be >= 0, got %d" % self.n)
         self.edges = tuple((int(u), int(v)) for (u, v) in edges)
         self.m = len(self.edges)
         for (u, v) in self.edges:
@@ -168,9 +170,12 @@ class MultiGraph:
             comps.setdefault(r, []).append(e)
         return [frozenset(es) for _, es in sorted(comps.items())]
 
-    def components(self):
-        """Vertex sets of connected components (isolated vertices included)."""
+    def components(self, avoid=()):
+        """Vertex sets of the connected components of G - avoid (isolated
+        vertices included), ordered by least vertex."""
         seen = [False] * self.n
+        for v in avoid:
+            seen[v] = True
         out = []
         for s in range(self.n):
             if seen[s]:
@@ -192,26 +197,19 @@ class MultiGraph:
     def is_connected(self):
         return len(self.components()) <= 1
 
-    def spanning_forest(self):
-        """Maximal forest as a sorted tuple of edge ids (Kruskal, id order)."""
+    def spanning_forest(self, edge_ids=None):
+        """The forest that Kruskal grows greedily from the edges (all of
+        them when edge_ids is omitted) in id order, as a sorted tuple of
+        edge ids: a maximal forest of G restricted to those edges."""
         parent = list(range(self.n))
         forest = []
-        for e, (u, v) in enumerate(self.edges):
+        for e in range(self.m) if edge_ids is None else sorted(edge_ids):
+            u, v = self.edges[e]
             ru, rv = find(parent, u), find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 forest.append(e)
         return tuple(forest)
-
-    def is_forest_edge_set(self, edge_ids):
-        parent = list(range(self.n))
-        for e in edge_ids:
-            u, v = self.edges[e]
-            ru, rv = find(parent, u), find(parent, v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
 
     def link_forests(self, max_size=None):
         """All forests of links (acyclic edge sets, the empty one included)
@@ -233,16 +231,17 @@ class MultiGraph:
         return out
 
     # -- cycles ----------------------------------------------------------
-    def cycles(self, max_edges=DEFAULT_CYCLE_EDGE_BOUND):
+    def cycles(self):
         """All cycles, each once, sorted by (length, edge ids).
 
         A cycle is a connected 2-regular subgraph; loops are length-1 cycles.
         Enumeration is by backtracking over simple paths anchored at the
-        smallest vertex of the cycle.
+        smallest vertex of the cycle.  Graphs with more than
+        CYCLE_EDGE_BOUND edges raise BoundExceeded.
         """
-        if self.m > max_edges:
+        if self.m > CYCLE_EDGE_BOUND:
             raise BoundExceeded(
-                "cycle enumeration bound %d edges exceeded (%d)" % (max_edges, self.m)
+                "cycle enumeration bound %d edges exceeded (%d)" % (CYCLE_EDGE_BOUND, self.m)
             )
         if self._cycles is not None:
             return self._cycles
@@ -305,49 +304,23 @@ class MultiGraph:
             )
             if len(comps) <= 1 and complete and self.n >= 1:
                 return True, None
-            return False, self._any_vertical_separation(k)
         if len(comps) > 1:
-            return False, self._any_vertical_separation(k)
+            withedges = [c for c in comps if any(self._incident[v] for v in c)]
+            if len(withedges) < 2:
+                return False, None
+            a = {e for v in withedges[0] for e in self._incident[v]}
+            return False, (self.names_of(a), self.names_of(set(range(self.m)) - a))
         for r in range(1, k):
             sep = self._vertical_separation(r)
             if sep is not None:
                 return False, sep
-        return True, None
-
-    def _any_vertical_separation(self, k):
-        if len(self.components()) > 1:
-            withedges = [c for c in self.components() if any(self._incident[v] for v in c)]
-            if len(withedges) >= 2:
-                a = {e for v in withedges[0] for e in self._incident[v]}
-                b = set(range(self.m)) - a
-                if b:
-                    return (self.names_of(a), self.names_of(b))
-            return None
-        for r in range(1, k):
-            sep = self._vertical_separation(r)
-            if sep is not None:
-                return sep
-        return None
+        return self.n >= k + 2, None
 
     def _vertical_separation(self, r):
         for S in combinations(range(self.n), r):
-            Sset = set(S)
-            # components of G - S
-            comp_of = {}
-            cid = 0
-            for s in range(self.n):
-                if s in Sset or s in comp_of:
-                    continue
-                stack = [s]
-                comp_of[s] = cid
-                while stack:
-                    v = stack.pop()
-                    for e in self._incident[v]:
-                        w = self.other_end(e, v)
-                        if w not in Sset and w not in comp_of:
-                            comp_of[w] = cid
-                            stack.append(w)
-                cid += 1
+            comps = self.components(S)
+            comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
+            cid = len(comps)
             edges_of_comp = [[] for _ in range(cid)]
             flexible = []
             for e, (u, v) in enumerate(self.edges):
@@ -446,23 +419,6 @@ class MultiGraph:
             new_names.append(self.edge_names[f])
         return MultiGraph(self.n, new_edges, new_names, self.vertex_names), emap
 
-    def acyclic_contraction_form(self, contract, delete):
-        """Normalize (K, D) so that K is a maximal forest of G|K."""
-        contract = frozenset(contract)
-        delete = frozenset(delete)
-        parent = list(range(self.n))
-        keep = []
-        moved = []
-        for e in sorted(contract):
-            u, v = self.edges[e]
-            ru, rv = find(parent, u), find(parent, v)
-            if ru == rv:
-                moved.append(e)
-            else:
-                parent[ru] = rv
-                keep.append(e)
-        return frozenset(keep), delete | frozenset(moved)
-
     def drop_isolated(self):
         """Delete isolated vertices; returns (graph, vertex_map)."""
         used = sorted(self.vertices_of(range(self.m)))
@@ -537,14 +493,7 @@ class Embedding:
         return frozenset(out)
 
 
-def find_subdivision(host, pattern, max_vertices=None, max_edges=None):
-    """First embedding of a subdivision of `pattern` inside `host`, or None."""
-    for emb in iter_subdivisions(host, pattern, max_vertices, max_edges):
-        return emb
-    return None
-
-
-def iter_subdivisions(host, pattern, max_vertices=None, max_edges=None, accept=None):
+def iter_subdivisions(host, pattern, accept=None):
     """Generate embeddings of subdivisions of `pattern` in `host`.
 
     Pattern must be loopless.  Branch vertices are distinct host vertices;
@@ -553,13 +502,10 @@ def iter_subdivisions(host, pattern, max_vertices=None, max_edges=None, accept=N
     increasing id order.  If given, `accept(e, edge_paths)` is called as
     soon as the path of pattern edge e is placed (`edge_paths` maps every
     placed pattern edge to its host path); when it returns False, no
-    embedding extending that placement is generated.
+    embedding extending that placement is generated.  A host larger than
+    SUBDIVISION_BOUND raises BoundExceeded.
     """
-    if max_vertices is None:
-        max_vertices = DEFAULT_SUBDIVISION_BOUND[0]
-    if max_edges is None:
-        max_edges = DEFAULT_SUBDIVISION_BOUND[1]
-    if host.n > max_vertices or host.m > max_edges:
+    if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
         raise BoundExceeded("subdivision host exceeds bound")
     if any(pattern.is_loop(e) for e in range(pattern.m)):
         raise ValueError("loop patterns are not supported")
@@ -633,6 +579,14 @@ def iter_subdivisions(host, pattern, max_vertices=None, max_edges=None, accept=N
 
 # -- isomorphism -------------------------------------------------------------
 
+def parallel_classes(g):
+    """Edge ids grouped by unordered endpoint pair, each group in id order."""
+    classes = {}
+    for e, (u, v) in enumerate(g.edges):
+        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
+    return classes
+
+
 def _adjacency_profile(g, v):
     mult = {}
     loops = 0
@@ -654,14 +608,7 @@ def graph_isomorphisms(g, h):
     ):
         return
 
-    def mult_table(x):
-        t = {}
-        for e, (u, v) in enumerate(x.edges):
-            key = (u, v) if u <= v else (v, u)
-            t.setdefault(key, []).append(e)
-        return t
-
-    gm, hm = mult_table(g), mult_table(h)
+    gm, hm = parallel_classes(g), parallel_classes(h)
     profile_g = {v: _adjacency_profile(g, v) for v in range(g.n)}
     profile_h = {v: _adjacency_profile(h, v) for v in range(h.n)}
     for perm in permutations(range(h.n)):
@@ -684,14 +631,7 @@ def graph_isomorphisms(g, h):
 
 def edge_bijections(g, h, perm):
     """Generate edge bijections compatible with a vertex bijection."""
-    gm = {}
-    for e, (u, v) in enumerate(g.edges):
-        key = (u, v) if u <= v else (v, u)
-        gm.setdefault(key, []).append(e)
-    hm = {}
-    for e, (u, v) in enumerate(h.edges):
-        key = (u, v) if u <= v else (v, u)
-        hm.setdefault(key, []).append(e)
+    gm, hm = parallel_classes(g), parallel_classes(h)
     keys = sorted(gm)
     target = []
     for key in keys:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from .errors import ColumnLabelMismatch, GroundSetMismatch
 from .matroid import MatroidOracle
 
+VECTOR_MATROID_COLUMNS = 20
+
 
 class FieldMatrix:
     """Immutable rectangular matrix with row and column labels."""
@@ -196,10 +198,10 @@ def left_null_space(A):
     return [tuple(E.rows[i]) for i in range(r, A.nrows)]
 
 
-def vector_matroid(A, max_cols=20):
+def vector_matroid(A):
     """Column matroid: rank of a subset = rank of its column submatrix."""
-    if A.ncols > max_cols:
-        raise GroundSetMismatch("vector matroid capped at %d columns" % max_cols)
+    if A.ncols > VECTOR_MATROID_COLUMNS:
+        raise GroundSetMismatch("vector matroid capped at %d columns" % VECTOR_MATROID_COLUMNS)
     cols = A.columns()
     f = A.field
 
@@ -259,11 +261,40 @@ class ProjWitness:
         return self.T.mul(A).mul(self.S).equal_entries(B)
 
 
+def _scaling_normal_form(f, rows, ncols):
+    """Row and column scales (d1, d2) that make d1[i] * rows[i][j] * d2[j]
+    equal to 1 on a spanning forest of the bipartite row-column support
+    graph.  The forest is grown depth-first from the first row of each
+    component, whose scale is 1; a column with no support has scale 1."""
+    z = f.zero
+    d1 = [None] * len(rows)
+    d2 = [None] * ncols
+    for start in range(len(rows)):
+        if d1[start] is not None:
+            continue
+        d1[start] = f.one
+        stack = [("r", start)]
+        while stack:
+            kind, idx = stack.pop()
+            if kind == "r":
+                for j in range(ncols):
+                    if rows[idx][j] != z and d2[j] is None:
+                        d2[j] = f.inv(f.mul(d1[idx], rows[idx][j]))
+                        stack.append(("c", j))
+            else:
+                for i in range(len(rows)):
+                    if rows[i][idx] != z and d1[i] is None:
+                        d1[i] = f.inv(f.mul(rows[i][idx], d2[idx]))
+                        stack.append(("r", i))
+    return d1, [f.one if d is None else d for d in d2]
+
+
 def diagonally_equivalent(A, B):
     """Nonsingular diagonal D1, D2 with D1*A*D2 = B, or None.
 
-    Supports must match; scales are fixed along a spanning forest of the
-    bipartite row-column support graph, then all entries are verified."""
+    Supports must match; then both matrices have the same scaling normal
+    form forest, and D1, D2 are the quotients of their scales (1 on the
+    first row of each component), checked on every entry."""
     if (A.nrows, A.ncols) != (B.nrows, B.ncols):
         return None
     f = A.field
@@ -272,33 +303,10 @@ def diagonally_equivalent(A, B):
         for j in range(A.ncols):
             if (A.rows[i][j] == z) != (B.rows[i][j] == z):
                 return None
-    d1 = [None] * A.nrows
-    d2 = [None] * A.ncols
-    for start_row in range(A.nrows):
-        if d1[start_row] is not None:
-            continue
-        d1[start_row] = f.one
-        stack = [("r", start_row)]
-        while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for j in range(A.ncols):
-                    if A.rows[idx][j] != z and d2[j] is None:
-                        # d1[idx] * a * d2[j] = b
-                        d2[j] = f.div(
-                            B.rows[idx][j], f.mul(d1[idx], A.rows[idx][j])
-                        )
-                        stack.append(("c", j))
-            else:
-                for i in range(A.nrows):
-                    if A.rows[i][idx] != z and d1[i] is None:
-                        d1[i] = f.div(
-                            B.rows[i][idx], f.mul(A.rows[i][idx], d2[idx])
-                        )
-                        stack.append(("r", i))
-    for j in range(A.ncols):
-        if d2[j] is None:
-            d2[j] = f.one
+    a1, a2 = _scaling_normal_form(f, A.rows, A.ncols)
+    b1, b2 = _scaling_normal_form(f, B.rows, B.ncols)
+    d1 = [f.div(a, b) for a, b in zip(a1, b1)]
+    d2 = [f.div(a, b) for a, b in zip(a2, b2)]
     for i in range(A.nrows):
         for j in range(A.ncols):
             if f.mul(d1[i], f.mul(A.rows[i][j], d2[j])) != B.rows[i][j]:
@@ -381,32 +389,9 @@ def projective_key(A):
         return ("zero", A.nrows)
     RA, _, piv = rref(A)
     r = len(piv)
-    rows = [RA.rows[i] for i in range(r)]
-    # diagonal normal form: scale rows then columns along a forest
-    z = f.zero
+    rows = RA.rows[:r]
     m = A.ncols
-    d1 = [None] * r
-    d2 = [None] * m
-    for start in range(r):
-        if d1[start] is not None:
-            continue
-        d1[start] = f.one
-        stack = [("r", start)]
-        while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for j in range(m):
-                    if rows[idx][j] != z and d2[j] is None:
-                        d2[j] = f.inv(f.mul(d1[idx], rows[idx][j]))
-                        stack.append(("c", j))
-            else:
-                for i in range(r):
-                    if rows[i][idx] != z and d1[i] is None:
-                        d1[i] = f.inv(f.mul(rows[i][idx], d2[idx]))
-                        stack.append(("r", i))
-    for j in range(m):
-        if d2[j] is None:
-            d2[j] = f.one
+    d1, d2 = _scaling_normal_form(f, rows, m)
     normal = tuple(
         tuple(f.mul(d1[i], f.mul(rows[i][j], d2[j])) for j in range(m))
         for i in range(r)

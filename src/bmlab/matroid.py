@@ -14,6 +14,7 @@ from .graph import MultiGraph, find
 
 CIRCUIT_BOUND = 14
 EQUALITY_BOUND = 20
+AXIOM_CHECK_BOUND = 12
 
 
 class MatroidOracle:
@@ -60,10 +61,10 @@ class MatroidOracle:
     def is_independent_mask(self, mask):
         return self.rank_mask(mask) == bin(mask).count("1")
 
-    def circuits(self, max_elements=CIRCUIT_BOUND):
+    def circuits(self):
         """Minimal dependent sets, as sorted label tuples."""
         n = self.size
-        if n > max_elements:
+        if n > CIRCUIT_BOUND:
             raise BoundExceeded("circuit listing bound exceeded")
         circuits = []
         circuit_masks = []
@@ -114,11 +115,11 @@ class MatroidOracle:
 
         return MatroidOracle([self.labels[i] for i in keep], fn, self.name + "/")
 
-    def rank_axiom_violation(self, max_elements=12):
+    def rank_axiom_violation(self):
         """Check normalization, unit increase, submodularity on all subsets;
         returns a description of the first violation or None."""
         n = self.size
-        if n > max_elements:
+        if n > AXIOM_CHECK_BOUND:
             raise BoundExceeded("rank axiom check bound exceeded")
         if self.rank_mask(0) != 0:
             return "r(empty) != 0"
@@ -155,14 +156,14 @@ class MatroidOracle:
         return None
 
 
-def matroids_equal(m1, m2, max_elements=EQUALITY_BOUND):
+def matroids_equal(m1, m2):
     """(True, None) if equal on all subsets, else (False, distinguishing
     subset as label tuple).  Ground sets must carry the same labels in the
     same order."""
     if m1.labels != m2.labels:
         raise GroundSetMismatch("oracles must share the ordered ground set")
     n = m1.size
-    if n > max_elements:
+    if n > EQUALITY_BOUND:
         raise BoundExceeded("matroid equality bound exceeded")
     for mask in range(1 << n):
         if m1.rank_mask(mask) != m2.rank_mask(mask):

@@ -410,7 +410,7 @@ def _links_only(gg):
 
 # -- section 4.2: all representations are canonical --------------------------------
 
-def _allreps(named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
+def _allreps(named_graphs, q, expect_kinds=("frame", "lift")):
     """Enumerate all representations of F(omega); every class must
     canonicalize, and the class count must equal the independent count of
     gain-function classes (switching for frame, switching-and-scaling for
@@ -421,7 +421,7 @@ def _allreps(named_graphs, q, expect_kinds=("frame", "lift"), hint=None):
         om = nb.omega
         FO = frame_matroid(om)
         LO = lift_matroid(om)
-        classes = enumerate_representations(FO, q, biased_graph=om, hint=hint)
+        classes = enumerate_representations(FO, q, biased_graph=om)
         n_frame = len(realizations(om, MultiplicativeGroup(q)))
         lift_represents = matroids_equal(FO, LO)[0]
         n_lift = (

@@ -47,10 +47,10 @@ def test_k4_has_six_thetas():
     assert len(theta_subgraphs(k4())) == 6
 
 
-def _theta_subgraphs_oracle(g, max_edges=24):
+def _theta_subgraphs_oracle(g):
     """The listing that scanned every cycle for each candidate union and
     tested it for connectivity (the oracle for the degree test)."""
-    masks = [frozenset(c.edges) for c in g.cycles(max_edges)]
+    masks = [frozenset(c.edges) for c in g.cycles()]
     seen = set()
     out = []
     for i, j in combinations(range(len(masks)), 2):
@@ -106,15 +106,15 @@ def test_constructor_rejects_violations():
         BiasedGraph(k4(), tris[:2])
 
 
-def _check_theta_property_oracle(g, balanced, max_edges=24):
+def _check_theta_property_oracle(g, balanced):
     """The listing check that the balanced-pair walk replaced: the first
     theta of theta_subgraphs with exactly two balanced cycles."""
     balanced = frozenset(frozenset(c) for c in balanced)
-    cycle_sets = {frozenset(c.edges) for c in g.cycles(max_edges)}
+    cycle_sets = {frozenset(c.edges) for c in g.cycles()}
     for c in balanced:
         if c not in cycle_sets:
             raise NotACycle("balanced set member %s is not a cycle" % (sorted(c),))
-    for union, inside in theta_subgraphs(g, max_edges):
+    for union, inside in theta_subgraphs(g):
         if sum(1 for c in inside if c in balanced) == 2:
             return union, inside
     return None
@@ -509,7 +509,7 @@ def test_biased_minor_enumerates_no_cycles(monkeypatch):
     loops = BiasedGraph(MultiGraph(2, [(0, 0), (0, 1), (0, 1), (1, 1)]), [{0}, {1, 2}])
     u2 = catalog.u2().omega
 
-    def no_cycles(self, max_edges=None):
+    def no_cycles(self):
         raise AssertionError("cycles() called")
 
     monkeypatch.setattr(MultiGraph, "cycles", no_cycles)
@@ -689,13 +689,11 @@ def _host_cycle_edges(emb, pattern_cycle_edges):
     return frozenset(out)
 
 
-def _find_biased_subdivision_oracle(omega, pattern, max_vertices=12, max_edges=24):
+def _find_biased_subdivision_oracle(omega, pattern):
     """The search before the early bias checks: every embedding of the
     underlying graphs, filtered afterwards on the bias of each pattern
     cycle."""
-    for emb in iter_subdivisions(
-        omega.graph, pattern.graph, max_vertices, max_edges
-    ):
+    for emb in iter_subdivisions(omega.graph, pattern.graph):
         ok = True
         for c in pattern.graph.cycles():
             host_edges = _host_cycle_edges(emb, c.edges)

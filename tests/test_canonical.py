@@ -383,6 +383,48 @@ def test_y_delta_matrix_lift_d00():
     assert projectively_equivalent(A, back) is not None
 
 
+def _parent_target_basis(f, targets, n, skip=None):
+    """The greedy loop the Delta-Y matrix routines used: append, until there
+    are n, the first standard vector (never e_skip) that raises the rank."""
+    targets = list(targets)
+    for _ in range(len(targets), n):
+        for s in range(n):
+            t = [f.one if k == s else f.zero for k in range(n)]
+            if s != skip and rank_of_columns(f, targets + [t]) == len(targets) + 1:
+                targets.append(t)
+                break
+        else:
+            raise AssertionError("could not complete the target basis")
+    return [[targets[j][i] for j in range(n)] for i in range(n)]
+
+
+def test_std_basis_completion_matches_the_parent_target_loops():
+    compared = 0
+    for q in (2, 3, 4, 5):
+        f = gf(q)
+        one, neg = f.one, f.neg(f.one)
+        for n in range(3, 7):
+            # the Delta-Y template: e1 - e2 and coef * (e1 - e3)
+            for coef in f.nonzero:
+                t1 = [one, neg] + [f.zero] * (n - 2)
+                t2 = [coef, f.zero, f.neg(coef)] + [f.zero] * (n - 3)
+                got = canonical._std_basis_completion(f, [t1, t2], n)
+                assert [list(r) for r in got.rows] == _parent_target_basis(f, [t1, t2], n)
+                compared += 1
+            # the Y-Delta template: e1 - e_centre, e2 - e1, e3 - e1, with
+            # the centre row left out of the old completion
+            c = n - 1
+            t1 = [one] + [f.zero] * (n - 1)
+            t1[c] = f.sub(t1[c], one)
+            t2 = [neg, one] + [f.zero] * (n - 2)
+            t3 = [neg, f.zero, one] + [f.zero] * (n - 3)
+            got = canonical._std_basis_completion(f, [t1, t2, t3], n)
+            want = _parent_target_basis(f, [t1, t2, t3], n, skip=c)
+            assert [list(r) for r in got.rows] == want
+            compared += 1
+    assert compared == 56
+
+
 def test_frame_of_delta_t2_prime_is_frame_of_d10():
     # bias-level exchange then matrix equals matrix-level exchange, up to
     # the matroid

@@ -6,6 +6,7 @@ import pytest
 
 from bmlab import catalog
 from bmlab.bias import (
+    BiasedGraph,
     biased_isomorphic,
     biased_minor,
     check_theta_property,
@@ -143,6 +144,11 @@ def test_fat_theta_balancing_vertices():
 def test_fat_theta_needs_two_parts():
     with pytest.raises(BadGlue):
         catalog.fat_theta([MultiGraph(2, [(0, 1)])])
+
+
+def test_fat_theta_parts_need_two_hub_vertices():
+    with pytest.raises(BadGlue, match="two distinct vertices"):
+        catalog.fat_theta([MultiGraph(2, [(0, 1)]), MultiGraph(1, [(0, 0)])])
 
 
 def test_by_name_unknown():
@@ -356,8 +362,9 @@ def test_multigraph_key_is_a_relabeling_invariant():
 
 
 def _theta_closed_subsets_oracle(g, candidate_cycles=None):
-    """Brute force: every subset of the pool, by size then index tuple,
-    kept when no theta has exactly two of its cycles in it."""
+    """Brute force: every subset of the pool (default: every cycle), by
+    size then index tuple, kept when no theta has exactly two of its cycles
+    in it."""
     if candidate_cycles is None:
         pool = [frozenset(c.edges) for c in g.cycles()]
     else:
@@ -379,16 +386,40 @@ def test_theta_closed_subsets_matches_oracle_on_small_graphs():
         assert catalog.theta_closed_subsets(g) == _theta_closed_subsets_oracle(g)
 
 
-@pytest.mark.parametrize("g,length", [
-    (catalog.graph_k4(), None),
-    (catalog.graph_2c3(), 3),
-    (catalog.graph_tube(), 4),
-], ids=["k4", "2c3-triangles", "tube-quads"])
-def test_theta_closed_subsets_matches_oracle_on_catalog_pools(g, length):
-    pool = None
-    if length is not None:
-        pool = [frozenset(c.edges) for c in g.cycles() if len(c) == length]
-    assert catalog.theta_closed_subsets(g, pool) == _theta_closed_subsets_oracle(g, pool)
+@pytest.mark.parametrize("g", [
+    catalog.graph_k4(), catalog.graph_2c3(), catalog.graph_tube(),
+], ids=["k4", "2c3", "tube"])
+def test_theta_closed_subsets_matches_oracle_on_catalog_pools(g):
+    assert catalog.theta_closed_subsets(g) == _theta_closed_subsets_oracle(g)
+
+
+def _iso_classes(g, bias_sets):
+    """The pairwise classifier that bias_sets_up_to_aut replaced: one
+    representative per biased-isomorphism class, first in input order."""
+    reps = []
+    for bal in bias_sets:
+        om = BiasedGraph(g, bal, check=False)
+        if not any(biased_isomorphic(om, r) for r in reps):
+            reps.append(om)
+    return reps
+
+
+@pytest.mark.parametrize("classify,g,length", [
+    (catalog.classify_k4, catalog.graph_k4(), None),
+    (catalog.classify_2c3_proper, catalog.graph_2c3(), 3),
+    (catalog.classify_tube_proper, catalog.graph_tube(), 4),
+], ids=["k4", "2c3", "tube"])
+def test_classifiers_return_the_pairwise_iso_classes_in_order(classify, g, length):
+    """The classifiers once ran _iso_classes over the theta-closed subsets
+    of all cycles (K_4), of the triangles (2C_3) or of the quadrilaterals
+    (the tube); they now take the orbits of bias_sets_up_to_aut, with no
+    balanced 2-cycle for 2C_3 and the tube."""
+    pool = None if length is None else [c.edges for c in g.cycles() if len(c) == length]
+    want = [om.balanced for om in _iso_classes(g, _theta_closed_subsets_oracle(g, pool))]
+    predicate = None if length is None else catalog._no_balanced_2_cycle
+    got = [om.balanced for om in catalog.bias_sets_up_to_aut(g, predicate)]
+    assert got == want
+    assert {nb.omega.balanced for nb in classify()} == set(want)
 
 
 def graph_automorphism_maps(g):

@@ -5,6 +5,7 @@ import pytest
 from bmlab import catalog, cli, formats, verify
 from bmlab.cli import main
 from bmlab.errors import BoundExceeded
+from bmlab.graph import MultiGraph
 
 
 def write(tmp_path, name, text):
@@ -263,6 +264,44 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, command, text, messa
     assert main([command, path] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{missing}"],
+    ["check-theta", "{missing}"],
+    ["matrix", "frame", "{missing}"],
+    ["proj-equiv", "{missing}", "{missing}"],
+    ["enumerate-reps", "{missing}", "--q", "3"],
+    ["classify", "{dir}"],
+    ["classify", "{binary}"],
+], ids=["classify", "check-theta", "matrix", "proj-equiv", "enumerate-reps", "directory",
+        "binary"])
+def test_unreadable_input_path_is_a_parse_error(tmp_path, capsys, argv):
+    binary = tmp_path / "binary.bg"
+    binary.write_bytes(b"vertices 2\n\xff\n")
+    paths = {"missing": str(tmp_path / "nothere.bg"), "dir": str(tmp_path),
+             "binary": str(binary)}
+    reasons = {"missing": "No such file or directory", "dir": "Is a directory",
+               "binary": "not UTF-8 text"}
+    (key,) = {arg[1:-1] for arg in argv if arg.startswith("{")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: cannot read %s: %s\n" % (paths[key], reasons[key])
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("vertices -2\n", False),
+    ("vertices -1\nedge e1 0 0\n", False),
+    ("vertices 0\n", True),
+])
+def test_vertex_count_must_not_be_negative(tmp_path, capsys, text, ok):
+    assert main(["classify", write(tmp_path, "g.bg", text)]) == (0 if ok else 2)
+    err = capsys.readouterr().err
+    assert err == ("" if ok else "parse error: line 1: vertex count must be >= 0, got %s\n"
+                   % text.split()[1])
+    if not ok:
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            MultiGraph(int(text.split()[1]), [])
 
 
 @pytest.mark.parametrize("command", [["check-theta"], ["classify"], ["rank", "frame"]])

@@ -115,6 +115,12 @@ def test_matroid_from_biased_source(tmp_path):
     assert matroids_equal(M, frame_matroid(om))[0]
 
 
+def test_matroid_source_that_is_not_text_is_a_parse_error(tmp_path):
+    (tmp_path / "bin.bg").write_bytes(b"vertices 2\n\xff\n")
+    with pytest.raises(ParseError, match="line 1: cannot read source 'bin.bg': not UTF-8 text"):
+        formats.parse_matroid("source bin.bg\nkind frame\n", base_dir=str(tmp_path))
+
+
 def test_witness_json_round_trip():
     f = gf(5)
     A = FieldMatrix(f, [[1, 2], [3, 4]], None, ("x", "y"))

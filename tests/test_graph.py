@@ -1,11 +1,19 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from bmlab import catalog
 from bmlab.errors import BoundExceeded, NotACycle
-from bmlab.graph import Cycle, MultiGraph, OrientedEdge, find_subdivision, graph_isomorphisms
+from bmlab.graph import (
+    Cycle,
+    MultiGraph,
+    OrientedEdge,
+    find,
+    graph_isomorphisms,
+    iter_subdivisions,
+)
 
 
 def k4():
@@ -24,7 +32,7 @@ def test_spanning_forest_connected():
     g = two_c3()
     f = g.spanning_forest()
     assert len(f) == g.n - 1
-    assert g.is_forest_edge_set(f)
+    assert g.spanning_forest(f) == f
 
 
 def test_spanning_forest_two_components():
@@ -35,7 +43,7 @@ def test_spanning_forest_two_components():
 
 def test_spanning_forest_k4_is_tree():
     f = k4().spanning_forest()
-    assert len(f) == 3 and k4().is_forest_edge_set(f)
+    assert len(f) == 3 and k4().spanning_forest(f) == f
 
 
 def test_k4_has_seven_cycles():
@@ -100,16 +108,11 @@ def test_cycles_match_every_edge_subset():
 
 
 def test_cycle_bound():
-    g = MultiGraph(2, [(0, 1)] * 5)
-    with pytest.raises(BoundExceeded):
-        g.cycles(max_edges=4)
-
-
-def test_cycle_bound_checked_after_memo():
-    g = MultiGraph(2, [(0, 1)] * 5)
-    assert len(g.cycles()) == 10
-    with pytest.raises(BoundExceeded):
-        g.cycles(max_edges=4)
+    assert len(MultiGraph(2, [(0, 1)] * 24).cycles()) == 276
+    g = MultiGraph(2, [(0, 1)] * 25)
+    for _ in range(2):
+        with pytest.raises(BoundExceeded):
+            g.cycles()
 
 
 def _acyclic_link_subsets(g):
@@ -117,7 +120,7 @@ def _acyclic_link_subsets(g):
     lexicographic order of sorted edge ids."""
     links = [e for e in range(g.m) if not g.is_loop(e)]
     subsets = [c for k in range(len(links) + 1) for c in combinations(links, k)]
-    return [frozenset(c) for c in sorted(subsets) if g.is_forest_edge_set(c)]
+    return [frozenset(c) for c in sorted(subsets) if len(g.spanning_forest(c)) == len(c)]
 
 
 @pytest.mark.parametrize("g", [
@@ -238,10 +241,10 @@ def test_contract_joint_rewrites_links_at_the_loop():
 def test_acyclic_contraction_normal_form():
     g = two_c3()
     K = {0, 1, 2}  # contains the 2-cycle {0,1}
-    K2, D2 = g.acyclic_contraction_form(K, frozenset())
-    assert g.is_forest_edge_set(K2)
+    K2 = frozenset(g.spanning_forest(K))
+    assert K2 == {0, 2}
     a, _, _ = g.minor(K, set())
-    b, _, _ = g.minor(K2, D2)
+    b, _, _ = g.minor(K2, K - K2)
     assert a.edges == b.edges and a.n == b.n and a.edge_names == b.edge_names
 
 
@@ -255,7 +258,7 @@ def test_isolated_vertices_retained():
 
 def test_find_subdivision_identity():
     g = k4()
-    emb = find_subdivision(g, g)
+    emb = next(iter_subdivisions(g, g), None)
     assert emb is not None
     assert all(len(p) == 1 for p in emb.edge_paths.values())
 
@@ -264,19 +267,19 @@ def test_find_subdivision_subdivided_k4():
     host = MultiGraph(
         5, [(0, 1), (0, 2), (0, 4), (4, 3), (1, 2), (1, 3), (2, 3)]
     )  # K4 with edge (0,3) subdivided through 4
-    emb = find_subdivision(host, k4())
+    emb = next(iter_subdivisions(host, k4()), None)
     assert emb is not None
     assert sorted(len(p) for p in emb.edge_paths.values()) == [1, 1, 1, 1, 1, 2]
 
 
 def test_find_subdivision_theta_in_tube():
     theta = MultiGraph(2, [(0, 1), (0, 1), (0, 1)])
-    emb = find_subdivision(tube(), theta)
+    emb = next(iter_subdivisions(tube(), theta), None)
     assert emb is not None
 
 
 def test_find_subdivision_absent():
-    assert find_subdivision(two_c3(), k4()) is None
+    assert next(iter_subdivisions(two_c3(), k4()), None) is None
 
 
 def test_graph_isomorphism_count_k4():
@@ -293,3 +296,199 @@ def test_edge_components():
     g = MultiGraph(6, [(0, 1), (1, 2), (3, 4)])
     comps = g.edge_components({0, 1, 2})
     assert sorted(len(c) for c in comps) == [1, 2]
+
+
+# -- the routines that spanning_forest, components and the vertical
+# separation search replaced, kept as oracles ---------------------------------
+
+def _kruskal_all_edges(g):
+    """spanning_forest() before it took edge_ids: Kruskal over every edge."""
+    parent = list(range(g.n))
+    forest = []
+    for e, (u, v) in enumerate(g.edges):
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            forest.append(e)
+    return tuple(forest)
+
+
+def _is_forest_edge_set(g, edge_ids):
+    parent = list(range(g.n))
+    for e in edge_ids:
+        u, v = g.edges[e]
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def _acyclic_contraction_form(g, contract, delete):
+    contract = frozenset(contract)
+    delete = frozenset(delete)
+    parent = list(range(g.n))
+    keep = []
+    moved = []
+    for e in sorted(contract):
+        u, v = g.edges[e]
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            moved.append(e)
+        else:
+            parent[ru] = rv
+            keep.append(e)
+    return frozenset(keep), delete | frozenset(moved)
+
+
+def _graphs_with_loops():
+    rng = random.Random(11)
+    graphs = [MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 0)]),
+              MultiGraph(2, [(0, 0), (1, 1), (0, 1), (0, 1)]),
+              MultiGraph(4, [(0, 1), (2, 3), (3, 3)])]
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 7))]))
+    return graphs
+
+
+def test_spanning_forest_matches_the_three_kruskal_loops_on_every_edge_subset():
+    graphs = list(catalog.multigraphs_up_to_iso(4, 6)) + _graphs_with_loops()
+    subsets = 0
+    for g in graphs:
+        assert g.spanning_forest() == _kruskal_all_edges(g)
+        for k in range(g.m + 1):
+            for es in combinations(range(g.m), k):
+                forest = g.spanning_forest(es)
+                assert (len(forest) == len(es)) == _is_forest_edge_set(g, es)
+                assert frozenset(forest) == _acyclic_contraction_form(g, es, ())[0]
+                subsets += 1
+    assert (len(graphs), subsets) == (56, 2235)
+
+
+def _components_brute_force(g, avoid):
+    """Components of G - avoid by repeated closure of an edge relation."""
+    rest = [v for v in range(g.n) if v not in avoid]
+    comp = {v: {v} for v in rest}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            if u in comp and v in comp and comp[u] is not comp[v]:
+                merged = comp[u] | comp[v]
+                for w in merged:
+                    comp[w] = merged
+                changed = True
+    return sorted({frozenset(c) for c in comp.values()}, key=min)
+
+
+def test_components_match_brute_force_on_every_vertex_subset():
+    graphs = list(catalog.multigraphs_up_to_iso(4, 6)) + _graphs_with_loops()
+    for g in graphs:
+        for k in range(g.n + 1):
+            for avoid in combinations(range(g.n), k):
+                assert g.components(avoid) == _components_brute_force(g, set(avoid))
+        assert g.components() == g.components(())
+
+
+def _parent_vertical(g, k):
+    """is_vertically_k_connected before components(avoid): with its own
+    component search and a separate _any_vertical_separation."""
+    def components(avoid):
+        comp_of, cid = {}, 0
+        for s in range(g.n):
+            if s in avoid or s in comp_of:
+                continue
+            stack = [s]
+            comp_of[s] = cid
+            while stack:
+                v = stack.pop()
+                for e in g.incident_edges(v):
+                    w = g.other_end(e, v)
+                    if w not in avoid and w not in comp_of:
+                        comp_of[w] = cid
+                        stack.append(w)
+            cid += 1
+        return comp_of, cid
+
+    def separation(r):
+        for S in combinations(range(g.n), r):
+            comp_of, cid = components(set(S))
+            edges_of_comp = [[] for _ in range(cid)]
+            flexible = []
+            for e, (u, v) in enumerate(g.edges):
+                c = comp_of.get(u)
+                if c is None:
+                    c = comp_of.get(v)
+                if c is None:
+                    flexible.append(e)
+                else:
+                    edges_of_comp[c].append(e)
+            live = [c for c in range(cid) if edges_of_comp[c]]
+            if len(live) < 2:
+                continue
+            for size in range(1, len(live)):
+                for group in combinations(live, size):
+                    forced_a = [e for c in group for e in edges_of_comp[c]]
+                    forced_b = [e for c in live if c not in group for e in edges_of_comp[c]]
+                    need_a = max(0, r - len(forced_a))
+                    if need_a > len(flexible):
+                        continue
+                    if len(forced_b) + len(flexible) - need_a < r:
+                        continue
+                    A = set(forced_a) | set(flexible[:need_a])
+                    B = set(forced_b) | set(flexible[need_a:])
+                    VA, VB = g.vertices_of(A), g.vertices_of(B)
+                    cut = VA & VB
+                    if len(cut) > r or len(A) < len(cut) or len(B) < len(cut):
+                        continue
+                    if VA - VB and VB - VA:
+                        return (g.names_of(A), g.names_of(B))
+        return None
+
+    def any_separation():
+        comps = g.components()
+        if len(comps) > 1:
+            withedges = [c for c in comps if any(g.incident_edges(v) for v in c)]
+            if len(withedges) >= 2:
+                a = {e for v in withedges[0] for e in g.incident_edges(v)}
+                b = set(range(g.m)) - a
+                if b:
+                    return (g.names_of(a), g.names_of(b))
+            return None
+        for r in range(1, k):
+            sep = separation(r)
+            if sep is not None:
+                return sep
+        return None
+
+    comps = g.components()
+    if g.n < k + 2:
+        complete = all(
+            any(set(g.edges[e]) == {u, v} for e in g.incident_edges(u))
+            for u, v in combinations(range(g.n), 2)
+        )
+        if len(comps) <= 1 and complete and g.n >= 1:
+            return True, None
+        return False, any_separation()
+    if len(comps) > 1:
+        return False, any_separation()
+    for r in range(1, k):
+        sep = separation(r)
+        if sep is not None:
+            return False, sep
+    return True, None
+
+
+def test_vertical_connectivity_matches_the_parent_routine():
+    graphs = list(catalog.multigraphs_up_to_iso(5, 8)) + _graphs_with_loops()
+    graphs += [MultiGraph(0, []), MultiGraph(1, []), MultiGraph(3, [(0, 1)])]
+    outcomes = Counter()
+    for g in graphs:
+        for k in (1, 2, 3):
+            got = g.is_vertically_k_connected(k)
+            assert got == _parent_vertical(g, k), (g.n, g.edges, k)
+            outcomes[got[0], got[1] is None] += 1
+    assert len(graphs) == 261
+    assert outcomes == {(True, True): 420, (False, False): 339, (False, True): 24}

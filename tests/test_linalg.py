@@ -334,3 +334,120 @@ def test_rational_backend():
     w = projectively_equivalent(A.with_labels(col_labels=("x", "y")),
                                 B.with_labels(col_labels=("x", "y")))
     assert w is not None
+
+
+# -- the two scaling-forest loops that _scaling_normal_form replaced ----------
+
+def _parent_diagonally_equivalent(A, B):
+    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
+        return None
+    f = A.field
+    z = f.zero
+    for i in range(A.nrows):
+        for j in range(A.ncols):
+            if (A.rows[i][j] == z) != (B.rows[i][j] == z):
+                return None
+    d1 = [None] * A.nrows
+    d2 = [None] * A.ncols
+    for start_row in range(A.nrows):
+        if d1[start_row] is not None:
+            continue
+        d1[start_row] = f.one
+        stack = [("r", start_row)]
+        while stack:
+            kind, idx = stack.pop()
+            if kind == "r":
+                for j in range(A.ncols):
+                    if A.rows[idx][j] != z and d2[j] is None:
+                        d2[j] = f.div(B.rows[idx][j], f.mul(d1[idx], A.rows[idx][j]))
+                        stack.append(("c", j))
+            else:
+                for i in range(A.nrows):
+                    if A.rows[i][idx] != z and d1[i] is None:
+                        d1[i] = f.div(B.rows[i][idx], f.mul(A.rows[i][idx], d2[idx]))
+                        stack.append(("r", i))
+    for j in range(A.ncols):
+        if d2[j] is None:
+            d2[j] = f.one
+    for i in range(A.nrows):
+        for j in range(A.ncols):
+            if f.mul(d1[i], f.mul(A.rows[i][j], d2[j])) != B.rows[i][j]:
+                return None
+    return tuple(d1), tuple(d2)
+
+
+def _parent_projective_key(A):
+    f = A.field
+    if A.is_zero():
+        return ("zero", A.nrows)
+    RA, _, piv = rref(A)
+    r = len(piv)
+    rows = [RA.rows[i] for i in range(r)]
+    z = f.zero
+    m = A.ncols
+    d1 = [None] * r
+    d2 = [None] * m
+    for start in range(r):
+        if d1[start] is not None:
+            continue
+        d1[start] = f.one
+        stack = [("r", start)]
+        while stack:
+            kind, idx = stack.pop()
+            if kind == "r":
+                for j in range(m):
+                    if rows[idx][j] != z and d2[j] is None:
+                        d2[j] = f.inv(f.mul(d1[idx], rows[idx][j]))
+                        stack.append(("c", j))
+            else:
+                for i in range(r):
+                    if rows[i][idx] != z and d1[i] is None:
+                        d1[i] = f.inv(f.mul(rows[i][idx], d2[idx]))
+                        stack.append(("r", i))
+    for j in range(m):
+        if d2[j] is None:
+            d2[j] = f.one
+    normal = tuple(
+        tuple(f.mul(d1[i], f.mul(rows[i][j], d2[j])) for j in range(m))
+        for i in range(r)
+    )
+    return ("mat", r, piv, normal)
+
+
+def _scaling_pairs():
+    """Each matrix paired with a diagonal rescaling of itself and with a
+    random matrix of the same support: every 1x2 and 2x2 matrix over GF(2)
+    and GF(3), and seeded 2x3 and 3x2 samples over GF(4) and GF(5)."""
+    rng = random.Random(17)
+    mats = []
+    for q in (2, 3):
+        f = gf(q)
+        for r, c in ((1, 2), (2, 2)):
+            for entries in product(f.elements, repeat=r * c):
+                mats.append(FieldMatrix(f, [entries[i * c:(i + 1) * c] for i in range(r)]))
+    for q in (4, 5):
+        f = gf(q)
+        for r, c in ((2, 3), (3, 2)):
+            for _ in range(400):
+                mats.append(FieldMatrix(f, [[rng.choice(f.elements) for _ in range(c)]
+                                            for _ in range(r)]))
+    for A in mats:
+        f = A.field
+        d1 = [rng.choice(f.nonzero) for _ in range(A.nrows)]
+        d2 = [rng.choice(f.nonzero) for _ in range(A.ncols)]
+        yield A, FieldMatrix(f, [[f.mul(d1[i], f.mul(x, d2[j])) for j, x in enumerate(row)]
+                                 for i, row in enumerate(A.rows)])
+        yield A, FieldMatrix(f, [[rng.choice(f.nonzero) if x != f.zero else x for x in row]
+                                 for row in A.rows])
+
+
+def test_scaling_normal_form_matches_the_parent_loops():
+    pairs = equivalent = 0
+    for A, B in _scaling_pairs():
+        got = diagonally_equivalent(A, B)
+        assert got == _parent_diagonally_equivalent(A, B), (A.rows, B.rows)
+        for M in (A, B):
+            assert projective_key(M) == _parent_projective_key(M), M.rows
+        pairs += 1
+        equivalent += got is not None
+    assert (pairs, equivalent) == (3420, 2599)

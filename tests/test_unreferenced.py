@@ -29,14 +29,16 @@ def references(tree):
     return out
 
 
-def _exempt(node):
-    """Dunders, and claims (the @claim decorator registers them)."""
-    if node.name.startswith("__") and node.name.endswith("__"):
-        return True
+def _is_claim(node):
     return any(
         isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "claim"
         for d in node.decorator_list
     )
+
+
+def _exempt(node):
+    """Dunders, and claims (the @claim decorator registers them)."""
+    return node.name.startswith("__") and node.name.endswith("__") or _is_claim(node)
 
 
 def definitions(tree):
@@ -123,3 +125,111 @@ def test_dead_locals_scan_reports_a_planted_case():
         "    return g\n"
     )
     assert dead_locals(source) == [("f", "planted"), ("g", "inner")]
+
+
+def _callables(tree):
+    """(callee name, function node, leading parameters a call does not
+    pass) for each function and method: a method is called by its own name
+    with self passed implicitly, an __init__ by its class's name."""
+    methods = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.add(fn)
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    yield (cls.name if fn.name == "__init__" else fn.name), fn, 0 if static else 1
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn not in methods:
+            yield fn.name, fn, 0
+
+
+def _options(fn, skip):
+    """(parameter name, position among the arguments a caller passes, or
+    None for keyword-only) of each parameter with a default."""
+    a = fn.args
+    params = a.posonlyargs + a.args
+    first = len(params) - len(a.defaults)
+    out = [(p.arg, i - skip) for i, p in enumerate(params) if i >= first]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls_and_values(trees):
+    """Each call as (callee name, positional count or None when it unpacks
+    *args, keywords or None when it unpacks **kwargs), and the names read
+    other than as a callee: a function passed around as a value can be
+    called under any name."""
+    calls, callees, read = [], set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                callees.add(id(func))
+                starred = any(isinstance(x, ast.Starred) for x in node.args)
+                keywords = [k.arg for k in node.keywords]
+                calls.append((name, None if starred else len(node.args),
+                              None if None in keywords else set(keywords)))
+        for node in ast.walk(tree):
+            if id(node) in callees:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return calls, read
+
+
+def unset_options(defining_sources, calling_sources):
+    """The defaulted parameters, as callee.parameter, of the functions and
+    methods in the defining sources that no call in the calling sources
+    sets, by keyword or by position; calls are matched by callee name.
+    Claims (run_claim passes their options), dunders other than __init__,
+    and functions read as values are skipped."""
+    calls, read = _calls_and_values([ast.parse(s) for s in calling_sources])
+    out = set()
+    for source in defining_sources:
+        for name, fn, skip in _callables(ast.parse(source)):
+            dunder = fn.name.startswith("__") and fn.name.endswith("__")
+            if _is_claim(fn) or (dunder and fn.name != "__init__") or fn.name in read:
+                continue
+            for param, pos in _options(fn, skip):
+                if not any(callee == name and (
+                        keywords is None or param in keywords
+                        or (pos is not None and (npos is None or npos > pos)))
+                        for callee, npos, keywords in calls):
+                    out.add("%s.%s" % (name, param))
+    return sorted(out)
+
+
+def test_every_option_in_src_is_set_by_some_call():
+    defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    calling = [p.read_text() for d in SCANNED for p in sorted(d.rglob("*.py"))]
+    assert unset_options(defining, calling) == []
+
+
+def test_unset_options_scan_reports_a_planted_case():
+    source = (
+        "class A:\n"
+        "    def __init__(self, x, planted_init=1, set_init=2): pass\n"
+        "    def method(self, a, by_position=1, planted_method=2): pass\n"
+        "    @staticmethod\n"
+        "    def make(a, by_position=1): pass\n"
+        "    def __repr__(self, ignored=1): pass\n"
+        "def f(a, by_keyword=1, planted=2, *, kwonly=3, planted_kwonly=4): pass\n"
+        "def unpacked(a=1, b=2): pass\n"
+        "def passed_around(a, ignored=1): pass\n"
+        "@claim('c')\n"
+        "def registered(q=4): pass\n"
+    )
+    caller = (
+        "A(0, set_init=1).method(0, 1)\n"
+        "A.make(0, 1)\n"
+        "f(0, by_keyword=1, kwonly=2)\n"
+        "unpacked(*args)\n"
+        "sorted(xs, key=passed_around)\n"
+    )
+    assert unset_options([source], [source, caller]) == [
+        "A.planted_init", "f.planted", "f.planted_kwonly", "method.planted_method"]
