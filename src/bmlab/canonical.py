@@ -12,6 +12,7 @@ the extra element e0 give v0_hat, balanced loops the zero column.  The
 lift matrix drops the e0 column.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
@@ -32,12 +33,21 @@ from .errors import (
     NotVertically2Connected,
 )
 from .fields import gf
-from .gains import AdditiveGroup, GainGraph, MultiplicativeGroup, induced_bias
+from .gains import (
+    AdditiveGroup,
+    GainGraph,
+    MultiplicativeGroup,
+    induced_bias,
+    scaling_orbits,
+    switching_equivalent,
+    switching_scaling_equivalent,
+)
 from .graph import MultiGraph, find
 from .linalg import (
     FieldMatrix,
     ProjWitness,
     all_column_ranks,
+    dual_matrix,
     invert,
     left_null_space,
     projective_key,
@@ -45,11 +55,12 @@ from .linalg import (
     rref,
     vector_matroid,
 )
-from .matroid import frame_matroid, lift_matroid, matroids_equal
+from .matroid import complete_lift_matroid, frame_matroid, lift_matroid, matroids_equal
 
 FRAME = "frame"
 LIFT = "lift"
 COMPLETE_LIFT = "lift0"
+KINDS = (FRAME, LIFT, COMPLETE_LIFT)
 
 
 @dataclass
@@ -57,7 +68,6 @@ class CanonicalForm:
     kind: str
     gain_graph: GainGraph
     matrix: FieldMatrix
-    orientations: tuple  # (tail, head) per edge, the declared orientations
 
 
 def frame_matrix(gg):
@@ -75,7 +85,7 @@ def frame_matrix(gg):
             rows[u][e] = f.add(rows[u][e], f.one)
             rows[v][e] = f.sub(rows[v][e], gg.gains[e])
     mat = FieldMatrix(f, rows, g.vertex_names, g.edge_names)
-    return CanonicalForm(FRAME, gg, mat, g.edges)
+    return CanonicalForm(FRAME, gg, mat)
 
 
 def complete_lift_matrix(gg):
@@ -102,14 +112,46 @@ def complete_lift_matrix(gg):
         tuple(g.vertex_names) + ("v0",),
         tuple(g.edge_names) + ("e0",),
     )
-    return CanonicalForm(COMPLETE_LIFT, gg, mat, g.edges)
+    return CanonicalForm(COMPLETE_LIFT, gg, mat)
 
 
 def lift_matrix(gg):
     """Canonical lift matrix: complete lift with the e0 column dropped."""
     form = complete_lift_matrix(gg)
     mat = form.matrix.submatrix_cols(list(range(gg.graph.m)))
-    return CanonicalForm(LIFT, gg, mat, gg.graph.edges)
+    return CanonicalForm(LIFT, gg, mat)
+
+
+# -- the kinds -------------------------------------------------------------------
+
+KindParts = namedtuple("KindParts", "group matrix matroid equivalent rows parse")
+
+
+def kind_parts(kind):
+    """The gain group (a class taking the field order), canonical matrix,
+    matroid, gain-class equivalence, row transform and column parser of a
+    kind.  The complete lift is not canonicalized, so it has no row
+    transform or parser.  Looked up at call time so that replaced module
+    functions are used."""
+    return {
+        FRAME: KindParts(MultiplicativeGroup, frame_matrix, frame_matroid,
+                         switching_equivalent, _frame_rows, _parse_frame_columns),
+        LIFT: KindParts(AdditiveGroup, lift_matrix, lift_matroid,
+                        switching_scaling_equivalent, _lift_rows, _parse_lift_columns),
+        COMPLETE_LIFT: KindParts(AdditiveGroup, complete_lift_matrix, complete_lift_matroid,
+                                 switching_scaling_equivalent, None, None),
+    }[kind]
+
+
+def gain_classes(kind, ggs):
+    """The class label of each of the normalized realizations ggs of one
+    graph: distinct normalized gain functions are distinct switching
+    classes (frame); for the additive kinds, the index of the
+    switching-and-scaling orbit."""
+    if kind == FRAME:
+        return list(range(len(ggs)))
+    orbit_of = {id(gg): k for k, orbit in enumerate(scaling_orbits(ggs)) for gg in orbit}
+    return [orbit_of[id(gg)] for gg in ggs]
 
 
 # -- matrix-level Delta-Y ------------------------------------------------------
@@ -138,6 +180,8 @@ def delta_y_matrix(A, triangle_cols):
     matching triangle column).  Returns the new matrix.
     """
     f = A.field
+    if A.nrows == 2:  # a triangle spans a plane, the template needs 3 rows
+        A = FieldMatrix(f, A.rows + ((f.zero,) * A.ncols,), None, A.col_labels)
     idx = [A.col_labels.index(c) for c in triangle_cols]
     if len(idx) != 3:
         raise NotTriangle("need three column labels")
@@ -157,8 +201,6 @@ def delta_y_matrix(A, triangle_cols):
     if alpha == f.zero or beta == f.zero:
         raise NotTriangle("a pair of the columns is parallel")
     n = A.nrows
-    if n < 3:
-        raise NotTriangle("need at least three rows")
     # E0 maps u -> e1 - e2 and v -> (-alpha/beta)(e1 - e3)
     base = _std_basis_completion(f, [u, v], n)
     t1 = [f.zero] * n
@@ -198,119 +240,20 @@ def delta_y_matrix(A, triangle_cols):
 def y_delta_matrix(A, triad_cols):
     """Y-Delta exchange on three columns forming a triad of M(A).
 
-    The matrix is brought to the I(K_4) star template on those columns: the
-    triad is a cocircuit, so the complement columns span a hyperplane H of
-    the column space and each triad column is u_i + c_i z off H with
-    c_i != 0; in suitable coordinates the triad columns become e_i - e_c
-    and every other column avoids the centre row e_c, which is then deleted
-    after substituting the triangle template.
+    Y-Delta is Delta-Y of the dual: nabla(M) = (Delta(M*))* (Oxley, Semple
+    and Vertigan, Generalized Delta-Y exchange and k-regular matroids, JCTB
+    79, 2000), and a triad of M is a triangle of M*.  Returns a matrix with
+    rank(A) - 1 rows.
     """
-    f = A.field
-    idx = [A.col_labels.index(c) for c in triad_cols]
-    vm = vector_matroid(A)
-    full = (1 << A.ncols) - 1
-    tri_mask = 0
-    for j in idx:
-        tri_mask |= 1 << j
-    r = vm.rank_mask(full)
-    if vm.rank_mask(full & ~tri_mask) != r - 1:
-        raise NotTriad("complement must have rank r-1")
-    for j in idx:
-        if vm.rank_mask((full & ~tri_mask) | 1 << j) != r:
-            raise NotTriad("not a minimal cocircuit")
-    cols = [list(A.column(j)) for j in idx]
-    if rank_of_columns(f, cols) != 3:
+    if len(triad_cols) != 3:
+        raise NotTriad("need three column labels")
+    cols = [A.column(A.col_labels.index(c)) for c in triad_cols]
+    if rank_of_columns(A.field, cols) != 3:
         raise NotTriad("triad columns must be independent")
-    n = A.nrows
-    if n < 3:
-        raise NotTriad("need at least three rows")
-    comp_cols = [list(A.column(j)) for j in range(A.ncols) if j not in idx]
-    if comp_cols:
-        Hcols = FieldMatrix(f, [[col[i] for col in comp_cols] for i in range(n)])
-    else:
-        Hcols = FieldMatrix(f, [[f.zero] for _ in range(n)])
-    # functional vanishing on H but not on the triad columns
-    lam = None
-    for t in left_null_space(Hcols):
-        if all(_dot(f, t, c) != f.zero for c in cols):
-            lam = t
-            break
-    if lam is None:
-        raise NotTriad("no separating functional; triad is degenerate")
-    c_vals = [_dot(f, lam, c) for c in cols]
-    scaled = [[f.div(x, c_vals[i]) for x in cols[i]] for i in range(3)]
-    y1 = scaled[0]
-    h2 = [f.sub(a, b) for a, b in zip(scaled[1], y1)]
-    h3 = [f.sub(a, b) for a, b in zip(scaled[2], y1)]
-    if rank_of_columns(f, [h2, h3]) != 2:
-        raise NotTriad("degenerate triad geometry")
-    # complete with vectors in ker(lam) so only y1 meets the centre row
-    comp = []
-    for i in range(n):
-        e_i = [f.one if k == i else f.zero for k in range(n)]
-        li = _dot(f, lam, e_i)
-        if li != f.zero:
-            corr = f.div(li, _dot(f, lam, y1))
-            e_i = [f.sub(a, f.mul(corr, b)) for a, b in zip(e_i, y1)]
-        if rank_of_columns(f, [y1, h2, h3] + comp + [e_i]) > 3 + len(comp):
-            comp.append(e_i)
-        if 3 + len(comp) == n:
-            break
-    if 3 + len(comp) != n:
-        raise NotTriad("could not complete basis off the centre row")
-    basis_vecs = [y1, h2, h3] + comp
-    base = FieldMatrix(
-        f, [[basis_vecs[j][i] for j in range(len(basis_vecs))] for i in range(n)]
-    )
-    center = n - 1
-    # images: y1 -> e1 - e_center, h2 -> e2 - e1, h3 -> e3 - e1,
-    # completion -> remaining non-centre coordinates
-    t1 = [f.zero] * n
-    t1[0] = f.one
-    t1[center] = f.sub(t1[center], f.one)
-    t2 = [f.zero] * n
-    t2[1] = f.one
-    t2[0] = f.neg(f.one)
-    t3 = [f.zero] * n
-    t3[2] = f.one
-    t3[0] = f.neg(f.one)
-    # the completion takes e1 first, which puts e_center in the span, so it
-    # never uses the centre row
-    Tmat = _std_basis_completion(f, [t1, t2, t3], n)
-    E0 = Tmat.mul(invert(base))
-    invert(E0)  # must be a genuine row transform
-    EA = E0.mul(FieldMatrix(f, A.rows))
-    col_scale = [f.one] * A.ncols
-    for pos, j in enumerate(idx):
-        col_scale[j] = f.inv(c_vals[pos])
-    EA = EA.scale_columns(col_scale)
-    rows = [list(row) for row in EA.rows]
-    for j in range(A.ncols):
-        if j in idx:
-            continue
-        if rows[center][j] != f.zero:
-            raise NotTriad("complement columns hit the centre row")
-    tri = {idx[0]: (1, 2), idx[1]: (0, 2), idx[2]: (0, 1)}
-    for j, (ra, rb) in tri.items():
-        for i in range(n):
-            rows[i][j] = f.zero
-        rows[ra][j] = f.one
-        rows[rb][j] = f.neg(f.one)
-    del rows[center]
-    return FieldMatrix(
-        f,
-        rows,
-        ["d%d" % (i + 1) for i in range(n - 1)],
-        A.col_labels,
-    )
-
-
-def _dot(f, a, b):
-    acc = f.zero
-    for x, y in zip(a, b):
-        if x != f.zero and y != f.zero:
-            acc = f.add(acc, f.mul(x, y))
-    return acc
+    try:
+        return dual_matrix(delta_y_matrix(dual_matrix(A), triad_cols))
+    except NotTriangle as exc:
+        raise NotTriad("not a triad: %s" % exc)
 
 
 def _fresh_label(labels, stem):
@@ -359,7 +302,7 @@ def canonicalize_representation(A, omega, hint=None):
     if not ok2:
         raise NotVertically2Connected("canonicalization needs vertical 2-connectivity")
     MA = vector_matroid(A)
-    matched = [k for k in (FRAME, LIFT) if matroids_equal(MA, _parts(k)[0](omega))[0]]
+    matched = [k for k in (FRAME, LIFT) if matroids_equal(MA, kind_parts(k).matroid(omega))[0]]
     if not matched:
         raise MatroidMismatch("matrix does not represent F(omega) or L(omega)")
     rows = _vertex_rows(A, omega)
@@ -408,30 +351,21 @@ def _vertex_rows(A, omega):
     return FieldMatrix(f, Rr), FieldMatrix(f, E.rows[:r]), fixed, free
 
 
-def _parts(kind):
-    """(matroid, row transform, column parser, canonical matrix) of a kind,
-    looked up at call time so that replaced module functions are used."""
-    return {
-        FRAME: (frame_matroid, _frame_rows, _parse_frame_columns, frame_matrix),
-        LIFT: (lift_matroid, _lift_rows, _parse_lift_columns, lift_matrix),
-    }[kind]
-
-
 def _attempt(A, MA, omega, kind, rows):
     """Shape the vertex rows for one kind, read a gain graph off the shaped
     matrix and certify it.  A form particular to omega itself is returned
     at once; one particular to a roll-up variant only if none is found."""
-    matroid, shape, parse, canonical = _parts(kind)
+    parts = kind_parts(kind)
     f = A.field
     g = omega.graph
     R, E, fixed, free = rows
     fallback = None
     for choice in _line_choices(f, free):
-        T = shape(f, [fixed[x] if x in fixed else choice[x] for x in range(g.n)])
+        T = parts.rows(f, [fixed[x] if x in fixed else choice[x] for x in range(g.n)])
         if T is None:
             continue
         W = T.mul(R)
-        parsed = parse(W, omega, f)
+        parsed = parts.parse(W, omega, f)
         if parsed is None:
             continue
         group, edges, gains, rolled = parsed
@@ -439,11 +373,11 @@ def _attempt(A, MA, omega, kind, rows):
         variant = induced_bias(gg)
         if not rolled and variant.balanced != omega.balanced:
             continue
-        if not matroids_equal(MA, matroid(variant))[0]:
+        if not matroids_equal(MA, parts.matroid(variant))[0]:
             continue
         if rolled and not _roll_reachable(omega, variant):
             continue
-        form = canonical(gg)
+        form = parts.matrix(gg)
         scales = _column_scales(W, form.matrix, f)
         if scales is None:
             continue

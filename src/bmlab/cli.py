@@ -26,13 +26,7 @@ from .bias import (
     unroll,
     y_delta,
 )
-from .canonical import (
-    canonicalize_representation,
-    complete_lift_matrix,
-    enumerate_representations,
-    frame_matrix,
-    lift_matrix,
-)
+from .canonical import KINDS, canonicalize_representation, enumerate_representations, kind_parts
 from .errors import BmlabError, BoundExceeded, ParseError
 from .gains import induced_bias, switching_equivalent, switching_scaling_equivalent
 from .linalg import projectively_equivalent
@@ -155,12 +149,7 @@ def cmd_rank(args):
 
 def cmd_matrix(args):
     gg = formats.parse_gain_graph(_read(args.gain_graph))
-    if args.kind == "frame":
-        form = frame_matrix(gg)
-    elif args.kind == "lift":
-        form = lift_matrix(gg)
-    else:
-        form = complete_lift_matrix(gg)
+    form = kind_parts(args.kind).matrix(gg)
     text = formats.emit_matrix(form.matrix)
     if args.json:
         _emit({"kind": args.kind, "matrix": text,
@@ -390,7 +379,7 @@ def build_parser():
     sp.add_argument("subset", nargs="*")
 
     sp = add("matrix", cmd_matrix, help="canonical matrix of a gain graph")
-    sp.add_argument("kind", choices=("frame", "lift", "lift0"))
+    sp.add_argument("kind", choices=KINDS)
     sp.add_argument("gain_graph")
 
     sp = add("bias", cmd_bias, help="induced bias of a gain graph")

@@ -28,17 +28,13 @@ import json
 import os
 
 from .bias import BiasedGraph
+from .canonical import KINDS, kind_parts
 from .errors import BmlabError, NotACycle, ParseError, ThetaViolation, UnknownEdge
 from .fields import QQ, gf
 from .gains import AdditiveGroup, CyclicGroup, GainGraph, MultiplicativeGroup
 from .graph import MultiGraph
 from .linalg import FieldMatrix, ProjWitness
-from .matroid import (
-    complete_lift_matroid,
-    explicit_matroid,
-    frame_matroid,
-    lift_matroid,
-)
+from .matroid import explicit_matroid
 
 
 def _lines(text):
@@ -254,7 +250,7 @@ def parse_matroid(text, base_dir="."):
         else:
             raise ParseError("unknown declaration %r" % parts[0], i)
     if source is not None:
-        if kind not in ("frame", "lift", "lift0"):
+        if kind not in KINDS:
             raise ParseError("kind must be frame, lift or lift0")
         path, i = source
         try:
@@ -264,12 +260,7 @@ def parse_matroid(text, base_dir="."):
             raise ParseError("cannot read source %r: %s" % (path, exc.strerror), i)
         except UnicodeDecodeError:
             raise ParseError("cannot read source %r: not UTF-8 text" % (path,), i)
-        om = parse_biased_graph(text)
-        if kind == "frame":
-            return frame_matroid(om)
-        if kind == "lift":
-            return lift_matroid(om)
-        return complete_lift_matroid(om)
+        return kind_parts(kind).matroid(parse_biased_graph(text))
     if ground is None:
         raise ParseError("missing ground line")
     full = 1 << len(ground)

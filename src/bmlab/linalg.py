@@ -93,15 +93,6 @@ class FieldMatrix:
             out.append(row)
         return FieldMatrix(f, out, self.row_labels, other.col_labels)
 
-    def scale_columns(self, values):
-        f = self.field
-        return FieldMatrix(
-            f,
-            [[f.mul(r[j], values[j]) for j in range(self.ncols)] for r in self.rows],
-            self.row_labels,
-            self.col_labels,
-        )
-
     def transpose(self):
         return FieldMatrix(
             self.field,
@@ -196,6 +187,24 @@ def left_null_space(A):
     R, E, pivots = rref(A)
     r = len(pivots)
     return [tuple(E.rows[i]) for i in range(r, A.nrows)]
+
+
+def dual_matrix(A):
+    """A representation of the dual of M(A) on the same column labels: with
+    rref(A) = [I | D] on the pivot columns, [-D^T | I] on the other columns
+    (Oxley, Matroid Theory, 2nd ed., 2.2).  A free matroid, whose dual has
+    rank zero, gives one zero row."""
+    f = A.field
+    R, _, piv = rref(A)
+    rows = []
+    for j in range(A.ncols):
+        if j not in piv:
+            row = [f.zero] * A.ncols
+            row[j] = f.one
+            for i, p in enumerate(piv):
+                row[p] = f.neg(R.rows[i][j])
+            rows.append(row)
+    return FieldMatrix(f, rows or [[f.zero] * A.ncols], None, A.col_labels)
 
 
 def vector_matroid(A):

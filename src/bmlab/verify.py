@@ -30,18 +30,19 @@ from .bias import (
     y_delta,
 )
 from .canonical import (
+    COMPLETE_LIFT,
     FRAME,
     LIFT,
     _roll_reachable,
     canonicalize_representation,
-    complete_lift_matrix,
     delta_y_matrix,
     enumerate_representations,
     frame_matrix,
-    lift_matrix,
+    gain_classes,
+    kind_parts,
     y_delta_matrix,
 )
-from .errors import BmlabError, BoundExceeded, GroundSetMismatch, UnknownClaim
+from .errors import BmlabError, BoundExceeded, GroundSetMismatch, NotTriangle, UnknownClaim
 from .fields import gf
 from .gains import (
     AdditiveGroup,
@@ -53,10 +54,8 @@ from .gains import (
     normalize,
     normalized_gain_functions,
     realizations,
-    scaling_orbits,
     switch,
     switching_equivalent,
-    switching_scaling_equivalent,
     walk_gain,
 )
 from .graph import MultiGraph
@@ -68,13 +67,7 @@ from .linalg import (
     projectively_equivalent,
     vector_matroid,
 )
-from .matroid import (
-    complete_lift_matroid,
-    extend_with_joint,
-    frame_matroid,
-    lift_matroid,
-    matroids_equal,
-)
+from .matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 
 DEFAULT_SEED = 20240
 DEFAULT_FIELDS = (2, 3, 4, 5)
@@ -186,39 +179,41 @@ def _random_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True):
 @claim("canonical-frame")
 def claim_canonical_frame(seed=DEFAULT_SEED, samples=200, q=5):
     """Thm: vector matroid of the frame matrix equals the frame matroid."""
-    return _canonical_samples(seed, samples, MultiplicativeGroup(q), frame_matrix, frame_matroid)
+    return _canonical_samples(seed, samples, q, FRAME)
 
 
 @claim("canonical-lift")
 def claim_canonical_lift(seed=DEFAULT_SEED, samples=200, q=5):
     """Thm: vector matroid of the complete lift matrix equals L0."""
-    return _canonical_samples(seed, samples, AdditiveGroup(q), complete_lift_matrix,
-                              complete_lift_matroid)
+    return _canonical_samples(seed, samples, q, COMPLETE_LIFT)
 
 
-def _canonical_samples(seed, samples, group, matrix, matroid):
-    """Seeded random gain graphs over group: does the vector matroid of
-    matrix(gg) equal matroid(induced bias)?"""
+def _canonical_samples(seed, samples, q, kind):
+    """Seeded random gain graphs over the kind's group: does the vector
+    matroid of the kind's matrix equal the kind's matroid of the induced
+    bias?"""
+    parts = kind_parts(kind)
+    group = parts.group(q)
     rng = random.Random(seed)
     failures = []
     for k in range(samples):
         g = _random_multigraph(rng)
         gains = {e: rng.choice(group.elements) for e in range(g.m)}
         gg = GainGraph(g, group, gains)
-        eq, w = matroids_equal(vector_matroid(matrix(gg).matrix), matroid(induced_bias(gg)))
+        eq, w = matroids_equal(vector_matroid(parts.matrix(gg).matrix),
+                               parts.matroid(induced_bias(gg)))
         if not eq:
             failures.append({"sample": k, "edges": list(g.edges), "gains": gains, "subset": w})
-    return failures, {"samples": samples, "q": group.q}
+    return failures, {"samples": samples, "q": q}
 
 
 # -- section 4.1 biconditionals ----------------------------------------------------
 
 def _reps_with_matrices(om, q, kind):
-    """The normalized realizations of om over GF(q)^x (frame) or GF(q)^+
-    (lift), each with its canonical frame or lift matrix."""
-    if kind == FRAME:
-        return [(gg, frame_matrix(gg).matrix) for gg in realizations(om, MultiplicativeGroup(q))]
-    return [(gg, lift_matrix(gg).matrix) for gg in realizations(om, AdditiveGroup(q))]
+    """The normalized realizations of om over the kind's group of GF(q),
+    each with its canonical matrix of that kind."""
+    parts = kind_parts(kind)
+    return [(gg, parts.matrix(gg).matrix) for gg in realizations(om, parts.group(q))]
 
 
 def _disagreements(keys, classes):
@@ -256,8 +251,7 @@ def _biconditional(graphs, fields, seed, kind):
             reps = _reps_with_matrices(om, q, kind)
             reps_total += len(reps)
             keys = [projective_key(A) for _, A in reps]
-            classes = (list(range(len(reps))) if kind == FRAME
-                       else _orbit_indices([gg for gg, _ in reps]))
+            classes = gain_classes(kind, [gg for gg, _ in reps])
             pairs += comb(len(reps), 2)
             failures += _partition_failures(nb.name, q, keys, classes)
             for i, j in _sample_pairs(rng, len(reps), 4):
@@ -267,24 +261,14 @@ def _biconditional(graphs, fields, seed, kind):
                                      "why": "key/decision disagreement"})
             if kind != FRAME:
                 continue
-            group = MultiplicativeGroup(q)
             for i in _sample_indices(rng, len(reps), 3):
                 gg, A = reps[i]
-                eta = {v: rng.choice(group.elements) for v in range(om.graph.n)}
+                eta = {v: rng.choice(gg.group.elements) for v in range(om.graph.n)}
                 if projectively_equivalent(A, frame_matrix(switch(gg, eta)).matrix) is None:
                     failures.append({"graph": nb.name, "q": q, "rep": i,
                                      "why": "switched copy not equivalent"})
     return failures, {"graphs": len(graphs), "fields": list(fields),
                       "realizations": reps_total, "pairs": pairs}
-
-
-def _orbit_indices(ggs):
-    """The index of each gain graph's switching-and-scaling orbit."""
-    orbit_of = {}
-    for k, orbit in enumerate(scaling_orbits(ggs)):
-        for gg in orbit:
-            orbit_of[id(gg)] = k
-    return [orbit_of[id(gg)] for gg in ggs]
 
 
 def _biconditional_cross(graphs, fields):
@@ -397,7 +381,7 @@ def claim_u3_lift_criterion(fields=DEFAULT_FIELDS):
     """Lemma: A_L(U_3,phi) ~ A_L(U_3,psi) iff the restrictions to the theta
     links are switching-and-scaling equivalent."""
     return _criterion(catalog.u3(), fields, LIFT,
-                      lambda reps: _orbit_indices([_links_only(gg) for gg in reps]))
+                      lambda reps: gain_classes(LIFT, [_links_only(gg) for gg in reps]))
 
 
 def _links_only(gg):
@@ -410,7 +394,12 @@ def _links_only(gg):
 
 # -- section 4.2: all representations are canonical --------------------------------
 
-def _allreps(named_graphs, q, expect_kinds=("frame", "lift")):
+def _gain_class_count(om, q, kind):
+    """The number of gain classes of om over the kind's group of GF(q)."""
+    return len(set(gain_classes(kind, realizations(om, kind_parts(kind).group(q)))))
+
+
+def _allreps(named_graphs, q, expect_kinds=(FRAME, LIFT)):
     """Enumerate all representations of F(omega); every class must
     canonicalize, and the class count must equal the independent count of
     gain-function classes (switching for frame, switching-and-scaling for
@@ -420,22 +409,14 @@ def _allreps(named_graphs, q, expect_kinds=("frame", "lift")):
     for nb in named_graphs:
         om = nb.omega
         FO = frame_matroid(om)
-        LO = lift_matroid(om)
         classes = enumerate_representations(FO, q, biased_graph=om)
-        n_frame = len(realizations(om, MultiplicativeGroup(q)))
-        lift_represents = matroids_equal(FO, LO)[0]
-        n_lift = (
-            len(scaling_orbits(realizations(om, AdditiveGroup(q))))
-            if lift_represents
-            else 0
-        )
-        expected = (n_frame if "frame" in expect_kinds else 0) + (
-            n_lift if "lift" in expect_kinds else 0
-        )
+        n = {FRAME: _gain_class_count(om, q, FRAME)}
+        n[LIFT] = _gain_class_count(om, q, LIFT) if matroids_equal(FO, lift_matroid(om))[0] else 0
+        expected = sum(n[kind] for kind in expect_kinds)
         counts[nb.name] = {
             "classes": len(classes),
-            "frame_classes": n_frame,
-            "lift_classes": n_lift,
+            "frame_classes": n[FRAME],
+            "lift_classes": n[LIFT],
         }
         if len(classes) != expected:
             failures.append({"graph": nb.name, "q": q, "classes": len(classes),
@@ -462,7 +443,7 @@ def claim_allreps_k4(q=4):
 
 @claim("allreps-tube-frame")
 def claim_allreps_tube_frame(q=4):
-    return _allreps(catalog.classify_tube_proper(), q, expect_kinds=("frame",))
+    return _allreps(catalog.classify_tube_proper(), q, expect_kinds=(FRAME,))
 
 
 @claim("allreps-tube-lift")
@@ -472,15 +453,14 @@ def claim_allreps_tube_lift(q=4):
     counts = {}
     for nb in catalog.classify_tube_proper():
         om = nb.omega
-        LO = lift_matroid(om)
-        classes = enumerate_representations(LO, q, biased_graph=om, hint=LIFT)
-        n_lift = len(scaling_orbits(realizations(om, AdditiveGroup(q))))
+        classes = enumerate_representations(lift_matroid(om), q, biased_graph=om, hint=LIFT)
+        n_lift = _gain_class_count(om, q, LIFT)
         counts[nb.name] = {"classes": len(classes), "lift_classes": n_lift}
         if len(classes) != n_lift:
             failures.append({"graph": nb.name, "q": q, "classes": len(classes),
                              "expected": n_lift})
         for k, cls in enumerate(classes):
-            if cls.kind != "lift":
+            if cls.kind != LIFT:
                 failures.append({"graph": nb.name, "class": k, "kind": cls.kind})
     return failures, {"q": q, "per_graph": counts}
 
@@ -498,18 +478,13 @@ def claim_allreps_contracted_tube(q=5):
         classes = enumerate_representations(FO, q)
         counts[nb.name] = {"classes": len(classes)}
         for k, cls in enumerate(classes):
-            fres = canonicalize_representation(cls.matrix, om, hint=FRAME)
-            lres = canonicalize_representation(cls.matrix, om, hint=LIFT)
-            if fres.status != "ok" or fres.kind != FRAME:
-                failures.append({"graph": nb.name, "class": k, "why": "no frame form"})
-            elif fres.rolled_edges and not _roll_reachable(om, fres.variant):
-                failures.append({"graph": nb.name, "class": k,
-                                 "why": "frame variant not a roll-up"})
-            if lres.status != "ok" or lres.kind != LIFT:
-                failures.append({"graph": nb.name, "class": k, "why": "no lift form"})
-            elif lres.rolled_edges:
-                failures.append({"graph": nb.name, "class": k,
-                                 "why": "lift form not particular to the graph"})
+            for kind, may_roll in ((FRAME, True), (LIFT, False)):
+                res = canonicalize_representation(cls.matrix, om, hint=kind)
+                if res.status != "ok" or res.kind != kind:
+                    failures.append({"graph": nb.name, "class": k, "why": "no %s form" % kind})
+                elif res.rolled_edges and not (may_roll and _roll_reachable(om, res.variant)):
+                    failures.append({"graph": nb.name, "class": k,
+                                     "why": "%s form on a disallowed variant" % kind})
     return failures, {"q": q, "per_graph": counts}
 
 
@@ -544,16 +519,21 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
             A = frame_matrix(reps[0]).matrix
             try:
                 NA = y_delta_matrix(A, star)
-            except (BmlabError, ValueError) as exc:
+            except BmlabError as exc:
                 failures.append({"graph": nb.name, "why": "nabla failed: %s" % exc})
                 break
             eq, w = matroids_equal(vector_matroid(NA), frame_matroid(img))
             if not eq:
                 failures.append({"graph": nb.name, "why": "nabla matroid mismatch",
                                  "subset": w})
-            back = delta_y_matrix(NA, star)
-            if projectively_equivalent(A, back) is None:
-                failures.append({"graph": nb.name, "why": "exchange not involutive"})
+            try:
+                back = delta_y_matrix(NA, star)
+            except NotTriangle as exc:  # the star is no triangle of NA
+                failures.append({"graph": nb.name, "why": "exchange not involutive",
+                                 "reason": str(exc)})
+            else:
+                if projectively_equivalent(A, back) is None:
+                    failures.append({"graph": nb.name, "why": "exchange not involutive"})
             done = True
             break
         if not done and not failures:
@@ -665,26 +645,17 @@ def claim_tangled_no_extend(fields=(4, 5)):
         g = om.graph
         for q in fields:
             f = gf(q)
-            reps = realizations(om, MultiplicativeGroup(q))[:2]
-            lreps = realizations(om, AdditiveGroup(q))[:2]
+            reps = {kind: realizations(om, kind_parts(kind).group(q))[:2]
+                    for kind in (FRAME, LIFT)}
             for vertex in range(min(g.n, 2)):  # joint position (up to symmetry)
                 ext = extend_with_joint(om, vertex=vertex, name="l1")
-                L_ext = lift_matroid(ext)
-                F_ext = frame_matroid(ext)
-                for gg in reps:
-                    A = frame_matrix(gg).matrix
-                    found = _extension_exists(A, L_ext, f)
-                    checked += 1
-                    if found:
-                        failures.append({"graph": nb.name, "q": q,
-                                         "why": "frame extended to lift"})
-                for gg in lreps:
-                    A = lift_matrix(gg).matrix
-                    found = _extension_exists(A, F_ext, f)
-                    checked += 1
-                    if found:
-                        failures.append({"graph": nb.name, "q": q,
-                                         "why": "lift extended to frame"})
+                for kind, other in ((FRAME, LIFT), (LIFT, FRAME)):
+                    target = kind_parts(other).matroid(ext)
+                    for gg in reps[kind]:
+                        checked += 1
+                        if _extension_exists(kind_parts(kind).matrix(gg).matrix, target, f):
+                            failures.append({"graph": nb.name, "q": q,
+                                             "why": "%s extended to %s" % (kind, other)})
     return failures, {"fields": list(fields), "extensions_checked": checked}
 
 
@@ -843,44 +814,21 @@ def claim_main2(fields=(4, 5), seed=DEFAULT_SEED):
 def claim_main3_roundtrip(seed=DEFAULT_SEED, samples=100, q=5):
     """Thm T:MainTheorem1 mechanics: seeded scrambles of canonical matrices
     on B_0, D_{0,2}, T_0 are recovered with the correct kind and
-    switching-equivalent gains."""
+    equivalent gains."""
     rng = random.Random(seed)
     f = gf(q)
     graphs = [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"), catalog.biased_2c3("T_0")]
     jobs = []
     for nb in graphs:
-        om = nb.omega
-        freps = realizations(om, MultiplicativeGroup(q))
-        lreps = realizations(om, AdditiveGroup(q))
-        if freps:
-            jobs.append((nb.name, om, FRAME, freps))
-        if lreps:
-            jobs.append((nb.name, om, LIFT, lreps))
+        for kind in (FRAME, LIFT):
+            reps = realizations(nb.omega, kind_parts(kind).group(q))
+            if reps:
+                jobs.append((nb.name, nb.omega, kind, reps))
     failures = []
-    done = 0
-    k = 0
-    while done < samples:
+    for k in range(samples):
         name, om, kind, reps = jobs[k % len(jobs)]
-        k += 1
-        gg = reps[rng.randrange(len(reps))]
-        A = (frame_matrix(gg) if kind == FRAME else lift_matrix(gg)).matrix
-        scr = _scramble(rng, f, A)
-        res = canonicalize_representation(scr, om)
-        done += 1
-        if res.status != "ok" or res.kind != kind:
-            failures.append({"graph": name, "kind": kind, "got": res.kind,
-                             "status": res.status})
-            continue
-        if kind == FRAME:
-            ok = switching_equivalent(res.form.gain_graph, gg) is not None
-        else:
-            ok = switching_scaling_equivalent(res.form.gain_graph, gg) is not None
-        if not ok:
-            failures.append({"graph": name, "kind": kind,
-                             "why": "gains not equivalent"})
-        if not res.witness.verify(scr, res.form.matrix):
-            failures.append({"graph": name, "kind": kind, "why": "witness inexact"})
-    return failures, {"samples": done, "q": q}
+        failures += _round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
+    return failures, {"samples": samples, "q": q}
 
 
 @claim("main4-samples")
@@ -900,25 +848,34 @@ def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5):
         name, om = instances[k % len(instances)]
         k += 1
         kind = (FRAME, LIFT)[k % 2]
-        group = MultiplicativeGroup(q) if kind == FRAME else AdditiveGroup(q)
-        reps = realizations(om, group)
+        reps = realizations(om, kind_parts(kind).group(q))
         if not reps:
             continue
-        gg = reps[rng.randrange(len(reps))]
-        A = (frame_matrix(gg) if kind == FRAME else lift_matrix(gg)).matrix
-        scr = _scramble(rng, f, A)
-        res = canonicalize_representation(scr, om, hint=kind)
+        failures += _round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
         done += 1
-        if res.status != "ok":
-            failures.append({"graph": name, "kind": kind, "status": res.status,
-                             "reason": res.reason})
-            continue
-        if res.rolled_edges and not _roll_reachable(om, res.variant):
-            failures.append({"graph": name, "kind": kind,
-                             "why": "variant not roll-reachable"})
-        if not res.witness.verify(scr, res.form.matrix):
-            failures.append({"graph": name, "kind": kind, "why": "witness inexact"})
     return failures, {"samples": done, "q": q}
+
+
+def _round_trip(rng, f, name, om, kind, gg):
+    """The failures of one seeded scramble of gg's canonical matrix of the
+    kind: canonicalizing it must give that kind back, particular to om or
+    to a roll-up variant of it, with an exact witness, and, when om is
+    properly unbalanced, with gains equivalent to gg's."""
+    parts = kind_parts(kind)
+    scr = _scramble(rng, f, parts.matrix(gg).matrix)
+    res = canonicalize_representation(scr, om, hint=kind)
+    if res.status != "ok" or res.kind != kind:
+        return [{"graph": name, "kind": kind, "got": res.kind, "status": res.status,
+                 "reason": res.reason}]
+    failures = []
+    if res.rolled_edges and not _roll_reachable(om, res.variant):
+        failures.append({"graph": name, "kind": kind, "why": "variant not roll-reachable"})
+    if (classify_balance(om).tag == "properly-unbalanced"
+            and parts.equivalent(res.form.gain_graph, gg) is None):
+        failures.append({"graph": name, "kind": kind, "why": "gains not equivalent"})
+    if not res.witness.verify(scr, res.form.matrix):
+        failures.append({"graph": name, "kind": kind, "why": "witness inexact"})
+    return failures
 
 
 # -- gains / operations propositions ---------------------------------------------------
@@ -998,24 +955,16 @@ def claim_deltawye_matroid(fields=(4, 5)):
         om = nb.omega
         Xlabels = [om.graph.edge_names[e] for e in sorted(X)]
         for q in fields:
-            freps = realizations(om, MultiplicativeGroup(q))
-            if freps:
-                A = frame_matrix(freps[0]).matrix
-                DA = delta_y_matrix(A, Xlabels)
-                eq, w = matroids_equal(vector_matroid(DA), frame_matroid(img))
+            for kind in (FRAME, COMPLETE_LIFT):
+                parts = kind_parts(kind)
+                reps = realizations(om, parts.group(q))
+                if not reps:
+                    continue
+                DA = delta_y_matrix(parts.matrix(reps[0]).matrix, Xlabels)
+                eq, w = matroids_equal(vector_matroid(DA), parts.matroid(img))
                 checked += 1
                 if not eq:
-                    failures.append({"graph": nb.name, "q": q, "kind": "frame",
-                                     "subset": w})
-            lreps = realizations(om, AdditiveGroup(q))
-            if lreps:
-                A0 = complete_lift_matrix(lreps[0]).matrix
-                DA0 = delta_y_matrix(A0, Xlabels)
-                eq, w = matroids_equal(vector_matroid(DA0), complete_lift_matroid(img))
-                checked += 1
-                if not eq:
-                    failures.append({"graph": nb.name, "q": q, "kind": "lift0",
-                                     "subset": w})
+                    failures.append({"graph": nb.name, "q": q, "kind": kind, "subset": w})
     return failures, {"checked": checked}
 
 

@@ -1,11 +1,13 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
 from bmlab import canonical, catalog
 from bmlab.bias import BiasedGraph, balancing_vertices, biased_isomorphic, delta_y, y_delta
 from bmlab.canonical import (
+    COMPLETE_LIFT,
     FRAME,
     LIFT,
     ReprClass,
@@ -14,6 +16,7 @@ from bmlab.canonical import (
     delta_y_matrix,
     enumerate_representations,
     frame_matrix,
+    kind_parts,
     lift_matrix,
     y_delta_matrix,
 )
@@ -22,6 +25,7 @@ from bmlab.errors import (
     BoundExceeded,
     GroupMismatch,
     MatroidMismatch,
+    NotTriad,
     NotTriangle,
     NotVertically2Connected,
 )
@@ -40,7 +44,9 @@ from bmlab.graph import MultiGraph
 from bmlab.linalg import (
     FieldMatrix,
     all_column_ranks,
+    dual_matrix,
     invert,
+    left_null_space,
     projective_key,
     projectively_equivalent,
     rank_of_columns,
@@ -381,6 +387,183 @@ def test_y_delta_matrix_lift_d00():
     assert eq
     back = delta_y_matrix(NA, star)
     assert projectively_equivalent(A, back) is not None
+
+
+def _dot(f, a, b):
+    acc = f.zero
+    for x, y in zip(a, b):
+        if x != f.zero and y != f.zero:
+            acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def _parent_y_delta_matrix(A, triad_cols):
+    """The direct Y-Delta construction that the dual route replaced, kept as
+    the oracle: A is brought to the I(K_4) star template on the triad,
+    whose centre row is then deleted after substituting the triangle
+    template."""
+    f = A.field
+    idx = [A.col_labels.index(c) for c in triad_cols]
+    vm = vector_matroid(A)
+    full = (1 << A.ncols) - 1
+    tri_mask = 0
+    for j in idx:
+        tri_mask |= 1 << j
+    r = vm.rank_mask(full)
+    if vm.rank_mask(full & ~tri_mask) != r - 1:
+        raise NotTriad("complement must have rank r-1")
+    for j in idx:
+        if vm.rank_mask((full & ~tri_mask) | 1 << j) != r:
+            raise NotTriad("not a minimal cocircuit")
+    cols = [list(A.column(j)) for j in idx]
+    if rank_of_columns(f, cols) != 3:
+        raise NotTriad("triad columns must be independent")
+    n = A.nrows
+    if n < 3:
+        raise NotTriad("need at least three rows")
+    comp_cols = [list(A.column(j)) for j in range(A.ncols) if j not in idx]
+    if comp_cols:
+        Hcols = FieldMatrix(f, [[col[i] for col in comp_cols] for i in range(n)])
+    else:
+        Hcols = FieldMatrix(f, [[f.zero] for _ in range(n)])
+    # functional vanishing on H but not on the triad columns
+    lam = None
+    for t in left_null_space(Hcols):
+        if all(_dot(f, t, c) != f.zero for c in cols):
+            lam = t
+            break
+    if lam is None:
+        raise NotTriad("no separating functional; triad is degenerate")
+    c_vals = [_dot(f, lam, c) for c in cols]
+    scaled = [[f.div(x, c_vals[i]) for x in cols[i]] for i in range(3)]
+    y1 = scaled[0]
+    h2 = [f.sub(a, b) for a, b in zip(scaled[1], y1)]
+    h3 = [f.sub(a, b) for a, b in zip(scaled[2], y1)]
+    if rank_of_columns(f, [h2, h3]) != 2:
+        raise NotTriad("degenerate triad geometry")
+    # complete with vectors in ker(lam) so only y1 meets the centre row
+    comp = []
+    for i in range(n):
+        e_i = [f.one if k == i else f.zero for k in range(n)]
+        li = _dot(f, lam, e_i)
+        if li != f.zero:
+            corr = f.div(li, _dot(f, lam, y1))
+            e_i = [f.sub(a, f.mul(corr, b)) for a, b in zip(e_i, y1)]
+        if rank_of_columns(f, [y1, h2, h3] + comp + [e_i]) > 3 + len(comp):
+            comp.append(e_i)
+        if 3 + len(comp) == n:
+            break
+    if 3 + len(comp) != n:
+        raise NotTriad("could not complete basis off the centre row")
+    basis_vecs = [y1, h2, h3] + comp
+    base = FieldMatrix(
+        f, [[basis_vecs[j][i] for j in range(len(basis_vecs))] for i in range(n)]
+    )
+    center = n - 1
+    # images: y1 -> e1 - e_center, h2 -> e2 - e1, h3 -> e3 - e1
+    t1 = [f.zero] * n
+    t1[0] = f.one
+    t1[center] = f.sub(t1[center], f.one)
+    t2 = [f.zero] * n
+    t2[1] = f.one
+    t2[0] = f.neg(f.one)
+    t3 = [f.zero] * n
+    t3[2] = f.one
+    t3[0] = f.neg(f.one)
+    Tmat = canonical._std_basis_completion(f, [t1, t2, t3], n)
+    E0 = Tmat.mul(invert(base))
+    invert(E0)  # must be a genuine row transform
+    EA = E0.mul(FieldMatrix(f, A.rows))
+    col_scale = [f.one] * A.ncols
+    for pos, j in enumerate(idx):
+        col_scale[j] = f.inv(c_vals[pos])
+    rows = [[f.mul(x, s) for x, s in zip(row, col_scale)] for row in EA.rows]
+    for j in range(A.ncols):
+        if j not in idx and rows[center][j] != f.zero:
+            raise NotTriad("complement columns hit the centre row")
+    tri = {idx[0]: (1, 2), idx[1]: (0, 2), idx[2]: (0, 1)}
+    for j, (ra, rb) in tri.items():
+        for i in range(n):
+            rows[i][j] = f.zero
+        rows[ra][j] = f.one
+        rows[rb][j] = f.neg(f.one)
+    del rows[center]
+    return FieldMatrix(f, rows, ["d%d" % (i + 1) for i in range(n - 1)], A.col_labels)
+
+
+def _exchange_matrices(fields):
+    """The frame, lift and complete lift matrix of the first realization of
+    each base graph, T'_{2,i} and contracted tube over each field."""
+    graphs = (list(catalog.base_graphs()) + [catalog.t2_prime_split(i) for i in (1, 2, 3)]
+              + list(catalog.contracted_tubes()))
+    for nb in graphs:
+        for q in fields:
+            for kind in (FRAME, LIFT, COMPLETE_LIFT):
+                parts = kind_parts(kind)
+                for gg in realizations(nb.omega, parts.group(q))[:1]:
+                    yield parts.matrix(gg).matrix
+
+
+def test_y_delta_matrix_matches_the_direct_construction():
+    # every 3-column subset: where the direct construction succeeds both
+    # agree up to projective equivalence, where it finds no triad neither
+    # does the dual route, and where it fails on a valid triad the dual
+    # route's result is undone by Delta-Y
+    outcomes = Counter()
+    for A in _exchange_matrices((3, 4)):
+        for triad in map(list, combinations(A.col_labels, 3)):
+            try:
+                want = _parent_y_delta_matrix(A, triad)
+            except NotTriad:
+                with pytest.raises(NotTriad):
+                    y_delta_matrix(A, triad)
+                outcomes["no triad"] += 1
+                continue
+            except ValueError:
+                want = None
+            got = y_delta_matrix(A, triad)
+            assert got.nrows == rank_of_columns(A.field, A.columns()) - 1
+            if want is None:
+                assert projectively_equivalent(A, delta_y_matrix(got, triad)) is not None
+                outcomes["direct construction failed"] += 1
+            else:
+                assert projectively_equivalent(want, got) is not None, (A.rows, triad)
+                outcomes["equivalent"] += 1
+    assert outcomes == {"equivalent": 393, "no triad": 1741, "direct construction failed": 21}
+
+
+def test_y_delta_matrix_on_a_triad_of_a_three_row_matrix():
+    # the direct construction put the centre at row 3, where the triad's
+    # targets e1 - e3 and e3 - e1 are parallel: a singular target basis
+    f = gf(5)
+    A = FieldMatrix(f, [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]],
+                    None, ["a", "b", "c", "d", "e"])
+    with pytest.raises(ValueError, match="singular"):
+        _parent_y_delta_matrix(A, ["a", "b", "c"])
+    NA = y_delta_matrix(A, ["a", "b", "c"])
+    assert rank_of_columns(f, NA.columns()) == 2
+    assert rank_of_columns(f, [NA.column(j) for j in range(3)]) == 2
+    assert all(rank_of_columns(f, [NA.column(i), NA.column(j)]) == 2
+               for i, j in combinations(range(3), 2))
+    assert projectively_equivalent(A, delta_y_matrix(NA, ["a", "b", "c"])) is not None
+
+
+def test_dual_matrix_has_the_dual_rank_function():
+    # r*(X) = |X| - r(E) + r(E - X) on every subset
+    checked = 0
+    for A in _exchange_matrices((3,)):
+        D = dual_matrix(A)
+        assert D.col_labels == A.col_labels
+        full = (1 << A.ncols) - 1
+        r, rd = all_column_ranks(A), all_column_ranks(D)
+        assert all(rd[X] == bin(X).count("1") - r[full] + r[full & ~X]
+                   for X in range(full + 1))
+        checked += 1
+    assert checked == 24
+    free = FieldMatrix.identity(gf(3), 3)
+    assert dual_matrix(free).rows == ((0, 0, 0),)
+    zero = FieldMatrix(gf(3), [[0, 0]])
+    assert dual_matrix(zero).rows == ((1, 0), (0, 1))
 
 
 def _parent_target_basis(f, targets, n, skip=None):

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bmlab import catalog, formats, verify
+from bmlab import canonical, catalog, formats, verify
 from bmlab.bias import (
     BiasedGraph,
     biased_isomorphic,
@@ -14,7 +14,7 @@ from bmlab.bias import (
     find_biased_subdivision,
     is_tangled,
 )
-from bmlab.canonical import frame_matrix, lift_matrix
+from bmlab.canonical import CanonicalizeResult, frame_matrix, lift_matrix
 from bmlab.errors import UnknownClaim
 from bmlab.fields import gf
 from bmlab.gains import (
@@ -31,7 +31,7 @@ from bmlab.gains import (
     walk_gain,
 )
 from bmlab.graph import MultiGraph
-from bmlab.linalg import FieldMatrix, vector_matroid
+from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
 from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 from bmlab.verify import _contraction_failures, all_claims, run_claim
 
@@ -388,12 +388,46 @@ def test_extension_to_a_loop_does_not_exist():
 
 def test_tangled_no_extend_negative_control(monkeypatch):
     # with the frame matroid as the lift target, every frame matrix extends
-    monkeypatch.setattr(verify, "lift_matroid", frame_matroid)
+    monkeypatch.setattr(canonical, "lift_matroid", frame_matroid)
     rep = run_claim("tangled-no-extend", fields=(3,))
     assert rep.status == "fail"
     assert rep.counts["extensions_checked"] == 16
     assert len(rep.witnesses) == 4
     assert all(w["why"] == "frame extended to lift" for w in rep.witnesses)
+
+
+NEGATIVE_CONTROLS = [
+    # (claim, (owner, attribute, replacement), witness key sets it must produce)
+    ("canonical-frame", (canonical, "frame_matroid", lift_matroid),
+     [{"sample", "edges", "gains", "subset"}]),
+    ("canonical-lift",
+     (canonical, "complete_lift_matroid", lambda om: frame_matroid(extend_with_joint(om))),
+     [{"sample", "edges", "gains", "subset"}]),
+    ("deltawye-matroid", (verify, "delta_y_matrix", lambda A, X: A),
+     [{"graph", "q", "kind", "subset"}]),
+    ("main3-roundtrip", (canonical, "switching_scaling_equivalent", lambda a, b: None),
+     [{"graph", "kind", "why"}]),
+    ("main4-samples", (ProjWitness, "verify", lambda self, A, B: False),
+     [{"graph", "kind", "got", "status", "reason"}]),
+    ("allreps-contracted-tube",
+     (verify, "canonicalize_representation",
+      lambda A, om, hint: CanonicalizeResult(status="undecided", reason="sabotaged")),
+     [{"graph", "class", "why"}]),
+    ("allreps-t2prime-splits", (verify, "y_delta", lambda om, v: (om, None)),
+     [{"graph", "why", "subset"}]),
+    # the star of a triad is no triangle of the unchanged matrix
+    ("allreps-t2prime-splits", (verify, "y_delta_matrix", lambda A, star: A),
+     [{"graph", "why", "subset"}, {"graph", "why", "reason"}]),
+]
+
+
+@pytest.mark.parametrize("name, sabotage, keys", NEGATIVE_CONTROLS,
+                         ids=["%s-%s" % (row[0], row[1][1]) for row in NEGATIVE_CONTROLS])
+def test_rewritten_claims_fail_under_sabotage(monkeypatch, name, sabotage, keys):
+    monkeypatch.setattr(*sabotage)
+    rep = run_claim(name)
+    assert rep.status == "fail"
+    assert {frozenset(w) for w in rep.witnesses} == set(map(frozenset, keys))
 
 
 def test_allreps_negative_control(monkeypatch):
