@@ -29,9 +29,7 @@ from .matroid import (
     MatroidOracle,
     complete_lift_matroid,
     frame_matroid,
-    frame_rank,
     lift_matroid,
-    lift_rank,
     matroids_equal,
     uniform_matroid,
 )

@@ -128,15 +128,6 @@ class BiasedGraph:
     def unbalanced_cycles(self):
         return [c for c in self.cycles() if frozenset(c.edges) not in self.balanced]
 
-    def is_balanced_set(self, edge_ids):
-        """A set is balanced when every cycle inside it is balanced."""
-        edge_ids = frozenset(edge_ids)
-        return all(
-            frozenset(c.edges) in self.balanced
-            for c in self.cycles()
-            if frozenset(c.edges) <= edge_ids
-        )
-
     def joints(self):
         return tuple(
             e
@@ -408,6 +399,8 @@ def y_delta(omega, center):
     itself, which is always balanced.
     """
     g = omega.graph
+    if not 0 <= center < g.n:
+        raise NotTriad("no vertex %r" % (center,))
     Y = tuple(g.incident_edges(center))
     if len(Y) != 3 or g.degree(center) != 3:
         raise NotTriad("vertex must be the centre of a K_{1,3} with degree 3")

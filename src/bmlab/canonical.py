@@ -175,9 +175,10 @@ def delta_y_matrix(A, triangle_cols):
     """Delta-Y exchange on three columns forming a triangle of M(A).
 
     A is first brought by a recorded row transform to the I(K_4) triangle
-    template on those columns, a fresh row is appended, and the columns are
-    replaced by the star template (each new column avoids the rows of its
-    matching triangle column).  Returns the new matrix.
+    template on those columns, a new row w1 is appended (the others are
+    relabelled d1..dn), and the columns are replaced by the star template
+    (each new column avoids the rows of its matching triangle column).
+    Returns the new matrix.
     """
     f = A.field
     if A.nrows == 2:  # a triangle spans a plane, the template needs 3 rows
@@ -228,11 +229,10 @@ def delta_y_matrix(A, triangle_cols):
             new_rows[i][j] = f.zero
         new_rows[rp][j] = f.one
         new_rows[rn][j] = f.neg(f.one)
-    new_label = _fresh_label(A.row_labels, "w")
     return FieldMatrix(
         f,
         new_rows,
-        ["d%d" % (i + 1) for i in range(n)] + [new_label],
+        ["d%d" % (i + 1) for i in range(n)] + ["w1"],
         A.col_labels,
     )
 
@@ -254,13 +254,6 @@ def y_delta_matrix(A, triad_cols):
         return dual_matrix(delta_y_matrix(dual_matrix(A), triad_cols))
     except NotTriangle as exc:
         raise NotTriad("not a triad: %s" % exc)
-
-
-def _fresh_label(labels, stem):
-    i = 1
-    while "%s%d" % (stem, i) in labels:
-        i += 1
-    return "%s%d" % (stem, i)
 
 
 # -- canonicalization ----------------------------------------------------------

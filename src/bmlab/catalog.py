@@ -52,10 +52,6 @@ def graph_tube():
     return MultiGraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
 
 
-def graph_2c3_minus_e():
-    return MultiGraph(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
-
-
 def graph_u2():
     return MultiGraph(
         2, [(0, 0), (1, 1), (0, 1), (0, 1)], edge_names=("e1", "e2", "e3", "e4")
@@ -295,13 +291,6 @@ def contracted_tubes():
         return tuple(out)
 
     return _cached("ctube", build)
-
-
-def contracted_tube(name):
-    for nb in contracted_tubes():
-        if nb.name == name:
-            return nb
-    raise BmlabError("no contracted tube named %s" % name)
 
 
 def fat_theta(parts):

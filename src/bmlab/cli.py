@@ -26,11 +26,17 @@ from .bias import (
     unroll,
     y_delta,
 )
-from .canonical import KINDS, canonicalize_representation, enumerate_representations, kind_parts
+from .canonical import (
+    FRAME,
+    KINDS,
+    LIFT,
+    canonicalize_representation,
+    enumerate_representations,
+    kind_parts,
+)
 from .errors import BmlabError, BoundExceeded, ParseError
 from .gains import induced_bias, switching_equivalent, switching_scaling_equivalent
 from .linalg import projectively_equivalent
-from .matroid import frame_rank, lift_rank
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -139,10 +145,8 @@ def cmd_classify(args):
 
 def cmd_rank(args):
     om = formats.parse_biased_graph(_read(args.biased_graph))
-    subset = (
-        om.graph.edge_set(args.subset) if args.subset else range(om.graph.m)
-    )
-    r = frame_rank(om, subset) if args.kind == "frame" else lift_rank(om, subset)
+    M = kind_parts(args.kind).matroid(om)
+    r = M.rank(args.subset) if args.subset else M.full_rank()
     _emit({"kind": args.kind, "rank": r}, args.json, str(r))
     return EXIT_PASS
 
@@ -374,7 +378,7 @@ def build_parser():
     sp.add_argument("biased_graph")
 
     sp = add("rank", cmd_rank, help="frame or lift rank of an edge subset")
-    sp.add_argument("kind", choices=("frame", "lift"))
+    sp.add_argument("kind", choices=(FRAME, LIFT))
     sp.add_argument("biased_graph")
     sp.add_argument("subset", nargs="*")
 
@@ -399,7 +403,7 @@ def build_parser():
              help="canonicalize a representation")
     sp.add_argument("matrix")
     sp.add_argument("biased_graph")
-    sp.add_argument("--kind", choices=("frame", "lift"))
+    sp.add_argument("--kind", choices=(FRAME, LIFT))
 
     sp = add("enumerate-reps", cmd_enumerate_reps,
              help="representation classes of a matroid")

@@ -147,12 +147,6 @@ class GF:
     def div(self, a, b):
         return self._mul[a][self.inv(b)]
 
-    def pow(self, a, n):
-        r = 1
-        for _ in range(n):
-            r = self._mul[r][a]
-        return r
-
     # -- structure -------------------------------------------------------
     @property
     def elements(self):
@@ -208,9 +202,6 @@ class Rationals:
 
     def div(self, a, b):
         return Fraction(a) / b
-
-    def pow(self, a, n):
-        return Fraction(a) ** n
 
     @property
     def elements(self):

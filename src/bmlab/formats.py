@@ -33,7 +33,7 @@ from .errors import BmlabError, NotACycle, ParseError, ThetaViolation, UnknownEd
 from .fields import QQ, gf
 from .gains import AdditiveGroup, CyclicGroup, GainGraph, MultiplicativeGroup
 from .graph import MultiGraph
-from .linalg import FieldMatrix, ProjWitness
+from .linalg import FieldMatrix
 from .matroid import explicit_matroid
 
 
@@ -182,6 +182,8 @@ def parse_matrix(text):
             ):
                 raise ParseError("header: rows r cols c field {gf q | rational}", i)
             r, c = _int(parts[1], "row count", i), _int(parts[3], "column count", i)
+            if r < 1 or c < 1:
+                raise ParseError("row and column counts must be >= 1", i)
             if parts[5] == "gf":
                 if len(parts) != 7:
                     raise ParseError("field gf takes its order q", i)
@@ -193,6 +195,8 @@ def parse_matrix(text):
             header = (r, c)
         elif parts[0] == "labels":
             labels = tuple(parts[1:])
+            if len(set(labels)) != len(labels):
+                raise ParseError("repeated column label", i)
         else:
             if header is None:
                 raise ParseError("matrix data before header", i)
@@ -235,11 +239,13 @@ def parse_matroid(text, base_dir="."):
     for i, parts in _lines(text):
         if parts[0] == "ground":
             ground = tuple(parts[1:])
+            if len(set(ground)) != len(ground):
+                raise ParseError("repeated ground label", i)
         elif parts[0] == "rank":
             if len(parts) != 3:
                 raise ParseError("rank takes subset and value", i)
-            subset = () if parts[1] == "-" else tuple(parts[1].split(","))
-            ranks[frozenset(subset)] = _int(parts[2], "rank", i)
+            subset = frozenset(() if parts[1] == "-" else parts[1].split(","))
+            ranks[subset] = _int(parts[2], "rank", i), i
         elif parts[0] in ("source", "kind"):
             if len(parts) != 2:
                 raise ParseError("%s takes one argument" % parts[0], i)
@@ -263,12 +269,20 @@ def parse_matroid(text, base_dir="."):
         return kind_parts(kind).matroid(parse_biased_graph(text))
     if ground is None:
         raise ParseError("missing ground line")
+    for subset, (_, i) in ranks.items():
+        outside = subset.difference(ground)
+        if outside:
+            raise ParseError("rank label %r not in ground" % min(outside), i)
     full = 1 << len(ground)
     if len(ranks) != full:
         raise ParseError(
             "explicit matroid needs all %d subset ranks, got %d" % (full, len(ranks))
         )
-    return explicit_matroid(ground, ranks)
+    M = explicit_matroid(ground, {subset: r for subset, (r, _) in ranks.items()})
+    violation = M.rank_axiom_violation()
+    if violation is not None:
+        raise ParseError("not a matroid: " + violation)
+    return M
 
 
 def emit_matroid(M):
@@ -288,12 +302,6 @@ def witness_to_json(w):
         "T": emit_matrix(w.T, with_labels=False),
         "S": emit_matrix(w.S, with_labels=False),
     }
-
-
-def witness_from_json(obj):
-    if obj.get("kind") != "projective-witness":
-        raise ParseError("not a projective-witness object")
-    return ProjWitness(parse_matrix(obj["T"]), parse_matrix(obj["S"]))
 
 
 def edge_names_json(g, edge_ids):

@@ -21,9 +21,6 @@ from .errors import (
 )
 from .fields import gf
 
-AXIOM_CHECK_ORDER = 257
-
-
 class GainGroup:
     """Shared interface: identity, op, inv, elements, deterministic order."""
 
@@ -153,27 +150,6 @@ class CyclicGroup(GainGroup):
         return ("zn", self.n)
 
 
-def group_axioms_hold(group):
-    """Exhaustive associativity/identity/inverse/commutativity check, for
-    groups of order at most AXIOM_CHECK_ORDER."""
-    els = group.elements
-    if len(els) > AXIOM_CHECK_ORDER:
-        raise BmlabError("group too large for exhaustive axiom check")
-    e = group.identity
-    for a in els:
-        if group.op(a, e) != a or group.op(e, a) != a:
-            return False
-        if group.op(a, group.inv(a)) != e:
-            return False
-        for b in els:
-            if group.op(a, b) != group.op(b, a):
-                return False
-            for c in els:
-                if group.op(group.op(a, b), c) != group.op(a, group.op(b, c)):
-                    return False
-    return True
-
-
 class GainGraph:
     """A multigraph with a gain in an abelian group on each oriented edge."""
 
@@ -230,12 +206,6 @@ def induced_bias(gg):
         if cycle_gain(gg, c) == gg.group.identity:
             balanced.add(frozenset(c.edges))
     return BiasedGraph(gg.graph, balanced, check=False)
-
-
-def is_realization(gg, omega):
-    if gg.graph != omega.graph:
-        raise GraphMismatch("gain graph and biased graph differ")
-    return induced_bias(gg).balanced == omega.balanced
 
 
 def switch(gg, eta):

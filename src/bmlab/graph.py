@@ -12,7 +12,7 @@ returning new graphs.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import BoundExceeded, NotACycle, NotAWalk, UnknownEdge
+from .errors import BoundExceeded, NotAWalk, UnknownEdge
 
 CYCLE_EDGE_BOUND = 24
 SUBDIVISION_BOUND = (12, 24)  # host vertices, host edges
@@ -33,9 +33,6 @@ class OrientedEdge:
 
     edge: int
     forward: bool = True
-
-    def reverse(self):
-        return OrientedEdge(self.edge, not self.forward)
 
 
 class MultiGraph:
@@ -152,24 +149,6 @@ class MultiGraph:
             out.add(v)
         return out
 
-    def edge_components(self, edge_ids):
-        """Partition an edge set into connected components (as edge sets)."""
-        edge_ids = sorted(edge_ids)
-        parent = {}
-        for e in edge_ids:
-            u, v = self.edges[e]
-            for x in (u, v):
-                if x not in parent:
-                    parent[x] = x
-            ru, rv = find(parent, u), find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-        comps = {}
-        for e in edge_ids:
-            r = find(parent, self.edges[e][0])
-            comps.setdefault(r, []).append(e)
-        return [frozenset(es) for _, es in sorted(comps.items())]
-
     def components(self, avoid=()):
         """Vertex sets of the connected components of G - avoid (isolated
         vertices included), ordered by least vertex."""
@@ -255,7 +234,8 @@ class MultiGraph:
         def extend(v0, current):
             # simple paths from v0 using vertices > v0 internally; each
             # cycle is met in both directions and kept in the one whose
-            # first edge is the smaller, which is Cycle.from_edges's walk
+            # first edge is the smaller, the walk of the `cycle_from_edges`
+            # oracle in tests/test_graph.py
             for e in self._incident[current]:
                 u, w = self.edges[e]
                 if u == w:
@@ -439,39 +419,6 @@ class Cycle:
     edges: frozenset
     walk: tuple
 
-    @staticmethod
-    def from_edges(g, edge_ids):
-        edge_ids = frozenset(edge_ids)
-        if len(edge_ids) == 1:
-            (e,) = edge_ids
-            if not g.is_loop(e):
-                raise NotACycle("single non-loop edge is not a cycle")
-            return Cycle(edge_ids, (OrientedEdge(e, True),))
-        deg = {}
-        for e in edge_ids:
-            if g.is_loop(e):
-                raise NotACycle("loop inside a longer edge set")
-            u, v = g.endpoints(e)
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            raise NotACycle("edge set is not 2-regular")
-        if len(g.edge_components(edge_ids)) != 1:
-            raise NotACycle("edge set is not connected")
-        start = min(deg)
-        walk = []
-        current = start
-        remaining = set(edge_ids)
-        while remaining:
-            e = min(x for x in remaining if current in g.endpoints(x))
-            u, v = g.endpoints(e)
-            walk.append(OrientedEdge(e, forward=(u == current)))
-            current = v if u == current else u
-            remaining.discard(e)
-        if current != start:
-            raise NotACycle("edge set does not close up")
-        return Cycle(edge_ids, tuple(walk))
-
     def __len__(self):
         return len(self.edges)
 
@@ -485,12 +432,6 @@ class Embedding:
     def __init__(self, vertex_map, edge_paths):
         self.vertex_map = dict(vertex_map)
         self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
-
-    def host_edges(self):
-        out = set()
-        for p in self.edge_paths.values():
-            out.update(p)
-        return frozenset(out)
 
 
 def iter_subdivisions(host, pattern, accept=None):

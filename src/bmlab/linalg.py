@@ -218,7 +218,7 @@ def vector_matroid(A):
         sel = [cols[j] for j in range(A.ncols) if mask >> j & 1]
         return rank_of_columns(f, sel)
 
-    return MatroidOracle(A.col_labels, fn, "M(A)")
+    return MatroidOracle(A.col_labels, fn)
 
 
 def all_column_ranks(A):

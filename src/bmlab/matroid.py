@@ -1,31 +1,26 @@
 """Matroid oracles: frame F(G,B), lift L(G,B), complete lift L0(G,B),
-uniform matroids, circuits, equality testing, minors.
+uniform and explicit matroids, rank axioms, equality testing.
 
 An oracle is an ordered ground set of labels plus a memoized rank function
-on bitmask-encoded subsets.  Circuits are computed as minimal dependent
-sets straight from the rank oracle; the graphical characterizations
-(balanced cycles, contrabalanced thetas, handcuffs, disjoint pairs) are a
-separate cross-check.
+on bitmask-encoded subsets.
 """
 
 from .bias import BiasedGraph
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
 from .graph import MultiGraph, find
 
-CIRCUIT_BOUND = 14
 EQUALITY_BOUND = 20
 AXIOM_CHECK_BOUND = 12
 
 
 class MatroidOracle:
-    def __init__(self, labels, rank_mask_fn, name=""):
+    def __init__(self, labels, rank_mask_fn):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise GroundSetMismatch("duplicate ground set labels")
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
         self._fn = rank_mask_fn
         self._memo = {}
-        self.name = name
 
     @property
     def size(self):
@@ -57,63 +52,6 @@ class MatroidOracle:
 
     def full_rank(self):
         return self.rank_mask((1 << self.size) - 1)
-
-    def is_independent_mask(self, mask):
-        return self.rank_mask(mask) == bin(mask).count("1")
-
-    def circuits(self):
-        """Minimal dependent sets, as sorted label tuples."""
-        n = self.size
-        if n > CIRCUIT_BOUND:
-            raise BoundExceeded("circuit listing bound exceeded")
-        circuits = []
-        circuit_masks = []
-        by_size = sorted(range(1, 1 << n), key=lambda m: bin(m).count("1"))
-        for mask in by_size:
-            if self.is_independent_mask(mask):
-                continue
-            if any(cm & mask == cm for cm in circuit_masks):
-                continue
-            circuit_masks.append(mask)
-            circuits.append(self.subset_of(mask))
-        return circuits
-
-    def is_circuit_mask(self, mask):
-        if self.is_independent_mask(mask):
-            return False
-        for i in range(self.size):
-            if mask >> i & 1 and not self.is_independent_mask(mask & ~(1 << i)):
-                return False
-        return True
-
-    def delete(self, labels):
-        drop = self.mask_of(labels)
-        keep = [i for i in range(self.size) if not drop >> i & 1]
-        expand = {j: i for j, i in enumerate(keep)}
-
-        def fn(mask):
-            big = 0
-            for j in range(len(keep)):
-                if mask >> j & 1:
-                    big |= 1 << expand[j]
-            return self.rank_mask(big)
-
-        return MatroidOracle([self.labels[i] for i in keep], fn, self.name + "\\")
-
-    def contract(self, labels):
-        cmask = self.mask_of(labels)
-        rc = self.rank_mask(cmask)
-        keep = [i for i in range(self.size) if not cmask >> i & 1]
-        expand = {j: i for j, i in enumerate(keep)}
-
-        def fn(mask):
-            big = cmask
-            for j in range(len(keep)):
-                if mask >> j & 1:
-                    big |= 1 << expand[j]
-            return self.rank_mask(big) - rc
-
-        return MatroidOracle([self.labels[i] for i in keep], fn, self.name + "/")
 
     def rank_axiom_violation(self):
         """Check normalization, unit increase, submodularity on all subsets;
@@ -219,32 +157,12 @@ class _BiasData:
         return list(comps.values())
 
 
-def frame_rank(omega, edge_subset):
-    """|V(X)| minus the number of balanced components of G|X."""
-    data = _bias_data(omega)
-    mask = 0
-    for e in edge_subset:
-        omega.graph._check_edge(e)
-        mask |= 1 << e
-    return _frame_rank_mask(data, mask)
-
-
 def _frame_rank_mask(data, mask):
     total = 0
     for vs, em in data.components(mask):
         balanced = not any(cm & em == cm for cm in data.unbalanced)
         total += len(vs) - (1 if balanced else 0)
     return total
-
-
-def lift_rank(omega, edge_subset):
-    """|V(X)| - c_X + eps_X with eps_X = 1 exactly when X is unbalanced."""
-    data = _bias_data(omega)
-    mask = 0
-    for e in edge_subset:
-        omega.graph._check_edge(e)
-        mask |= 1 << e
-    return _lift_rank_mask(data, mask)
 
 
 def _lift_rank_mask(data, mask):
@@ -262,16 +180,12 @@ def _bias_data(omega):
 
 def frame_matroid(omega):
     data = _bias_data(omega)
-    return MatroidOracle(
-        omega.graph.edge_names, lambda m: _frame_rank_mask(data, m), "F"
-    )
+    return MatroidOracle(omega.graph.edge_names, lambda m: _frame_rank_mask(data, m))
 
 
 def lift_matroid(omega):
     data = _bias_data(omega)
-    return MatroidOracle(
-        omega.graph.edge_names, lambda m: _lift_rank_mask(data, m), "L"
-    )
+    return MatroidOracle(omega.graph.edge_names, lambda m: _lift_rank_mask(data, m))
 
 
 def extend_with_joint(omega, vertex=None, name="e0"):
@@ -299,18 +213,13 @@ def complete_lift_matroid(omega):
     return lift_matroid(extend_with_joint(omega))
 
 
-def graphic_matroid(graph):
-    omega = BiasedGraph(graph, {frozenset(c.edges) for c in graph.cycles()}, check=False)
-    return frame_matroid(omega)
-
-
 def uniform_matroid(r, labels):
     labels = tuple(labels)
 
     def fn(mask):
         return min(r, bin(mask).count("1"))
 
-    return MatroidOracle(labels, fn, "U_{%d,%d}" % (r, len(labels)))
+    return MatroidOracle(labels, fn)
 
 
 def explicit_matroid(labels, ranks):
@@ -330,97 +239,4 @@ def explicit_matroid(labels, ranks):
         except KeyError:
             raise UnknownEdge("rank table missing subset %s" % (mask,))
 
-    return MatroidOracle(labels, fn, "explicit")
-
-
-# -- graphical circuit characterizations ---------------------------------------
-
-def _subgraph_shape(omega, edge_set):
-    """Classify G|X for the circuit characterizations.
-
-    Returns one of: 'balanced-cycle', 'contrabalanced-theta',
-    'tight-handcuff', 'loose-handcuff', 'disjoint-pair', or None.
-    """
-    g = omega.graph
-    X = frozenset(edge_set)
-    comps = g.edge_components(X)
-    cycles_in = [
-        frozenset(c.edges) for c in g.cycles() if frozenset(c.edges) <= X
-    ]
-    balanced_in = [c for c in cycles_in if c in omega.balanced]
-    if len(comps) == 1:
-        if len(cycles_in) == 1 and cycles_in[0] == X:
-            return "balanced-cycle" if balanced_in else "unbalanced-cycle"
-        if balanced_in:
-            return None
-        deg = {}
-        for e in X:
-            u, v = g.endpoints(e)
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        degs = sorted(deg.values(), reverse=True)
-        if len(cycles_in) == 3 and degs.count(3) == 2 and all(
-            d in (2, 3) for d in degs
-        ):
-            union = cycles_in[0] | cycles_in[1] | cycles_in[2]
-            if union == X:
-                return "contrabalanced-theta"
-        if len(cycles_in) == 2:
-            c1, c2 = cycles_in
-            v1 = g.vertices_of(c1)
-            v2 = g.vertices_of(c2)
-            if not (c1 & c2):
-                shared = v1 & v2
-                if len(shared) == 1 and c1 | c2 == X:
-                    return "tight-handcuff"
-                if not shared and c1 | c2 != X:
-                    rest = X - (c1 | c2)
-                    deg_rest = {}
-                    for e in rest:
-                        u, v = g.endpoints(e)
-                        deg_rest[u] = deg_rest.get(u, 0) + 1
-                        deg_rest[v] = deg_rest.get(v, 0) + 1
-                    # the connector must be a path meeting each cycle once
-                    ends = [v for v, d in deg_rest.items() if d == 1]
-                    if (
-                        len(ends) == 2
-                        and all(d in (1, 2) for d in deg_rest.values())
-                        and sum(1 for v in ends if v in v1) == 1
-                        and sum(1 for v in ends if v in v2) == 1
-                        and all(
-                            v not in v1 and v not in v2
-                            for v, d in deg_rest.items()
-                            if d == 2
-                        )
-                    ):
-                        return "loose-handcuff"
-        return None
-    if len(comps) == 2:
-        if balanced_in:
-            return None
-        if (
-            len(cycles_in) == 2
-            and frozenset(comps[0]) in (cycles_in[0], cycles_in[1])
-            and frozenset(comps[1]) in (cycles_in[0], cycles_in[1])
-        ):
-            return "disjoint-pair"
-    return None
-
-
-def is_frame_circuit(omega, edge_set):
-    shape = _subgraph_shape(omega, edge_set)
-    return shape in ("balanced-cycle", "contrabalanced-theta", "tight-handcuff", "loose-handcuff")
-
-
-def is_lift_circuit(omega, edge_set):
-    shape = _subgraph_shape(omega, edge_set)
-    return shape in ("balanced-cycle", "contrabalanced-theta", "tight-handcuff", "disjoint-pair")
-
-
-def is_circuit(omega, kind, edge_set):
-    """Graphical circuit test; kind is 'frame' or 'lift'."""
-    if kind == "frame":
-        return is_frame_circuit(omega, edge_set)
-    if kind == "lift":
-        return is_lift_circuit(omega, edge_set)
-    raise ValueError("kind must be 'frame' or 'lift'")
+    return MatroidOracle(labels, fn)

@@ -1,0 +1,79 @@
+"""Reference routines that several test modules share: matroid minors, the
+graphic matroid, edge-set components and projective-witness parsing.
+
+No bmlab command, claim or export needs them, so they live beside the tests
+that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
+"""
+
+from bmlab.bias import BiasedGraph
+from bmlab.errors import ParseError
+from bmlab.formats import parse_matrix
+from bmlab.graph import find
+from bmlab.linalg import ProjWitness
+from bmlab.matroid import MatroidOracle, frame_matroid
+
+
+def delete(M, labels):
+    """M \\ labels."""
+    drop = M.mask_of(labels)
+    keep = [i for i in range(M.size) if not drop >> i & 1]
+    expand = {j: i for j, i in enumerate(keep)}
+
+    def fn(mask):
+        big = 0
+        for j in range(len(keep)):
+            if mask >> j & 1:
+                big |= 1 << expand[j]
+        return M.rank_mask(big)
+
+    return MatroidOracle([M.labels[i] for i in keep], fn)
+
+
+def contract(M, labels):
+    """M / labels."""
+    cmask = M.mask_of(labels)
+    rc = M.rank_mask(cmask)
+    keep = [i for i in range(M.size) if not cmask >> i & 1]
+    expand = {j: i for j, i in enumerate(keep)}
+
+    def fn(mask):
+        big = cmask
+        for j in range(len(keep)):
+            if mask >> j & 1:
+                big |= 1 << expand[j]
+        return M.rank_mask(big) - rc
+
+    return MatroidOracle([M.labels[i] for i in keep], fn)
+
+
+def graphic_matroid(graph):
+    """M(G): the frame matroid of G with every cycle balanced."""
+    omega = BiasedGraph(graph, {frozenset(c.edges) for c in graph.cycles()}, check=False)
+    return frame_matroid(omega)
+
+
+def edge_components(g, edge_ids):
+    """Partition an edge set into connected components (as edge sets),
+    ordered by the root vertex of each."""
+    edge_ids = sorted(edge_ids)
+    parent = {}
+    for e in edge_ids:
+        u, v = g.edges[e]
+        for x in (u, v):
+            if x not in parent:
+                parent[x] = x
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+    comps = {}
+    for e in edge_ids:
+        r = find(parent, g.edges[e][0])
+        comps.setdefault(r, []).append(e)
+    return [frozenset(es) for _, es in sorted(comps.items())]
+
+
+def witness_from_json(obj):
+    """The ProjWitness that formats.witness_to_json wrote."""
+    if obj.get("kind") != "projective-witness":
+        raise ParseError("not a projective-witness object")
+    return ProjWitness(parse_matrix(obj["T"]), parse_matrix(obj["S"]))

@@ -55,12 +55,19 @@ from bmlab.linalg import (
 from bmlab.matroid import (
     complete_lift_matroid,
     frame_matroid,
-    graphic_matroid,
     lift_matroid,
     matroids_equal,
     uniform_matroid,
 )
 from bmlab.verify import run_claim
+from oracles import contract, graphic_matroid
+
+
+def _pow(f, a, n):
+    r = f.one
+    for _ in range(n):
+        r = f.mul(r, a)
+    return r
 
 
 def scramble(rng, A):
@@ -177,7 +184,7 @@ def test_all_zero_gains_lift_is_graphic_plus_joint():
     g = catalog.graph_k4()
     gg = GainGraph(g, AdditiveGroup(5), {e: 0 for e in range(6)})
     L0 = vector_matroid(complete_lift_matrix(gg).matrix)
-    eq, _ = matroids_equal(L0.contract(["e0"]), graphic_matroid(g))
+    eq, _ = matroids_equal(contract(L0, ["e0"]), graphic_matroid(g))
     assert eq
 
 
@@ -270,7 +277,7 @@ def test_paper_transform_tube_frame():
             [0, 0, f.sub(1, a), 0],
             [0, 0, 0, f.sub(a, 1)],
         ])
-        det_expect = f.mul(f.mul(f.pow(f.sub(a, 1), 3), f.sub(c, b)), 1)
+        det_expect = f.mul(f.mul(_pow(f, f.sub(a, 1), 3), f.sub(c, b)), 1)
         TA = T.mul(FieldMatrix(f, A.rows))
         for j in range(6):
             col = [TA.rows[i][j] for i in range(4)]
@@ -566,14 +573,14 @@ def test_dual_matrix_has_the_dual_rank_function():
     assert dual_matrix(zero).rows == ((1, 0), (0, 1))
 
 
-def _parent_target_basis(f, targets, n, skip=None):
-    """The greedy loop the Delta-Y matrix routines used: append, until there
-    are n, the first standard vector (never e_skip) that raises the rank."""
+def _parent_target_basis(f, targets, n):
+    """The greedy loop the Delta-Y matrix routine used: append, until there
+    are n, the first standard vector that raises the rank."""
     targets = list(targets)
     for _ in range(len(targets), n):
         for s in range(n):
             t = [f.one if k == s else f.zero for k in range(n)]
-            if s != skip and rank_of_columns(f, targets + [t]) == len(targets) + 1:
+            if rank_of_columns(f, targets + [t]) == len(targets) + 1:
                 targets.append(t)
                 break
         else:
@@ -594,18 +601,7 @@ def test_std_basis_completion_matches_the_parent_target_loops():
                 got = canonical._std_basis_completion(f, [t1, t2], n)
                 assert [list(r) for r in got.rows] == _parent_target_basis(f, [t1, t2], n)
                 compared += 1
-            # the Y-Delta template: e1 - e_centre, e2 - e1, e3 - e1, with
-            # the centre row left out of the old completion
-            c = n - 1
-            t1 = [one] + [f.zero] * (n - 1)
-            t1[c] = f.sub(t1[c], one)
-            t2 = [neg, one] + [f.zero] * (n - 2)
-            t3 = [neg, f.zero, one] + [f.zero] * (n - 3)
-            got = canonical._std_basis_completion(f, [t1, t2, t3], n)
-            want = _parent_target_basis(f, [t1, t2, t3], n, skip=c)
-            assert [list(r) for r in got.rows] == want
-            compared += 1
-    assert compared == 56
+    assert compared == 40
 
 
 def test_frame_of_delta_t2_prime_is_frame_of_d10():
@@ -738,7 +734,7 @@ def test_canonicalize_contracted_tube_rolls():
     # representations of F(2C3-e, contrabalanced) canonicalize to a frame
     # form particular to a roll-up, and to a lift form particular to the
     # graph itself
-    b0p = catalog.contracted_tube("B_0'").omega.drop_isolated()
+    b0p = catalog.by_name("B_0'").omega.drop_isolated()
     classes = enumerate_representations(frame_matroid(b0p), 5)
     assert classes
     for cls in classes[:3]:

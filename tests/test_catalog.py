@@ -117,11 +117,9 @@ def test_t2_prime_splits():
 
 
 def test_contracted_tubes_shape():
-    shape = catalog.graph_2c3_minus_e()
+    shape = MultiGraph(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])  # 2C_3 minus an edge
     for nb in catalog.contracted_tubes():
         g, _ = nb.omega.graph.drop_isolated()
-        from bmlab.graph import graph_isomorphisms
-
         assert any(True for _ in graph_isomorphisms(g, shape)), nb.name
         assert classify_balance(nb.omega).tag == "almost-balanced"
 

@@ -6,6 +6,8 @@ from bmlab import catalog, cli, formats, verify
 from bmlab.cli import main
 from bmlab.errors import BoundExceeded
 from bmlab.graph import MultiGraph
+from bmlab.matroid import AXIOM_CHECK_BOUND, uniform_matroid
+from oracles import witness_from_json
 
 
 def write(tmp_path, name, text):
@@ -101,7 +103,7 @@ def test_proj_equiv_identity(tmp_path, capsys):
     assert main(["proj-equiv", path, path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["equivalent"] is True
-    w = formats.witness_from_json(payload["witness"])
+    w = witness_from_json(payload["witness"])
     assert w.verify(A, A)
 
 
@@ -257,6 +259,16 @@ GAIN_HEAD = "vertices 2\nedge e1 0 1\n"
     ("enumerate-reps", "source missing.bg\nkind frame\n",
      "line 1: cannot read source 'missing.bg'"),
     ("enumerate-reps", "source\nkind frame\n", "line 1: source takes one argument"),
+    ("enumerate-reps", "ground a b\nrank - 0\nrank a 1\nrank b 1\nrank a,b 0\n",
+     "not a matroid: unit increase fails at ('a',) + b"),
+    ("enumerate-reps", "ground a b\nrank - 0\nrank a 1\nrank b 1\nrank a,c 2\n",
+     "line 5: rank label 'c' not in ground"),
+    ("enumerate-reps", "ground a a\nrank - 0\nrank a 1\n", "line 1: repeated ground label"),
+    ("enumerate-reps", "ground a\nrank - 0\nrank a 5\n",
+     "not a matroid: unit increase fails at () + a"),
+    ("proj-equiv", "rows 1 cols 2 field gf 3\nlabels a a\n1 0\n", "line 2: repeated column label"),
+    ("proj-equiv", "rows 0 cols 2 field gf 3\nlabels a b\n",
+     "line 1: row and column counts must be >= 1"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, command, text, message):
     path = write(tmp_path, "bad.txt", text)
@@ -264,6 +276,23 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, command, text, messa
     assert main([command, path] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and message in err
+
+
+def test_explicit_matroid_beyond_the_axiom_check_bound_is_undecided(tmp_path, capsys):
+    M = uniform_matroid(2, ["x%d" % i for i in range(AXIOM_CHECK_BOUND + 1)])
+    path = write(tmp_path, "big.matroid", formats.emit_matroid(M))
+    assert main(["enumerate-reps", path, "--q", "3"]) == 3
+    assert capsys.readouterr().err == "bound exceeded: rank axiom check bound exceeded\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["wyedelta", "{bg}", "--vertex", "99"], "no vertex 99"),
+    (["wyedelta", "{bg}", "--vertex", "-1"], "no vertex -1"),
+    (["rank", "frame", "{bg}", "e1", "e9"], "label 'e9' not in ground set"),
+])
+def test_missing_vertex_or_edge_is_an_error(capsys, b0_file, argv, message):
+    assert main([b0_file if arg == "{bg}" else arg for arg in argv]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 """Every function, method and class defined in src/bmlab is named somewhere
-in src/, tests/ or perfbench/, and no src function assigns a local it never
-reads."""
+in src/, tests/ or perfbench/, and the product reaches it; no src function
+assigns a local it never reads or has an option no call sets."""
 
 import ast
 import re
@@ -60,6 +60,110 @@ def test_every_definition_in_src_is_referenced():
     defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     referencing = [p.read_text() for d in SCANNED for p in sorted(d.rglob("*.py"))]
     assert unreferenced(defining, referencing) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _nodes_with_enclosing_defs(tree):
+    """(node, the defs enclosing it, outermost first) for every node."""
+    stack = [(tree, ())]
+    while stack:
+        node, outer = stack.pop()
+        yield node, outer
+        if isinstance(node, DEFS):
+            outer += (node,)
+        stack.extend((child, outer) for child in ast.iter_child_nodes(node))
+
+
+def _named(node):
+    """(name, as an attribute?) for each name a node refers to; a dotted
+    string constant counts as attribute names, an import as bare names."""
+    if isinstance(node, ast.Name):
+        return [(node.id, False)]
+    if isinstance(node, ast.Attribute):
+        return [(node.attr, True)]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if DOTTED_NAME.fullmatch(node.value):
+            return [(part, True) for part in node.value.split(".")]
+    if isinstance(node, ast.alias):
+        return [(node.asname or node.name.split(".")[-1], False)]
+    return []
+
+
+def reached_only_by_tests(product_sources, exports, outside_names):
+    """The defs of the product sources (src/ without __init__.py) that the
+    product does not reach, sorted by name.
+
+    A def is reached when outside_names (what perfbench/ names) holds its
+    name, when it is a function or class that __init__.py exports, when it
+    is a claim, or when a product source names it outside its own body and
+    outside every def already found unreached.  The last rule is applied to
+    a fixed point, so a chain of defs that only each other call is caught.
+    A method counts only as an attribute (x.name), never as a bare name.
+
+    Names are matched without types: any `x.delete` reaches every method
+    called delete.  So `args.delete` and `args.contract` in cli would hide
+    MatroidOracle.delete and .contract, and a def left only on such a
+    coincidence is found by reading the code, not by this scan.
+    """
+    defs, refs = [], []
+    for source in product_sources:
+        for node, outer in _nodes_with_enclosing_defs(ast.parse(source)):
+            if isinstance(node, DEFS) and not _exempt(node):
+                method = (not isinstance(node, ast.ClassDef) and bool(outer)
+                          and isinstance(outer[-1], ast.ClassDef))
+                free = node.name in outside_names or (not method and node.name in exports)
+                if not free:
+                    defs.append((node, method))
+            refs.extend((name, attr, outer) for name, attr in _named(node))
+    flagged = set()
+    while True:
+        unreached = {
+            node for node, method in defs
+            if not any(name == node.name and (attr or not method) and node not in outer
+                       and flagged.isdisjoint(outer)
+                       for name, attr, outer in refs)
+        }
+        if unreached == flagged:
+            return sorted(node.name for node in unreached)
+        flagged = unreached
+
+
+def _exports(init_source):
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(init_source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def test_src_holds_only_what_the_product_reaches():
+    # the product: the bmlab CLI, the verify claims, the package exports
+    # and what the benchmark looks up; an oracle only tests need lives in
+    # tests/ (shared ones in tests/oracles.py)
+    product = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    outside = {name for p in sorted((ROOT / "perfbench").rglob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text())) for name, _ in _named(node)}
+    assert reached_only_by_tests(product, _exports((SRC / "__init__.py").read_text()), outside) == []
+
+
+def test_reached_only_by_tests_scan_reports_planted_cases():
+    source = (
+        "def only_tests(): pass\n"
+        "def chain_top(): return chain_leaf()\n"
+        "def chain_leaf(): return chain_leaf()\n"
+        "def exported(): pass\n"
+        "def looked_up(): pass\n"
+        "class Box:\n"
+        "    def used(self): pass\n"
+        "    def local(self): pass\n"
+        "def run(b):\n"
+        "    local = b.used()\n"
+        "    return local\n"
+        "@claim('c')\n"
+        "def registered(): return run(Box())\n"
+    )
+    assert reached_only_by_tests([source], {"exported"}, {"looked_up"}) == [
+        "chain_leaf", "chain_top", "local", "only_tests"]
 
 
 def test_scanner_reports_a_planted_unreferenced_def():
