@@ -273,8 +273,9 @@ class CanonicalizeResult:
 def canonicalize_representation(A, omega, hint=None):
     """Decide which canonical form A is projectively equivalent to.
 
-    Requires vector_matroid(A) to equal F(omega) or L(omega) on all
-    subsets (MatroidMismatch otherwise) and omega vertically 2-connected.
+    Requires vector_matroid(A) to equal F(omega) or L(omega), that is to
+    have the same rank and the same bases (MatroidMismatch otherwise), and
+    omega vertically 2-connected.
     For properly unbalanced omega the result is particular to omega; for
     almost-balanced omega it may be particular to a roll-up variant, with
     the rolled edges reported.  Returns witness with T*A*S equal to the
@@ -346,8 +347,9 @@ def _vertex_rows(A, omega):
 
 def _attempt(A, MA, omega, kind, rows):
     """Shape the vertex rows for one kind, read a gain graph off the shaped
-    matrix and certify it.  A form particular to omega itself is returned
-    at once; one particular to a roll-up variant only if none is found."""
+    matrix and certify it.  MA must be omega's matroid of the kind.  A form
+    particular to omega itself is returned at once; the first one particular
+    to a roll-up variant only if none is found."""
     parts = kind_parts(kind)
     f = A.field
     g = omega.graph
@@ -362,11 +364,16 @@ def _attempt(A, MA, omega, kind, rows):
         if parsed is None:
             continue
         group, edges, gains, rolled = parsed
-        gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
+        if rolled and fallback is not None:
+            continue  # only the first roll-up result is kept
+        # unrolled, the edges are omega's own, so a variant with omega's bias
+        # has omega's matroid, MA
+        graph = MultiGraph(g.n, edges, g.edge_names, g.vertex_names) if rolled else g
+        gg = GainGraph(graph, group, gains)
         variant = induced_bias(gg)
         if not rolled and variant.balanced != omega.balanced:
             continue
-        if not matroids_equal(MA, parts.matroid(variant))[0]:
+        if rolled and not matroids_equal(MA, parts.matroid(variant))[0]:
             continue
         if rolled and not _roll_reachable(omega, variant):
             continue
@@ -392,8 +399,7 @@ def _attempt(A, MA, omega, kind, rows):
         )
         if not rolled:
             return result
-        if fallback is None:
-            fallback = result
+        fallback = result
     return fallback or CanonicalizeResult(
         status="undecided", reason="no %s shaping found" % kind
     )

@@ -264,6 +264,10 @@ def cmd_minor(args):
     om = formats.parse_biased_graph(_read(args.biased_graph))
     contract = om.graph.edge_set(args.contract or [])
     delete = om.graph.edge_set(args.delete or [])
+    if contract & delete:
+        print("minor: --contract and --delete share %s"
+              % " ".join(om.graph.names_of(contract & delete)), file=sys.stderr)
+        return EXIT_USAGE
     res = biased_minor(om, contract, delete)
     text = formats.emit_biased_graph(res.omega)
     if args.json:

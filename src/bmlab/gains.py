@@ -278,8 +278,14 @@ def switching_equivalent(gg1, gg2):
     if gg1.group != gg2.group:
         raise GroupMismatch("different gain groups")
     forest = gg1.graph.spanning_forest()
+    return _switching_onto(gg1, gg2, forest, normalize(gg2, forest))
+
+
+def _switching_onto(gg1, gg2, forest, normal2):
+    """Witness eta with switch(gg1, eta) == gg2, or None, given gg2's
+    normal form (gains, eta) on forest."""
+    n2, eta2 = normal2
     n1, eta1 = normalize(gg1, forest)
-    n2, eta2 = normalize(gg2, forest)
     if n1.gains != n2.gains:
         return None
     eta = compose_switchings(gg1.group, eta1, invert_switching(gg1.group, eta2))
@@ -301,8 +307,10 @@ def switching_scaling_equivalent(gg1, gg2):
         raise GraphMismatch("different underlying graphs")
     if gg1.group != gg2.group or not gg1.group.is_additive_field_group:
         raise GroupMismatch("need matching additive field groups")
+    forest = gg1.graph.spanning_forest()
+    normal2 = normalize(gg2, forest)
     for a in gg1.group.scalars:
-        eta = switching_equivalent(scale_gains(gg1, a), gg2)
+        eta = _switching_onto(scale_gains(gg1, a), gg2, forest, normal2)
         if eta is not None:
             return a, eta
     return None

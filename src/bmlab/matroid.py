@@ -1,9 +1,11 @@
 """Matroid oracles: frame F(G,B), lift L(G,B), complete lift L0(G,B),
-uniform and explicit matroids, rank axioms, equality testing.
+uniform and explicit matroids, rank axioms, equality testing on bases.
 
 An oracle is an ordered ground set of labels plus a memoized rank function
 on bitmask-encoded subsets.
 """
+
+from itertools import combinations
 
 from .bias import BiasedGraph
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
@@ -95,16 +97,25 @@ class MatroidOracle:
 
 
 def matroids_equal(m1, m2):
-    """(True, None) if equal on all subsets, else (False, distinguishing
-    subset as label tuple).  Ground sets must carry the same labels in the
-    same order."""
+    """(True, None) if m1 and m2 have the same rank and the same bases, else
+    (False, distinguishing subset as label tuple): the whole ground set when
+    the ranks differ, otherwise the first r-subset in combinations order
+    that is a basis of exactly one.  Two matroids on one ground set are
+    equal iff they agree on r(E) and on which r-subsets are bases (Oxley,
+    Matroid Theory, section 1.2), so C(n, r) rank calls per side suffice;
+    both rank functions must satisfy the rank axioms.  Ground sets must
+    carry the same labels in the same order."""
     if m1.labels != m2.labels:
         raise GroundSetMismatch("oracles must share the ordered ground set")
     n = m1.size
     if n > EQUALITY_BOUND:
         raise BoundExceeded("matroid equality bound exceeded")
-    for mask in range(1 << n):
-        if m1.rank_mask(mask) != m2.rank_mask(mask):
+    r = m1.full_rank()
+    if m2.full_rank() != r:
+        return False, m1.labels
+    for subset in combinations(range(n), r):
+        mask = sum(1 << i for i in subset)
+        if (m1.rank_mask(mask) == r) != (m2.rank_mask(mask) == r):
             return False, m1.subset_of(mask)
     return True, None
 

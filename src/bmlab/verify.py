@@ -844,11 +844,14 @@ def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5):
     failures = []
     done = 0
     k = 0
+    reps_of = {}
     while done < samples:
         name, om = instances[k % len(instances)]
         k += 1
         kind = (FRAME, LIFT)[k % 2]
-        reps = realizations(om, kind_parts(kind).group(q))
+        if (name, kind) not in reps_of:
+            reps_of[name, kind] = realizations(om, kind_parts(kind).group(q))
+        reps = reps_of[name, kind]
         if not reps:
             continue
         failures += _round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])

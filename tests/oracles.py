@@ -1,16 +1,29 @@
-"""Reference routines that several test modules share: matroid minors, the
-graphic matroid, edge-set components and projective-witness parsing.
+"""Reference routines that several test modules share: matroid equality on
+all subsets, matroid minors, the graphic matroid, edge-set components and
+projective-witness parsing.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
 from bmlab.bias import BiasedGraph
-from bmlab.errors import ParseError
+from bmlab.errors import GroundSetMismatch, ParseError
 from bmlab.formats import parse_matrix
 from bmlab.graph import find
 from bmlab.linalg import ProjWitness
 from bmlab.matroid import MatroidOracle, frame_matroid
+
+
+def matroids_equal_on_all_subsets(m1, m2):
+    """The reference for matroid.matroids_equal: (True, None) if m1 and m2
+    have equal rank on every one of the 2^n subsets, else (False, the first
+    subset in bitmask order where they differ)."""
+    if m1.labels != m2.labels:
+        raise GroundSetMismatch("oracles must share the ordered ground set")
+    for mask in range(1 << m1.size):
+        if m1.rank_mask(mask) != m2.rank_mask(mask):
+            return False, m1.subset_of(mask)
+    return True, None
 
 
 def delete(M, labels):

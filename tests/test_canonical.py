@@ -4,12 +4,21 @@ from itertools import combinations, product
 
 import pytest
 
-from bmlab import canonical, catalog
-from bmlab.bias import BiasedGraph, balancing_vertices, biased_isomorphic, delta_y, y_delta
+from bmlab import canonical, catalog, verify
+from bmlab.bias import (
+    BiasedGraph,
+    balancing_vertices,
+    biased_isomorphic,
+    delta_y,
+    roll_up,
+    unbalancing_classes,
+    y_delta,
+)
 from bmlab.canonical import (
     COMPLETE_LIFT,
     FRAME,
     LIFT,
+    CanonicalizeResult,
     ReprClass,
     canonicalize_representation,
     complete_lift_matrix,
@@ -43,6 +52,7 @@ from bmlab.gains import (
 from bmlab.graph import MultiGraph
 from bmlab.linalg import (
     FieldMatrix,
+    ProjWitness,
     all_column_ranks,
     dual_matrix,
     invert,
@@ -60,7 +70,7 @@ from bmlab.matroid import (
     uniform_matroid,
 )
 from bmlab.verify import run_claim
-from oracles import contract, graphic_matroid
+from oracles import contract, graphic_matroid, matroids_equal_on_all_subsets
 
 
 def _pow(f, a, n):
@@ -743,6 +753,93 @@ def test_canonicalize_contracted_tube_rolls():
         lres = canonicalize_representation(cls.matrix, b0p, hint=LIFT)
         assert lres.status == "ok" and lres.kind == LIFT and not lres.rolled_edges
         assert lres.other_kind == "ok"
+
+
+def attempt_certifying_every_candidate(A, MA, omega, kind, rows):
+    """Reference for canonical._attempt: every parsed candidate gets a gain
+    graph on a new MultiGraph, and its variant's matroid is compared with
+    MA on all subsets, although an unrolled candidate with omega's bias has
+    omega's matroid; every rolled candidate is certified, although only
+    the first is kept."""
+    parts = kind_parts(kind)
+    f = A.field
+    g = omega.graph
+    R, E, fixed, free = rows
+    fallback = None
+    for choice in canonical._line_choices(f, free):
+        T = parts.rows(f, [fixed[x] if x in fixed else choice[x] for x in range(g.n)])
+        if T is None:
+            continue
+        W = T.mul(R)
+        parsed = parts.parse(W, omega, f)
+        if parsed is None:
+            continue
+        group, edges, gains, rolled = parsed
+        gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
+        variant = induced_bias(gg)
+        if not rolled and variant.balanced != omega.balanced:
+            continue
+        if not matroids_equal_on_all_subsets(MA, parts.matroid(variant))[0]:
+            continue
+        if rolled and not canonical._roll_reachable(omega, variant):
+            continue
+        form = parts.matrix(gg)
+        scales = canonical._column_scales(W, form.matrix, f)
+        if scales is None:
+            continue
+        witness = ProjWitness(
+            T.mul(E).with_labels(row_labels=form.matrix.row_labels, col_labels=A.row_labels),
+            FieldMatrix.diagonal(f, scales, A.col_labels),
+        )
+        if not witness.verify(A, form.matrix):
+            continue
+        result = CanonicalizeResult(status="ok", kind=kind, form=form, witness=witness,
+                                    variant=variant, rolled_edges=tuple(sorted(rolled)))
+        if not rolled:
+            return result
+        if fallback is None:
+            fallback = result
+    return fallback or CanonicalizeResult(status="undecided", reason="no %s shaping found" % kind)
+
+
+def _result_fields(res):
+    def entries(M):
+        return M.field.q, M.rows, M.row_labels, M.col_labels
+
+    ok = res.status == "ok"
+    return (res.status, res.kind, entries(res.form.matrix) if ok else None, res.rolled_edges,
+            res.other_kind, res.reason, entries(res.witness.T) if ok else None,
+            entries(res.witness.S) if ok else None)
+
+
+def test_attempt_matches_certifying_every_candidate(monkeypatch):
+    # every canonicalization made by the round-trip claims and by
+    # allreps-contracted-tube at the default options, and the frame matrices
+    # of the GF(4) realizations of every roll-up of the contracted tubes,
+    # some of which canonicalize only to a form particular to a roll-up
+    cases = []
+    real = verify.canonicalize_representation
+
+    def recording(A, omega, hint=None):
+        cases.append((A, omega, hint))
+        return real(A, omega, hint=hint)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "canonicalize_representation", recording)
+        for name in ("main3-roundtrip", "main4-samples", "allreps-contracted-tube"):
+            assert run_claim(name).status == "pass"
+    for nb in catalog.contracted_tubes():
+        om = nb.omega
+        for u in balancing_vertices(om):
+            for cls in unbalancing_classes(om, u).classes:
+                if not any(om.graph.is_loop(e) for e in cls):
+                    for gg in realizations(roll_up(om, u, cls), MultiplicativeGroup(4)):
+                        cases.append((frame_matrix(gg).matrix, om, FRAME))
+    got = [canonicalize_representation(*case) for case in cases]
+    monkeypatch.setattr(canonical, "_attempt", attempt_certifying_every_candidate)
+    for case, res in zip(cases, got):
+        assert _result_fields(res) == _result_fields(canonicalize_representation(*case))
+    assert sum(bool(res.rolled_edges) for res in got) >= 10
 
 
 # -- enumeration -----------------------------------------------------------------

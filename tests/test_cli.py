@@ -295,6 +295,18 @@ def test_missing_vertex_or_edge_is_an_error(capsys, b0_file, argv, message):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, shared", [
+    (["--contract", "e1", "--delete", "e1"], "e1"),
+    (["--contract", "e3", "e1", "e2", "--delete", "e2", "e4", "e1"], "e1 e2"),
+])
+def test_minor_with_overlapping_contract_and_delete_is_a_usage_error(capsys, b0_file, argv,
+                                                                      shared):
+    assert main(["minor", b0_file] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "minor: --contract and --delete share %s\n" % shared
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "{missing}"],
     ["check-theta", "{missing}"],

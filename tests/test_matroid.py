@@ -1,12 +1,17 @@
+import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from bmlab import catalog
+from bmlab import catalog, verify
 from bmlab.bias import BiasedGraph, biased_minor
+from bmlab.canonical import COMPLETE_LIFT, KINDS, kind_parts
 from bmlab.errors import BoundExceeded, GroundSetMismatch
+from bmlab.gains import realizations
 from bmlab.graph import MultiGraph
+from bmlab.linalg import FieldMatrix, vector_matroid
 from bmlab.matroid import (
     complete_lift_matroid,
     explicit_matroid,
@@ -16,7 +21,13 @@ from bmlab.matroid import (
     matroids_equal,
     uniform_matroid,
 )
-from oracles import contract, delete, edge_components, graphic_matroid
+from oracles import (
+    contract,
+    delete,
+    edge_components,
+    graphic_matroid,
+    matroids_equal_on_all_subsets,
+)
 
 CIRCUIT_BOUND = 14
 
@@ -323,6 +334,71 @@ def test_matroids_equal_bound():
     a = uniform_matroid(2, tuple("abcdefghijklmnopqrstu"))
     with pytest.raises(BoundExceeded):
         matroids_equal(a, a)
+
+
+def _perturbed(rng, A):
+    """A with one entry, chosen by rng, moved to another field element."""
+    f = A.field
+    i, j = rng.randrange(A.nrows), rng.randrange(A.ncols)
+    rows = [list(row) for row in A.rows]
+    rows[i][j] = rng.choice([x for x in f.elements if x != rows[i][j]])
+    return FieldMatrix(f, rows, A.row_labels, A.col_labels)
+
+
+def _base_graph_pairs():
+    """For every base graph and kind with a realization over GF(5), the
+    vector matroid of the first one's matrix (and of two copies with one
+    entry perturbed), each paired with the frame and lift matroids on its
+    ground set: of omega for frame and lift matrices, of G_0 (omega with
+    the joint e0) for complete lift ones."""
+    rng = random.Random(5)
+    for nb in catalog.base_graphs():
+        for kind in KINDS:
+            parts = kind_parts(kind)
+            reps = realizations(nb.omega, parts.group(5))
+            if not reps:  # D_{0,3} and T_4 have no additive realization
+                continue
+            A = parts.matrix(reps[0]).matrix
+            host = extend_with_joint(nb.omega) if kind == COMPLETE_LIFT else nb.omega
+            for B in [A, _perturbed(rng, A), _perturbed(rng, A)]:
+                for target in (frame_matroid(host), lift_matroid(host)):
+                    yield vector_matroid(B), target
+
+
+def _claim_pairs(monkeypatch, name, samples):
+    """The pairs that the claim hands to matroids_equal."""
+    pairs = []
+
+    def recording(m1, m2):
+        pairs.append((m1, m2))
+        return matroids_equal(m1, m2)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "matroids_equal", recording)
+        assert verify.run_claim(name, samples=samples).status == "pass"
+    return pairs
+
+
+def test_bases_rule_matches_the_subset_scan(monkeypatch):
+    labels = tuple("abcd")
+    cases = [(uniform_matroid(r1, labels), uniform_matroid(r2, labels))
+             for r1 in range(5) for r2 in range(5)]
+    cases += _base_graph_pairs()
+    cases += _claim_pairs(monkeypatch, "canonical-frame", 30)
+    cases += _claim_pairs(monkeypatch, "canonical-lift", 30)
+    outcomes = Counter()
+    for m1, m2 in cases:
+        eq, witness = matroids_equal(m1, m2)
+        assert eq == matroids_equal_on_all_subsets(m1, m2)[0]
+        if eq:
+            assert witness is None
+        else:
+            # the ground set when the ranks differ, else an r-subset that is
+            # a basis of exactly one
+            assert witness == m1.labels or len(witness) == m1.full_rank()
+            assert m1.rank(witness) != m2.rank(witness)
+        outcomes[eq] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
 def test_explicit_matroid_round_trip():
