@@ -119,6 +119,7 @@ class BiasedGraph:
                     cycles=violation[1],
                 )
         self._balance_class = None
+        self._automorphisms = None  # vertex parts, built on first use
         self._bias_data = None  # matroid rank data, built on first use
 
     # -- basics ------------------------------------------------------------
@@ -180,15 +181,18 @@ def classify_balance(omega):
 
     Almost balanced means a balancing vertex exists after deleting loops;
     the reported balancing vertices are those of the loop-deleted graph.
+    Deleting loops moves no vertex and keeps the bias of every other
+    cycle, so these are the vertices on every unbalanced cycle that is not
+    a loop.
     """
     if omega._balance_class is not None:
         return omega._balance_class
-    if not omega.unbalanced_cycles():
+    unbalanced = omega.unbalanced_cycles()
+    if not unbalanced:
         result = BalanceClass(BALANCED, tuple(range(omega.graph.n)))
     else:
-        loops = [e for e in range(omega.graph.m) if omega.graph.is_loop(e)]
-        stripped = biased_minor(omega, frozenset(), frozenset(loops), check=False).omega
-        bv = balancing_vertices(stripped)
+        spans = [omega.graph.vertices_of(c.edges) for c in unbalanced if len(c) > 1]
+        bv = tuple(v for v in range(omega.graph.n) if all(v in s for s in spans))
         if bv:
             result = BalanceClass(ALMOST_BALANCED, bv)
         else:
@@ -457,9 +461,7 @@ def unbalancing_classes(omega, u):
     link at u (the corresponding sets are independent).
     """
     g = omega.graph
-    loops = [e for e in range(g.m) if g.is_loop(e)]
-    stripped = biased_minor(omega, frozenset(), frozenset(loops), check=False).omega
-    if u not in balancing_vertices(stripped):
+    if u not in classify_balance(omega).balancing_vertices:
         raise NotBalancingVertex("vertex %d is not balancing after loop deletion" % u)
     delta_u = list(g.links_at(u))
     parent = {e: e for e in delta_u}
@@ -683,7 +685,14 @@ def find_biased_subdivision(omega, pattern):
 
     Each pattern cycle is checked as soon as the host path of its last edge
     is placed, so no partial embedding that already carries a cycle to the
-    wrong bias is extended."""
+    wrong bias is extended.  One vertex map is tried per orbit of the
+    pattern's biased automorphisms (their vertex parts, kept on `pattern`):
+    composing an embedding with a biased automorphism gives an embedding,
+    so the maps that admit one are a union of orbits, and as maps are
+    tried in lexicographic order the first that admits one is the least
+    of its orbit.  The answer is the unpruned search's first embedding."""
+    if pattern._automorphisms is None:
+        pattern._automorphisms = tuple({perm for perm, _ in biased_isomorphisms(pattern, pattern)})
     closing = {}  # pattern edge -> the cycles it completes, with their bias
     for c in pattern.graph.cycles():
         closing.setdefault(max(c.edges), []).append(
@@ -696,6 +705,6 @@ def find_biased_subdivision(omega, pattern):
                 return False
         return True
 
-    for emb in iter_subdivisions(omega.graph, pattern.graph, accept):
+    for emb in iter_subdivisions(omega.graph, pattern.graph, accept, pattern._automorphisms):
         return emb
     return None

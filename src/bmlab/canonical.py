@@ -349,7 +349,14 @@ def _attempt(A, MA, omega, kind, rows):
     """Shape the vertex rows for one kind, read a gain graph off the shaped
     matrix and certify it.  MA must be omega's matroid of the kind.  A form
     particular to omega itself is returned at once; the first one particular
-    to a roll-up variant only if none is found."""
+    to a roll-up variant only if none is found.
+
+    A candidate with no edge rolled has omega's own graph and bias, so
+    omega is its variant.  The column parsers make every column of the
+    shaped matrix W = T R a nonzero multiple of the candidate's canonical
+    column (or zero with it), and T has full column rank, so the
+    candidate's kind matroid is M(A) = MA.  A cycle is balanced iff it is
+    a circuit of that matroid, so its bias is omega's."""
     parts = kind_parts(kind)
     f = A.field
     g = omega.graph
@@ -366,17 +373,15 @@ def _attempt(A, MA, omega, kind, rows):
         group, edges, gains, rolled = parsed
         if rolled and fallback is not None:
             continue  # only the first roll-up result is kept
-        # unrolled, the edges are omega's own, so a variant with omega's bias
-        # has omega's matroid, MA
-        graph = MultiGraph(g.n, edges, g.edge_names, g.vertex_names) if rolled else g
-        gg = GainGraph(graph, group, gains)
-        variant = induced_bias(gg)
-        if not rolled and variant.balanced != omega.balanced:
-            continue
-        if rolled and not matroids_equal(MA, parts.matroid(variant))[0]:
-            continue
-        if rolled and not _roll_reachable(omega, variant):
-            continue
+        if rolled:
+            gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
+            variant = induced_bias(gg)
+            if not matroids_equal(MA, parts.matroid(variant))[0]:
+                continue
+            if not _roll_reachable(omega, variant):
+                continue
+        else:
+            gg, variant = GainGraph(g, group, gains), omega
         form = parts.matrix(gg)
         scales = _column_scales(W, form.matrix, f)
         if scales is None:

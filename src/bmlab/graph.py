@@ -434,17 +434,22 @@ class Embedding:
         self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
 
 
-def iter_subdivisions(host, pattern, accept=None):
+def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     """Generate embeddings of subdivisions of `pattern` in `host`.
 
     Pattern must be loopless.  Branch vertices are distinct host vertices;
     each pattern edge maps to a host path; paths are internally disjoint
-    from each other and from branch vertices.  Pattern edges are placed in
+    from each other and from branch vertices.  Vertex maps are tried in
+    lexicographic order of their images of the pattern vertices taken by
+    decreasing degree (`pverts`), and pattern edges are placed in
     increasing id order.  If given, `accept(e, edge_paths)` is called as
     soon as the path of pattern edge e is placed (`edge_paths` maps every
     placed pattern edge to its host path); when it returns False, no
-    embedding extending that placement is generated.  A host larger than
-    SUBDIVISION_BOUND raises BoundExceeded.
+    embedding extending that placement is generated.  `automorphisms` are
+    vertex permutations of the pattern (perm[v] is the image of v): a
+    complete vertex map phi is dropped when some phi o perm is
+    lexicographically smaller, so one map per orbit is tried.  A host
+    larger than SUBDIVISION_BOUND raises BoundExceeded.
     """
     if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
         raise BoundExceeded("subdivision host exceeds bound")
@@ -452,8 +457,22 @@ def iter_subdivisions(host, pattern, accept=None):
         raise ValueError("loop patterns are not supported")
     if pattern.m > host.m or pattern.n > host.n:
         return
-    pverts = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
+    host_degree = [host.degree(v) for v in range(host.n)]
+    pattern_degree = [pattern.degree(v) for v in range(pattern.n)]
+    pverts = sorted(range(pattern.n), key=lambda v: -pattern_degree[v])
     pedges = sorted(range(pattern.m))
+    # each automorphism as the pattern vertices whose images, in pverts
+    # order, make up the key of phi o perm
+    moved = [[perm[v] for v in pverts] for perm in automorphisms]
+
+    def least_in_orbit(vmap):
+        for images in moved:
+            for v, w in zip(pverts, images):
+                if vmap[w] != vmap[v]:
+                    if vmap[w] < vmap[v]:
+                        return False
+                    break
+        return True
 
     def assign_edges(idx, vmap, used_edges, used_internal):
         if idx == len(pedges):
@@ -503,13 +522,14 @@ def iter_subdivisions(host, pattern, accept=None):
 
     def assign_vertices(i, vmap, used):
         if i == len(pverts):
-            yield from assign_edges(0, vmap, frozenset(), frozenset())
+            if least_in_orbit(vmap):
+                yield from assign_edges(0, vmap, frozenset(), frozenset())
             return
         pv = pverts[i]
         for hv in range(host.n):
             if hv in used:
                 continue
-            if host.degree(hv) < pattern.degree(pv):
+            if host_degree[hv] < pattern_degree[pv]:
                 continue
             vmap[pv] = hv
             yield from assign_vertices(i + 1, vmap, used | {hv})

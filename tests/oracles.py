@@ -1,12 +1,21 @@
 """Reference routines that several test modules share: matroid equality on
-all subsets, matroid minors, the graphic matroid, edge-set components and
-projective-witness parsing.
+all subsets, matroid minors, the graphic matroid, edge-set components,
+projective-witness parsing and balance classification on the loop-deleted
+minor.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
-from bmlab.bias import BiasedGraph
+from bmlab.bias import (
+    ALMOST_BALANCED,
+    BALANCED,
+    PROPERLY_UNBALANCED,
+    BalanceClass,
+    BiasedGraph,
+    balancing_vertices,
+    biased_minor,
+)
 from bmlab.errors import GroundSetMismatch, ParseError
 from bmlab.formats import parse_matrix
 from bmlab.graph import find
@@ -90,3 +99,15 @@ def witness_from_json(obj):
     if obj.get("kind") != "projective-witness":
         raise ParseError("not a projective-witness object")
     return ProjWitness(parse_matrix(obj["T"]), parse_matrix(obj["S"]))
+
+
+def classify_balance_by_minor(omega):
+    """The reference for bias.classify_balance: the balancing vertices of
+    the minor that deletes every loop, found by a second cycle
+    enumeration on that minor."""
+    if not omega.unbalanced_cycles():
+        return BalanceClass(BALANCED, tuple(range(omega.graph.n)))
+    loops = [e for e in range(omega.graph.m) if omega.graph.is_loop(e)]
+    stripped = biased_minor(omega, frozenset(), frozenset(loops), check=False).omega
+    bv = balancing_vertices(stripped)
+    return BalanceClass(ALMOST_BALANCED, bv) if bv else BalanceClass(PROPERLY_UNBALANCED, ())

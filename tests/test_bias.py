@@ -30,9 +30,9 @@ from bmlab.bias import (
 )
 from bmlab.errors import NotACycle, NotBalancedTriangle, ThetaViolation
 from bmlab.gains import CyclicGroup, GainGraph, induced_bias
-from bmlab.graph import MultiGraph, iter_subdivisions
-from bmlab.matroid import frame_matroid, matroids_equal
-from oracles import edge_components
+from bmlab.graph import MultiGraph, graph_isomorphisms, iter_subdivisions
+from bmlab.matroid import extend_with_joint, frame_matroid, matroids_equal
+from oracles import classify_balance_by_minor, edge_components
 
 
 def k4():
@@ -212,6 +212,41 @@ def test_joints_force_almost_balanced():
     g = MultiGraph(2, [(0, 1), (0, 0)])
     om = BiasedGraph(g, [])
     assert classify_balance(om).tag == "almost-balanced"
+
+
+def test_classify_balance_matches_loop_deleted_minor_on_small_bias_sets():
+    tags = Counter()
+    for g in catalog.multigraphs_up_to_iso(4, 6):
+        for om in catalog.bias_sets_up_to_aut(g):
+            assert classify_balance(om) == classify_balance_by_minor(om), om
+            tags[classify_balance(om).tag] += 1
+    assert tags == {"balanced": 33, "almost-balanced": 164, "properly-unbalanced": 20}
+
+
+def test_classify_balance_matches_loop_deleted_minor_with_loops():
+    # the contracted tubes and D_{1,0} are loopless, so their roll-ups and
+    # their joint extensions carry the loops, with the base graphs'
+    # joint extensions and random theta-closed sets on random multigraphs
+    almost = list(catalog.contracted_tubes()) + [catalog.dwarf("D_{1,0}")]
+    cases = [roll_up(nb.omega, u, cls)
+             for nb in almost
+             for u in balancing_vertices(nb.omega)
+             for cls in unbalancing_classes(nb.omega, u).classes
+             if not any(nb.omega.graph.is_loop(e) for e in cls)]
+    cases += [extend_with_joint(nb.omega, vertex=v)
+              for nb in almost + list(catalog.base_graphs())
+              for v in range(nb.omega.graph.n)]
+    rng = random.Random(0)
+    for _ in range(300):
+        g = verify._random_multigraph(rng, 5, 8, allow_loops=True)
+        cases.append(BiasedGraph(g, rng.choice(catalog.theta_closed_subsets(g))))
+    tags = Counter()
+    for om in cases:
+        assert classify_balance(om) == classify_balance_by_minor(om), om
+        g = om.graph
+        if any(g.is_loop(e) for e in range(g.m)):
+            tags[classify_balance(om).tag] += 1
+    assert tags == {"balanced": 37, "almost-balanced": 194, "properly-unbalanced": 48}
 
 
 def test_tangled_d00():
@@ -751,6 +786,25 @@ def test_find_biased_subdivision_matches_filter_oracle_on_unique_balancing_insta
     assert rep.status == "pass"
     assert all(same for same, _ in compared)
     assert (len(compared), sum(f for _, f in compared)) == (37, 16)
+
+
+def test_find_biased_subdivision_prunes_by_biased_automorphisms_only(monkeypatch):
+    # a member of tangled_family(4, 7): K4 with one balanced 4-cycle holds
+    # D_{0,1} (one balanced 4-cycle) only through vertex maps that are not
+    # the least of their orbits under the plain automorphisms of K4
+    g = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    om = BiasedGraph(g, [frozenset({0, 1, 4, 5})])
+    assert om in catalog.tangled_family(4, 7)
+    pattern = catalog.dwarf("D_{0,1}").omega
+    emb = find_biased_subdivision(om, pattern)
+    assert emb is not None
+    assert _embedding_items(emb) == _embedding_items(_find_biased_subdivision_oracle(om, pattern))
+    # with every graph automorphism counted as a symmetry, it is lost
+    plain = BiasedGraph(pattern.graph, pattern.balanced)
+    monkeypatch.setattr(bias, "biased_isomorphisms", lambda g, h: (
+        (perm, None) for perm in graph_isomorphisms(g.graph, h.graph)))
+    assert find_biased_subdivision(om, plain) is None
+    assert len(plain._automorphisms) == 24 > len(pattern._automorphisms)
 
 
 def test_iter_subdivisions_prunes_rejected_placements():

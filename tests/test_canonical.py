@@ -758,9 +758,10 @@ def test_canonicalize_contracted_tube_rolls():
 def attempt_certifying_every_candidate(A, MA, omega, kind, rows):
     """Reference for canonical._attempt: every parsed candidate gets a gain
     graph on a new MultiGraph, and its variant's matroid is compared with
-    MA on all subsets, although an unrolled candidate with omega's bias has
-    omega's matroid; every rolled candidate is certified, although only
-    the first is kept."""
+    MA on all subsets, although an unrolled candidate has omega's matroid;
+    every rolled candidate is certified, although only the first is kept.
+    It asserts that every unrolled candidate has omega's bias, which
+    _attempt takes for granted."""
     parts = kind_parts(kind)
     f = A.field
     g = omega.graph
@@ -777,8 +778,7 @@ def attempt_certifying_every_candidate(A, MA, omega, kind, rows):
         group, edges, gains, rolled = parsed
         gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
         variant = induced_bias(gg)
-        if not rolled and variant.balanced != omega.balanced:
-            continue
+        assert rolled or variant.balanced == omega.balanced
         if not matroids_equal_on_all_subsets(MA, parts.matroid(variant))[0]:
             continue
         if rolled and not canonical._roll_reachable(omega, variant):

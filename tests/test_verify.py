@@ -418,6 +418,9 @@ NEGATIVE_CONTROLS = [
     # the star of a triad is no triangle of the unchanged matrix
     ("allreps-t2prime-splits", (verify, "y_delta_matrix", lambda A, star: A),
      [{"graph", "why", "subset"}, {"graph", "why", "reason"}]),
+    # D_{1,0} alone leaves instances with no subdivision to find
+    ("unique-balancing-subdivision", (catalog, "contracted_tubes", lambda: []),
+     [{"edges", "balanced"}]),
 ]
 
 
