@@ -14,7 +14,7 @@ lift matrix drops the e0 column.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .bias import (
     BiasedGraph,
@@ -46,7 +46,6 @@ from .graph import MultiGraph, find
 from .linalg import (
     FieldMatrix,
     ProjWitness,
-    all_column_ranks,
     dual_matrix,
     invert,
     left_null_space,
@@ -61,6 +60,7 @@ FRAME = "frame"
 LIFT = "lift"
 COMPLETE_LIFT = "lift0"
 KINDS = (FRAME, LIFT, COMPLETE_LIFT)
+ENUMERATION_WORK_BOUND = 100_000  # r-subsets listed plus basis tests made
 
 
 @dataclass
@@ -606,28 +606,31 @@ class ReprClass:
     canonical: CanonicalizeResult = None  # ok or undecided, with its reason
 
 
-def enumerate_representations(
-    M, q, biased_graph=None, max_rank=4, max_elements=8, max_q=5, hint=None
-):
+def enumerate_representations(M, q, biased_graph=None, hint=None,
+                              max_work=ENUMERATION_WORK_BOUND):
     """All F_q-representations of M up to projective equivalence.
 
-    Fixes the lex-first basis and enumerates standard forms [I | D] whose
-    support is forced by the fundamental circuits.  On one basis, standard
-    forms are projectively equivalent iff a diagonal scaling maps one to
+    Fixes the lex-first basis B and extends the standard form [I | D] one
+    non-basis column at a time.  An r-subset S is a basis of [I | D] iff
+    D[B - S, S - B] is nonsingular (Oxley, Matroid Theory, section 6.4):
+    the support, forced by the fundamental circuits, decides each S with
+    one non-basis element, and each other S is tested when its last
+    non-basis column is placed.  So every complete form has M's bases and
+    represents M (single-element extension, as in Mayhew and Royle,
+    Matroids with nine elements, JCTB 98, 2008).  Standard forms on one
+    basis are projectively equivalent iff a diagonal scaling maps one to
     the other; fixing to 1 the entries on a spanning forest of the support
-    graph leaves one member per scaling orbit (Brylawski-Lucas; Oxley,
-    Matroid Theory, section 6.4).  Each standard form that passes the
-    matroid-equality filter is thus its own class, with count the orbit
-    size (q-1)^|forest|.  The forest is grown greedily in (column, row)
-    order and f.nonzero[0] is f.one, so each representative is the
-    lex-first member of its orbit.  When a biased graph is supplied, each
-    class is classified via canonicalize_representation.
+    graph, grown greedily in (column, row) order, leaves the lex-first
+    member of each scaling orbit (Brylawski-Lucas; Oxley section 6.4).
+    So each complete form is its own class, of count (q-1)^|forest|.  With
+    a biased graph, each class is classified by canonicalize_representation.
+
+    The work, one unit per r-subset listed and per basis test, raises
+    BoundExceeded past max_work.
     """
     f = gf(q)
     n = M.size
     r = M.full_rank()
-    if r > max_rank or n > max_elements or q > max_q:
-        raise BoundExceeded("enumeration bounds exceeded")
     if r == 0:
         raise NoBasis("rank-zero matroid")
     basis = []
@@ -641,20 +644,33 @@ def enumerate_representations(
     if len(basis) != r:
         raise NoBasis("could not complete a basis")
     nonbasis = [j for j in range(n) if j not in basis]
-    basis_mask = mask
-    support = {}
-    for j in nonbasis:
-        if M.rank_mask(1 << j) == 0:
-            support[j] = []
+    pos_of = {b: k for k, b in enumerate(basis)}
+    work = 0
+
+    def spend():
+        nonlocal work
+        work += 1
+        if work > max_work:
+            raise BoundExceeded("representation enumeration work bound exceeded")
+
+    # support[j]: the rows b with B - b + j a basis; tests[j]: (rows B - S,
+    # columns S - B, whether S is a basis) for each r-subset S with two or
+    # more non-basis elements, the last of them j, smaller (cheaper) first
+    support = {j: [] for j in nonbasis}
+    tests = {j: [] for j in nonbasis}
+    for subset in combinations(range(n), r):
+        spend()
+        cols = [j for j in subset if j not in pos_of]
+        if not cols:
             continue
-        circ = []
-        withj = basis_mask | 1 << j
-        for b in basis:
-            if M.rank_mask(withj & ~(1 << b)) == r:
-                circ.append(b)
-        support[j] = circ
-    target_ranks = [M.rank_mask(s) for s in range(1 << n)]
-    pos_of = {lbl_i: k for k, lbl_i in enumerate(basis)}
+        rows = [pos_of[b] for b in basis if b not in subset]
+        is_basis = M.rank_mask(sum(1 << i for i in subset)) == r
+        if len(cols) > 1:
+            tests[cols[-1]].append((rows, cols, is_basis))
+        elif is_basis:
+            support[cols[0]].append(rows[0])
+    for j in nonbasis:
+        tests[j].sort(key=lambda test: len(test[1]))
     # support graph on the elements: basis rows and non-basis columns.  Its
     # greedy spanning forest's entries are 1 (in ones[j]); the other support
     # entries, at rows free_rows[j], range over the nonzero elements
@@ -665,74 +681,49 @@ def enumerate_representations(
     for j in nonbasis:
         ones[j] = [f.zero] * r
         free_rows[j] = []
-        for b in support[j]:
-            rj, rb = find(parent, j), find(parent, b)
+        for k in sorted(support[j]):
+            rj, rb = find(parent, j), find(parent, basis[k])
             if rj != rb:
                 parent[rj] = rb
                 forest_size += 1
-                ones[j][pos_of[b]] = f.one
+                ones[j][k] = f.one
             else:
-                free_rows[j].append(pos_of[b])
+                free_rows[j].append(k)
     orbit_size = (q - 1) ** forest_size
-
-    cols_fixed = {}
+    all_cols = [None] * n
     for k, b in enumerate(basis):
-        col = [f.zero] * r
-        col[k] = f.one
-        cols_fixed[b] = col
-
+        all_cols[b] = [f.one if i == k else f.zero for i in range(r)]
     out = []
     keys = set()
 
-    def column_options(j):
-        opts = []
+    def placed_ok(j):
+        for rows, cols, is_basis in tests[j]:
+            spend()
+            minor = [[all_cols[c][i] for i in rows] for c in cols]
+            if (rank_of_columns(f, minor) == len(cols)) != is_basis:
+                return False
+        return True
+
+    def rec(idx):
+        if idx == len(nonbasis):
+            A = FieldMatrix(f, zip(*all_cols), None, M.labels)
+            key = projective_key(A)
+            if key in keys:
+                raise BmlabError("two forest-normalized standard forms "
+                                 "are projectively equivalent")
+            keys.add(key)
+            out.append(ReprClass(A, orbit_size))
+            return
+        j = nonbasis[idx]
+        # the product is lazy, so the work bound trips before (q-1)^k
+        # columns exist
         for values in product(f.nonzero, repeat=len(free_rows[j])):
             col = list(ones[j])
             for i, val in zip(free_rows[j], values):
                 col[i] = val
-            opts.append(col)
-        return opts
-
-    def pair_ok(cols, j1, j2):
-        want = target_ranks[(1 << j1) | (1 << j2)]
-        have = rank_of_columns(f, [cols[j1], cols[j2]])
-        return want == have
-
-    all_cols = dict(cols_fixed)
-
-    def rec(idx):
-        if idx == len(nonbasis):
-            collist = [all_cols[j] for j in range(n)]
-            A = FieldMatrix(
-                f,
-                [[collist[j][i] for j in range(n)] for i in range(r)],
-                None,
-                M.labels,
-            )
-            if _matroid_matches(A, target_ranks, f):
-                key = projective_key(A)
-                if key in keys:
-                    raise BmlabError("two forest-normalized standard forms "
-                                     "are projectively equivalent")
-                keys.add(key)
-                out.append(ReprClass(A, orbit_size))
-            return
-        j = nonbasis[idx]
-        for col in column_options(j):
             all_cols[j] = col
-            ok = True
-            for j2 in nonbasis[:idx]:
-                if not pair_ok(all_cols, j, j2):
-                    ok = False
-                    break
-            if ok:
-                for b in basis:
-                    if not pair_ok(all_cols, j, b):
-                        ok = False
-                        break
-            if ok:
+            if placed_ok(j):
                 rec(idx + 1)
-            del all_cols[j]
 
     rec(0)
     if biased_graph is not None:
@@ -745,8 +736,3 @@ def enumerate_representations(
             if res.status == "ok":
                 cls.kind = res.kind
     return out
-
-
-def _matroid_matches(A, target_ranks, f):
-    have = all_column_ranks(A)
-    return have == target_ranks

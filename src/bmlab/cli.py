@@ -3,7 +3,8 @@
 Exit codes: 0 pass/success, 1 fail/negative answer, 2 usage or parse
 error, 3 bound exhausted / undecided.  Every subcommand takes --json.
 The BMLAB_BOUNDS environment variable scales the default search bounds
-(for `verify`, each claim's own max_vertices/max_edges defaults).
+(for `enumerate-reps`, canonical.ENUMERATION_WORK_BOUND; for `verify`, each
+claim's own max_vertices/max_edges defaults).
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .bias import (
     y_delta,
 )
 from .canonical import (
+    ENUMERATION_WORK_BOUND,
     FRAME,
     KINDS,
     LIFT,
@@ -35,6 +37,7 @@ from .canonical import (
     kind_parts,
 )
 from .errors import BmlabError, BoundExceeded, ParseError
+from .fields import gf
 from .gains import induced_bias, switching_equivalent, switching_scaling_equivalent
 from .linalg import projectively_equivalent
 
@@ -55,6 +58,14 @@ def bounds_scale():
     if not 1 <= scale < math.inf:
         raise ParseError("BMLAB_BOUNDS must be a finite number >= 1, got %r" % text)
     return scale
+
+
+def _field_order(q):
+    """--q, checked: a q that GF(q) rejects is a usage error."""
+    try:
+        return gf(q).q
+    except BmlabError as exc:
+        raise ParseError("--q: %s" % exc)
 
 
 def _read(path):
@@ -237,19 +248,18 @@ def cmd_canonicalize(args):
 
 
 def cmd_enumerate_reps(args):
+    q = _field_order(args.q)
     M = formats.parse_matroid(_read(args.matroid),
                               base_dir=os.path.dirname(args.matroid) or ".")
     om = None
     if args.biased_graph:
         om = formats.parse_biased_graph(_read(args.biased_graph))
-    scale = bounds_scale()
     classes = enumerate_representations(
-        M, args.q, biased_graph=om,
-        max_rank=int(4 * scale), max_elements=int(8 * scale),
-        max_q=max(5, int(5 * scale)),
+        M, q, biased_graph=om,
+        max_work=int(ENUMERATION_WORK_BOUND * bounds_scale()),
     )
     payload = {
-        "q": args.q,
+        "q": q,
         "classes": [
             {"matrix": formats.emit_matrix(c.matrix), "kind": c.kind,
              "standard_forms": c.count}
@@ -333,7 +343,7 @@ def cmd_verify(args):
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.q is not None:
-        kwargs["q"] = args.q
+        kwargs["q"] = _field_order(args.q)
     scale = bounds_scale()
     reports = []
     worst = EXIT_PASS

@@ -224,7 +224,8 @@ def vector_matroid(A):
 def all_column_ranks(A):
     """Ranks of every column subset, as a list indexed by bitmask.
 
-    Shares elimination work along the subset tree; used by equality checks.
+    Shares elimination work along the subset tree; the enumeration oracle
+    in tests/test_canonical.py uses it, and perfbench/spans.py traces it.
     """
     f = A.field
     m = A.ncols

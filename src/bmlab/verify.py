@@ -1043,7 +1043,7 @@ def claim_subdivision_classes(q=4):
         om = nb.omega
         base_classes = enumerate_representations(frame_matroid(om), q)
         sub = _subdivide_edge(om, 0)
-        sub_classes = enumerate_representations(frame_matroid(sub), q, max_elements=9)
+        sub_classes = enumerate_representations(frame_matroid(sub), q)
         counts[name] = {"base": len(base_classes), "subdivided": len(sub_classes)}
         if len(base_classes) != len(sub_classes):
             failures.append({"graph": name, "q": q, "counts": counts[name]})

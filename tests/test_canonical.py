@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bmlab import canonical, catalog, verify
+from bmlab import canonical, catalog, graph, verify
 from bmlab.bias import (
     BiasedGraph,
     balancing_vertices,
@@ -844,10 +844,17 @@ def test_attempt_matches_certifying_every_candidate(monkeypatch):
 
 # -- enumeration -----------------------------------------------------------------
 
-def enumerate_by_scaling_every_entry(M, q, biased_graph=None, hint=None):
+def enumerate_by_scaling_every_entry(M, q, biased_graph=None, hint=None, forest_to_one=False):
     """Reference oracle: the enumerator that tries every nonzero value on
-    every support entry of the standard form and merges each diagonal
-    scaling orbit by projective_key, counting its members."""
+    every support entry of the standard form, keeps the complete forms whose
+    every column subset has its rank in M, and merges each diagonal scaling
+    orbit by projective_key, counting its members.
+
+    With forest_to_one, the entries on the greedy spanning forest of the
+    support graph (grown in (column, row) order) are 1 instead, so each
+    orbit has one member, counted as (q-1)^|forest|: the leaf-filter
+    enumerator that per-basis extension replaced, fast enough for larger
+    q and ground sets."""
     f = gf(q)
     n = M.size
     r = M.full_rank()
@@ -869,6 +876,15 @@ def enumerate_by_scaling_every_entry(M, q, biased_graph=None, hint=None):
         support[j] = [b for b in basis if M.rank_mask(withj & ~(1 << b)) == r]
     target_ranks = [M.rank_mask(s) for s in range(1 << n)]
     pos_of = {b: k for k, b in enumerate(basis)}
+    parent = list(range(n))
+    forest = set()
+    for j in nonbasis:
+        for b in support[j]:
+            rj, rb = graph.find(parent, j), graph.find(parent, b)
+            if rj != rb:
+                parent[rj] = rb
+                forest.add((j, b))
+    orbit_size = (q - 1) ** len(forest) if forest_to_one else 1
     all_cols = {}
     for k, b in enumerate(basis):
         all_cols[b] = [f.one if i == k else f.zero for i in range(r)]
@@ -876,15 +892,13 @@ def enumerate_by_scaling_every_entry(M, q, biased_graph=None, hint=None):
     order = []
 
     def column_options(j):
-        if not support[j]:
-            return [[f.zero] * r]
-        opts = []
-        for values in product(f.nonzero, repeat=len(support[j])):
+        values = [[f.one] if forest_to_one and (j, b) in forest else f.nonzero
+                  for b in support[j]]
+        for entries in product(*values):
             col = [f.zero] * r
-            for b, val in zip(support[j], values):
+            for b, val in zip(support[j], entries):
                 col[pos_of[b]] = val
-            opts.append(col)
-        return opts
+            yield col
 
     def pair_ok(j1, j2):
         have = rank_of_columns(f, [all_cols[j1], all_cols[j2]])
@@ -899,9 +913,9 @@ def enumerate_by_scaling_every_entry(M, q, biased_graph=None, hint=None):
             if all_column_ranks(A) == target_ranks:
                 key = projective_key(A)
                 if key in classes:
-                    classes[key].count += 1
+                    classes[key].count += orbit_size
                 else:
-                    classes[key] = ReprClass(A, 1)
+                    classes[key] = ReprClass(A, orbit_size)
                     order.append(key)
             return
         j = nonbasis[idx]
@@ -929,32 +943,41 @@ def _class_table(classes):
 
 
 def _differential_cases():
-    for nb in catalog.base_graphs():
-        om = nb.omega
-        yield nb.name + " frame", frame_matroid(om), 3, om, None
-        yield nb.name + " lift", lift_matroid(om), 3, om, LIFT
+    """(name, matroid, q, biased graph, hint, forest_to_one): every base
+    graph, T'_{2,i} and contracted tube, both kinds, over GF(2) to GF(5),
+    and U_{2,4} and M(K_4).  The oracle scales every entry where that stays
+    cheap (q = 2, and q = 3 on at most six edges); elsewhere it fixes the
+    forest entries to 1 and filters complete forms by all subset ranks."""
+    graphs = (catalog.base_graphs() + tuple(catalog.t2_prime_split(i) for i in (1, 2, 3))
+              + catalog.contracted_tubes())
+    for q in (2, 3, 4, 5):
+        for nb in graphs:
+            om = nb.omega
+            forest_to_one = q > 3 or (q == 3 and om.graph.m > 6)
+            yield nb.name + " frame", frame_matroid(om), q, om, None, forest_to_one
+            yield nb.name + " lift", lift_matroid(om), q, om, LIFT, forest_to_one
     u24 = uniform_matroid(2, ("e1", "e2", "e3", "e4"))
-    for q in (4, 5):
-        yield "U_{2,4}", u24, q, None, None
+    for q in (4, 5, 7):  # GF(7) is past the field cap the enumerator once had
+        yield "U_{2,4}", u24, q, None, None, False
     k4 = graphic_matroid(catalog.graph_k4())
     for q in (2, 3, 4, 5):
-        yield "M(K4)", k4, q, None, None
+        yield "M(K4)", k4, q, None, None, False
 
 
 def test_enumerate_matches_scaling_every_entry():
-    # one forest-normalized standard form per class gives the same classes,
-    # representatives, order, counts and kinds as merging every standard
-    # form by projective_key
+    # per-basis extension from one forest-normalized standard form per
+    # class gives the same classes, representatives, order, counts and
+    # kinds as the oracle
     diffs = []
     n_classes = 0
-    for name, M, q, om, hint in _differential_cases():
+    for name, M, q, om, hint, forest_to_one in _differential_cases():
         got = _class_table(enumerate_representations(M, q, biased_graph=om, hint=hint))
-        want = _class_table(enumerate_by_scaling_every_entry(M, q, om, hint))
+        want = _class_table(enumerate_by_scaling_every_entry(M, q, om, hint, forest_to_one))
         n_classes += len(want)
         if got != want:
             diffs.append((name, q))
     assert diffs == []
-    assert n_classes == 22
+    assert n_classes == 312
 
 
 def test_enumerate_raises_on_a_repeated_class(monkeypatch):
@@ -976,6 +999,45 @@ def test_enumerate_reports_a_canonicalization_bound_hit(monkeypatch):
     with pytest.raises(BoundExceeded):
         enumerate_representations(frame_matroid(b1), 4, biased_graph=b1)
     assert run_claim("allreps-tube-frame").status == "undecided"
+
+
+def test_enumerate_work_is_subsets_listed_plus_basis_tests():
+    # U_{2,4} over GF(4): C(4, 2) = 6 subsets listed, then {e3, e4} tested
+    # once for each of the 3 values of the last column's free entry
+    u24 = uniform_matroid(2, ("e1", "e2", "e3", "e4"))
+    assert len(enumerate_representations(u24, 4, max_work=9)) == 2
+    with pytest.raises(BoundExceeded):
+        enumerate_representations(u24, 4, max_work=8)
+
+
+def test_enumerate_builds_column_options_lazily(monkeypatch):
+    # the second non-basis column of U_{3,7} over GF(251) has 250^2
+    # options; the work bound trips after a few hundred of them
+    pulled = []
+
+    def counting_product(*args, **kwargs):
+        for item in product(*args, **kwargs):
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(canonical, "product", counting_product)
+    u37 = uniform_matroid(3, ["e%d" % i for i in range(7)])
+    with pytest.raises(BoundExceeded):
+        enumerate_representations(u37, 251, max_work=1000)
+    assert 0 < len(pulled) < 1000
+
+
+ENUMERATING_CLAIMS = ("allreps-2c3", "allreps-k4", "allreps-tube-frame", "allreps-tube-lift",
+                      "allreps-contracted-tube", "subdivision-classes")
+
+
+def test_enumerating_claims_stay_far_inside_the_work_bound(monkeypatch):
+    # at default options each claim passes with a hundredth of the bound
+    small = canonical.ENUMERATION_WORK_BOUND // 100
+    monkeypatch.setattr(verify, "enumerate_representations",
+                        lambda *args, **kwargs: enumerate_representations(
+                            *args, max_work=small, **kwargs))
+    assert [run_claim(name).status for name in ENUMERATING_CLAIMS] == ["pass"] * 6
 
 
 def test_enumerate_u24_class_counts():

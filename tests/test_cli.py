@@ -134,6 +134,9 @@ def test_enumerate_reps_cli(tmp_path, capsys):
         "rows 2 cols 4 field gf 4\nlabels e1 e2 e3 e4\n1 0 1 1\n0 1 1 %d\n" % x
         for x in (2, 3)
     ]
+    # no field cap: GF(7) gives U_{2,4} its q - 2 = 5 classes
+    assert main(["enumerate-reps", path, "--q", "7"]) == 0
+    assert capsys.readouterr().out == "5 classes\n"
 
 
 def test_minor_cli(capsys, b0_file):
@@ -276,6 +279,41 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, command, text, messa
     assert main([command, path] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and message in err
+
+
+@pytest.mark.parametrize("q, message", [
+    ("6", "6 is not a prime power"),
+    ("1", "GF(q) supported for 2 <= q <= 256, got 1"),
+    ("0", "GF(q) supported for 2 <= q <= 256, got 0"),
+    ("300", "GF(q) supported for 2 <= q <= 256, got 300"),
+])
+def test_bad_field_order_is_a_usage_error(tmp_path, capsys, q, message):
+    path = write(tmp_path, "u24.matroid",
+                 formats.emit_matroid(uniform_matroid(2, ("e1", "e2", "e3", "e4"))))
+    for argv in (["enumerate-reps", path, "--q", q], ["verify", "allreps-k4", "--q", q]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "parse error: --q: %s\n" % message
+
+
+def test_enumerate_reps_beyond_the_work_bound_is_undecided(tmp_path, capsys):
+    # U_{3,7} over GF(251) has millions of classes; the bound trips first
+    M = uniform_matroid(3, ["x%d" % i for i in range(7)])
+    path = write(tmp_path, "u37.matroid", formats.emit_matroid(M))
+    assert main(["enumerate-reps", path, "--q", "251"]) == 3
+    assert capsys.readouterr().err == (
+        "bound exceeded: representation enumeration work bound exceeded\n")
+
+
+def test_bounds_scale_multiplies_the_enumeration_work_bound(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "enumerate_representations",
+                        lambda M, q, biased_graph, max_work: seen.append(max_work) or [])
+    path = write(tmp_path, "u24.matroid",
+                 formats.emit_matroid(uniform_matroid(2, ("e1", "e2", "e3", "e4"))))
+    assert main(["enumerate-reps", path, "--q", "7"]) == 0
+    monkeypatch.setenv("BMLAB_BOUNDS", "2.5")
+    assert main(["enumerate-reps", path, "--q", "7"]) == 0
+    assert seen == [cli.ENUMERATION_WORK_BOUND, int(2.5 * cli.ENUMERATION_WORK_BOUND)]
 
 
 def test_explicit_matroid_beyond_the_axiom_check_bound_is_undecided(tmp_path, capsys):

@@ -396,6 +396,20 @@ def test_tangled_no_extend_negative_control(monkeypatch):
     assert all(w["why"] == "frame extended to lift" for w in rep.witnesses)
 
 
+def _drop_last_class(M, q, **kwargs):
+    """An enumerator that loses the last class of every matroid."""
+    return canonical.enumerate_representations(M, q, **kwargs)[:-1]
+
+
+def _drop_last_subdivided_class(M, q, **kwargs):
+    """An enumerator that loses the last class of a one-edge subdivision
+    only: the new edge's label is the old one's with a trailing b."""
+    classes = canonical.enumerate_representations(M, q, **kwargs)
+    return classes[:-1] if M.labels[-1].endswith("b") else classes
+
+
+ALLREPS_COUNT_WITNESS = [{"graph", "q", "classes", "expected"}]
+
 NEGATIVE_CONTROLS = [
     # (claim, (owner, attribute, replacement), witness key sets it must produce)
     ("canonical-frame", (canonical, "frame_matroid", lift_matroid),
@@ -421,6 +435,15 @@ NEGATIVE_CONTROLS = [
     # D_{1,0} alone leaves instances with no subdivision to find
     ("unique-balancing-subdivision", (catalog, "contracted_tubes", lambda: []),
      [{"edges", "balanced"}]),
+    # the independent count of gain-function classes catches a lost class
+    ("allreps-2c3", (verify, "enumerate_representations", _drop_last_class),
+     ALLREPS_COUNT_WITNESS),
+    ("allreps-k4", (verify, "enumerate_representations", _drop_last_class),
+     ALLREPS_COUNT_WITNESS),
+    ("allreps-tube-lift", (verify, "enumerate_representations", _drop_last_class),
+     ALLREPS_COUNT_WITNESS),
+    ("subdivision-classes", (verify, "enumerate_representations", _drop_last_subdivided_class),
+     [{"graph", "q", "counts"}]),
 ]
 
 
@@ -443,6 +466,23 @@ def test_allreps_negative_control(monkeypatch):
     assert rep.status == "fail"
     assert [w["graph"] for w in rep.witnesses] == ["B_1", "B_2"]  # B_0 has none
     assert all(w["classes"] == w["expected"] - 1 for w in rep.witnesses)
+
+
+def test_theorem_2_on_every_biased_graph_with_5_vertices_and_8_edges():
+    # every properly unbalanced, vertically 2-connected biased graph on 5
+    # vertices and 8 edges, up to isomorphism: rank-5 frame matroids, 41 of
+    # them 3-connected.  Over GF(4) every representation is canonical, and
+    # the classes are as many as the gain classes
+    family = []
+    for g in catalog.multigraphs_up_to_iso(5, 8):
+        if g.n == 5 and g.m == 8 and g.is_vertically_k_connected(2)[0]:
+            family += catalog.bias_sets_up_to_aut(
+                g, predicate=lambda om: classify_balance(om).tag == "properly-unbalanced")
+    assert len(family) == 280
+    named = [catalog.NamedBiasedGraph("G%d" % i, om, "") for i, om in enumerate(family)]
+    failures, counts = verify._allreps(named, 4)
+    assert failures == []
+    assert sum(c["classes"] for c in counts["per_graph"].values()) == 342
 
 
 def test_allreps_reports_why_a_class_has_no_canonical_form():
