@@ -87,8 +87,40 @@ def _factor_prime_power(q):
     raise BmlabError("%d is not a prime power" % q)
 
 
+def _add_table(p, k):
+    """The addition table of GF(p^k): digit-wise addition mod p of the
+    base-p encodings, grown one digit at a time."""
+    table = [[0]]
+    for _ in range(k):
+        size = len(table) * p
+        table = [[(a + b) % p + p * table[a // p][b // p] for b in range(size)]
+                 for a in range(size)]
+    return table
+
+
+def _primitive_powers(p, k, modulus):
+    """[1, g, g^2, ..., g^(q-2)] for the least primitive element g of
+    GF(p^k) in the encoding, found by trying the candidates in order."""
+    q = p ** k
+    for g in range(1, q):
+        poly = _decode(g, p, k)
+        powers = [1]
+        x, v = poly, g
+        while v != 1:
+            powers.append(v)
+            x = _poly_mod(_poly_mul(x, poly, p), modulus, p)
+            v = _encode(x, p)
+        if len(powers) == q - 1:
+            return powers
+    raise BmlabError("GF(%d) has no primitive element" % q)
+
+
 class GF:
-    """The finite field with q elements; element arithmetic by table lookup."""
+    """The finite field with q elements; element arithmetic by table lookup.
+
+    Products come from the powers of a primitive element g: with
+    log(g^i) = i, a * b = g^(log a + log b) and 1/a = g^(-log a), and
+    -a = (-1) * a, the constant p - 1 being -1."""
 
     def __init__(self, q):
         if not 2 <= q <= 256:
@@ -98,33 +130,17 @@ class GF:
         self.zero = 0
         self.one = 1
         self.char = self.p
-        if self.k == 1:
-            self._add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        else:
-            p, k = self.p, self.k
-            self.modulus = _min_irreducible(p, k)
-            polys = [_decode(v, p, k) for v in range(q)]
-            self._add = [
-                [_encode([(x + y) % p for x, y in zip(polys[a], polys[b])], p)
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            self._mul = []
-            for a in range(q):
-                row = []
-                for b in range(q):
-                    prod = _poly_mod(_poly_mul(polys[a], polys[b], p), self.modulus, p)
-                    row.append(_encode(prod, p))
-                self._mul.append(row)
-        self._neg = [0] * q
-        self._inv = [None] * q
-        for a in range(q):
-            for b in range(q):
-                if self._add[a][b] == 0:
-                    self._neg[a] = b
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
+        self.modulus = _min_irreducible(self.p, self.k)
+        self._add = _add_table(self.p, self.k)
+        exp = _primitive_powers(self.p, self.k, self.modulus)
+        log = [None] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        self._mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self._neg = list(self._mul[self.p - 1])
+        self._inv = [None] + [exp[-la] for la in logs]
 
     # -- arithmetic ------------------------------------------------------
     def add(self, a, b):

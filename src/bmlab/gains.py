@@ -20,6 +20,7 @@ from .errors import (
     UnknownEdge,
 )
 from .fields import gf
+from .graph import OrientedEdge, find
 
 class GainGroup:
     """Shared interface: identity, op, inv, elements, deterministic order."""
@@ -266,6 +267,68 @@ def normalize(gg, forest=None):
                 eta[w] = group.op(group.inv(phi), eta[v])
                 stack.append(w)
     return switch(gg, eta), eta
+
+
+def fundamental_walks(graph, forest=()):
+    """The fundamental cycles of one maximal forest T of graph, as closed
+    walks of OrientedEdges.  T grows by union-find from the links of forest
+    and then from the other edges in id order.  For each edge e = (u, v)
+    outside T, in id order, the walk is e from u to v and then the path in T
+    from v back to u (e alone when e is a loop).
+
+    Over an abelian group the gains of these walks fix the switching class:
+    normalizing on T leaves each such e with its walk's gain.  They fix the
+    class on the contraction by forest as well, since a closed walk keeps
+    its gain under switching and under contracting identity-gain links, and
+    T minus forest is a maximal forest of the minor."""
+    forest = frozenset(forest)
+    parent = list(range(graph.n))
+    adj = [[] for _ in range(graph.n)]
+    outside = []
+    for e in sorted(forest) + [e for e in range(graph.m) if e not in forest]:
+        u, v = graph.edges[e]
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            if e in forest:
+                raise ValueError("edge set is not a forest of links")
+            outside.append(e)
+            continue
+        parent[ru] = rv
+        adj[u].append((v, OrientedEdge(e, False)))  # the step from v to u
+        adj[v].append((u, OrientedEdge(e, True)))
+    # up[w]: w's parent in its tree of T and the step from w to it
+    up = [None] * graph.n
+    depth = [0] * graph.n
+    for root in range(graph.n):
+        if up[root] is not None:
+            continue
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for w, step in adj[x]:
+                if w != root and up[w] is None:
+                    up[w] = (x, step)
+                    depth[w] = depth[x] + 1
+                    stack.append(w)
+    walks = []
+    for e in outside:
+        u, v = graph.edges[e]
+        down, rise = [], []  # the steps from v up, and from u up
+        while u != v:
+            if depth[v] >= depth[u]:
+                v, step = up[v]
+                down.append(step)
+            else:
+                u, step = up[u]
+                rise.append(step)
+        walks.append([OrientedEdge(e)] + down
+                     + [OrientedEdge(s.edge, not s.forward) for s in reversed(rise)])
+    return walks
+
+
+def fundamental_gains(gg, walks):
+    """The gains of the closed walks (from fundamental_walks), as a tuple."""
+    return tuple(_compose(gg, walk) for walk in walks)
 
 
 def switching_equivalent(gg1, gg2):

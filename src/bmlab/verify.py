@@ -49,9 +49,10 @@ from .gains import (
     CyclicGroup,
     GainGraph,
     MultiplicativeGroup,
+    fundamental_gains,
+    fundamental_walks,
     induced_bias,
     induced_gain,
-    normalize,
     normalized_gain_functions,
     realizations,
     switch,
@@ -888,8 +889,8 @@ def claim_contraction_inequiv():
     """Prop: switching-inequivalent gain functions stay inequivalent after
     contracting any forest.  Exhaustive over catalog graphs, all nonempty
     link forests, all pairs of normalized gain functions over Z_2 and Z_3.
-    Pairs are decided by grouping each forest's contracted functions by
-    their normalized gains (_contraction_failures); `pairs` still counts
+    Pairs are decided by grouping each forest's functions by their
+    fundamental-cycle gains (_contraction_failures); `pairs` still counts
     every (forest, pair) decided."""
     failures = []
     pairs_checked = 0
@@ -910,24 +911,19 @@ def _contraction_failures(g, gfs):
     """Decide, for every nonempty link forest F of g, which pairs of the gain
     functions gfs become switching equivalent once F is contracted.
 
-    Each contracted function is computed once per F and normalized on one
-    spanning forest of the minor (all minors of one F share their graph);
-    two contracted functions are equivalent exactly when their normalized
-    gains are equal.  Returns (pairs decided, failures), a failure for each
-    equivalent pair, with the witness eta of switching_equivalent."""
+    Pairs are grouped by _contraction_classes; only a pair in one class
+    builds its two minors, for the witness eta of switching_equivalent.
+    Returns (pairs decided, failures), a failure for each equivalent pair."""
     pairs = 0
     failures = []
     for F in g.link_forests():
         if not F:
             continue
-        minors = [induced_gain(gg, F, set())[0] for gg in gfs]
-        tree = minors[0].graph.spanning_forest()
-        groups = {}
-        for i, mg in enumerate(minors):
-            normal, _ = normalize(mg, tree)
-            groups.setdefault(tuple(normal.gains[e] for e in range(mg.graph.m)), []).append(i)
         pairs += len(gfs) * (len(gfs) - 1) // 2
-        for members in groups.values():
+        for members in _contraction_classes(g, gfs, F):
+            if len(members) < 2:
+                continue
+            minors = {i: induced_gain(gfs[i], F, set())[0] for i in members}
             for i, j in combinations(members, 2):
                 eta = switching_equivalent(minors[i], minors[j])
                 failures.append({
@@ -936,6 +932,19 @@ def _contraction_failures(g, gfs):
                     "phi": gfs[i].gains, "psi": gfs[j].gains, "eta": eta,
                 })
     return pairs, failures
+
+
+def _contraction_classes(g, gfs, F):
+    """The indices of the gain functions gfs on g, in blocks that are
+    switching equivalent on g/F, each block and the blocks in order of first
+    member.  Each function is keyed by its gains on the fundamental cycles of
+    one maximal forest T of g containing F (fundamental_walks): equal keys
+    are exactly the functions equivalent on g/F, with no minor built."""
+    walks = fundamental_walks(g, F)
+    blocks = {}
+    for i, gg in enumerate(gfs):
+        blocks.setdefault(fundamental_gains(gg, walks), []).append(i)
+    return list(blocks.values())
 
 
 def _deltawye_instances():

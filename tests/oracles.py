@@ -1,7 +1,8 @@
 """Reference routines that several test modules share: matroid equality on
 all subsets, matroid minors, the graphic matroid, edge-set components,
-projective-witness parsing and balance classification on the loop-deleted
-minor.
+projective-witness parsing, balance classification on the loop-deleted
+minor, switching classes on contracted gain graphs and GF(q) tables built
+pair by pair.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -17,7 +18,16 @@ from bmlab.bias import (
     biased_minor,
 )
 from bmlab.errors import GroundSetMismatch, ParseError
+from bmlab.fields import (
+    _decode,
+    _encode,
+    _factor_prime_power,
+    _min_irreducible,
+    _poly_mod,
+    _poly_mul,
+)
 from bmlab.formats import parse_matrix
+from bmlab.gains import induced_gain, normalize
 from bmlab.graph import find
 from bmlab.linalg import ProjWitness
 from bmlab.matroid import MatroidOracle, frame_matroid
@@ -111,3 +121,39 @@ def classify_balance_by_minor(omega):
     stripped = biased_minor(omega, frozenset(), frozenset(loops), check=False).omega
     bv = balancing_vertices(stripped)
     return BalanceClass(ALMOST_BALANCED, bv) if bv else BalanceClass(PROPERLY_UNBALANCED, ())
+
+
+def contraction_classes_by_minors(gfs, forest):
+    """The reference for verify._contraction_classes: the indices of the
+    gain functions gfs in blocks of equal normal form on the contraction by
+    forest, each block and the blocks in order of first member.  Every
+    function's minor is built with induced_gain and normalized on one
+    spanning forest of the minor (all minors of one forest share a graph)."""
+    minors = [induced_gain(gg, forest, set())[0] for gg in gfs]
+    tree = minors[0].graph.spanning_forest()
+    blocks = {}
+    for i, mg in enumerate(minors):
+        normal, _ = normalize(mg, tree)
+        blocks.setdefault(tuple(normal.gains[e] for e in range(mg.graph.m)), []).append(i)
+    return list(blocks.values())
+
+
+def gf_tables_pair_by_pair(q):
+    """The reference for the tables of fields.GF(q): (add, mul, neg, inv),
+    every sum and product computed on its own (mod q for a prime, else by
+    polynomial arithmetic modulo the field's modulus), and each negative and
+    inverse found by searching a row."""
+    p, k = _factor_prime_power(q)
+    if k == 1:
+        add = [[(a + b) % q for b in range(q)] for a in range(q)]
+        mul = [[(a * b) % q for b in range(q)] for a in range(q)]
+    else:
+        modulus = _min_irreducible(p, k)
+        polys = [_decode(v, p, k) for v in range(q)]
+        add = [[_encode([(x + y) % p for x, y in zip(polys[a], polys[b])], p)
+                for b in range(q)] for a in range(q)]
+        mul = [[_encode(_poly_mod(_poly_mul(polys[a], polys[b], p), modulus, p), p)
+                for b in range(q)] for a in range(q)]
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from bmlab.errors import ColumnLabelMismatch
-from bmlab.fields import QQ, gf
+from bmlab.fields import GF, QQ, gf
 from bmlab.linalg import (
     FieldMatrix,
     all_column_ranks,
@@ -18,6 +18,7 @@ from bmlab.linalg import (
     vector_matroid,
 )
 from bmlab.matroid import matroids_equal, uniform_matroid
+from oracles import gf_tables_pair_by_pair
 
 
 def test_field_axioms_small():
@@ -36,6 +37,18 @@ def test_field_axioms_small():
             assert f.mul(a, b) == f.mul(b, a)
         for a, b, c in product(els[: min(len(els), 5)], repeat=3):
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+PRIME_POWERS = sorted({p ** k for p in range(2, 257) if all(p % d for d in range(2, p))
+                       for k in range(1, 9) if p ** k <= 256})
+
+
+def test_field_tables_match_the_pair_by_pair_build():
+    # every prime power q <= 256; the non-prime ones from polynomial products
+    assert len(PRIME_POWERS) == 54 + 16
+    for q in PRIME_POWERS:
+        f = GF(q)
+        assert (f._add, f._mul, f._neg, f._inv) == gf_tables_pair_by_pair(q), q
 
 
 def test_gf4_structure():

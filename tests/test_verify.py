@@ -22,6 +22,7 @@ from bmlab.gains import (
     CyclicGroup,
     GainGraph,
     MultiplicativeGroup,
+    fundamental_walks,
     induced_bias,
     induced_gain,
     normalized_gain_functions,
@@ -30,10 +31,11 @@ from bmlab.gains import (
     switching_equivalent,
     walk_gain,
 )
-from bmlab.graph import MultiGraph
+from bmlab.graph import MultiGraph, OrientedEdge
 from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
 from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 from bmlab.verify import _contraction_failures, all_claims, run_claim
+from oracles import contraction_classes_by_minors
 
 
 def test_registry_names():
@@ -206,6 +208,58 @@ def test_contraction_failures_negative_control():
         m1, _, _ = induced_gain(gfs[f["i"]], f["forest"], set())
         m2, _, _ = induced_gain(gfs[f["j"]], f["forest"], set())
         assert switch(m1, f["eta"]).gains == m2.gains
+
+
+def test_contraction_classes_match_the_minor_oracle_on_every_base_graph():
+    # every base graph (K_4, 2C_3 and the tube), Z_2 and Z_3, every link
+    # forest (the empty one too)
+    cases = 0
+    for g in dict.fromkeys(nb.omega.graph for nb in catalog.base_graphs()):
+        for group in (CyclicGroup(2), CyclicGroup(3)):
+            gfs = list(normalized_gain_functions(g, group))
+            for F in g.link_forests():
+                got = verify._contraction_classes(g, gfs, F)
+                assert got == contraction_classes_by_minors(gfs, F), (g, group, F)
+                cases += 1
+    assert cases == 178
+
+
+def test_contraction_classes_match_the_minor_oracle_on_random_gains():
+    # gain functions that are not normalized, on random multigraphs with
+    # loops and parallel edges; each also switched, so blocks are nontrivial
+    rng = random.Random(23)
+    groups = (CyclicGroup(2), CyclicGroup(4), MultiplicativeGroup(5), AdditiveGroup(4))
+    shapes = {"loops": 0, "parallel": 0, "merged": 0}
+    for _ in range(80):
+        g = verify._random_multigraph(rng, max_vertices=5, max_edges=7)
+        group = rng.choice(groups)
+        gfs = []
+        for _ in range(4):
+            gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
+            eta = {v: rng.choice(group.elements) for v in range(g.n)}
+            gfs += [gg, switch(gg, eta)]
+        rng.shuffle(gfs)
+        for F in g.link_forests():
+            got = verify._contraction_classes(g, gfs, F)
+            assert got == contraction_classes_by_minors(gfs, F), (g.edges, group, F)
+            shapes["merged"] += len(got) < len(gfs) // 2
+        shapes["loops"] += any(u == v for u, v in g.edges)
+        shapes["parallel"] += len(set(g.edges)) < g.m
+    assert min(shapes.values()) > 10, shapes
+
+
+def test_fundamental_walks_are_closed_walks_around_one_edge_outside_the_forest():
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 0), (2, 2), (3, 1), (1, 3), (0, 3)])
+    walks = fundamental_walks(g, {0, 6})
+    tree = {0, 6, 1}  # the forest first, then the other edges in id order
+    assert [w[0] for w in walks] == [OrientedEdge(e) for e in (2, 3, 4, 5)]
+    for w in walks:
+        g.check_walk(w)
+        assert g.tail(w[0]) == g.head(w[-1])
+        assert {oe.edge for oe in w[1:]} <= tree
+    assert walks[1] == [OrientedEdge(3)]  # a loop alone
+    with pytest.raises(ValueError):
+        fundamental_walks(g, {0, 1, 2})
 
 
 def test_inequivalence_localized_negative_control(monkeypatch):
@@ -410,6 +464,24 @@ def _drop_last_subdivided_class(M, q, **kwargs):
 
 ALLREPS_COUNT_WITNESS = [{"graph", "q", "classes", "expected"}]
 
+
+def _repeat_first_function(graph, group):
+    """normalized_gain_functions with its first function listed twice."""
+    gfs = list(normalized_gain_functions(graph, group))
+    return gfs[:1] + gfs
+
+
+def _drop_last_realization_on_odd_order(omega, group):
+    """realizations that loses its last one on an odd number of vertices."""
+    reps = realizations(omega, group)
+    return reps[:-1] if omega.graph.n % 2 else reps
+
+
+def _drop_last_member(builder):
+    """A catalog builder that loses its last member."""
+    return lambda: builder()[:-1]
+
+
 NEGATIVE_CONTROLS = [
     # (claim, (owner, attribute, replacement), witness key sets it must produce)
     ("canonical-frame", (canonical, "frame_matroid", lift_matroid),
@@ -444,6 +516,22 @@ NEGATIVE_CONTROLS = [
      ALLREPS_COUNT_WITNESS),
     ("subdivision-classes", (verify, "enumerate_representations", _drop_last_subdivided_class),
      [{"graph", "q", "counts"}]),
+    # a repeated function is equivalent to itself on every contraction
+    ("contraction-inequiv", (verify, "normalized_gain_functions", _repeat_first_function),
+     [{"edges", "forest", "group", "i", "j", "phi", "psi", "eta"}]),
+    ("seven-dwarves", (catalog, "classify_k4", _drop_last_member(catalog.classify_k4)),
+     [{"got"}]),
+    ("2c3-proper-count",
+     (catalog, "classify_2c3_proper", _drop_last_member(catalog.classify_2c3_proper)),
+     [{"got"}]),
+    ("tube-count", (catalog, "classify_tube_proper", _drop_last_member(catalog.classify_tube_proper)),
+     [{"got"}]),
+    ("base-count", (catalog, "base_graphs", _drop_last_member(catalog.base_graphs)),
+     [{"got"}]),
+    # Delta-Y adds a vertex, so one side of each compared pair loses a realization
+    ("deltawye-gains", (verify, "realizations", _drop_last_realization_on_odd_order),
+     [{"graph", "group", "classes"}]),
+    ("rollup-frame", (verify, "unroll", lambda om, u: om), [{"graph", "class", "why"}]),
 ]
 
 
@@ -541,6 +629,23 @@ def test_biconditional_claims_fail_when_every_key_is_equal(monkeypatch, name):
             assert w["proj_equiv"] and not w["same_class"]
         else:  # the seeded spot check against the full decision
             assert w["why"] == "key/decision disagreement"
+
+
+# claims whose negative control is a test of its own
+DEDICATED_CONTROLS = {
+    **dict.fromkeys(BICONDITIONAL_CLAIMS, test_biconditional_claims_fail_when_every_key_is_equal),
+    "tangled-minor": test_tangled_minor_negative_control,
+    "tangled-subgraph": test_tangled_subgraph_negative_control,
+    "inequivalence-localized": test_inequivalence_localized_negative_control_claim,
+    "tangled-no-extend": test_tangled_no_extend_negative_control,
+    "allreps-tube-frame": test_allreps_negative_control,
+}
+
+
+def test_every_claim_has_a_negative_control():
+    in_table = {row[0] for row in NEGATIVE_CONTROLS}
+    assert not in_table & set(DEDICATED_CONTROLS)
+    assert in_table | set(DEDICATED_CONTROLS) == set(verify.CLAIMS)
 
 
 GOLDEN_COUNTS = {
