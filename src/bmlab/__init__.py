@@ -24,7 +24,7 @@ from .gains import (
     walk_gain,
 )
 from .graph import Cycle, MultiGraph, OrientedEdge
-from .linalg import FieldMatrix, diagonally_equivalent, projectively_equivalent, rref, vector_matroid
+from .linalg import FieldMatrix, projectively_equivalent, rref, vector_matroid
 from .matroid import (
     MatroidOracle,
     complete_lift_matroid,

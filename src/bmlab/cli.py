@@ -190,23 +190,21 @@ def cmd_bias(args):
 def cmd_switch_equiv(args):
     g1 = formats.parse_gain_graph(_read(args.gg1))
     g2 = formats.parse_gain_graph(_read(args.gg2))
-    if g1.group.is_additive_field_group and args.scaling:
+    if not args.scaling:
+        eta = switching_equivalent(g1, g2)
+        res = None if eta is None else (None, eta)
+    elif g1.group.is_additive_field_group:
         res = switching_scaling_equivalent(g1, g2)
-        if res is None:
-            _emit({"equivalent": False}, args.json, "not equivalent")
-            return EXIT_FAIL
-        a, eta = res
-        _emit({"equivalent": True, "scalar": a,
-               "switching": {str(v): x for v, x in eta.items()}},
-              args.json, "equivalent (scalar %s)" % a)
-        return EXIT_PASS
-    eta = switching_equivalent(g1, g2)
-    if eta is None:
+    else:
+        print("switch-equiv: --scaling needs additive gains (group add q)", file=sys.stderr)
+        return EXIT_USAGE
+    if res is None:
         _emit({"equivalent": False}, args.json, "not equivalent")
         return EXIT_FAIL
-    _emit({"equivalent": True,
-           "switching": {str(v): x for v, x in eta.items()}},
-          args.json, "equivalent")
+    a, eta = res
+    scalar = {} if a is None else {"scalar": a}
+    _emit({"equivalent": True, **scalar, "switching": {str(v): x for v, x in eta.items()}},
+          args.json, "equivalent" if a is None else "equivalent (scalar %s)" % a)
     return EXIT_PASS
 
 

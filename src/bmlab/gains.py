@@ -340,41 +340,39 @@ def switching_equivalent(gg1, gg2):
         raise GraphMismatch("different underlying graphs")
     if gg1.group != gg2.group:
         raise GroupMismatch("different gain groups")
+    group = gg1.group
     forest = gg1.graph.spanning_forest()
-    return _switching_onto(gg1, gg2, forest, normalize(gg2, forest))
-
-
-def _switching_onto(gg1, gg2, forest, normal2):
-    """Witness eta with switch(gg1, eta) == gg2, or None, given gg2's
-    normal form (gains, eta) on forest."""
-    n2, eta2 = normal2
     n1, eta1 = normalize(gg1, forest)
+    n2, eta2 = normalize(gg2, forest)
     if n1.gains != n2.gains:
         return None
-    eta = compose_switchings(gg1.group, eta1, invert_switching(gg1.group, eta2))
+    eta = compose_switchings(group, eta1, invert_switching(group, eta2))
     assert switch(gg1, eta).gains == gg2.gains
     return eta
 
 
-def scale_gains(gg, a):
-    """a . phi for additive field gains."""
-    if not gg.group.is_additive_field_group:
-        raise GroupMismatch("scaling needs an additive field group")
-    return gg.with_gains({e: gg.group.scale(a, x) for e, x in gg.gains.items()})
-
-
 def switching_scaling_equivalent(gg1, gg2):
-    """Witness (a, eta) with switch(scale(gg1, a), eta) == gg2, or None;
-    first witness in field enumeration order."""
+    """Witness (a, eta) with switch(a . gg1, eta) == gg2, or None; first
+    witness in field enumeration order.
+
+    Normalizing commutes with scaling: on one forest, a . gg1 normalizes
+    to a . n1 by the switching a . eta1.  So both sides are normalized
+    once, a works iff a . n1 == n2, and eta is a . eta1 followed by the
+    inverse of eta2."""
     if gg1.graph != gg2.graph:
         raise GraphMismatch("different underlying graphs")
     if gg1.group != gg2.group or not gg1.group.is_additive_field_group:
         raise GroupMismatch("need matching additive field groups")
+    group = gg1.group
     forest = gg1.graph.spanning_forest()
-    normal2 = normalize(gg2, forest)
-    for a in gg1.group.scalars:
-        eta = _switching_onto(scale_gains(gg1, a), gg2, forest, normal2)
-        if eta is not None:
+    n1, eta1 = normalize(gg1, forest)
+    n2, eta2 = normalize(gg2, forest)
+    for a in group.scalars:
+        if all(group.scale(a, x) == n2.gains[e] for e, x in n1.gains.items()):
+            eta = compose_switchings(group, {v: group.scale(a, x) for v, x in eta1.items()},
+                                     invert_switching(group, eta2))
+            scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
+            assert switch(scaled, eta).gains == gg2.gains
             return a, eta
     return None
 

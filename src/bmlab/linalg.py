@@ -1,11 +1,16 @@
 """Exact dense linear algebra over GF(q) and the rationals: reduced
-echelon forms with recorded transforms, vector matroids, diagonal
-equivalence, and the projective-equivalence decision with witnesses.
+echelon forms with recorded transforms, vector matroids, and the
+projective-equivalence decision with witnesses.
 
 Projective equivalence: B = T A S with T invertible and S nonsingular
-diagonal.  Field automorphisms are deliberately excluded (over GF(4) this
-splits Frobenius-conjugate representations into distinct classes, matching
-the T,S formulation used throughout).
+diagonal.  One normal form decides it: the reduced echelon form's nonzero
+rows, scaled to 1 on a spanning forest of their support graph (the
+scaling normal form).  Its entries are the projective key, and its
+recorded transform and scales give the witness.
+
+Field automorphisms are deliberately excluded (over GF(4) this splits
+Frobenius-conjugate representations into distinct classes, matching the
+T,S formulation used throughout).
 """
 
 from dataclasses import dataclass
@@ -299,40 +304,30 @@ def _scaling_normal_form(f, rows, ncols):
     return d1, [f.one if d is None else d for d in d2]
 
 
-def diagonally_equivalent(A, B):
-    """Nonsingular diagonal D1, D2 with D1*A*D2 = B, or None.
-
-    Supports must match; then both matrices have the same scaling normal
-    form forest, and D1, D2 are the quotients of their scales (1 on the
-    first row of each component), checked on every entry."""
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        return None
+def _projective_normal_form(A):
+    """(key, E, d1, d2) for a nonzero A: E is the transform of rref(A), and
+    d1, d2 are the scaling normal form scales of its first r = rank(A) rows,
+    whose scaled entries the key holds."""
     f = A.field
-    z = f.zero
-    for i in range(A.nrows):
-        for j in range(A.ncols):
-            if (A.rows[i][j] == z) != (B.rows[i][j] == z):
-                return None
-    a1, a2 = _scaling_normal_form(f, A.rows, A.ncols)
-    b1, b2 = _scaling_normal_form(f, B.rows, B.ncols)
-    d1 = [f.div(a, b) for a, b in zip(a1, b1)]
-    d2 = [f.div(a, b) for a, b in zip(a2, b2)]
-    for i in range(A.nrows):
-        for j in range(A.ncols):
-            if f.mul(d1[i], f.mul(A.rows[i][j], d2[j])) != B.rows[i][j]:
-                return None
-    return tuple(d1), tuple(d2)
+    R, E, piv = rref(A)
+    r = len(piv)
+    rows = R.rows[:r]
+    m = A.ncols
+    d1, d2 = _scaling_normal_form(f, rows, m)
+    normal = tuple(
+        tuple(f.mul(d1[i], f.mul(rows[i][j], d2[j])) for j in range(m))
+        for i in range(r)
+    )
+    return ("mat", r, piv, normal), E, d1, d2
 
 
 def projectively_equivalent(A, B):
     """ProjWitness with T*A*S = B, or None.
 
-    Both matrices are reduced to full row rank; ranks must agree and the
-    RREF pivot basis of A must be independent in B (otherwise their column
-    matroids differ and they cannot be equivalent).  Standardizing both on
-    that basis leaves exactly diagonal freedom, decided by
-    diagonally_equivalent; the witness is reassembled through the recorded
-    transforms."""
+    Equivalent iff the projective keys are equal.  Then the scaled
+    standardized rows agree, D1a * E_A[:r] * A * D2a = D1b * E_B[:r] * B * D2b,
+    and the other rows of E_B * B are zero, so
+    T = E_B^-1 * [diag(a1/b1) * E_A[:r] ; 0] and S = diag(a2/b2)."""
     if A.col_labels != B.col_labels:
         raise ColumnLabelMismatch("column labels differ")
     f = A.field
@@ -345,43 +340,14 @@ def projectively_equivalent(A, B):
                 FieldMatrix.identity(f, A.ncols, A.col_labels),
             )
         return None
-    RA, EA, pivA = rref(A)
-    RB, EB, pivB = rref(B)
-    r = len(pivA)
-    if len(pivB) != r:
+    key_a, EA, a1, a2 = _projective_normal_form(A)
+    key_b, EB, b1, b2 = _projective_normal_form(B)
+    if key_a != key_b:
         return None
-    RA_r = FieldMatrix(
-        f, RA.rows[:r], ["s%d" % i for i in range(r)], A.col_labels
-    )
-    RB_r = FieldMatrix(
-        f, RB.rows[:r], ["s%d" % i for i in range(r)], B.col_labels
-    )
-    # transfer A's pivot basis to B
-    M = RB_r.submatrix_cols(list(pivA))
-    try:
-        Minv = invert(M.with_labels(row_labels=None, col_labels=["x%d" % i for i in range(r)]))
-    except ValueError:
-        return None
-    B_std = Minv.with_labels(row_labels=RB_r.row_labels, col_labels=RB_r.row_labels).mul(RB_r)
-    dec = diagonally_equivalent(RA_r, B_std)
-    if dec is None:
-        return None
-    d1, d2 = dec
-    # B = EB^-1 * [M*D1 ; 0] * P_r * EA * A * D2
-    MD1 = FieldMatrix(
-        f,
-        [[f.mul(M.rows[i][k], d1[k]) for k in range(r)] for i in range(r)],
-    )
-    stack_rows = list(MD1.rows) + [
-        [f.zero] * r for _ in range(B.nrows - r)
-    ]
-    Pr_EA = FieldMatrix(f, EA.rows[:r])  # r x nrows(A)
-    EBinv = invert(EB)
-    Tfull = FieldMatrix(f, stack_rows).mul(Pr_EA)
-    T = EBinv.with_labels(row_labels=B.row_labels, col_labels=None).mul(
-        Tfull.with_labels(row_labels=EBinv.col_labels, col_labels=A.row_labels)
-    )
-    S = FieldMatrix.diagonal(f, d2, A.col_labels)
+    stack_rows = [[f.mul(f.div(a, b), x) for x in row] for a, b, row in zip(a1, b1, EA.rows)]
+    stack_rows += [[f.zero] * A.nrows for _ in range(B.nrows - len(a1))]
+    T = invert(EB).mul(FieldMatrix(f, stack_rows, None, A.row_labels))
+    S = FieldMatrix.diagonal(f, [f.div(a, b) for a, b in zip(a2, b2)], A.col_labels)
     witness = ProjWitness(T, S)
     assert witness.verify(A, B), "witness reassembly failed"
     return witness
@@ -391,19 +357,9 @@ def projective_key(A):
     """Canonical invariant: two matrices over the same field with the same
     column labels are projectively equivalent iff their keys are equal.
 
-    Key: (rank, RREF pivot columns of the lex-first basis, support pattern
-    of the standardized matrix, entries normalized by the diagonal-scaling
-    normal form that fixes a spanning forest of the support graph to 1)."""
-    f = A.field
+    Key: (rank, RREF pivot columns of the lex-first basis, entries of the
+    standardized matrix normalized by the diagonal-scaling normal form that
+    fixes a spanning forest of the support graph to 1)."""
     if A.is_zero():
         return ("zero", A.nrows)
-    RA, _, piv = rref(A)
-    r = len(piv)
-    rows = RA.rows[:r]
-    m = A.ncols
-    d1, d2 = _scaling_normal_form(f, rows, m)
-    normal = tuple(
-        tuple(f.mul(d1[i], f.mul(rows[i][j], d2[j])) for j in range(m))
-        for i in range(r)
-    )
-    return ("mat", r, piv, normal)
+    return _projective_normal_form(A)[0]

@@ -236,14 +236,14 @@ def _partition_failures(name, q, keys, classes):
              "proj_equiv": keys[i] == keys[j]} for i, j in _disagreements(keys, classes)]
 
 
-def _biconditional(graphs, fields, seed, kind):
+def _biconditional(graphs, fields, kind, seed=None):
     """Exhaustive: two realizations have projectively equivalent canonical
     matrices iff they are in one gain class, switching classes for frame
     (distinct normalized realizations are distinct classes),
-    switching-and-scaling orbits for lift.  Seeded samples check the key
-    against the full decision and, for frame, that switched copies stay
-    equivalent (exact witnesses)."""
-    rng = random.Random(seed)
+    switching-and-scaling orbits for lift.  The projective key decides
+    equivalence, so the pairs are compared by key; for frame, switched
+    copies drawn with `seed` must stay equivalent (exact witnesses)."""
+    rng = random.Random(seed) if kind == FRAME else None
     failures = []
     pairs = reps_total = 0
     for nb in graphs:
@@ -255,11 +255,6 @@ def _biconditional(graphs, fields, seed, kind):
             classes = gain_classes(kind, [gg for gg, _ in reps])
             pairs += comb(len(reps), 2)
             failures += _partition_failures(nb.name, q, keys, classes)
-            for i, j in _sample_pairs(rng, len(reps), 4):
-                w = projectively_equivalent(reps[i][1], reps[j][1])
-                if (w is not None) != (keys[i] == keys[j]):
-                    failures.append({"graph": nb.name, "q": q, "pair": (i, j),
-                                     "why": "key/decision disagreement"})
             if kind != FRAME:
                 continue
             for i in _sample_indices(rng, len(reps), 3):
@@ -291,19 +286,6 @@ def _biconditional_cross(graphs, fields):
     return failures, {"graphs": len(graphs), "fields": list(fields), "cross_pairs": checked}
 
 
-def _sample_pairs(rng, n, k):
-    if n < 2:
-        return []
-    out = set()
-    for _ in range(k * 3):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            out.add((min(i, j), max(i, j)))
-        if len(out) >= k:
-            break
-    return sorted(out)
-
-
 def _sample_indices(rng, n, k):
     if n == 0:
         return []
@@ -312,12 +294,12 @@ def _sample_indices(rng, n, k):
 
 @claim("lemma-2c3-frame")
 def claim_lemma_2c3_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(catalog.classify_2c3_proper(), fields, seed, FRAME)
+    return _biconditional(catalog.classify_2c3_proper(), fields, FRAME, seed)
 
 
 @claim("lemma-2c3-lift")
-def claim_lemma_2c3_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(catalog.classify_2c3_proper(), fields, seed, LIFT)
+def claim_lemma_2c3_lift(fields=DEFAULT_FIELDS):
+    return _biconditional(catalog.classify_2c3_proper(), fields, LIFT)
 
 
 @claim("lemma-2c3-frame-vs-lift")
@@ -331,12 +313,12 @@ def _proper_k4():
 
 @claim("lemma-k4-frame")
 def claim_lemma_k4_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(_proper_k4(), fields, seed, FRAME)
+    return _biconditional(_proper_k4(), fields, FRAME, seed)
 
 
 @claim("lemma-k4-lift")
-def claim_lemma_k4_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(_proper_k4(), fields, seed, LIFT)
+def claim_lemma_k4_lift(fields=DEFAULT_FIELDS):
+    return _biconditional(_proper_k4(), fields, LIFT)
 
 
 @claim("lemma-k4-frame-vs-lift")
@@ -346,12 +328,12 @@ def claim_lemma_k4_cross(fields=DEFAULT_FIELDS):
 
 @claim("lemma-tube-frame")
 def claim_lemma_tube_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(catalog.classify_tube_proper(), fields, seed, FRAME)
+    return _biconditional(catalog.classify_tube_proper(), fields, FRAME, seed)
 
 
 @claim("lemma-tube-lift")
-def claim_lemma_tube_lift(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(catalog.classify_tube_proper(), fields, seed, LIFT)
+def claim_lemma_tube_lift(fields=DEFAULT_FIELDS):
+    return _biconditional(catalog.classify_tube_proper(), fields, LIFT)
 
 
 def _criterion(nb, fields, kind, classes_of):
@@ -400,35 +382,36 @@ def _gain_class_count(om, q, kind):
     return len(set(gain_classes(kind, realizations(om, kind_parts(kind).group(q)))))
 
 
-def _allreps(named_graphs, q, expect_kinds=(FRAME, LIFT)):
-    """Enumerate all representations of F(omega); every class must
-    canonicalize, and the class count must equal the independent count of
-    gain-function classes (switching for frame, switching-and-scaling for
-    lift, restricted to the kinds that represent the matroid)."""
+def _allreps(named_graphs, q, kind=FRAME):
+    """Enumerate all representations of the kind's matroid of omega (hinting
+    that kind); every class must canonicalize, and the class count must
+    equal the independent count of gain-function classes (switching for
+    frame, switching-and-scaling for lift).  A frame matroid has lift forms
+    too only where it is the lift matroid, the one case where
+    canonicalization can return the lift kind."""
     failures = []
     counts = {}
     for nb in named_graphs:
         om = nb.omega
-        FO = frame_matroid(om)
-        classes = enumerate_representations(FO, q, biased_graph=om)
-        n = {FRAME: _gain_class_count(om, q, FRAME)}
-        n[LIFT] = _gain_class_count(om, q, LIFT) if matroids_equal(FO, lift_matroid(om))[0] else 0
-        expected = sum(n[kind] for kind in expect_kinds)
-        counts[nb.name] = {
-            "classes": len(classes),
-            "frame_classes": n[FRAME],
-            "lift_classes": n[LIFT],
-        }
+        M = kind_parts(kind).matroid(om)
+        classes = enumerate_representations(M, q, biased_graph=om, hint=kind)
+        n = {kind: _gain_class_count(om, q, kind)}
+        count = counts[nb.name] = {"classes": len(classes), "%s_classes" % kind: n[kind]}
+        if kind == FRAME:
+            count["lift_classes"] = 0
+            if matroids_equal(M, lift_matroid(om))[0]:
+                n[LIFT] = count["lift_classes"] = _gain_class_count(om, q, LIFT)
+        expected = sum(n.values())
         if len(classes) != expected:
             failures.append({"graph": nb.name, "q": q, "classes": len(classes),
                              "expected": expected})
         for k, cls in enumerate(classes):
-            if cls.kind not in expect_kinds:
-                failure = {"graph": nb.name, "q": q, "class": k,
-                           "why": "not canonicalizable", "kind": cls.kind}
-                if cls.kind is None:
-                    failure["reason"] = cls.canonical.reason
-                failures.append(failure)
+            if cls.kind is None:
+                failures.append({"graph": nb.name, "q": q, "class": k, "why": "not canonicalizable",
+                                 "kind": None, "reason": cls.canonical.reason})
+            elif cls.kind not in n:
+                failures.append({"graph": nb.name, "q": q, "class": k, "why": "wrong kind",
+                                 "kind": cls.kind})
     return failures, {"q": q, "per_graph": counts}
 
 
@@ -444,26 +427,13 @@ def claim_allreps_k4(q=4):
 
 @claim("allreps-tube-frame")
 def claim_allreps_tube_frame(q=4):
-    return _allreps(catalog.classify_tube_proper(), q, expect_kinds=(FRAME,))
+    return _allreps(catalog.classify_tube_proper(), q)
 
 
 @claim("allreps-tube-lift")
 def claim_allreps_tube_lift(q=4):
     """Every representation of L(2C4'',B) is a unique canonical lift."""
-    failures = []
-    counts = {}
-    for nb in catalog.classify_tube_proper():
-        om = nb.omega
-        classes = enumerate_representations(lift_matroid(om), q, biased_graph=om, hint=LIFT)
-        n_lift = _gain_class_count(om, q, LIFT)
-        counts[nb.name] = {"classes": len(classes), "lift_classes": n_lift}
-        if len(classes) != n_lift:
-            failures.append({"graph": nb.name, "q": q, "classes": len(classes),
-                             "expected": n_lift})
-        for k, cls in enumerate(classes):
-            if cls.kind != LIFT:
-                failures.append({"graph": nb.name, "class": k, "kind": cls.kind})
-    return failures, {"q": q, "per_graph": counts}
+    return _allreps(catalog.classify_tube_proper(), q, LIFT)
 
 
 @claim("allreps-contracted-tube")
@@ -803,8 +773,8 @@ def claim_main2(fields=(4, 5), seed=DEFAULT_SEED):
     """Thm T:ProjectiveIsSwitching bundled over all 13 base graphs."""
     base = list(catalog.base_graphs())
     parts = {
-        "frame": _biconditional(base, fields, seed, FRAME),
-        "lift": _biconditional(base, fields, seed + 1, LIFT),
+        "frame": _biconditional(base, fields, FRAME, seed),
+        "lift": _biconditional(base, fields, LIFT),
         "cross": _biconditional_cross(base, fields),
     }
     failures = [w for found, _ in parts.values() for w in found]

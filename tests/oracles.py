@@ -1,8 +1,10 @@
 """Reference routines that several test modules share: matroid equality on
 all subsets, matroid minors, the graphic matroid, edge-set components,
 projective-witness parsing, balance classification on the loop-deleted
-minor, switching classes on contracted gain graphs and GF(q) tables built
-pair by pair.
+minor, switching classes on contracted gain graphs, GF(q) tables built
+pair by pair, projective equivalence by a pivot-basis transfer and
+diagonal equivalence, and switching-and-scaling equivalence by one
+switching decision per scalar.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -17,7 +19,7 @@ from bmlab.bias import (
     balancing_vertices,
     biased_minor,
 )
-from bmlab.errors import GroundSetMismatch, ParseError
+from bmlab.errors import GraphMismatch, GroundSetMismatch, GroupMismatch, ParseError
 from bmlab.fields import (
     _decode,
     _encode,
@@ -27,9 +29,9 @@ from bmlab.fields import (
     _poly_mul,
 )
 from bmlab.formats import parse_matrix
-from bmlab.gains import induced_gain, normalize
+from bmlab.gains import induced_gain, normalize, switching_equivalent
 from bmlab.graph import find
-from bmlab.linalg import ProjWitness
+from bmlab.linalg import FieldMatrix, ProjWitness, _scaling_normal_form, invert, rref
 from bmlab.matroid import MatroidOracle, frame_matroid
 
 
@@ -157,3 +159,98 @@ def gf_tables_pair_by_pair(q):
     neg = [row.index(0) for row in add]
     inv = [None] + [row.index(1) for row in mul[1:]]
     return add, mul, neg, inv
+
+
+def diagonally_equivalent(A, B):
+    """Nonsingular diagonal D1, D2 with D1*A*D2 = B, or None.
+
+    Supports must match; then both matrices have the same scaling normal
+    form forest, and D1, D2 are the quotients of their scales (1 on the
+    first row of each component), checked on every entry."""
+    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
+        return None
+    f = A.field
+    z = f.zero
+    for i in range(A.nrows):
+        for j in range(A.ncols):
+            if (A.rows[i][j] == z) != (B.rows[i][j] == z):
+                return None
+    a1, a2 = _scaling_normal_form(f, A.rows, A.ncols)
+    b1, b2 = _scaling_normal_form(f, B.rows, B.ncols)
+    d1 = [f.div(a, b) for a, b in zip(a1, b1)]
+    d2 = [f.div(a, b) for a, b in zip(a2, b2)]
+    for i in range(A.nrows):
+        for j in range(A.ncols):
+            if f.mul(d1[i], f.mul(A.rows[i][j], d2[j])) != B.rows[i][j]:
+                return None
+    return tuple(d1), tuple(d2)
+
+
+def projectively_equivalent_by_basis_transfer(A, B):
+    """The reference for linalg.projectively_equivalent: ProjWitness with
+    T*A*S = B, or None.
+
+    Both matrices are reduced to full row rank; ranks must agree and the
+    RREF pivot basis of A must be independent in B.  Standardizing B on
+    that basis leaves exactly diagonal freedom, decided by
+    diagonally_equivalent; the witness is reassembled through the recorded
+    transforms."""
+    f = A.field
+    if A.is_zero() or B.is_zero():
+        if A.is_zero() and B.is_zero() and A.nrows == B.nrows:
+            return ProjWitness(
+                FieldMatrix.identity(f, A.nrows, A.row_labels),
+                FieldMatrix.identity(f, A.ncols, A.col_labels),
+            )
+        return None
+    RA, EA, pivA = rref(A)
+    RB, EB, pivB = rref(B)
+    r = len(pivA)
+    if len(pivB) != r:
+        return None
+    RA_r = FieldMatrix(f, RA.rows[:r], ["s%d" % i for i in range(r)], A.col_labels)
+    RB_r = FieldMatrix(f, RB.rows[:r], ["s%d" % i for i in range(r)], B.col_labels)
+    # transfer A's pivot basis to B
+    M = RB_r.submatrix_cols(list(pivA))
+    try:
+        Minv = invert(M.with_labels(row_labels=None, col_labels=["x%d" % i for i in range(r)]))
+    except ValueError:
+        return None
+    B_std = Minv.with_labels(row_labels=RB_r.row_labels, col_labels=RB_r.row_labels).mul(RB_r)
+    dec = diagonally_equivalent(RA_r, B_std)
+    if dec is None:
+        return None
+    d1, d2 = dec
+    # B = EB^-1 * [M*D1 ; 0] * P_r * EA * A * D2
+    MD1 = FieldMatrix(f, [[f.mul(M.rows[i][k], d1[k]) for k in range(r)] for i in range(r)])
+    stack_rows = list(MD1.rows) + [[f.zero] * r for _ in range(B.nrows - r)]
+    Pr_EA = FieldMatrix(f, EA.rows[:r])  # r x nrows(A)
+    EBinv = invert(EB)
+    Tfull = FieldMatrix(f, stack_rows).mul(Pr_EA)
+    T = EBinv.with_labels(row_labels=B.row_labels, col_labels=None).mul(
+        Tfull.with_labels(row_labels=EBinv.col_labels, col_labels=A.row_labels)
+    )
+    S = FieldMatrix.diagonal(f, d2, A.col_labels)
+    return ProjWitness(T, S)
+
+
+def scale_gains(gg, a):
+    """a . phi for additive field gains."""
+    if not gg.group.is_additive_field_group:
+        raise GroupMismatch("scaling needs an additive field group")
+    return gg.with_gains({e: gg.group.scale(a, x) for e, x in gg.gains.items()})
+
+
+def switching_scaling_equivalent_per_scalar(gg1, gg2):
+    """The reference for gains.switching_scaling_equivalent: the first
+    scalar a in field enumeration order for which a . gg1 is switching
+    equivalent to gg2, each decided on its own, with that witness."""
+    if gg1.graph != gg2.graph:
+        raise GraphMismatch("different underlying graphs")
+    if gg1.group != gg2.group or not gg1.group.is_additive_field_group:
+        raise GroupMismatch("need matching additive field groups")
+    for a in gg1.group.scalars:
+        eta = switching_equivalent(scale_gains(gg1, a), gg2)
+        if eta is not None:
+            return a, eta
+    return None

@@ -94,6 +94,37 @@ def test_switch_equiv(tmp_path, capsys, gain_file):
     assert main(["switch-equiv", gain_file, bad_file]) == 1
 
 
+def test_switch_equiv_scaling(tmp_path, capsys, gain_file):
+    from bmlab.gains import AdditiveGroup, GainGraph, switch
+
+    # --scaling asks a question multiplicative gains cannot answer: two
+    # `group mul 5` files that differ on one edge are a usage error, not
+    # "not equivalent" by plain switching
+    gg = formats.parse_gain_graph(open(gain_file).read())
+    bad = GainGraph(gg.graph, gg.group, {**gg.gains, 5: 1})
+    bad_file = write(tmp_path, "bad.gg", formats.emit_gain_graph(bad))
+    assert main(["switch-equiv", "--scaling", gain_file, bad_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "--scaling" in captured.err
+    # additive gains: a scaled switched copy is found with its scalar
+    add = GainGraph(gg.graph, AdditiveGroup(5), {0: 0, 1: 1, 2: 0, 3: 2, 4: 3, 5: 1})
+    copy = switch(add.with_gains({e: add.group.scale(3, x) for e, x in add.gains.items()}),
+                  {0: 1, 1: 4, 2: 2})
+    add_file = write(tmp_path, "add.gg", formats.emit_gain_graph(add))
+    copy_file = write(tmp_path, "copy.gg", formats.emit_gain_graph(copy))
+    assert main(["switch-equiv", "--scaling", add_file, copy_file, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equivalent"] is True and payload["scalar"] == 3
+    assert main(["switch-equiv", add_file, copy_file]) == 1
+    assert capsys.readouterr().out == "not equivalent\n"
+    # an additive file against a multiplicative one is a group mismatch,
+    # with or without --scaling
+    for extra in ([], ["--scaling"]):
+        assert main(["switch-equiv", *extra, add_file, gain_file]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_proj_equiv_identity(tmp_path, capsys):
     from bmlab.fields import gf
     from bmlab.linalg import FieldMatrix

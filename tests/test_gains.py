@@ -17,7 +17,6 @@ from bmlab.gains import (
     normalize,
     normalized_gain_functions,
     realizations,
-    scale_gains,
     scaling_orbits,
     switch,
     switching_equivalent,
@@ -25,6 +24,7 @@ from bmlab.gains import (
     walk_gain,
 )
 from bmlab.graph import MultiGraph, OrientedEdge
+from oracles import scale_gains, switching_scaling_equivalent_per_scalar
 
 AXIOM_CHECK_ORDER = 257
 
@@ -308,6 +308,38 @@ def test_scaling_against_brute_force():
                 if brute:
                     break
             assert fast == brute
+
+
+def test_switching_scaling_matches_the_per_scalar_oracle():
+    # every gain function of the base graphs' underlying graphs over GF(4)^+
+    # and GF(5)^+, paired with itself (the zero function matches every
+    # scalar, so the first one must be returned), with a scaled switched
+    # copy and with a random function; then every pair of one base graph's
+    # realizations
+    rng = random.Random(41)
+    graphs = []
+    for nb in catalog.base_graphs():
+        if nb.omega.graph not in graphs:
+            graphs.append(nb.omega.graph)
+    decisions = equivalent = 0
+    for q in (4, 5):
+        group = AdditiveGroup(q)
+        pairs = []
+        for g in graphs:
+            gfs = list(normalized_gain_functions(g, group))
+            for gg in gfs:
+                eta = {v: rng.choice(group.elements) for v in range(g.n)}
+                copy = switch(scale_gains(gg, rng.choice(group.scalars)), eta)
+                pairs += [(gg, gg), (gg, copy), (gg, rng.choice(gfs))]
+        for nb in catalog.base_graphs():
+            reps = realizations(nb.omega, group)
+            pairs += list(product(reps, repeat=2))
+        for g1, g2 in pairs:
+            got = switching_scaling_equivalent(g1, g2)
+            assert got == switching_scaling_equivalent_per_scalar(g1, g2), (g1.gains, g2.gains)
+            decisions += 1
+            equivalent += got is not None
+    assert (decisions, equivalent) == (5828, 3162)
 
 
 def _scaling_orbits_pairwise(reps):

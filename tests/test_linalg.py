@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,7 +9,6 @@ from bmlab.fields import GF, QQ, gf
 from bmlab.linalg import (
     FieldMatrix,
     all_column_ranks,
-    diagonally_equivalent,
     invert,
     left_null_space,
     projective_key,
@@ -18,7 +18,11 @@ from bmlab.linalg import (
     vector_matroid,
 )
 from bmlab.matroid import matroids_equal, uniform_matroid
-from oracles import gf_tables_pair_by_pair
+from oracles import (
+    diagonally_equivalent,
+    gf_tables_pair_by_pair,
+    projectively_equivalent_by_basis_transfer,
+)
 
 
 def test_field_axioms_small():
@@ -134,6 +138,8 @@ def test_all_column_ranks_agrees():
         sel = [cols[j] for j in range(6) if mask >> j & 1]
         assert table[mask] == rank_of_columns(f, sel)
 
+
+# -- diagonal equivalence: the reference that projective witnesses were built on
 
 def test_diagonal_equivalence_reflexive():
     A = frame_2c3_matrix(5, 2, 3, 2, 4)
@@ -321,8 +327,79 @@ def test_projective_key_complete_on_samples():
             f, [[rng.randrange(4) for _ in range(5)] for _ in range(3)], None, labels))
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            fast = projectively_equivalent(mats[i], mats[j]) is not None
-            assert fast == (projective_key(mats[i]) == projective_key(mats[j]))
+            decided = projectively_equivalent_by_basis_transfer(mats[i], mats[j]) is not None
+            assert decided == (projective_key(mats[i]) == projective_key(mats[j]))
+
+
+def _draw(rng, f, nonzero=False):
+    if f == QQ:
+        return Fraction(rng.choice([x for x in range(-3, 4) if x or not nonzero]),
+                        rng.randint(1, 3))
+    return rng.choice(f.nonzero if nonzero else f.elements)
+
+
+def _scramble(rng, A, extra_rows=0):
+    """T*A*S for a random T of full column rank with extra_rows more rows
+    than A, and a random nonsingular diagonal S."""
+    f = A.field
+    while True:
+        T = FieldMatrix(f, [[_draw(rng, f) for _ in range(A.nrows)]
+                            for _ in range(A.nrows + extra_rows)])
+        if len(rref(T)[2]) == A.nrows:
+            break
+    S = FieldMatrix.diagonal(f, [_draw(rng, f, True) for _ in range(A.ncols)], A.col_labels)
+    return T.mul(A).mul(S)
+
+
+def _rescale(rng, A):
+    """A with every nonzero entry replaced by a random nonzero one."""
+    f = A.field
+    return FieldMatrix(f, [[_draw(rng, f, True) if x != f.zero else x for x in row]
+                           for row in A.rows], None, A.col_labels)
+
+
+def _projective_pairs():
+    """Every 1x2, 2x2 and 2x3 matrix over GF(2) and GF(3), each paired with
+    a scramble and with a same-support rescale; then seeded matrices over
+    GF(4), GF(5), GF(7), GF(8), GF(9) and the rationals, each paired with
+    a scramble that has 0 to 2 extra rows, a rescale, and an unrelated
+    matrix of its width."""
+    rng = random.Random(31)
+    for q in (2, 3):
+        f = gf(q)
+        for r, c in ((1, 2), (2, 2), (2, 3)):
+            for entries in product(f.elements, repeat=r * c):
+                A = FieldMatrix(f, [entries[i * c:(i + 1) * c] for i in range(r)])
+                yield A, _scramble(rng, A)
+                yield A, _rescale(rng, A)
+    for f in [gf(q) for q in (4, 5, 7, 8, 9)] + [QQ]:
+        for _ in range(60):
+            r, c = rng.randint(1, 4), rng.randint(1, 6)
+            A = FieldMatrix(f, [[_draw(rng, f) for _ in range(c)] for _ in range(r)])
+            yield A, _scramble(rng, A, rng.randint(0, 2))
+            yield A, _rescale(rng, A)
+            yield A, FieldMatrix(f, [[_draw(rng, f) for _ in range(c)]
+                                     for _ in range(rng.randint(1, 4))])
+
+
+def _matrix_parts(M):
+    return M.rows, M.row_labels, M.col_labels
+
+
+def test_projective_witness_matches_the_basis_transfer():
+    # the witness read off the key's normal form is entry for entry and
+    # label for label the one the pivot-basis transfer reassembles
+    pairs = equivalent = 0
+    for A, B in _projective_pairs():
+        got = projectively_equivalent(A, B)
+        want = projectively_equivalent_by_basis_transfer(A, B)
+        assert (got is None) == (want is None), (A.rows, B.rows)
+        if got is not None:
+            assert _matrix_parts(got.T) == _matrix_parts(want.T), (A.rows, B.rows)
+            assert _matrix_parts(got.S) == _matrix_parts(want.S), (A.rows, B.rows)
+        pairs += 1
+        equivalent += got is not None
+    assert (pairs, equivalent) == (2886, 2366)
 
 
 def test_left_null_space():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import random
@@ -587,6 +588,20 @@ def test_allreps_reports_why_a_class_has_no_canonical_form():
     assert verify._allreps([nb], 3)[0] == []  # GF(3)^x has -1
 
 
+def test_allreps_reports_a_class_of_the_wrong_kind(monkeypatch):
+    # every lift class of the tubes relabelled as a frame class: the count
+    # still matches, but each class is reported as being of the wrong kind
+    real = verify.enumerate_representations
+    monkeypatch.setattr(verify, "enumerate_representations", lambda *args, **kwargs: [
+        dataclasses.replace(cls, kind="frame") for cls in real(*args, **kwargs)])
+    rep = run_claim("allreps-tube-lift")
+    assert rep.status == "fail"
+    assert [(w["graph"], w["class"]) for w in rep.witnesses] == [
+        ("B_0", 0), ("B_0", 1), ("B_1", 0), ("B_1", 1), ("B_2", 0)]
+    assert all(w == {"graph": w["graph"], "q": 4, "class": w["class"], "why": "wrong kind",
+                     "kind": "frame"} for w in rep.witnesses)
+
+
 def _disagreements_oracle(keys, classes):
     """The pair loop that _disagreements replaced: every pair compared."""
     return [(i, j) for i, j in combinations(range(len(keys)), 2)
@@ -627,8 +642,9 @@ def test_biconditional_claims_fail_when_every_key_is_equal(monkeypatch, name):
     for w in rep.witnesses:
         if set(w) == PAIR_WITNESS:
             assert w["proj_equiv"] and not w["same_class"]
-        else:  # the seeded spot check against the full decision
-            assert w["why"] == "key/decision disagreement"
+        else:  # main2 lists its frame and lift pairs before its cross check
+            assert name == "main2" and w == {"graph": w["graph"], "q": w["q"],
+                                             "why": "frame and lift forms equivalent"}
 
 
 # claims whose negative control is a test of its own
