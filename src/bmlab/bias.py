@@ -121,6 +121,7 @@ class BiasedGraph:
         self._balance_class = None
         self._automorphisms = None  # vertex parts, built on first use
         self._bias_data = None  # matroid rank data, built on first use
+        self._realizations = {}  # gains.realizations by group, built on first use
 
     # -- basics ------------------------------------------------------------
     def cycles(self):

@@ -461,9 +461,16 @@ def normalized_gain_functions(graph, group):
 def realizations(omega, group):
     """Normalized realizations of a biased graph over a group (exhaustive):
     the gain functions gg with induced_bias(gg).balanced == omega.balanced,
-    in the order normalized_gain_functions yields them.
+    in the order normalized_gain_functions yields them.  They are searched
+    once per group and kept on omega; each call returns a fresh list."""
+    memo = omega._realizations
+    if group not in memo:
+        memo[group] = _search_realizations(omega, group)
+    return list(memo[group])
 
-    The free (non-forest) edges get their gains one at a time in id order,
+
+def _search_realizations(omega, group):
+    """The free (non-forest) edges get their gains one at a time in id order,
     and each cycle is checked as soon as its last free edge has one, so a
     branch stops at its first cycle whose gain disagrees with omega's bias."""
     g = omega.graph

@@ -155,25 +155,30 @@ def rref(A):
     return R, Em, tuple(pivots)
 
 
+def _pivot(f, basis, col):
+    """col reduced by the pivots of basis, as a new pivot (lead, row, 1 /
+    row[lead]) with row[lead] its first nonzero entry; None when basis
+    spans col."""
+    zero, sub, mul = f.zero, f.sub, f.mul
+    vec = col
+    for lead, row, inv in basis:
+        c = vec[lead]
+        if c != zero:
+            c = mul(c, inv)
+            vec = [sub(x, mul(c, y)) for x, y in zip(vec, row)]
+    for lead, x in enumerate(vec):
+        if x != zero:
+            return lead, vec, f.inv(x)
+    return None
+
+
 def rank_of_columns(field, columns):
     """Rank of a list of column tuples by forward elimination."""
     basis = []
-    f = field
     for col in columns:
-        vec = list(col)
-        for piv_idx, piv in basis:
-            c = vec[piv_idx]
-            if c != f.zero:
-                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, piv)]
-        lead = None
-        for i, x in enumerate(vec):
-            if x != f.zero:
-                lead = i
-                break
-        if lead is not None:
-            inv = f.inv(vec[lead])
-            vec = [f.mul(inv, x) for x in vec]
-            basis.append((lead, vec))
+        piv = _pivot(field, basis, col)
+        if piv is not None:
+            basis.append(piv)
     return len(basis)
 
 
@@ -223,7 +228,12 @@ def vector_matroid(A):
         sel = [cols[j] for j in range(A.ncols) if mask >> j & 1]
         return rank_of_columns(f, sel)
 
-    return MatroidOracle(A.col_labels, fn)
+    def extend(basis, j):
+        # the state is the reduced pivots of the independent columns so far
+        piv = _pivot(f, basis, cols[j])
+        return None if piv is None else basis + (piv,)
+
+    return MatroidOracle(A.col_labels, fn, ((), extend))
 
 
 def all_column_ranks(A):
@@ -237,29 +247,15 @@ def all_column_ranks(A):
     cols = A.columns()
     out = [0] * (1 << m)
 
-    def rec(j, mask, basis, rank):
+    def rec(j, mask, basis):
         if j == m:
-            out[mask] = rank
+            out[mask] = len(basis)
             return
-        rec(j + 1, mask, basis, rank)
-        vec = list(cols[j])
-        for piv_idx, piv in basis:
-            c = vec[piv_idx]
-            if c != f.zero:
-                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, piv)]
-        lead = None
-        for i, x in enumerate(vec):
-            if x != f.zero:
-                lead = i
-                break
-        if lead is None:
-            rec(j + 1, mask | 1 << j, basis, rank)
-        else:
-            inv = f.inv(vec[lead])
-            vec = [f.mul(inv, x) for x in vec]
-            rec(j + 1, mask | 1 << j, basis + [(lead, vec)], rank + 1)
+        rec(j + 1, mask, basis)
+        piv = _pivot(f, basis, cols[j])
+        rec(j + 1, mask | 1 << j, basis if piv is None else basis + [piv])
 
-    rec(0, 0, [], 0)
+    rec(0, 0, [])
     return out
 
 

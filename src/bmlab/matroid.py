@@ -2,10 +2,9 @@
 uniform and explicit matroids, rank axioms, equality testing on bases.
 
 An oracle is an ordered ground set of labels plus a memoized rank function
-on bitmask-encoded subsets.
+on bitmask-encoded subsets, and optionally an independence step that grows
+an independent set one element at a time from the state of the set so far.
 """
-
-from itertools import combinations
 
 from .bias import BiasedGraph
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
@@ -16,13 +15,20 @@ AXIOM_CHECK_BOUND = 12
 
 
 class MatroidOracle:
-    def __init__(self, labels, rank_mask_fn):
+    """step, when given, is a pair (start, extend): start is the state of
+    the empty set, and extend(state, i) is the state of X + i when X (the
+    independent set with that state, not holding i) plus i is independent,
+    else None.  A state is never changed in place, so one prefix's state
+    serves every extension of it."""
+
+    def __init__(self, labels, rank_mask_fn, step=None):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise GroundSetMismatch("duplicate ground set labels")
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
         self._fn = rank_mask_fn
         self._memo = {}
+        self._step = step
 
     @property
     def size(self):
@@ -54,6 +60,19 @@ class MatroidOracle:
 
     def full_rank(self):
         return self.rank_mask((1 << self.size) - 1)
+
+    def independence_step(self):
+        """The oracle's (start, extend) pair; without a step of its own, the
+        state is the set's mask and X + i is independent iff its rank is
+        |X| + 1."""
+        if self._step is not None:
+            return self._step
+
+        def extend(mask, i):
+            grown = mask | 1 << i
+            return grown if self.rank_mask(grown) == mask.bit_count() + 1 else None
+
+        return 0, extend
 
     def rank_axiom_violation(self):
         """Check normalization, unit increase, submodularity on all subsets;
@@ -102,9 +121,16 @@ def matroids_equal(m1, m2):
     the ranks differ, otherwise the first r-subset in combinations order
     that is a basis of exactly one.  Two matroids on one ground set are
     equal iff they agree on r(E) and on which r-subsets are bases (Oxley,
-    Matroid Theory, section 1.2), so C(n, r) rank calls per side suffice;
-    both rank functions must satisfy the rank axioms.  Ground sets must
-    carry the same labels in the same order."""
+    Matroid Theory, section 1.2); both rank functions must satisfy the rank
+    axioms.  Ground sets must carry the same labels in the same order.
+
+    The r-subsets are walked depth first as prefixes in combinations order,
+    each side growing its prefix by its independence step.  A prefix
+    dependent on both sides holds no basis of either and is skipped.  A
+    prefix independent on exactly one side is a basis of neither below it
+    on the other, so the first basis of the one side that completes it
+    (greedily, in index order: the greedy basis is the lexicographically
+    first) is the witness; when none completes it, the walk goes on."""
     if m1.labels != m2.labels:
         raise GroundSetMismatch("oracles must share the ordered ground set")
     n = m1.size
@@ -113,30 +139,55 @@ def matroids_equal(m1, m2):
     r = m1.full_rank()
     if m2.full_rank() != r:
         return False, m1.labels
-    for subset in combinations(range(n), r):
-        mask = sum(1 << i for i in subset)
-        if (m1.rank_mask(mask) == r) != (m2.rank_mask(mask) == r):
-            return False, m1.subset_of(mask)
-    return True, None
+    start1, step1 = m1.independence_step()
+    start2, step2 = m2.independence_step()
+
+    def completion(step, state, k, lo):
+        picked = []
+        for i in range(lo, n):
+            if k + len(picked) == r:
+                break
+            grown = step(state, i)
+            if grown is not None:
+                state = grown
+                picked.append(i)
+        return picked if k + len(picked) == r else None
+
+    def walk(s1, s2, k, lo):
+        if k == r:
+            return None
+        for i in range(lo, n - r + k + 1):
+            t1, t2 = step1(s1, i), step2(s2, i)
+            if t1 is None and t2 is None:
+                continue
+            if t1 is not None and t2 is not None:
+                rest = walk(t1, t2, k + 1, i + 1)
+            elif t1 is not None:
+                rest = completion(step1, t1, k + 1, i + 1)
+            else:
+                rest = completion(step2, t2, k + 1, i + 1)
+            if rest is not None:
+                return [i] + rest
+        return None
+
+    witness = walk(start1, start2, 0, 0)
+    if witness is None:
+        return True, None
+    return False, tuple(m1.labels[i] for i in witness)
 
 
 # -- biased-graph matroids -----------------------------------------------------
 
 class _BiasData:
-    """Precomputed endpoint and unbalanced-cycle masks for rank formulas."""
+    """Endpoints and unbalanced-cycle masks for the rank formulas and steps."""
 
-    def __init__(self, omega):
-        g = omega.graph
-        self.n = g.n
-        self.endpoints = g.edges
-        self.unbalanced = []
-        for c in g.cycles():
-            es = frozenset(c.edges)
-            if es not in omega.balanced:
-                mask = 0
-                for e in es:
-                    mask |= 1 << e
-                self.unbalanced.append(mask)
+    def __init__(self, n, endpoints, unbalanced):
+        self.n = n
+        self.endpoints = endpoints
+        self.unbalanced = unbalanced
+        # through[e]: the unbalanced cycle masks that hold edge e
+        self.through = [[cm for cm in unbalanced if cm >> e & 1]
+                        for e in range(len(endpoints))]
 
     def components(self, mask):
         """List of (vertex set, edge mask) for G|X components."""
@@ -183,45 +234,76 @@ def _lift_rank_mask(data, mask):
     return nv - len(comps) + eps
 
 
+def _bias_step(data, frame):
+    """The independence step of F (frame=True) or L of the biased graph.
+    A state is (component representative of each vertex, edge mask of the
+    set, mask of the representatives of the unbalanced components); an
+    untouched vertex is a balanced component with no edges.
+
+    From the rank formulas: a link joining two components raises the frame
+    rank unless both are unbalanced, and always raises the lift rank.  An
+    edge inside a component raises the rank only when it closes the first
+    unbalanced cycle of that component (frame) or of the set (lift): the
+    component, or the set, is balanced, and the set's mask plus the edge
+    holds an unbalanced cycle through the edge."""
+
+    def extend(state, e):
+        comp, mask, unbal = state
+        u, v = data.endpoints[e]
+        a, b = comp[u], comp[v]
+        if a != b:
+            if frame and unbal >> a & unbal >> b & 1:
+                return None
+            comp = tuple(a if c == b else c for c in comp)
+            return comp, mask | 1 << e, unbal | (unbal >> b & 1) << a
+        if (unbal >> a & 1) if frame else unbal:
+            return None
+        mask |= 1 << e
+        if not any(cm & mask == cm for cm in data.through[e]):
+            return None
+        return comp, mask, unbal | 1 << a
+
+    return (tuple(range(data.n)), 0, 0), extend
+
+
 def _bias_data(omega):
     if omega._bias_data is None:
-        omega._bias_data = _BiasData(omega)
+        g = omega.graph
+        unbalanced = [sum(1 << e for e in c.edges)
+                      for c in g.cycles() if c.edges not in omega.balanced]
+        omega._bias_data = _BiasData(g.n, g.edges, unbalanced)
     return omega._bias_data
 
 
+def _oracle(labels, data, frame):
+    rank = _frame_rank_mask if frame else _lift_rank_mask
+    return MatroidOracle(labels, lambda m: rank(data, m), _bias_step(data, frame))
+
+
 def frame_matroid(omega):
-    data = _bias_data(omega)
-    return MatroidOracle(omega.graph.edge_names, lambda m: _frame_rank_mask(data, m))
+    return _oracle(omega.graph.edge_names, _bias_data(omega), frame=True)
 
 
 def lift_matroid(omega):
-    data = _bias_data(omega)
-    return MatroidOracle(omega.graph.edge_names, lambda m: _lift_rank_mask(data, m))
+    return _oracle(omega.graph.edge_names, _bias_data(omega), frame=False)
 
 
-def extend_with_joint(omega, vertex=None, name="e0"):
-    """The biased graph G_0: add a joint (at a new vertex by default)."""
+def extend_with_joint(omega, vertex, name):
+    """omega with a joint, an unbalanced loop named name, added at vertex."""
     g = omega.graph
-    if vertex is None:
-        g2 = MultiGraph(
-            g.n + 1,
-            list(g.edges) + [(g.n, g.n)],
-            list(g.edge_names) + [name],
-            g.vertex_names + ("v0",),
-        )
-    else:
-        g2 = MultiGraph(
-            g.n,
-            list(g.edges) + [(vertex, vertex)],
-            list(g.edge_names) + [name],
-            g.vertex_names,
-        )
+    g2 = MultiGraph(g.n, list(g.edges) + [(vertex, vertex)], list(g.edge_names) + [name],
+                    g.vertex_names)
     return BiasedGraph(g2, omega.balanced, check=False)
 
 
 def complete_lift_matroid(omega):
-    """L0(G,B) = L(G_0,B): ground set E plus the extra joint e0."""
-    return lift_matroid(extend_with_joint(omega))
+    """L0(G,B) = L(G_0,B): ground set E plus the extra joint e0.  G_0's
+    cycles are G's and the joint, an unbalanced loop at a new vertex, so its
+    rank data is G's with that loop added."""
+    data = _bias_data(omega)
+    n, m = data.n, len(data.endpoints)
+    joint = _BiasData(n + 1, data.endpoints + ((n, n),), data.unbalanced + [1 << m])
+    return _oracle(omega.graph.edge_names + ("e0",), joint, frame=False)
 
 
 def uniform_matroid(r, labels):

@@ -1,5 +1,6 @@
 """Reference routines that several test modules share: matroid equality on
-all subsets, matroid minors, the graphic matroid, edge-set components,
+all subsets and on bases one r-subset at a time, matroid minors, the
+joint extension G_0, the graphic matroid, edge-set components,
 projective-witness parsing, balance classification on the loop-deleted
 minor, switching classes on contracted gain graphs, GF(q) tables built
 pair by pair, projective equivalence by a pivot-basis transfer and
@@ -9,6 +10,8 @@ switching decision per scalar.
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
+
+from itertools import combinations
 
 from bmlab.bias import (
     ALMOST_BALANCED,
@@ -30,7 +33,7 @@ from bmlab.fields import (
 )
 from bmlab.formats import parse_matrix
 from bmlab.gains import induced_gain, normalize, switching_equivalent
-from bmlab.graph import find
+from bmlab.graph import MultiGraph, find
 from bmlab.linalg import FieldMatrix, ProjWitness, _scaling_normal_form, invert, rref
 from bmlab.matroid import MatroidOracle, frame_matroid
 
@@ -45,6 +48,32 @@ def matroids_equal_on_all_subsets(m1, m2):
         if m1.rank_mask(mask) != m2.rank_mask(mask):
             return False, m1.subset_of(mask)
     return True, None
+
+
+def matroids_equal_by_bases(m1, m2):
+    """The reference for matroid.matroids_equal's walk: compare r(E), then
+    every r-subset in combinations order by two rank calls, returning the
+    first that is a basis of exactly one (or the ground set when the ranks
+    differ)."""
+    if m1.labels != m2.labels:
+        raise GroundSetMismatch("oracles must share the ordered ground set")
+    r = m1.full_rank()
+    if m2.full_rank() != r:
+        return False, m1.labels
+    for subset in combinations(range(m1.size), r):
+        mask = sum(1 << i for i in subset)
+        if (m1.rank_mask(mask) == r) != (m2.rank_mask(mask) == r):
+            return False, m1.subset_of(mask)
+    return True, None
+
+
+def joint_extension(omega):
+    """G_0: omega with the joint e0 at a new vertex v0, whose lift matroid
+    matroid.complete_lift_matroid builds from omega's rank data."""
+    g = omega.graph
+    g2 = MultiGraph(g.n + 1, list(g.edges) + [(g.n, g.n)], list(g.edge_names) + ["e0"],
+                    g.vertex_names + ("v0",))
+    return BiasedGraph(g2, omega.balanced, check=False)
 
 
 def delete(M, labels):

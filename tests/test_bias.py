@@ -233,7 +233,7 @@ def test_classify_balance_matches_loop_deleted_minor_with_loops():
              for u in balancing_vertices(nb.omega)
              for cls in unbalancing_classes(nb.omega, u).classes
              if not any(nb.omega.graph.is_loop(e) for e in cls)]
-    cases += [extend_with_joint(nb.omega, vertex=v)
+    cases += [extend_with_joint(nb.omega, vertex=v, name="e0")
               for nb in almost + list(catalog.base_graphs())
               for v in range(nb.omega.graph.n)]
     rng = random.Random(0)

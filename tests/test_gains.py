@@ -1,4 +1,5 @@
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -623,3 +624,28 @@ def test_realizations_of_a_non_cycle_balanced_set_are_empty():
     om = BiasedGraph(g, [frozenset([0])], check=False)  # one link is no cycle
     assert _realizations_by_induced_bias(om, CyclicGroup(2)) == []
     assert realizations(om, CyclicGroup(2)) == []
+
+
+def _fresh(omega):
+    """The same biased graph as a new object, with nothing built on it yet."""
+    return BiasedGraph(omega.graph, omega.balanced, check=False)
+
+
+@pytest.mark.parametrize("group", [MultiplicativeGroup(5), AdditiveGroup(5)], ids=repr)
+def test_realizations_memo_matches_a_fresh_build(group):
+    for nb in catalog.base_graphs():
+        om = nb.omega
+        first = realizations(om, group)
+        assert realizations(om, group) == first == realizations(_fresh(om), group), nb.name
+        first.clear()  # a caller's list is its own
+        assert realizations(om, group) == realizations(_fresh(om), group), nb.name
+    assert sum(len(realizations(nb.omega, group)) for nb in catalog.base_graphs()) > 0
+
+
+def test_realizations_memo_does_not_outlive_its_biased_graph():
+    om = _fresh(catalog.tube("B_0").omega)
+    reps = realizations(om, MultiplicativeGroup(5))
+    ref = weakref.ref(om)
+    del om
+    assert ref() is None
+    assert reps and induced_bias(reps[0]).balanced == catalog.tube("B_0").omega.balanced

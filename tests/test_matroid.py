@@ -1,7 +1,8 @@
 import random
 import weakref
 from collections import Counter
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from bmlab import catalog, verify
 from bmlab.bias import BiasedGraph, biased_minor
 from bmlab.canonical import COMPLETE_LIFT, KINDS, kind_parts
 from bmlab.errors import BoundExceeded, GroundSetMismatch
+from bmlab.fields import QQ, gf
 from bmlab.gains import realizations
 from bmlab.graph import MultiGraph
 from bmlab.linalg import FieldMatrix, vector_matroid
@@ -26,6 +28,8 @@ from oracles import (
     delete,
     edge_components,
     graphic_matroid,
+    joint_extension,
+    matroids_equal_by_bases,
     matroids_equal_on_all_subsets,
 )
 
@@ -212,6 +216,15 @@ def test_complete_lift_identities():
         assert eq
 
 
+def test_complete_lift_is_the_lift_of_the_joint_extension():
+    # L0 is built from omega's rank data, not from G_0's cycles
+    omegas = [om for _, oms in _small_biased_graphs() for om in oms]
+    omegas += [nb.omega for nb in catalog.base_graphs()]
+    for om in omegas:
+        L0, L = complete_lift_matroid(om), lift_matroid(joint_extension(om))
+        assert matroids_equal_on_all_subsets(L0, L) == (True, None), om.graph.edges
+
+
 def test_u2_frame_circuits():
     u2 = catalog.u2().omega
     F = frame_matroid(u2)
@@ -359,7 +372,7 @@ def _base_graph_pairs():
             if not reps:  # D_{0,3} and T_4 have no additive realization
                 continue
             A = parts.matrix(reps[0]).matrix
-            host = extend_with_joint(nb.omega) if kind == COMPLETE_LIFT else nb.omega
+            host = joint_extension(nb.omega) if kind == COMPLETE_LIFT else nb.omega
             for B in [A, _perturbed(rng, A), _perturbed(rng, A)]:
                 for target in (frame_matroid(host), lift_matroid(host)):
                     yield vector_matroid(B), target
@@ -390,6 +403,7 @@ def test_bases_rule_matches_the_subset_scan(monkeypatch):
     for m1, m2 in cases:
         eq, witness = matroids_equal(m1, m2)
         assert eq == matroids_equal_on_all_subsets(m1, m2)[0]
+        assert (eq, witness) == matroids_equal_by_bases(m1, m2)
         if eq:
             assert witness is None
         else:
@@ -399,6 +413,118 @@ def test_bases_rule_matches_the_subset_scan(monkeypatch):
             assert m1.rank(witness) != m2.rank(witness)
         outcomes[eq] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def _same_as_by_bases(pairs):
+    """Counter of the walk's outcomes over pairs, each asserted identical
+    (result and witness) to the r-subset scan of matroids_equal_by_bases."""
+    outcomes = Counter()
+    for m1, m2 in pairs:
+        got = matroids_equal(m1, m2)
+        assert got == matroids_equal_by_bases(m1, m2), (m1.labels, got)
+        outcomes[got[0]] += 1
+    return outcomes
+
+
+def _small_biased_graphs():
+    """Every theta-closed bias set on every graph of multigraphs_up_to_iso(3, 5)."""
+    for g in catalog.multigraphs_up_to_iso(3, 5):
+        yield g, [BiasedGraph(g, bal, check=False) for bal in catalog.theta_closed_subsets(g)]
+
+
+def test_walk_matches_bases_oracle_on_every_small_biased_graph():
+    # F and L of every bias set on a graph, all pairs; and on E + e0, the
+    # frame matroid of G_0 against the complete lift, all pairs
+    outcomes = Counter()
+    for g, omegas in _small_biased_graphs():
+        on_e = [m(om) for om in omegas for m in (frame_matroid, lift_matroid)]
+        on_e0 = [m for om in omegas
+                 for m in (frame_matroid(joint_extension(om)), complete_lift_matroid(om))]
+        for ms in (on_e, on_e0):
+            outcomes += _same_as_by_bases(product(ms, ms))
+    assert outcomes[True] >= 700 and outcomes[False] >= 20000, outcomes
+
+
+def _column_changed(A, j, new):
+    return FieldMatrix(A.field, [row[:j] + (new[i],) + row[j + 1:] for i, row in enumerate(A.rows)],
+                       A.row_labels, A.col_labels)
+
+
+def test_walk_matches_bases_oracle_on_matrices_of_small_biased_graphs():
+    # each frame and lift matrix over GF(3) against its matroid, and a copy
+    # with one column zeroed or made parallel to the one before as a control
+    outcomes = Counter()
+    for g, omegas in _small_biased_graphs():
+        for om in omegas:
+            for kind in ("frame", "lift"):
+                parts = kind_parts(kind)
+                target = parts.matroid(om)
+                for gg in realizations(om, parts.group(3)):
+                    A = parts.matrix(gg).matrix
+                    j = g.m - 1
+                    zeroed = _column_changed(A, j, [0] * A.nrows)
+                    parallel = _column_changed(A, j, A.column(j - 1))
+                    outcomes += _same_as_by_bases(
+                        [(vector_matroid(B), target) for B in (A, zeroed, parallel)]
+                        + [(vector_matroid(A), vector_matroid(B)) for B in (zeroed, parallel)])
+    assert outcomes[True] >= 300 and outcomes[False] >= 300, outcomes
+
+
+@pytest.mark.parametrize("field", [gf(4), gf(5), QQ], ids=repr)
+def test_walk_matches_bases_oracle_on_seeded_matrices(field):
+    rng = random.Random(25)
+    values = [Fraction(x) for x in range(-2, 3)] if field is QQ else list(field.elements)
+    pairs = []
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+        rows = [[rng.choice(values) if rng.random() < 0.7 else field.zero for _ in range(ncols)]
+                for _ in range(nrows)]
+        A = FieldMatrix(field, rows)
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = rng.choice(values)
+        M = vector_matroid(A)
+        pairs += [(M, vector_matroid(FieldMatrix(field, rows))),
+                  (M, uniform_matroid(rng.randint(0, nrows), A.col_labels))]
+    outcomes = _same_as_by_bases(pairs)
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def _step_agrees_with_rank(M):
+    """Along every chain of increasing indices that stays independent, the
+    oracle's step from the chain's state X says "independent" for X + i
+    exactly when rank_mask gives |X| + 1, for every i outside X (not only
+    the larger ones that extend the chain); returns the number of steps
+    checked."""
+    start, extend = M.independence_step()
+    checked = 0
+    stack = [(start, 0, 0)]  # (state, mask, next index of the chain)
+    while stack:
+        state, mask, lo = stack.pop()
+        for i in range(M.size):
+            if mask >> i & 1:
+                continue
+            grown = extend(state, i)
+            independent = M.rank_mask(mask | 1 << i) == mask.bit_count() + 1
+            assert (grown is not None) == independent, (M.labels, M.subset_of(mask), i)
+            checked += 1
+            if grown is not None and i >= lo:
+                stack.append((grown, mask | 1 << i, i + 1))
+    return checked
+
+
+def test_independence_step_agrees_with_rank_on_every_chain():
+    f = gf(2)
+    oracles = []
+    for k, entries in enumerate(product(f.elements, repeat=8)):
+        A = FieldMatrix(f, [entries[:4], entries[4:]])
+        M = vector_matroid(A)
+        oracles.append(M)
+        if k % 16 == 0:  # a sample as explicit rank tables
+            table = {frozenset(M.subset_of(m)): M.rank_mask(m) for m in range(16)}
+            oracles.append(explicit_matroid(M.labels, table))
+    oracles += [uniform_matroid(r, "abcde") for r in range(6)]
+    for nb in catalog.base_graphs():
+        oracles += [m(nb.omega) for m in (frame_matroid, lift_matroid, complete_lift_matroid)]
+    assert sum(_step_agrees_with_rank(M) for M in oracles) > 10000
 
 
 def test_explicit_matroid_round_trip():

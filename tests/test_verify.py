@@ -36,7 +36,7 @@ from bmlab.graph import MultiGraph, OrientedEdge
 from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
 from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 from bmlab.verify import _contraction_failures, all_claims, run_claim
-from oracles import contraction_classes_by_minors
+from oracles import contraction_classes_by_minors, joint_extension
 
 
 def test_registry_names():
@@ -488,7 +488,7 @@ NEGATIVE_CONTROLS = [
     ("canonical-frame", (canonical, "frame_matroid", lift_matroid),
      [{"sample", "edges", "gains", "subset"}]),
     ("canonical-lift",
-     (canonical, "complete_lift_matroid", lambda om: frame_matroid(extend_with_joint(om))),
+     (canonical, "complete_lift_matroid", lambda om: frame_matroid(joint_extension(om))),
      [{"sample", "edges", "gains", "subset"}]),
     ("deltawye-matroid", (verify, "delta_y_matrix", lambda A, X: A),
      [{"graph", "q", "kind", "subset"}]),
