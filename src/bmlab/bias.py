@@ -120,8 +120,9 @@ class BiasedGraph:
                 )
         self._balance_class = None
         self._automorphisms = None  # vertex parts, built on first use
-        self._bias_data = None  # matroid rank data, built on first use
+        self._bias_data = None  # matroid step data, built on first use
         self._realizations = {}  # gains.realizations by group, built on first use
+        self._unrolled = {}  # canonical._roll_reachable's unrollings by vertex
 
     # -- basics ------------------------------------------------------------
     def cycles(self):

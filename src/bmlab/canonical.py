@@ -54,7 +54,7 @@ from .linalg import (
     rref,
     vector_matroid,
 )
-from .matroid import complete_lift_matroid, frame_matroid, lift_matroid, matroids_equal
+from .matroid import complete_lift_matroid, frame_matroid, greedy, lift_matroid, matroids_equal
 
 FRAME = "frame"
 LIFT = "lift"
@@ -580,14 +580,28 @@ def _column_scales(W, target, f):
     return scales
 
 
+def _unrolled(omega, u):
+    """unroll(omega, u), or None where it raises, kept on omega: every
+    rolled candidate of omega is compared with the same unrollings."""
+    memo = omega._unrolled
+    if u not in memo:
+        try:
+            memo[u] = unroll(omega, u)
+        except BmlabError:
+            memo[u] = None
+    return memo[u]
+
+
 def _roll_reachable(omega, variant):
     """Variant reachable from omega by rolling: compare full unrollings at
     each balancing vertex of omega (ignoring edge orientations, which
     unrolling does not preserve)."""
     bal = classify_balance(omega).balancing_vertices
     for u in bal:
+        a = _unrolled(omega, u)
+        if a is None:
+            continue
         try:
-            a = unroll(omega, u)
             b = unroll(variant, u)
         except BmlabError:
             continue
@@ -633,14 +647,8 @@ def enumerate_representations(M, q, biased_graph=None, hint=None,
     r = M.full_rank()
     if r == 0:
         raise NoBasis("rank-zero matroid")
-    basis = []
-    mask = 0
-    for i in range(n):
-        if M.rank_mask(mask | 1 << i) > M.rank_mask(mask):
-            mask |= 1 << i
-            basis.append(i)
-        if len(basis) == r:
-            break
+    start, extend = M.independence_step()
+    basis = greedy(extend, start, range(n), r)
     if len(basis) != r:
         raise NoBasis("could not complete a basis")
     nonbasis = [j for j in range(n) if j not in basis]

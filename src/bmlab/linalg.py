@@ -16,7 +16,7 @@ T,S formulation used throughout).
 from dataclasses import dataclass
 
 from .errors import ColumnLabelMismatch, GroundSetMismatch
-from .matroid import MatroidOracle
+from .matroid import step_oracle
 
 VECTOR_MATROID_COLUMNS = 20
 
@@ -218,22 +218,19 @@ def dual_matrix(A):
 
 
 def vector_matroid(A):
-    """Column matroid: rank of a subset = rank of its column submatrix."""
+    """Column matroid: a column extends an independent set of columns iff
+    it is not in their span, i.e. reduces to a new pivot."""
     if A.ncols > VECTOR_MATROID_COLUMNS:
         raise GroundSetMismatch("vector matroid capped at %d columns" % VECTOR_MATROID_COLUMNS)
     cols = A.columns()
     f = A.field
-
-    def fn(mask):
-        sel = [cols[j] for j in range(A.ncols) if mask >> j & 1]
-        return rank_of_columns(f, sel)
 
     def extend(basis, j):
         # the state is the reduced pivots of the independent columns so far
         piv = _pivot(f, basis, cols[j])
         return None if piv is None else basis + (piv,)
 
-    return MatroidOracle(A.col_labels, fn, ((), extend))
+    return step_oracle(A.col_labels, ((), extend))
 
 
 def all_column_ranks(A):

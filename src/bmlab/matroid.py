@@ -4,11 +4,13 @@ uniform and explicit matroids, rank axioms, equality testing on bases.
 An oracle is an ordered ground set of labels plus a memoized rank function
 on bitmask-encoded subsets, and optionally an independence step that grows
 an independent set one element at a time from the state of the set so far.
+Frame, lift and vector matroids are defined by their step alone: the rank
+of X is the size of a greedy independent subset of X (step_oracle).
 """
 
 from .bias import BiasedGraph
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
-from .graph import MultiGraph, find
+from .graph import MultiGraph
 
 EQUALITY_BOUND = 20
 AXIOM_CHECK_BOUND = 12
@@ -115,6 +117,35 @@ class MatroidOracle:
         return None
 
 
+def greedy(extend, state, indices, stop=None):
+    """The elements of indices, in order, that extend accepts one after
+    another from state, up to stop of them.  From the empty set's state,
+    with no stop, they are a basis of the indices' set, and the
+    lexicographically first one (Oxley, Matroid Theory, section 1.8)."""
+    picked = []
+    for i in indices:
+        if len(picked) == stop:
+            break
+        grown = extend(state, i)
+        if grown is not None:
+            state = grown
+            picked.append(i)
+    return picked
+
+
+def step_oracle(labels, step):
+    """The oracle of the independence step (start, extend): the rank of X
+    is the size of the greedy independent subset of X, its elements taken
+    in index order."""
+    start, extend = step
+    n = len(labels)
+
+    def rank(mask):
+        return len(greedy(extend, start, (i for i in range(n) if mask >> i & 1)))
+
+    return MatroidOracle(labels, rank, step)
+
+
 def matroids_equal(m1, m2):
     """(True, None) if m1 and m2 have the same rank and the same bases, else
     (False, distinguishing subset as label tuple): the whole ground set when
@@ -143,14 +174,7 @@ def matroids_equal(m1, m2):
     start2, step2 = m2.independence_step()
 
     def completion(step, state, k, lo):
-        picked = []
-        for i in range(lo, n):
-            if k + len(picked) == r:
-                break
-            grown = step(state, i)
-            if grown is not None:
-                state = grown
-                picked.append(i)
+        picked = greedy(step, state, range(lo, n), r - k)
         return picked if k + len(picked) == r else None
 
     def walk(s1, s2, k, lo):
@@ -179,7 +203,7 @@ def matroids_equal(m1, m2):
 # -- biased-graph matroids -----------------------------------------------------
 
 class _BiasData:
-    """Endpoints and unbalanced-cycle masks for the rank formulas and steps."""
+    """Endpoints and unbalanced-cycle masks for the independence steps."""
 
     def __init__(self, n, endpoints, unbalanced):
         self.n = n
@@ -189,50 +213,6 @@ class _BiasData:
         self.through = [[cm for cm in unbalanced if cm >> e & 1]
                         for e in range(len(endpoints))]
 
-    def components(self, mask):
-        """List of (vertex set, edge mask) for G|X components."""
-        parent = {}
-        edges = []
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                edges.append(i)
-            m >>= 1
-            i += 1
-        for e in edges:
-            u, v = self.endpoints[e]
-            for x in (u, v):
-                if x not in parent:
-                    parent[x] = x
-            ru, rv = find(parent, u), find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-        comps = {}
-        for e in edges:
-            r = find(parent, self.endpoints[e][0])
-            vs, em = comps.get(r, (set(), 0))
-            u, v = self.endpoints[e]
-            vs.add(u)
-            vs.add(v)
-            comps[r] = (vs, em | 1 << e)
-        return list(comps.values())
-
-
-def _frame_rank_mask(data, mask):
-    total = 0
-    for vs, em in data.components(mask):
-        balanced = not any(cm & em == cm for cm in data.unbalanced)
-        total += len(vs) - (1 if balanced else 0)
-    return total
-
-
-def _lift_rank_mask(data, mask):
-    comps = data.components(mask)
-    nv = sum(len(vs) for vs, _ in comps)
-    eps = 1 if any(cm & mask == cm for cm in data.unbalanced) else 0
-    return nv - len(comps) + eps
-
 
 def _bias_step(data, frame):
     """The independence step of F (frame=True) or L of the biased graph.
@@ -240,12 +220,15 @@ def _bias_step(data, frame):
     set, mask of the representatives of the unbalanced components); an
     untouched vertex is a balanced component with no edges.
 
-    From the rank formulas: a link joining two components raises the frame
-    rank unless both are unbalanced, and always raises the lift rank.  An
-    edge inside a component raises the rank only when it closes the first
-    unbalanced cycle of that component (frame) or of the set (lift): the
-    component, or the set, is balanced, and the set's mask plus the edge
-    holds an unbalanced cycle through the edge."""
+    An edge set is independent in F when each of its components holds at
+    most one cycle, and that one unbalanced; in L when the whole set holds
+    at most one cycle, and that one unbalanced (Zaslavsky, Biased graphs
+    II).  So a link joining two components keeps F independent unless both
+    are unbalanced, and always keeps L independent.  An edge inside a
+    component keeps the set independent only when it closes the first
+    cycle of that component (frame) or of the set (lift), and that cycle
+    is unbalanced: the component, or the set, is balanced, and the set's
+    mask plus the edge holds an unbalanced cycle through the edge."""
 
     def extend(state, e):
         comp, mask, unbal = state
@@ -275,17 +258,12 @@ def _bias_data(omega):
     return omega._bias_data
 
 
-def _oracle(labels, data, frame):
-    rank = _frame_rank_mask if frame else _lift_rank_mask
-    return MatroidOracle(labels, lambda m: rank(data, m), _bias_step(data, frame))
-
-
 def frame_matroid(omega):
-    return _oracle(omega.graph.edge_names, _bias_data(omega), frame=True)
+    return step_oracle(omega.graph.edge_names, _bias_step(_bias_data(omega), frame=True))
 
 
 def lift_matroid(omega):
-    return _oracle(omega.graph.edge_names, _bias_data(omega), frame=False)
+    return step_oracle(omega.graph.edge_names, _bias_step(_bias_data(omega), frame=False))
 
 
 def extend_with_joint(omega, vertex, name):
@@ -299,11 +277,11 @@ def extend_with_joint(omega, vertex, name):
 def complete_lift_matroid(omega):
     """L0(G,B) = L(G_0,B): ground set E plus the extra joint e0.  G_0's
     cycles are G's and the joint, an unbalanced loop at a new vertex, so its
-    rank data is G's with that loop added."""
+    step data is G's with that loop added."""
     data = _bias_data(omega)
     n, m = data.n, len(data.endpoints)
     joint = _BiasData(n + 1, data.endpoints + ((n, n),), data.unbalanced + [1 << m])
-    return _oracle(omega.graph.edge_names + ("e0",), joint, frame=False)
+    return step_oracle(omega.graph.edge_names + ("e0",), _bias_step(joint, frame=False))
 
 
 def uniform_matroid(r, labels):

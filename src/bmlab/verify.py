@@ -68,7 +68,7 @@ from .linalg import (
     projectively_equivalent,
     vector_matroid,
 )
-from .matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
+from .matroid import extend_with_joint, frame_matroid, matroids_equal
 
 DEFAULT_SEED = 20240
 DEFAULT_FIELDS = (2, 3, 4, 5)
@@ -386,11 +386,14 @@ def _allreps(named_graphs, q, kind=FRAME):
     """Enumerate all representations of the kind's matroid of omega (hinting
     that kind); every class must canonicalize, and the class count must
     equal the independent count of gain-function classes (switching for
-    frame, switching-and-scaling for lift).  A frame matroid has lift forms
-    too only where it is the lift matroid, the one case where
-    canonicalization can return the lift kind."""
+    frame, switching-and-scaling for lift).  The matroid has forms of the
+    other kind too only where F = L, the one case where canonicalization
+    can return the other kind; then its gain classes count too.  Frame
+    counts always carry lift_classes (0 where F != L); lift counts carry
+    frame_classes only where F = L."""
     failures = []
     counts = {}
+    other = LIFT if kind == FRAME else FRAME
     for nb in named_graphs:
         om = nb.omega
         M = kind_parts(kind).matroid(om)
@@ -399,8 +402,8 @@ def _allreps(named_graphs, q, kind=FRAME):
         count = counts[nb.name] = {"classes": len(classes), "%s_classes" % kind: n[kind]}
         if kind == FRAME:
             count["lift_classes"] = 0
-            if matroids_equal(M, lift_matroid(om))[0]:
-                n[LIFT] = count["lift_classes"] = _gain_class_count(om, q, LIFT)
+        if matroids_equal(M, kind_parts(other).matroid(om))[0]:
+            n[other] = count["%s_classes" % other] = _gain_class_count(om, q, other)
         expected = sum(n.values())
         if len(classes) != expected:
             failures.append({"graph": nb.name, "q": q, "classes": len(classes),
@@ -472,6 +475,7 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
     for i in (1, 2, 3):
         nb = catalog.t2_prime_split(i)
         om = nb.omega
+        reported = len(failures)
         reps = realizations(om, MultiplicativeGroup(q))
         # nabla at a degree-3 vertex whose star is a genuine triad
         done = False
@@ -507,7 +511,7 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
                     failures.append({"graph": nb.name, "why": "exchange not involutive"})
             done = True
             break
-        if not done and not failures:
+        if not done and len(failures) == reported:
             failures.append({"graph": nb.name, "why": "no usable degree-3 vertex"})
         # scramble round-trips directly on T'_{2,i}
         counts[nb.name] = {"frame_classes": len(reps)}

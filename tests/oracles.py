@@ -1,6 +1,7 @@
 """Reference routines that several test modules share: matroid equality on
-all subsets and on bases one r-subset at a time, matroid minors, the
-joint extension G_0, the graphic matroid, edge-set components,
+all subsets and on bases one r-subset at a time, the frame and lift rank
+formulas, matroid minors, the joint extension G_0, the graphic matroid,
+edge-set components, vector rank by elimination,
 projective-witness parsing, balance classification on the loop-deleted
 minor, switching classes on contracted gain graphs, GF(q) tables built
 pair by pair, projective equivalence by a pivot-basis transfer and
@@ -34,7 +35,14 @@ from bmlab.fields import (
 from bmlab.formats import parse_matrix
 from bmlab.gains import induced_gain, normalize, switching_equivalent
 from bmlab.graph import MultiGraph, find
-from bmlab.linalg import FieldMatrix, ProjWitness, _scaling_normal_form, invert, rref
+from bmlab.linalg import (
+    FieldMatrix,
+    ProjWitness,
+    _scaling_normal_form,
+    invert,
+    rank_of_columns,
+    rref,
+)
 from bmlab.matroid import MatroidOracle, frame_matroid
 
 
@@ -67,9 +75,72 @@ def matroids_equal_by_bases(m1, m2):
     return True, None
 
 
+def mask_components(endpoints, mask):
+    """List of (vertex set, edge mask) for the components of G|X, X the
+    edges of mask."""
+    parent = {}
+    edges = [e for e in range(len(endpoints)) if mask >> e & 1]
+    for e in edges:
+        u, v = endpoints[e]
+        for x in (u, v):
+            if x not in parent:
+                parent[x] = x
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+    comps = {}
+    for e in edges:
+        r = find(parent, endpoints[e][0])
+        vs, em = comps.get(r, (set(), 0))
+        u, v = endpoints[e]
+        vs.add(u)
+        vs.add(v)
+        comps[r] = (vs, em | 1 << e)
+    return list(comps.values())
+
+
+def frame_rank_mask(endpoints, unbalanced, mask):
+    """r_F(X) = |V(X)| - b(X), b(X) the number of balanced components of
+    G|X (Zaslavsky, Biased graphs II); unbalanced lists the unbalanced
+    cycles as edge masks."""
+    total = 0
+    for vs, em in mask_components(endpoints, mask):
+        balanced = not any(cm & em == cm for cm in unbalanced)
+        total += len(vs) - (1 if balanced else 0)
+    return total
+
+
+def lift_rank_mask(endpoints, unbalanced, mask):
+    """r_L(X) = |V(X)| - c(X) + 1 when G|X holds an unbalanced cycle, else
+    |V(X)| - c(X), c(X) the number of components of G|X."""
+    comps = mask_components(endpoints, mask)
+    nv = sum(len(vs) for vs, _ in comps)
+    eps = 1 if any(cm & mask == cm for cm in unbalanced) else 0
+    return nv - len(comps) + eps
+
+
+def formula_matroid(omega, frame):
+    """F(G,B) (frame=True) or L(G,B) from the rank formulas: the reference
+    for matroid.frame_matroid and lift_matroid, whose ranks come from their
+    independence steps.  L0(G,B) is formula_matroid(joint_extension(omega),
+    False)."""
+    g = omega.graph
+    unbalanced = [sum(1 << e for e in c.edges) for c in omega.unbalanced_cycles()]
+    rank = frame_rank_mask if frame else lift_rank_mask
+    return MatroidOracle(g.edge_names, lambda mask: rank(g.edges, unbalanced, mask))
+
+
+def column_rank_matroid(A):
+    """M(A) with the rank of each column subset by its own elimination: the
+    reference for linalg.vector_matroid, whose ranks come from its step."""
+    cols = A.columns()
+    return MatroidOracle(A.col_labels, lambda mask: rank_of_columns(
+        A.field, [cols[j] for j in range(A.ncols) if mask >> j & 1]))
+
+
 def joint_extension(omega):
     """G_0: omega with the joint e0 at a new vertex v0, whose lift matroid
-    matroid.complete_lift_matroid builds from omega's rank data."""
+    matroid.complete_lift_matroid builds from omega's step data."""
     g = omega.graph
     g2 = MultiGraph(g.n + 1, list(g.edges) + [(g.n, g.n)], list(g.edge_names) + ["e0"],
                     g.vertex_names + ("v0",))

@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 from itertools import combinations, product
 
@@ -9,9 +10,11 @@ from bmlab.bias import (
     BiasedGraph,
     balancing_vertices,
     biased_isomorphic,
+    classify_balance,
     delta_y,
     roll_up,
     unbalancing_classes,
+    unroll,
     y_delta,
 )
 from bmlab.canonical import (
@@ -1078,3 +1081,43 @@ def test_roundtrip_every_catalog_realization():
                 )
                 assert res.status == "ok" and res.kind == LIFT, (nb.name, q)
                 assert switching_scaling_equivalent(res.form.gain_graph, gg) is not None
+
+
+def _almost_balanced_with_roll_ups():
+    """The rollup-frame instances and their roll-ups, which carry joints."""
+    omegas = []
+    for nb in (catalog.dwarf("D_{1,0}"), catalog.dwarf("D_{2,1}"), *catalog.contracted_tubes()):
+        om = BiasedGraph(nb.omega.graph, nb.omega.balanced)
+        omegas.append(om)
+        for u in classify_balance(om).balancing_vertices:
+            omegas += [roll_up(om, u, c) for c in unbalancing_classes(om, u).classes
+                       if not any(om.graph.is_loop(e) for e in c)]
+    return omegas
+
+
+def test_unrolled_memo_matches_a_fresh_unroll():
+    # at every vertex, balancing or not, so that unroll also raises
+    outcomes = Counter()
+    for om in _almost_balanced_with_roll_ups():
+        for u in range(om.graph.n):
+            kept = canonical._unrolled(om, u)
+            assert canonical._unrolled(om, u) is kept
+            try:
+                fresh = unroll(om, u)
+            except BmlabError:
+                assert kept is None
+                outcomes["raises"] += 1
+                continue
+            assert (kept.graph.edges, kept.balanced) == (fresh.graph.edges, fresh.balanced)
+            outcomes["unrolled"] += 1
+    assert outcomes["raises"] and outcomes["unrolled"] >= 20, outcomes
+
+
+def test_unrolled_memo_does_not_outlive_its_biased_graph():
+    om = _almost_balanced_with_roll_ups()[-1]
+    u = classify_balance(om).balancing_vertices[0]
+    assert canonical._roll_reachable(om, om)
+    assert u in om._unrolled
+    ref = weakref.ref(om)
+    del om
+    assert ref() is None

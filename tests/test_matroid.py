@@ -24,9 +24,11 @@ from bmlab.matroid import (
     uniform_matroid,
 )
 from oracles import (
+    column_rank_matroid,
     contract,
     delete,
     edge_components,
+    formula_matroid,
     graphic_matroid,
     joint_extension,
     matroids_equal_by_bases,
@@ -217,7 +219,7 @@ def test_complete_lift_identities():
 
 
 def test_complete_lift_is_the_lift_of_the_joint_extension():
-    # L0 is built from omega's rank data, not from G_0's cycles
+    # L0 is built from omega's step data, not from G_0's cycles
     omegas = [om for _, oms in _small_biased_graphs() for om in oms]
     omegas += [nb.omega for nb in catalog.base_graphs()]
     for om in omegas:
@@ -488,12 +490,12 @@ def test_walk_matches_bases_oracle_on_seeded_matrices(field):
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
-def _step_agrees_with_rank(M):
+def _step_agrees_with_rank(M, reference):
     """Along every chain of increasing indices that stays independent, the
     oracle's step from the chain's state X says "independent" for X + i
-    exactly when rank_mask gives |X| + 1, for every i outside X (not only
-    the larger ones that extend the chain); returns the number of steps
-    checked."""
+    exactly when the reference's rank_mask gives |X| + 1, for every i
+    outside X (not only the larger ones that extend the chain); returns
+    the number of steps checked."""
     start, extend = M.independence_step()
     checked = 0
     stack = [(start, 0, 0)]  # (state, mask, next index of the chain)
@@ -503,7 +505,7 @@ def _step_agrees_with_rank(M):
             if mask >> i & 1:
                 continue
             grown = extend(state, i)
-            independent = M.rank_mask(mask | 1 << i) == mask.bit_count() + 1
+            independent = reference.rank_mask(mask | 1 << i) == mask.bit_count() + 1
             assert (grown is not None) == independent, (M.labels, M.subset_of(mask), i)
             checked += 1
             if grown is not None and i >= lo:
@@ -511,20 +513,68 @@ def _step_agrees_with_rank(M):
     return checked
 
 
+def _rank_formula_pairs(omega):
+    """F, L and L0 of omega, each beside its rank-formula reference."""
+    return [(frame_matroid(omega), formula_matroid(omega, True)),
+            (lift_matroid(omega), formula_matroid(omega, False)),
+            (complete_lift_matroid(omega), formula_matroid(joint_extension(omega), False))]
+
+
 def test_independence_step_agrees_with_rank_on_every_chain():
+    # the vector and biased-graph steps against ranks computed without
+    # them; uniform and explicit oracles step by their own rank tables
     f = gf(2)
-    oracles = []
+    pairs = []
     for k, entries in enumerate(product(f.elements, repeat=8)):
         A = FieldMatrix(f, [entries[:4], entries[4:]])
         M = vector_matroid(A)
-        oracles.append(M)
+        pairs.append((M, column_rank_matroid(A)))
         if k % 16 == 0:  # a sample as explicit rank tables
             table = {frozenset(M.subset_of(m)): M.rank_mask(m) for m in range(16)}
-            oracles.append(explicit_matroid(M.labels, table))
-    oracles += [uniform_matroid(r, "abcde") for r in range(6)]
+            E = explicit_matroid(M.labels, table)
+            pairs.append((E, E))
+    pairs += [(U, U) for U in (uniform_matroid(r, "abcde") for r in range(6))]
     for nb in catalog.base_graphs():
-        oracles += [m(nb.omega) for m in (frame_matroid, lift_matroid, complete_lift_matroid)]
-    assert sum(_step_agrees_with_rank(M) for M in oracles) > 10000
+        pairs += _rank_formula_pairs(nb.omega)
+    assert sum(_step_agrees_with_rank(M, ref) for M, ref in pairs) > 10000
+
+
+def test_step_ranks_match_the_rank_formulas_on_every_subset():
+    # F, L and L0 take every rank from their independence step; the rank
+    # formulas |V(X)| - b(X) and |V(X)| - c(X) + eps(X) are the reference.
+    # The greedy rank steps through X in index order, so a link that joins
+    # two unbalanced components only after both cycles is first met on four
+    # vertices: (4, 6) holds such graphs
+    omegas = [om for _, oms in _small_biased_graphs() for om in oms]
+    omegas += [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
+               for bal in catalog.theta_closed_subsets(g)]
+    omegas += [nb.omega for nb in catalog.base_graphs() + catalog.contracted_tubes()]
+    subsets = 0
+    for om in omegas:
+        for M, ref in _rank_formula_pairs(om):
+            assert matroids_equal_on_all_subsets(M, ref) == (True, None), om.graph.edges
+            subsets += 1 << M.size
+    assert (len(omegas), subsets) == (865, 181504)
+
+
+def _seeded_matrices(field, seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+        yield FieldMatrix(field, [[rng.choice(field.elements) if rng.random() < 0.7
+                                   else field.zero for _ in range(ncols)]
+                                  for _ in range(nrows)])
+
+
+def test_vector_ranks_match_elimination_on_every_subset():
+    f = gf(2)
+    matrices = [FieldMatrix(f, [entries[:4], entries[4:]])
+                for entries in product(f.elements, repeat=8)]
+    matrices += [A for q in (4, 5) for A in _seeded_matrices(gf(q), 26, 200)]
+    for A in matrices:
+        assert matroids_equal_on_all_subsets(vector_matroid(A), column_rank_matroid(A)) == (
+            True, None), A.rows
+    assert len(matrices) == 656
 
 
 def test_explicit_matroid_round_trip():

@@ -16,7 +16,7 @@ from bmlab.bias import (
     is_tangled,
 )
 from bmlab.canonical import CanonicalizeResult, frame_matrix, lift_matrix
-from bmlab.errors import UnknownClaim
+from bmlab.errors import StructureMissing, UnknownClaim
 from bmlab.fields import gf
 from bmlab.gains import (
     AdditiveGroup,
@@ -572,6 +572,38 @@ def test_theorem_2_on_every_biased_graph_with_5_vertices_and_8_edges():
     failures, counts = verify._allreps(named, 4)
     assert failures == []
     assert sum(c["classes"] for c in counts["per_graph"].values()) == 342
+    # the lift side, where the 138 graphs with F = L have frame forms too
+    failures, counts = verify._allreps(named, 4, canonical.LIFT)
+    assert failures == []
+    per_graph = counts["per_graph"].values()
+    assert sum(c["classes"] for c in per_graph) == 411
+    assert sum("frame_classes" in c for c in per_graph) == 138
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_allreps_counts_the_other_kind_on_both_sides_where_frame_equals_lift(q):
+    # F = L on some proper 2C3s and K4s: their lift classes canonicalize as
+    # frame forms too, which the lift side counts as the frame side does
+    named = list(catalog.classify_2c3_proper()) + list(verify._proper_k4())
+    frame_failures, frame_counts = verify._allreps(named, q)
+    lift_failures, lift_counts = verify._allreps(named, q, canonical.LIFT)
+    assert frame_failures == [] and lift_failures == []
+    frame, lift = frame_counts["per_graph"], lift_counts["per_graph"]
+    assert {k: c["classes"] for k, c in lift.items()} == {k: c["classes"] for k, c in frame.items()}
+    both = {k for k, c in lift.items() if "frame_classes" in c}
+    assert both and all(frame[k]["lift_classes"] == lift[k]["lift_classes"] for k in both)
+
+
+def _no_nabla(om, v):
+    raise StructureMissing("sabotaged")
+
+
+def test_t2prime_splits_reports_each_graph_without_a_usable_vertex(monkeypatch):
+    monkeypatch.setattr(verify, "y_delta", _no_nabla)
+    rep = run_claim("allreps-t2prime-splits")
+    assert rep.status == "fail"
+    assert rep.witnesses == [{"graph": catalog.t2_prime_split(i).name,
+                              "why": "no usable degree-3 vertex"} for i in (1, 2, 3)]
 
 
 def test_allreps_reports_why_a_class_has_no_canonical_form():
