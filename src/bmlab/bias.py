@@ -124,6 +124,13 @@ class BiasedGraph:
         self._realizations = {}  # gains.realizations by group, built on first use
         self._unrolled = {}  # canonical._roll_reachable's unrollings by vertex
 
+    @classmethod
+    def of_cycles(cls, graph, balanced):
+        """The biased graph on graph whose balanced cycles are the cycles c
+        of graph.cycles() with balanced(c.edges): the one rebias rule of
+        every edit (Delta-Y, Y-Delta, roll-ups, unrolling, fat thetas)."""
+        return cls(graph, [c.edges for c in graph.cycles() if balanced(c.edges)])
+
     # -- basics ------------------------------------------------------------
     def cycles(self):
         return self.graph.cycles()
@@ -382,27 +389,18 @@ def delta_y(omega, X):
     g2 = MultiGraph(
         g.n + 1, new_edges, g.edge_names, g.vertex_names + ("w%d" % (g.n + 1),)
     )
-    balanced = set()
-    for c in omega.balanced:
-        k = len(c & X)
-        if c == X:
-            continue
-        if k in (0, 2):
-            balanced.add(c)
-        elif k == 1:
-            balanced.add(c ^ X)
-    new_cycles = {frozenset(c.edges) for c in g2.cycles()}
-    balanced &= new_cycles
-    return BiasedGraph(g2, balanced)
+    # a new cycle meets the star in 0 or 2 edges: it is an old cycle, or
+    # (with 2) the image C delta X of one that met the triangle in 1 edge
+    return BiasedGraph.of_cycles(g2, lambda c: c in omega.balanced or c ^ X in omega.balanced)
 
 
 def y_delta(omega, center):
     """Y-Delta exchange at a degree-3 vertex (center of a K_{1,3}).
 
     The star edges are replaced by the opposite triangle edges and the
-    centre vertex deleted.  A cycle D of the new graph is balanced when its
-    corresponding cycle of the old graph is balanced, plus the new triangle
-    itself, which is always balanced.
+    centre vertex deleted.  The new triangle Y is balanced; any other
+    cycle C is balanced iff C is balanced in omega, or iff C delta Y is
+    when |C cap Y| = 1 (the same edge ids, through the centre).
     """
     g = omega.graph
     if not 0 <= center < g.n:
@@ -415,11 +413,8 @@ def y_delta(omega, center):
         raise NotTriad("star leaves must be distinct")
     Yset = frozenset(Y)
     new_edges = list(g.edges)
-    leafset = set(leaves)
-    for e in Y:
-        leaf = g.other_end(e, center)
-        others = sorted(leafset - {leaf})
-        new_edges[e] = (others[0], others[1])
+    for e, leaf in zip(Y, leaves):
+        new_edges[e] = sorted(set(leaves) - {leaf})
     # delete the centre vertex (now isolated)
     keep = [v for v in range(g.n) if v != center]
     vmap = {v: i for i, v in enumerate(keep)}
@@ -429,20 +424,10 @@ def y_delta(omega, center):
         g.edge_names,
         tuple(g.vertex_names[v] for v in keep),
     )
-    balanced = set()
-    for c in g2.cycles():
-        ce = frozenset(c.edges)
-        k = len(ce & Yset)
-        if ce == Yset:
-            balanced.add(ce)
-        elif k in (0, 2):
-            # same edge ids form the corresponding cycle of the old graph
-            if ce in omega.balanced:
-                balanced.add(ce)
-        elif k == 1:
-            if (ce ^ Yset) in omega.balanced:
-                balanced.add(ce)
-    return BiasedGraph(g2, balanced), vmap
+    return BiasedGraph.of_cycles(
+        g2,
+        lambda c: c == Yset or (c ^ Yset if len(c & Yset) == 1 else c) in omega.balanced,
+    ), vmap
 
 
 # -- unbalancing classes and rolling ------------------------------------------
@@ -486,6 +471,18 @@ def unbalancing_classes(omega, u):
     return UnbalancingPartition(u, tuple(classes), j_at_u)
 
 
+def _roll(omega, far):
+    """The roll step of roll_up and double_roll_up: each edge e of far
+    becomes a joint at vertex far[e]; a cycle is balanced iff it was
+    balanced in omega and avoids the rolled edges.  A rolled edge is a
+    loop, on no cycle but its own, which was no cycle of omega, so being
+    balanced in omega is the whole test."""
+    edges = list(omega.graph.edges)
+    for e, w in far.items():
+        edges[e] = (w, w)
+    return BiasedGraph.of_cycles(omega.graph.with_edges(edges), lambda c: c in omega.balanced)
+
+
 def roll_up(omega, u, cls):
     """Replace one unbalancing class of links at u by joints at their other
     endpoints.  The frame matroid is preserved (tested invariant)."""
@@ -493,50 +490,23 @@ def roll_up(omega, u, cls):
     part = unbalancing_classes(omega, u)
     if cls not in part.classes or any(omega.graph.is_loop(e) for e in cls):
         raise StructureMissing("not a link unbalancing class at the vertex")
-    g = omega.graph
-    new_edges = list(g.edges)
-    for e in cls:
-        w = g.other_end(e, u)
-        new_edges[e] = (w, w)
-    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
-    new_cycles = {frozenset(c.edges) for c in g2.cycles()}
-    balanced = set()
-    for c in new_cycles:
-        if len(c) == 1:
-            (e,) = c
-            if e in cls:
-                continue  # new joints
-            if c in omega.balanced:
-                balanced.add(c)
-        elif c in omega.balanced and not (c & cls):
-            balanced.add(c)
-    return BiasedGraph(g2, balanced)
+    return _roll(omega, {e: omega.graph.other_end(e, u) for e in cls})
 
 
 def unroll(omega, u):
-    """Replace every off-u joint by a link to u; rebias so that a cycle is
-    balanced exactly when it meets every unbalancing class in 0 or 2 edges."""
+    """Replace every off-u joint by a link to u; rebias so that a loop
+    keeps its bias and any other cycle is balanced exactly when it meets
+    every unbalancing class in 0 or 2 edges."""
     part = unbalancing_classes(omega, u)
     g = omega.graph
-    j_prime = sorted(
-        e for e in omega.joints() if u not in g.endpoints(e)
-    )
     new_edges = list(g.edges)
-    for e in j_prime:
-        (w,) = set(g.endpoints(e))
-        new_edges[e] = (u, w)
-    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
-    classes = part.classes
-    balanced = set()
-    for c in g2.cycles():
-        ce = frozenset(c.edges)
-        if len(ce) == 1:
-            if ce in omega.balanced:
-                balanced.add(ce)
-            continue
-        if all(len(ce & s) in (0, 2) for s in classes):
-            balanced.add(ce)
-    return BiasedGraph(g2, balanced)
+    for e in omega.joints():  # a joint at u stays where it is
+        new_edges[e] = (u, g.endpoints(e)[0])
+    return BiasedGraph.of_cycles(
+        g.with_edges(new_edges),
+        lambda c: c in omega.balanced if len(c) == 1
+        else all(len(c & s) in (0, 2) for s in part.classes),
+    )
 
 
 def biased_equal_unoriented(om1, om2):
@@ -618,25 +588,9 @@ def double_roll_up(omega, i, j):
     if i == j or not (0 <= i < len(parts)) or not (0 <= j < len(parts)):
         raise ValueError("need two distinct part indices")
     g = omega.graph
-    E_i = frozenset(e for e in parts[i] if x in g.endpoints(e))
-    E_j = frozenset(e for e in parts[j] if y in g.endpoints(e))
-    new_edges = list(g.edges)
-    for e in E_i:
-        w = g.other_end(e, x)
-        new_edges[e] = (w, w)
-    for e in E_j:
-        w = g.other_end(e, y)
-        new_edges[e] = (w, w)
-    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
-    rolled = E_i | E_j
-    balanced = set()
-    for c in g2.cycles():
-        ce = frozenset(c.edges)
-        if ce & rolled:
-            continue
-        if ce in omega.balanced:
-            balanced.add(ce)
-    return BiasedGraph(g2, balanced)
+    far = {e: g.other_end(e, x) for e in parts[i] if x in g.endpoints(e)}
+    far.update((e, g.other_end(e, y)) for e in parts[j] if y in g.endpoints(e))
+    return _roll(omega, far)
 
 
 # -- isomorphism and link-minor search ----------------------------------------

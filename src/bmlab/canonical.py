@@ -42,7 +42,7 @@ from .gains import (
     switching_equivalent,
     switching_scaling_equivalent,
 )
-from .graph import MultiGraph, find
+from .graph import find
 from .linalg import (
     FieldMatrix,
     ProjWitness,
@@ -374,7 +374,7 @@ def _attempt(A, MA, omega, kind, rows):
         if rolled and fallback is not None:
             continue  # only the first roll-up result is kept
         if rolled:
-            gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
+            gg = GainGraph(g.with_edges(edges), group, gains)
             variant = induced_bias(gg)
             if not matroids_equal(MA, parts.matroid(variant))[0]:
                 continue

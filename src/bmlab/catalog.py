@@ -320,12 +320,9 @@ def fat_theta(parts):
             edges.append((vmap[u], vmap[v]))
             names.append("p%d_%s" % (k + 1, g.edge_names[e]))
         part_edge_sets.append(frozenset(ids))
-    glued = MultiGraph(n, edges, names)
-    balanced = set()
-    for c in glued.cycles():
-        if any(frozenset(c.edges) <= p for p in part_edge_sets):
-            balanced.add(frozenset(c.edges))
-    return BiasedGraph(glued, balanced)
+    return BiasedGraph.of_cycles(
+        MultiGraph(n, edges, names), lambda c: any(c <= p for p in part_edge_sets)
+    )
 
 
 def catalog_names():

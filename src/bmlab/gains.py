@@ -35,6 +35,12 @@ class GainGroup:
     def is_additive_field_group(self):
         return False
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other.spec == self.spec
+
+    def __hash__(self):
+        return hash(self.spec)
+
     def smallest_non_identity(self):
         for x in self.elements:
             if x != self.identity:
@@ -59,12 +65,6 @@ class MultiplicativeGroup(GainGroup):
 
     def inv(self, a):
         return self.field.inv(a)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiplicativeGroup) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("mul", self.q))
 
     def __repr__(self):
         return "GF(%d)^x" % self.q
@@ -104,12 +104,6 @@ class AdditiveGroup(GainGroup):
     def scalars(self):
         return tuple(self.field.nonzero)
 
-    def __eq__(self, other):
-        return isinstance(other, AdditiveGroup) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("add", self.q))
-
     def __repr__(self):
         return "GF(%d)^+" % self.q
 
@@ -136,12 +130,6 @@ class CyclicGroup(GainGroup):
 
     def inv(self, a):
         return (-a) % self.n
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicGroup) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("zn", self.n))
 
     def __repr__(self):
         return "Z_%d" % self.n

@@ -399,6 +399,10 @@ class MultiGraph:
             new_names.append(self.edge_names[f])
         return MultiGraph(self.n, new_edges, new_names, self.vertex_names), emap
 
+    def with_edges(self, edges):
+        """The graph on the same vertices and edge names with new endpoints."""
+        return MultiGraph(self.n, edges, self.edge_names, self.vertex_names)
+
     def drop_isolated(self):
         """Delete isolated vertices; returns (graph, vertex_map)."""
         used = sorted(self.vertices_of(range(self.m)))

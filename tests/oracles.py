@@ -6,7 +6,8 @@ projective-witness parsing, balance classification on the loop-deleted
 minor, switching classes on contracted gain graphs, GF(q) tables built
 pair by pair, projective equivalence by a pivot-basis transfer and
 diagonal equivalence, and switching-and-scaling equivalence by one
-switching decision per scalar.
+switching decision per scalar, and the biased-graph edits (Delta-Y, Y-Delta,
+roll-ups, unrolling, fat thetas) each rebuilding its balanced set by hand.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -20,10 +21,22 @@ from bmlab.bias import (
     PROPERLY_UNBALANCED,
     BalanceClass,
     BiasedGraph,
+    _triangle_vertices,
     balancing_vertices,
     biased_minor,
+    fat_theta_parts,
+    unbalancing_classes,
 )
-from bmlab.errors import GraphMismatch, GroundSetMismatch, GroupMismatch, ParseError
+from bmlab.errors import (
+    BadGlue,
+    GraphMismatch,
+    GroundSetMismatch,
+    GroupMismatch,
+    NotBalancedTriangle,
+    NotTriad,
+    ParseError,
+    StructureMissing,
+)
 from bmlab.fields import (
     _decode,
     _encode,
@@ -354,3 +367,189 @@ def switching_scaling_equivalent_per_scalar(gg1, gg2):
         if eta is not None:
             return a, eta
     return None
+
+
+# -- the biased-graph edits, each rebuilding its balanced set by hand ---------
+
+def delta_y_by_transfer(omega, X):
+    """The reference for bias.delta_y: the transferred set
+    {C : |C cap X| in {0,2}} union {C delta X : |C cap X| = 1}, cut down
+    to the cycles of the new graph."""
+    g = omega.graph
+    X = frozenset(X)
+    verts = _triangle_vertices(g, X)
+    if verts is None or X not in omega.balanced:
+        raise NotBalancedTriangle("X must be a balanced triangle")
+    w = g.n
+    new_edges = list(g.edges)
+    for e in X:
+        u, v = g.endpoints(e)
+        (other,) = verts - {u, v}
+        new_edges[e] = (other, w)
+    g2 = MultiGraph(
+        g.n + 1, new_edges, g.edge_names, g.vertex_names + ("w%d" % (g.n + 1),)
+    )
+    balanced = set()
+    for c in omega.balanced:
+        k = len(c & X)
+        if c == X:
+            continue
+        if k in (0, 2):
+            balanced.add(c)
+        elif k == 1:
+            balanced.add(c ^ X)
+    new_cycles = {frozenset(c.edges) for c in g2.cycles()}
+    balanced &= new_cycles
+    return BiasedGraph(g2, balanced)
+
+
+def y_delta_by_cases(omega, center):
+    """The reference for bias.y_delta: every new cycle sorted by how many
+    star edges it meets."""
+    g = omega.graph
+    if not 0 <= center < g.n:
+        raise NotTriad("no vertex %r" % (center,))
+    Y = tuple(g.incident_edges(center))
+    if len(Y) != 3 or g.degree(center) != 3:
+        raise NotTriad("vertex must be the centre of a K_{1,3} with degree 3")
+    leaves = [g.other_end(e, center) for e in Y]
+    if len(set(leaves)) != 3:
+        raise NotTriad("star leaves must be distinct")
+    Yset = frozenset(Y)
+    new_edges = list(g.edges)
+    leafset = set(leaves)
+    for e in Y:
+        leaf = g.other_end(e, center)
+        others = sorted(leafset - {leaf})
+        new_edges[e] = (others[0], others[1])
+    keep = [v for v in range(g.n) if v != center]
+    vmap = {v: i for i, v in enumerate(keep)}
+    g2 = MultiGraph(
+        g.n - 1,
+        [(vmap[u], vmap[v]) for (u, v) in new_edges],
+        g.edge_names,
+        tuple(g.vertex_names[v] for v in keep),
+    )
+    balanced = set()
+    for c in g2.cycles():
+        ce = frozenset(c.edges)
+        k = len(ce & Yset)
+        if ce == Yset:
+            balanced.add(ce)
+        elif k in (0, 2):
+            if ce in omega.balanced:
+                balanced.add(ce)
+        elif k == 1:
+            if (ce ^ Yset) in omega.balanced:
+                balanced.add(ce)
+    return BiasedGraph(g2, balanced), vmap
+
+
+def roll_up_by_cases(omega, u, cls):
+    """The reference for bias.roll_up: new joints unbalanced, old loops
+    keep their bias, other cycles balanced iff balanced and avoiding cls."""
+    cls = frozenset(cls)
+    part = unbalancing_classes(omega, u)
+    if cls not in part.classes or any(omega.graph.is_loop(e) for e in cls):
+        raise StructureMissing("not a link unbalancing class at the vertex")
+    g = omega.graph
+    new_edges = list(g.edges)
+    for e in cls:
+        w = g.other_end(e, u)
+        new_edges[e] = (w, w)
+    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
+    new_cycles = {frozenset(c.edges) for c in g2.cycles()}
+    balanced = set()
+    for c in new_cycles:
+        if len(c) == 1:
+            (e,) = c
+            if e in cls:
+                continue
+            if c in omega.balanced:
+                balanced.add(c)
+        elif c in omega.balanced and not (c & cls):
+            balanced.add(c)
+    return BiasedGraph(g2, balanced)
+
+
+def unroll_by_cases(omega, u):
+    """The reference for bias.unroll, cycle by cycle."""
+    part = unbalancing_classes(omega, u)
+    g = omega.graph
+    j_prime = sorted(e for e in omega.joints() if u not in g.endpoints(e))
+    new_edges = list(g.edges)
+    for e in j_prime:
+        (w,) = set(g.endpoints(e))
+        new_edges[e] = (u, w)
+    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
+    balanced = set()
+    for c in g2.cycles():
+        ce = frozenset(c.edges)
+        if len(ce) == 1:
+            if ce in omega.balanced:
+                balanced.add(ce)
+            continue
+        if all(len(ce & s) in (0, 2) for s in part.classes):
+            balanced.add(ce)
+    return BiasedGraph(g2, balanced)
+
+
+def double_roll_up_by_cases(omega, i, j):
+    """The reference for bias.double_roll_up: both rolls written out."""
+    shape = fat_theta_parts(omega)
+    if shape is None:
+        raise StructureMissing("graph is not a fat theta")
+    x, y, parts = shape
+    if len(parts) < 3:
+        raise StructureMissing("double roll-up needs at least three parts")
+    if i == j or not (0 <= i < len(parts)) or not (0 <= j < len(parts)):
+        raise ValueError("need two distinct part indices")
+    g = omega.graph
+    E_i = frozenset(e for e in parts[i] if x in g.endpoints(e))
+    E_j = frozenset(e for e in parts[j] if y in g.endpoints(e))
+    new_edges = list(g.edges)
+    for e in E_i:
+        w = g.other_end(e, x)
+        new_edges[e] = (w, w)
+    for e in E_j:
+        w = g.other_end(e, y)
+        new_edges[e] = (w, w)
+    g2 = MultiGraph(g.n, new_edges, g.edge_names, g.vertex_names)
+    rolled = E_i | E_j
+    balanced = set()
+    for c in g2.cycles():
+        ce = frozenset(c.edges)
+        if ce & rolled:
+            continue
+        if ce in omega.balanced:
+            balanced.add(ce)
+    return BiasedGraph(g2, balanced)
+
+
+def fat_theta_by_cases(parts):
+    """The reference for catalog.fat_theta, gluing and rebiasing by hand."""
+    if len(parts) < 2:
+        raise BadGlue("need at least two parts")
+    n = 2
+    edges = []
+    names = []
+    part_edge_sets = []
+    for k, g in enumerate(parts):
+        if g.n < 2:
+            raise BadGlue("hub vertices must be two distinct vertices of the part")
+        vmap = {0: 0, 1: 1}
+        for v in range(2, g.n):
+            vmap[v] = n
+            n += 1
+        ids = []
+        for e, (u, v) in enumerate(g.edges):
+            ids.append(len(edges))
+            edges.append((vmap[u], vmap[v]))
+            names.append("p%d_%s" % (k + 1, g.edge_names[e]))
+        part_edge_sets.append(frozenset(ids))
+    glued = MultiGraph(n, edges, names)
+    balanced = set()
+    for c in glued.cycles():
+        if any(frozenset(c.edges) <= p for p in part_edge_sets):
+            balanced.add(frozenset(c.edges))
+    return BiasedGraph(glued, balanced)

@@ -28,10 +28,11 @@ from bmlab.bias import (
     unroll,
     y_delta,
 )
-from bmlab.errors import NotACycle, NotBalancedTriangle, ThetaViolation
+from bmlab.errors import BmlabError, NotACycle, NotBalancedTriangle, ThetaViolation
 from bmlab.gains import CyclicGroup, GainGraph, induced_bias
 from bmlab.graph import MultiGraph, graph_isomorphisms, iter_subdivisions
 from bmlab.matroid import extend_with_joint, frame_matroid, matroids_equal
+import oracles
 from oracles import classify_balance_by_minor, edge_components
 
 
@@ -688,6 +689,89 @@ def test_double_roll_up_preserves_frame():
     dr = double_roll_up(ft, 0, 1)
     eq, _ = matroids_equal(frame_matroid(dr), frame_matroid(ft))
     assert eq
+
+
+def _same_edit(edit, reference, *args):
+    """edit(*args) equals reference(*args), or raises the same exception
+    type; returns edit's result, or None where both raise."""
+    try:
+        want = reference(*args)
+    except (BmlabError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            edit(*args)
+        assert type(info.value) is type(exc), (edit.__name__, args[1:])
+        return None
+    got = edit(*args)
+    if edit is y_delta:
+        assert got[1] == want[1]  # vertex map
+        om, want = got[0], want[0]
+    else:
+        om = got
+    assert om == want and om.graph.vertex_names == want.graph.vertex_names, (
+        edit.__name__, args[1:])
+    return got
+
+
+# fat-theta parts, hubs at vertices 0 and 1: an edge, a path, a 2-cycle
+# and a triangle through both hubs
+K2 = MultiGraph(2, [(0, 1)])
+P2 = MultiGraph(3, [(0, 2), (2, 1)])
+C2 = MultiGraph(2, [(0, 1), (0, 1)])
+C3 = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
+FAT_THETA_PARTS = ([P2], [P2] * 2, [P2] * 3, [P2] * 4, [K2] * 3, [K2, P2, P2, K2],
+                   [C2, P2, C3], [C3, C3, K2, P2], [K2, MultiGraph(1, [(0, 0)])])
+
+
+def _with_loops(om):
+    """om with a balanced loop at vertex 0 and a joint at its last vertex."""
+    g, m = om.graph, om.graph.m
+    h = MultiGraph(g.n, g.edges + ((0, 0), (g.n - 1, g.n - 1)))
+    return BiasedGraph(h, om.balanced | {frozenset((m,))})
+
+
+def test_edits_match_their_by_hand_rebuilds():
+    """Delta-Y, Y-Delta, roll-ups, unrolling and fat thetas, each through
+    BiasedGraph.of_cycles, give the biased graph (and vertex map) of the
+    by-hand rebuilds they replace, and raise where those raise."""
+    named = [nb.omega for nb in catalog.classify_k4() + catalog.classify_2c3_proper()
+             + catalog.classify_tube_proper() + catalog.contracted_tubes()]
+    fat = [catalog.fat_theta(parts) for parts in FAT_THETA_PARTS[1:-1]]
+    omegas = [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
+              for bal in catalog.theta_closed_subsets(g)]
+    omegas += named + [_with_loops(om) for om in named] + fat
+    built = Counter()
+
+    def same(edit, reference, *args):
+        result = _same_edit(edit, reference, *args)
+        built[edit.__name__, result is not None] += 1
+        return result
+
+    for om in omegas:
+        g = om.graph
+        for X in (frozenset(c.edges) for c in g.cycles() if len(c) == 3):
+            same(delta_y, oracles.delta_y_by_transfer, om, X)
+        for v in range(g.n):
+            same(y_delta, oracles.y_delta_by_cases, om, v)
+            same(unroll, oracles.unroll_by_cases, om, v)
+        for u in balancing_vertices(om):
+            # the classes, and the whole star at u (no class when split)
+            for cls in unbalancing_classes(om, u).classes + (frozenset(g.links_at(u)),):
+                rolled = same(roll_up, oracles.roll_up_by_cases, om, u, cls)
+                if rolled is not None:
+                    same(unroll, oracles.unroll_by_cases, rolled, u)
+    for ft in fat + [catalog.dwarf("D_{1,0}").omega]:
+        for i, j in product(range(4), repeat=2):
+            same(double_roll_up, oracles.double_roll_up_by_cases, ft, i, j)
+    for parts in FAT_THETA_PARTS:
+        same(catalog.fat_theta, oracles.fat_theta_by_cases, parts)
+    assert built == {  # (edit, built): cases; built False where both raise
+        ("delta_y", True): 471, ("delta_y", False): 1142,
+        ("y_delta", True): 145, ("y_delta", False): 2084,
+        ("roll_up", True): 3753, ("roll_up", False): 1195,
+        ("unroll", True): 5058, ("unroll", False): 924,
+        ("double_roll_up", True): 54, ("double_roll_up", False): 74,
+        ("fat_theta", True): 7, ("fat_theta", False): 2,
+    }
 
 
 # -- searches ----------------------------------------------------------------
