@@ -236,83 +236,41 @@ class BiasedMinor:
     is_link_minor: bool
 
 
-def _contract_joint(omega, e):
-    """Contract an unbalanced loop at v: loops at v become balanced, links
-    at v become joints at their other endpoint, cycles through v die.
-    Returns (biased graph, edge_map); no vertex moves."""
-    g0 = omega.graph
-    (v,) = set(g0.endpoints(e))
-    g, emap = g0.contract_joint(e)
-    balanced = {
-        frozenset(emap[x] for x in c)
-        for c in omega.balanced
-        if v not in g0.vertices_of(c)
-    }
-    balanced.update(
-        frozenset((emap[f],)) for f in g0.incident_edges(v) if f != e and g0.is_loop(f)
-    )
-    return BiasedGraph(g, balanced, check=False), emap
-
-
 def biased_minor(omega, contract, delete, check=True):
     """Biased minor: deletions first, then contractions.
 
-    The links of the contraction set are contracted first, as the forest
-    K = spanning_forest(contract) picked greedily in id order; the rest of
-    the set are then loops.  A cycle of G/K is balanced exactly when it is
-    the image B - K of a balanced cycle B, so no cycle is enumerated.  The
-    remaining loops are processed in id order: balanced loops are deleted,
-    unbalanced ones contracted as joints.  Tracks whether the result is a
-    link minor (no joint was contracted).
+    MultiGraph.contract_links contracts the contraction set's links as the
+    forest K = spanning_forest(contract), picked greedily in id order.  A
+    cycle of G/K is balanced exactly when it is the image B - K of a
+    balanced cycle B, so no cycle is enumerated.  MultiGraph.contract_loops
+    then deletes the set's balanced loops and contracts the others as
+    joints: a surviving balanced cycle stays balanced when no joint met
+    it, and the loops a joint balanced join it.  Tracks whether the result
+    is a link minor (no joint was contracted).
     """
-    contract = set(contract)
-    delete = set(delete)
-    if contract & delete:
-        raise ValueError("contract and delete sets overlap")
     g = omega.graph
-    for e in contract | delete:
-        g._check_edge(e)
-
-    K = frozenset(g.spanning_forest(contract))
-    gg, total_vmap, total_emap = g.minor(K, delete)
-    balanced = set()
+    K, (gk, vmap, kmap), loops = g.contract_links(contract, delete)
+    images = set()
     for c in omega.balanced:
-        if not c & delete:
+        rest = c - K
+        if kmap.keys() >= rest:  # c avoids the deletion set
             # the image is a closed connected walk, so it is a cycle when
             # every vertex it meets has degree 2 (a loop counting twice)
-            image = frozenset(total_emap[x] for x in c - K)
-            degree = Counter(v for x in image for v in gg.endpoints(x))
+            image = frozenset(kmap[x] for x in rest)
+            degree = Counter(v for x in image for v in gk.endpoints(x))
             if all(d == 2 for d in degree.values()):
-                balanced.add(image)
-    current = BiasedGraph(gg, balanced, check=False)
-    pending = {total_emap[e] for e in contract - K}
-    link_minor = True
-
-    # neither loop step moves a vertex, so total_vmap is already final
-    while pending:
-        bal_loops = sorted(e for e in pending if frozenset((e,)) in current.balanced)
-        if bal_loops:
-            e = bal_loops[0]
-            gg, _, em = current.graph.minor(set(), {e})
-            bal = {
-                frozenset(em[x] for x in c)
-                for c in current.balanced
-                if all(x in em for x in c)
-            }
-            nxt = BiasedGraph(gg, bal, check=False)
-        else:
-            e = min(pending)
-            nxt, em = _contract_joint(current, e)
-            link_minor = False
-        pending = {em[x] for x in pending if x != e}
-        total_emap = {x: em[y] for x, y in total_emap.items() if y in em}
-        current = nxt
-
+                images.add(image)
+    gg, lmap, joints, rewritten = gk.contract_loops(
+        loops, {e for e in loops if frozenset((e,)) in images})
+    kept = {x: y for x, y in lmap.items() if y not in rewritten}
+    balanced = {frozenset(kept[x] for x in c) for c in images if all(x in kept for x in c)}
+    balanced.update(frozenset((y,)) for y, loop in rewritten.items() if loop)
     if check:
-        violation = check_theta_property(current.graph, current.balanced)
+        violation = check_theta_property(gg, balanced)
         if violation is not None:
             raise ThetaViolation("minor violates theta property", *violation)
-    return BiasedMinor(current, total_vmap, total_emap, link_minor)
+    emap = {x: lmap[y] for x, y in kmap.items() if y in lmap}
+    return BiasedMinor(BiasedGraph(gg, balanced, check=False), vmap, emap, not joints)
 
 
 def link_minors(omega, pattern):

@@ -368,29 +368,21 @@ def switching_scaling_equivalent(gg1, gg2):
 def induced_gain(gg, contract, delete):
     """Induced gains on a minor, following the section-2 semantics.
 
-    The links of the contraction set are contracted first, as the forest
-    K = spanning_forest(contract) picked greedily in id order: one
-    switching makes every edge of K identity and one minor contracts K and
-    deletes the deletion set.  The rest of the contraction set are then
-    loops, processed in id order:
-    identity loops are deleted, the others contracted as joints (links at
-    the joint's vertex become joints at their other endpoint with the
-    smallest non-identity gain, loops there get identity gain).
-    Returns (gain graph, vertex_map, edge_map).
+    MultiGraph.contract_links contracts the contraction set's links as the
+    forest K = spanning_forest(contract), after one switching has made
+    every edge of K identity.  MultiGraph.contract_loops then deletes the
+    set's identity loops and contracts the others as joints: an edge a
+    joint made a balanced loop gets identity gain, one it made a joint the
+    smallest non-identity gain, and every other edge keeps its switched
+    gain.  Returns (gain graph, vertex_map, edge_map).
     """
-    contract = set(contract)
-    delete = set(delete)
-    if contract & delete:
-        raise ValueError("contract and delete sets overlap")
     g = gg.graph
-    for e in contract | delete:
-        g._check_edge(e)
     group = gg.group
+    K, (gk, vmap, kmap), loops = g.contract_links(contract, delete)
 
     # switch K's links to identity gain in id order; eta changes by one
     # factor on all of v's class (the vertices K's earlier links joined to
     # v), so those earlier links keep identity gain
-    K = frozenset(g.spanning_forest(contract))
     eta = [group.identity] * g.n
     comp = list(range(g.n))
     for e in sorted(K):
@@ -402,33 +394,14 @@ def induced_gain(gg, contract, delete):
                 eta[w] = group.op(eta[w], c)
                 comp[w] = cu
     switched = switch(gg, dict(enumerate(eta)))
-    mg, total_vmap, total_emap = g.minor(K, delete)
-    current = GainGraph(mg, group, {y: switched.gains[x] for x, y in total_emap.items()})
-    pending = {total_emap[e] for e in contract - K}
-
-    # neither loop step moves a vertex, so total_vmap is already final
-    while pending:
-        identity_loops = sorted(e for e in pending if current.gains[e] == group.identity)
-        if identity_loops:
-            e = identity_loops[0]
-            mg, _, em = current.graph.minor(set(), {e})
-            gains = {y: current.gains[x] for x, y in em.items()}
-        else:
-            e = min(pending)
-            (v,) = set(current.graph.endpoints(e))
-            mg, em = current.graph.contract_joint(e)
-            gains = {}
-            for x, y in em.items():
-                if v not in current.graph.edges[x]:
-                    gains[y] = current.gains[x]
-                elif current.graph.is_loop(x):
-                    gains[y] = group.identity
-                else:
-                    gains[y] = group.smallest_non_identity()
-        pending = {em[x] for x in pending if x != e}
-        total_emap = {x: em[y] for x, y in total_emap.items() if y in em}
-        current = GainGraph(mg, group, gains)
-    return current, total_vmap, total_emap
+    gains = {y: switched.gains[x] for x, y in kmap.items()}
+    mg, lmap, _, rewritten = gk.contract_loops(
+        loops, {e for e in loops if gains[e] == group.identity})
+    gains = {y: gains[x] for x, y in lmap.items()}
+    for y, loop in rewritten.items():
+        gains[y] = group.identity if loop else group.smallest_non_identity()
+    emap = {x: lmap[y] for x, y in kmap.items() if y in lmap}
+    return GainGraph(mg, group, gains), vmap, emap
 
 
 # -- enumeration helpers -------------------------------------------------------

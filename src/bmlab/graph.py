@@ -347,12 +347,7 @@ class MultiGraph:
         vertex_map sends every old vertex to its new index; edge_map sends
         surviving old edge ids to new ids.
         """
-        contract = frozenset(contract)
-        delete = frozenset(delete)
-        if contract & delete:
-            raise ValueError("contract and delete sets overlap")
-        for e in contract | delete:
-            self._check_edge(e)
+        contract, delete = self._check_minor_sets(contract, delete)
         parent = list(range(self.n))
         for e in sorted(contract):
             u, v = self.edges[e]
@@ -378,26 +373,68 @@ class MultiGraph:
         g = MultiGraph(len(reps), new_edges, new_names, vnames)
         return g, vmap, emap
 
-    def contract_joint(self, e):
-        """Contract the loop e at v as a joint; returns (graph, edge_map).
+    def _check_minor_sets(self, contract, delete):
+        contract = frozenset(contract)
+        delete = frozenset(delete)
+        if contract & delete:
+            raise ValueError("contract and delete sets overlap")
+        for e in contract | delete:
+            self._check_edge(e)
+        return contract, delete
 
-        e is removed, every other link at v becomes a loop at its far end
-        and loops at v stay where they are.  Vertices keep their indices;
-        edge_map sends every other old edge id to its new id.
-        """
-        u, v = self.endpoints(e)
-        if u != v:
-            raise ValueError("edge %d is not a loop" % e)
-        new_edges, new_names, emap = [], [], {}
-        for f, (a, b) in enumerate(self.edges):
-            if f == e:
+    def contract_links(self, contract, delete):
+        """The link step of the section-2 minor: one minor contracts the
+        forest K = spanning_forest(contract) and deletes `delete`.  Returns
+        (K, (graph, vertex_map, edge_map), loops), loops being the new ids
+        of contract - K, all of them loops since K spans contract."""
+        contract, delete = self._check_minor_sets(contract, delete)
+        K = frozenset(self.spanning_forest(contract))
+        minor = self.minor(K, delete)
+        return K, minor, {minor[2][e] for e in contract - K}
+
+    def contract_loops(self, pending, balanced):
+        """The loop step of the section-2 minor on the loops `pending`, of
+        which `balanced` are balanced: while a pending loop is balanced the
+        least one is deleted, else the least is contracted as a joint at
+        its vertex v, which makes v's other loops balanced and v's links
+        joints at their far ends.  No vertex moves.
+
+        Returns (graph, edge_map, joint_vertices, rewritten): edge_map sends
+        every old edge id outside pending to its new id, joint_vertices are
+        the vertices contracted as joints, in order, and rewritten sends
+        the new id of each edge a joint met to True (now a balanced loop)
+        or False (now a joint)."""
+        if not pending:
+            return self, {e: e for e in range(self.m)}, (), {}
+        for e in pending:
+            if not self.is_loop(e):
+                raise ValueError("edge %d is not a loop" % e)
+        kept = [f for f in range(self.m) if f not in pending]
+        pending, balanced = set(pending), set(balanced)
+        edges, joints, rewritten = list(self.edges), [], {}
+        while pending:
+            e = min(balanced or pending)
+            pending.remove(e)
+            if e in balanced:
+                balanced.remove(e)
                 continue
-            if a == v or b == v:
-                a = b = b if a == v else a
-            emap[f] = len(new_edges)
-            new_edges.append((a, b))
-            new_names.append(self.edge_names[f])
-        return MultiGraph(self.n, new_edges, new_names, self.vertex_names), emap
+            v = edges[e][0]
+            joints.append(v)
+            # an edge leaves v only when v is contracted, which happens once,
+            # so v's edges are still the ones incident to it here
+            for f in self._incident[v]:
+                a, b = edges[f]
+                if a == b:
+                    rewritten[f] = True
+                    if f in pending:
+                        balanced.add(f)
+                else:
+                    edges[f] = (b, b) if a == v else (a, a)
+                    rewritten[f] = False
+        emap = {f: i for i, f in enumerate(kept)}
+        g = MultiGraph(self.n, [edges[f] for f in kept],
+                       [self.edge_names[f] for f in kept], self.vertex_names)
+        return g, emap, tuple(joints), {emap[f]: x for f, x in rewritten.items() if f in emap}
 
     def with_edges(self, edges):
         """The graph on the same vertices and edge names with new endpoints."""

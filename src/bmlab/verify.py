@@ -517,18 +517,8 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
         # scramble round-trips directly on T'_{2,i}
         counts[nb.name] = {"frame_classes": len(reps)}
         f = gf(q)
-        for k in range(samples):
-            if not reps:
-                break
-            gg = reps[k % len(reps)]
-            A = frame_matrix(gg).matrix
-            scr = _scramble(rng, f, A)
-            res = canonicalize_representation(scr, om)
-            if res.status != "ok" or res.kind != FRAME:
-                failures.append({"graph": nb.name, "sample": k, "why": "round trip failed"})
-            elif switching_equivalent(res.form.gain_graph, gg) is None:
-                failures.append({"graph": nb.name, "sample": k,
-                                 "why": "recovered gains not switching-equivalent"})
+        for k in range(samples if reps else 0):
+            failures += _round_trip(rng, f, nb.name, om, FRAME, reps[k % len(reps)])
     return failures, {"q": q, "per_graph": counts}
 
 
@@ -737,31 +727,30 @@ def claim_inequivalence_localized():
     return failures, {"pairs_checked": pairs}
 
 
+# U_2 without its joints, the unbalanced 2-cycle; a balanced one has identity
+# gain under both realizations, so it never certifies
+_TWO_CYCLE = BiasedGraph(MultiGraph(2, [(0, 1), (0, 1)]), [])
+
+
+def _gain_minors(om, phi, psi, pattern):
+    """(minor, phi's minor, psi's minor) for each of om's link minors
+    isomorphic to pattern, in link_minors' order."""
+    for K, D, minor, _ in link_minors(om, pattern):
+        yield minor, induced_gain(phi, K, D)[0], induced_gain(psi, K, D)[0]
+
+
 def _localization_certificate(om, phi, psi):
-    for nb in catalog.base_graphs():
-        for K, D, _, _ in link_minors(om, nb.omega):
-            mphi, _, _ = induced_gain(phi, K, D)
-            mpsi, _, _ = induced_gain(psi, K, D)
-            if switching_equivalent(mphi, mpsi) is None:
-                return True
+    if any(switching_equivalent(mphi, mpsi) is None
+           for nb in catalog.base_graphs()
+           for _, mphi, mpsi in _gain_minors(om, phi, psi, nb.omega)):
+        return True
     # U_3 + U_2 route (only when not tangled)
-    tangled, _ = is_tangled(om)
-    if tangled:
+    if is_tangled(om)[0] or all(
+            switching_equivalent(_links_only(mphi), _links_only(mpsi)) is not None
+            for _, mphi, mpsi in _gain_minors(om, phi, psi, catalog.u3().omega)):
         return False
-    for K, D, _, _ in link_minors(om, catalog.u3().omega):
-        mphi, _, _ = induced_gain(phi, K, D)
-        mpsi, _, _ = induced_gain(psi, K, D)
-        if switching_equivalent(_links_only(mphi), _links_only(mpsi)) is None:
-            break
-    else:
-        return False
-    # U_2 minor: U_2 without its joints, the unbalanced 2-cycle; a balanced
-    # one has identity gain under both realizations, so it never certifies
-    two_cycle = BiasedGraph(MultiGraph(2, [(0, 1), (0, 1)]), [])
-    for K, D, mres, _ in link_minors(om, two_cycle):
-        mphi, _, _ = induced_gain(phi, K, D)
-        mpsi, _, _ = induced_gain(psi, K, D)
-        cyc = mres.omega.graph.cycles()[0]
+    for minor, mphi, mpsi in _gain_minors(om, phi, psi, _TWO_CYCLE):
+        cyc = minor.omega.graph.cycles()[0]
         if walk_gain(mphi, cyc.walk) != walk_gain(mpsi, cyc.walk):
             return True
     return False
@@ -1031,18 +1020,12 @@ def claim_subdivision_classes(q=4):
 
 
 def _subdivide_edge(om, e):
+    """om with its edge e = uv replaced by the path u w v through a new
+    vertex w: a cycle is balanced iff it is balanced in om once the new
+    edge wv is taken off (and uw read as e)."""
     g = om.graph
     u, v = g.endpoints(e)
-    w = g.n
     edges = list(g.edges)
-    edges[e] = (u, w)
-    edges.append((w, v))
-    names = list(g.edge_names) + [g.edge_names[e] + "b"]
-    g2 = MultiGraph(g.n + 1, edges, names)
-    balanced = set()
-    for c in om.balanced:
-        if e in c:
-            balanced.add(frozenset(c | {g.m}))
-        else:
-            balanced.add(c)
-    return BiasedGraph(g2, balanced)
+    edges[e] = (u, g.n)
+    g2 = MultiGraph(g.n + 1, edges + [(g.n, v)], g.edge_names + (g.edge_names[e] + "b",))
+    return BiasedGraph.of_cycles(g2, lambda c: c - {g.m} in om.balanced)

@@ -6,8 +6,10 @@ projective-witness parsing, balance classification on the loop-deleted
 minor, switching classes on contracted gain graphs, GF(q) tables built
 pair by pair, projective equivalence by a pivot-basis transfer and
 diagonal equivalence, and switching-and-scaling equivalence by one
-switching decision per scalar, and the biased-graph edits (Delta-Y, Y-Delta,
-roll-ups, unrolling, fat thetas) each rebuilding its balanced set by hand.
+switching decision per scalar, the biased-graph edits (Delta-Y, Y-Delta,
+roll-ups, unrolling, fat thetas, one-edge subdivision) each rebuilding its
+balanced set by hand, and a biased graph with a balanced loop and a joint
+added.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -553,3 +555,31 @@ def fat_theta_by_cases(parts):
         if any(frozenset(c.edges) <= p for p in part_edge_sets):
             balanced.add(frozenset(c.edges))
     return BiasedGraph(glued, balanced)
+
+
+def subdivide_edge_by_hand(omega, e):
+    """The reference for verify._subdivide_edge: a balanced cycle through e
+    takes the new edge along."""
+    g = omega.graph
+    u, v = g.endpoints(e)
+    w = g.n
+    edges = list(g.edges)
+    edges[e] = (u, w)
+    edges.append((w, v))
+    names = list(g.edge_names) + [g.edge_names[e] + "b"]
+    g2 = MultiGraph(g.n + 1, edges, names)
+    balanced = set()
+    for c in omega.balanced:
+        if e in c:
+            balanced.add(frozenset(c | {g.m}))
+        else:
+            balanced.add(c)
+    return BiasedGraph(g2, balanced)
+
+
+def with_loops(omega):
+    """omega with a balanced loop at vertex 0 and a joint at its last
+    vertex, for sweeps whose graphs have no loops of their own."""
+    g, m = omega.graph, omega.graph.m
+    h = MultiGraph(g.n, g.edges + ((0, 0), (g.n - 1, g.n - 1)))
+    return BiasedGraph(h, omega.balanced | {frozenset((m,))})

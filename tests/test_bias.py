@@ -722,13 +722,6 @@ FAT_THETA_PARTS = ([P2], [P2] * 2, [P2] * 3, [P2] * 4, [K2] * 3, [K2, P2, P2, K2
                    [C2, P2, C3], [C3, C3, K2, P2], [K2, MultiGraph(1, [(0, 0)])])
 
 
-def _with_loops(om):
-    """om with a balanced loop at vertex 0 and a joint at its last vertex."""
-    g, m = om.graph, om.graph.m
-    h = MultiGraph(g.n, g.edges + ((0, 0), (g.n - 1, g.n - 1)))
-    return BiasedGraph(h, om.balanced | {frozenset((m,))})
-
-
 def test_edits_match_their_by_hand_rebuilds():
     """Delta-Y, Y-Delta, roll-ups, unrolling and fat thetas, each through
     BiasedGraph.of_cycles, give the biased graph (and vertex map) of the
@@ -738,7 +731,7 @@ def test_edits_match_their_by_hand_rebuilds():
     fat = [catalog.fat_theta(parts) for parts in FAT_THETA_PARTS[1:-1]]
     omegas = [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
               for bal in catalog.theta_closed_subsets(g)]
-    omegas += named + [_with_loops(om) for om in named] + fat
+    omegas += named + [oracles.with_loops(om) for om in named] + fat
     built = Counter()
 
     def same(edit, reference, *args):

@@ -425,13 +425,34 @@ def test_induced_gain_contract_identity_triangle():
 
 
 def test_induced_gain_realizes_biased_minor():
-    for name in ("T_2'", "B_1"):
-        om = catalog.by_name(name).omega
-        gg = realizations(om, MultiplicativeGroup(5))[0]
-        for K, D in [({2}, set()), (set(), {0}), ({2}, {0})]:
-            mg, _, _ = induced_gain(gg, K, D)
-            bm = biased_minor(om, K, D, check=False)
-            assert induced_bias(mg).balanced == bm.omega.balanced
+    # the commuting square: the gain minor and the biased minor of the
+    # induced bias have the same graph, vertex map and edge map, and the
+    # gain minor induces the biased minor's bias; every contract / delete /
+    # keep labelling of the edges
+    cases = [(realizations(catalog.by_name(name).omega, MultiplicativeGroup(5))[0], K, D)
+             for name in ("T_2'", "B_1") for K, D in [({2}, set()), (set(), {0}), ({2}, {0})]]
+    rng = random.Random(2)
+    graphs = list(catalog.multigraphs_up_to_iso(3, 4))
+    for _ in range(10):  # loops from the start
+        n, m = rng.randint(1, 3), rng.randint(4, 5)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]))
+    for g in graphs:
+        for group in (CyclicGroup(3), MultiplicativeGroup(5), AdditiveGroup(4)):
+            gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
+            for labels in product((None, "contract", "delete"), repeat=g.m):
+                K = {e for e, x in enumerate(labels) if x == "contract"}
+                D = {e for e, x in enumerate(labels) if x == "delete"}
+                cases.append((gg, K, D))
+    joints = 0
+    for gg, K, D in cases:
+        mg, vmap, emap = induced_gain(gg, K, D)
+        bm = biased_minor(induced_bias(gg), K, D, check=False)
+        assert mg.graph == bm.omega.graph
+        assert mg.graph.vertex_names == bm.omega.graph.vertex_names
+        assert induced_bias(mg).balanced == bm.omega.balanced
+        assert (vmap, emap) == (bm.vertex_map, bm.edge_map)
+        joints += not bm.is_link_minor
+    assert len(cases) > 4000 and joints > 2000
 
 
 # The one-link-at-a-time induced_gain that the one-minor version replaced,
@@ -501,13 +522,14 @@ def _gain_minor_key(result):
 def test_induced_gain_matches_one_link_at_a_time(monkeypatch):
     # every contract / delete / keep labelling of the edges
     joint_calls = []
-    contract_joint = MultiGraph.contract_joint
+    contract_loops = MultiGraph.contract_loops
 
-    def counting(self, e):
-        joint_calls.append(e)
-        return contract_joint(self, e)
+    def counting(self, pending, balanced):
+        result = contract_loops(self, pending, balanced)
+        joint_calls.extend(result[2])
+        return result
 
-    monkeypatch.setattr(MultiGraph, "contract_joint", counting)
+    monkeypatch.setattr(MultiGraph, "contract_loops", counting)
     rng = random.Random(1)
     graphs = list(catalog.multigraphs_up_to_iso(4, 5))
     for _ in range(10):  # loops from the start

@@ -269,14 +269,16 @@ def test_minor_overlap_rejected():
         k4().minor({0}, {0})
 
 
-def test_contract_joint_rewrites_links_at_the_loop():
+def test_contract_loops_rewrites_links_at_a_joint():
     g = MultiGraph(3, [(0, 0), (0, 0), (0, 1), (2, 0), (1, 2)])
-    h, emap = g.contract_joint(0)
+    h, emap, joints, rewritten = g.contract_loops({0}, set())
     assert h.edges == ((0, 0), (1, 1), (2, 2), (1, 2))
     assert h.edge_names == ("e2", "e3", "e4", "e5")
     assert emap == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert joints == (0,)
+    assert rewritten == {0: True, 1: False, 2: False}
     with pytest.raises(ValueError):
-        g.contract_joint(2)
+        g.contract_loops({2}, set())
 
 
 def test_acyclic_contraction_normal_form():

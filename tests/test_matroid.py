@@ -33,6 +33,7 @@ from oracles import (
     joint_extension,
     matroids_equal_by_bases,
     matroids_equal_on_all_subsets,
+    with_loops,
 )
 
 CIRCUIT_BOUND = 14
@@ -545,16 +546,19 @@ def test_step_ranks_match_the_rank_formulas_on_every_subset():
     # The greedy rank steps through X in index order, so a link that joins
     # two unbalanced components only after both cycles is first met on four
     # vertices: (4, 6) holds such graphs
-    omegas = [om for _, oms in _small_biased_graphs() for om in oms]
-    omegas += [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
-               for bal in catalog.theta_closed_subsets(g)]
-    omegas += [nb.omega for nb in catalog.base_graphs() + catalog.contracted_tubes()]
+    small = [om for _, oms in _small_biased_graphs() for om in oms]
+    named = [nb.omega for nb in catalog.base_graphs() + catalog.contracted_tubes()]
+    omegas = small + [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
+                      for bal in catalog.theta_closed_subsets(g)] + named
+    # none of these graphs has a loop of its own: the (3, 5) and named ones
+    # are swept again with a balanced loop and a joint added
+    omegas += [with_loops(om) for om in small + named]
     subsets = 0
     for om in omegas:
         for M, ref in _rank_formula_pairs(om):
             assert matroids_equal_on_all_subsets(M, ref) == (True, None), om.graph.edges
             subsets += 1 << M.size
-    assert (len(omegas), subsets) == (865, 181504)
+    assert (len(omegas), subsets) == (865 + 141, 181504 + 69120)
 
 
 def _seeded_matrices(field, seed, count):

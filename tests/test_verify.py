@@ -36,7 +36,7 @@ from bmlab.graph import MultiGraph, OrientedEdge
 from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
 from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 from bmlab.verify import _contraction_failures, all_claims, run_claim
-from oracles import contraction_classes_by_minors, joint_extension
+from oracles import contraction_classes_by_minors, joint_extension, subdivide_edge_by_hand
 
 
 def test_registry_names():
@@ -604,6 +604,15 @@ def test_t2prime_splits_reports_each_graph_without_a_usable_vertex(monkeypatch):
     assert rep.status == "fail"
     assert rep.witnesses == [{"graph": catalog.t2_prime_split(i).name,
                               "why": "no usable degree-3 vertex"} for i in (1, 2, 3)]
+
+
+def test_subdivide_edge_matches_the_hand_rebuild():
+    omegas = [nb.omega for nb in catalog.classify_k4() + catalog.base_graphs()
+              + catalog.contracted_tubes()]
+    cases = [(om, e) for om in omegas for e in range(om.graph.m) if not om.graph.is_loop(e)]
+    for om, e in cases:
+        assert verify._subdivide_edge(om, e) == subdivide_edge_by_hand(om, e), (om, e)
+    assert len(cases) == 135
 
 
 def test_allreps_reports_why_a_class_has_no_canonical_form():
