@@ -245,66 +245,75 @@ def biased_minor(omega, contract, delete, check=True):
     balanced cycle B, so no cycle is enumerated.  MultiGraph.contract_loops
     then deletes the set's balanced loops and contracts the others as
     joints: a surviving balanced cycle stays balanced when no joint met
-    it, and the loops a joint balanced join it.  Tracks whether the result
-    is a link minor (no joint was contracted).
+    it, and the loops a joint balanced join it.  When the contraction set
+    is a forest (a link minor) no loop is left and the link step's graph,
+    images and edge map are the result.  Tracks whether the result is a
+    link minor (no joint was contracted).
     """
     g = omega.graph
-    K, (gk, vmap, kmap), loops = g.contract_links(contract, delete)
-    images = set()
+    K, (gg, vmap, emap), loops = g.contract_links(contract, delete)
+    balanced = set()
     for c in omega.balanced:
         rest = c - K
-        if kmap.keys() >= rest:  # c avoids the deletion set
+        if emap.keys() >= rest:  # c avoids the deletion set
             # the image is a closed connected walk, so it is a cycle when
             # every vertex it meets has degree 2 (a loop counting twice)
-            image = frozenset(kmap[x] for x in rest)
-            degree = Counter(v for x in image for v in gk.endpoints(x))
+            image = frozenset(emap[x] for x in rest)
+            degree = Counter(v for x in image for v in gg.endpoints(x))
             if all(d == 2 for d in degree.values()):
-                images.add(image)
-    gg, lmap, joints, rewritten = gk.contract_loops(
-        loops, {e for e in loops if frozenset((e,)) in images})
-    kept = {x: y for x, y in lmap.items() if y not in rewritten}
-    balanced = {frozenset(kept[x] for x in c) for c in images if all(x in kept for x in c)}
-    balanced.update(frozenset((y,)) for y, loop in rewritten.items() if loop)
+                balanced.add(image)
+    joints = ()
+    if loops:
+        gg, lmap, joints, rewritten = gg.contract_loops(
+            loops, {e for e in loops if frozenset((e,)) in balanced})
+        kept = {x: y for x, y in lmap.items() if y not in rewritten}
+        balanced = {frozenset(kept[x] for x in c) for c in balanced if all(x in kept for x in c)}
+        balanced.update(frozenset((y,)) for y, loop in rewritten.items() if loop)
+        emap = {x: lmap[y] for x, y in emap.items() if y in lmap}
     if check:
         violation = check_theta_property(gg, balanced)
         if violation is not None:
             raise ThetaViolation("minor violates theta property", *violation)
-    emap = {x: lmap[y] for x, y in kmap.items() if y in lmap}
     return BiasedMinor(BiasedGraph(gg, balanced, check=False), vmap, emap, not joints)
 
 
 def link_minors(omega, pattern):
     """Every link minor of omega isomorphic to `pattern` up to isolated
     vertices, as (K, D, minor, iso): iso is the first biased isomorphism
-    from minor.omega.drop_isolated() to pattern.drop_isolated().  K runs
-    over the link forests by size, then by sorted edge ids, up to the size
-    that leaves as many K-classes as the pattern has vertices; for each K
-    the kept edges run over the combinations of the other edges in order,
-    and D is the rest of them.  The minor's non-isolated vertices are the
-    K-classes its kept edges meet, and a class's degree is the number of
-    kept edge ends in it (a loop counting twice), so a pair whose class
-    count or sorted class degrees differ from the pattern's is skipped
-    before anything is built."""
-    g = omega.graph
+    from minor.omega.drop_isolated() to pattern.drop_isolated().  The
+    search runs in two stages.
+
+    The graph stage, MultiGraph.link_minor_pairs, lists the (K, D) pairs
+    in search order whose graph minor is isomorphic to the pattern's graph;
+    it reads G, K, D and that graph only, never a bias, so it is memoised
+    on the host graph and shared by every bias set on it and every pattern
+    with that graph.  Every pair it drops has no biased isomorphism.
+
+    The bias stage runs per omega on those pairs.  K is a forest, so
+    nothing is left to contract after it and the minor's balanced cycles
+    are the images B - K of the balanced cycles B that avoid D and whose
+    K-classes all have degree 2 in B - K.  A biased isomorphism keeps
+    cycle lengths, so a pair whose sorted image lengths differ from the
+    pattern's balanced-cycle lengths (the first test of
+    biased_isomorphisms) is dropped before its minor is built.  Both
+    stages only drop pairs without a biased isomorphism, so the sequence
+    of (K, D, minor, iso) is that of building every pair's minor."""
     pat = pattern.drop_isolated()
-    degrees = sorted(Counter(v for e in pat.graph.edges for v in e).values())
-    for K in sorted(g.link_forests(g.n - pat.graph.n), key=lambda f: (len(f), sorted(f))):
-        parent = list(range(g.n))
-        for e in K:
-            u, v = g.edges[e]
-            parent[find(parent, u)] = find(parent, v)
-        ends = [(find(parent, u), find(parent, v)) for u, v in g.edges]
-        rest = [e for e in range(g.m) if e not in K]
-        for keep in combinations(rest, pat.graph.m):
-            kept_ends = [r for e in keep for r in ends[e]]
-            classes = set(kept_ends)
-            if len(classes) != pat.graph.n or sorted(map(kept_ends.count, classes)) != degrees:
-                continue
-            D = frozenset(rest) - frozenset(keep)
-            minor = biased_minor(omega, K, D, check=False)
-            for iso in biased_isomorphisms(minor.omega.drop_isolated(), pat):
-                yield K, D, minor, iso
-                break
+    lengths = sorted(map(len, pat.balanced))
+    for K, D, ends in omega.graph.link_minor_pairs(pat.graph):
+        images = []
+        for c in omega.balanced:
+            rest = c - K
+            if rest.isdisjoint(D):
+                degree = Counter(r for e in rest for r in ends[e])
+                if all(d == 2 for d in degree.values()):
+                    images.append(len(rest))
+        if sorted(images) != lengths:
+            continue
+        minor = biased_minor(omega, K, D, check=False)
+        for iso in biased_isomorphisms(minor.omega.drop_isolated(), pat):
+            yield K, D, minor, iso
+            break
 
 
 # -- Delta-Y and Y-Delta -------------------------------------------------------

@@ -9,6 +9,7 @@ All values are immutable after construction; operations are pure functions
 returning new graphs.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -69,6 +70,7 @@ class MultiGraph:
                 inc[v].append(e)
         self._incident = tuple(tuple(sorted(es)) for es in inc)
         self._cycles = None
+        self._link_minor_pairs = {}  # link_minor_pairs by (h.n, h.edges)
 
     # -- basics ----------------------------------------------------------
     def endpoints(self, e):
@@ -435,6 +437,43 @@ class MultiGraph:
         g = MultiGraph(self.n, [edges[f] for f in kept],
                        [self.edge_names[f] for f in kept], self.vertex_names)
         return g, emap, tuple(joints), {emap[f]: x for f, x in rewritten.items() if f in emap}
+
+    def link_minor_pairs(self, h):
+        """The (K, D, ends) triples, in search order, whose minor G/K\\D with
+        isolated vertices dropped is isomorphic to h, a graph without
+        isolated vertices.  K runs over the link forests by size, then by
+        sorted edge ids, up to the size that leaves h.n K-classes; for each
+        K the kept edges run over the combinations of the other edges in
+        order, and D is the rest of them.  ends[e] holds the K-classes
+        (union-find roots) of edge e's ends.  The minor's vertices are the
+        classes its kept edges meet, and a class's degree is the number of
+        kept edge ends in it (a loop counting twice), so a pair whose class
+        count or sorted class degrees differ from h's is dropped before its
+        minor is built.  The list depends on G and h alone, so it is
+        memoised per (h.n, h.edges), one entry per pattern graph."""
+        key = (h.n, h.edges)
+        if key in self._link_minor_pairs:
+            return self._link_minor_pairs[key]
+        degrees = sorted(Counter(v for e in h.edges for v in e).values())
+        pairs = []
+        for K in sorted(self.link_forests(self.n - h.n), key=lambda f: (len(f), sorted(f))):
+            parent = list(range(self.n))
+            for e in K:
+                u, v = self.edges[e]
+                parent[find(parent, u)] = find(parent, v)
+            ends = tuple((find(parent, u), find(parent, v)) for u, v in self.edges)
+            rest = [e for e in range(self.m) if e not in K]
+            for keep in combinations(rest, h.m):
+                kept_ends = [r for e in keep for r in ends[e]]
+                classes = sorted(set(kept_ends))
+                if len(classes) != h.n or sorted(map(kept_ends.count, classes)) != degrees:
+                    continue
+                index = {r: i for i, r in enumerate(classes)}
+                minor = MultiGraph(h.n, [(index[ends[e][0]], index[ends[e][1]]) for e in keep])
+                if next(graph_isomorphisms(minor, h), None) is not None:
+                    pairs.append((K, frozenset(rest) - frozenset(keep), ends))
+        self._link_minor_pairs[key] = pairs
+        return pairs
 
     def with_edges(self, edges):
         """The graph on the same vertices and edge names with new endpoints."""

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -456,23 +457,30 @@ def test_biased_minor_matches_one_link_at_a_time():
     assert pairs > 10000 and joints > 3000
 
 
-def _parent_link_minors(omega, pattern):
-    """The search before link_minors took a pattern: every (K, D) pair,
-    each minor built by the reference routine and kept when it has the
-    pattern's vertex count and a biased isomorphism to it; yields
-    (K, D, first iso) in search order."""
+def _parent_pairs(omega, m, minor=_reference_biased_minor):
+    """(K, D, minor without isolated vertices) for every (K, D) pair that
+    keeps m edges, in search order, each minor built by `minor` (the
+    reference routine by default)."""
     g = omega.graph
-    pat = pattern.drop_isolated()
     for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f))):
         remaining = [e for e in range(g.m) if e not in K]
-        for keep in combinations(remaining, pat.graph.m):
+        for keep in combinations(remaining, m):
             D = frozenset(remaining) - frozenset(keep)
-            minor = _reference_biased_minor(omega, K, D).omega.drop_isolated()
-            if minor.graph.n != pat.graph.n:
-                continue
-            for iso in biased_isomorphisms(minor, pat):
-                yield K, D, iso
-                break
+            yield K, D, minor(omega, K, D).omega.drop_isolated()
+
+
+def _parent_link_minors(omega, pattern, pairs=None):
+    """The search before link_minors took a pattern: every (K, D) pair of
+    `pairs` (by default _parent_pairs for the pattern's edge count), kept
+    when its minor has the pattern's vertex count and a biased isomorphism
+    to it; yields (K, D, first iso) in search order."""
+    pat = pattern.drop_isolated()
+    for K, D, minor in _parent_pairs(omega, pat.graph.m) if pairs is None else pairs:
+        if minor.graph.n != pat.graph.n:
+            continue
+        for iso in biased_isomorphisms(minor, pat):
+            yield K, D, iso
+            break
 
 
 def _parent_find_link_minor(omega, pattern):
@@ -503,12 +511,75 @@ def test_link_minors_recipe_for_recipe():
     assert all(found)
 
 
+def _memo_patterns():
+    """Every tangled target, base graph, U_3 and the unbalanced 2-cycle:
+    25 patterns on 5 graphs (K4, 2C3, the B graph, U_3's, the 2-cycle)."""
+    patterns = _link_minor_patterns()
+    return patterns[:-2] + [nb.omega for nb in catalog.base_graphs()] + patterns[-2:]
+
+
+def _memo_host():
+    """K4 with its edges 01 and 23 doubled: every pattern graph of
+    _memo_patterns is a link minor of it."""
+    return MultiGraph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)])
+
+
+def test_link_minor_memo_matches_the_parent_search():
+    # one bias set in four of the host's classes, each on one shared host
+    # per order; in reversed order the base graphs and the 2-cycle fill the
+    # memo, forward the tangled targets do, each with another bias.  The
+    # parent search builds its minors by biased_minor, which
+    # test_biased_minor_matches_one_link_at_a_time checks.
+    patterns = _memo_patterns()
+    sets = [om.balanced for om in catalog.bias_sets_up_to_aut(_memo_host())[::4]]
+    want = {}
+    for i, bal in enumerate(sets):
+        om = BiasedGraph(_memo_host(), bal, check=False)
+        pairs = {m: list(_parent_pairs(om, m, partial(biased_minor, check=False)))
+                 for m in {p.graph.m for p in patterns}}
+        for k, pat in enumerate(patterns):
+            want[i, k] = list(_parent_link_minors(om, pat, pairs[pat.graph.m]))
+    assert sum(map(bool, want.values())) == 109
+    for order in (list(enumerate(patterns)), list(enumerate(patterns))[::-1]):
+        host = _memo_host()
+        omegas = [BiasedGraph(host, bal, check=False) for bal in sets]
+        for k, pat in order:
+            for i, om in enumerate(omegas):
+                got = list(link_minors(om, pat))
+                assert [(K, D, iso) for K, D, _, iso in got] == want[i, k]
+                for K, D, mn, _ in got:
+                    assert _minor_key(mn) == _minor_key(biased_minor(om, K, D, check=False))
+        # the graph stage keeps exactly the pairs whose graph minor is
+        # isomorphic to the pattern's graph
+        for (n, edges), memo in host._link_minor_pairs.items():
+            h = MultiGraph(n, edges)
+            assert [(K, D) for K, D, _ in memo] == [
+                (K, D) for K in sorted(host.link_forests(), key=lambda f: (len(f), sorted(f)))
+                for rest in [[e for e in range(host.m) if e not in K]]
+                for D in (frozenset(rest) - frozenset(keep) for keep in combinations(rest, h.m))
+                if next(graph_isomorphisms(host.minor(K, D)[0].drop_isolated()[0], h), None)]
+
+
+def test_link_minor_memo_holds_one_entry_per_pattern_graph():
+    host = _memo_host()
+    patterns = _memo_patterns()
+    for bal in catalog.theta_closed_subsets(host)[:20]:
+        om = BiasedGraph(host, bal, check=False)
+        for pat in patterns:
+            list(link_minors(om, pat))
+    graphs = {(h.n, h.edges) for h in (p.drop_isolated().graph for p in patterns)}
+    assert len(graphs) == 5
+    assert host._link_minor_pairs.keys() == graphs
+
+
 def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
+    # the last 8-edge (4, 8) member with a target minor: each filter of the
+    # two stages drops pairs there
     target = verify._tangled_targets()[0].omega
-    om = next(
-        om for om in catalog.tangled_family(4, 7)
-        if om.graph.m == 7 and find_link_minor(om, target)
-    )
+    om = [
+        om for om in catalog.tangled_family(4, 8)
+        if om.graph.m == 8 and find_link_minor(om, target)
+    ][-1]
     g = om.graph
     pairs = [
         (K, frozenset(rest) - frozenset(keep))
@@ -521,11 +592,14 @@ def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
         """Vertex count and sorted degrees, a loop counting twice."""
         return h.n, sorted(Counter(v for e in h.edges for v in e).values())
 
-    n = target.drop_isolated().graph.n
-    minors = [biased_minor(om, K, D).omega.drop_isolated().graph for K, D in pairs]
-    with_n = sum(h.n == n for h in minors)
-    want = sum(shape(h) == shape(target.drop_isolated().graph) for h in minors)
-    assert 0 < want < with_n < len(pairs)
+    pat = target.drop_isolated()
+    minors = [biased_minor(om, K, D).omega.drop_isolated() for K, D in pairs]
+    with_n = [mn for mn in minors if mn.graph.n == pat.graph.n]
+    with_shape = [mn for mn in with_n if shape(mn.graph) == shape(pat.graph)]
+    with_graph = [mn for mn in with_shape if next(graph_isomorphisms(mn.graph, pat.graph), None)]
+    want = sum(sorted(map(len, mn.balanced)) == sorted(map(len, pat.balanced))
+               for mn in with_graph)
+    assert 0 < want < len(with_graph) < len(with_shape) < len(with_n) < len(pairs)
     calls = []
     real = bias.biased_minor
 
