@@ -145,13 +145,6 @@ class BiasedGraph:
             if self.graph.is_loop(e) and frozenset((e,)) not in self.balanced
         )
 
-    def drop_isolated(self):
-        """The biased graph with isolated vertices deleted.  Edge ids are
-        unchanged (MultiGraph.drop_isolated keeps edge order and names), so
-        the balanced set carries over as it is."""
-        g, _ = self.graph.drop_isolated()
-        return BiasedGraph(g, self.balanced, check=False)
-
     def __eq__(self, other):
         return (
             isinstance(other, BiasedGraph)
@@ -236,32 +229,38 @@ class BiasedMinor:
     is_link_minor: bool
 
 
+def _images(omega, K, emap, graph):
+    """The balanced cycles of a minor whose link step contracted the forest
+    K: the images by emap of B - K for the balanced B of omega that avoid
+    the deletion set (B - K lies in emap's keys) and whose image meets
+    every vertex of graph in degree 0 or 2, a loop counting twice (a
+    closed connected walk with those degrees is a cycle)."""
+    for c in omega.balanced:
+        rest = c - K
+        if emap.keys() >= rest:
+            image = frozenset(emap[x] for x in rest)
+            degree = Counter(v for x in image for v in graph.endpoints(x))
+            if all(d == 2 for d in degree.values()):
+                yield image
+
+
 def biased_minor(omega, contract, delete, check=True):
     """Biased minor: deletions first, then contractions.
 
     MultiGraph.contract_links contracts the contraction set's links as the
     forest K = spanning_forest(contract), picked greedily in id order.  A
     cycle of G/K is balanced exactly when it is the image B - K of a
-    balanced cycle B, so no cycle is enumerated.  MultiGraph.contract_loops
-    then deletes the set's balanced loops and contracts the others as
-    joints: a surviving balanced cycle stays balanced when no joint met
-    it, and the loops a joint balanced join it.  When the contraction set
-    is a forest (a link minor) no loop is left and the link step's graph,
-    images and edge map are the result.  Tracks whether the result is a
-    link minor (no joint was contracted).
+    balanced cycle B (_images).  MultiGraph.contract_loops then deletes
+    the set's balanced loops and contracts the others as joints: a
+    surviving balanced cycle stays balanced when no joint met it, and the
+    loops a joint balanced join it.  When the contraction set is a forest
+    (a link minor) no loop is left and the link step's graph, images and
+    edge map are the result.  Tracks whether the result is a link minor
+    (no joint was contracted).
     """
     g = omega.graph
     K, (gg, vmap, emap), loops = g.contract_links(contract, delete)
-    balanced = set()
-    for c in omega.balanced:
-        rest = c - K
-        if emap.keys() >= rest:  # c avoids the deletion set
-            # the image is a closed connected walk, so it is a cycle when
-            # every vertex it meets has degree 2 (a loop counting twice)
-            image = frozenset(emap[x] for x in rest)
-            degree = Counter(v for x in image for v in gg.endpoints(x))
-            if all(d == 2 for d in degree.values()):
-                balanced.add(image)
+    balanced = set(_images(omega, K, emap, gg))
     joints = ()
     if loops:
         gg, lmap, joints, rewritten = gg.contract_loops(
@@ -277,42 +276,40 @@ def biased_minor(omega, contract, delete, check=True):
     return BiasedMinor(BiasedGraph(gg, balanced, check=False), vmap, emap, not joints)
 
 
+@dataclass(frozen=True)
+class MinorRecipe:
+    contract: frozenset
+    delete: frozenset
+    iso: tuple  # (vertex permutation, edge map) minor -> pattern
+
+
 def link_minors(omega, pattern):
-    """Every link minor of omega isomorphic to `pattern` up to isolated
-    vertices, as (K, D, minor, iso): iso is the first biased isomorphism
-    from minor.omega.drop_isolated() to pattern.drop_isolated().  The
-    search runs in two stages.
-
-    The graph stage, MultiGraph.link_minor_pairs, lists the (K, D) pairs
-    in search order whose graph minor is isomorphic to the pattern's graph;
-    it reads G, K, D and that graph only, never a bias, so it is memoised
-    on the host graph and shared by every bias set on it and every pattern
-    with that graph.  Every pair it drops has no biased isomorphism.
-
-    The bias stage runs per omega on those pairs.  K is a forest, so
-    nothing is left to contract after it and the minor's balanced cycles
-    are the images B - K of the balanced cycles B that avoid D and whose
-    K-classes all have degree 2 in B - K.  A biased isomorphism keeps
-    cycle lengths, so a pair whose sorted image lengths differ from the
-    pattern's balanced-cycle lengths (the first test of
-    biased_isomorphisms) is dropped before its minor is built.  Both
-    stages only drop pairs without a biased isomorphism, so the sequence
-    of (K, D, minor, iso) is that of building every pair's minor."""
-    pat = pattern.drop_isolated()
-    lengths = sorted(map(len, pat.balanced))
-    for K, D, ends in omega.graph.link_minor_pairs(pat.graph):
-        images = []
-        for c in omega.balanced:
-            rest = c - K
-            if rest.isdisjoint(D):
-                degree = Counter(r for e in rest for r in ends[e])
-                if all(d == 2 for d in degree.values()):
-                    images.append(len(rest))
-        if sorted(images) != lengths:
+    """Every link minor of omega isomorphic to `pattern`, a biased graph
+    without isolated vertices, as MinorRecipe(K, D, iso), iso being the
+    first biased isomorphism from G/K\\D with isolated vertices dropped
+    onto the pattern.  The graph stage, MultiGraph.link_minor_pairs,
+    memoised on the host graph, gives the pairs whose graph minor is
+    isomorphic to the pattern's graph, with that minor and its vertex
+    isomorphisms.  The bias stage builds no minor: the minor's balanced
+    cycles are the _images of omega's, as in biased_minor.  A pair whose
+    sorted image lengths differ from the pattern's balanced-cycle lengths
+    has no biased isomorphism; otherwise iso is the first vertex
+    isomorphism and edge bijection, in order, that carries the images onto
+    the pattern's balanced set.  So the recipes are those of building
+    every pair's biased minor and searching its biased isomorphisms."""
+    h = pattern.graph
+    if len(h.vertices_of(range(h.m))) != h.n:
+        raise ValueError("link-minor pattern has an isolated vertex")
+    lengths = sorted(map(len, pattern.balanced))
+    g = omega.graph
+    for K, D, minor, isos in g.link_minor_pairs(h):
+        emap = {e: i for i, e in enumerate(e for e in range(g.m) if e not in K and e not in D)}
+        images = list(_images(omega, K, emap, minor))
+        if sorted(map(len, images)) != lengths:
             continue
-        minor = biased_minor(omega, K, D, check=False)
-        for iso in biased_isomorphisms(minor.omega.drop_isolated(), pat):
-            yield K, D, minor, iso
+        for iso in ((perm, em) for perm in isos for em in edge_bijections(minor, h, perm)
+                    if {frozenset(em[e] for e in c) for c in images} == pattern.balanced):
+            yield MinorRecipe(K, D, iso)
             break
 
 
@@ -581,24 +578,14 @@ def biased_isomorphic(om1, om2):
     return False
 
 
-@dataclass(frozen=True)
-class MinorRecipe:
-    contract: frozenset
-    delete: frozenset
-    iso: tuple = None  # (vertex permutation, edge map) minor -> pattern
-
-
 def find_link_minor(omega, pattern):
-    """Search for a link minor of `omega` isomorphic to `pattern` up to
-    isolated vertices.  Contractions range over forests of links (the
-    acyclic-contraction normal form).  Returns a MinorRecipe or None; a
-    host larger than LINK_MINOR_BOUND raises BoundExceeded."""
+    """The first recipe of link_minors, or None.  Contractions range over
+    forests of links (the acyclic-contraction normal form); a host larger
+    than LINK_MINOR_BOUND raises BoundExceeded."""
     g = omega.graph
     if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:
         raise BoundExceeded("link-minor search bound exceeded")
-    for K, D, _, iso in link_minors(omega, pattern):
-        return MinorRecipe(K, D, iso)
-    return None
+    return next(link_minors(omega, pattern), None)
 
 
 def find_biased_subdivision(omega, pattern):

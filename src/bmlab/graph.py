@@ -439,18 +439,18 @@ class MultiGraph:
         return g, emap, tuple(joints), {emap[f]: x for f, x in rewritten.items() if f in emap}
 
     def link_minor_pairs(self, h):
-        """The (K, D, ends) triples, in search order, whose minor G/K\\D with
-        isolated vertices dropped is isomorphic to h, a graph without
-        isolated vertices.  K runs over the link forests by size, then by
+        """The (K, D, minor, isos) entries, in search order, whose minor
+        G/K\\D with isolated vertices dropped (minor) is isomorphic to h, a
+        graph without isolated vertices; isos are all its vertex
+        isomorphisms onto h.  K runs over the link forests by size, then by
         sorted edge ids, up to the size that leaves h.n K-classes; for each
         K the kept edges run over the combinations of the other edges in
-        order, and D is the rest of them.  ends[e] holds the K-classes
-        (union-find roots) of edge e's ends.  The minor's vertices are the
-        classes its kept edges meet, and a class's degree is the number of
-        kept edge ends in it (a loop counting twice), so a pair whose class
-        count or sorted class degrees differ from h's is dropped before its
-        minor is built.  The list depends on G and h alone, so it is
-        memoised per (h.n, h.edges), one entry per pattern graph."""
+        order, and D is the rest of them.  A pair whose kept edges meet a
+        number of K-classes (union-find roots) other than h.n, or whose
+        sorted class degrees (kept edge ends per class) differ from h's, is
+        dropped before its minor is built.  The list depends on G and h
+        alone, so it is memoised per (h.n, h.edges), one entry per pattern
+        graph."""
         key = (h.n, h.edges)
         if key in self._link_minor_pairs:
             return self._link_minor_pairs[key]
@@ -465,13 +465,14 @@ class MultiGraph:
             rest = [e for e in range(self.m) if e not in K]
             for keep in combinations(rest, h.m):
                 kept_ends = [r for e in keep for r in ends[e]]
-                classes = sorted(set(kept_ends))
+                classes = set(kept_ends)
                 if len(classes) != h.n or sorted(map(kept_ends.count, classes)) != degrees:
                     continue
-                index = {r: i for i, r in enumerate(classes)}
-                minor = MultiGraph(h.n, [(index[ends[e][0]], index[ends[e][1]]) for e in keep])
-                if next(graph_isomorphisms(minor, h), None) is not None:
-                    pairs.append((K, frozenset(rest) - frozenset(keep), ends))
+                D = frozenset(rest) - frozenset(keep)
+                minor = self.minor(K, D)[0].drop_isolated()[0]
+                isos = tuple(graph_isomorphisms(minor, h))
+                if isos:
+                    pairs.append((K, D, minor, isos))
         self._link_minor_pairs[key] = pairs
         return pairs
 

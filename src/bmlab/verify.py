@@ -369,11 +369,9 @@ def claim_u3_lift_criterion(fields=DEFAULT_FIELDS):
 
 
 def _links_only(gg):
-    """gg restricted to its links (the non-loop edges), on the same vertices."""
+    """gg with its loops deleted: the minor that keeps the links."""
     g = gg.graph
-    links = [e for e in range(g.m) if not g.is_loop(e)]
-    sub = MultiGraph(g.n, [g.edges[e] for e in links], [g.edge_names[e] for e in links])
-    return GainGraph(sub, gg.group, {k: gg.gains[e] for k, e in enumerate(links)})
+    return induced_gain(gg, (), [e for e in range(g.m) if g.is_loop(e)])[0]
 
 
 # -- section 4.2: all representations are canonical --------------------------------
@@ -733,24 +731,24 @@ _TWO_CYCLE = BiasedGraph(MultiGraph(2, [(0, 1), (0, 1)]), [])
 
 
 def _gain_minors(om, phi, psi, pattern):
-    """(minor, phi's minor, psi's minor) for each of om's link minors
-    isomorphic to pattern, in link_minors' order."""
-    for K, D, minor, _ in link_minors(om, pattern):
-        yield minor, induced_gain(phi, K, D)[0], induced_gain(psi, K, D)[0]
+    """(phi's minor, psi's minor) for each of om's link minors isomorphic
+    to pattern, in link_minors' order."""
+    for rec in link_minors(om, pattern):
+        yield tuple(induced_gain(gg, rec.contract, rec.delete)[0] for gg in (phi, psi))
 
 
 def _localization_certificate(om, phi, psi):
     if any(switching_equivalent(mphi, mpsi) is None
            for nb in catalog.base_graphs()
-           for _, mphi, mpsi in _gain_minors(om, phi, psi, nb.omega)):
+           for mphi, mpsi in _gain_minors(om, phi, psi, nb.omega)):
         return True
     # U_3 + U_2 route (only when not tangled)
     if is_tangled(om)[0] or all(
             switching_equivalent(_links_only(mphi), _links_only(mpsi)) is not None
-            for _, mphi, mpsi in _gain_minors(om, phi, psi, catalog.u3().omega)):
+            for mphi, mpsi in _gain_minors(om, phi, psi, catalog.u3().omega)):
         return False
-    for minor, mphi, mpsi in _gain_minors(om, phi, psi, _TWO_CYCLE):
-        cyc = minor.omega.graph.cycles()[0]
+    for mphi, mpsi in _gain_minors(om, phi, psi, _TWO_CYCLE):
+        cyc = mphi.graph.cycles()[0]
         if walk_gain(mphi, cyc.walk) != walk_gain(mpsi, cyc.walk):
             return True
     return False

@@ -2,8 +2,8 @@
 all subsets and on bases one r-subset at a time, the frame and lift rank
 formulas, matroid minors, the joint extension G_0, the graphic matroid,
 edge-set components, vector rank by elimination,
-projective-witness parsing, balance classification on the loop-deleted
-minor, switching classes on contracted gain graphs, GF(q) tables built
+projective-witness parsing, a biased graph with its isolated vertices
+dropped, balance classification on the loop-deleted minor, switching classes on contracted gain graphs, GF(q) tables built
 pair by pair, projective equivalence by a pivot-basis transfer and
 diagonal equivalence, and switching-and-scaling equivalence by one
 switching decision per scalar, the biased-graph edits (Delta-Y, Y-Delta,
@@ -226,6 +226,14 @@ def witness_from_json(obj):
     if obj.get("kind") != "projective-witness":
         raise ParseError("not a projective-witness object")
     return ProjWitness(parse_matrix(obj["T"]), parse_matrix(obj["S"]))
+
+
+def drop_isolated(omega):
+    """omega with isolated vertices deleted.  Edge ids are unchanged
+    (MultiGraph.drop_isolated keeps edge order and names), so the
+    balanced set carries over as it is."""
+    g, _ = omega.graph.drop_isolated()
+    return BiasedGraph(g, omega.balanced, check=False)
 
 
 def classify_balance_by_minor(omega):

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from bmlab import bias, catalog, verify
+from bmlab import graph as graph_module
 from bmlab.bias import (
     BiasedGraph,
     BiasedMinor,
@@ -273,7 +274,7 @@ def test_tangled_balanced_graph_false():
 
 def _remapped_balanced(om):
     """The balanced set carried over by edge names onto the graph without
-    isolated vertices (the remap BiasedGraph.drop_isolated replaces)."""
+    isolated vertices (the remap oracles.drop_isolated replaces)."""
     g, _ = om.graph.drop_isolated()
     emap = {om.graph.edge_index(nm): g.edge_index(nm) for nm in g.edge_names}
     return {frozenset(emap[e] for e in c) for c in om.balanced}
@@ -284,7 +285,7 @@ def test_drop_isolated_keeps_edge_ids():
     graphs.append(BiasedGraph(MultiGraph(5, [(4, 2), (2, 4), (2, 0)]), [{0, 1}]))
     assert any(om.graph.n > len(om.graph.vertices_of(range(om.graph.m))) for om in graphs)
     for om in graphs:
-        dropped = om.drop_isolated()
+        dropped = oracles.drop_isolated(om)
         assert dropped.graph == om.graph.drop_isolated()[0]
         assert dropped.balanced == _remapped_balanced(om)
 
@@ -466,7 +467,7 @@ def _parent_pairs(omega, m, minor=_reference_biased_minor):
         remaining = [e for e in range(g.m) if e not in K]
         for keep in combinations(remaining, m):
             D = frozenset(remaining) - frozenset(keep)
-            yield K, D, minor(omega, K, D).omega.drop_isolated()
+            yield K, D, oracles.drop_isolated(minor(omega, K, D).omega)
 
 
 def _parent_link_minors(omega, pattern, pairs=None):
@@ -474,7 +475,7 @@ def _parent_link_minors(omega, pattern, pairs=None):
     `pairs` (by default _parent_pairs for the pattern's edge count), kept
     when its minor has the pattern's vertex count and a biased isomorphism
     to it; yields (K, D, first iso) in search order."""
-    pat = pattern.drop_isolated()
+    pat = oracles.drop_isolated(pattern)
     for K, D, minor in _parent_pairs(omega, pat.graph.m) if pairs is None else pairs:
         if minor.graph.n != pat.graph.n:
             continue
@@ -503,10 +504,8 @@ def test_link_minors_recipe_for_recipe():
     found = [0] * len(patterns)
     for om in hosts:
         for k, pat in enumerate(patterns):
-            got = list(link_minors(om, pat))
-            assert [(K, D, iso) for K, D, _, iso in got] == list(_parent_link_minors(om, pat))
-            for K, D, mn, _ in got:
-                assert _minor_key(mn) == _minor_key(biased_minor(om, K, D, check=False))
+            got = [(r.contract, r.delete, r.iso) for r in link_minors(om, pat)]
+            assert got == list(_parent_link_minors(om, pat))
             found[k] += len(got)
     assert all(found)
 
@@ -522,6 +521,22 @@ def _memo_host():
     """K4 with its edges 01 and 23 doubled: every pattern graph of
     _memo_patterns is a link minor of it."""
     return MultiGraph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)])
+
+
+def _brute_force_memo(host, h):
+    """The graph stage's entry for the pattern graph h, pair by pair:
+    (K, D, minor, isos) for every (K, D) in search order whose minor
+    without isolated vertices has a graph isomorphism onto h."""
+    out = []
+    for K in sorted(host.link_forests(), key=lambda f: (len(f), sorted(f))):
+        rest = [e for e in range(host.m) if e not in K]
+        for keep in combinations(rest, h.m):
+            D = frozenset(rest) - frozenset(keep)
+            minor = host.minor(K, D)[0].drop_isolated()[0]
+            isos = tuple(graph_isomorphisms(minor, h))
+            if isos:
+                out.append((K, D, minor, isos))
+    return out
 
 
 def test_link_minor_memo_matches_the_parent_search():
@@ -545,19 +560,13 @@ def test_link_minor_memo_matches_the_parent_search():
         omegas = [BiasedGraph(host, bal, check=False) for bal in sets]
         for k, pat in order:
             for i, om in enumerate(omegas):
-                got = list(link_minors(om, pat))
-                assert [(K, D, iso) for K, D, _, iso in got] == want[i, k]
-                for K, D, mn, _ in got:
-                    assert _minor_key(mn) == _minor_key(biased_minor(om, K, D, check=False))
+                got = [(r.contract, r.delete, r.iso) for r in link_minors(om, pat)]
+                assert got == want[i, k]
         # the graph stage keeps exactly the pairs whose graph minor is
-        # isomorphic to the pattern's graph
+        # isomorphic to the pattern's graph, each with that minor and all
+        # its isomorphisms
         for (n, edges), memo in host._link_minor_pairs.items():
-            h = MultiGraph(n, edges)
-            assert [(K, D) for K, D, _ in memo] == [
-                (K, D) for K in sorted(host.link_forests(), key=lambda f: (len(f), sorted(f)))
-                for rest in [[e for e in range(host.m) if e not in K]]
-                for D in (frozenset(rest) - frozenset(keep) for keep in combinations(rest, h.m))
-                if next(graph_isomorphisms(host.minor(K, D)[0].drop_isolated()[0], h), None)]
+            assert memo == _brute_force_memo(host, MultiGraph(n, edges))
 
 
 def test_link_minor_memo_holds_one_entry_per_pattern_graph():
@@ -567,14 +576,16 @@ def test_link_minor_memo_holds_one_entry_per_pattern_graph():
         om = BiasedGraph(host, bal, check=False)
         for pat in patterns:
             list(link_minors(om, pat))
-    graphs = {(h.n, h.edges) for h in (p.drop_isolated().graph for p in patterns)}
+    graphs = {(p.graph.n, p.graph.edges) for p in patterns}
     assert len(graphs) == 5
     assert host._link_minor_pairs.keys() == graphs
 
 
 def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
     # the last 8-edge (4, 8) member with a target minor: each filter of the
-    # two stages drops pairs there
+    # two stages drops pairs there.  The bias stage builds no biased minor
+    # and tries edge bijections only on the graph stage's minors whose
+    # balanced images have the pattern's sorted lengths.
     target = verify._tangled_targets()[0].omega
     om = [
         om for om in catalog.tangled_family(4, 8)
@@ -583,7 +594,7 @@ def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
     g = om.graph
     pairs = [
         (K, frozenset(rest) - frozenset(keep))
-        for K in g.link_forests()
+        for K in sorted(g.link_forests(), key=lambda f: (len(f), sorted(f)))
         for rest in [[e for e in range(g.m) if e not in K]]
         for keep in combinations(rest, target.graph.m)
     ]
@@ -592,24 +603,61 @@ def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
         """Vertex count and sorted degrees, a loop counting twice."""
         return h.n, sorted(Counter(v for e in h.edges for v in e).values())
 
-    pat = target.drop_isolated()
-    minors = [biased_minor(om, K, D).omega.drop_isolated() for K, D in pairs]
-    with_n = [mn for mn in minors if mn.graph.n == pat.graph.n]
-    with_shape = [mn for mn in with_n if shape(mn.graph) == shape(pat.graph)]
-    with_graph = [mn for mn in with_shape if next(graph_isomorphisms(mn.graph, pat.graph), None)]
-    want = sum(sorted(map(len, mn.balanced)) == sorted(map(len, pat.balanced))
-               for mn in with_graph)
-    assert 0 < want < len(with_graph) < len(with_shape) < len(with_n) < len(pairs)
-    calls = []
-    real = bias.biased_minor
+    minors = [oracles.drop_isolated(biased_minor(om, K, D).omega) for K, D in pairs]
+    with_n = [mn for mn in minors if mn.graph.n == target.graph.n]
+    with_shape = [mn for mn in with_n if shape(mn.graph) == shape(target.graph)]
+    with_graph = [mn for mn in with_shape if next(graph_isomorphisms(mn.graph, target.graph), None)]
+    with_lengths = [mn for mn in with_graph
+                    if sorted(map(len, mn.balanced)) == sorted(map(len, target.balanced))]
+    assert 0 < len(with_lengths) < len(with_graph) < len(with_shape) < len(with_n) < len(pairs)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def no_minor(*args, **kwargs):
+        raise AssertionError("the bias stage built a biased minor")
 
-    monkeypatch.setattr(bias, "biased_minor", counting)
-    list(link_minors(om, target))
-    assert len(calls) == want
+    tried = {}
+    real = bias.edge_bijections
+
+    def recording(g, h, perm):
+        tried.setdefault(id(g), g)
+        return real(g, h, perm)
+
+    monkeypatch.setattr(bias, "biased_minor", no_minor)
+    monkeypatch.setattr(bias, "edge_bijections", recording)
+    assert list(link_minors(om, target))
+    assert list(tried.values()) == [mn.graph for mn in with_lengths]
+
+
+def test_link_minors_on_a_filled_memo_only_checks_bias(monkeypatch):
+    # once the host's memo is filled, no bias set on it builds a minor or
+    # searches a graph isomorphism: the graph stage's minors and vertex
+    # maps are reused as they are
+    host = _memo_host()
+    patterns = _memo_patterns()
+    sets = [om.balanced for om in catalog.bias_sets_up_to_aut(host)[::8]]
+    omegas = [BiasedGraph(host, bal, check=False) for bal in sets]
+    want = [[(r.contract, r.delete, r.iso) for r in link_minors(om, pat)] for om in omegas
+            for pat in patterns]
+    assert sum(map(bool, want)) > 20
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("link_minors rebuilt what the memo holds")
+
+    monkeypatch.setattr(graph_module, "graph_isomorphisms", forbidden)
+    monkeypatch.setattr(bias, "graph_isomorphisms", forbidden)
+    monkeypatch.setattr(bias, "biased_minor", forbidden)
+    monkeypatch.setattr(MultiGraph, "drop_isolated", forbidden)
+    got = [[(r.contract, r.delete, r.iso) for r in link_minors(om, pat)] for om in omegas
+           for pat in patterns]
+    assert got == want
+
+
+def test_link_minors_rejects_a_pattern_with_an_isolated_vertex():
+    host = catalog.tube("B_0").omega
+    pattern = BiasedGraph(MultiGraph(3, [(0, 1), (0, 1)]), [])
+    with pytest.raises(ValueError):
+        list(link_minors(host, pattern))
+    with pytest.raises(ValueError):
+        find_link_minor(host, pattern)
 
 
 def test_find_link_minor_matches_parent_loop():

@@ -73,7 +73,7 @@ from bmlab.matroid import (
     uniform_matroid,
 )
 from bmlab.verify import run_claim
-from oracles import contract, graphic_matroid, matroids_equal_on_all_subsets
+from oracles import contract, drop_isolated, graphic_matroid, matroids_equal_on_all_subsets
 
 
 def _pow(f, a, n):
@@ -747,7 +747,7 @@ def test_canonicalize_contracted_tube_rolls():
     # representations of F(2C3-e, contrabalanced) canonicalize to a frame
     # form particular to a roll-up, and to a lift form particular to the
     # graph itself
-    b0p = catalog.by_name("B_0'").omega.drop_isolated()
+    b0p = drop_isolated(catalog.by_name("B_0'").omega)
     classes = enumerate_representations(frame_matroid(b0p), 5)
     assert classes
     for cls in classes[:3]:

@@ -36,7 +36,12 @@ from bmlab.graph import MultiGraph, OrientedEdge
 from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
 from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
 from bmlab.verify import _contraction_failures, all_claims, run_claim
-from oracles import contraction_classes_by_minors, joint_extension, subdivide_edge_by_hand
+from oracles import (
+    contraction_classes_by_minors,
+    drop_isolated,
+    joint_extension,
+    subdivide_edge_by_hand,
+)
 
 
 def test_registry_names():
@@ -307,10 +312,10 @@ def _parent_localization_certificate(om, phi, psi):
     count and isomorphism, or for U_2 by two parallel links."""
     for nb in catalog.base_graphs():
         for K, D, mres in _all_link_minors(om, nb.omega.graph.m):
-            minor = mres.omega.drop_isolated()
+            minor = drop_isolated(mres.omega)
             if minor.graph.n != nb.omega.graph.n:
                 continue
-            if not biased_isomorphic(minor, nb.omega.drop_isolated()):
+            if not biased_isomorphic(minor, drop_isolated(nb.omega)):
                 continue
             mphi, _, _ = induced_gain(phi, K, D)
             mpsi, _, _ = induced_gain(psi, K, D)
@@ -321,7 +326,7 @@ def _parent_localization_certificate(om, phi, psi):
     u3 = catalog.u3().omega
     found_u3 = False
     for K, D, mres in _all_link_minors(om, 4):
-        if not biased_isomorphic(mres.omega.drop_isolated(), u3.drop_isolated()):
+        if not biased_isomorphic(drop_isolated(mres.omega), drop_isolated(u3)):
             continue
         mphi, _, _ = induced_gain(phi, K, D)
         mpsi, _, _ = induced_gain(psi, K, D)
