@@ -55,7 +55,7 @@ def theta_subgraphs(g):
     the first pair of a theta's cycles met is its two lowest, so a ^ b is
     its highest.
     """
-    masks = [frozenset(c.edges) for c in g.cycles()]
+    masks = [c.edges for c in g.cycles()]
     cycle_set = set(masks)
     seen = set()
     out = []
@@ -85,7 +85,7 @@ def check_theta_property(g, balanced):
     cycles in that order.
     """
     balanced = frozenset(frozenset(c) for c in balanced)
-    index = {frozenset(c.edges): i for i, c in enumerate(g.cycles())}
+    index = {c.edges: i for i, c in enumerate(g.cycles())}
     for c in balanced:
         if c not in index:
             raise NotACycle("balanced set member %s is not a cycle" % (sorted(c),))
@@ -136,7 +136,7 @@ class BiasedGraph:
         return self.graph.cycles()
 
     def unbalanced_cycles(self):
-        return [c for c in self.cycles() if frozenset(c.edges) not in self.balanced]
+        return [c for c in self.cycles() if c.edges not in self.balanced]
 
     def joints(self):
         return tuple(
@@ -212,7 +212,7 @@ def is_tangled(omega):
     witness = None
     for i, j in combinations(range(len(unbal)), 2):
         if not spans[i] & spans[j]:
-            witness = (frozenset(unbal[i].edges), frozenset(unbal[j].edges))
+            witness = (unbal[i].edges, unbal[j].edges)
             break
     if classify_balance(omega).tag != PROPERLY_UNBALANCED:
         return False, witness
@@ -535,7 +535,7 @@ def fat_theta_parts(omega):
             return None
     for c in omega.cycles():
         inside = any(c.edges <= p for p in parts)
-        if inside != (frozenset(c.edges) in omega.balanced):
+        if inside != (c.edges in omega.balanced):
             return None
     return x, y, tuple(parts)
 
@@ -605,8 +605,7 @@ def find_biased_subdivision(omega, pattern):
         pattern._automorphisms = tuple({perm for perm, _ in biased_isomorphisms(pattern, pattern)})
     closing = {}  # pattern edge -> the cycles it completes, with their bias
     for c in pattern.graph.cycles():
-        closing.setdefault(max(c.edges), []).append(
-            (c.edges, frozenset(c.edges) in pattern.balanced))
+        closing.setdefault(max(c.edges), []).append((c.edges, c.edges in pattern.balanced))
 
     def accept(e, edge_paths):
         for edges, balanced in closing.get(e, ()):

@@ -74,34 +74,32 @@ def graph_prism():
 # -- bias-set enumeration and classification ------------------------------------
 
 def theta_closed_subsets(g):
-    """All sets of cycles of g that satisfy the theta property, as
-    frozensets of edge sets, sorted by (size, tuple of indices in
-    g.cycles()).
+    """All sets of cycles of g that satisfy the theta property, as cycle-index
+    masks (bit i: g.cycles()[i]), sorted by (size, tuple of indices).
 
-    Backtracking decides the cycles in index order.  A theta is checked
-    (not exactly two of its cycles balanced) as soon as its last cycle has
-    been decided, so no violating prefix is extended."""
-    pool = [frozenset(c.edges) for c in g.cycles()]
-    index = {c: i for i, c in enumerate(pool)}
+    Backtracking decides the cycles in index order, balanced first, so the
+    masks of one size come in index-tuple order.  A theta is checked (not
+    exactly two of its cycles balanced) as soon as its last cycle is decided."""
+    cycles = g.cycles()
+    index = {c.edges: i for i, c in enumerate(cycles)}
     # checks[i]: index masks of the thetas whose last cycle is i
-    checks = [[] for _ in pool]
+    checks = [[] for _ in cycles]
     for _, inside in theta_subgraphs(g):
         idx = [index[c] for c in inside]
         checks[max(idx)].append(sum(1 << i for i in idx))
     found = []
 
     def extend(i, mask):
-        if i == len(pool):
+        if i == len(cycles):
             found.append(mask)
             return
-        for m in (mask, mask | 1 << i):
+        for m in (mask | 1 << i, mask):
             if all((m & t).bit_count() != 2 for t in checks[i]):
                 extend(i + 1, m)
 
     extend(0, 0)
-    chosen = [tuple(i for i in range(len(pool)) if mask >> i & 1) for mask in found]
-    chosen.sort(key=lambda idx: (len(idx), idx))
-    return [frozenset(pool[i] for i in idx) for idx in chosen]
+    found.sort(key=int.bit_count)
+    return found
 
 
 def _count_by_length(om, length):
@@ -470,35 +468,52 @@ def automorphism_generators(g):
 def bias_sets_up_to_aut(g, predicate=None):
     """Theta-closed bias sets on g, one per orbit of the automorphism group.
 
-    Each orbit is the closure of its first set (in `theta_closed_subsets`
-    order) under `automorphism_generators(g)`, each generator applied as a
-    table of cycle images."""
-    cycles = [frozenset(c.edges) for c in g.cycles()]
-    gens = [{c: frozenset(t[e] for e in c) for c in cycles}
-            for t in automorphism_generators(g)]
+    Each orbit is the closure of its first mask (in `theta_closed_subsets`
+    order) under `automorphism_generators(g)`.  A generator permutes cycles,
+    so it maps a mask to the sum of its tables' images of the mask's bytes."""
+    cycles = g.cycles()
+    index = {c.edges: i for i, c in enumerate(cycles)}
+    gens = []
+    for t in automorphism_generators(g):
+        images = [1 << index[frozenset(t[e] for e in c.edges)] for c in cycles]
+        tables = [[0] for _ in range(0, len(cycles), 8)]
+        for i, bit in enumerate(images):
+            tables[i >> 3] += [x | bit for x in tables[i >> 3]]
+        gens.append(tables)
     reps = []
     seen = set()
     for bal in theta_closed_subsets(g):
         if bal in seen:
             continue
-        seen.add(bal)
         todo = [bal]
         while todo:
             cur = todo.pop()
             for t in gens:
-                img = frozenset(t[c] for c in cur)
+                img = sum(map(list.__getitem__, t, cur.to_bytes(len(t), "little")))
                 if img not in seen:
                     seen.add(img)
                     todo.append(img)
-        om = BiasedGraph(g, bal, check=False)
+        om = BiasedGraph(g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1], check=False)
         if predicate is None or predicate(om):
             reps.append(om)
     return reps
 
 
+def _family_graphs(max_vertices, max_edges):
+    """The graphs tangled_family searches: three vertices or more, and no
+    vertex on every cycle (a balancing vertex whatever the bias)."""
+    for g in multigraphs_up_to_iso(max_vertices, max_edges):
+        if g.n < 3:
+            continue
+        spans = [g.vertices_of(c.edges) for c in g.cycles()]
+        if not any(all(v in s for s in spans) for v in range(g.n)):
+            yield g
+
+
 def tangled_family(max_vertices=5, max_edges=8):
     """All tangled biased graphs on connected loopless min-degree-2
-    multigraphs with the given bounds, one per isomorphism class.
+    multigraphs with the given bounds, one per isomorphism class.  Only
+    the most recently built bounds stay cached.
 
     Tangled biased graphs are loopless (a joint would force a balancing
     vertex), and pendant edges, balanced loops and balanced components
@@ -506,22 +521,9 @@ def tangled_family(max_vertices=5, max_edges=8):
     family is exhaustive for the structure theorems."""
 
     def build():
-        out = []
-        for g in multigraphs_up_to_iso(max_vertices, max_edges):
-            if g.n < 3:
-                continue
-            # a tangled graph has no balancing vertex: every vertex must be
-            # avoided by some cycle
-            cycles = g.cycles()
-            if not cycles:
-                continue
-            spans = [g.vertices_of(c.edges) for c in cycles]
-            if any(all(v in s for s in spans) for v in range(g.n)):
-                continue
-            for om in bias_sets_up_to_aut(g):
-                flag, _ = is_tangled(om)
-                if flag:
-                    out.append(om)
-        return out
+        for old in [k for k in _CACHE if k[0] == "tangled"]:
+            del _CACHE[old]
+        return [om for g in _family_graphs(max_vertices, max_edges)
+                for om in bias_sets_up_to_aut(g, lambda om: is_tangled(om)[0])]
 
     return _cached(("tangled", max_vertices, max_edges), build)

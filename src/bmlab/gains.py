@@ -193,7 +193,7 @@ def induced_bias(gg):
     balanced = set()
     for c in gg.graph.cycles():
         if cycle_gain(gg, c) == gg.group.identity:
-            balanced.add(frozenset(c.edges))
+            balanced.add(c.edges)
     return BiasedGraph(gg.graph, balanced, check=False)
 
 

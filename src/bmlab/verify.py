@@ -714,9 +714,8 @@ def claim_inequivalence_localized():
     for g in catalog.multigraphs_up_to_iso(4, 7):
         if not g.is_vertically_k_connected(2)[0]:
             continue
-        for om in catalog.bias_sets_up_to_aut(g):
-            if classify_balance(om).tag != "properly-unbalanced":
-                continue
+        for om in catalog.bias_sets_up_to_aut(
+                g, lambda om: classify_balance(om).tag == "properly-unbalanced"):
             for group in (CyclicGroup(2), CyclicGroup(3)):
                 for phi, psi in combinations(realizations(om, group), 2):
                     pairs += 1

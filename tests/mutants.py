@@ -1,0 +1,195 @@
+"""Mutants on record: each row breaks src/ in one place, and the tests it
+names must then fail.
+
+A row gives the file under src/bmlab, the exact old text (it must occur
+exactly once there, which tests/test_mutants.py checks), the replacement
+and the pytest ids that must fail.  Check every row, or only some, with
+
+    python tests/mutants.py            # every row
+    python tests/mutants.py 0 2        # rows 0 and 2
+
+from the repository root.  Each row is applied to a fresh copy of src/ in
+a temporary directory, only its named tests run against that copy, and
+the runner lists every named test that still passes: the mutant survived
+it.  The exit status is 1 when any mutant survives or a row cannot run.
+A mutant that runs away is stopped by a memory limit (its test then fails
+with MemoryError) or by a timeout, and both count as caught.  The full run
+takes minutes, so it is not part of the test suite.  A change that claims
+"a mutant fails test X" adds its row here.
+"""
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "file old new tests")
+
+MUTANTS = [
+    # the theta test lets a theta with two balanced cycles through
+    Mutant(
+        "catalog.py",
+        "if all((m & t).bit_count() != 2 for t in checks[i]):",
+        "if all((m & t).bit_count() != 3 for t in checks[i]):",
+        ["tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_small_graphs",
+         "tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_catalog_pools",
+         "tests/test_catalog.py::test_seven_dwarves"],
+    ),
+    # the sort key without popcount: masks by value, not by size
+    Mutant(
+        "catalog.py",
+        "found.sort(key=int.bit_count)",
+        "found.sort()",
+        ["tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_small_graphs",
+         "tests/test_catalog.py::test_classifiers_return_the_pairwise_iso_classes_in_order"],
+    ),
+    # unbalanced before balanced: each size's masks in reverse order
+    Mutant(
+        "catalog.py",
+        "for m in (mask | 1 << i, mask):",
+        "for m in (mask, mask | 1 << i):",
+        ["tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_small_graphs",
+         "tests/test_catalog.py::test_classifiers_return_the_pairwise_iso_classes_in_order"],
+    ),
+    # an orbit loop that never marks its images seen runs away
+    Mutant(
+        "catalog.py",
+        "                    seen.add(img)\n",
+        "",
+        ["tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle"],
+    ),
+    # a byte table that drops the generator's image of the byte's top cycle
+    Mutant(
+        "catalog.py",
+        "tables[i >> 3] += [x | bit for x in tables[i >> 3]]",
+        "tables[i >> 3] += [x | bit * (i % 8 < 7) for x in tables[i >> 3]]",
+        ["tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle"],
+    ),
+    # the tangled family keeps every bias set: is_tangled's (flag, witness)
+    # pair is always true
+    Mutant(
+        "catalog.py",
+        "bias_sets_up_to_aut(g, lambda om: is_tangled(om)[0])",
+        "bias_sets_up_to_aut(g, lambda om: is_tangled(om))",
+        ["tests/test_catalog.py::test_tangled_family_small",
+         "tests/test_catalog.py::test_tangled_family_caches_only_a_complete_build"],
+    ),
+    # every tangled family stays cached
+    Mutant(
+        "catalog.py",
+        'for old in [k for k in _CACHE if k[0] == "tangled"]:',
+        "for old in []:",
+        ["tests/test_catalog.py::test_tangled_family_caches_only_the_latest_bounds"],
+    ),
+    # inequivalence-localized also takes the almost balanced graphs
+    Mutant(
+        "verify.py",
+        'g, lambda om: classify_balance(om).tag == "properly-unbalanced"):',
+        'g, lambda om: classify_balance(om).tag != "balanced"):',
+        ["tests/test_verify.py::test_inequivalence_localized_negative_control_claim",
+         "tests/test_perfbench.py::test_benchmark_claims_report_their_recorded_counts"],
+    ),
+    # the frame step lets a link join two unbalanced components
+    Mutant(
+        "matroid.py",
+        "if frame and unbal >> a & unbal >> b & 1:",
+        "if frame and unbal >> a & unbal >> b & 0:",
+        ["tests/test_matroid.py::test_independence_step_agrees_with_rank_on_every_chain",
+         "tests/test_matroid.py::test_bases_rule_matches_the_subset_scan",
+         "tests/test_matroid.py::test_step_ranks_match_the_rank_formulas_on_every_subset"],
+    ),
+    # unrolling unbalances every loop (loopless sweeps alone let it through)
+    Mutant(
+        "bias.py",
+        "lambda c: c in omega.balanced if len(c) == 1",
+        "lambda c: False if len(c) == 1",
+        ["tests/test_bias.py::test_edits_match_their_by_hand_rebuilds"],
+    ),
+    # the bias stage tries only the first vertex isomorphism of a pair
+    Mutant(
+        "bias.py",
+        "for iso in ((perm, em) for perm in isos for em",
+        "for iso in ((perm, em) for perm in isos[:1] for em",
+        ["tests/test_bias.py::test_link_minors_recipe_for_recipe",
+         "tests/test_bias.py::test_find_link_minor_matches_parent_loop"],
+    ),
+    # the bias stage skips the balanced-image length test
+    Mutant(
+        "bias.py",
+        "if sorted(map(len, images)) != lengths:",
+        "if sorted(map(len, images)) != lengths and False:",
+        ["tests/test_bias.py::test_link_minors_builds_only_pairs_with_the_vertex_count"],
+    ),
+]
+
+TIMEOUT_S = 120
+MEMORY_LIMIT = 1 << 30  # bytes of address space for each pytest run
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _failed_ids(report):
+    """The ids of the failed test cases in a junit XML report, with the
+    parameters cut off, as "tests/test_x.py::test_name"."""
+    out = set()
+    for case in ET.parse(report).iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            module = case.get("classname").replace(".", "/") + ".py"
+            out.add(module + "::" + case.get("name").split("[")[0])
+    return out
+
+
+def run(mutant):
+    """The named tests that pass with the mutant applied: [] when it is
+    caught, or a one-line reason it could not be checked."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "bmlab" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return "old text occurs %d times in %s" % (text.count(mutant.old), mutant.file)
+        path.write_text(text.replace(mutant.old, mutant.new))
+        report = Path(tmp, "report.xml")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "--junitxml", str(report), *mutant.tests]
+        try:
+            proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S, preexec_fn=_limit_memory)
+        except subprocess.TimeoutExpired:
+            return []
+        if proc.returncode not in (0, 1):
+            return "pytest exit status %d: %s" % (proc.returncode, proc.stdout[-300:])
+        failed = _failed_ids(report)
+        return [t for t in mutant.tests if t.split("[")[0] not in failed]
+
+
+def main(argv):
+    rows = [int(a) for a in argv] or range(len(MUTANTS))
+    bad = 0
+    for i in rows:
+        mutant = MUTANTS[i]
+        result = run(mutant)
+        if result == []:
+            print("row %d caught: %s %r" % (i, mutant.file, mutant.old.strip()[:60]))
+            continue
+        bad += 1
+        if isinstance(result, str):
+            print("row %d cannot run: %s" % (i, result))
+        else:
+            print("row %d SURVIVED %s" % (i, ", ".join(result)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,8 +8,8 @@ pair by pair, projective equivalence by a pivot-basis transfer and
 diagonal equivalence, and switching-and-scaling equivalence by one
 switching decision per scalar, the biased-graph edits (Delta-Y, Y-Delta,
 roll-ups, unrolling, fat thetas, one-edge subdivision) each rebuilding its
-balanced set by hand, and a biased graph with a balanced loop and a joint
-added.
+balanced set by hand, a biased graph with a balanced loop and a joint
+added, and the edge-set view of cycle-index masks.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -17,6 +17,7 @@ that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 
 from itertools import combinations
 
+from bmlab import catalog
 from bmlab.bias import (
     ALMOST_BALANCED,
     BALANCED,
@@ -591,3 +592,15 @@ def with_loops(omega):
     g, m = omega.graph, omega.graph.m
     h = MultiGraph(g.n, g.edges + ((0, 0), (g.n - 1, g.n - 1)))
     return BiasedGraph(h, omega.balanced | {frozenset((m,))})
+
+
+def mask_edge_sets(g, mask):
+    """The cycle-index mask as a set of cycles: the frozenset of the edge
+    sets of the cycles g.cycles()[i] whose bit i is set."""
+    return frozenset(c.edges for i, c in enumerate(g.cycles()) if mask >> i & 1)
+
+
+def theta_closed_edge_sets(g):
+    """catalog.theta_closed_subsets(g) in its order, each mask as its set of
+    cycles (edge sets), the form BiasedGraph takes."""
+    return [mask_edge_sets(g, mask) for mask in catalog.theta_closed_subsets(g)]

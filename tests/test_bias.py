@@ -242,7 +242,7 @@ def test_classify_balance_matches_loop_deleted_minor_with_loops():
     rng = random.Random(0)
     for _ in range(300):
         g = verify._random_multigraph(rng, 5, 8, allow_loops=True)
-        cases.append(BiasedGraph(g, rng.choice(catalog.theta_closed_subsets(g))))
+        cases.append(BiasedGraph(g, rng.choice(oracles.theta_closed_edge_sets(g))))
     tags = Counter()
     for om in cases:
         assert classify_balance(om) == classify_balance_by_minor(om), om
@@ -441,7 +441,7 @@ def test_biased_minor_matches_one_link_at_a_time():
     graphs = [
         BiasedGraph(g, bal, check=False)
         for g in catalog.multigraphs_up_to_iso(4, 4)
-        for bal in catalog.theta_closed_subsets(g)
+        for bal in oracles.theta_closed_edge_sets(g)
     ]
     graphs += [nb.omega for nb in (catalog.u2(), catalog.u3())]  # the ones with joints
     graphs += _random_gain_graphs(1, 40)
@@ -572,7 +572,7 @@ def test_link_minor_memo_matches_the_parent_search():
 def test_link_minor_memo_holds_one_entry_per_pattern_graph():
     host = _memo_host()
     patterns = _memo_patterns()
-    for bal in catalog.theta_closed_subsets(host)[:20]:
+    for bal in oracles.theta_closed_edge_sets(host)[:20]:
         om = BiasedGraph(host, bal, check=False)
         for pat in patterns:
             list(link_minors(om, pat))
@@ -852,7 +852,7 @@ def test_edits_match_their_by_hand_rebuilds():
              + catalog.classify_tube_proper() + catalog.contracted_tubes()]
     fat = [catalog.fat_theta(parts) for parts in FAT_THETA_PARTS[1:-1]]
     omegas = [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
-              for bal in catalog.theta_closed_subsets(g)]
+              for bal in oracles.theta_closed_edge_sets(g)]
     omegas += named + [oracles.with_loops(om) for om in named] + fat
     built = Counter()
 

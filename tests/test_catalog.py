@@ -19,6 +19,7 @@ from bmlab.bias import (
 from bmlab.errors import BadGlue, BmlabError, BoundExceeded
 from bmlab.graph import MultiGraph, edge_bijections, graph_isomorphisms
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
+from oracles import mask_edge_sets, theta_closed_edge_sets
 
 
 def test_seven_dwarves():
@@ -184,6 +185,12 @@ def test_tangled_family_caches_only_a_complete_build(monkeypatch):
         assert len(catalog.tangled_family(4, 6)) == 10
     finally:
         catalog._CACHE.pop(key, None)
+
+
+def test_tangled_family_caches_only_the_latest_bounds():
+    for bounds in [(3, 6), (4, 6), (3, 6)]:
+        catalog.tangled_family(*bounds)
+    assert [k for k in catalog._CACHE if k[0] == "tangled"] == [("tangled", 3, 6)]
 
 
 def test_multigraph_generation_counts():
@@ -360,20 +367,21 @@ def test_multigraph_key_is_a_relabeling_invariant():
 
 
 def _theta_closed_subsets_oracle(g, candidate_cycles=None):
-    """Brute force: every subset of the pool (default: every cycle), by
-    size then index tuple, kept when no theta has exactly two of its cycles
-    in it."""
+    """Brute force: every subset of the pool (default: every cycle) as a
+    cycle-index mask, by size then index tuple in pool order, kept when no
+    theta has exactly two of its cycles in it."""
+    index = {c.edges: i for i, c in enumerate(g.cycles())}
     if candidate_cycles is None:
-        pool = [frozenset(c.edges) for c in g.cycles()]
+        pool = [1 << i for i in index.values()]
     else:
-        pool = [frozenset(c) for c in candidate_cycles]
-    thetas = [inside for _, inside in theta_subgraphs(g)]
+        pool = [1 << index[frozenset(c)] for c in candidate_cycles]
+    thetas = [sum(1 << index[c] for c in inside) for _, inside in theta_subgraphs(g)]
     out = []
     for k in range(len(pool) + 1):
         for combo in combinations(pool, k):
-            bal = frozenset(combo)
-            if all(sum(1 for c in inside if c in bal) != 2 for inside in thetas):
-                out.append(bal)
+            mask = sum(combo)
+            if all((mask & t).bit_count() != 2 for t in thetas):
+                out.append(mask)
     return out
 
 
@@ -413,7 +421,8 @@ def test_classifiers_return_the_pairwise_iso_classes_in_order(classify, g, lengt
     (the tube); they now take the orbits of bias_sets_up_to_aut, with no
     balanced 2-cycle for 2C_3 and the tube."""
     pool = None if length is None else [c.edges for c in g.cycles() if len(c) == length]
-    want = [om.balanced for om in _iso_classes(g, _theta_closed_subsets_oracle(g, pool))]
+    sets = [mask_edge_sets(g, m) for m in _theta_closed_subsets_oracle(g, pool)]
+    want = [om.balanced for om in _iso_classes(g, sets)]
     predicate = None if length is None else catalog._no_balanced_2_cycle
     got = [om.balanced for om in catalog.bias_sets_up_to_aut(g, predicate)]
     assert got == want
@@ -435,7 +444,7 @@ def _bias_sets_up_to_aut_oracle(g):
     auts = graph_automorphism_maps(g)
     reps = []
     seen = set()
-    for bal in catalog.theta_closed_subsets(g):
+    for bal in theta_closed_edge_sets(g):
         if bal in seen:
             continue
         seen |= {frozenset(frozenset(emap[e] for e in c) for c in bal) for _, emap in auts}
@@ -450,7 +459,9 @@ _PARALLEL_GRAPHS = [MultiGraph(2, [(0, 1)] * k) for k in range(1, 7)] + [
 
 
 def test_bias_sets_up_to_aut_matches_every_automorphism_oracle():
-    graphs = catalog.multigraphs_up_to_iso(4, 7) + _PARALLEL_GRAPHS
+    family_graphs = list(catalog._family_graphs(5, 8))
+    assert len(family_graphs) == 122
+    graphs = catalog.multigraphs_up_to_iso(4, 7) + _PARALLEL_GRAPHS + family_graphs
     for g in graphs:
         got = catalog.bias_sets_up_to_aut(g)
         assert all(om.graph is g for om in got)

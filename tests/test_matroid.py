@@ -33,6 +33,7 @@ from oracles import (
     joint_extension,
     matroids_equal_by_bases,
     matroids_equal_on_all_subsets,
+    theta_closed_edge_sets,
     with_loops,
 )
 
@@ -432,7 +433,7 @@ def _same_as_by_bases(pairs):
 def _small_biased_graphs():
     """Every theta-closed bias set on every graph of multigraphs_up_to_iso(3, 5)."""
     for g in catalog.multigraphs_up_to_iso(3, 5):
-        yield g, [BiasedGraph(g, bal, check=False) for bal in catalog.theta_closed_subsets(g)]
+        yield g, [BiasedGraph(g, bal, check=False) for bal in theta_closed_edge_sets(g)]
 
 
 def test_walk_matches_bases_oracle_on_every_small_biased_graph():
@@ -549,7 +550,7 @@ def test_step_ranks_match_the_rank_formulas_on_every_subset():
     small = [om for _, oms in _small_biased_graphs() for om in oms]
     named = [nb.omega for nb in catalog.base_graphs() + catalog.contracted_tubes()]
     omegas = small + [BiasedGraph(g, bal, check=False) for g in catalog.multigraphs_up_to_iso(4, 6)
-                      for bal in catalog.theta_closed_subsets(g)] + named
+                      for bal in theta_closed_edge_sets(g)] + named
     # none of these graphs has a loop of its own: the (3, 5) and named ones
     # are swept again with a balanced loop and a joint added
     omegas += [with_loops(om) for om in small + named]
