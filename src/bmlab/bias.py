@@ -296,12 +296,16 @@ def link_minors(omega, pattern):
     has no biased isomorphism; otherwise iso is the first vertex
     isomorphism and edge bijection, in order, that carries the images onto
     the pattern's balanced set.  So the recipes are those of building
-    every pair's biased minor and searching its biased isomorphisms."""
+    every pair's biased minor and searching its biased isomorphisms.  A
+    host larger than LINK_MINOR_BOUND raises BoundExceeded at the first
+    step."""
+    g = omega.graph
+    if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:
+        raise BoundExceeded("link-minor search bound exceeded")
     h = pattern.graph
     if len(h.vertices_of(range(h.m))) != h.n:
         raise ValueError("link-minor pattern has an isolated vertex")
     lengths = sorted(map(len, pattern.balanced))
-    g = omega.graph
     for K, D, minor, isos in g.link_minor_pairs(h):
         emap = {e: i for i, e in enumerate(e for e in range(g.m) if e not in K and e not in D)}
         images = list(_images(omega, K, emap, minor))
@@ -579,12 +583,7 @@ def biased_isomorphic(om1, om2):
 
 
 def find_link_minor(omega, pattern):
-    """The first recipe of link_minors, or None.  Contractions range over
-    forests of links (the acyclic-contraction normal form); a host larger
-    than LINK_MINOR_BOUND raises BoundExceeded."""
-    g = omega.graph
-    if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:
-        raise BoundExceeded("link-minor search bound exceeded")
+    """The first recipe of link_minors, or None."""
     return next(link_minors(omega, pattern), None)
 
 

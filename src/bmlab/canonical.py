@@ -156,85 +156,34 @@ def gain_classes(kind, ggs):
 
 # -- matrix-level Delta-Y ------------------------------------------------------
 
-def _std_basis_completion(f, vectors, n):
-    """Deterministically extend independent column vectors to a basis of
-    F^n using standard basis vectors; returns the n x n matrix."""
-    cols = [list(v) for v in vectors]
-    for i in range(n):
-        e_i = [f.one if k == i else f.zero for k in range(n)]
-        if rank_of_columns(f, cols + [e_i]) > len(cols):
-            cols.append(e_i)
-        if len(cols) == n:
-            break
-    if len(cols) != n:
-        raise ValueError("could not complete basis")
-    return FieldMatrix(f, [[cols[j][i] for j in range(n)] for i in range(n)])
-
-
 def delta_y_matrix(A, triangle_cols):
-    """Delta-Y exchange on three columns forming a triangle of M(A).
+    """Delta-Y exchange on three columns a, b, c forming a triangle of M(A).
 
-    A is first brought by a recorded row transform to the I(K_4) triangle
-    template on those columns, a new row w1 is appended (the others are
-    relabelled d1..dn), and the columns are replaced by the star template
-    (each new column avoids the rows of its matching triangle column).
-    Returns the new matrix.
+    With c = alpha a + beta b, the generalized parallel connection of M(A)
+    and M(K_4) along the triangle, less the triangle (Oxley, Semple and
+    Vertigan, Generalized Delta-Y exchange and k-regular matroids, JCTB 79,
+    2000), is represented by A with a zero row w1 appended (the others are
+    relabelled d1..dn) and a, b, c replaced by the star columns
+    (beta b; 1), (-alpha a; 1) and (0; 1): each star column is the K_4 edge
+    opposite its triangle column.  Returns the new matrix.
     """
     f = A.field
-    if A.nrows == 2:  # a triangle spans a plane, the template needs 3 rows
-        A = FieldMatrix(f, A.rows + ((f.zero,) * A.ncols,), None, A.col_labels)
-    idx = [A.col_labels.index(c) for c in triangle_cols]
-    if len(idx) != 3:
+    if len(triangle_cols) != 3:
         raise NotTriangle("need three column labels")
-    cols = [A.column(j) for j in idx]
-    if rank_of_columns(f, cols) != 2 or any(
-        rank_of_columns(f, [c]) != 1 for c in cols
-    ) or rank_of_columns(f, cols[:2]) != 2:
+    idx = [A.col_labels.index(c) for c in triangle_cols]
+    R, _, piv = rref(FieldMatrix(f, [[row[j] for j in idx] for row in A.rows]))
+    if piv != (0, 1) or f.zero in (R.rows[0][2], R.rows[1][2]):
         raise NotTriangle("columns do not form a triangle")
-    u, v = cols[0], cols[1]
-    # express cols[2] = alpha*u + beta*v
-    aug = FieldMatrix(f, [list(u), list(v), list(cols[2])]).transpose()
-    R, E, piv = rref(aug)
-    if piv != (0, 1):
-        raise NotTriangle("third column not spanned by the first two")
-    alpha = R.rows[0][2]
-    beta = R.rows[1][2]
-    if alpha == f.zero or beta == f.zero:
-        raise NotTriangle("a pair of the columns is parallel")
-    n = A.nrows
-    # E0 maps u -> e1 - e2 and v -> (-alpha/beta)(e1 - e3)
-    base = _std_basis_completion(f, [u, v], n)
-    t1 = [f.zero] * n
-    t1[0] = f.one
-    t1[1] = f.neg(f.one)
-    t2 = [f.zero] * n
-    coef = f.neg(f.div(alpha, beta))
-    t2[0] = coef
-    t2[2] = f.neg(coef)
-    Tmat = _std_basis_completion(f, [t1, t2], n)
-    E0 = Tmat.mul(invert(base))
-    invert(E0)  # must be a genuine row transform
-    EA = E0.mul(FieldMatrix(f, A.rows))
-    new_rows = [list(r) + [] for r in EA.rows] + [[f.zero] * A.ncols]
-    nr = n + 1
-    # star columns: triangle col on rows {1,2} -> star col rows {3, new};
-    # rows {1,3} -> {2, new}; rows {2,3} -> {1, new}
-    star = {
-        idx[0]: (2, nr - 1),
-        idx[1]: (1, nr - 1),
-        idx[2]: (0, nr - 1),
-    }
-    for j, (rp, rn) in star.items():
-        for i in range(nr):
-            new_rows[i][j] = f.zero
-        new_rows[rp][j] = f.one
-        new_rows[rn][j] = f.neg(f.one)
-    return FieldMatrix(
-        f,
-        new_rows,
-        ["d%d" % (i + 1) for i in range(n)] + ["w1"],
-        A.col_labels,
-    )
+    alpha, beta = R.rows[0][2], R.rows[1][2]
+    a, b = A.column(idx[0]), A.column(idx[1])
+    star = {idx[0]: [f.mul(beta, x) for x in b],
+            idx[1]: [f.neg(f.mul(alpha, x)) for x in a],
+            idx[2]: [f.zero] * A.nrows}
+    rows = [[star[j][i] if j in star else x for j, x in enumerate(row)]
+            for i, row in enumerate(A.rows)]
+    rows.append([f.one if j in star else f.zero for j in range(A.ncols)])
+    return FieldMatrix(f, rows, ["d%d" % (i + 1) for i in range(A.nrows)] + ["w1"],
+                       A.col_labels)
 
 
 def y_delta_matrix(A, triad_cols):

@@ -195,7 +195,9 @@ class MultiGraph:
     def link_forests(self, max_size=None):
         """All forests of links (acyclic edge sets, the empty one included)
         with at most max_size edges, as frozensets, in lexicographic order
-        of their sorted edge ids."""
+        of their sorted edge ids.  A negative max_size gives none."""
+        if max_size is not None and max_size < 0:
+            return []
         out = []
 
         def grow(forest, comp, start):
@@ -523,13 +525,16 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     from each other and from branch vertices.  Vertex maps are tried in
     lexicographic order of their images of the pattern vertices taken by
     decreasing degree (`pverts`), and pattern edges are placed in
-    increasing id order.  If given, `accept(e, edge_paths)` is called as
-    soon as the path of pattern edge e is placed (`edge_paths` maps every
-    placed pattern edge to its host path); when it returns False, no
-    embedding extending that placement is generated.  `automorphisms` are
-    vertex permutations of the pattern (perm[v] is the image of v): a
-    complete vertex map phi is dropped when some phi o perm is
-    lexicographically smaller, so one map per orbit is tried.  A host
+    increasing id order, each on the host paths that one generator grows
+    depth first along the links of each vertex in `incident_edges` order,
+    avoiding used edges and blocked vertices (the branch images and the
+    internal vertices of placed paths).  If given, `accept(e, edge_paths)`
+    is called as soon as the path of pattern edge e is placed (`edge_paths`
+    maps every placed pattern edge to its host path); when it returns
+    False, no embedding extending that placement is generated.
+    `automorphisms` are vertex permutations of the pattern (perm[v] is the
+    image of v): a complete vertex map phi is dropped when some phi o perm
+    is lexicographically smaller, so one map per orbit is tried.  A host
     larger than SUBDIVISION_BOUND raises BoundExceeded.
     """
     if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
@@ -541,80 +546,48 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     host_degree = [host.degree(v) for v in range(host.n)]
     pattern_degree = [pattern.degree(v) for v in range(pattern.n)]
     pverts = sorted(range(pattern.n), key=lambda v: -pattern_degree[v])
-    pedges = sorted(range(pattern.m))
     # each automorphism as the pattern vertices whose images, in pverts
     # order, make up the key of phi o perm
     moved = [[perm[v] for v in pverts] for perm in automorphisms]
+    links = [[(e, host.other_end(e, v)) for e in host.incident_edges(v) if not host.is_loop(e)]
+             for v in range(host.n)]
 
-    def least_in_orbit(vmap):
-        for images in moved:
-            for v, w in zip(pverts, images):
-                if vmap[w] != vmap[v]:
-                    if vmap[w] < vmap[v]:
-                        return False
-                    break
-        return True
+    def host_paths(v, end, path, used, blocked):
+        # the paths from v to end on unused edges through unblocked
+        # vertices, each with blocked grown by its internal vertices
+        for he, w in links[v]:
+            if he in used:
+                continue
+            if w == end:
+                yield path + (he,), blocked
+            elif w not in blocked:
+                yield from host_paths(w, end, path + (he,), used, blocked | {w})
 
-    def assign_edges(idx, vmap, used_edges, used_internal):
-        if idx == len(pedges):
-            yield Embedding(vmap, dict(current_paths))
+    edge_paths = {}
+
+    def assign_edges(e, vmap, used, blocked):
+        if e == pattern.m:
+            yield Embedding(vmap, edge_paths)
             return
-        e = pedges[idx]
         a, b = pattern.endpoints(e)
-        fa, fb = vmap[a], vmap[b]
-        branch_images = set(vmap.values())
-
-        def paths(current, visited, edges_used_path):
-            if current == fb and edges_used_path:
-                yield tuple(edges_used_path)
-                return
-            for he in host.incident_edges(current):
-                if he in used_edges or he in edges_used_path or host.is_loop(he):
-                    continue
-                w = host.other_end(he, current)
-                if w == fb:
-                    yield from paths_step(w, visited, edges_used_path, he)
-                    continue
-                if w in visited or w in branch_images or w in used_internal:
-                    continue
-                yield from paths_step(w, visited | {w}, edges_used_path, he)
-
-        def paths_step(w, visited, edges_used_path, he):
-            edges_used_path = edges_used_path + [he]
-            if w == fb:
-                yield tuple(edges_used_path)
-            else:
-                yield from paths(w, visited, edges_used_path)
-
-        for path in paths(fa, {fa}, []):
-            internal = set()
-            cur = fa
-            for he in path[:-1]:
-                cur = host.other_end(he, cur)
-                internal.add(cur)
-            current_paths[e] = path
-            if accept is None or accept(e, current_paths):
-                yield from assign_edges(
-                    idx + 1, vmap, used_edges | set(path), used_internal | internal
-                )
-            del current_paths[e]
-
-    current_paths = {}
+        for path, inner in host_paths(vmap[a], vmap[b], (), used, blocked):
+            edge_paths[e] = path
+            if accept is None or accept(e, edge_paths):
+                yield from assign_edges(e + 1, vmap, used.union(path), inner)
+            del edge_paths[e]
 
     def assign_vertices(i, vmap, used):
         if i == len(pverts):
-            if least_in_orbit(vmap):
-                yield from assign_edges(0, vmap, frozenset(), frozenset())
+            key = [vmap[v] for v in pverts]
+            if all([vmap[w] for w in images] >= key for images in moved):
+                yield from assign_edges(0, vmap, frozenset(), used)
             return
         pv = pverts[i]
         for hv in range(host.n):
-            if hv in used:
-                continue
-            if host_degree[hv] < pattern_degree[pv]:
-                continue
-            vmap[pv] = hv
-            yield from assign_vertices(i + 1, vmap, used | {hv})
-            del vmap[pv]
+            if hv not in used and host_degree[hv] >= pattern_degree[pv]:
+                vmap[pv] = hv
+                yield from assign_vertices(i + 1, vmap, used | {hv})
+                del vmap[pv]
 
     yield from assign_vertices(0, {}, frozenset())
 

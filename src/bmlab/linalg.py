@@ -98,14 +98,6 @@ class FieldMatrix:
             out.append(row)
         return FieldMatrix(f, out, self.row_labels, other.col_labels)
 
-    def transpose(self):
-        return FieldMatrix(
-            self.field,
-            [list(col) for col in zip(*self.rows)] if self.rows else [],
-            self.col_labels,
-            self.row_labels,
-        )
-
     def is_zero(self):
         z = self.field.zero
         return all(x == z for r in self.rows for x in r)

@@ -127,6 +127,43 @@ MUTANTS = [
         "if sorted(map(len, images)) != lengths and False:",
         ["tests/test_bias.py::test_link_minors_builds_only_pairs_with_the_vertex_count"],
     ),
+    # Delta-Y glues the first two star columns onto each other's edges
+    Mutant(
+        "canonical.py",
+        "star = {idx[0]: [f.mul(beta, x) for x in b],\n            idx[1]:",
+        "star = {idx[1]: [f.mul(beta, x) for x in b],\n            idx[0]:",
+        ["tests/test_canonical.py::test_delta_y_matrix_matches_the_template_construction",
+         "tests/test_canonical.py::test_y_delta_matrix_matches_the_direct_construction"],
+    ),
+    # Delta-Y with -alpha replaced by alpha (the same in characteristic 2)
+    Mutant(
+        "canonical.py",
+        "idx[1]: [f.neg(f.mul(alpha, x)) for x in a],",
+        "idx[1]: [f.mul(alpha, x) for x in a],",
+        ["tests/test_canonical.py::test_delta_y_matrix_matches_the_template_construction",
+         "tests/test_canonical.py::test_y_delta_matrix_matches_the_direct_construction"],
+    ),
+    # host paths may pass through branch vertices: they start unblocked
+    Mutant(
+        "graph.py",
+        "yield from assign_edges(0, vmap, frozenset(), used)",
+        "yield from assign_edges(0, vmap, frozenset(), frozenset())",
+        ["tests/test_bias.py::test_iter_subdivisions_matches_the_two_generator_search"],
+    ),
+    # a placed path's edges stay free for the later paths
+    Mutant(
+        "graph.py",
+        "yield from assign_edges(e + 1, vmap, used.union(path), inner)",
+        "yield from assign_edges(e + 1, vmap, used, inner)",
+        ["tests/test_bias.py::test_iter_subdivisions_matches_the_two_generator_search"],
+    ),
+    # link_minors searches hosts above its bound
+    Mutant(
+        "bias.py",
+        "if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:",
+        "if False:",
+        ["tests/test_bias.py::test_link_minors_checks_its_bound_at_the_first_step"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -1,15 +1,18 @@
 """Reference routines that several test modules share: matroid equality on
 all subsets and on bases one r-subset at a time, the frame and lift rank
 formulas, matroid minors, the joint extension G_0, the graphic matroid,
-edge-set components, vector rank by elimination,
-projective-witness parsing, a biased graph with its isolated vertices
-dropped, balance classification on the loop-deleted minor, switching classes on contracted gain graphs, GF(q) tables built
-pair by pair, projective equivalence by a pivot-basis transfer and
-diagonal equivalence, and switching-and-scaling equivalence by one
-switching decision per scalar, the biased-graph edits (Delta-Y, Y-Delta,
-roll-ups, unrolling, fat thetas, one-edge subdivision) each rebuilding its
-balanced set by hand, a biased graph with a balanced loop and a joint
-added, and the edge-set view of cycle-index masks.
+edge-set components, vector rank by elimination, projective-witness
+parsing, a biased graph with its isolated vertices dropped, balance
+classification on the loop-deleted minor, switching classes on contracted
+gain graphs, GF(q) tables built pair by pair, projective equivalence by a
+pivot-basis transfer and diagonal equivalence, and switching-and-scaling
+equivalence by one switching decision per scalar, the biased-graph edits
+(Delta-Y, Y-Delta, roll-ups, unrolling, fat thetas, one-edge subdivision)
+each rebuilding its balanced set by hand, a biased graph with a balanced
+loop and a joint added, the edge-set view of cycle-index masks, and two
+constructions that simpler routines replaced: the Delta-Y matrix exchange
+through the I(K_4) template with its basis completion, and the subdivision
+search with two path generators.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -32,11 +35,13 @@ from bmlab.bias import (
 )
 from bmlab.errors import (
     BadGlue,
+    BoundExceeded,
     GraphMismatch,
     GroundSetMismatch,
     GroupMismatch,
     NotBalancedTriangle,
     NotTriad,
+    NotTriangle,
     ParseError,
     StructureMissing,
 )
@@ -50,7 +55,7 @@ from bmlab.fields import (
 )
 from bmlab.formats import parse_matrix
 from bmlab.gains import induced_gain, normalize, switching_equivalent
-from bmlab.graph import MultiGraph, find
+from bmlab.graph import SUBDIVISION_BOUND, Embedding, MultiGraph, find
 from bmlab.linalg import (
     FieldMatrix,
     ProjWitness,
@@ -604,3 +609,178 @@ def theta_closed_edge_sets(g):
     """catalog.theta_closed_subsets(g) in its order, each mask as its set of
     cycles (edge sets), the form BiasedGraph takes."""
     return [mask_edge_sets(g, mask) for mask in catalog.theta_closed_subsets(g)]
+
+
+# -- the constructions the simpler routines replaced ----------------------------
+
+def std_basis_completion(f, vectors, n):
+    """Deterministically extend independent column vectors to a basis of
+    F^n using standard basis vectors; returns the n x n matrix."""
+    cols = [list(v) for v in vectors]
+    for i in range(n):
+        e_i = [f.one if k == i else f.zero for k in range(n)]
+        if rank_of_columns(f, cols + [e_i]) > len(cols):
+            cols.append(e_i)
+        if len(cols) == n:
+            break
+    if len(cols) != n:
+        raise ValueError("could not complete basis")
+    return FieldMatrix(f, [[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def delta_y_matrix_by_template(A, triangle_cols):
+    """The reference for canonical.delta_y_matrix, the Delta-Y exchange on
+    three columns forming a triangle of M(A).
+
+    A is first brought by a recorded row transform to the I(K_4) triangle
+    template on those columns, a new row w1 is appended (the others are
+    relabelled d1..dn), and the columns are replaced by the star template
+    (each new column avoids the rows of its matching triangle column).
+    Returns the new matrix.
+    """
+    f = A.field
+    if A.nrows == 2:  # a triangle spans a plane, the template needs 3 rows
+        A = FieldMatrix(f, A.rows + ((f.zero,) * A.ncols,), None, A.col_labels)
+    idx = [A.col_labels.index(c) for c in triangle_cols]
+    if len(idx) != 3:
+        raise NotTriangle("need three column labels")
+    cols = [A.column(j) for j in idx]
+    if rank_of_columns(f, cols) != 2 or any(
+        rank_of_columns(f, [c]) != 1 for c in cols
+    ) or rank_of_columns(f, cols[:2]) != 2:
+        raise NotTriangle("columns do not form a triangle")
+    u, v = cols[0], cols[1]
+    # express cols[2] = alpha*u + beta*v
+    aug = FieldMatrix(f, list(zip(u, v, cols[2])))
+    R, E, piv = rref(aug)
+    if piv != (0, 1):
+        raise NotTriangle("third column not spanned by the first two")
+    alpha = R.rows[0][2]
+    beta = R.rows[1][2]
+    if alpha == f.zero or beta == f.zero:
+        raise NotTriangle("a pair of the columns is parallel")
+    n = A.nrows
+    # E0 maps u -> e1 - e2 and v -> (-alpha/beta)(e1 - e3)
+    base = std_basis_completion(f, [u, v], n)
+    t1 = [f.zero] * n
+    t1[0] = f.one
+    t1[1] = f.neg(f.one)
+    t2 = [f.zero] * n
+    coef = f.neg(f.div(alpha, beta))
+    t2[0] = coef
+    t2[2] = f.neg(coef)
+    Tmat = std_basis_completion(f, [t1, t2], n)
+    E0 = Tmat.mul(invert(base))
+    invert(E0)  # must be a genuine row transform
+    EA = E0.mul(FieldMatrix(f, A.rows))
+    new_rows = [list(r) + [] for r in EA.rows] + [[f.zero] * A.ncols]
+    nr = n + 1
+    # star columns: triangle col on rows {1,2} -> star col rows {3, new};
+    # rows {1,3} -> {2, new}; rows {2,3} -> {1, new}
+    star = {
+        idx[0]: (2, nr - 1),
+        idx[1]: (1, nr - 1),
+        idx[2]: (0, nr - 1),
+    }
+    for j, (rp, rn) in star.items():
+        for i in range(nr):
+            new_rows[i][j] = f.zero
+        new_rows[rp][j] = f.one
+        new_rows[rn][j] = f.neg(f.one)
+    return FieldMatrix(
+        f,
+        new_rows,
+        ["d%d" % (i + 1) for i in range(n)] + ["w1"],
+        A.col_labels,
+    )
+
+
+def iter_subdivisions_two_step(host, pattern, accept=None, automorphisms=()):
+    """The reference for graph.iter_subdivisions: the same search, whose
+    host paths grow through two mutually recursive generators and whose
+    blocked vertices are gathered again at every placement."""
+    if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
+        raise BoundExceeded("subdivision host exceeds bound")
+    if any(pattern.is_loop(e) for e in range(pattern.m)):
+        raise ValueError("loop patterns are not supported")
+    if pattern.m > host.m or pattern.n > host.n:
+        return
+    host_degree = [host.degree(v) for v in range(host.n)]
+    pattern_degree = [pattern.degree(v) for v in range(pattern.n)]
+    pverts = sorted(range(pattern.n), key=lambda v: -pattern_degree[v])
+    pedges = sorted(range(pattern.m))
+    # each automorphism as the pattern vertices whose images, in pverts
+    # order, make up the key of phi o perm
+    moved = [[perm[v] for v in pverts] for perm in automorphisms]
+
+    def least_in_orbit(vmap):
+        for images in moved:
+            for v, w in zip(pverts, images):
+                if vmap[w] != vmap[v]:
+                    if vmap[w] < vmap[v]:
+                        return False
+                    break
+        return True
+
+    def assign_edges(idx, vmap, used_edges, used_internal):
+        if idx == len(pedges):
+            yield Embedding(vmap, dict(current_paths))
+            return
+        e = pedges[idx]
+        a, b = pattern.endpoints(e)
+        fa, fb = vmap[a], vmap[b]
+        branch_images = set(vmap.values())
+
+        def paths(current, visited, edges_used_path):
+            if current == fb and edges_used_path:
+                yield tuple(edges_used_path)
+                return
+            for he in host.incident_edges(current):
+                if he in used_edges or he in edges_used_path or host.is_loop(he):
+                    continue
+                w = host.other_end(he, current)
+                if w == fb:
+                    yield from paths_step(w, visited, edges_used_path, he)
+                    continue
+                if w in visited or w in branch_images or w in used_internal:
+                    continue
+                yield from paths_step(w, visited | {w}, edges_used_path, he)
+
+        def paths_step(w, visited, edges_used_path, he):
+            edges_used_path = edges_used_path + [he]
+            if w == fb:
+                yield tuple(edges_used_path)
+            else:
+                yield from paths(w, visited, edges_used_path)
+
+        for path in paths(fa, {fa}, []):
+            internal = set()
+            cur = fa
+            for he in path[:-1]:
+                cur = host.other_end(he, cur)
+                internal.add(cur)
+            current_paths[e] = path
+            if accept is None or accept(e, current_paths):
+                yield from assign_edges(
+                    idx + 1, vmap, used_edges | set(path), used_internal | internal
+                )
+            del current_paths[e]
+
+    current_paths = {}
+
+    def assign_vertices(i, vmap, used):
+        if i == len(pverts):
+            if least_in_orbit(vmap):
+                yield from assign_edges(0, vmap, frozenset(), frozenset())
+            return
+        pv = pverts[i]
+        for hv in range(host.n):
+            if hv in used:
+                continue
+            if host_degree[hv] < pattern_degree[pv]:
+                continue
+            vmap[pv] = hv
+            yield from assign_vertices(i + 1, vmap, used | {hv})
+            del vmap[pv]
+
+    yield from assign_vertices(0, {}, frozenset())

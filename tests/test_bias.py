@@ -30,7 +30,13 @@ from bmlab.bias import (
     unroll,
     y_delta,
 )
-from bmlab.errors import BmlabError, NotACycle, NotBalancedTriangle, ThetaViolation
+from bmlab.errors import (
+    BmlabError,
+    BoundExceeded,
+    NotACycle,
+    NotBalancedTriangle,
+    ThetaViolation,
+)
 from bmlab.gains import CyclicGroup, GainGraph, induced_bias
 from bmlab.graph import MultiGraph, graph_isomorphisms, iter_subdivisions
 from bmlab.matroid import extend_with_joint, frame_matroid, matroids_equal
@@ -660,6 +666,20 @@ def test_link_minors_rejects_a_pattern_with_an_isolated_vertex():
         find_link_minor(host, pattern)
 
 
+def test_link_minors_checks_its_bound_at_the_first_step():
+    # above LINK_MINOR_BOUND in vertices (a cycle of 11) and in edges (a
+    # path of 2 links with 19 loops), both searches small enough to finish
+    k4 = catalog.base_graphs()[0].omega
+    for g in (MultiGraph(11, [(v, (v + 1) % 11) for v in range(11)]),
+              MultiGraph(3, [(0, 1), (1, 2)] + [(0, 0)] * 19)):
+        assert g.n > bias.LINK_MINOR_BOUND[0] or g.m > bias.LINK_MINOR_BOUND[1]
+        recipes = link_minors(BiasedGraph(g, []), k4)
+        with pytest.raises(BoundExceeded):
+            next(recipes)
+        with pytest.raises(BoundExceeded):
+            find_link_minor(BiasedGraph(g, []), k4)
+
+
 def test_find_link_minor_matches_parent_loop():
     targets = [nb.omega for nb in verify._tangled_targets()]
     found = 0
@@ -1020,6 +1040,42 @@ def test_iter_subdivisions_prunes_rejected_placements():
         emb.edge_paths for emb in every if emb.edge_paths[0] != (0,)]
     assert 0 < len(kept) < len(every)
     assert set(placed) == set(range(b0.m))
+
+
+def _closing_bias_test(omega, pattern):
+    """An accept for iter_subdivisions that rejects a placement closing a
+    pattern cycle onto a host cycle of the other bias."""
+    closing = {}
+    for c in pattern.graph.cycles():
+        closing.setdefault(max(c.edges), []).append((c.edges, c.edges in pattern.balanced))
+
+    def accept(e, edge_paths):
+        return all((frozenset(x for f in edges for x in edge_paths[f]) in omega.balanced) == bal
+                   for edges, bal in closing.get(e, ()))
+    return accept
+
+
+def test_iter_subdivisions_matches_the_two_generator_search():
+    # full embedding sequences, vertex maps and paths in order, with and
+    # without pruning and symmetry breaking
+    hosts = list(catalog.tangled_family(4, 7)) + [nb.omega for nb in catalog.base_graphs()]
+    patterns = [nb.omega for nb in verify._subdivision_patterns()]
+    assert len(patterns) == 16
+    seen = Counter()
+    for pattern in patterns:
+        auts = tuple({perm for perm, _ in biased_isomorphisms(pattern, pattern)})
+        for om in hosts:
+            for accept, automorphisms in product((None, _closing_bias_test(om, pattern)),
+                                                 ((), auts)):
+                args = (om.graph, pattern.graph, accept, automorphisms)
+                got = [(list(emb.vertex_map.items()), list(emb.edge_paths.items()))
+                       for emb in iter_subdivisions(*args)]
+                want = [(list(emb.vertex_map.items()), list(emb.edge_paths.items()))
+                        for emb in oracles.iter_subdivisions_two_step(*args)]
+                assert got == want
+                seen[accept is None, automorphisms == ()] += len(got)
+    assert len(hosts) == 73 and sum(seen.values()) == 35192
+    assert seen[True, True] > max(seen[True, False], seen[False, True]) > seen[False, False] > 0
 
 
 def test_fat_theta_shape():

@@ -73,7 +73,14 @@ from bmlab.matroid import (
     uniform_matroid,
 )
 from bmlab.verify import run_claim
-from oracles import contract, drop_isolated, graphic_matroid, matroids_equal_on_all_subsets
+from oracles import (
+    contract,
+    delta_y_matrix_by_template,
+    drop_isolated,
+    graphic_matroid,
+    matroids_equal_on_all_subsets,
+    std_basis_completion,
+)
 
 
 def _pow(f, a, n):
@@ -490,7 +497,7 @@ def _parent_y_delta_matrix(A, triad_cols):
     t3 = [f.zero] * n
     t3[2] = f.one
     t3[0] = f.neg(f.one)
-    Tmat = canonical._std_basis_completion(f, [t1, t2, t3], n)
+    Tmat = std_basis_completion(f, [t1, t2, t3], n)
     E0 = Tmat.mul(invert(base))
     invert(E0)  # must be a genuine row transform
     EA = E0.mul(FieldMatrix(f, A.rows))
@@ -552,6 +559,26 @@ def test_y_delta_matrix_matches_the_direct_construction():
     assert outcomes == {"equivalent": 393, "no triad": 1741, "direct construction failed": 21}
 
 
+def test_delta_y_matrix_matches_the_template_construction():
+    # every 3-column subset: the gluing formula and the I(K_4) template
+    # agree up to projective equivalence, and reject the same subsets
+    outcomes = Counter()
+    for A in _exchange_matrices((3, 4)):
+        for triangle in map(list, combinations(A.col_labels, 3)):
+            try:
+                want = delta_y_matrix_by_template(A, triangle)
+            except NotTriangle:
+                with pytest.raises(NotTriangle):
+                    delta_y_matrix(A, triangle)
+                outcomes["no triangle"] += 1
+                continue
+            got = delta_y_matrix(A, triangle)
+            assert got.row_labels == tuple("d%d" % (i + 1) for i in range(A.nrows)) + ("w1",)
+            assert projectively_equivalent(want, got) is not None, (A.rows, triangle)
+            outcomes["equivalent"] += 1
+    assert outcomes == {"equivalent": 122, "no triangle": 2033}
+
+
 def test_y_delta_matrix_on_a_triad_of_a_three_row_matrix():
     # the direct construction put the centre at row 3, where the triad's
     # targets e1 - e3 and e3 - e1 are parallel: a singular target basis
@@ -611,7 +638,7 @@ def test_std_basis_completion_matches_the_parent_target_loops():
             for coef in f.nonzero:
                 t1 = [one, neg] + [f.zero] * (n - 2)
                 t2 = [coef, f.zero, f.neg(coef)] + [f.zero] * (n - 3)
-                got = canonical._std_basis_completion(f, [t1, t2], n)
+                got = std_basis_completion(f, [t1, t2], n)
                 assert [list(r) for r in got.rows] == _parent_target_basis(f, [t1, t2], n)
                 compared += 1
     assert compared == 40

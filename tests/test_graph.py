@@ -170,7 +170,7 @@ def _acyclic_link_subsets(g):
 def test_link_forests_brute_force(g):
     forests = _acyclic_link_subsets(g)
     assert g.link_forests() == forests
-    for k in range(g.n):
+    for k in range(-1, g.n):
         assert g.link_forests(k) == [F for F in forests if len(F) <= k]
 
 
