@@ -85,7 +85,7 @@ def check_theta_property(g, balanced):
     cycles in that order.
     """
     balanced = frozenset(frozenset(c) for c in balanced)
-    index = {c.edges: i for i, c in enumerate(g.cycles())}
+    index = g.cycle_masks().index
     for c in balanced:
         if c not in index:
             raise NotACycle("balanced set member %s is not a cycle" % (sorted(c),))
@@ -172,10 +172,16 @@ class BalanceClass:
     balancing_vertices: tuple
 
 
+def _unbalanced_mask(omega):
+    """The CycleMasks of omega's graph and the mask of its unbalanced cycles."""
+    masks = omega.graph.cycle_masks()
+    return masks, masks.every & ~sum(1 << masks.index[c] for c in omega.balanced)
+
+
 def balancing_vertices(omega):
     """Vertices contained in every unbalanced cycle (loops included)."""
-    spans = [omega.graph.vertices_of(c.edges) for c in omega.unbalanced_cycles()]
-    return tuple(v for v in range(omega.graph.n) if all(v in s for s in spans))
+    masks, unb = _unbalanced_mask(omega)
+    return tuple(v for v, t in enumerate(masks.through) if t & unb == unb)
 
 
 def classify_balance(omega):
@@ -189,12 +195,12 @@ def classify_balance(omega):
     """
     if omega._balance_class is not None:
         return omega._balance_class
-    unbalanced = omega.unbalanced_cycles()
-    if not unbalanced:
+    masks, unb = _unbalanced_mask(omega)
+    if not unb:
         result = BalanceClass(BALANCED, tuple(range(omega.graph.n)))
     else:
-        spans = [omega.graph.vertices_of(c.edges) for c in unbalanced if len(c) > 1]
-        bv = tuple(v for v in range(omega.graph.n) if all(v in s for s in spans))
+        unb &= masks.links
+        bv = tuple(v for v, t in enumerate(masks.through) if t & unb == unb)
         if bv:
             result = BalanceClass(ALMOST_BALANCED, bv)
         else:
@@ -206,13 +212,13 @@ def classify_balance(omega):
 def is_tangled(omega):
     """Tangled: properly unbalanced with no two vertex-disjoint unbalanced
     cycles.  Returns (flag, witness) where the witness is a disjoint
-    unbalanced pair when one exists."""
-    unbal = omega.unbalanced_cycles()
-    spans = [omega.graph.vertices_of(c.edges) for c in unbal]
+    unbalanced pair when one exists: the first in combinations order."""
+    masks, unb = _unbalanced_mask(omega)
     witness = None
-    for i, j in combinations(range(len(unbal)), 2):
-        if not spans[i] & spans[j]:
-            witness = (unbal[i].edges, unbal[j].edges)
+    for d in masks.disjoint_pairs():
+        if unb & d == d:
+            cycles = omega.graph.cycles()
+            witness = (cycles[(d & -d).bit_length() - 1].edges, cycles[d.bit_length() - 1].edges)
             break
     if classify_balance(omega).tag != PROPERLY_UNBALANCED:
         return False, witness

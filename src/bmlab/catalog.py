@@ -77,27 +77,32 @@ def theta_closed_subsets(g):
     """All sets of cycles of g that satisfy the theta property, as cycle-index
     masks (bit i: g.cycles()[i]), sorted by (size, tuple of indices).
 
-    Backtracking decides the cycles in index order, balanced first, so the
-    masks of one size come in index-tuple order.  A theta is checked (not
-    exactly two of its cycles balanced) as soon as its last cycle is decided."""
+    The cycles are decided in index order, one level per cycle: each
+    partial mask of the level before is extended by cycle i balanced, then
+    by cycle i unbalanced, where the thetas whose last cycle is i allow it
+    (not exactly two of a theta's cycles balanced).  So the masks come in
+    the order of a depth-first backtrack, balanced first, and those of one
+    size in index-tuple order.  What those thetas allow reads only the bits
+    rel[i] of their two lower cycles, so each level works it out once per
+    projection mask & rel[i]: balanced unless such a theta has exactly one
+    lower cycle balanced, unbalanced unless one has both."""
     cycles = g.cycles()
-    index = {c.edges: i for i, c in enumerate(cycles)}
-    # checks[i]: index masks of the thetas whose last cycle is i
-    checks = [[] for _ in cycles]
+    index = g.cycle_masks().index
+    # lows[i]: the masks of the two lower cycles of each theta whose last
+    # cycle is i (theta_subgraphs lists a theta's cycles in index order)
+    lows = [[] for _ in cycles]
+    rel = [0] * len(cycles)
     for _, inside in theta_subgraphs(g):
-        idx = [index[c] for c in inside]
-        checks[max(idx)].append(sum(1 << i for i in idx))
-    found = []
-
-    def extend(i, mask):
-        if i == len(cycles):
-            found.append(mask)
-            return
-        for m in (mask | 1 << i, mask):
-            if all((m & t).bit_count() != 2 for t in checks[i]):
-                extend(i + 1, m)
-
-    extend(0, 0)
+        a, b, c = map(index.__getitem__, inside)
+        lows[c].append(1 << a | 1 << b)
+        rel[c] |= 1 << a | 1 << b
+    found = [0]
+    for i in range(len(cycles)):
+        allowed = {}
+        for p in {mask & rel[i] for mask in found}:
+            counts = {(p & t).bit_count() for t in lows[i]}
+            allowed[p] = [bit for bit, bad in ((1 << i, 1), (0, 2)) if bad not in counts]
+        found = [mask | bit for mask in found for bit in allowed[mask & rel[i]]]
     found.sort(key=int.bit_count)
     return found
 
@@ -472,7 +477,7 @@ def bias_sets_up_to_aut(g, predicate=None):
     order) under `automorphism_generators(g)`.  A generator permutes cycles,
     so it maps a mask to the sum of its tables' images of the mask's bytes."""
     cycles = g.cycles()
-    index = {c.edges: i for i, c in enumerate(cycles)}
+    index = g.cycle_masks().index
     gens = []
     for t in automorphism_generators(g):
         images = [1 << index[frozenset(t[e] for e in c.edges)] for c in cycles]
@@ -505,8 +510,8 @@ def _family_graphs(max_vertices, max_edges):
     for g in multigraphs_up_to_iso(max_vertices, max_edges):
         if g.n < 3:
             continue
-        spans = [g.vertices_of(c.edges) for c in g.cycles()]
-        if not any(all(v in s for s in spans) for v in range(g.n)):
+        masks = g.cycle_masks()
+        if masks.every not in masks.through:
             yield g
 
 

@@ -70,6 +70,7 @@ class MultiGraph:
                 inc[v].append(e)
         self._incident = tuple(tuple(sorted(es)) for es in inc)
         self._cycles = None
+        self._cycle_masks = None  # CycleMasks of cycles(), built on first use
         self._link_minor_pairs = {}  # link_minor_pairs by (h.n, h.edges)
 
     # -- basics ----------------------------------------------------------
@@ -265,6 +266,12 @@ class MultiGraph:
         out.sort(key=lambda c: (len(c.edges), tuple(sorted(c.edges))))
         self._cycles = tuple(out)
         return self._cycles
+
+    def cycle_masks(self):
+        """The CycleMasks of cycles(), built on first use."""
+        if self._cycle_masks is None:
+            self._cycle_masks = CycleMasks(self)
+        return self._cycle_masks
 
     # -- vertical connectivity --------------------------------------------
     def is_vertically_k_connected(self, k):
@@ -504,6 +511,44 @@ class Cycle:
 
     def __len__(self):
         return len(self.edges)
+
+
+class CycleMasks:
+    """What bias sets on g are tested on, as cycle-index masks (bit i stands
+    for g.cycles()[i]): `index` sends each cycle's edge set to i, `every` is
+    the mask of all cycles, `links` that of the cycles that are not loops,
+    and `through[v]` that of the cycles through vertex v."""
+
+    def __init__(self, g):
+        cycles = g.cycles()
+        self.index = {c.edges: i for i, c in enumerate(cycles)}
+        self.every = (1 << len(cycles)) - 1
+        self.links = 0
+        through = [0] * g.n
+        for i, c in enumerate(cycles):
+            bit = 1 << i
+            if len(c) > 1:
+                self.links |= bit
+            for e in c.edges:
+                u, v = g.edges[e]
+                through[u] |= bit
+                through[v] |= bit
+        self.through = tuple(through)
+        self._disjoint = None
+
+    def disjoint_pairs(self):
+        """The masks 1 << i | 1 << j of the vertex-disjoint pairs of cycles
+        i < j, in combinations order, listed on first use."""
+        if self._disjoint is None:
+            n = self.every.bit_length()
+            meets = [0] * n  # meets[i]: the cycles sharing a vertex with cycle i
+            for t in self.through:
+                for i in range(n):
+                    if t >> i & 1:
+                        meets[i] |= t
+            self._disjoint = [1 << i | 1 << j for i, j in combinations(range(n), 2)
+                              if not meets[i] >> j & 1]
+        return self._disjoint
 
 
 # -- subdivision search ----------------------------------------------------

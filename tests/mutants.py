@@ -33,13 +33,15 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "file old new tests")
 
 MUTANTS = [
-    # the theta test lets a theta with two balanced cycles through
+    # the choice rule with its 1 and 2 swapped: a theta with one balanced
+    # lower cycle forbids unbalanced, one with two forbids balanced
     Mutant(
         "catalog.py",
-        "if all((m & t).bit_count() != 2 for t in checks[i]):",
-        "if all((m & t).bit_count() != 3 for t in checks[i]):",
+        "for bit, bad in ((1 << i, 1), (0, 2))",
+        "for bit, bad in ((1 << i, 2), (0, 1))",
         ["tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_small_graphs",
          "tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_catalog_pools",
+         "tests/test_catalog.py::test_theta_closed_subsets_matches_the_per_node_theta_test",
          "tests/test_catalog.py::test_seven_dwarves"],
     ),
     # the sort key without popcount: masks by value, not by size
@@ -53,9 +55,10 @@ MUTANTS = [
     # unbalanced before balanced: each size's masks in reverse order
     Mutant(
         "catalog.py",
-        "for m in (mask | 1 << i, mask):",
-        "for m in (mask, mask | 1 << i):",
+        "for bit, bad in ((1 << i, 1), (0, 2))",
+        "for bit, bad in ((0, 2), (1 << i, 1))",
         ["tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_small_graphs",
+         "tests/test_catalog.py::test_theta_closed_subsets_matches_the_per_node_theta_test",
          "tests/test_catalog.py::test_classifiers_return_the_pairwise_iso_classes_in_order"],
     ),
     # an orbit loop that never marks its images seen runs away
@@ -163,6 +166,30 @@ MUTANTS = [
         "if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:",
         "if False:",
         ["tests/test_bias.py::test_link_minors_checks_its_bound_at_the_first_step"],
+    ),
+    # the projection key misses a theta's second lower cycle, so masks that
+    # differ there share one memoised choice
+    Mutant(
+        "catalog.py",
+        "rel[c] |= 1 << a | 1 << b",
+        "rel[c] |= 1 << a",
+        ["tests/test_catalog.py::test_theta_closed_subsets_matches_oracle_on_small_graphs",
+         "tests/test_catalog.py::test_theta_closed_subsets_matches_the_per_node_theta_test"],
+    ),
+    # classify_balance tests balancing vertices on the loops too
+    Mutant(
+        "bias.py",
+        "        unb &= masks.links\n",
+        "",
+        ["tests/test_bias.py::test_balance_and_tangledness_match_the_span_oracles"],
+    ),
+    # is_tangled takes a pair with one unbalanced cycle as its witness
+    Mutant(
+        "bias.py",
+        "if unb & d == d:",
+        "if unb & d:",
+        ["tests/test_bias.py::test_balance_and_tangledness_match_the_span_oracles",
+         "tests/test_verify.py::test_tube_minor_property_sampled"],
     ),
 ]
 

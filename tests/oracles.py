@@ -3,16 +3,18 @@ all subsets and on bases one r-subset at a time, the frame and lift rank
 formulas, matroid minors, the joint extension G_0, the graphic matroid,
 edge-set components, vector rank by elimination, projective-witness
 parsing, a biased graph with its isolated vertices dropped, balance
-classification on the loop-deleted minor, switching classes on contracted
+classification on the loop-deleted minor, balancing vertices and
+tangledness from rebuilt cycle vertex sets, switching classes on contracted
 gain graphs, GF(q) tables built pair by pair, projective equivalence by a
 pivot-basis transfer and diagonal equivalence, and switching-and-scaling
 equivalence by one switching decision per scalar, the biased-graph edits
 (Delta-Y, Y-Delta, roll-ups, unrolling, fat thetas, one-edge subdivision)
 each rebuilding its balanced set by hand, a biased graph with a balanced
-loop and a joint added, the edge-set view of cycle-index masks, and two
-constructions that simpler routines replaced: the Delta-Y matrix exchange
-through the I(K_4) template with its basis completion, and the subdivision
-search with two path generators.
+loop and a joint added, the edge-set view of cycle-index masks, the
+theta-closed sets by a per-node theta test, the graphs of the exhaustive
+sweeps, and two constructions that simpler routines replaced: the Delta-Y
+matrix exchange through the I(K_4) template with its basis completion, and
+the subdivision search with two path generators.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -28,9 +30,9 @@ from bmlab.bias import (
     BalanceClass,
     BiasedGraph,
     _triangle_vertices,
-    balancing_vertices,
     biased_minor,
     fat_theta_parts,
+    theta_subgraphs,
     unbalancing_classes,
 )
 from bmlab.errors import (
@@ -250,8 +252,31 @@ def classify_balance_by_minor(omega):
         return BalanceClass(BALANCED, tuple(range(omega.graph.n)))
     loops = [e for e in range(omega.graph.m) if omega.graph.is_loop(e)]
     stripped = biased_minor(omega, frozenset(), frozenset(loops), check=False).omega
-    bv = balancing_vertices(stripped)
+    bv = balancing_vertices_by_spans(stripped)
     return BalanceClass(ALMOST_BALANCED, bv) if bv else BalanceClass(PROPERLY_UNBALANCED, ())
+
+
+def balancing_vertices_by_spans(omega):
+    """The reference for bias.balancing_vertices: the vertices in the vertex
+    set of every unbalanced cycle (loops included), each set rebuilt."""
+    spans = [omega.graph.vertices_of(c.edges) for c in omega.unbalanced_cycles()]
+    return tuple(v for v in range(omega.graph.n) if all(v in s for s in spans))
+
+
+def is_tangled_by_spans(omega):
+    """The reference for bias.is_tangled: the first vertex-disjoint pair of
+    unbalanced cycles by a scan of all pairs in combinations order, and
+    the balance class of classify_balance_by_minor."""
+    unbal = omega.unbalanced_cycles()
+    spans = [omega.graph.vertices_of(c.edges) for c in unbal]
+    witness = None
+    for i, j in combinations(range(len(unbal)), 2):
+        if not spans[i] & spans[j]:
+            witness = (unbal[i].edges, unbal[j].edges)
+            break
+    if classify_balance_by_minor(omega).tag != PROPERLY_UNBALANCED:
+        return False, witness
+    return witness is None, witness
 
 
 def contraction_classes_by_minors(gfs, forest):
@@ -603,6 +628,45 @@ def mask_edge_sets(g, mask):
     """The cycle-index mask as a set of cycles: the frozenset of the edge
     sets of the cycles g.cycles()[i] whose bit i is set."""
     return frozenset(c.edges for i, c in enumerate(g.cycles()) if mask >> i & 1)
+
+
+def theta_closed_subsets_by_theta_test(g):
+    """The reference for catalog.theta_closed_subsets: a depth-first
+    backtrack over the cycles in index order, balanced first, that tests
+    every theta whose last cycle is i (not exactly two of its cycles
+    balanced) at every node of level i."""
+    cycles = g.cycles()
+    index = {c.edges: i for i, c in enumerate(cycles)}
+    # checks[i]: index masks of the thetas whose last cycle is i
+    checks = [[] for _ in cycles]
+    for _, inside in theta_subgraphs(g):
+        idx = [index[c] for c in inside]
+        checks[max(idx)].append(sum(1 << i for i in idx))
+    found = []
+
+    def extend(i, mask):
+        if i == len(cycles):
+            found.append(mask)
+            return
+        for m in (mask | 1 << i, mask):
+            if all((m & t).bit_count() != 2 for t in checks[i]):
+                extend(i + 1, m)
+
+    extend(0, 0)
+    found.sort(key=int.bit_count)
+    return found
+
+
+def sweep_graphs():
+    """The graphs of the exhaustive differential sweeps: those of
+    multigraphs_up_to_iso(4, 7), then the underlying graphs of the
+    catalog's named biased graphs, each once, in catalog_names order."""
+    named = []
+    for name in catalog.catalog_names():
+        g = catalog.by_name(name).omega.graph
+        if g not in named:
+            named.append(g)
+    return list(catalog.multigraphs_up_to_iso(4, 7)) + named
 
 
 def theta_closed_edge_sets(g):

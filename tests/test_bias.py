@@ -278,6 +278,37 @@ def test_tangled_balanced_graph_false():
     assert is_tangled(om) == (False, None)
 
 
+def test_balance_and_tangledness_match_the_span_oracles():
+    """classify_balance, balancing_vertices and is_tangled, which read the
+    graph's cycle masks, against the routines that rebuild every
+    unbalanced cycle's vertex set: every theta-closed set of the (4, 7)
+    graphs and the catalog graphs, each also with a balanced loop and a
+    joint added (the balancing-vertex test of classify_balance skips
+    loops, balancing_vertices does not)."""
+    seen = Counter()
+    for g in oracles.sweep_graphs():
+        for bal in oracles.theta_closed_edge_sets(g):
+            om = BiasedGraph(g, bal, check=False)
+            for x in (om, oracles.with_loops(om)):
+                want = classify_balance_by_minor(x)
+                assert classify_balance(x) == want, x
+                assert balancing_vertices(x) == oracles.balancing_vertices_by_spans(x), x
+                flag, witness = is_tangled(x)
+                assert (flag, witness) == oracles.is_tangled_by_spans(x), x
+                seen[x is om, want.tag, flag, witness is not None] += 1
+    # (without loops, tag, tangled, has a disjoint unbalanced pair): count
+    assert seen == {
+        (True, "balanced", False, False): 72,
+        (True, "almost-balanced", False, False): 3179,
+        (True, "almost-balanced", False, True): 2,
+        (True, "properly-unbalanced", False, True): 291,
+        (True, "properly-unbalanced", True, False): 542,
+        (False, "almost-balanced", False, False): 1403,
+        (False, "almost-balanced", False, True): 1850,
+        (False, "properly-unbalanced", False, True): 833,
+    }
+
+
 def _remapped_balanced(om):
     """The balanced set carried over by edge names onto the graph without
     isolated vertices (the remap oracles.drop_isolated replaces)."""

@@ -19,7 +19,13 @@ from bmlab.bias import (
 from bmlab.errors import BadGlue, BmlabError, BoundExceeded
 from bmlab.graph import MultiGraph, edge_bijections, graph_isomorphisms
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
-from oracles import mask_edge_sets, theta_closed_edge_sets
+from oracles import (
+    mask_edge_sets,
+    sweep_graphs,
+    theta_closed_edge_sets,
+    theta_closed_subsets_by_theta_test,
+    with_loops,
+)
 
 
 def test_seven_dwarves():
@@ -397,6 +403,22 @@ def test_theta_closed_subsets_matches_oracle_on_small_graphs():
 ], ids=["k4", "2c3", "tube"])
 def test_theta_closed_subsets_matches_oracle_on_catalog_pools(g):
     assert catalog.theta_closed_subsets(g) == _theta_closed_subsets_oracle(g)
+
+
+def test_theta_closed_subsets_matches_the_per_node_theta_test():
+    """The per-level choice tables give the masks of the backtrack that
+    tests every theta at every node, in order, on the (4, 7) graphs and the
+    catalog graphs, each also with a balanced loop and a joint added (a
+    loop lies in no theta, so each loop doubles the sets)."""
+    graphs = sweep_graphs()
+    assert len(graphs) == 72
+    sizes = Counter()
+    for g in graphs:
+        for h in (g, with_loops(BiasedGraph(g, [])).graph):
+            got = catalog.theta_closed_subsets(h)
+            assert got == theta_closed_subsets_by_theta_test(h), h.edges
+            sizes[h is g] += len(got)
+    assert sizes == {True: 4086, False: 16344}
 
 
 def _iso_classes(g, bias_sets):
