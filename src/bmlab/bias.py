@@ -20,7 +20,14 @@ from .errors import (
     StructureMissing,
     ThetaViolation,
 )
-from .graph import MultiGraph, edge_bijections, find, graph_isomorphisms, iter_subdivisions
+from .graph import (
+    MultiGraph,
+    check_subdivision_args,
+    edge_bijections,
+    find,
+    graph_isomorphisms,
+    iter_subdivisions,
+)
 
 LINK_MINOR_BOUND = (10, 20)  # host vertices, host edges
 
@@ -282,6 +289,24 @@ def biased_minor(omega, contract, delete, check=True):
     return BiasedMinor(BiasedGraph(gg, balanced, check=False), vmap, emap, not joints)
 
 
+def _holds_cycles(omega, pattern):
+    """Whether omega has at least as many edges as pattern, as many
+    balanced cycles and as many unbalanced ones.  A host that holds a
+    subdivision of pattern, or has it as a link minor, does: both map the
+    pattern's edges and cycles one to one into the host, each cycle onto
+    a cycle of the same bias.  A subdivision maps a cycle to the union of
+    its edges' paths.  A cycle C of a link minor G/K\\D lifts to the one
+    cycle B of G\\D with B - K = C, and C is balanced exactly when B is
+    (_images).  The edge test comes first, so a pattern too large for
+    cycle enumeration is rejected, not enumerated; cycle counts are read
+    off each graph's memoised CycleMasks."""
+    if pattern.graph.m > omega.graph.m:
+        return False
+    counts = [(len(om.balanced), len(om.graph.cycle_masks().index) - len(om.balanced))
+              for om in (omega, pattern)]
+    return all(h >= p for h, p in zip(*counts))
+
+
 @dataclass(frozen=True)
 class MinorRecipe:
     contract: frozenset
@@ -304,13 +329,17 @@ def link_minors(omega, pattern):
     the pattern's balanced set.  So the recipes are those of building
     every pair's biased minor and searching its biased isomorphisms.  A
     host larger than LINK_MINOR_BOUND raises BoundExceeded at the first
-    step."""
+    step; after the argument checks, a host with fewer edges, balanced
+    cycles or unbalanced cycles than the pattern yields nothing
+    (_holds_cycles)."""
     g = omega.graph
     if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:
         raise BoundExceeded("link-minor search bound exceeded")
     h = pattern.graph
     if len(h.vertices_of(range(h.m))) != h.n:
         raise ValueError("link-minor pattern has an isolated vertex")
+    if not _holds_cycles(omega, pattern):
+        return
     lengths = sorted(map(len, pattern.balanced))
     for K, D, minor, isos in g.link_minor_pairs(h):
         emap = {e: i for i, e in enumerate(e for e in range(g.m) if e not in K and e not in D)}
@@ -605,7 +634,13 @@ def find_biased_subdivision(omega, pattern):
     composing an embedding with a biased automorphism gives an embedding,
     so the maps that admit one are a union of orbits, and as maps are
     tried in lexicographic order the first that admits one is the least
-    of its orbit.  The answer is the unpruned search's first embedding."""
+    of its orbit.  The answer is the unpruned search's first embedding.
+    After the search's argument checks, a host with fewer edges, balanced
+    cycles or unbalanced cycles than the pattern gives None
+    (_holds_cycles)."""
+    check_subdivision_args(omega.graph, pattern.graph)
+    if not _holds_cycles(omega, pattern):
+        return None
     if pattern._automorphisms is None:
         pattern._automorphisms = tuple({perm for perm, _ in biased_isomorphisms(pattern, pattern)})
     closing = {}  # pattern edge -> the cycles it completes, with their bias

@@ -11,6 +11,7 @@ returning new graphs.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import BoundExceeded, NotAWalk, UnknownEdge
@@ -517,24 +518,26 @@ class CycleMasks:
     """What bias sets on g are tested on, as cycle-index masks (bit i stands
     for g.cycles()[i]): `index` sends each cycle's edge set to i, `every` is
     the mask of all cycles, `links` that of the cycles that are not loops,
-    and `through[v]` that of the cycles through vertex v."""
+    and `through[v]` that of the cycles through vertex v, built on first
+    read."""
 
     def __init__(self, g):
-        cycles = g.cycles()
-        self.index = {c.edges: i for i, c in enumerate(cycles)}
-        self.every = (1 << len(cycles)) - 1
-        self.links = 0
-        through = [0] * g.n
-        for i, c in enumerate(cycles):
+        self._n, self._ends, self._cycles = g.n, g.edges, g.cycles()  # read by `through`
+        self.index = {c.edges: i for i, c in enumerate(self._cycles)}
+        self.every = (1 << len(self._cycles)) - 1
+        self.links = sum(1 << i for i, c in enumerate(self._cycles) if len(c) > 1)
+        self._disjoint = None
+
+    @cached_property
+    def through(self):
+        through = [0] * self._n
+        for i, c in enumerate(self._cycles):
             bit = 1 << i
-            if len(c) > 1:
-                self.links |= bit
             for e in c.edges:
-                u, v = g.edges[e]
+                u, v = self._ends[e]
                 through[u] |= bit
                 through[v] |= bit
-        self.through = tuple(through)
-        self._disjoint = None
+        return tuple(through)
 
     def disjoint_pairs(self):
         """The masks 1 << i | 1 << j of the vertex-disjoint pairs of cycles
@@ -562,6 +565,16 @@ class Embedding:
         self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
 
 
+def check_subdivision_args(host, pattern):
+    """The argument checks of a subdivision search: a host larger than
+    SUBDIVISION_BOUND raises BoundExceeded, a pattern with a loop
+    ValueError."""
+    if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
+        raise BoundExceeded("subdivision host exceeds bound")
+    if any(pattern.is_loop(e) for e in range(pattern.m)):
+        raise ValueError("loop patterns are not supported")
+
+
 def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     """Generate embeddings of subdivisions of `pattern` in `host`.
 
@@ -579,17 +592,21 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     False, no embedding extending that placement is generated.
     `automorphisms` are vertex permutations of the pattern (perm[v] is the
     image of v): a complete vertex map phi is dropped when some phi o perm
-    is lexicographically smaller, so one map per orbit is tried.  A host
-    larger than SUBDIVISION_BOUND raises BoundExceeded.
+    is lexicographically smaller, so one map per orbit is tried.  The
+    checks of check_subdivision_args come first.  Then a search in which
+    no vertex map can be completed stops before trying any: each pattern
+    vertex needs its own host vertex of at least its degree, and by
+    Hall's condition such a map exists exactly when the host's degrees,
+    largest first, dominate the pattern's entry by entry.
     """
-    if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
-        raise BoundExceeded("subdivision host exceeds bound")
-    if any(pattern.is_loop(e) for e in range(pattern.m)):
-        raise ValueError("loop patterns are not supported")
+    check_subdivision_args(host, pattern)
     if pattern.m > host.m or pattern.n > host.n:
         return
     host_degree = [host.degree(v) for v in range(host.n)]
     pattern_degree = [pattern.degree(v) for v in range(pattern.n)]
+    if not all(h >= p for h, p in zip(sorted(host_degree, reverse=True),
+                                      sorted(pattern_degree, reverse=True))):
+        return
     pverts = sorted(range(pattern.n), key=lambda v: -pattern_degree[v])
     # each automorphism as the pattern vertices whose images, in pverts
     # order, make up the key of phi o perm

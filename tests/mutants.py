@@ -191,6 +191,68 @@ MUTANTS = [
         ["tests/test_bias.py::test_balance_and_tangledness_match_the_span_oracles",
          "tests/test_verify.py::test_tube_minor_property_sampled"],
     ),
+    # the cycle-count cut rejects a host with exactly the pattern's counts
+    Mutant(
+        "bias.py",
+        "return all(h >= p for h, p in zip(*counts))",
+        "return all(h > p for h, p in zip(*counts))",
+        ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
+         "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches",
+         "tests/test_bias.py::test_find_biased_subdivision_b0_in_itself",
+         "tests/test_bias.py::test_find_link_minor_identity"],
+    ),
+    # the cycle-count cut rejects nothing
+    Mutant(
+        "bias.py",
+        "return all(h >= p for h, p in zip(*counts))",
+        "return True",
+        ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
+         "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches"],
+    ),
+    # the degree cut compares the degrees smallest first
+    Mutant(
+        "graph.py",
+        "zip(sorted(host_degree, reverse=True),\n"
+        "                                      sorted(pattern_degree, reverse=True))",
+        "zip(sorted(host_degree),\n"
+        "                                      sorted(pattern_degree))",
+        ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
+         "tests/test_bias.py::test_iter_subdivisions_matches_the_two_generator_search"],
+    ),
+    # the degree cut rejects nothing
+    Mutant(
+        "graph.py",
+        "if not all(h >= p for h, p in zip(sorted(host_degree, reverse=True),",
+        "if not all(True for h, p in zip(sorted(host_degree, reverse=True),",
+        ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches"],
+    ),
+    # the subdivision cycle-count cut ahead of the search's argument checks
+    Mutant(
+        "bias.py",
+        "    check_subdivision_args(omega.graph, pattern.graph)\n"
+        "    if not _holds_cycles(omega, pattern):\n"
+        "        return None\n",
+        "    if not _holds_cycles(omega, pattern):\n"
+        "        return None\n"
+        "    check_subdivision_args(omega.graph, pattern.graph)\n",
+        ["tests/test_bias.py::test_cuts_come_after_the_argument_checks"],
+    ),
+    # the link-minor cycle-count cut ahead of the bound check
+    Mutant(
+        "bias.py",
+        "    g = omega.graph\n    if g.n > LINK_MINOR_BOUND[0]",
+        "    g = omega.graph\n    if not _holds_cycles(omega, pattern):\n        return\n"
+        "    if g.n > LINK_MINOR_BOUND[0]",
+        ["tests/test_bias.py::test_link_minors_checks_its_bound_at_the_first_step",
+         "tests/test_bias.py::test_cuts_come_after_the_argument_checks"],
+    ),
+    # the cycle-count cut enumerates a pattern with more edges than the host
+    Mutant(
+        "bias.py",
+        "    if pattern.graph.m > omega.graph.m:\n        return False\n",
+        "",
+        ["tests/test_bias.py::test_cuts_come_after_the_argument_checks"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -1109,6 +1109,115 @@ def test_iter_subdivisions_matches_the_two_generator_search():
     assert seen[True, True] > max(seen[True, False], seen[False, True]) > seen[False, False] > 0
 
 
+def _fewer_cycles(host, pattern):
+    """The cycle-count test, restated: host has fewer edges, balanced
+    cycles or unbalanced cycles than pattern."""
+    if host.graph.m < pattern.graph.m:
+        return True
+    def counts(om):
+        balanced = sum(c.edges in om.balanced for c in om.cycles())
+        return balanced, len(om.cycles()) - balanced
+    return any(h < p for h, p in zip(counts(host), counts(pattern)))
+
+
+def _degrees_undominated(host, pattern):
+    """The degree test, restated: the host's degrees, largest first, fall
+    short of the pattern's at some entry."""
+    hd = sorted((host.degree(v) for v in range(host.n)), reverse=True)
+    pd = sorted((pattern.degree(v) for v in range(pattern.n)), reverse=True)
+    return any(h < p for h, p in zip(hd, pd))
+
+
+def _cut_hosts():
+    return list(catalog.tangled_family(4, 7)) + [nb.omega for nb in catalog.base_graphs()]
+
+
+def test_subdivision_cuts_reject_only_fruitless_searches(monkeypatch):
+    # every pair the tangled-subgraph claim would search; a search that
+    # passes both cuts reads the pattern's automorphisms when it starts
+    # its vertex maps, and one that a cut rejects never does
+    patterns = [nb.omega for nb in verify._subdivision_patterns()]
+    started = []
+    real = bias.iter_subdivisions
+
+    def probed(host, pattern, accept, automorphisms):
+        def read():
+            started.append(True)
+            yield from automorphisms
+        return real(host, pattern, accept, read())
+
+    monkeypatch.setattr(bias, "iter_subdivisions", probed)
+    cut = Counter()
+    for om in _cut_hosts():
+        for pattern in patterns:
+            if pattern.graph.m > om.graph.m or pattern.graph.n > om.graph.n:
+                continue
+            started.clear()
+            got = find_biased_subdivision(om, pattern)
+            rule = ("cycles" if _fewer_cycles(om, pattern)
+                    else "degrees" if _degrees_undominated(om.graph, pattern.graph) else None)
+            assert bool(started) == (rule is None), (om, pattern, rule)
+            if rule is not None:
+                assert got is None
+                search = oracles.iter_subdivisions_two_step(
+                    om.graph, pattern.graph, _closing_bias_test(om, pattern))
+                assert next(search, None) is None
+            cut[rule] += 1
+    assert cut == {"cycles": 390, "degrees": 103, None: 270}
+
+
+def test_link_minor_cut_rejects_only_fruitless_searches(monkeypatch):
+    # the tangled targets and inequivalence-localized's patterns on the
+    # same hosts; a search that passes the cut asks the graph stage for
+    # its pairs, and one that the cut rejects never does
+    patterns = _memo_patterns()
+    asked = []
+    real = MultiGraph.link_minor_pairs
+    monkeypatch.setattr(MultiGraph, "link_minor_pairs",
+                        lambda g, h: asked.append(h) or real(g, h))
+    cut = Counter()
+    for om in _cut_hosts():
+        for pattern in patterns:
+            asked.clear()
+            got = list(link_minors(om, pattern))
+            rule = "cycles" if _fewer_cycles(om, pattern) else None
+            assert bool(asked) == (rule is None), (om, pattern)
+            if rule is not None:
+                assert got == []
+                with monkeypatch.context() as m:
+                    m.setattr(bias, "_holds_cycles", lambda omega, pattern: True)
+                    assert list(link_minors(om, pattern)) == []
+            cut[rule] += 1
+    assert cut == {"cycles": 762, None: 1063}
+
+
+def test_cuts_come_after_the_argument_checks():
+    # each host has fewer cycles than the pattern, so a cut ahead of the
+    # checks would answer None or nothing where the search must raise
+    b0 = catalog.tube("B_0").omega
+    long_cycle = BiasedGraph(MultiGraph(13, [(v, (v + 1) % 13) for v in range(13)]), [])
+    assert long_cycle.graph.n > graph_module.SUBDIVISION_BOUND[0]
+    with pytest.raises(BoundExceeded):
+        find_biased_subdivision(long_cycle, b0)
+    triangle = BiasedGraph(MultiGraph(3, [(0, 1), (1, 2), (2, 0)]), [])
+    with pytest.raises(ValueError):
+        find_biased_subdivision(triangle, catalog.u3().omega)
+    for host in (long_cycle, triangle):
+        assert _fewer_cycles(host, b0) and _fewer_cycles(host, catalog.u3().omega)
+    eleven = BiasedGraph(MultiGraph(11, [(v, (v + 1) % 11) for v in range(11)]), [])
+    with pytest.raises(BoundExceeded):
+        find_link_minor(eleven, b0)
+    # a pattern with more edges than the host fits neither search, and its
+    # cycles, beyond the enumeration bound here, are not listed
+    huge = BiasedGraph(MultiGraph(2, [(0, 1)] * 25), [], check=False)
+    assert find_biased_subdivision(triangle, huge) is None
+    assert list(link_minors(triangle, huge)) == []
+    isolated = BiasedGraph(MultiGraph(4, [(0, 1), (1, 2), (2, 0)] * 2), [])
+    assert _fewer_cycles(triangle, isolated)
+    with pytest.raises(ValueError):
+        find_link_minor(triangle, isolated)
+
+
 def test_fat_theta_shape():
     p2 = MultiGraph(3, [(0, 2), (2, 1)])
     ft = catalog.fat_theta([p2, p2, p2])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,15 @@ def test_verify_json(capsys):
     assert main(["verify", "base-count", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["reports"][0]["status"] == "pass"
+
+
+def test_python_dash_m_bmlab_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "bmlab", "verify", "base-count", "--json"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reports"][0]["status"] == "pass"
 
 
 def test_verify_bounds_scale_each_claims_own_defaults(monkeypatch, capsys):

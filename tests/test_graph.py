@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from bmlab import catalog
+from bmlab.bias import BiasedGraph
 from bmlab.errors import BoundExceeded, NotACycle
 from bmlab.graph import (
     Cycle,
@@ -146,6 +147,25 @@ def test_cycles_match_every_edge_subset():
         assert list(got) == _cycles_by_subsets(g)
         total += len(got)
     assert (len(graphs), total) == (86, 429)
+
+
+def test_cycle_masks_build_the_vertex_masks_on_first_read():
+    # the theta check and the theta backtrack read only the index; each
+    # graph is built afresh so that nothing of it is memoised yet
+    graphs = list(catalog.multigraphs_up_to_iso(4, 6))
+    graphs += [nb.omega.graph for nb in catalog.base_graphs()]
+    graphs.append(MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 0)]))
+    for old in graphs:
+        g = MultiGraph(old.n, old.edges)
+        first = frozenset(c.edges for c in g.cycles()[:1])
+        BiasedGraph(g, first)
+        catalog.theta_closed_subsets(g)
+        masks = g.cycle_masks()
+        assert "through" not in vars(masks)
+        assert masks.through == tuple(
+            sum(1 << i for i, c in enumerate(g.cycles()) if v in g.vertices_of(c.edges))
+            for v in range(g.n))
+        assert masks.through is g.cycle_masks().through
 
 
 def test_cycle_bound():
