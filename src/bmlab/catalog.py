@@ -15,6 +15,7 @@ Fixed labelings (chosen to match the matrix displays used in the tests):
   2C_3 minus e: e1,e2: v1->v2; e3,e4: v1->v3; e5: v2->v3.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
 
@@ -115,185 +116,133 @@ def _no_balanced_2_cycle(om):
     return _count_by_length(om, 2) == 0
 
 
-_CACHE = {}
+def _classify(g, predicate, name_of, names, note):
+    """The bias sets on g up to automorphism that satisfy predicate, named
+    by name_of and sorted by name; the names must be exactly `names`, so
+    loading a family re-proves its count and its naming."""
+    named = sorted((NamedBiasedGraph(name_of(om), om, note)
+                    for om in bias_sets_up_to_aut(g, predicate)), key=lambda nb: nb.name)
+    found = [nb.name for nb in named]
+    assert found == names, "expected %s, got %s" % (names, found)
+    return tuple(named)
 
 
-def _cached(key, fn):
-    if key not in _CACHE:
-        _CACHE[key] = fn()
-    return _CACHE[key]
+def _named(members, name, what):
+    for nb in members:
+        if nb.name == name:
+            return nb
+    raise BmlabError(what % name)
 
 
+@functools.cache
 def classify_k4():
-    """The seven biased K_4's D_{t,q} (the Seven Dwarves)."""
-
-    def build():
-        reps = bias_sets_up_to_aut(graph_k4())
-        assert len(reps) == 7, "expected seven biased K4's, got %d" % len(reps)
-        named = []
-        for om in reps:
-            t = _count_by_length(om, 3)
-            q = _count_by_length(om, 4)
-            named.append(NamedBiasedGraph("D_{%d,%d}" % (t, q), om, "biased K4"))
-        named.sort(key=lambda nb: nb.name)
-        # the balanced K4 has all three quads balanced (forced by the theta
-        # property once all four triangles are balanced)
-        expect = {"D_{0,0}", "D_{0,1}", "D_{0,2}", "D_{0,3}", "D_{1,0}", "D_{2,1}", "D_{4,3}"}
-        assert {nb.name for nb in named} == expect
-        return tuple(named)
-
-    return _cached("k4", build)
+    """The seven biased K_4's D_{t,q} (the Seven Dwarves).  The balanced K4
+    is D_{4,3}: all three quads are balanced once all four triangles are
+    (the theta property forces it)."""
+    return _classify(
+        graph_k4(), None,
+        lambda om: "D_{%d,%d}" % (_count_by_length(om, 3), _count_by_length(om, 4)),
+        ["D_{0,0}", "D_{0,1}", "D_{0,2}", "D_{0,3}", "D_{1,0}", "D_{2,1}", "D_{4,3}"],
+        "biased K4")
 
 
 def dwarf(name):
-    for nb in classify_k4():
-        if nb.name == name:
-            return nb
-    raise BmlabError("no dwarf named %s" % name)
+    return _named(classify_k4(), name, "no dwarf named %s")
 
 
+def _name_2c3(om):
+    t = _count_by_length(om, 3)
+    if t != 2:
+        return "T_%d" % t
+    img = delta_y(om, min(om.balanced, key=sorted))
+    return "T_2'" if biased_isomorphic(img, dwarf("D_{1,0}").omega) else "T_2"
+
+
+@functools.cache
 def classify_2c3_proper():
     """The six biased 2C_3's without a balanced 2-cycle (properly
     unbalanced).  T_2 and T_2' both have two balanced triangles; they are
     split by their Delta-images: Delta(T_2') ~ D_{1,0}, Delta(T_2) ~ D_{0,1}."""
-
-    def build():
-        reps = bias_sets_up_to_aut(graph_2c3(), _no_balanced_2_cycle)
-        assert len(reps) == 6, "expected six proper biased 2C3's, got %d" % len(reps)
-        named = []
-        d10 = dwarf("D_{1,0}").omega
-        for om in reps:
-            t = _count_by_length(om, 3)
-            if t != 2:
-                named.append(NamedBiasedGraph("T_%d" % t, om, "biased 2C3"))
-            else:
-                img = delta_y(om, min(om.balanced, key=sorted))
-                if biased_isomorphic(img, d10):
-                    named.append(NamedBiasedGraph("T_2'", om, "biased 2C3"))
-                else:
-                    named.append(NamedBiasedGraph("T_2", om, "biased 2C3"))
-        named.sort(key=lambda nb: nb.name)
-        assert {nb.name for nb in named} == {"T_0", "T_1", "T_2", "T_2'", "T_3", "T_4"}
-        return tuple(named)
-
-    return _cached("2c3", build)
+    return _classify(graph_2c3(), _no_balanced_2_cycle, _name_2c3,
+                     ["T_0", "T_1", "T_2", "T_2'", "T_3", "T_4"], "biased 2C3")
 
 
 def biased_2c3(name):
-    for nb in classify_2c3_proper():
-        if nb.name == name:
-            return nb
-    raise BmlabError("no biased 2C3 named %s" % name)
+    return _named(classify_2c3_proper(), name, "no biased 2C3 named %s")
 
 
+@functools.cache
 def classify_tube_proper():
     """The three biased tubes (2C_4'') without a balanced 2-cycle, named by
     their balanced quadrilateral count."""
-
-    def build():
-        reps = bias_sets_up_to_aut(graph_tube(), _no_balanced_2_cycle)
-        assert len(reps) == 3, "expected three proper tubes, got %d" % len(reps)
-        named = [
-            NamedBiasedGraph("B_%d" % _count_by_length(om, 4), om, "biased tube")
-            for om in reps
-        ]
-        named.sort(key=lambda nb: nb.name)
-        assert {nb.name for nb in named} == {"B_0", "B_1", "B_2"}
-        return tuple(named)
-
-    return _cached("tube", build)
+    return _classify(graph_tube(), _no_balanced_2_cycle,
+                     lambda om: "B_%d" % _count_by_length(om, 4),
+                     ["B_0", "B_1", "B_2"], "biased tube")
 
 
 def tube(name):
-    for nb in classify_tube_proper():
-        if nb.name == name:
-            return nb
-    raise BmlabError("no tube named %s" % name)
+    return _named(classify_tube_proper(), name, "no tube named %s")
 
 
+@functools.cache
 def base_graphs():
     """The thirteen link-minor-minimal vertically 2-connected properly
     unbalanced biased graphs: four biased K4's, six biased 2C3's, three
     biased tubes."""
-
-    def build():
-        dwarves = [nb for nb in classify_k4() if _count_by_length(nb.omega, 3) == 0]
-        out = tuple(dwarves) + classify_2c3_proper() + classify_tube_proper()
-        assert len(out) == 13
-        for nb in out:
-            assert classify_balance(nb.omega).tag == "properly-unbalanced", nb.name
-            ok, _ = nb.omega.is_vertically_k_connected(2)
-            assert ok, nb.name
-        return out
-
-    return _cached("base", build)
+    dwarves = [nb for nb in classify_k4() if _count_by_length(nb.omega, 3) == 0]
+    out = tuple(dwarves) + classify_2c3_proper() + classify_tube_proper()
+    assert len(out) == 13
+    for nb in out:
+        assert classify_balance(nb.omega).tag == "properly-unbalanced", nb.name
+        ok, _ = nb.omega.is_vertically_k_connected(2)
+        assert ok, nb.name
+    return out
 
 
+@functools.cache
 def u2():
     """Two vertices, two parallel links, one joint at each vertex,
     contrabalanced; F(U_2) = U_{2,4}."""
-
-    def build():
-        om = BiasedGraph(graph_u2(), [])
-        return NamedBiasedGraph("U_2", om, "contrabalanced, represents U_{2,4}")
-
-    return _cached("u2", build)
+    return NamedBiasedGraph("U_2", BiasedGraph(graph_u2(), []),
+                            "contrabalanced, represents U_{2,4}")
 
 
+@functools.cache
 def u3():
     """Two vertices, three parallel links, one joint, contrabalanced;
     F(U_3) = L(U_3) = U_{2,4}."""
-
-    def build():
-        om = BiasedGraph(graph_u3(), [])
-        return NamedBiasedGraph("U_3", om, "contrabalanced, represents U_{2,4}")
-
-    return _cached("u3", build)
+    return NamedBiasedGraph("U_3", BiasedGraph(graph_u3(), []),
+                            "contrabalanced, represents U_{2,4}")
 
 
+@functools.cache
 def t2_prime_split(i):
     """T'_{2,i} for i in {1,2,3}: T'_{2,3} is the prism whose two triangles
     are the balanced cycles; T'_{2,3-k} contracts k of the three matching
     links."""
     if i not in (1, 2, 3):
         raise BmlabError("i must be 1, 2 or 3")
-
-    def build():
-        g = graph_prism()
-        bal = [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
-        om = BiasedGraph(g, bal)
-        if i == 3:
-            return NamedBiasedGraph("T_{2,3}'", om, "prism, two balanced triangles")
-        contract = {6, 7, 8}
-        keep = sorted(contract)[: 3 - i]
-        mn = biased_minor(om, set(keep), set())
-        return NamedBiasedGraph(
-            "T_{2,%d}'" % i, mn.omega, "prism with %d matching links contracted" % (3 - i)
-        )
-
-    return _cached(("t2prime", i), build)
+    om = BiasedGraph(graph_prism(), [frozenset({0, 1, 2}), frozenset({3, 4, 5})])
+    if i == 3:
+        return NamedBiasedGraph("T_{2,3}'", om, "prism, two balanced triangles")
+    mn = biased_minor(om, set([6, 7, 8][: 3 - i]), set())
+    return NamedBiasedGraph(
+        "T_{2,%d}'" % i, mn.omega, "prism with %d matching links contracted" % (3 - i)
+    )
 
 
+@functools.cache
 def contracted_tubes():
     """B_i' = B_i with one single (non-doubled) link contracted; the
     underlying graph is 2C_3 minus an edge."""
-
-    def build():
-        out = []
-        for nb in classify_tube_proper():
-            g = nb.omega.graph
-            single = next(
-                e
-                for e in range(g.m)
-                if sum(1 for x in range(g.m) if set(g.edges[x]) == set(g.edges[e])) == 1
-            )
-            mn = biased_minor(nb.omega, {single}, set())
-            out.append(
-                NamedBiasedGraph(nb.name + "'", mn.omega, "single-link contraction of " + nb.name)
-            )
-        return tuple(out)
-
-    return _cached("ctube", build)
+    out = []
+    for nb in classify_tube_proper():
+        single = next(es[0] for es in parallel_classes(nb.omega.graph).values() if len(es) == 1)
+        mn = biased_minor(nb.omega, {single}, set())
+        out.append(
+            NamedBiasedGraph(nb.name + "'", mn.omega, "single-link contraction of " + nb.name)
+        )
+    return tuple(out)
 
 
 def fat_theta(parts):
@@ -328,27 +277,21 @@ def fat_theta(parts):
     )
 
 
-def catalog_names():
-    names = [nb.name for nb in classify_k4()]
-    names += [nb.name for nb in classify_2c3_proper()]
-    names += [nb.name for nb in classify_tube_proper()]
-    names += [nb.name for nb in contracted_tubes()]
-    names += ["U_2", "U_3", "T_{2,1}'", "T_{2,2}'", "T_{2,3}'"]
-    return names
+def named_graphs():
+    """The catalog's named biased graphs in table order; each family is
+    built when the iteration reaches it."""
+    yield from classify_k4()
+    yield from classify_2c3_proper()
+    yield from classify_tube_proper()
+    yield from contracted_tubes()
+    yield u2()
+    yield u3()
+    for i in (1, 2, 3):
+        yield t2_prime_split(i)
 
 
 def by_name(name):
-    for nb in classify_k4() + classify_2c3_proper() + classify_tube_proper() + contracted_tubes():
-        if nb.name == name:
-            return nb
-    if name == "U_2":
-        return u2()
-    if name == "U_3":
-        return u3()
-    for i in (1, 2, 3):
-        if name == "T_{2,%d}'" % i:
-            return t2_prime_split(i)
-    raise BmlabError("unknown catalog name %r" % name)
+    return _named(named_graphs(), name, "unknown catalog name %r")
 
 
 # -- exhaustive small families (for the verify harness) --------------------------
@@ -515,20 +458,20 @@ def _family_graphs(max_vertices, max_edges):
             yield g
 
 
+@functools.lru_cache(maxsize=1)
+def _tangled_family(max_vertices, max_edges):
+    return [om for g in _family_graphs(max_vertices, max_edges)
+            for om in bias_sets_up_to_aut(g, lambda om: is_tangled(om)[0])]
+
+
 def tangled_family(max_vertices=5, max_edges=8):
     """All tangled biased graphs on connected loopless min-degree-2
-    multigraphs with the given bounds, one per isomorphism class.  Only
-    the most recently built bounds stay cached.
+    multigraphs with the given bounds, one per isomorphism class.  The
+    cache is keyed by the bound values, however they are passed, and keeps
+    only the most recently built bounds.
 
     Tangled biased graphs are loopless (a joint would force a balancing
     vertex), and pendant edges, balanced loops and balanced components
     affect neither tangledness nor the target minors, so the normalized
     family is exhaustive for the structure theorems."""
-
-    def build():
-        for old in [k for k in _CACHE if k[0] == "tangled"]:
-            del _CACHE[old]
-        return [om for g in _family_graphs(max_vertices, max_edges)
-                for om in bias_sets_up_to_aut(g, lambda om: is_tangled(om)[0])]
-
-    return _cached(("tangled", max_vertices, max_edges), build)
+    return _tangled_family(max_vertices, max_edges)

@@ -89,8 +89,7 @@ def _emit(payload, as_json, text=None):
 def cmd_catalog(args):
     if args.all:
         table = []
-        for name in catalog.catalog_names():
-            nb = catalog.by_name(name)
+        for nb in catalog.named_graphs():
             om = nb.omega
             table.append({
                 "name": nb.name,
@@ -109,7 +108,13 @@ def cmd_catalog(args):
     if not args.name:
         print("catalog: need a name or --all", file=sys.stderr)
         return EXIT_USAGE
-    nb = catalog.by_name(args.name)
+    try:
+        nb = catalog.by_name(args.name)
+    except BmlabError:
+        print("unknown catalog name %r; known: %s" % (
+            args.name, ", ".join(known.name for known in catalog.named_graphs())),
+            file=sys.stderr)
+        return EXIT_USAGE
     text = formats.emit_biased_graph(nb.omega)
     if args.json:
         _emit({"name": nb.name, "file": text}, True)

@@ -10,6 +10,7 @@ multiplication are table lookups.
 Rational arithmetic wraps fractions.Fraction.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import BmlabError
@@ -241,11 +242,8 @@ class Rationals:
 
 QQ = Rationals()
 
-_CACHE = {}
 
-
+@functools.cache
 def gf(q):
     """Shared GF(q) instance (tables are built once per q)."""
-    if q not in _CACHE:
-        _CACHE[q] = GF(q)
-    return _CACHE[q]
+    return GF(q)

@@ -87,9 +87,10 @@ MUTANTS = [
     # every tangled family stays cached
     Mutant(
         "catalog.py",
-        'for old in [k for k in _CACHE if k[0] == "tangled"]:',
-        "for old in []:",
-        ["tests/test_catalog.py::test_tangled_family_caches_only_the_latest_bounds"],
+        "@functools.lru_cache(maxsize=1)",
+        "@functools.lru_cache(maxsize=None)",
+        ["tests/test_catalog.py::test_tangled_family_caches_only_the_latest_bounds",
+         "tests/test_caches.py::test_every_unbounded_cache_has_a_finite_key_space"],
     ),
     # inequivalence-localized also takes the almost balanced graphs
     Mutant(
@@ -252,6 +253,60 @@ MUTANTS = [
         "    if pattern.graph.m > omega.graph.m:\n        return False\n",
         "",
         ["tests/test_bias.py::test_cuts_come_after_the_argument_checks"],
+    ),
+    # the catalog lookup matches on the first three characters of a name,
+    # so T_2' finds T_2
+    Mutant(
+        "catalog.py",
+        "if nb.name == name:",
+        "if nb.name[:3] == name[:3]:",
+        ["tests/test_catalog.py::test_t2_split_by_delta_image",
+         "tests/test_catalog.py::test_named_graphs_lists_every_family_once_in_table_order"],
+    ),
+    # the T_2 / T_2' split swapped
+    Mutant(
+        "catalog.py",
+        """return "T_2'" if biased_isomorphic(img, dwarf("D_{1,0}").omega) else "T_2"\n""",
+        """return "T_2" if biased_isomorphic(img, dwarf("D_{1,0}").omega) else "T_2'"\n""",
+        ["tests/test_catalog.py::test_t2_split_by_delta_image",
+         "tests/test_catalog.py::test_t2_prime_splits"],
+    ),
+    # a family keeps the search order instead of the name order
+    Mutant(
+        "catalog.py",
+        "key=lambda nb: nb.name)",
+        "key=lambda nb: 0)",
+        ["tests/test_catalog.py::test_seven_dwarves"],
+    ),
+    # tangled_family bypasses its cache
+    Mutant(
+        "catalog.py",
+        "return _tangled_family(max_vertices, max_edges)",
+        "return _tangled_family.__wrapped__(max_vertices, max_edges)",
+        ["tests/test_catalog.py::test_tangled_family_caches_only_the_latest_bounds",
+         "tests/test_catalog.py::test_tangled_family_cache_is_keyed_by_the_bound_values"],
+    ),
+    # the catalog table leaves out the contracted tubes
+    Mutant(
+        "catalog.py",
+        "    yield from contracted_tubes()\n",
+        "",
+        ["tests/test_catalog.py::test_named_graphs_lists_every_family_once_in_table_order",
+         "tests/test_cli.py::test_catalog_all_json"],
+    ),
+    # the contracted tubes contract a doubled link
+    Mutant(
+        "catalog.py",
+        "if len(es) == 1)",
+        "if len(es) == 2)",
+        ["tests/test_catalog.py::test_contracted_tubes_shape"],
+    ),
+    # an unknown catalog name exits as a negative answer
+    Mutant(
+        "cli.py",
+        "        return EXIT_USAGE\n    text = formats.emit_biased_graph(nb.omega)",
+        "        return EXIT_FAIL\n    text = formats.emit_biased_graph(nb.omega)",
+        ["tests/test_cli.py::test_catalog_unknown_name_is_a_usage_error"],
     ),
 ]
 

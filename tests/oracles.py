@@ -660,10 +660,10 @@ def theta_closed_subsets_by_theta_test(g):
 def sweep_graphs():
     """The graphs of the exhaustive differential sweeps: those of
     multigraphs_up_to_iso(4, 7), then the underlying graphs of the
-    catalog's named biased graphs, each once, in catalog_names order."""
+    catalog's named biased graphs, each once, in named_graphs order."""
     named = []
-    for name in catalog.catalog_names():
-        g = catalog.by_name(name).omega.graph
+    for nb in catalog.named_graphs():
+        g = nb.omega.graph
         if g not in named:
             named.append(g)
     return list(catalog.multigraphs_up_to_iso(4, 7)) + named

@@ -191,9 +191,8 @@ def test_theta_check_matches_listing_oracle_on_seeded_subsets():
 
 
 def test_theta_check_matches_listing_oracle_on_the_catalog():
-    for name in catalog.catalog_names():
-        om = catalog.by_name(name).omega
-        assert not _theta_check_agrees(om.graph, om.balanced), name
+    for nb in catalog.named_graphs():
+        assert not _theta_check_agrees(nb.omega.graph, nb.omega.balanced), nb.name
 
 
 def test_classify_d10_unique_balancing_vertex():
@@ -318,7 +317,7 @@ def _remapped_balanced(om):
 
 
 def test_drop_isolated_keeps_edge_ids():
-    graphs = [catalog.by_name(name).omega for name in catalog.catalog_names()]
+    graphs = [nb.omega for nb in catalog.named_graphs()]
     graphs.append(BiasedGraph(MultiGraph(5, [(4, 2), (2, 4), (2, 0)]), [{0, 1}]))
     assert any(om.graph.n > len(om.graph.vertices_of(range(om.graph.m))) for om in graphs)
     for om in graphs:

@@ -20,6 +20,7 @@ from bmlab.errors import BadGlue, BmlabError, BoundExceeded
 from bmlab.graph import MultiGraph, edge_bijections, graph_isomorphisms
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
 from oracles import (
+    drop_isolated,
     mask_edge_sets,
     sweep_graphs,
     theta_closed_edge_sets,
@@ -171,7 +172,7 @@ def test_tangled_family_small():
 
 
 def test_tangled_family_caches_only_a_complete_build(monkeypatch):
-    key = ("tangled", 4, 6)
+    cache = catalog._tangled_family
     real = catalog.bias_sets_up_to_aut
     calls = []
 
@@ -181,22 +182,78 @@ def test_tangled_family_caches_only_a_complete_build(monkeypatch):
             raise BoundExceeded("injected")
         return real(g, predicate)
 
-    catalog._CACHE.pop(key, None)
-    try:
-        monkeypatch.setattr(catalog, "bias_sets_up_to_aut", third_call_fails)
-        with pytest.raises(BoundExceeded):
-            catalog.tangled_family(4, 6)
-        monkeypatch.setattr(catalog, "bias_sets_up_to_aut", real)
-        assert key not in catalog._CACHE
-        assert len(catalog.tangled_family(4, 6)) == 10
-    finally:
-        catalog._CACHE.pop(key, None)
+    cache.cache_clear()
+    monkeypatch.setattr(catalog, "bias_sets_up_to_aut", third_call_fails)
+    with pytest.raises(BoundExceeded):
+        catalog.tangled_family(4, 6)
+    monkeypatch.setattr(catalog, "bias_sets_up_to_aut", real)
+    assert cache.cache_info().currsize == 0
+    assert len(catalog.tangled_family(4, 6)) == 10
+    assert cache.cache_info().currsize == 1
 
 
 def test_tangled_family_caches_only_the_latest_bounds():
+    cache = catalog._tangled_family
     for bounds in [(3, 6), (4, 6), (3, 6)]:
-        catalog.tangled_family(*bounds)
-    assert [k for k in catalog._CACHE if k[0] == "tangled"] == [("tangled", 3, 6)]
+        fam = catalog.tangled_family(*bounds)
+    info = cache.cache_info()
+    assert info.currsize == 1
+    # the one entry is (3, 6): asking again is a hit that returns its list
+    assert catalog.tangled_family(3, 6) is fam
+    assert cache.cache_info().misses == info.misses
+
+
+def test_tangled_family_cache_is_keyed_by_the_bound_values():
+    cache = catalog._tangled_family
+    cache.cache_clear()
+    fam = catalog.tangled_family()
+    assert catalog.tangled_family(5, 8) is fam
+    assert catalog.tangled_family(max_vertices=5, max_edges=8) is fam
+    assert cache.cache_info().misses == 1
+
+
+def test_named_graphs_lists_every_family_once_in_table_order():
+    names = [nb.name for nb in catalog.named_graphs()]
+    assert names == [
+        "D_{0,0}", "D_{0,1}", "D_{0,2}", "D_{0,3}", "D_{1,0}", "D_{2,1}", "D_{4,3}",
+        "T_0", "T_1", "T_2", "T_2'", "T_3", "T_4",
+        "B_0", "B_1", "B_2", "B_0'", "B_1'", "B_2'",
+        "U_2", "U_3", "T_{2,1}'", "T_{2,2}'", "T_{2,3}'",
+    ]
+    for nb in catalog.named_graphs():
+        assert catalog.by_name(nb.name) is nb
+
+
+def _normalized(om):
+    """om without balanced loops, pendant edges, balanced components and
+    isolated vertices, each removal repeated until none applies."""
+    while True:
+        g = om.graph
+        unbalanced = set().union(*(c.edges for c in om.unbalanced_cycles()))
+        drop = {e for e in range(g.m) if frozenset((e,)) in om.balanced}
+        drop.update(e for v in range(g.n) if g.degree(v) == 1 for e in g.incident_edges(v))
+        for comp in g.components():
+            edges = {e for e in range(g.m) if g.edges[e][0] in comp}
+            if not edges & unbalanced:
+                drop |= edges
+        if not drop:
+            return drop_isolated(om)
+        om = biased_minor(om, set(), drop, check=False).omega
+
+
+def test_tangled_family_is_closed_under_normalized_one_step_minors():
+    """Each single-edge deletion or link contraction of a member, once
+    normalized, is either not tangled or isomorphic to a member."""
+    family = catalog.tangled_family(4, 7)
+    tangled = Counter()
+    for om in family:
+        for e in range(om.graph.m):
+            for op, contract, delete in (("delete", set(), {e}), ("contract", {e}, set())):
+                mn = _normalized(biased_minor(om, contract, delete, check=False).omega)
+                if is_tangled(mn)[0]:
+                    assert any(biased_isomorphic(mn, m) for m in family), (om, op, e)
+                    tangled[op] += 1
+    assert tangled == {"delete": 81, "contract": 35}
 
 
 def test_multigraph_generation_counts():

@@ -46,6 +46,15 @@ def test_catalog_all_json(capsys):
     assert len(table) == 24  # 7 + 6 + 3 + 3 contracted + U2/U3 + 3 splits
 
 
+def test_catalog_unknown_name_is_a_usage_error(capsys):
+    assert main(["catalog", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("unknown catalog name 'nosuch'; known: ")
+    assert err.rstrip("\n").split("known: ")[1].split(", ") == [
+        nb.name for nb in catalog.named_graphs()]
+
+
 def test_check_theta_ok(capsys, b0_file):
     assert main(["check-theta", b0_file]) == 0
 
