@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
 
 from .bias import (
+    PROPERLY_UNBALANCED,
     BiasedGraph,
     biased_isomorphic,
     biased_minor,
@@ -193,9 +194,8 @@ def base_graphs():
     out = tuple(dwarves) + classify_2c3_proper() + classify_tube_proper()
     assert len(out) == 13
     for nb in out:
-        assert classify_balance(nb.omega).tag == "properly-unbalanced", nb.name
-        ok, _ = nb.omega.is_vertically_k_connected(2)
-        assert ok, nb.name
+        assert properly_unbalanced(nb.omega), nb.name
+        assert vertically_2_connected(nb.omega.graph), nb.name
     return out
 
 
@@ -447,21 +447,41 @@ def bias_sets_up_to_aut(g, predicate=None):
     return reps
 
 
-def _family_graphs(max_vertices, max_edges):
-    """The graphs tangled_family searches: three vertices or more, and no
-    vertex on every cycle (a balancing vertex whatever the bias)."""
+def biased_family(max_vertices, max_edges, graph_ok=None, predicate=None):
+    """The bias sets of `bias_sets_up_to_aut(g, predicate)` for each graph g
+    of `multigraphs_up_to_iso(max_vertices, max_edges)` that passes
+    graph_ok, graph by graph in that order.  graph_ok is tested before any
+    bias set on g is built."""
     for g in multigraphs_up_to_iso(max_vertices, max_edges):
-        if g.n < 3:
-            continue
-        masks = g.cycle_masks()
-        if masks.every not in masks.through:
-            yield g
+        if graph_ok is None or graph_ok(g):
+            yield from bias_sets_up_to_aut(g, predicate)
+
+
+def can_be_tangled(g):
+    """Three vertices or more, and no vertex on every cycle (a balancing
+    vertex whatever the bias): a graph failing this carries no tangled
+    bias."""
+    if g.n < 3:
+        return False
+    masks = g.cycle_masks()
+    return masks.every not in masks.through
+
+
+def vertically_2_connected(g):
+    return g.is_vertically_k_connected(2)[0]
+
+
+def properly_unbalanced(om):
+    return classify_balance(om).tag == PROPERLY_UNBALANCED
+
+
+def tangled(om):
+    return is_tangled(om)[0]
 
 
 @functools.lru_cache(maxsize=1)
 def _tangled_family(max_vertices, max_edges):
-    return [om for g in _family_graphs(max_vertices, max_edges)
-            for om in bias_sets_up_to_aut(g, lambda om: is_tangled(om)[0])]
+    return list(biased_family(max_vertices, max_edges, can_be_tangled, tangled))
 
 
 def tangled_family(max_vertices=5, max_edges=8):

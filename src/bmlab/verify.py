@@ -12,6 +12,7 @@ from math import comb
 
 from . import catalog
 from .bias import (
+    ALMOST_BALANCED,
     BiasedGraph,
     balancing_vertices,
     biased_equal_unoriented,
@@ -584,8 +585,7 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
     failures = []
     checked = 0
     for om in family:
-        ok2, _ = om.is_vertically_k_connected(2)
-        if not ok2:
+        if not catalog.vertically_2_connected(om.graph):
             continue
         checked += 1
         if not any(
@@ -684,20 +684,16 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
         failures.append(_bias_witness(om))
 
     # vertical 2-connectivity depends only on the graph: test it first
-    for g in catalog.multigraphs_up_to_iso(max_vertices, max_edges):
-        if g.is_vertically_k_connected(2)[0]:
-            for om in catalog.bias_sets_up_to_aut(g):
-                check(om)
+    for om in catalog.biased_family(max_vertices, max_edges, catalog.vertically_2_connected):
+        check(om)
     rng = random.Random(seed)
     tried = 0
     while tried < samples:
         g = _random_multigraph(rng, 6, 9, allow_loops=False)
-        if g.m > 9:
-            continue
         group = CyclicGroup(rng.choice((2, 3)))
         gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
         tried += 1
-        if g.is_vertically_k_connected(2)[0]:
+        if catalog.vertically_2_connected(g):
             check(induced_bias(gg))
     return failures, {"hypothesis_instances": hypotheses}
 
@@ -711,16 +707,13 @@ def claim_inequivalence_localized():
     of realizations at (4, 7), in generation order."""
     failures = []
     pairs = 0
-    for g in catalog.multigraphs_up_to_iso(4, 7):
-        if not g.is_vertically_k_connected(2)[0]:
-            continue
-        for om in catalog.bias_sets_up_to_aut(
-                g, lambda om: classify_balance(om).tag == "properly-unbalanced"):
-            for group in (CyclicGroup(2), CyclicGroup(3)):
-                for phi, psi in combinations(realizations(om, group), 2):
-                    pairs += 1
-                    if not _localization_certificate(om, phi, psi):
-                        failures.append(dict(_bias_witness(om), phi=phi.gains, psi=psi.gains))
+    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    catalog.properly_unbalanced):
+        for group in (CyclicGroup(2), CyclicGroup(3)):
+            for phi, psi in combinations(realizations(om, group), 2):
+                pairs += 1
+                if not _localization_certificate(om, phi, psi):
+                    failures.append(dict(_bias_witness(om), phi=phi.gains, psi=psi.gains))
     return failures, {"pairs_checked": pairs}
 
 
@@ -831,7 +824,7 @@ def _round_trip(rng, f, name, om, kind, gg):
     failures = []
     if res.rolled_edges and not _roll_reachable(om, res.variant):
         failures.append({"graph": name, "kind": kind, "why": "variant not roll-reachable"})
-    if (classify_balance(om).tag == "properly-unbalanced"
+    if (catalog.properly_unbalanced(om)
             and parts.equivalent(res.form.gain_graph, gg) is None):
         failures.append({"graph": name, "kind": kind, "why": "gains not equivalent"})
     if not res.witness.verify(scr, res.form.matrix):
@@ -968,7 +961,7 @@ def claim_rollup_frame():
     for nb in instances:
         om = nb.omega
         cls = classify_balance(om)
-        if cls.tag != "almost-balanced":
+        if cls.tag != ALMOST_BALANCED:
             continue
         for u in cls.balancing_vertices:
             part = unbalancing_classes(om, u)

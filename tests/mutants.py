@@ -79,8 +79,8 @@ MUTANTS = [
     # pair is always true
     Mutant(
         "catalog.py",
-        "bias_sets_up_to_aut(g, lambda om: is_tangled(om)[0])",
-        "bias_sets_up_to_aut(g, lambda om: is_tangled(om))",
+        "return is_tangled(om)[0]",
+        "return is_tangled(om)",
         ["tests/test_catalog.py::test_tangled_family_small",
          "tests/test_catalog.py::test_tangled_family_caches_only_a_complete_build"],
     ),
@@ -92,11 +92,12 @@ MUTANTS = [
         ["tests/test_catalog.py::test_tangled_family_caches_only_the_latest_bounds",
          "tests/test_caches.py::test_every_unbounded_cache_has_a_finite_key_space"],
     ),
-    # inequivalence-localized also takes the almost balanced graphs
+    # properly_unbalanced also takes the almost balanced graphs, so
+    # inequivalence-localized checks them too
     Mutant(
-        "verify.py",
-        'g, lambda om: classify_balance(om).tag == "properly-unbalanced"):',
-        'g, lambda om: classify_balance(om).tag != "balanced"):',
+        "catalog.py",
+        "return classify_balance(om).tag == PROPERLY_UNBALANCED",
+        'return classify_balance(om).tag != "balanced"',
         ["tests/test_verify.py::test_inequivalence_localized_negative_control_claim",
          "tests/test_perfbench.py::test_benchmark_claims_report_their_recorded_counts"],
     ),
@@ -307,6 +308,15 @@ MUTANTS = [
         "        return EXIT_USAGE\n    text = formats.emit_biased_graph(nb.omega)",
         "        return EXIT_FAIL\n    text = formats.emit_biased_graph(nb.omega)",
         ["tests/test_cli.py::test_catalog_unknown_name_is_a_usage_error"],
+    ),
+    # biased_family keeps every graph, whatever graph_ok says
+    Mutant(
+        "catalog.py",
+        "if graph_ok is None or graph_ok(g):",
+        "if True:",
+        ["tests/test_catalog.py::test_tangled_family_caches_only_a_complete_build",
+         "tests/test_catalog.py::test_family_members_keep_their_order",
+         "tests/test_verify.py::test_localization_certificate_matches_parent"],
     ),
 ]
 

@@ -224,10 +224,9 @@ def test_joints_force_almost_balanced():
 
 def test_classify_balance_matches_loop_deleted_minor_on_small_bias_sets():
     tags = Counter()
-    for g in catalog.multigraphs_up_to_iso(4, 6):
-        for om in catalog.bias_sets_up_to_aut(g):
-            assert classify_balance(om) == classify_balance_by_minor(om), om
-            tags[classify_balance(om).tag] += 1
+    for om in catalog.biased_family(4, 6):
+        assert classify_balance(om) == classify_balance_by_minor(om), om
+        tags[classify_balance(om).tag] += 1
     assert tags == {"balanced": 33, "almost-balanced": 164, "properly-unbalanced": 20}
 
 
@@ -341,16 +340,15 @@ def test_link_forest_recipes_need_no_guards():
     # forest K and delete some D of the rest: K holds no cycle, so it is
     # balanced, and contracting it never contracts a joint
     recipes = 0
-    for g in catalog.multigraphs_up_to_iso(4, 5):
-        for om in catalog.bias_sets_up_to_aut(g):
-            for K in g.link_forests():
-                rest = [e for e in range(g.m) if e not in K]
-                for keep in range(len(rest) + 1):
-                    for kept in combinations(rest, keep):
-                        D = frozenset(rest) - frozenset(kept)
-                        assert is_balanced_set(om, K)
-                        assert biased_minor(om, K, D, check=False).is_link_minor
-                        recipes += 1
+    for om in catalog.biased_family(4, 5):
+        for K in om.graph.link_forests():
+            rest = [e for e in range(om.graph.m) if e not in K]
+            for keep in range(len(rest) + 1):
+                for kept in combinations(rest, keep):
+                    D = frozenset(rest) - frozenset(kept)
+                    assert is_balanced_set(om, K)
+                    assert biased_minor(om, K, D, check=False).is_link_minor
+                    recipes += 1
     assert recipes == 8296
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -73,9 +75,8 @@ def test_thirteen_base_graphs():
     base = catalog.base_graphs()
     assert len(base) == 13
     for nb in base:
-        assert classify_balance(nb.omega).tag == "properly-unbalanced"
-        ok, _ = nb.omega.is_vertically_k_connected(2)
-        assert ok
+        assert catalog.properly_unbalanced(nb.omega)
+        assert catalog.vertically_2_connected(nb.omega.graph)
         assert check_theta_property(nb.omega.graph, nb.omega.balanced) is None
 
 
@@ -90,10 +91,8 @@ def test_base_graphs_link_minor_minimal():
                     {e} if op == "delete" else set(), check=False,
                 )
                 g, _ = mn.omega.graph.drop_isolated()
-                still = (
-                    classify_balance(mn.omega).tag == "properly-unbalanced"
-                    and g.is_vertically_k_connected(2)[0]
-                )
+                still = (catalog.properly_unbalanced(mn.omega)
+                         and catalog.vertically_2_connected(g))
                 assert not still, (nb.name, op, e)
 
 
@@ -186,6 +185,8 @@ def test_tangled_family_caches_only_a_complete_build(monkeypatch):
     monkeypatch.setattr(catalog, "bias_sets_up_to_aut", third_call_fails)
     with pytest.raises(BoundExceeded):
         catalog.tangled_family(4, 6)
+    # the graph filter runs first: no bias set is built on the 2-vertex graphs
+    assert all(catalog.can_be_tangled(g) for g in calls)
     monkeypatch.setattr(catalog, "bias_sets_up_to_aut", real)
     assert cache.cache_info().currsize == 0
     assert len(catalog.tangled_family(4, 6)) == 10
@@ -210,6 +211,24 @@ def test_tangled_family_cache_is_keyed_by_the_bound_values():
     assert catalog.tangled_family(5, 8) is fam
     assert catalog.tangled_family(max_vertices=5, max_edges=8) is fam
     assert cache.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("family, count, digest", [
+    (lambda: catalog.tangled_family(4, 7), 60, "3d84198e54716f0e"),
+    (lambda: catalog.tangled_family(5, 8), 536, "e4b458a38458d8eb"),
+    (lambda: catalog.biased_family(4, 7, catalog.vertically_2_connected), 485,
+     "54b75e8adb8b5763"),
+    (lambda: catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                   catalog.properly_unbalanced), 87, "7a63fd68b1dbbb22"),
+], ids=["tangled-4-7", "tangled-5-8", "v2c-4-7", "v2c-proper-4-7"])
+def test_family_members_keep_their_order(family, count, digest):
+    """Each member's graph (n, edges) and its sorted balanced edge sets, in
+    member order, hash to the digest of the nested loops that
+    biased_family replaced."""
+    rows = [[om.graph.n, om.graph.edges, sorted(sorted(c) for c in om.balanced)]
+            for om in family()]
+    assert len(rows) == count
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
 
 
 def test_named_graphs_lists_every_family_once_in_table_order():
@@ -267,9 +286,12 @@ def test_multigraph_generation_counts():
     ]
 
 
-def _multigraphs_oracle(max_vertices, max_edges, min_degree=2, connected=True):
-    """The generator before degree classes: each multiplicity vector's key
-    is its least relabeling over all nv! vertex permutations."""
+def _vector_scan_oracle(max_vertices, max_edges, key_of):
+    """The generator before degree-sorted pruning: every multiplicity
+    vector, keyed by key_of(nv, mult), in the order of each class's first
+    vector.  With `_full_scan_key` it is the generator before degree
+    classes, whose key is the least relabeling over all nv! vertex
+    permutations."""
     out = []
     seen = set()
     for nv in range(1, max_vertices + 1):
@@ -285,9 +307,9 @@ def _multigraphs_oracle(max_vertices, max_edges, min_degree=2, connected=True):
                 for (u, v), m in zip(pairs, mult):
                     deg[u] += m
                     deg[v] += m
-                if any(d < min_degree for d in deg):
+                if any(d < 2 for d in deg):
                     return
-                key = _full_scan_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
+                key = key_of(nv, [(p, m) for p, m in zip(pairs, mult) if m])
                 if key in seen:
                     return
                 seen.add(key)
@@ -295,7 +317,7 @@ def _multigraphs_oracle(max_vertices, max_edges, min_degree=2, connected=True):
                 for (u, v), m in key:
                     edges.extend([(u, v)] * m)
                 g = MultiGraph(nv, edges)
-                if connected and not g.is_connected():
+                if not g.is_connected():
                     return
                 if g.n != len(g.vertices_of(range(g.m))) and g.m:
                     return
@@ -328,62 +350,18 @@ def _mult(g):
 def test_multigraphs_match_full_scan_oracle(max_vertices):
     for max_edges in range(8):
         got = catalog.multigraphs_up_to_iso(max_vertices, max_edges)
-        want = _multigraphs_oracle(max_vertices, max_edges)
+        want = _vector_scan_oracle(max_vertices, max_edges, _full_scan_key)
         assert len(got) == len(want)
         for g, h in zip(got, want):
             assert g.n == h.n
             assert _full_scan_key(g.n, _mult(g)) == tuple(_mult(h))
 
 
-def _degree_class_oracle(max_vertices, max_edges, min_degree=2, connected=True):
-    """The generator before degree-sorted pruning: every multiplicity
-    vector, keyed by `multigraph_key`, in the order of each class's first
-    vector."""
-    out = []
-    seen = set()
-    for nv in range(1, max_vertices + 1):
-        pairs = list(combinations(range(nv), 2))
-        if not pairs:
-            continue
-
-        def rec(idx, left, mult):
-            if idx == len(pairs):
-                if sum(mult) == 0:
-                    return
-                deg = [0] * nv
-                for (u, v), m in zip(pairs, mult):
-                    deg[u] += m
-                    deg[v] += m
-                if any(d < min_degree for d in deg):
-                    return
-                key = catalog.multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
-                if key in seen:
-                    return
-                seen.add(key)
-                edges = []
-                for (u, v), m in key:
-                    edges.extend([(u, v)] * m)
-                g = MultiGraph(nv, edges)
-                if connected and not g.is_connected():
-                    return
-                if g.n != len(g.vertices_of(range(g.m))) and g.m:
-                    return
-                out.append(g)
-                return
-            for m in range(0, left + 1):
-                mult[idx] = m
-                rec(idx + 1, left - m, mult)
-            mult[idx] = 0
-
-        rec(0, max_edges, [0] * len(pairs))
-    return out
-
-
 @pytest.mark.parametrize("max_vertices", [1, 2, 3, 4, 5])
 def test_multigraphs_match_degree_class_oracle(max_vertices):
     for max_edges in range(9):
         got = catalog.multigraphs_up_to_iso(max_vertices, max_edges)
-        want = _degree_class_oracle(max_vertices, max_edges)
+        want = _vector_scan_oracle(max_vertices, max_edges, catalog.multigraph_key)
         assert [(g.n, g.edges) for g in got] == [(h.n, h.edges) for h in want]
 
 
@@ -391,7 +369,7 @@ def test_multigraphs_at_5_9():
     got = catalog.multigraphs_up_to_iso(5, 9)
     assert len(got) == 528
     assert [(g.n, g.edges) for g in got] == [
-        (h.n, h.edges) for h in _degree_class_oracle(5, 9)]
+        (h.n, h.edges) for h in _vector_scan_oracle(5, 9, catalog.multigraph_key)]
 
 
 def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
@@ -538,7 +516,7 @@ _PARALLEL_GRAPHS = [MultiGraph(2, [(0, 1)] * k) for k in range(1, 7)] + [
 
 
 def test_bias_sets_up_to_aut_matches_every_automorphism_oracle():
-    family_graphs = list(catalog._family_graphs(5, 8))
+    family_graphs = [g for g in catalog.multigraphs_up_to_iso(5, 8) if catalog.can_be_tangled(g)]
     assert len(family_graphs) == 122
     graphs = catalog.multigraphs_up_to_iso(4, 7) + _PARALLEL_GRAPHS + family_graphs
     for g in graphs:

@@ -11,7 +11,6 @@ from bmlab.bias import (
     BiasedGraph,
     biased_isomorphic,
     biased_minor,
-    classify_balance,
     find_biased_subdivision,
     is_tangled,
 )
@@ -282,17 +281,13 @@ def test_inequivalence_localized_negative_control(monkeypatch):
     rng = random.Random(3)
     group = CyclicGroup(3)
     tangled = []
-    for g in catalog.multigraphs_up_to_iso(4, 7):
-        for om in catalog.bias_sets_up_to_aut(g):
-            if not om.is_vertically_k_connected(2)[0]:
-                continue
-            if classify_balance(om).tag != "properly-unbalanced":
-                continue
-            for phi in realizations(om, group)[:1]:
-                psi = switch(phi, {v: rng.choice(group.elements) for v in range(g.n)})
-                assert psi.gains != phi.gains
-                assert not verify._localization_certificate(om, phi, psi)
-                tangled.append(is_tangled(om)[0])
+    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    catalog.properly_unbalanced):
+        for phi in realizations(om, group)[:1]:
+            psi = switch(phi, {v: rng.choice(group.elements) for v in range(om.graph.n)})
+            assert psi.gains != phi.gains
+            assert not verify._localization_certificate(om, phi, psi)
+            tangled.append(is_tangled(om)[0])
     assert len(tangled) >= 5 and True in tangled and False in tangled
     assert 6 in minor_sizes and 4 in minor_sizes  # base and U_3 routes ran
 
@@ -357,16 +352,12 @@ def test_localization_certificate_matches_parent(monkeypatch):
     (phi, phi), certified as the filtering loops did; without the base
     graphs only the U_3 and U_2 routes can certify."""
     instances = []
-    for g in catalog.multigraphs_up_to_iso(4, 7):
-        for om in catalog.bias_sets_up_to_aut(g):
-            if not om.is_vertically_k_connected(2)[0]:
-                continue
-            if classify_balance(om).tag != "properly-unbalanced":
-                continue
-            for group in (CyclicGroup(2), CyclicGroup(3)):
-                reps = realizations(om, group)
-                instances += [(om, phi, psi) for phi, psi in combinations(reps, 2)]
-                instances += [(om, phi, phi) for phi in reps]
+    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    catalog.properly_unbalanced):
+        for group in (CyclicGroup(2), CyclicGroup(3)):
+            reps = realizations(om, group)
+            instances += [(om, phi, psi) for phi, psi in combinations(reps, 2)]
+            instances += [(om, phi, phi) for phi in reps]
     assert len(instances) == 101
     certified = []
     for base in (True, False):
@@ -567,11 +558,9 @@ def test_theorem_2_on_every_biased_graph_with_5_vertices_and_8_edges():
     # vertices and 8 edges, up to isomorphism: rank-5 frame matroids, 41 of
     # them 3-connected.  Over GF(4) every representation is canonical, and
     # the classes are as many as the gain classes
-    family = []
-    for g in catalog.multigraphs_up_to_iso(5, 8):
-        if g.n == 5 and g.m == 8 and g.is_vertically_k_connected(2)[0]:
-            family += catalog.bias_sets_up_to_aut(
-                g, predicate=lambda om: classify_balance(om).tag == "properly-unbalanced")
+    family = list(catalog.biased_family(
+        5, 8, lambda g: g.n == 5 and g.m == 8 and catalog.vertically_2_connected(g),
+        catalog.properly_unbalanced))
     assert len(family) == 280
     named = [catalog.NamedBiasedGraph("G%d" % i, om, "") for i, om in enumerate(family)]
     failures, counts = verify._allreps(named, 4)
