@@ -25,6 +25,7 @@ from .bias import (
 from .errors import (
     BmlabError,
     BoundExceeded,
+    GraphMismatch,
     GroupMismatch,
     MatroidMismatch,
     NoBasis,
@@ -38,7 +39,6 @@ from .gains import (
     GainGraph,
     MultiplicativeGroup,
     induced_bias,
-    scaling_orbits,
     switching_equivalent,
     switching_scaling_equivalent,
 )
@@ -144,14 +144,31 @@ def kind_parts(kind):
 
 
 def gain_classes(kind, ggs):
-    """The class label of each of the normalized realizations ggs of one
-    graph: distinct normalized gain functions are distinct switching
-    classes (frame); for the additive kinds, the index of the
-    switching-and-scaling orbit."""
+    """Class labels, in order of first appearance, of the realizations ggs
+    of one graph, which must be normalized on its spanning forest: distinct
+    ones are distinct switching classes (frame); for the additive kinds,
+    ones in a switching-and-scaling class differ by a scalar, so each is
+    keyed by its gains in edge order over its first nonzero gain."""
+    if not ggs:
+        return []
+    graph, group = ggs[0].graph, ggs[0].group
+    forest = graph.spanning_forest()
+    for gg in ggs:
+        if gg.graph != graph:
+            raise GraphMismatch("different underlying graphs")
+        if gg.group != group or kind != FRAME and not group.is_additive_field_group:
+            raise GroupMismatch("need one group, additive for the lift kinds")
+        if any(gg.gains[e] != group.identity for e in forest):
+            raise BmlabError("gain function not normalized on the spanning forest")
     if kind == FRAME:
         return list(range(len(ggs)))
-    orbit_of = {id(gg): k for k, orbit in enumerate(scaling_orbits(ggs)) for gg in orbit}
-    return [orbit_of[id(gg)] for gg in ggs]
+
+    def key(gains):
+        lead = next((x for x in gains if x != group.identity), group.field.one)
+        return tuple(group.scale(group.field.inv(lead), x) for x in gains)
+
+    labels = {}
+    return [labels.setdefault(key(gg.gains.values()), len(labels)) for gg in ggs]
 
 
 # -- matrix-level Delta-Y ------------------------------------------------------

@@ -344,9 +344,9 @@ def switching_scaling_equivalent(gg1, gg2):
     witness in field enumeration order.
 
     Normalizing commutes with scaling: on one forest, a . gg1 normalizes
-    to a . n1 by the switching a . eta1.  So both sides are normalized
-    once, a works iff a . n1 == n2, and eta is a . eta1 followed by the
-    inverse of eta2."""
+    to a . n1 by the switching a . eta1.  So a is n2 / n1 at n1's first
+    nonzero gain (any scalar if n1 is zero) and works iff a . n1 == n2;
+    eta is a . eta1 followed by the inverse of eta2."""
     if gg1.graph != gg2.graph:
         raise GraphMismatch("different underlying graphs")
     if gg1.group != gg2.group or not gg1.group.is_additive_field_group:
@@ -355,14 +355,15 @@ def switching_scaling_equivalent(gg1, gg2):
     forest = gg1.graph.spanning_forest()
     n1, eta1 = normalize(gg1, forest)
     n2, eta2 = normalize(gg2, forest)
-    for a in group.scalars:
-        if all(group.scale(a, x) == n2.gains[e] for e, x in n1.gains.items()):
-            eta = compose_switchings(group, {v: group.scale(a, x) for v, x in eta1.items()},
-                                     invert_switching(group, eta2))
-            scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
-            assert switch(scaled, eta).gains == gg2.gains
-            return a, eta
-    return None
+    lead = next((e for e, x in n1.gains.items() if x != group.identity), None)
+    a = group.scalars[0] if lead is None else group.field.div(n2.gains[lead], n1.gains[lead])
+    if a == group.identity or any(group.scale(a, x) != n2.gains[e] for e, x in n1.gains.items()):
+        return None
+    eta = compose_switchings(group, {v: group.scale(a, x) for v, x in eta1.items()},
+                             invert_switching(group, eta2))
+    scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
+    assert switch(scaled, eta).gains == gg2.gains
+    return a, eta
 
 
 def induced_gain(gg, contract, delete):
@@ -478,23 +479,3 @@ def _search_realizations(omega, group):
     assign(0)
     return out
 
-
-def scaling_orbits(reps):
-    """Group normalized additive realizations of one graph into
-    switching-and-scaling orbits; returns a list of lists, each orbit in
-    input order and the orbits in order of their first member.
-
-    Normalizing commutes with scaling, so two gain functions share an orbit
-    iff some scalar multiple of one's normal form is the other's: each is
-    filed under the least of its normal form's scalar multiples."""
-    orbits = {}
-    for gg in reps:
-        if gg.graph != reps[0].graph:
-            raise GraphMismatch("different underlying graphs")
-        if gg.group != reps[0].group or not gg.group.is_additive_field_group:
-            raise GroupMismatch("need matching additive field groups")
-        gains = normalize(gg)[0].gains
-        key = min(tuple(gg.group.scale(a, gains[e]) for e in range(gg.graph.m))
-                  for a in gg.group.scalars)
-        orbits.setdefault(key, []).append(gg)
-    return list(orbits.values())

@@ -318,6 +318,42 @@ MUTANTS = [
          "tests/test_catalog.py::test_family_members_keep_their_order",
          "tests/test_verify.py::test_localization_certificate_matches_parent"],
     ),
+    # the lift key without the division by the first nonzero gain: scalar
+    # multiples get keys of their own, so orbits split
+    Mutant(
+        "canonical.py",
+        "return tuple(group.scale(group.field.inv(lead), x) for x in gains)",
+        "return tuple(gains)",
+        ["tests/test_canonical.py::test_lift_gain_classes_match_the_scaling_orbits_oracle",
+         "tests/test_canonical.py::test_enumerate_counts_match_gain_classes",
+         "tests/test_canonical.py::test_enumerating_claims_stay_far_inside_the_work_bound",
+         "tests/test_acceptance.py::test_criterion_3_biconditionals"],
+    ),
+    # the lift key divides by the gain of edge 0 (when it is nonzero): the
+    # classes then depend on how the edges are numbered
+    Mutant(
+        "canonical.py",
+        "lead = next((x for x in gains if x != group.identity), group.field.one)",
+        "lead = next(iter(gains)) or group.field.one",
+        ["tests/test_invariance.py::test_balance_and_gain_class_counts_survive_a_relabelling",
+         "tests/test_canonical.py::test_lift_gain_classes_match_the_scaling_orbits_oracle"],
+    ),
+    # the scaling witness reads the scalar as n1 / n2 instead of n2 / n1
+    Mutant(
+        "gains.py",
+        "group.field.div(n2.gains[lead], n1.gains[lead])",
+        "group.field.div(n1.gains[lead], n2.gains[lead])",
+        ["tests/test_gains.py::test_switching_scaling_matches_the_per_scalar_oracle",
+         "tests/test_gains.py::test_scaling_equivalence_trivial",
+         "tests/test_cli.py::test_switch_equiv_scaling"],
+    ),
+    # the zero function's scalar is the last one, not the first
+    Mutant(
+        "gains.py",
+        "a = group.scalars[0] if lead is None",
+        "a = group.scalars[-1] if lead is None",
+        ["tests/test_gains.py::test_switching_scaling_matches_the_per_scalar_oracle"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -6,8 +6,10 @@ parsing, a biased graph with its isolated vertices dropped, balance
 classification on the loop-deleted minor, balancing vertices and
 tangledness from rebuilt cycle vertex sets, switching classes on contracted
 gain graphs, GF(q) tables built pair by pair, projective equivalence by a
-pivot-basis transfer and diagonal equivalence, and switching-and-scaling
-equivalence by one switching decision per scalar, the biased-graph edits
+pivot-basis transfer and diagonal equivalence, switching-and-scaling
+equivalence by one switching decision per scalar and its orbits by the
+least scalar multiple of each normal form, a biased graph under other
+vertex and edge labels, the biased-graph edits
 (Delta-Y, Y-Delta, roll-ups, unrolling, fat thetas, one-edge subdivision)
 each rebuilding its balanced set by hand, a biased graph with a balanced
 loop and a joint added, the edge-set view of cycle-index masks, the
@@ -408,6 +410,37 @@ def switching_scaling_equivalent_per_scalar(gg1, gg2):
         if eta is not None:
             return a, eta
     return None
+
+
+def scaling_orbits(reps):
+    """Group normalized additive realizations of one graph into
+    switching-and-scaling orbits; returns a list of lists, each orbit in
+    input order and the orbits in order of their first member.
+
+    Normalizing commutes with scaling, so two gain functions share an orbit
+    iff some scalar multiple of one's normal form is the other's: each is
+    filed under the least of its normal form's scalar multiples."""
+    orbits = {}
+    for gg in reps:
+        if gg.graph != reps[0].graph:
+            raise GraphMismatch("different underlying graphs")
+        if gg.group != reps[0].group or not gg.group.is_additive_field_group:
+            raise GroupMismatch("need matching additive field groups")
+        gains = normalize(gg)[0].gains
+        key = min(tuple(gg.group.scale(a, gains[e]) for e in range(gg.graph.m))
+                  for a in gg.group.scalars)
+        orbits.setdefault(key, []).append(gg)
+    return list(orbits.values())
+
+
+def relabel(omega, vertex_perm, edge_order):
+    """omega with vertex v renamed vertex_perm[v] and edge edge_order[i]
+    renumbered i, each edge keeping its orientation: the same biased graph
+    under other labels."""
+    g = omega.graph
+    new_id = {e: i for i, e in enumerate(edge_order)}
+    edges = [tuple(vertex_perm[v] for v in g.edges[e]) for e in edge_order]
+    return BiasedGraph(MultiGraph(g.n, edges), [{new_id[e] for e in c} for c in omega.balanced])
 
 
 # -- the biased-graph edits, each rebuilding its balanced set by hand ---------

@@ -7,20 +7,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 import random
 import time
 
-import pytest
-
 from bmlab import catalog
-from bmlab.bias import biased_minor, classify_balance
-from bmlab.canonical import enumerate_representations, frame_matrix, complete_lift_matrix
-from bmlab.gains import (
-    AdditiveGroup,
-    GainGraph,
-    MultiplicativeGroup,
-    induced_bias,
-    realizations,
-    scaling_orbits,
-    switch,
-)
+from bmlab.bias import biased_minor
+from bmlab.canonical import enumerate_representations
+from bmlab.gains import GainGraph, MultiplicativeGroup, induced_bias, switch
 from bmlab.graph import MultiGraph
 from bmlab.linalg import vector_matroid
 from bmlab.matroid import (
@@ -154,7 +144,6 @@ def test_criterion_8_u24_class_counts():
     def brute(q):
         from bmlab.fields import gf
         from bmlab.linalg import FieldMatrix, projectively_equivalent
-        from itertools import product
 
         f = gf(q)
         mats = []

@@ -28,6 +28,7 @@ from bmlab.canonical import (
     delta_y_matrix,
     enumerate_representations,
     frame_matrix,
+    gain_classes,
     kind_parts,
     lift_matrix,
     y_delta_matrix,
@@ -48,7 +49,6 @@ from bmlab.gains import (
     MultiplicativeGroup,
     induced_bias,
     realizations,
-    scaling_orbits,
     switching_equivalent,
     switching_scaling_equivalent,
 )
@@ -66,7 +66,6 @@ from bmlab.linalg import (
     vector_matroid,
 )
 from bmlab.matroid import (
-    complete_lift_matroid,
     frame_matroid,
     lift_matroid,
     matroids_equal,
@@ -79,6 +78,7 @@ from oracles import (
     drop_isolated,
     graphic_matroid,
     matroids_equal_on_all_subsets,
+    scaling_orbits,
     std_basis_completion,
 )
 
@@ -1087,9 +1087,30 @@ def test_enumerate_counts_match_gain_classes():
     om = catalog.biased_2c3("T_2'").omega
     classes = enumerate_representations(frame_matroid(om), 4, biased_graph=om)
     n_frame = len(realizations(om, MultiplicativeGroup(4)))
-    n_lift = len(scaling_orbits(realizations(om, AdditiveGroup(4))))
+    n_lift = len(set(gain_classes(LIFT, realizations(om, AdditiveGroup(4)))))
     assert len(classes) == n_frame + n_lift == 4
     assert sorted(c.kind for c in classes) == ["frame", "frame", "lift", "lift"]
+
+
+def test_lift_gain_classes_match_the_scaling_orbits_oracle():
+    # the first-nonzero key against the least scalar multiple of each
+    # renormalized function, on the base graphs and the vertically
+    # 2-connected, properly unbalanced (4, 7) family: the same label for
+    # every realization, labels in order of first appearance
+    graphs = [nb.omega for nb in catalog.base_graphs()]
+    graphs += catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    catalog.properly_unbalanced)
+    assert len(graphs) == 100
+    totals = {}
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        totals[q] = 0
+        for om in graphs:
+            reps = realizations(om, AdditiveGroup(q))
+            orbits = scaling_orbits(reps)
+            label = {id(gg): k for k, orbit in enumerate(orbits) for gg in orbit}
+            assert gain_classes(LIFT, reps) == [label[id(gg)] for gg in reps]
+            totals[q] += len(orbits)
+    assert totals == {2: 14, 3: 35, 4: 112, 5: 241, 7: 1063, 8: 1988, 9: 3317}
 
 
 def test_roundtrip_every_catalog_realization():

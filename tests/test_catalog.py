@@ -13,8 +13,6 @@ from bmlab.bias import (
     biased_minor,
     check_theta_property,
     classify_balance,
-    fat_theta_parts,
-    find_link_minor,
     is_tangled,
     theta_subgraphs,
 )

@@ -5,7 +5,7 @@ import pytest
 from bmlab import catalog, formats
 from bmlab.errors import ParseError
 from bmlab.fields import QQ, gf
-from bmlab.gains import AdditiveGroup, GainGraph, MultiplicativeGroup
+from bmlab.gains import MultiplicativeGroup
 from bmlab.linalg import FieldMatrix, projectively_equivalent
 from bmlab.matroid import matroids_equal, uniform_matroid
 from oracles import witness_from_json

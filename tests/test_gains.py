@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bmlab import catalog
 from bmlab.bias import BiasedGraph, biased_minor
+from bmlab.canonical import FRAME, LIFT, gain_classes
 from bmlab.errors import BmlabError, GraphMismatch, GroupMismatch, NotMaximalForest
 from bmlab.gains import (
     AdditiveGroup,
@@ -18,14 +19,13 @@ from bmlab.gains import (
     normalize,
     normalized_gain_functions,
     realizations,
-    scaling_orbits,
     switch,
     switching_equivalent,
     switching_scaling_equivalent,
     walk_gain,
 )
 from bmlab.graph import MultiGraph, OrientedEdge
-from oracles import scale_gains, switching_scaling_equivalent_per_scalar
+from oracles import scale_gains, scaling_orbits, switching_scaling_equivalent_per_scalar
 
 AXIOM_CHECK_ORDER = 257
 
@@ -379,13 +379,23 @@ def test_scaling_orbits_match_pairwise_grouping():
 
 
 def test_scaling_orbits_need_one_additive_group():
+    # the refusals scaling_orbits made, now gain_classes', plus its
+    # precondition that every input is normalized on the spanning forest
     gg = GainGraph(two_c3(), MultiplicativeGroup(5), {e: 1 for e in range(6)})
     with pytest.raises(GroupMismatch):
-        scaling_orbits([gg])
+        gain_classes(LIFT, [gg])
+    assert gain_classes(FRAME, [gg]) == [0]
     a = GainGraph(two_c3(), AdditiveGroup(5), {e: 0 for e in range(6)})
     b = GainGraph(catalog.graph_k4(), AdditiveGroup(5), {e: 0 for e in range(6)})
     with pytest.raises(GraphMismatch):
-        scaling_orbits([a, b])
+        gain_classes(LIFT, [a, b])
+    with pytest.raises(GroupMismatch):
+        gain_classes(FRAME, [gg, a])  # one group for every kind
+    forest_edge = two_c3().spanning_forest()[0]
+    for kind, base in ((LIFT, a), (FRAME, gg)):
+        off = base.with_gains({**base.gains, forest_edge: 2})
+        with pytest.raises(BmlabError, match="not normalized"):
+            gain_classes(kind, [base, off])
 
 
 def test_is_realization():

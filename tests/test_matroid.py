@@ -2,7 +2,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
