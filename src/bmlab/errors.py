@@ -38,10 +38,6 @@ class GroupMismatch(BmlabError):
     pass
 
 
-class NotMaximalForest(BmlabError):
-    pass
-
-
 class NotBalancingVertex(BmlabError):
     pass
 

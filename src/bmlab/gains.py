@@ -12,13 +12,7 @@ carries the inverse.
 from itertools import product
 
 from .bias import BiasedGraph
-from .errors import (
-    BmlabError,
-    GraphMismatch,
-    GroupMismatch,
-    NotMaximalForest,
-    UnknownEdge,
-)
+from .errors import BmlabError, GraphMismatch, GroupMismatch, UnknownEdge
 from .fields import gf
 from .graph import OrientedEdge, find
 
@@ -212,63 +206,14 @@ def switch(gg, eta):
     return gg.with_gains(new)
 
 
-def compose_switchings(group, eta1, eta2):
-    keys = set(eta1) | set(eta2)
-    return {
-        v: group.op(eta1.get(v, group.identity), eta2.get(v, group.identity))
-        for v in keys
-    }
-
-
-def invert_switching(group, eta):
-    return {v: group.inv(x) for v, x in eta.items()}
-
-
-def normalize(gg, forest=None):
-    """F-normalize: returns (gain graph with identity on the forest, eta)
-    with switch(gg, eta) equal to the result; eta is the identity on the
-    smallest vertex of each component."""
-    g = gg.graph
-    maximal = g.spanning_forest()
-    forest = frozenset(maximal if forest is None else forest)
-    if len(forest) != len(maximal) or len(g.spanning_forest(forest)) != len(forest):
-        raise NotMaximalForest("edge set is not a maximal forest")
-    group = gg.group
-    eta = {}
-    adj = {v: [] for v in range(g.n)}
-    for e in forest:
-        u, v = g.endpoints(e)
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    for comp in g.components():
-        root = min(comp)
-        eta[root] = group.identity
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for (w, e) in sorted(adj[v]):
-                if w in eta:
-                    continue
-                u0, v0 = g.endpoints(e)
-                phi = gg.gains[e] if (u0, v0) == (v, w) else group.inv(gg.gains[e])
-                # want phi^eta(v->w) = identity: eta(w) = phi(v->w)^-1 eta(v)
-                eta[w] = group.op(group.inv(phi), eta[v])
-                stack.append(w)
-    return switch(gg, eta), eta
-
-
-def fundamental_walks(graph, forest=()):
-    """The fundamental cycles of one maximal forest T of graph, as closed
-    walks of OrientedEdges.  T grows by union-find from the links of forest
-    and then from the other edges in id order.  For each edge e = (u, v)
-    outside T, in id order, the walk is e from u to v and then the path in T
-    from v back to u (e alone when e is a loop).
-
-    Over an abelian group the gains of these walks fix the switching class:
-    normalizing on T leaves each such e with its walk's gain.  They fix the
-    class on the contraction by forest as well, since a closed walk keeps
-    its gain under switching and under contracting identity-gain links, and
-    T minus forest is a maximal forest of the minor."""
+def _tree(graph, forest=()):
+    """One maximal forest T of graph: T grows by union-find from the links
+    of forest and then from the other edges in id order (so T is
+    graph.spanning_forest() when forest is empty), and each tree is walked
+    depth first from its smallest vertex.  Returns (outside, up, order):
+    the edges outside T in id order, up[w] = (w's parent, the step from w
+    to it) or None for a root, and the non-root vertices in discovery
+    order, each after its parent."""
     forest = frozenset(forest)
     parent = list(range(graph.n))
     adj = [[] for _ in range(graph.n)]
@@ -284,9 +229,8 @@ def fundamental_walks(graph, forest=()):
         parent[ru] = rv
         adj[u].append((v, OrientedEdge(e, False)))  # the step from v to u
         adj[v].append((u, OrientedEdge(e, True)))
-    # up[w]: w's parent in its tree of T and the step from w to it
     up = [None] * graph.n
-    depth = [0] * graph.n
+    order = []
     for root in range(graph.n):
         if up[root] is not None:
             continue
@@ -296,8 +240,41 @@ def fundamental_walks(graph, forest=()):
             for w, step in adj[x]:
                 if w != root and up[w] is None:
                     up[w] = (x, step)
-                    depth[w] = depth[x] + 1
+                    order.append(w)
                     stack.append(w)
+    return outside, up, order
+
+
+def normalize(gg):
+    """Normalize on graph.spanning_forest(): returns (gain graph with
+    identity on the forest, eta) with switch(gg, eta) equal to the result;
+    eta is the identity on the smallest vertex of each component."""
+    group = gg.group
+    _, up, order = _tree(gg.graph)
+    eta = [group.identity] * gg.graph.n
+    for w in order:
+        # phi^eta(w->x) = identity: eta(w) = phi(w->x) eta(x)
+        x, step = up[w]
+        eta[w] = group.op(gg.gain(step), eta[x])
+    eta = dict(enumerate(eta))
+    return switch(gg, eta), eta
+
+
+def fundamental_walks(graph, forest=()):
+    """The fundamental cycles of the maximal forest T of graph that _tree
+    grows from forest, as closed walks of OrientedEdges.  For each edge
+    e = (u, v) outside T, in id order, the walk is e from u to v and then
+    the path in T from v back to u (e alone when e is a loop).
+
+    Over an abelian group the gains of these walks fix the switching class:
+    normalizing on T leaves each such e with its walk's gain.  They fix the
+    class on the contraction by forest as well, since a closed walk keeps
+    its gain under switching and under contracting identity-gain links, and
+    T minus forest is a maximal forest of the minor."""
+    outside, up, order = _tree(graph, forest)
+    depth = [0] * graph.n
+    for w in order:
+        depth[w] = depth[up[w][0]] + 1
     walks = []
     for e in outside:
         u, v = graph.edges[e]
@@ -319,22 +296,28 @@ def fundamental_gains(gg, walks):
     return tuple(_compose(gg, walk) for walk in walks)
 
 
+def _normal_forms(gg1, gg2, additive):
+    """The argument checks of the equivalence decisions, then both
+    normalizations: (n1, eta1, n2, eta2)."""
+    if gg1.graph != gg2.graph:
+        raise GraphMismatch("different underlying graphs")
+    if gg1.group != gg2.group or additive and not gg1.group.is_additive_field_group:
+        raise GroupMismatch("need matching additive field groups" if additive
+                            else "different gain groups")
+    return normalize(gg1) + normalize(gg2)
+
+
 def switching_equivalent(gg1, gg2):
     """Witness eta with switch(gg1, eta) == gg2, or None.
 
     Decided by normalizing both on the same maximal forest and comparing
-    (normalized gain functions are switching equivalent iff equal)."""
-    if gg1.graph != gg2.graph:
-        raise GraphMismatch("different underlying graphs")
-    if gg1.group != gg2.group:
-        raise GroupMismatch("different gain groups")
-    group = gg1.group
-    forest = gg1.graph.spanning_forest()
-    n1, eta1 = normalize(gg1, forest)
-    n2, eta2 = normalize(gg2, forest)
+    (normalized gain functions are switching equivalent iff equal); eta is
+    eta1 followed by the inverse of eta2."""
+    n1, eta1, n2, eta2 = _normal_forms(gg1, gg2, additive=False)
     if n1.gains != n2.gains:
         return None
-    eta = compose_switchings(group, eta1, invert_switching(group, eta2))
+    group = gg1.group
+    eta = {v: group.op(x, group.inv(eta2[v])) for v, x in eta1.items()}
     assert switch(gg1, eta).gains == gg2.gains
     return eta
 
@@ -347,20 +330,13 @@ def switching_scaling_equivalent(gg1, gg2):
     to a . n1 by the switching a . eta1.  So a is n2 / n1 at n1's first
     nonzero gain (any scalar if n1 is zero) and works iff a . n1 == n2;
     eta is a . eta1 followed by the inverse of eta2."""
-    if gg1.graph != gg2.graph:
-        raise GraphMismatch("different underlying graphs")
-    if gg1.group != gg2.group or not gg1.group.is_additive_field_group:
-        raise GroupMismatch("need matching additive field groups")
+    n1, eta1, n2, eta2 = _normal_forms(gg1, gg2, additive=True)
     group = gg1.group
-    forest = gg1.graph.spanning_forest()
-    n1, eta1 = normalize(gg1, forest)
-    n2, eta2 = normalize(gg2, forest)
     lead = next((e for e, x in n1.gains.items() if x != group.identity), None)
     a = group.scalars[0] if lead is None else group.field.div(n2.gains[lead], n1.gains[lead])
     if a == group.identity or any(group.scale(a, x) != n2.gains[e] for e, x in n1.gains.items()):
         return None
-    eta = compose_switchings(group, {v: group.scale(a, x) for v, x in eta1.items()},
-                             invert_switching(group, eta2))
+    eta = {v: group.op(group.scale(a, x), group.inv(eta2[v])) for v, x in eta1.items()}
     scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
     assert switch(scaled, eta).gains == gg2.gains
     return a, eta

@@ -354,6 +354,30 @@ MUTANTS = [
         "a = group.scalars[-1] if lead is None",
         ["tests/test_gains.py::test_switching_scaling_matches_the_per_scalar_oracle"],
     ),
+    # the forest walk roots each component at its greatest vertex: eta
+    # changes, the normal forms do not
+    Mutant(
+        "gains.py",
+        "    for root in range(graph.n):\n",
+        "    for root in reversed(range(graph.n)):\n",
+        ["tests/test_gains.py::test_normalize_and_switching_match_the_dfs_reference"],
+    ),
+    # the potential steps by the inverse gain, so the forest keeps its gains
+    Mutant(
+        "gains.py",
+        "eta[w] = group.op(gg.gain(step), eta[x])",
+        "eta[w] = group.op(group.inv(gg.gain(step)), eta[x])",
+        ["tests/test_gains.py::test_normalize_path",
+         "tests/test_gains.py::test_normalize_and_switching_match_the_dfs_reference"],
+    ),
+    # the scaling witness switches by eta1 instead of a . eta1 (the same
+    # when gg1 is normalized, as every gg1 of the per-scalar test is)
+    Mutant(
+        "gains.py",
+        "group.op(group.scale(a, x), group.inv(eta2[v]))",
+        "group.op(x, group.inv(eta2[v]))",
+        ["tests/test_gains.py::test_normalize_and_switching_match_the_dfs_reference"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -14,9 +14,11 @@ vertex and edge labels, the biased-graph edits
 each rebuilding its balanced set by hand, a biased graph with a balanced
 loop and a joint added, the edge-set view of cycle-index masks, the
 theta-closed sets by a per-node theta test, the graphs of the exhaustive
-sweeps, and two constructions that simpler routines replaced: the Delta-Y
-matrix exchange through the I(K_4) template with its basis completion, and
-the subdivision search with two path generators.
+sweeps, and three constructions that simpler routines replaced: the Delta-Y
+matrix exchange through the I(K_4) template with its basis completion,
+the subdivision search with two path generators, and forest normalization
+with the switching decisions built on it, each on a forest search of its
+own.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -39,6 +41,7 @@ from bmlab.bias import (
 )
 from bmlab.errors import (
     BadGlue,
+    BmlabError,
     BoundExceeded,
     GraphMismatch,
     GroundSetMismatch,
@@ -58,7 +61,7 @@ from bmlab.fields import (
     _poly_mul,
 )
 from bmlab.formats import parse_matrix
-from bmlab.gains import induced_gain, normalize, switching_equivalent
+from bmlab.gains import induced_gain, normalize, switch, switching_equivalent
 from bmlab.graph import SUBDIVISION_BOUND, Embedding, MultiGraph, find
 from bmlab.linalg import (
     FieldMatrix,
@@ -285,13 +288,12 @@ def contraction_classes_by_minors(gfs, forest):
     """The reference for verify._contraction_classes: the indices of the
     gain functions gfs in blocks of equal normal form on the contraction by
     forest, each block and the blocks in order of first member.  Every
-    function's minor is built with induced_gain and normalized on one
-    spanning forest of the minor (all minors of one forest share a graph)."""
+    function's minor is built with induced_gain and normalized on its
+    spanning forest (all minors of one forest share a graph)."""
     minors = [induced_gain(gg, forest, set())[0] for gg in gfs]
-    tree = minors[0].graph.spanning_forest()
     blocks = {}
     for i, mg in enumerate(minors):
-        normal, _ = normalize(mg, tree)
+        normal, _ = normalize(mg)
         blocks.setdefault(tuple(normal.gains[e] for e in range(mg.graph.m)), []).append(i)
     return list(blocks.values())
 
@@ -881,3 +883,90 @@ def iter_subdivisions_two_step(host, pattern, accept=None, automorphisms=()):
             del vmap[pv]
 
     yield from assign_vertices(0, {}, frozenset())
+
+
+def normalize_by_dfs(gg, forest=None):
+    """The reference for gains.normalize, on its own forest search: forest
+    (default: the spanning forest) is checked for maximality, and each
+    component is walked depth first from its smallest vertex along the
+    forest edges in sorted order.  Returns (normalized gain graph, eta)."""
+    g = gg.graph
+    maximal = g.spanning_forest()
+    forest = frozenset(maximal if forest is None else forest)
+    if len(forest) != len(maximal) or len(g.spanning_forest(forest)) != len(forest):
+        raise BmlabError("edge set is not a maximal forest")
+    group = gg.group
+    eta = {}
+    adj = {v: [] for v in range(g.n)}
+    for e in forest:
+        u, v = g.endpoints(e)
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    for comp in g.components():
+        root = min(comp)
+        eta[root] = group.identity
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for (w, e) in sorted(adj[v]):
+                if w in eta:
+                    continue
+                u0, v0 = g.endpoints(e)
+                phi = gg.gains[e] if (u0, v0) == (v, w) else group.inv(gg.gains[e])
+                # want phi^eta(v->w) = identity: eta(w) = phi(v->w)^-1 eta(v)
+                eta[w] = group.op(group.inv(phi), eta[v])
+                stack.append(w)
+    return switch(gg, eta), eta
+
+
+def compose_switchings(group, eta1, eta2):
+    keys = set(eta1) | set(eta2)
+    return {
+        v: group.op(eta1.get(v, group.identity), eta2.get(v, group.identity))
+        for v in keys
+    }
+
+
+def invert_switching(group, eta):
+    return {v: group.inv(x) for v, x in eta.items()}
+
+
+def switching_equivalent_by_dfs(gg1, gg2):
+    """The reference for gains.switching_equivalent: witness eta with
+    switch(gg1, eta) == gg2, or None, from normalize_by_dfs."""
+    if gg1.graph != gg2.graph:
+        raise GraphMismatch("different underlying graphs")
+    if gg1.group != gg2.group:
+        raise GroupMismatch("different gain groups")
+    group = gg1.group
+    forest = gg1.graph.spanning_forest()
+    n1, eta1 = normalize_by_dfs(gg1, forest)
+    n2, eta2 = normalize_by_dfs(gg2, forest)
+    if n1.gains != n2.gains:
+        return None
+    eta = compose_switchings(group, eta1, invert_switching(group, eta2))
+    assert switch(gg1, eta).gains == gg2.gains
+    return eta
+
+
+def switching_scaling_equivalent_by_dfs(gg1, gg2):
+    """The reference for gains.switching_scaling_equivalent: witness
+    (a, eta) with switch(a . gg1, eta) == gg2, or None, from
+    normalize_by_dfs (a is n2 / n1 at n1's first nonzero gain)."""
+    if gg1.graph != gg2.graph:
+        raise GraphMismatch("different underlying graphs")
+    if gg1.group != gg2.group or not gg1.group.is_additive_field_group:
+        raise GroupMismatch("need matching additive field groups")
+    group = gg1.group
+    forest = gg1.graph.spanning_forest()
+    n1, eta1 = normalize_by_dfs(gg1, forest)
+    n2, eta2 = normalize_by_dfs(gg2, forest)
+    lead = next((e for e, x in n1.gains.items() if x != group.identity), None)
+    a = group.scalars[0] if lead is None else group.field.div(n2.gains[lead], n1.gains[lead])
+    if a == group.identity or any(group.scale(a, x) != n2.gains[e] for e, x in n1.gains.items()):
+        return None
+    eta = compose_switchings(group, {v: group.scale(a, x) for v, x in eta1.items()},
+                             invert_switching(group, eta2))
+    scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
+    assert switch(scaled, eta).gains == gg2.gains
+    return a, eta

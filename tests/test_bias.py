@@ -1032,7 +1032,9 @@ def test_find_biased_subdivision_matches_filter_oracle_on_unique_balancing_insta
     rep = verify.run_claim("unique-balancing-subdivision", max_vertices=4, max_edges=6)
     assert rep.status == "pass"
     assert all(same for same, _ in compared)
-    assert (len(compared), sum(f for _, f in compared)) == (37, 16)
+    # the claim calls the search on every pattern, the two with more edges
+    # than their host too, which _holds_cycles rejects at once
+    assert (len(compared), sum(f for _, f in compared)) == (39, 16)
 
 
 def test_find_biased_subdivision_prunes_by_biased_automorphisms_only(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bmlab import catalog
 from bmlab.bias import BiasedGraph, biased_minor
 from bmlab.canonical import FRAME, LIFT, gain_classes
-from bmlab.errors import BmlabError, GraphMismatch, GroupMismatch, NotMaximalForest
+from bmlab.errors import BmlabError, GraphMismatch, GroupMismatch
 from bmlab.gains import (
     AdditiveGroup,
     CyclicGroup,
@@ -25,7 +25,15 @@ from bmlab.gains import (
     walk_gain,
 )
 from bmlab.graph import MultiGraph, OrientedEdge
-from oracles import scale_gains, scaling_orbits, switching_scaling_equivalent_per_scalar
+from oracles import (
+    normalize_by_dfs,
+    scale_gains,
+    scaling_orbits,
+    sweep_graphs,
+    switching_equivalent_by_dfs,
+    switching_scaling_equivalent_by_dfs,
+    switching_scaling_equivalent_per_scalar,
+)
 
 AXIOM_CHECK_ORDER = 257
 
@@ -199,36 +207,72 @@ def test_bias_invariant_under_switching(gain_code, eta_code):
 def test_normalize_path():
     g = MultiGraph(3, [(0, 1), (1, 2)])
     gg = GainGraph(g, MultiplicativeGroup(5), {0: 2, 1: 3})
-    ngg, eta = normalize(gg, (0, 1))
+    ngg, eta = normalize(gg)
     assert ngg.gains == {0: 1, 1: 1}
     assert switch(gg, eta).gains == ngg.gains
 
 
 def test_normalize_already_normalized():
     g = two_c3()
-    forest = g.spanning_forest()
     gg = GainGraph(g, MultiplicativeGroup(5), {0: 1, 1: 2, 2: 1, 3: 3, 4: 4, 5: 2})
-    ngg, eta = normalize(gg, forest)
+    ngg, eta = normalize(gg)
     assert ngg.gains == gg.gains
     assert all(x == 1 for x in eta.values())
 
 
 def test_normalize_idempotent():
     g = two_c3()
-    forest = g.spanning_forest()
     gg = GainGraph(g, AdditiveGroup(4), {e: e % 4 for e in range(6)})
-    n1, _ = normalize(gg, forest)
-    n2, _ = normalize(n1, forest)
+    n1, _ = normalize(gg)
+    n2, _ = normalize(n1)
     assert n1.gains == n2.gains
 
 
-def test_normalize_requires_maximal_forest():
-    g = two_c3()
-    gg = GainGraph(g, MultiplicativeGroup(5), {e: 1 for e in range(6)})
-    with pytest.raises(NotMaximalForest):
-        normalize(gg, (0,))
-    with pytest.raises(NotMaximalForest):
-        normalize(gg, (0, 1))  # a 2-cycle, not a forest
+def _normalize_and_decide_as_the_reference(gg, rng):
+    """normalize on gg, and the equivalence decisions on gg paired with a
+    switched copy (scaled too over an additive field group) and with a
+    copy that differs on one edge, each as the DFS reference gives it;
+    returns the number of decisions compared."""
+    assert normalize(gg) == normalize_by_dfs(gg)
+    group, g = gg.group, gg.graph
+    copy = gg
+    if group.is_additive_field_group:
+        copy = scale_gains(gg, rng.choice(group.scalars))
+    copy = switch(copy, {v: rng.choice(group.elements) for v in range(g.n)})
+    e = rng.randrange(g.m)
+    bumped = gg.with_gains({**gg.gains, e: rng.choice(
+        [x for x in group.elements if x != gg.gains[e]])})
+    decisions = 0
+    for other in (copy, bumped):
+        assert switching_equivalent(gg, other) == switching_equivalent_by_dfs(gg, other)
+        decisions += 1
+        if group.is_additive_field_group:
+            assert (switching_scaling_equivalent(gg, other)
+                    == switching_scaling_equivalent_by_dfs(gg, other))
+            decisions += 1
+    return decisions
+
+
+def test_normalize_and_switching_match_the_dfs_reference():
+    # every gain function over Z_3 on the graphs of multigraphs_up_to_iso(4, 5)
+    # and on each with a loop added at vertex 0; then seeded gain functions
+    # over GF(5)^x and GF(4)^+ on the sweep graphs
+    rng = random.Random(11)
+    functions = decisions = 0
+    z3 = CyclicGroup(3)
+    for g in catalog.multigraphs_up_to_iso(4, 5):
+        for graph in (g, MultiGraph(g.n, g.edges + ((0, 0),))):
+            for values in product(z3.elements, repeat=graph.m):
+                gg = GainGraph(graph, z3, dict(enumerate(values)))
+                decisions += _normalize_and_decide_as_the_reference(gg, rng)
+                functions += 1
+    for group in (MultiplicativeGroup(5), AdditiveGroup(4)):
+        for g in sweep_graphs():
+            for _ in range(4):
+                gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
+                decisions += _normalize_and_decide_as_the_reference(gg, rng)
+                functions += 1
+    assert (functions, decisions) == (9900, 20376)
 
 
 def test_switching_equivalent_recovers_witness():

@@ -369,6 +369,25 @@ def test_localization_certificate_matches_parent(monkeypatch):
     assert certified == [30, 10]
 
 
+def test_u3_and_u2_route_certifies_the_non_tangled_pairs_at_4_8(monkeypatch):
+    """The route the claim never reaches (at (4, 7) the base graphs certify
+    every pair), run alone on every pair of Z_2 and Z_3 realizations at
+    (4, 8): it certifies only on non-tangled graphs, as the theorem needs."""
+    family = list(catalog.biased_family(4, 8, catalog.vertically_2_connected,
+                                        catalog.properly_unbalanced))
+    pairs = [(is_tangled(om)[0], om, phi, psi)
+             for om in family
+             for group in (CyclicGroup(2), CyclicGroup(3))
+             for phi, psi in combinations(realizations(om, group), 2)]
+    monkeypatch.setattr(catalog, "base_graphs", lambda: ())
+    certified = {True: 0, False: 0}
+    for tangled, om, phi, psi in pairs:
+        certified[tangled] += verify._localization_certificate(om, phi, psi)
+    assert len(family) == 649 and len(pairs) == 161
+    assert sum(not tangled for tangled, *_ in pairs) == 83
+    assert certified == {True: 0, False: 66}
+
+
 def test_inequivalence_localized_negative_control_claim(monkeypatch):
     """Every instance a pair (phi, phi): no minor tells them apart."""
     real = verify.realizations
