@@ -18,6 +18,7 @@ Fixed labelings (chosen to match the matrix displays used in the tests):
 import functools
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
+from operator import itemgetter
 
 from .bias import (
     PROPERLY_UNBALANCED,
@@ -335,7 +336,10 @@ def multigraphs_up_to_iso(max_vertices, max_edges):
     branch is cut as soon as it is doomed: when a vertex's partial degree
     exceeds the final degree of the last vertex before it whose pairs are
     all set (degrees only grow), or when a vertex's last pair leaves it
-    with degree below 2.  Survivors are keyed by `multigraph_key`.  The
+    with degree below 2.  Each class is keyed once, by `multigraph_key`,
+    at its first such vector: the class's other degree-sorted vectors are
+    its images under the orders within each degree class (the
+    relabelings the key tries), and they are all marked seen then.  The
     classes come by vertex count, then by their lexicographically least
     multiplicity vector over all vertex relabelings (the vector met first
     by a scan of all vectors in lexicographic order)."""
@@ -343,28 +347,42 @@ def multigraphs_up_to_iso(max_vertices, max_edges):
     for nv in range(2, max_vertices + 1):
         pairs = list(combinations(range(nv), 2))
         index = {p: i for i, p in enumerate(pairs)}
-        relabelings = [
-            [index[(p[a], p[b]) if p[a] < p[b] else (p[b], p[a])] for a, b in pairs]
+        # relabel[p](vector): the vector with vertex a renamed p.index(a);
+        # at nv = 2 it returns the one multiplicity, not a 1-tuple, so the
+        # leaf's own vector is read by the identity's getter too
+        relabel = {
+            p: itemgetter(*(index[(p[a], p[b]) if p[a] < p[b] else (p[b], p[a])]
+                            for a, b in pairs))
             for p in permutations(range(nv))
-        ]
+        }
+        own = relabel[tuple(range(nv))]
+        stabilizers = {}  # degree vector -> the relabelings within its classes
+        last = len(pairs) - 1
         mult = [0] * len(pairs)
         deg = [0] * nv
-        seen = set()
+        seen = set()  # every degree-sorted vector of the classes keyed so far
         found = []  # (least vector over all relabelings, graph)
 
+        def within_classes():
+            d = tuple(deg)
+            if d not in stabilizers:
+                blocks = [permutations(c) for _, c in groupby(range(nv), key=deg.__getitem__)]
+                stabilizers[d] = [relabel[tuple(chain.from_iterable(orders))]
+                                  for orders in product(*blocks)]
+            return stabilizers[d]
+
         def rec(idx, left):
-            if idx == len(pairs):
-                key = multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
-                if key in seen:
+            if idx > last:
+                if own(mult) in seen:
                     return
-                seen.add(key)
+                key = multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
+                seen.update(get(mult) for get in within_classes())
                 edges = []
                 for (u, v), m in key:
                     edges.extend([(u, v)] * m)
                 g = MultiGraph(nv, edges)
                 if g.is_connected():
-                    first = min(tuple(mult[i] for i in r) for r in relabelings)
-                    found.append((first, g))
+                    found.append((min([get(mult) for get in relabel.values()]), g))
                 return
             u, v = pairs[idx]
             # the pair (u, nv - 1) is u's last, so every vertex before u is
@@ -380,7 +398,7 @@ def multigraphs_up_to_iso(max_vertices, max_edges):
                     break
                 if u_final and deg[u] < 2:
                     continue
-                if idx == len(pairs) - 1 and deg[v] < 2:
+                if idx == last and deg[v] < 2:
                     continue
                 mult[idx] = m
                 rec(idx + 1, left - m)

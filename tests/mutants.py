@@ -378,6 +378,37 @@ MUTANTS = [
         "group.op(x, group.inv(eta2[v]))",
         ["tests/test_gains.py::test_normalize_and_switching_match_the_dfs_reference"],
     ),
+    # a keyed class marks only the leaf's own vector seen: every other
+    # degree-sorted vector of the class is keyed again and listed again
+    Mutant(
+        "catalog.py",
+        "seen.update(get(mult) for get in within_classes())",
+        "seen.add(own(mult))",
+        ["tests/test_catalog.py::test_multigraph_generation_keys_degree_sorted_vectors_only",
+         "tests/test_catalog.py::test_multigraph_classes_match_the_burnside_count",
+         "tests/test_catalog.py::test_multigraphs_match_degree_class_oracle",
+         "tests/test_catalog.py::test_multigraphs_keep_their_labels_and_order"],
+    ),
+    # the seen vectors from one order per degree class, not every order
+    # within it: classes come out more than once
+    Mutant(
+        "catalog.py",
+        "blocks = [permutations(c) for _, c in groupby(range(nv)",
+        "blocks = [[tuple(c)] for _, c in groupby(range(nv)",
+        ["tests/test_catalog.py::test_multigraph_classes_match_the_burnside_count",
+         "tests/test_catalog.py::test_multigraphs_match_degree_class_oracle",
+         "tests/test_catalog.py::test_multigraphs_match_full_scan_oracle"],
+    ),
+    # the ordering key over the identity relabeling only: the same classes
+    # in the order of their first degree-sorted vectors
+    Mutant(
+        "catalog.py",
+        "found.append((min([get(mult) for get in relabel.values()]), g))",
+        "found.append((own(mult), g))",
+        ["tests/test_catalog.py::test_multigraphs_match_degree_class_oracle",
+         "tests/test_catalog.py::test_multigraphs_match_full_scan_oracle",
+         "tests/test_catalog.py::test_multigraphs_keep_their_labels_and_order"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -18,13 +18,16 @@ sweeps, and three constructions that simpler routines replaced: the Delta-Y
 matrix exchange through the I(K_4) template with its basis completion,
 the subdivision search with two path generators, and forest normalization
 with the switching decisions built on it, each on a forest search of its
-own.
+own.  Last, the number of multigraph isomorphism classes by the
+Cauchy-Frobenius (Burnside) lemma, which lists no class.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
+from collections import Counter
 from itertools import combinations
+from math import factorial, prod
 
 from bmlab import catalog
 from bmlab.bias import (
@@ -970,3 +973,101 @@ def switching_scaling_equivalent_by_dfs(gg1, gg2):
     scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
     assert switch(scaled, eta).gains == gg2.gains
     return a, eta
+
+
+# -- orbit counts that list no orbit --------------------------------------------
+
+def _cycle_types(n, largest=None):
+    """The partitions of n, as non-increasing tuples: the cycle types of
+    the permutations of n points."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - k, k):
+            yield (k,) + rest
+
+
+def _pair_orbits(perm):
+    """The orbits of the vertex permutation perm (a list, v -> perm[v]) on
+    the pairs (u, v), u < v."""
+    orbits, done = [], set()
+    for pair in combinations(range(len(perm)), 2):
+        orbit = []
+        while pair not in done:
+            done.add(pair)
+            orbit.append(pair)
+            pair = tuple(sorted((perm[pair[0]], perm[pair[1]])))
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+def _connected_min_degree_2_vectors(n, orbits, max_edges):
+    """How many choices of one multiplicity per pair orbit, with at most
+    max_edges edges in all, give a connected graph on range(n) whose
+    vertices all have degree 2 or more."""
+    deg = [0] * n
+    chosen = []
+    count = 0
+
+    def connected():
+        edges = [p for orbit, k in zip(orbits, chosen) if k for p in orbit]
+        reach, grew = {0}, True
+        while grew:
+            grew = False
+            for u, v in edges:
+                if (u in reach) != (v in reach):
+                    reach |= {u, v}
+                    grew = True
+        return len(reach) == n
+
+    def rec(i, left):
+        nonlocal count
+        if sum(2 - d for d in deg if d < 2) > 2 * left:
+            return  # each edge left adds 2 to the degree sum
+        if i == len(orbits):
+            count += min(deg) >= 2 and connected()
+            return
+        orbit = orbits[i]
+        for k in range(left // len(orbit) + 1):
+            for u, v in orbit:
+                deg[u] += k
+                deg[v] += k
+            chosen.append(k)
+            rec(i + 1, left - k * len(orbit))
+            chosen.pop()
+            for u, v in orbit:
+                deg[u] -= k
+                deg[v] -= k
+
+    rec(0, max_edges)
+    return count
+
+
+def multigraph_classes_by_burnside(max_vertices, max_edges):
+    """The number of isomorphism classes of connected loopless multigraphs
+    of minimum degree 2 on 2 to max_vertices vertices with at most
+    max_edges edges, by the Cauchy-Frobenius lemma: for each n, the mean
+    over S_n of the number of such multiplicity vectors on the vertex
+    pairs that a permutation fixes.  Conjugate permutations fix equally
+    many, so one permutation per cycle type is weighted by its class size,
+    n! / z.  A fixed vector is constant on the permutation's orbits of
+    pairs, and connectedness and minimum degree are invariant, so the
+    fixed vectors are the multiplicities per pair orbit that pass both
+    tests.  No class is listed, so this fails differently from
+    catalog.multigraphs_up_to_iso."""
+    total = 0
+    for n in range(2, max_vertices + 1):
+        fixed = 0
+        for cycle_type in _cycle_types(n):
+            perm, start = [], 0
+            for k in cycle_type:
+                perm += list(range(start + 1, start + k)) + [start]
+                start += k
+            z = prod(k ** c * factorial(c) for k, c in Counter(cycle_type).items())
+            fixed += factorial(n) // z * _connected_min_degree_2_vectors(
+                n, _pair_orbits(perm), max_edges)
+        assert fixed % factorial(n) == 0
+        total += fixed // factorial(n)
+    return total

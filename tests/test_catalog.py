@@ -22,6 +22,7 @@ from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_m
 from oracles import (
     drop_isolated,
     mask_edge_sets,
+    multigraph_classes_by_burnside,
     sweep_graphs,
     theta_closed_edge_sets,
     theta_closed_subsets_by_theta_test,
@@ -373,6 +374,7 @@ def test_multigraphs_at_5_9():
 def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
     real = catalog.multigraph_key
     degrees = []
+    keys = []
 
     def key(nv, mult):
         deg = [0] * nv
@@ -380,12 +382,31 @@ def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
             deg[u] += m
             deg[v] += m
         degrees.append(deg)
-        return real(nv, mult)
+        keys.append(real(nv, mult))
+        return keys[-1]
 
     monkeypatch.setattr(catalog, "multigraph_key", key)
     assert len(catalog.multigraphs_up_to_iso(5, 8)) == 235
     assert all(d == sorted(d, reverse=True) and d[-1] >= 2 for d in degrees)
-    assert len(degrees) == 740
+    # one call per class: the 235 connected ones and 30 disconnected ones
+    assert len(degrees) == 265
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("max_vertices, max_edges, count", [
+    (3, 4, 6), (4, 6, 33), (5, 8, 235), (5, 9, 528), (6, 8, 311)])
+def test_multigraph_classes_match_the_burnside_count(max_vertices, max_edges, count):
+    assert multigraph_classes_by_burnside(max_vertices, max_edges) == count
+    assert len(catalog.multigraphs_up_to_iso(max_vertices, max_edges)) == count
+
+
+@pytest.mark.parametrize("max_vertices, max_edges, digest", [
+    (5, 8, "c19cf1da1280f162"), (6, 8, "09e61099da41e846")])
+def test_multigraphs_keep_their_labels_and_order(max_vertices, max_edges, digest):
+    """The graphs (n, edges), in order, hash to the digest of the generator
+    that keyed every degree-sorted vector."""
+    rows = [[g.n, g.edges] for g in catalog.multigraphs_up_to_iso(max_vertices, max_edges)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
 
 
 def test_multigraph_key_is_a_relabeling_invariant():
