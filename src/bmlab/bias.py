@@ -127,6 +127,7 @@ class BiasedGraph:
                 )
         self._balance_class = None
         self._automorphisms = None  # vertex parts, built on first use
+        self._cycle_lengths = None  # by bias, longest first, built on first use
         self._bias_data = None  # matroid step data, built on first use
         self._realizations = {}  # gains.realizations by group, built on first use
         self._unrolled = {}  # canonical._roll_reachable's unrollings by vertex
@@ -289,22 +290,34 @@ def biased_minor(omega, contract, delete, check=True):
     return BiasedMinor(BiasedGraph(gg, balanced, check=False), vmap, emap, not joints)
 
 
+def _cycle_lengths(omega):
+    """The lengths of omega's balanced cycles and of its unbalanced ones,
+    each list longest first; memoised on omega."""
+    if omega._cycle_lengths is None:
+        lengths = ([], [])
+        for c in omega.graph.cycles():
+            lengths[c.edges not in omega.balanced].append(len(c.edges))
+        omega._cycle_lengths = [sorted(ls, reverse=True) for ls in lengths]
+    return omega._cycle_lengths
+
+
 def _holds_cycles(omega, pattern):
-    """Whether omega has at least as many edges as pattern, as many
-    balanced cycles and as many unbalanced ones.  A host that holds a
-    subdivision of pattern, or has it as a link minor, does: both map the
-    pattern's edges and cycles one to one into the host, each cycle onto
-    a cycle of the same bias.  A subdivision maps a cycle to the union of
-    its edges' paths.  A cycle C of a link minor G/K\\D lifts to the one
-    cycle B of G\\D with B - K = C, and C is balanced exactly when B is
-    (_images).  The edge test comes first, so a pattern too large for
-    cycle enumeration is rejected, not enumerated; cycle counts are read
-    off each graph's memoised CycleMasks."""
+    """Whether omega has at least as many edges as pattern, and its
+    balanced cycle lengths, longest first, dominate the pattern's entry by
+    entry (as many cycles, the i-th longest at least as long), and so do
+    its unbalanced ones.  A host that holds a subdivision of pattern, or
+    has it as a link minor, does: both map the pattern's edges and cycles
+    one to one into the host, each cycle onto a cycle of the same bias
+    and at least its length, so the host's i-th longest cycle of a bias is
+    at least as long as the pattern's.  A subdivision maps a cycle to the
+    union of its edges' paths.  A cycle C of a link minor G/K\\D lifts to
+    the one cycle B of G\\D with B - K = C, and C is balanced exactly when
+    B is (_images).  The edge test comes first, so a pattern too large for
+    cycle enumeration is rejected, not enumerated."""
     if pattern.graph.m > omega.graph.m:
         return False
-    counts = [(len(om.balanced), len(om.graph.cycle_masks().index) - len(om.balanced))
-              for om in (omega, pattern)]
-    return all(h >= p for h, p in zip(*counts))
+    return all(len(h) >= len(p) and all(a >= b for a, b in zip(h, p))
+               for h, p in zip(_cycle_lengths(omega), _cycle_lengths(pattern)))
 
 
 @dataclass(frozen=True)
@@ -329,9 +342,9 @@ def link_minors(omega, pattern):
     the pattern's balanced set.  So the recipes are those of building
     every pair's biased minor and searching its biased isomorphisms.  A
     host larger than LINK_MINOR_BOUND raises BoundExceeded at the first
-    step; after the argument checks, a host with fewer edges, balanced
-    cycles or unbalanced cycles than the pattern yields nothing
-    (_holds_cycles)."""
+    step; after the argument checks, a host with fewer edges than the
+    pattern, or whose cycles of either bias fall short of the pattern's in
+    number or length, yields nothing (_holds_cycles)."""
     g = omega.graph
     if g.n > LINK_MINOR_BOUND[0] or g.m > LINK_MINOR_BOUND[1]:
         raise BoundExceeded("link-minor search bound exceeded")
@@ -635,9 +648,9 @@ def find_biased_subdivision(omega, pattern):
     so the maps that admit one are a union of orbits, and as maps are
     tried in lexicographic order the first that admits one is the least
     of its orbit.  The answer is the unpruned search's first embedding.
-    After the search's argument checks, a host with fewer edges, balanced
-    cycles or unbalanced cycles than the pattern gives None
-    (_holds_cycles)."""
+    After the search's argument checks, a host with fewer edges than the
+    pattern, or whose cycles of either bias fall short of the pattern's in
+    number or length, gives None (_holds_cycles)."""
     check_subdivision_args(omega.graph, pattern.graph)
     if not _holds_cycles(omega, pattern):
         return None

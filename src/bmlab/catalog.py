@@ -31,7 +31,7 @@ from .bias import (
     theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
-from .graph import MultiGraph, edge_bijections, graph_isomorphisms, parallel_classes
+from .graph import MultiGraph, graph_isomorphisms, parallel_classes
 
 
 @dataclass(frozen=True)
@@ -326,23 +326,53 @@ def multigraph_key(nv, mult):
     return key
 
 
+@functools.lru_cache(maxsize=1)
+def _latest_multigraphs():
+    """The latest build of multigraphs_up_to_iso: a dict holding at most
+    one entry, from the bounds built to the graphs."""
+    return {}
+
+
 def multigraphs_up_to_iso(max_vertices, max_edges):
     """Connected loopless multigraphs of minimum degree 2, up to
-    isomorphism, as MultiGraphs labelled by `multigraph_key`.
+    isomorphism, as MultiGraphs labelled by `multigraph_key`, in a fresh
+    list.
+
+    Bounds that the latest build covers are served from it, keeping the
+    graphs with at most max_vertices vertices and max_edges edges: a
+    class's label and its place in the order do not depend on the bounds.
+    Other bounds are built, and their build replaces the latest one once
+    it is complete."""
+    latest = _latest_multigraphs()
+    for (nv, ne), graphs in latest.items():
+        if max_vertices <= nv and max_edges <= ne:
+            return [g for g in graphs if g.n <= max_vertices and g.m <= max_edges]
+    graphs = _build_multigraphs(max_vertices, max_edges)
+    latest.clear()
+    latest[max_vertices, max_edges] = graphs
+    return list(graphs)
+
+
+def _build_multigraphs(max_vertices, max_edges):
+    """The graphs of multigraphs_up_to_iso(max_vertices, max_edges), as a
+    tuple.
 
     Every such graph has a labelling whose vertex degrees are
     non-increasing, so the search recurses over multiplicity vectors on the
     pairs (u, v), u < v, in `combinations` order and keeps only those.  A
     branch is cut as soon as it is doomed: when a vertex's partial degree
     exceeds the final degree of the last vertex before it whose pairs are
-    all set (degrees only grow), or when a vertex's last pair leaves it
-    with degree below 2.  Each class is keyed once, by `multigraph_key`,
-    at its first such vector: the class's other degree-sorted vectors are
-    its images under the orders within each degree class (the
-    relabelings the key tries), and they are all marked seen then.  The
-    classes come by vertex count, then by their lexicographically least
-    multiplicity vector over all vertex relabelings (the vector met first
-    by a scan of all vectors in lexicographic order)."""
+    all set (degrees only grow), when a vertex's last pair leaves it
+    with degree below 2, or when the degree still missing, the sum of
+    max(0, 2 - deg) over the vertices, exceeds twice the edges left (an
+    edge supplies two degrees at most).  Each class is keyed once, by
+    `multigraph_key`, at its first such vector: the class's other
+    degree-sorted vectors are its images under the orders within each
+    degree class (the relabelings the key tries), and they are all marked
+    seen then.  The classes come by vertex count, then by their
+    lexicographically least multiplicity vector over all vertex
+    relabelings (the vector met first by a scan of all vectors in
+    lexicographic order)."""
     out = []
     for nv in range(2, max_vertices + 1):
         pairs = list(combinations(range(nv), 2))
@@ -371,7 +401,10 @@ def multigraphs_up_to_iso(max_vertices, max_edges):
                                   for orders in product(*blocks)]
             return stabilizers[d]
 
-        def rec(idx, left):
+        def rec(idx, left, short):
+            # short: the degree still missing, the sum of max(0, 2 - deg)
+            if short > 2 * left:
+                return
             if idx > last:
                 if own(mult) in seen:
                     return
@@ -390,6 +423,8 @@ def multigraphs_up_to_iso(max_vertices, max_edges):
             u_final = v == nv - 1
             cap_v = u if u_final else u - 1
             du, dv = deg[u], deg[v]
+            su = 2 - du if du < 2 else 0
+            sv = 2 - dv if dv < 2 else 0
             for m in range(left + 1):
                 deg[u], deg[v] = du + m, dv + m
                 if u and deg[u] > deg[u - 1]:
@@ -401,14 +436,14 @@ def multigraphs_up_to_iso(max_vertices, max_edges):
                 if idx == last and deg[v] < 2:
                     continue
                 mult[idx] = m
-                rec(idx + 1, left - m)
+                rec(idx + 1, left - m, short - (m if m < su else su) - (m if m < sv else sv))
             mult[idx] = 0
             deg[u], deg[v] = du, dv
 
-        rec(0, max_edges)
+        rec(0, max_edges, 2 * nv)
         found.sort(key=lambda item: item[0])
         out.extend(g for _, g in found)
-    return out
+    return tuple(out)
 
 
 def automorphism_generators(g):
@@ -419,11 +454,18 @@ def automorphism_generators(g):
     bijections composed with a permutation inside the parallel classes.  The
     identity is left out."""
     identity = tuple(range(g.m))
+    classes = parallel_classes(g)
     gens = []
     for perm in graph_isomorphisms(g, g):
-        emap = next(edge_bijections(g, g, perm))
-        gens.append(tuple(emap[e] for e in identity))
-    for es in parallel_classes(g).values():
+        # the i-th edge of class (u, v) goes to the i-th edge of the class
+        # of (perm[u], perm[v]): the first edge bijection over perm
+        emap = list(identity)
+        for (u, v), es in classes.items():
+            a, b = perm[u], perm[v]
+            for e, f in zip(es, classes[(a, b) if a <= b else (b, a)]):
+                emap[e] = f
+        gens.append(tuple(emap))
+    for es in classes.values():
         for a, b in zip(es, es[1:]):
             t = list(identity)
             t[a], t[b] = b, a

@@ -676,34 +676,50 @@ def _adjacency_profile(g, v):
     return loops, sorted(mult.values())
 
 
+def _multiplicities(g):
+    """mult[u][v]: the number of edges joining u and v (loops at u on the
+    diagonal)."""
+    mult = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+    return mult
+
+
 def graph_isomorphisms(g, h):
-    """Generate vertex bijections g -> h preserving edge multiplicities."""
+    """Generate vertex bijections g -> h preserving edge multiplicities, as
+    tuples in lexicographic order.  A backtrack maps g's vertices in order,
+    each to an unused h-vertex with the same adjacency profile (so the same
+    number of loops), tried in increasing order, and keeps it when the
+    multiplicities between it and every vertex already mapped agree."""
     if g.n != h.n or g.m != h.m:
         return
-    if sorted(_adjacency_profile(g, v) for v in range(g.n)) != sorted(
-        _adjacency_profile(h, v) for v in range(h.n)
-    ):
+    profile_g = [_adjacency_profile(g, v) for v in range(g.n)]
+    profile_h = [_adjacency_profile(h, v) for v in range(h.n)]
+    if sorted(profile_g) != sorted(profile_h):
         return
+    candidates = [[w for w, q in enumerate(profile_h) if q == p] for p in profile_g]
+    gm, hm = _multiplicities(g), _multiplicities(h)
+    perm = [0] * g.n
+    used = [False] * h.n
 
-    gm, hm = parallel_classes(g), parallel_classes(h)
-    profile_g = {v: _adjacency_profile(g, v) for v in range(g.n)}
-    profile_h = {v: _adjacency_profile(h, v) for v in range(h.n)}
-    for perm in permutations(range(h.n)):
-        ok = True
-        for v in range(g.n):
-            if profile_g[v] != profile_h[perm[v]]:
-                ok = False
-                break
-        if not ok:
-            continue
-        good = True
-        for (u, v), es in gm.items():
-            key = (perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u])
-            if len(hm.get(key, ())) != len(es):
-                good = False
-                break
-        if good:
-            yield perm
+    def place(v):
+        if v == g.n:
+            yield tuple(perm)
+            return
+        row = gm[v]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            image = hm[w]
+            if all(row[u] == image[perm[u]] for u in range(v)):
+                perm[v] = w
+                used[w] = True
+                yield from place(v + 1)
+                used[w] = False
+
+    yield from place(0)
 
 
 def edge_bijections(g, h, perm):

@@ -6,9 +6,9 @@ at (5, 9), (6, 8), (6, 9) and (7, 9), each with explicit `max_vertices` and
 checks its class count against the Burnside count of
 `oracles.multigraph_classes_by_burnside` (and against `CLASSES` where the
 size is pinned there).  Then it prints the tangled family's size and its
-cold build time, and each claim's status, counts and time; the two
-tangled claims run on the cached family, so their times leave the build
-out.  From the repository root:
+cold build time, which reads the multigraphs just timed from their shared
+build, and each claim's status, counts and time; the two tangled claims
+run on the cached family, so their times leave the build out.  From the repository root:
 
     python tests/family_sizes.py            # every size
     python tests/family_sizes.py 6 8        # one size

@@ -87,8 +87,8 @@ MUTANTS = [
     # every tangled family stays cached
     Mutant(
         "catalog.py",
-        "@functools.lru_cache(maxsize=1)",
-        "@functools.lru_cache(maxsize=None)",
+        "@functools.lru_cache(maxsize=1)\ndef _tangled_family",
+        "@functools.lru_cache(maxsize=None)\ndef _tangled_family",
         ["tests/test_catalog.py::test_tangled_family_caches_only_the_latest_bounds",
          "tests/test_caches.py::test_every_unbounded_cache_has_a_finite_key_space"],
     ),
@@ -196,8 +196,8 @@ MUTANTS = [
     # the cycle-count cut rejects a host with exactly the pattern's counts
     Mutant(
         "bias.py",
-        "return all(h >= p for h, p in zip(*counts))",
-        "return all(h > p for h, p in zip(*counts))",
+        "return all(len(h) >= len(p) and all(a >= b for a, b in zip(h, p))",
+        "return all(len(h) > len(p) and all(a >= b for a, b in zip(h, p))",
         ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
          "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches",
          "tests/test_bias.py::test_find_biased_subdivision_b0_in_itself",
@@ -206,8 +206,25 @@ MUTANTS = [
     # the cycle-count cut rejects nothing
     Mutant(
         "bias.py",
-        "return all(h >= p for h, p in zip(*counts))",
-        "return True",
+        "    return all(len(h) >= len(p) and all(a >= b for a, b in zip(h, p))\n"
+        "               for h, p in zip(_cycle_lengths(omega), _cycle_lengths(pattern)))\n",
+        "    return True\n",
+        ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
+         "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches"],
+    ),
+    # the cycle cut compares counts only, not lengths
+    Mutant(
+        "bias.py",
+        " and all(a >= b for a, b in zip(h, p))",
+        "",
+        ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
+         "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches"],
+    ),
+    # the cycle lengths compared shortest first
+    Mutant(
+        "bias.py",
+        "omega._cycle_lengths = [sorted(ls, reverse=True) for ls in lengths]",
+        "omega._cycle_lengths = [sorted(ls) for ls in lengths]",
         ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
          "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches"],
     ),
@@ -408,6 +425,43 @@ MUTANTS = [
         ["tests/test_catalog.py::test_multigraphs_match_degree_class_oracle",
          "tests/test_catalog.py::test_multigraphs_match_full_scan_oracle",
          "tests/test_catalog.py::test_multigraphs_keep_their_labels_and_order"],
+    ),
+    # the degree-deficit cut counts each edge left as one missing degree,
+    # not two: it drops classes whose last edges cover two vertices each
+    Mutant(
+        "catalog.py",
+        "if short > 2 * left:",
+        "if short > left:",
+        ["tests/test_catalog.py::test_multigraph_classes_match_the_burnside_count",
+         "tests/test_catalog.py::test_multigraphs_match_degree_class_oracle",
+         "tests/test_catalog.py::test_multigraphs_keep_their_labels_and_order"],
+    ),
+    # a shared build serves smaller bounds filtered by edges only, so it
+    # hands back graphs with too many vertices
+    Mutant(
+        "catalog.py",
+        "return [g for g in graphs if g.n <= max_vertices and g.m <= max_edges]",
+        "return [g for g in graphs if g.m <= max_edges]",
+        ["tests/test_catalog.py::test_shared_multigraph_build_serves_every_bound_it_covers"],
+    ),
+    # automorphism edge maps that ignore the vertex map: every class maps
+    # onto itself
+    Mutant(
+        "catalog.py",
+        "            a, b = perm[u], perm[v]\n",
+        "            a, b = u, v\n",
+        ["tests/test_catalog.py::test_automorphism_generators_match_the_edge_bijection_oracle",
+         "tests/test_catalog.py::test_automorphism_generators_generate_every_automorphism"],
+    ),
+    # the isomorphism backtrack checks a new vertex against every vertex
+    # placed before it except the last two (skipping only the last one
+    # changes no answer: once every other pair at a vertex agrees, its
+    # adjacency profile forces the one left)
+    Mutant(
+        "graph.py",
+        "if all(row[u] == image[perm[u]] for u in range(v)):",
+        "if all(row[u] == image[perm[u]] for u in range(v - 2)):",
+        ["tests/test_graph.py::test_graph_isomorphisms_match_the_permutation_filter"],
     ),
 ]
 

@@ -18,7 +18,9 @@ sweeps, and three constructions that simpler routines replaced: the Delta-Y
 matrix exchange through the I(K_4) template with its basis completion,
 the subdivision search with two path generators, and forest normalization
 with the switching decisions built on it, each on a forest search of its
-own.  Last, the number of multigraph isomorphism classes by the
+own.  Then graph isomorphisms by filtering every vertex permutation, and
+automorphism generators with each edge map taken from an edge-bijection
+search.  Last, the number of multigraph isomorphism classes by the
 Cauchy-Frobenius (Burnside) lemma, which lists no class.
 
 No bmlab command, claim or export needs them, so they live beside the tests
@@ -26,7 +28,7 @@ that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 from bmlab import catalog
@@ -65,7 +67,15 @@ from bmlab.fields import (
 )
 from bmlab.formats import parse_matrix
 from bmlab.gains import induced_gain, normalize, switch, switching_equivalent
-from bmlab.graph import SUBDIVISION_BOUND, Embedding, MultiGraph, find
+from bmlab.graph import (
+    SUBDIVISION_BOUND,
+    Embedding,
+    MultiGraph,
+    _adjacency_profile,
+    edge_bijections,
+    find,
+    parallel_classes,
+)
 from bmlab.linalg import (
     FieldMatrix,
     ProjWitness,
@@ -973,6 +983,47 @@ def switching_scaling_equivalent_by_dfs(gg1, gg2):
     scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
     assert switch(scaled, eta).gains == gg2.gains
     return a, eta
+
+
+# -- isomorphisms by filtering every permutation ---------------------------------
+
+def graph_isomorphisms_by_permutations(g, h):
+    """The reference for graph.graph_isomorphisms: every vertex permutation,
+    in lexicographic order, that matches the adjacency profiles and carries
+    each parallel class of g onto a class of h of the same size."""
+    if g.n != h.n or g.m != h.m:
+        return
+    if sorted(_adjacency_profile(g, v) for v in range(g.n)) != sorted(
+        _adjacency_profile(h, v) for v in range(h.n)
+    ):
+        return
+    gm, hm = parallel_classes(g), parallel_classes(h)
+    profile_g = {v: _adjacency_profile(g, v) for v in range(g.n)}
+    profile_h = {v: _adjacency_profile(h, v) for v in range(h.n)}
+    for perm in permutations(range(h.n)):
+        if any(profile_g[v] != profile_h[perm[v]] for v in range(g.n)):
+            continue
+        if all(len(hm.get((perm[u], perm[v]) if perm[u] <= perm[v] else (perm[v], perm[u]), ()))
+               == len(es) for (u, v), es in gm.items()):
+            yield perm
+
+
+def automorphism_generators_by_edge_bijections(g):
+    """The reference for catalog.automorphism_generators: the first edge
+    bijection of an edge_bijections search for each vertex automorphism,
+    then the transpositions of neighbouring parallel edges, without the
+    identity."""
+    identity = tuple(range(g.m))
+    gens = []
+    for perm in graph_isomorphisms_by_permutations(g, g):
+        emap = next(edge_bijections(g, g, perm))
+        gens.append(tuple(emap[e] for e in identity))
+    for es in parallel_classes(g).values():
+        for a, b in zip(es, es[1:]):
+            t = list(identity)
+            t[a], t[b] = b, a
+            gens.append(tuple(t))
+    return [t for t in gens if t != identity]
 
 
 # -- orbit counts that list no orbit --------------------------------------------

@@ -20,9 +20,11 @@ from bmlab.errors import BadGlue, BmlabError, BoundExceeded
 from bmlab.graph import MultiGraph, edge_bijections, graph_isomorphisms
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
 from oracles import (
+    automorphism_generators_by_edge_bijections,
     drop_isolated,
     mask_edge_sets,
     multigraph_classes_by_burnside,
+    relabel,
     sweep_graphs,
     theta_closed_edge_sets,
     theta_closed_subsets_by_theta_test,
@@ -386,6 +388,7 @@ def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
         return keys[-1]
 
     monkeypatch.setattr(catalog, "multigraph_key", key)
+    catalog._latest_multigraphs.cache_clear()
     assert len(catalog.multigraphs_up_to_iso(5, 8)) == 235
     assert all(d == sorted(d, reverse=True) and d[-1] >= 2 for d in degrees)
     # one call per class: the 235 connected ones and 30 disconnected ones
@@ -407,6 +410,59 @@ def test_multigraphs_keep_their_labels_and_order(max_vertices, max_edges, digest
     that keyed every degree-sorted vector."""
     rows = [[g.n, g.edges] for g in catalog.multigraphs_up_to_iso(max_vertices, max_edges)]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
+
+
+def _rows(graphs):
+    return [(g.n, g.edges) for g in graphs]
+
+
+def test_shared_multigraph_build_serves_every_bound_it_covers(monkeypatch):
+    fresh = {(nv, ne): _rows(catalog._build_multigraphs(nv, ne))
+             for nv in range(1, 6) for ne in range(9)}
+    catalog._latest_multigraphs.cache_clear()
+    shared = catalog.multigraphs_up_to_iso(5, 8)
+    assert _rows(shared) == fresh[5, 8]
+
+    def no_build(nv, mult):
+        raise AssertionError("built again")
+
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "multigraph_key", no_build)
+        for bounds, want in fresh.items():
+            got = catalog.multigraphs_up_to_iso(*bounds)
+            assert _rows(got) == want, bounds
+            assert all(any(g is h for h in shared) for g in got)
+            # a fresh list: changing it leaves the shared build alone
+            got.clear()
+        assert _rows(catalog.multigraphs_up_to_iso(5, 8)) == fresh[5, 8]
+    # bounds beyond the latest build are built, and replace it
+    wider = catalog.multigraphs_up_to_iso(6, 9)
+    assert list(catalog._latest_multigraphs()) == [(6, 9)]
+    for bounds in [(6, 8), (5, 9), (4, 7)]:
+        assert _rows(catalog.multigraphs_up_to_iso(*bounds)) == _rows(
+            catalog._build_multigraphs(*bounds))
+    assert len(wider) == 880
+
+
+def test_failed_multigraph_build_keeps_the_latest_build(monkeypatch):
+    catalog._latest_multigraphs.cache_clear()
+    catalog.multigraphs_up_to_iso(4, 6)
+    real = catalog.multigraph_key
+    calls = []
+
+    def third_call_fails(nv, mult):
+        calls.append(nv)
+        if len(calls) == 3:
+            raise BoundExceeded("injected")
+        return real(nv, mult)
+
+    monkeypatch.setattr(catalog, "multigraph_key", third_call_fails)
+    with pytest.raises(BoundExceeded):
+        catalog.multigraphs_up_to_iso(4, 7)
+    assert list(catalog._latest_multigraphs()) == [(4, 6)]
+    monkeypatch.setattr(catalog, "multigraph_key", real)
+    assert len(catalog.multigraphs_up_to_iso(4, 7)) == 63
+    assert list(catalog._latest_multigraphs()) == [(4, 7)]
 
 
 def test_multigraph_key_is_a_relabeling_invariant():
@@ -572,20 +628,30 @@ def test_automorphism_generators_generate_every_automorphism(g):
     assert kernel == (2 if g.n == 2 and not any(map(g.is_loop, range(g.m))) else 1)
 
 
-def test_orbits_take_one_edge_bijection_per_vertex_automorphism(monkeypatch):
+def test_automorphism_generators_match_the_edge_bijection_oracle():
+    # the sweep graphs, the parallel classes with loops and the graphs that
+    # tangled_family(5, 8) draws from, each also under a seeded relabelling
+    rng = random.Random(40)
+    family_graphs = [g for g in catalog.multigraphs_up_to_iso(5, 8) if catalog.can_be_tangled(g)]
+    total = Counter()
+    for g in sweep_graphs() + _PARALLEL_GRAPHS + family_graphs:
+        copy = relabel(BiasedGraph(g, []), rng.sample(range(g.n), g.n),
+                       rng.sample(range(g.m), g.m)).graph
+        for h in (g, copy):
+            got = catalog.automorphism_generators(h)
+            assert got == automorphism_generators_by_edge_bijections(h), h.edges
+            total[h is g] += len(got)
+    assert total == {True: 837, False: 837}
+
+
+def test_orbits_take_one_edge_bijection_per_vertex_automorphism():
+    # the two vertex automorphisms of 8 parallel links each map the class
+    # onto itself in order, which is the identity, so the generators are
+    # the 7 neighbouring transpositions, as the edge-bijection search gives
     g = MultiGraph(2, [(0, 1)] * 8)
-    taken = 0
-    real = catalog.edge_bijections
-
-    def counted(g, h, perm):
-        nonlocal taken
-        for emap in real(g, h, perm):
-            taken += 1
-            yield emap
-
-    monkeypatch.setattr(catalog, "edge_bijections", counted)
-    reps = catalog.bias_sets_up_to_aut(g)
+    gens = catalog.automorphism_generators(g)
+    assert gens == automorphism_generators_by_edge_bijections(g)
+    assert len(gens) == 7 and all(sum(t[e] != e for e in range(8)) == 2 for t in gens)
     # theta-closed sets on k parallel links are the set partitions of the
     # links, so the orbits are the 22 integer partitions of 8
-    assert len(reps) == 22
-    assert taken <= len(list(graph_isomorphisms(g, g))) == 2
+    assert len(catalog.bias_sets_up_to_aut(g)) == 22

@@ -3,11 +3,12 @@ graph leaves every answer that belongs to the biased graph, and not to its
 labels, unchanged."""
 
 import random
+from collections import Counter
 
 from bmlab import catalog, verify
-from bmlab.bias import classify_balance
+from bmlab.bias import BiasedGraph, classify_balance
 from bmlab.canonical import FRAME, LIFT
-from oracles import relabel
+from oracles import relabel, sweep_graphs
 
 
 def test_balance_and_gain_class_counts_survive_a_relabelling():
@@ -29,3 +30,26 @@ def test_balance_and_gain_class_counts_survive_a_relabelling():
                 total += count
     assert total == 632
     assert moved == 87  # every relabelling changed the edge list
+
+
+def _multiplicities(g):
+    return sorted(Counter((min(u, v), max(u, v)) for u, v in g.edges).items())
+
+
+def test_multigraph_key_and_orbit_counts_survive_a_relabelling():
+    # one seeded relabelling of each sweep graph: its multigraph_key (the
+    # loopless ones) and its number of theta-closed bias sets up to
+    # automorphism
+    rng = random.Random(16)
+    keyed = orbits = 0
+    for g in sweep_graphs():
+        other = relabel(BiasedGraph(g, []), rng.sample(range(g.n), g.n),
+                        rng.sample(range(g.m), g.m)).graph
+        if not any(map(g.is_loop, range(g.m))):
+            key = catalog.multigraph_key(g.n, _multiplicities(g))
+            assert catalog.multigraph_key(g.n, _multiplicities(other)) == key, g.edges
+            keyed += 1
+        count = len(catalog.bias_sets_up_to_aut(g))
+        assert len(catalog.bias_sets_up_to_aut(other)) == count, g.edges
+        orbits += count
+    assert (keyed, orbits) == (70, 859)
