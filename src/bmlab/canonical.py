@@ -193,8 +193,8 @@ def delta_y_matrix(A, triangle_cols):
         raise NotTriangle("columns do not form a triangle")
     alpha, beta = R.rows[0][2], R.rows[1][2]
     a, b = A.column(idx[0]), A.column(idx[1])
-    star = {idx[0]: [f.mul(beta, x) for x in b],
-            idx[1]: [f.neg(f.mul(alpha, x)) for x in a],
+    star = {idx[0]: f.scale(beta, b),
+            idx[1]: f.scale(f.neg(alpha), a),
             idx[2]: [f.zero] * A.nrows}
     rows = [[star[j][i] if j in star else x for j, x in enumerate(row)]
             for i, row in enumerate(A.rows)]
@@ -393,7 +393,7 @@ def _lift_rows(f, rows):
     null = [a for a in left_null_space(FieldMatrix(f, rows)) if f.zero not in a]
     if len(null) != 1:
         return None
-    vrows = [[f.mul(a, val) for val in row] for a, row in zip(null[0], rows)]
+    vrows = [f.scale(a, row) for a, row in zip(null[0], rows)]
     for i in range(r):
         v0 = [f.one if k == i else f.zero for k in range(r)]
         if rank_of_columns(f, [list(col) for col in zip(*(vrows + [v0]))]) == r:
@@ -413,9 +413,7 @@ def _line_choices(f, free_rows):
         lines = [b1, b2]
         for lam in f.elements:
             if lam != f.zero:
-                lines.append(
-                    tuple(f.add(a, f.mul(lam, b)) for a, b in zip(b1, b2))
-                )
+                lines.append(tuple(f.axpy(lam, b2, b1)))
         per_key.append(lines)
     for combo in product(*per_key):
         yield dict(zip(keys, combo))

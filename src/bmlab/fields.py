@@ -5,7 +5,8 @@ coefficient vector of a polynomial over GF(p) in base p (digit i is the
 coefficient of x^i), reduced modulo a fixed irreducible polynomial: the
 lexicographically smallest monic irreducible of degree k, chosen
 deterministically so that encodings are stable across runs.  Addition and
-multiplication are table lookups.
+multiplication are table lookups, and the row kernels axpy and scale do a
+whole row with one multiplication-table row.
 
 Rational arithmetic wraps fractions.Fraction.
 """
@@ -164,6 +165,17 @@ class GF:
     def div(self, a, b):
         return self._mul[a][self.inv(b)]
 
+    # -- row kernels -----------------------------------------------------
+    def axpy(self, c, xs, ys):
+        """The row c*x + y, as a list."""
+        mc, add = self._mul[c], self._add
+        return [add[mc[x]][y] for x, y in zip(xs, ys)]
+
+    def scale(self, c, xs):
+        """The row c*x, as a list."""
+        mc = self._mul[c]
+        return [mc[x] for x in xs]
+
     # -- structure -------------------------------------------------------
     @property
     def elements(self):
@@ -219,6 +231,12 @@ class Rationals:
 
     def div(self, a, b):
         return Fraction(a) / b
+
+    def axpy(self, c, xs, ys):
+        return [c * x + y for x, y in zip(xs, ys)]
+
+    def scale(self, c, xs):
+        return [c * x for x in xs]
 
     @property
     def elements(self):

@@ -72,6 +72,7 @@ class MultiGraph:
         self._incident = tuple(tuple(sorted(es)) for es in inc)
         self._cycles = None
         self._cycle_masks = None  # CycleMasks of cycles(), built on first use
+        self._vertical = {}  # is_vertically_k_connected by k
         self._link_minor_pairs = {}  # link_minor_pairs by (h.n, h.edges)
 
     # -- basics ----------------------------------------------------------
@@ -285,9 +286,15 @@ class MultiGraph:
         Returns (True, None) or (False, witness); the witness is a pair of
         edge-name tuples (A, B) forming a vertical r-separation (r < k), or
         None when the failure is degenerate (e.g. too few vertices).
+        The answer is computed once per k.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if k not in self._vertical:
+            self._vertical[k] = self._vertically_k_connected(k)
+        return self._vertical[k]
+
+    def _vertically_k_connected(self, k):
         comps = self.components()
         if self.n < k + 2:
             complete = all(

@@ -82,20 +82,17 @@ class FieldMatrix:
         )
 
     def mul(self, other):
+        """A * B, row i being the sum of a_ik * B_k over the nonzero a_ik."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         f = self.field
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = f.zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a != f.zero:
-                        acc = f.add(acc, f.mul(a, other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            acc = [f.zero] * other.ncols
+            for a, brow in zip(row, other.rows):
+                if a != f.zero:
+                    acc = f.axpy(a, brow, acc)
+            out.append(acc)
         return FieldMatrix(f, out, self.row_labels, other.col_labels)
 
     def is_zero(self):
@@ -113,54 +110,52 @@ def rref(A):
     """Reduced row echelon form.
 
     Returns (R, E, pivots) with E invertible, E*A = R, pivot choice
-    deterministic: leftmost column, then smallest row index."""
+    deterministic: leftmost column, then smallest row index.  The rows of
+    [A | I] are eliminated once, pivoting on A's columns: R is the left
+    block and E the right."""
     f = A.field
-    rows = [list(r) for r in A.rows]
+    zero = f.zero
     n, m = A.nrows, A.ncols
-    E = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    rows = [list(r) + [f.one if i == j else zero for j in range(n)]
+            for i, r in enumerate(A.rows)]
     pivots = []
     pr = 0
     for col in range(m):
         sel = None
         for i in range(pr, n):
-            if rows[i][col] != f.zero:
+            if rows[i][col] != zero:
                 sel = i
                 break
         if sel is None:
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
-        E[pr], E[sel] = E[sel], E[pr]
-        inv = f.inv(rows[pr][col])
-        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-        E[pr] = [f.mul(inv, x) for x in E[pr]]
+        prow = rows[pr] = f.scale(f.inv(rows[pr][col]), rows[pr])
         for i in range(n):
-            if i != pr and rows[i][col] != f.zero:
-                c = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[pr])]
-                E[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(E[i], E[pr])]
+            c = rows[i][col]
+            if i != pr and c != zero:
+                rows[i] = f.axpy(f.neg(c), prow, rows[i])
         pivots.append(col)
         pr += 1
         if pr == n:
             break
-    R = FieldMatrix(f, rows, A.row_labels, A.col_labels)
-    Em = FieldMatrix(f, E, A.row_labels, A.row_labels)
+    R = FieldMatrix(f, [r[:m] for r in rows], A.row_labels, A.col_labels)
+    Em = FieldMatrix(f, [r[m:] for r in rows], A.row_labels, A.row_labels)
     return R, Em, tuple(pivots)
 
 
 def _pivot(f, basis, col):
-    """col reduced by the pivots of basis, as a new pivot (lead, row, 1 /
-    row[lead]) with row[lead] its first nonzero entry; None when basis
+    """col reduced by the pivots of basis, as a new pivot (lead, row) with
+    row scaled to 1 at lead, its first nonzero entry; None when basis
     spans col."""
-    zero, sub, mul = f.zero, f.sub, f.mul
+    zero = f.zero
     vec = col
-    for lead, row, inv in basis:
+    for lead, row in basis:
         c = vec[lead]
         if c != zero:
-            c = mul(c, inv)
-            vec = [sub(x, mul(c, y)) for x, y in zip(vec, row)]
+            vec = f.axpy(f.neg(c), row, vec)
     for lead, x in enumerate(vec):
         if x != zero:
-            return lead, vec, f.inv(x)
+            return lead, f.scale(f.inv(x), vec)
     return None
 
 
@@ -329,7 +324,7 @@ def projectively_equivalent(A, B):
     key_b, EB, b1, b2 = _projective_normal_form(B)
     if key_a != key_b:
         return None
-    stack_rows = [[f.mul(f.div(a, b), x) for x in row] for a, b, row in zip(a1, b1, EA.rows)]
+    stack_rows = [f.scale(f.div(a, b), row) for a, b, row in zip(a1, b1, EA.rows)]
     stack_rows += [[f.zero] * A.nrows for _ in range(B.nrows - len(a1))]
     T = invert(EB).mul(FieldMatrix(f, stack_rows, None, A.row_labels))
     S = FieldMatrix.diagonal(f, [f.div(a, b) for a, b in zip(a2, b2)], A.col_labels)

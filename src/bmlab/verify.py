@@ -637,9 +637,9 @@ def _extension_exists(A, target_oracle, f):
     W = left_null_space(FieldMatrix(f, [[h[i] for h in H] for i in range(A.nrows)]))
     for lead in range(len(W)):
         for tail in product(range(f.q), repeat=len(W) - lead - 1):
-            vec = list(W[lead])
+            vec = W[lead]
             for c, w in zip(tail, W[lead + 1:]):
-                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, w)]
+                vec = f.axpy(c, w, vec)
             rows = [list(r) + [vec[i]] for i, r in enumerate(A.rows)]
             B = FieldMatrix(f, rows, A.row_labels, labels)
             if matroids_equal(vector_matroid(B), target_oracle)[0]:

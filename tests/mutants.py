@@ -135,16 +135,16 @@ MUTANTS = [
     # Delta-Y glues the first two star columns onto each other's edges
     Mutant(
         "canonical.py",
-        "star = {idx[0]: [f.mul(beta, x) for x in b],\n            idx[1]:",
-        "star = {idx[1]: [f.mul(beta, x) for x in b],\n            idx[0]:",
+        "star = {idx[0]: f.scale(beta, b),\n            idx[1]:",
+        "star = {idx[1]: f.scale(beta, b),\n            idx[0]:",
         ["tests/test_canonical.py::test_delta_y_matrix_matches_the_template_construction",
          "tests/test_canonical.py::test_y_delta_matrix_matches_the_direct_construction"],
     ),
     # Delta-Y with -alpha replaced by alpha (the same in characteristic 2)
     Mutant(
         "canonical.py",
-        "idx[1]: [f.neg(f.mul(alpha, x)) for x in a],",
-        "idx[1]: [f.mul(alpha, x) for x in a],",
+        "idx[1]: f.scale(f.neg(alpha), a),",
+        "idx[1]: f.scale(alpha, a),",
         ["tests/test_canonical.py::test_delta_y_matrix_matches_the_template_construction",
          "tests/test_canonical.py::test_y_delta_matrix_matches_the_direct_construction"],
     ),
@@ -462,6 +462,46 @@ MUTANTS = [
         "if all(row[u] == image[perm[u]] for u in range(v)):",
         "if all(row[u] == image[perm[u]] for u in range(v - 2)):",
         ["tests/test_graph.py::test_graph_isomorphisms_match_the_permutation_filter"],
+    ),
+    # the row kernel multiplies y where it should multiply x: c*y + y
+    Mutant(
+        "fields.py",
+        "return [add[mc[x]][y] for x, y in zip(xs, ys)]",
+        "return [add[mc[y]][y] for x, y in zip(xs, ys)]",
+        ["tests/test_linalg.py::test_row_kernels_match_the_entry_operations",
+         "tests/test_linalg.py::test_rref_and_products_match_the_entry_oracles_on_every_small_matrix",
+         "tests/test_linalg.py::test_rref_and_products_match_the_entry_oracles_on_seeded_matrices"],
+    ),
+    # rref leaves the pivot row unscaled, so pivots need not be 1 and the
+    # other rows are reduced by the wrong multiple (no change over GF(2))
+    Mutant(
+        "linalg.py",
+        "prow = rows[pr] = f.scale(f.inv(rows[pr][col]), rows[pr])",
+        "prow = rows[pr]",
+        ["tests/test_linalg.py::test_rref_and_products_match_the_entry_oracles_on_every_small_matrix",
+         "tests/test_linalg.py::test_rref_and_products_match_the_entry_oracles_on_seeded_matrices"],
+    ),
+    # a vector-matroid pivot kept unscaled: reducing by it leaves its lead
+    # entry standing, so spanned columns count as new pivots
+    Mutant(
+        "linalg.py",
+        "return lead, f.scale(f.inv(x), vec)",
+        "return lead, vec",
+        ["tests/test_linalg.py::test_rref_and_products_match_the_entry_oracles_on_every_small_matrix",
+         "tests/test_linalg.py::test_rref_and_products_match_the_entry_oracles_on_seeded_matrices"],
+    ),
+    # the vertical-connectivity memo keyed without k: every k gets the
+    # first k's answer
+    Mutant(
+        "graph.py",
+        "        if k not in self._vertical:\n"
+        "            self._vertical[k] = self._vertically_k_connected(k)\n"
+        "        return self._vertical[k]\n",
+        "        if None not in self._vertical:\n"
+        "            self._vertical[None] = self._vertically_k_connected(k)\n"
+        "        return self._vertical[None]\n",
+        ["tests/test_graph.py::test_vertical_connectivity_memo_matches_a_fresh_graph",
+         "tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
     ),
 ]
 

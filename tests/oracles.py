@@ -5,7 +5,8 @@ edge-set components, vector rank by elimination, projective-witness
 parsing, a biased graph with its isolated vertices dropped, balance
 classification on the loop-deleted minor, balancing vertices and
 tangledness from rebuilt cycle vertex sets, switching classes on contracted
-gain graphs, GF(q) tables built pair by pair, projective equivalence by a
+gain graphs, GF(q) tables built pair by pair, the reduced echelon form and
+the matrix product one entry at a time, projective equivalence by a
 pivot-basis transfer and diagonal equivalence, switching-and-scaling
 equivalence by one switching decision per scalar and its orbits by the
 least scalar multiple of each normal form, a biased graph under other
@@ -330,6 +331,61 @@ def gf_tables_pair_by_pair(q):
     neg = [row.index(0) for row in add]
     inv = [None] + [row.index(1) for row in mul[1:]]
     return add, mul, neg, inv
+
+
+def rref_by_entries(A):
+    """The reference for linalg.rref: (R, E, pivots) with every entry of
+    each row operation computed on its own, and E updated in a loop of
+    its own beside A's rows."""
+    f = A.field
+    rows = [list(r) for r in A.rows]
+    n, m = A.nrows, A.ncols
+    E = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    pivots = []
+    pr = 0
+    for col in range(m):
+        sel = None
+        for i in range(pr, n):
+            if rows[i][col] != f.zero:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        E[pr], E[sel] = E[sel], E[pr]
+        inv = f.inv(rows[pr][col])
+        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
+        E[pr] = [f.mul(inv, x) for x in E[pr]]
+        for i in range(n):
+            if i != pr and rows[i][col] != f.zero:
+                c = rows[i][col]
+                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[pr])]
+                E[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(E[i], E[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == n:
+            break
+    R = FieldMatrix(f, rows, A.row_labels, A.col_labels)
+    Em = FieldMatrix(f, E, A.row_labels, A.row_labels)
+    return R, Em, tuple(pivots)
+
+
+def matrix_product_by_entries(A, B):
+    """The reference for FieldMatrix.mul: entry (i, j) of A * B summed on
+    its own over the nonzero a_ik."""
+    f = A.field
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            acc = f.zero
+            for k in range(A.ncols):
+                a = A.rows[i][k]
+                if a != f.zero:
+                    acc = f.add(acc, f.mul(a, B.rows[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return FieldMatrix(f, rows, A.row_labels, B.col_labels)
 
 
 def diagonally_equivalent(A, B):

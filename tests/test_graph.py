@@ -583,3 +583,17 @@ def test_vertical_connectivity_matches_the_parent_routine():
             outcomes[got[0], got[1] is None] += 1
     assert len(graphs) == 261
     assert outcomes == {(True, True): 420, (False, False): 339, (False, True): 24}
+
+
+def test_vertical_connectivity_memo_matches_a_fresh_graph():
+    # each answer is memoised per graph and per k: asked for k = 1, 2, 3 in
+    # turn, then again, a graph answers as a fresh copy of itself does
+    graphs = differ = 0
+    for g in sweep_graphs():
+        for h in (MultiGraph(g.n, g.edges), with_loops(BiasedGraph(g, [])).graph):
+            answers = [MultiGraph(h.n, h.edges).is_vertically_k_connected(k) for k in (1, 2, 3)]
+            for _ in range(2):
+                assert [h.is_vertically_k_connected(k) for k in (1, 2, 3)] == answers, h.edges
+            graphs += 1
+            differ += len(set(answers)) > 1
+    assert (graphs, differ) == (144, 90)  # 90 answer differently for some two k

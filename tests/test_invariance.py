@@ -7,7 +7,15 @@ from collections import Counter
 
 from bmlab import catalog, verify
 from bmlab.bias import BiasedGraph, classify_balance
-from bmlab.canonical import FRAME, LIFT
+from bmlab.canonical import (
+    FRAME,
+    LIFT,
+    canonicalize_representation,
+    enumerate_representations,
+    kind_parts,
+)
+from bmlab.fields import gf
+from bmlab.linalg import FieldMatrix, projective_key
 from oracles import relabel, sweep_graphs
 
 
@@ -53,3 +61,70 @@ def test_multigraph_key_and_orbit_counts_survive_a_relabelling():
         assert len(catalog.bias_sets_up_to_aut(other)) == count, g.edges
         orbits += count
     assert (keyed, orbits) == (70, 859)
+
+
+def _claim_graphs():
+    """The biased graphs of allreps-2c3, allreps-k4 and the tube claims."""
+    return (list(catalog.classify_2c3_proper()) + list(verify._proper_k4())
+            + list(catalog.classify_tube_proper()))
+
+
+def test_representation_classes_survive_a_column_permutation():
+    # one seeded relabelling of each claim graph permutes the columns of its
+    # frame and lift matroids: over GF(4), GF(5) and GF(7) the class count
+    # and the multiset of class sizes stay the same, and each class, its
+    # columns permuted alike, canonicalizes with the same status and kind
+    rng = random.Random(16)
+    classes = Counter()
+    for nb in _claim_graphs():
+        om, g = nb.omega, nb.omega.graph
+        order = rng.sample(range(g.m), g.m)
+        other = relabel(om, rng.sample(range(g.n), g.n), order)
+        for kind in (FRAME, LIFT):
+            for q in (4, 5, 7):
+                want = enumerate_representations(kind_parts(kind).matroid(om), q, om, kind)
+                got = enumerate_representations(kind_parts(kind).matroid(other), q, other, kind)
+                assert len(got) == len(want), (nb.name, kind, q)
+                assert Counter(c.count for c in got) == Counter(c.count for c in want)
+                for cls in want:
+                    A = cls.matrix
+                    B = FieldMatrix(A.field, [[row[e] for e in order] for row in A.rows],
+                                    A.row_labels, other.graph.edge_names)
+                    res = canonicalize_representation(B, other, hint=kind)
+                    assert (res.status, res.kind) == (cls.canonical.status, cls.kind)
+                    classes[res.status, res.kind] += 1
+    assert classes == {("ok", FRAME): 652, ("ok", LIFT): 293}
+
+
+def test_frobenius_permutes_the_representation_classes():
+    # over GF(8) and GF(9), x -> x^p applied to every entry maps a
+    # representation of M to one of M, so it permutes M's classes: the
+    # image keys are the class keys, each once.  Over GF(8) each class is
+    # also canonicalized, and its image's class has the same kind
+    classes = moved = 0
+    for q in (8, 9):
+        f = gf(q)
+        frobenius = []
+        for a in f.elements:
+            power = f.one
+            for _ in range(f.p):
+                power = f.mul(power, a)
+            frobenius.append(power)
+        for nb in _claim_graphs():
+            om = nb.omega
+            for kind in (FRAME, LIFT):
+                reps = enumerate_representations(kind_parts(kind).matroid(om), q,
+                                                 om if q == 8 else None, kind)
+                kinds = {projective_key(cls.matrix): cls.kind for cls in reps}
+                images = set()
+                for cls in reps:
+                    A = cls.matrix
+                    image = projective_key(FieldMatrix(
+                        f, [[frobenius[x] for x in row] for row in A.rows],
+                        A.row_labels, A.col_labels))
+                    assert kinds.get(image, "missing") == cls.kind, (nb.name, kind, q)
+                    images.add(image)
+                    moved += image != projective_key(A)
+                assert len(images) == len(reps), (nb.name, kind, q)
+                classes += len(reps)
+    assert (classes, moved) == (4884, 4866)  # 18 classes are fixed

@@ -21,7 +21,9 @@ from bmlab.matroid import matroids_equal, uniform_matroid
 from oracles import (
     diagonally_equivalent,
     gf_tables_pair_by_pair,
+    matrix_product_by_entries,
     projectively_equivalent_by_basis_transfer,
+    rref_by_entries,
 )
 
 
@@ -53,6 +55,67 @@ def test_field_tables_match_the_pair_by_pair_build():
     for q in PRIME_POWERS:
         f = GF(q)
         assert (f._add, f._mul, f._neg, f._inv) == gf_tables_pair_by_pair(q), q
+
+
+def test_row_kernels_match_the_entry_operations():
+    # axpy and scale against add(mul(c, x), y) and mul(c, x) for every
+    # (c, x, y), each pair (x, y) an entry of one long row, for q <= 9
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = gf(q)
+        xs, ys = zip(*product(f.elements, repeat=2))
+        for c in f.elements:
+            assert f.axpy(c, xs, ys) == [f.add(f.mul(c, x), y) for x, y in zip(xs, ys)]
+            assert f.scale(c, xs) == [f.mul(c, x) for x in xs]
+    els = [Fraction(a, b) for a in range(-2, 3) for b in (1, 2, 3)]
+    xs, ys = zip(*product(els, repeat=2))
+    for c in els:
+        assert QQ.axpy(c, xs, ys) == [QQ.add(QQ.mul(c, x), y) for x, y in zip(xs, ys)]
+        assert QQ.scale(c, xs) == [QQ.mul(c, x) for x in xs]
+
+
+def _transpose(A):
+    return FieldMatrix(A.field, zip(*A.rows), A.col_labels, A.row_labels)
+
+
+def _check_against_the_entry_oracles(A):
+    """rref, three products and the column rank of A against the oracles
+    that compute one entry at a time."""
+    R, E, piv = rref(A)
+    R0, E0, piv0 = rref_by_entries(A)
+    assert (R.rows, E.rows, piv) == (R0.rows, E0.rows, piv0), A.rows
+    assert (R.row_labels, R.col_labels, E.col_labels) == (R0.row_labels, R0.col_labels,
+                                                         E0.col_labels)
+    At = _transpose(A)
+    for X, Y in ((E, A), (A, At), (At, A)):
+        assert X.mul(Y).rows == matrix_product_by_entries(X, Y).rows, (X.rows, Y.rows)
+    assert rank_of_columns(A.field, A.columns()) == len(piv)
+
+
+def test_rref_and_products_match_the_entry_oracles_on_every_small_matrix():
+    # every 2x3 and 3x2 matrix over GF(2), GF(3) and GF(4), and every 3x3
+    # matrix over GF(2) and GF(3)
+    shapes = [(q, n, m) for q in (2, 3, 4) for n, m in ((2, 3), (3, 2))]
+    shapes += [(2, 3, 3), (3, 3, 3)]
+    checked = 0
+    for q, n, m in shapes:
+        f = gf(q)
+        for entries in product(f.elements, repeat=n * m):
+            _check_against_the_entry_oracles(
+                FieldMatrix(f, [entries[i * m:(i + 1) * m] for i in range(n)]))
+            checked += 1
+    assert checked == 2 * (2 ** 6 + 3 ** 6 + 4 ** 6) + 2 ** 9 + 3 ** 9
+
+
+def test_rref_and_products_match_the_entry_oracles_on_seeded_matrices():
+    # GF(5), GF(7), GF(8), GF(9) and QQ: shapes up to 4 x 5, entries zero
+    # half the time so that ranks fall short
+    rng = random.Random(41)
+    for f in (gf(5), gf(7), gf(8), gf(9), QQ):
+        for _ in range(150):
+            n, m = rng.randint(1, 4), rng.randint(1, 5)
+            A = FieldMatrix(f, [[_draw(rng, f) if rng.random() < 0.5 else f.zero
+                                 for _ in range(m)] for _ in range(n)])
+            _check_against_the_entry_oracles(A)
 
 
 def test_gf4_structure():
