@@ -129,8 +129,11 @@ class BiasedGraph:
         self._automorphisms = None  # vertex parts, built on first use
         self._cycle_lengths = None  # by bias, longest first, built on first use
         self._bias_data = None  # matroid step data, built on first use
+        self._oracles = {}  # matroid oracles by kind, built on first use
+        self._frame_is_lift = None  # matroid.frame_equals_lift, decided on first use
         self._realizations = {}  # gains.realizations by group, built on first use
-        self._unrolled = {}  # canonical._roll_reachable's unrollings by vertex
+        self._unrolled = {}  # canonical._unrolled's unrollings by vertex
+        self._reachable = {}  # canonical._roll_reachable by the variant's (graph, bias)
 
     @classmethod
     def of_cycles(cls, graph, balanced):

@@ -54,7 +54,14 @@ from .linalg import (
     rref,
     vector_matroid,
 )
-from .matroid import complete_lift_matroid, frame_matroid, greedy, lift_matroid, matroids_equal
+from .matroid import (
+    complete_lift_matroid,
+    frame_equals_lift,
+    frame_matroid,
+    greedy,
+    lift_matroid,
+    matroids_equal,
+)
 
 FRAME = "frame"
 LIFT = "lift"
@@ -262,12 +269,12 @@ def canonicalize_representation(A, omega, hint=None):
     if not ok2:
         raise NotVertically2Connected("canonicalization needs vertical 2-connectivity")
     MA = vector_matroid(A)
-    matched = [k for k in (FRAME, LIFT) if matroids_equal(MA, kind_parts(k).matroid(omega))[0]]
+    matched = _matched_kinds(MA, omega, hint)
     if not matched:
         raise MatroidMismatch("matrix does not represent F(omega) or L(omega)")
     rows = _vertex_rows(A, omega)
     result, reasons = None, []
-    for kind in sorted(matched, key=lambda k: k != hint):
+    for kind in matched:
         if isinstance(rows, CanonicalizeResult):
             res = rows
         else:
@@ -280,6 +287,23 @@ def canonicalize_representation(A, omega, hint=None):
         else:
             reasons.append("%s: %s" % (kind, res.reason))
     return result or CanonicalizeResult(status="undecided", reason="; ".join(reasons))
+
+
+def _matched_kinds(MA, omega, hint):
+    """The kinds whose matroid of omega is MA, the hint kind first (frame
+    when the hint is neither kind).  Only the first kind's matroid is
+    walked against MA.  Matroid equality is transitive, so the other kind
+    matches exactly when the first does and F(omega) = L(omega), which
+    frame_equals_lift decides on the graph; when the first does not match,
+    the other is walked only if F(omega) != L(omega)."""
+    first = hint if hint in (FRAME, LIFT) else FRAME
+    other = LIFT if first == FRAME else FRAME
+    same = frame_equals_lift(omega)
+    if matroids_equal(MA, kind_parts(first).matroid(omega))[0]:
+        return [first, other] if same else [first]
+    if same or not matroids_equal(MA, kind_parts(other).matroid(omega))[0]:
+        return []
+    return [other]
 
 
 def _vertex_rows(A, omega):
@@ -559,19 +583,20 @@ def _unrolled(omega, u):
 def _roll_reachable(omega, variant):
     """Variant reachable from omega by rolling: compare full unrollings at
     each balancing vertex of omega (ignoring edge orientations, which
-    unrolling does not preserve)."""
-    bal = classify_balance(omega).balancing_vertices
-    for u in bal:
-        a = _unrolled(omega, u)
-        if a is None:
-            continue
-        try:
-            b = unroll(variant, u)
-        except BmlabError:
-            continue
-        if biased_equal_unoriented(a, b):
-            return True
-    return False
+    unrolling does not preserve).  Kept on omega by the variant's graph
+    and bias, which are all the answer reads of it."""
+    key = variant.graph, variant.balanced
+    memo = omega._reachable
+    if key not in memo:
+        reachable = False
+        for u in classify_balance(omega).balancing_vertices:
+            a = _unrolled(omega, u)
+            b = None if a is None else _unrolled(variant, u)
+            if b is not None and biased_equal_unoriented(a, b):
+                reachable = True
+                break
+        memo[key] = reachable
+    return memo[key]
 
 
 # -- representation enumeration -------------------------------------------------

@@ -37,6 +37,11 @@ class OrientedEdge:
     forward: bool = True
 
 
+# the two directions of each edge a cycle can hold, shared by every graph
+_FORWARD = tuple(OrientedEdge(e, True) for e in range(CYCLE_EDGE_BOUND))
+_BACKWARD = tuple(OrientedEdge(e, False) for e in range(CYCLE_EDGE_BOUND))
+
+
 class MultiGraph:
     """Immutable multigraph; loops and parallel edges allowed."""
 
@@ -231,9 +236,7 @@ class MultiGraph:
             )
         if self._cycles is not None:
             return self._cycles
-        forward = [OrientedEdge(e, True) for e in range(self.m)]
-        backward = [OrientedEdge(e, False) for e in range(self.m)]
-        out = [Cycle(frozenset((e,)), (forward[e],))
+        out = [Cycle(frozenset((e,)), (_FORWARD[e],))
                for e in range(self.m) if self.is_loop(e)]
         on_path = [False] * self.n
         path = []
@@ -247,7 +250,7 @@ class MultiGraph:
                 u, w = self.edges[e]
                 if u == w:
                     continue
-                step = forward[e] if u == current else backward[e]
+                step = _FORWARD[e] if u == current else _BACKWARD[e]
                 if u != current:
                     w = u
                 if w == v0:

@@ -16,7 +16,7 @@ T,S formulation used throughout).
 from dataclasses import dataclass
 
 from .errors import ColumnLabelMismatch, GroundSetMismatch
-from .matroid import step_oracle
+from .matroid import rank_table, step_oracle
 
 VECTOR_MATROID_COLUMNS = 20
 
@@ -221,26 +221,12 @@ def vector_matroid(A):
 
 
 def all_column_ranks(A):
-    """Ranks of every column subset, as a list indexed by bitmask.
-
-    Shares elimination work along the subset tree; the enumeration oracle
-    in tests/test_canonical.py uses it, and perfbench/spans.py traces it.
+    """Ranks of every column subset, as a list indexed by bitmask: the
+    rank table of M(A), which shares elimination work along the subset
+    tree.  The enumeration oracle in tests/test_canonical.py uses it, and
+    perfbench/spans.py traces it.
     """
-    f = A.field
-    m = A.ncols
-    cols = A.columns()
-    out = [0] * (1 << m)
-
-    def rec(j, mask, basis):
-        if j == m:
-            out[mask] = len(basis)
-            return
-        rec(j + 1, mask, basis)
-        piv = _pivot(f, basis, cols[j])
-        rec(j + 1, mask | 1 << j, basis if piv is None else basis + [piv])
-
-    rec(0, 0, [])
-    return out
+    return rank_table(vector_matroid(A))
 
 
 @dataclass

@@ -8,7 +8,7 @@ Frame, lift and vector matroids are defined by their step alone: the rank
 of X is the size of a greedy independent subset of X (step_oracle).
 """
 
-from .bias import BiasedGraph
+from .bias import BiasedGraph, is_tangled
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
 from .graph import MultiGraph
 
@@ -131,6 +131,32 @@ def greedy(extend, state, indices, stop=None):
             state = grown
             picked.append(i)
     return picked
+
+
+def rank_table(M):
+    """The ranks of all 2^n subsets of M's ground set, as a list indexed by
+    mask, in one pass over the subset tree: the node of the elements below
+    j carries the state and size of the greedy independent subset of its
+    mask, and each element is tried once per node that includes it.  So
+    the table is the greedy rank of step_oracle on every subset, at one
+    independence step per node where a rank call per subset would walk
+    the whole subset."""
+    start, extend = M.independence_step()
+    n = M.size
+    out = [0] * (1 << n)
+
+    def walk(j, mask, state, r):
+        if j == n:
+            out[mask] = r
+            return
+        walk(j + 1, mask, state, r)
+        grown = extend(state, j)
+        if grown is not None:
+            state, r = grown, r + 1
+        walk(j + 1, mask | 1 << j, state, r)
+
+    walk(0, 0, start, 0)
+    return out
 
 
 def step_oracle(labels, step):
@@ -258,12 +284,35 @@ def _bias_data(omega):
     return omega._bias_data
 
 
+def _kept_oracle(omega, kind, build):
+    """omega's oracle of the kind, built once per biased graph, so that its
+    rank memo serves every check on omega."""
+    oracles = omega._oracles
+    if kind not in oracles:
+        oracles[kind] = build()
+    return oracles[kind]
+
+
 def frame_matroid(omega):
-    return step_oracle(omega.graph.edge_names, _bias_step(_bias_data(omega), frame=True))
+    return _kept_oracle(omega, "frame", lambda: step_oracle(
+        omega.graph.edge_names, _bias_step(_bias_data(omega), frame=True)))
 
 
 def lift_matroid(omega):
-    return step_oracle(omega.graph.edge_names, _bias_step(_bias_data(omega), frame=False))
+    return _kept_oracle(omega, "lift", lambda: step_oracle(
+        omega.graph.edge_names, _bias_step(_bias_data(omega), frame=False)))
+
+
+def frame_equals_lift(omega):
+    """Whether F(omega) = L(omega), decided on the graph once per biased
+    graph: exactly when omega has no two vertex-disjoint unbalanced cycles.
+    A set independent in L is independent in F.  A set independent in F
+    and not in L has two components each holding an unbalanced cycle, and
+    two vertex-disjoint unbalanced cycles form such a set (Zaslavsky,
+    Biased graphs II)."""
+    if omega._frame_is_lift is None:
+        omega._frame_is_lift = is_tangled(omega)[1] is None
+    return omega._frame_is_lift
 
 
 def extend_with_joint(omega, vertex, name):
@@ -278,10 +327,13 @@ def complete_lift_matroid(omega):
     """L0(G,B) = L(G_0,B): ground set E plus the extra joint e0.  G_0's
     cycles are G's and the joint, an unbalanced loop at a new vertex, so its
     step data is G's with that loop added."""
-    data = _bias_data(omega)
-    n, m = data.n, len(data.endpoints)
-    joint = _BiasData(n + 1, data.endpoints + ((n, n),), data.unbalanced + [1 << m])
-    return step_oracle(omega.graph.edge_names + ("e0",), _bias_step(joint, frame=False))
+    def build():
+        data = _bias_data(omega)
+        n, m = data.n, len(data.endpoints)
+        joint = _BiasData(n + 1, data.endpoints + ((n, n),), data.unbalanced + [1 << m])
+        return step_oracle(omega.graph.edge_names + ("e0",), _bias_step(joint, frame=False))
+
+    return _kept_oracle(omega, "lift0", build)
 
 
 def uniform_matroid(r, labels):

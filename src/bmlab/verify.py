@@ -69,7 +69,7 @@ from .linalg import (
     projectively_equivalent,
     vector_matroid,
 )
-from .matroid import extend_with_joint, frame_matroid, matroids_equal
+from .matroid import extend_with_joint, frame_equals_lift, frame_matroid, matroids_equal, rank_table
 
 DEFAULT_SEED = 20240
 DEFAULT_FIELDS = (2, 3, 4, 5)
@@ -402,7 +402,7 @@ def _allreps(named_graphs, q, kind=FRAME):
         count = counts[nb.name] = {"classes": len(classes), "%s_classes" % kind: n[kind]}
         if kind == FRAME:
             count["lift_classes"] = 0
-        if matroids_equal(M, kind_parts(other).matroid(om))[0]:
+        if frame_equals_lift(om):
             n[other] = count["%s_classes" % other] = _gain_class_count(om, q, other)
         expected = sum(n.values())
         if len(classes) != expected:
@@ -622,17 +622,20 @@ def _extension_exists(A, target_oracle, f):
     A single-element extension is fixed by its modular cut (Oxley, *Matroid
     Theory*, 2nd ed., 7.2): v must lie in span(A_S) for every S with
     r(S + l1) = r(S).  Only one v per projective point of the intersection
-    W of those spans is tried, and each is still checked on every subset."""
+    W of those spans is tried, and each is still checked on every subset.
+    The ranks of M(A) and of the target on all subsets are read off one
+    rank_table each."""
     n = A.ncols
     labels = A.col_labels + ("l1",)
     if target_oracle.labels != labels:
         raise GroundSetMismatch("the target's ground set must be A's columns, then l1")
-    MA = vector_matroid(A)
-    if any(target_oracle.rank_mask(S) != MA.rank_mask(S) for S in range(1 << n)):
+    ranks = rank_table(vector_matroid(A))
+    target = rank_table(target_oracle)
+    if target[:1 << n] != ranks:
         return False
     H = []  # rows whose common null space is W; W = {0} when l1 is a loop
     for S in range(1 << n):
-        if target_oracle.rank_mask(S | 1 << n) == MA.rank_mask(S):
+        if target[S | 1 << n] == ranks[S]:
             H += left_null_space(A.submatrix_cols([j for j in range(n) if S >> j & 1]))
     W = left_null_space(FieldMatrix(f, [[h[i] for h in H] for i in range(A.nrows)]))
     for lead in range(len(W)):

@@ -503,6 +503,35 @@ MUTANTS = [
         ["tests/test_graph.py::test_vertical_connectivity_memo_matches_a_fresh_graph",
          "tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
     ),
+    # the F = L deduction inverted: the other kind is matched exactly when
+    # F(omega) != L(omega)
+    Mutant(
+        "canonical.py",
+        "return [first, other] if same else [first]",
+        "return [first] if same else [first, other]",
+        ["tests/test_canonical.py::test_kinds_and_results_match_the_two_walk_match"],
+    ),
+    # the reachability memo keyed without the bias: a variant's graph under
+    # another bias gets the first answer on that graph
+    Mutant(
+        "canonical.py",
+        "key = variant.graph, variant.balanced",
+        "key = variant.graph",
+        ["tests/test_canonical.py::test_roll_reachability_matches_fresh_unrollings"],
+    ),
+    # rank_table counting a dependent element: the rank grows below it as
+    # if the step had accepted it.  _extension_exists still answers right
+    # with it (every rank is then |S|, so no S cuts W and every vector of
+    # the space is tried), so only the table test names it
+    Mutant(
+        "matroid.py",
+        "        if grown is not None:\n"
+        "            state, r = grown, r + 1\n",
+        "        if grown is not None:\n"
+        "            state = grown\n"
+        "        r += 1\n",
+        ["tests/test_matroid.py::test_rank_table_matches_the_per_subset_ranks"],
+    ),
 ]
 
 TIMEOUT_S = 120

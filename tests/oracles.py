@@ -21,8 +21,11 @@ the subdivision search with two path generators, and forest normalization
 with the switching decisions built on it, each on a forest search of its
 own.  Then graph isomorphisms by filtering every vertex permutation, and
 automorphism generators with each edge map taken from an edge-bijection
-search.  Last, the number of multigraph isomorphism classes by the
-Cauchy-Frobenius (Burnside) lemma, which lists no class.
+search.  Then the number of multigraph isomorphism classes by the
+Cauchy-Frobenius (Burnside) lemma, which lists no class.  Last, the
+routines that kept oracles and rank tables replaced: ranks by one greedy
+per subset, the kind match by two matroid walks, and roll reachability
+from fresh unrollings.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -40,11 +43,15 @@ from bmlab.bias import (
     BalanceClass,
     BiasedGraph,
     _triangle_vertices,
+    biased_equal_unoriented,
     biased_minor,
+    classify_balance,
     fat_theta_parts,
     theta_subgraphs,
     unbalancing_classes,
+    unroll,
 )
+from bmlab.canonical import FRAME, LIFT, kind_parts
 from bmlab.errors import (
     BadGlue,
     BmlabError,
@@ -85,7 +92,7 @@ from bmlab.linalg import (
     rank_of_columns,
     rref,
 )
-from bmlab.matroid import MatroidOracle, frame_matroid
+from bmlab.matroid import MatroidOracle, frame_matroid, greedy, matroids_equal
 
 
 def matroids_equal_on_all_subsets(m1, m2):
@@ -1178,3 +1185,34 @@ def multigraph_classes_by_burnside(max_vertices, max_edges):
         assert fixed % factorial(n) == 0
         total += fixed // factorial(n)
     return total
+
+
+# -- the routines that the kept oracles and rank tables replaced -----------------
+
+def ranks_by_greedy(M):
+    """The reference for matroid.rank_table: the rank of each subset, in
+    mask order, by a greedy of its own from the empty set's state."""
+    start, extend = M.independence_step()
+    return [len(greedy(extend, start, [i for i in range(M.size) if mask >> i & 1]))
+            for mask in range(1 << M.size)]
+
+
+def matched_kinds_by_two_walks(MA, omega, hint):
+    """The reference for canonical._matched_kinds: MA walked against F(omega)
+    and against L(omega), the matching kinds with the hint kind first."""
+    matched = [k for k in (FRAME, LIFT) if matroids_equal(MA, kind_parts(k).matroid(omega))[0]]
+    return sorted(matched, key=lambda k: k != hint)
+
+
+def roll_reachable_by_unrolling(omega, variant):
+    """The reference for canonical._roll_reachable: the full unrollings of
+    omega and of the variant at each balancing vertex of omega, each
+    built afresh, compared ignoring edge orientations."""
+    for u in classify_balance(omega).balancing_vertices:
+        try:
+            a, b = unroll(omega, u), unroll(variant, u)
+        except BmlabError:
+            continue
+        if biased_equal_unoriented(a, b):
+            return True
+    return False

@@ -10,6 +10,7 @@ from bmlab.bias import (
     BiasedGraph,
     balancing_vertices,
     biased_isomorphic,
+    biased_minor,
     classify_balance,
     delta_y,
     roll_up,
@@ -66,6 +67,9 @@ from bmlab.linalg import (
     vector_matroid,
 )
 from bmlab.matroid import (
+    complete_lift_matroid,
+    extend_with_joint,
+    frame_equals_lift,
     frame_matroid,
     lift_matroid,
     matroids_equal,
@@ -76,8 +80,11 @@ from oracles import (
     contract,
     delta_y_matrix_by_template,
     drop_isolated,
+    formula_matroid,
     graphic_matroid,
+    matched_kinds_by_two_walks,
     matroids_equal_on_all_subsets,
+    roll_reachable_by_unrolling,
     scaling_orbits,
     std_basis_completion,
 )
@@ -1169,3 +1176,139 @@ def test_unrolled_memo_does_not_outlive_its_biased_graph():
     ref = weakref.ref(om)
     del om
     assert ref() is None
+
+
+def _fresh_copy(omega):
+    """The same biased graph as a new object, with nothing kept on it yet."""
+    return BiasedGraph(omega.graph, omega.balanced, check=False)
+
+
+def _claim_graphs():
+    """The biased graphs of the allreps-*, main3-roundtrip and
+    main4-samples claims, each once."""
+    named = list(catalog.classify_2c3_proper()) + verify._proper_k4()
+    named += list(catalog.classify_tube_proper()) + list(catalog.contracted_tubes())
+    named += [catalog.t2_prime_split(i) for i in (1, 2, 3)]
+    named += [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"), catalog.biased_2c3("T_0"),
+              catalog.dwarf("D_{1,0}")]
+    omegas = []
+    for nb in named:
+        if nb.omega not in omegas:
+            omegas.append(nb.omega)
+    p2 = MultiGraph(3, [(0, 2), (2, 1)])
+    return omegas + [catalog.fat_theta([p2, p2, p2])]
+
+
+def _claim_inputs(q):
+    """(omega, hint, matrix): every representation class of F and L of
+    each claim graph over GF(q), hinting the kind, and a seeded scramble
+    of the canonical matrix of each of the first three realizations of
+    each kind, hinting that kind and hinting nothing.  Then a seeded
+    random matrix per graph, which mostly represents neither matroid."""
+    rng = random.Random(q)
+    f = gf(q)
+    for om in _claim_graphs():
+        g = om.graph
+        yield om, None, FieldMatrix(f, [[rng.choice(f.elements) for _ in range(g.m)]
+                                        for _ in range(g.n)], None, g.edge_names)
+        for kind in (FRAME, LIFT):
+            parts = kind_parts(kind)
+            if om.graph.is_vertically_k_connected(2)[0]:
+                for cls in enumerate_representations(parts.matroid(om), q):
+                    yield om, kind, cls.matrix
+            for gg in realizations(om, parts.group(q))[:3]:
+                A = verify._scramble(rng, gf(q), parts.matrix(gg).matrix)
+                yield om, kind, A
+                yield om, None, A
+
+
+def _result_key(res):
+    """Every field of a CanonicalizeResult, matrices by entries and labels."""
+    def mat(M):
+        return None if M is None else (M.rows, M.row_labels, M.col_labels)
+
+    form, wit, var = res.form, res.witness, res.variant
+    return (res.status, res.kind, res.rolled_edges, res.other_kind, res.reason,
+            None if form is None else (form.kind, form.gain_graph, mat(form.matrix)),
+            None if wit is None else (mat(wit.T), mat(wit.S)),
+            None if var is None else (var.graph, var.balanced))
+
+
+def _canonicalized(A, om, hint):
+    try:
+        return _result_key(canonicalize_representation(A, om, hint=hint))
+    except (MatroidMismatch, NotVertically2Connected) as exc:
+        return type(exc)
+
+
+def test_kinds_and_results_match_the_two_walk_match(monkeypatch):
+    """_matched_kinds, which walks M(A) against one kind's matroid and
+    decides the other from F = L, against the two walks it replaced; then
+    every CanonicalizeResult field against canonicalization with the
+    two-walk match on a fresh copy of omega, so that no kept oracle,
+    reachability or unrolling is shared.  Over GF(3), GF(4) and GF(5) on
+    every class and scramble of the claim graphs."""
+    seen = Counter()
+    inputs = [x for q in (3, 4, 5) for x in _claim_inputs(q)]
+    new = []
+    for om, hint, A in inputs:
+        MA = vector_matroid(A)
+        kinds = canonical._matched_kinds(MA, om, hint)
+        assert kinds == matched_kinds_by_two_walks(MA, om, hint), (om, hint, A.rows)
+        new.append(_canonicalized(A, om, hint))
+        seen[tuple(kinds)] += 1
+    monkeypatch.setattr(canonical, "_matched_kinds", matched_kinds_by_two_walks)
+    for (om, hint, A), got in zip(inputs, new):
+        assert got == _canonicalized(A, _fresh_copy(om), hint), (om, hint, A.rows)
+    # every branch of the match: the first kind alone, both kinds, the
+    # second kind alone (walked when F != L), and neither
+    assert seen == {("frame",): 48, ("frame", "lift"): 383, ("lift",): 61,
+                    ("lift", "frame"): 246, (): 62}
+
+
+def test_roll_reachability_matches_fresh_unrollings(monkeypatch):
+    """_roll_reachable, kept on omega by the variant's graph and bias,
+    against fresh unrollings, on every rolled candidate that the claim
+    graphs' classes and scrambles meet over GF(3), GF(4) and GF(5); each
+    candidate's graph is also asked with no cycle and with every cycle
+    balanced, right after the candidate itself."""
+    kept = canonical._roll_reachable
+    seen = Counter()
+
+    def checked(omega, variant):
+        got = kept(omega, variant)
+        assert got == roll_reachable_by_unrolling(omega, variant), (omega, variant)
+        for bal in ((), [c.edges for c in variant.graph.cycles()]):
+            other = BiasedGraph(variant.graph, bal, check=False)
+            assert kept(omega, other) == roll_reachable_by_unrolling(omega, other)
+        seen[got] += 1
+        return got
+
+    monkeypatch.setattr(canonical, "_roll_reachable", checked)
+    for q in (3, 4, 5):
+        for om, hint, A in _claim_inputs(q):
+            _canonicalized(A, om, hint)
+    assert seen == {True: 177, False: 66}
+
+
+def test_derived_biased_graphs_start_with_empty_caches():
+    """Minors, joint extensions and roll-ups are new biased graphs: none
+    inherits the kept oracles, F = L answer, reachability or unrollings
+    of the graph it came from, and each builds its own correct ones."""
+    om = _fresh_copy(catalog.contracted_tubes()[0].omega)
+    u = classify_balance(om).balancing_vertices[0]
+    for build in (frame_matroid, lift_matroid, complete_lift_matroid, frame_equals_lift):
+        build(om)
+    assert canonical._roll_reachable(om, om)
+    assert om._oracles and om._frame_is_lift is not None and om._reachable and om._unrolled
+    derived = [biased_minor(om, {0}, ()).omega, biased_minor(om, (), {0}).omega,
+               extend_with_joint(om, 0, "l1")]
+    derived += [roll_up(om, u, c) for c in unbalancing_classes(om, u).classes]
+    for d in derived:
+        assert (d._oracles, d._frame_is_lift, d._reachable, d._unrolled) == ({}, None, {}, {})
+        F, L = frame_matroid(d), lift_matroid(d)
+        assert F is frame_matroid(d) and F is not frame_matroid(om)
+        assert matroids_equal_on_all_subsets(F, formula_matroid(d, True)) == (True, None)
+        assert matroids_equal_on_all_subsets(L, formula_matroid(d, False)) == (True, None)
+        assert frame_equals_lift(d) == matroids_equal(F, L)[0]
+    assert len(derived) == 7

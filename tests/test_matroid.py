@@ -8,19 +8,21 @@ import pytest
 
 from bmlab import catalog, verify
 from bmlab.bias import BiasedGraph, biased_minor
-from bmlab.canonical import COMPLETE_LIFT, KINDS, kind_parts
+from bmlab.canonical import COMPLETE_LIFT, KINDS, complete_lift_matrix, frame_matrix, kind_parts
 from bmlab.errors import BoundExceeded, GroundSetMismatch
 from bmlab.fields import QQ, gf
-from bmlab.gains import realizations
+from bmlab.gains import AdditiveGroup, GainGraph, MultiplicativeGroup, realizations
 from bmlab.graph import MultiGraph
 from bmlab.linalg import FieldMatrix, vector_matroid
 from bmlab.matroid import (
     complete_lift_matroid,
     explicit_matroid,
     extend_with_joint,
+    frame_equals_lift,
     frame_matroid,
     lift_matroid,
     matroids_equal,
+    rank_table,
     uniform_matroid,
 )
 from oracles import (
@@ -33,6 +35,8 @@ from oracles import (
     joint_extension,
     matroids_equal_by_bases,
     matroids_equal_on_all_subsets,
+    ranks_by_greedy,
+    sweep_graphs,
     theta_closed_edge_sets,
     with_loops,
 )
@@ -269,15 +273,51 @@ def test_rank_axioms_on_catalog():
 
 
 def test_frame_equals_lift_iff_no_disjoint_unbalanced_pair():
-    from bmlab.bias import is_tangled
-
-    for nb in catalog.base_graphs():
-        om = nb.omega
+    """frame_equals_lift, decided on the graph, against a walk of F against
+    L: the base graphs and every theta-closed set of the sweep graphs,
+    each also with a balanced loop and a joint added."""
+    omegas = [nb.omega for nb in catalog.base_graphs()]
+    for g in sweep_graphs():
+        for bal in theta_closed_edge_sets(g):
+            om = BiasedGraph(g, bal, check=False)
+            omegas += [om, with_loops(om)]
+    seen = Counter()
+    for om in omegas:
         eq, witness = matroids_equal(frame_matroid(om), lift_matroid(om))
-        has_pair = is_tangled(om)[1] is not None
-        assert eq == (not has_pair), nb.name
-        if not eq:
-            assert witness is not None
+        assert frame_equals_lift(om) == eq, om.graph.edges
+        assert frame_equals_lift(om) == eq  # the kept answer
+        assert eq == (witness is None)
+        seen[eq] += 1
+    assert seen == {True: 5206, False: 2979}
+
+
+def test_rank_table_matches_the_per_subset_ranks():
+    """rank_table against one greedy per subset (ranks_by_greedy) and the
+    oracle's rank_mask: F, L and L0 of each sweep graph with no cycle
+    balanced, every cycle balanced and its middle theta-closed set, and the
+    vector matroids of seeded frame matrices over GF(4) and complete lift
+    matrices over GF(3) on those graphs."""
+    rng = random.Random(7)
+    subsets = 0
+    for g in sweep_graphs():
+        closed = theta_closed_edge_sets(g)
+        for bal in (closed[0], closed[-1], closed[len(closed) // 2]):
+            om = BiasedGraph(g, bal, check=False)
+            for M in (frame_matroid(om), lift_matroid(om), complete_lift_matroid(om)):
+                table = rank_table(M)
+                assert table == ranks_by_greedy(M), (g.edges, bal)
+                assert table == [M.rank_mask(mask) for mask in range(1 << M.size)]
+                subsets += len(table)
+        for group, matrix in ((MultiplicativeGroup(4), frame_matrix),
+                              (AdditiveGroup(3), complete_lift_matrix)):
+            A = matrix(GainGraph(g, group, {e: rng.choice(group.elements)
+                                            for e in range(g.m)})).matrix
+            M = vector_matroid(A)
+            table = rank_table(M)
+            assert table == ranks_by_greedy(M), A.rows
+            assert table == [M.rank_mask(mask) for mask in range(1 << M.size)]
+            subsets += len(table)
+    assert subsets == 97260
 
 
 def test_circuits_match_graphical_characterization():
