@@ -134,32 +134,124 @@ def all_claims():
     return sorted(CLAIMS)
 
 
-# -- section 3 counts ------------------------------------------------------------
+# -- graph families --------------------------------------------------------------
 
-def _count(members, expected):
-    """A count claim: members must number expected."""
-    names = [nb.name for nb in members]
-    return ([] if len(names) == expected else [{"got": names}]), {"classes": len(names)}
+# The families the claims run on, by name.  Each is called when a claim runs,
+# never at import, so a replaced catalog builder or entry reaches every claim
+# that reads it.
+FAMILIES = {
+    "k4": lambda: catalog.classify_k4(),
+    "2c3": lambda: catalog.classify_2c3_proper(),
+    "tube": lambda: catalog.classify_tube_proper(),
+    "base": lambda: catalog.base_graphs(),
+    "contracted-tube": lambda: catalog.contracted_tubes(),
+    # the biased K4's with no balanced triangle, as base_graphs has them
+    "proper-k4": lambda: list(catalog.base_graphs()[:4]),
+    # what tangled-minor finds as link minors, and tangled-no-extend's graphs
+    "tangled-targets": lambda: FAMILIES["proper-k4"]() + list(FAMILIES["2c3"]()),
+    # what tangled-subgraph finds as subdivisions
+    "subdivision-patterns": lambda: (list(FAMILIES["base"]())
+                                     + [catalog.t2_prime_split(i) for i in (1, 2, 3)]),
+    # what unique-balancing-subdivision finds as subdivisions
+    "balancing-patterns": lambda: ([catalog.dwarf("D_{1,0}")]
+                                   + list(FAMILIES["contracted-tube"]())),
+    # the graphs whose canonical matrices main3-roundtrip scrambles
+    "roundtrip": lambda: [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"),
+                          catalog.biased_2c3("T_0")],
+    # unnamed: the vertically 2-connected properly unbalanced biased graphs
+    # with at most 4 vertices and 7 edges, in generation order
+    "proper-4-7": lambda: catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                                catalog.properly_unbalanced),
+}
 
 
-@claim("seven-dwarves")
-def claim_seven_dwarves():
-    return _count(catalog.classify_k4(), 7)
+# -- the claim table: one check kind, one family, one argument per claim --------
+#
+# Each check kind is a factory (family name, argument) -> claim, and the claim
+# declares that kind's options as its parameters.
+
+def _count_check(family, expected):
+    """The family must number `expected` members."""
+    def count():
+        names = [nb.name for nb in FAMILIES[family]()]
+        return ([] if len(names) == expected else [{"got": names}]), {"classes": len(names)}
+    return count
 
 
-@claim("2c3-proper-count")
-def claim_2c3_proper_count():
-    return _count(catalog.classify_2c3_proper(), 6)
+def _canonical_check(_, kind):
+    """Seeded random gain graphs over the kind's group (no family): does the
+    vector matroid of the kind's matrix equal the kind's matroid of the
+    induced bias?"""
+    def canonical_samples(seed=DEFAULT_SEED, samples=200, q=5):
+        parts = kind_parts(kind)
+        group = parts.group(q)
+        rng = random.Random(seed)
+        failures = []
+        for k in range(samples):
+            g = _random_multigraph(rng)
+            gains = {e: rng.choice(group.elements) for e in range(g.m)}
+            gg = GainGraph(g, group, gains)
+            eq, w = matroids_equal(vector_matroid(parts.matrix(gg).matrix),
+                                   parts.matroid(induced_bias(gg)))
+            if not eq:
+                failures.append({"sample": k, "edges": list(g.edges), "gains": gains,
+                                 "subset": w})
+        return failures, {"samples": samples, "q": q}
+    return canonical_samples
 
 
-@claim("tube-count")
-def claim_tube_count():
-    return _count(catalog.classify_tube_proper(), 3)
+def _biconditional_check(family, kind):
+    """Only the frame side draws at random (switched copies), so only it
+    takes a seed."""
+    if kind == FRAME:
+        return lambda fields=DEFAULT_FIELDS, seed=DEFAULT_SEED: _biconditional(
+            FAMILIES[family](), fields, FRAME, seed)
+    return lambda fields=DEFAULT_FIELDS: _biconditional(FAMILIES[family](), fields, kind)
 
 
-@claim("base-count")
-def claim_base_count():
-    return _count(catalog.base_graphs(), 13)
+def _cross_check(family, _):
+    return lambda fields=DEFAULT_FIELDS: _biconditional_cross(FAMILIES[family](), fields)
+
+
+def _allreps_check(family, kind):
+    return lambda q=4: _allreps(FAMILIES[family](), q, kind)
+
+
+TABLE = [
+    # (claim id, check kind, family, argument)
+    # section 3: the catalog, generated and classified up to isomorphism, has
+    # 7 biased K4's, 6 proper biased 2C3's, 3 proper tubes and 13 base graphs
+    ("seven-dwarves", _count_check, "k4", 7),
+    ("2c3-proper-count", _count_check, "2c3", 6),
+    ("tube-count", _count_check, "tube", 3),
+    ("base-count", _count_check, "base", 13),
+    # Thm: vector matroid of the frame matrix equals the frame matroid
+    ("canonical-frame", _canonical_check, None, FRAME),
+    # Thm: vector matroid of the complete lift matrix equals L0
+    ("canonical-lift", _canonical_check, None, COMPLETE_LIFT),
+    # Lemmas (section 4.1), per family: canonical frame matrices are
+    # projectively equivalent iff the gains are switching equivalent, lift
+    # matrices iff switching-and-scaling equivalent, and no frame form is
+    # equivalent to a lift form
+    ("lemma-2c3-frame", _biconditional_check, "2c3", FRAME),
+    ("lemma-2c3-lift", _biconditional_check, "2c3", LIFT),
+    ("lemma-2c3-frame-vs-lift", _cross_check, "2c3", None),
+    ("lemma-k4-frame", _biconditional_check, "proper-k4", FRAME),
+    ("lemma-k4-lift", _biconditional_check, "proper-k4", LIFT),
+    ("lemma-k4-frame-vs-lift", _cross_check, "proper-k4", None),
+    ("lemma-tube-frame", _biconditional_check, "tube", FRAME),
+    ("lemma-tube-lift", _biconditional_check, "tube", LIFT),
+    # Thm (section 4.2): every representation of F(omega) is a unique
+    # canonical frame matrix, or a lift matrix where F = L
+    ("allreps-2c3", _allreps_check, "2c3", FRAME),
+    ("allreps-k4", _allreps_check, "proper-k4", FRAME),
+    ("allreps-tube-frame", _allreps_check, "tube", FRAME),
+    # Every representation of L(2C4'',B) is a unique canonical lift
+    ("allreps-tube-lift", _allreps_check, "tube", LIFT),
+]
+
+for _name, _check, _family, _argument in TABLE:
+    claim(_name)(_check(_family, _argument))
 
 
 # -- canonical representation theorems -------------------------------------------
@@ -176,37 +268,6 @@ def _random_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True):
                 v = rng.randrange(n)
         edges.append((u, v))
     return MultiGraph(n, edges)
-
-
-@claim("canonical-frame")
-def claim_canonical_frame(seed=DEFAULT_SEED, samples=200, q=5):
-    """Thm: vector matroid of the frame matrix equals the frame matroid."""
-    return _canonical_samples(seed, samples, q, FRAME)
-
-
-@claim("canonical-lift")
-def claim_canonical_lift(seed=DEFAULT_SEED, samples=200, q=5):
-    """Thm: vector matroid of the complete lift matrix equals L0."""
-    return _canonical_samples(seed, samples, q, COMPLETE_LIFT)
-
-
-def _canonical_samples(seed, samples, q, kind):
-    """Seeded random gain graphs over the kind's group: does the vector
-    matroid of the kind's matrix equal the kind's matroid of the induced
-    bias?"""
-    parts = kind_parts(kind)
-    group = parts.group(q)
-    rng = random.Random(seed)
-    failures = []
-    for k in range(samples):
-        g = _random_multigraph(rng)
-        gains = {e: rng.choice(group.elements) for e in range(g.m)}
-        gg = GainGraph(g, group, gains)
-        eq, w = matroids_equal(vector_matroid(parts.matrix(gg).matrix),
-                               parts.matroid(induced_bias(gg)))
-        if not eq:
-            failures.append({"sample": k, "edges": list(g.edges), "gains": gains, "subset": w})
-    return failures, {"samples": samples, "q": q}
 
 
 # -- section 4.1 biconditionals ----------------------------------------------------
@@ -293,51 +354,6 @@ def _sample_indices(rng, n, k):
     return sorted({rng.randrange(n) for _ in range(k)})
 
 
-@claim("lemma-2c3-frame")
-def claim_lemma_2c3_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(catalog.classify_2c3_proper(), fields, FRAME, seed)
-
-
-@claim("lemma-2c3-lift")
-def claim_lemma_2c3_lift(fields=DEFAULT_FIELDS):
-    return _biconditional(catalog.classify_2c3_proper(), fields, LIFT)
-
-
-@claim("lemma-2c3-frame-vs-lift")
-def claim_lemma_2c3_cross(fields=DEFAULT_FIELDS):
-    return _biconditional_cross(catalog.classify_2c3_proper(), fields)
-
-
-def _proper_k4():
-    """The biased K4's with no balanced triangle, as base_graphs has them."""
-    return list(catalog.base_graphs()[:4])
-
-
-@claim("lemma-k4-frame")
-def claim_lemma_k4_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(_proper_k4(), fields, FRAME, seed)
-
-
-@claim("lemma-k4-lift")
-def claim_lemma_k4_lift(fields=DEFAULT_FIELDS):
-    return _biconditional(_proper_k4(), fields, LIFT)
-
-
-@claim("lemma-k4-frame-vs-lift")
-def claim_lemma_k4_cross(fields=DEFAULT_FIELDS):
-    return _biconditional_cross(_proper_k4(), fields)
-
-
-@claim("lemma-tube-frame")
-def claim_lemma_tube_frame(fields=DEFAULT_FIELDS, seed=DEFAULT_SEED):
-    return _biconditional(catalog.classify_tube_proper(), fields, FRAME, seed)
-
-
-@claim("lemma-tube-lift")
-def claim_lemma_tube_lift(fields=DEFAULT_FIELDS):
-    return _biconditional(catalog.classify_tube_proper(), fields, LIFT)
-
-
 def _criterion(nb, fields, kind, classes_of):
     """A lemma "two realizations of nb have projectively equivalent
     canonical matrices iff classes_of puts them in one class", checked
@@ -418,27 +434,6 @@ def _allreps(named_graphs, q, kind=FRAME):
     return failures, {"q": q, "per_graph": counts}
 
 
-@claim("allreps-2c3")
-def claim_allreps_2c3(q=4):
-    return _allreps(catalog.classify_2c3_proper(), q)
-
-
-@claim("allreps-k4")
-def claim_allreps_k4(q=4):
-    return _allreps(_proper_k4(), q)
-
-
-@claim("allreps-tube-frame")
-def claim_allreps_tube_frame(q=4):
-    return _allreps(catalog.classify_tube_proper(), q)
-
-
-@claim("allreps-tube-lift")
-def claim_allreps_tube_lift(q=4):
-    """Every representation of L(2C4'',B) is a unique canonical lift."""
-    return _allreps(catalog.classify_tube_proper(), q, LIFT)
-
-
 @claim("allreps-contracted-tube")
 def claim_allreps_contracted_tube(q=5):
     """Lemma: every representation of F(2C3-e,B) is projectively equivalent
@@ -446,7 +441,7 @@ def claim_allreps_contracted_tube(q=5):
     to a lift matrix particular to the graph."""
     failures = []
     counts = {}
-    for nb in catalog.contracted_tubes():
+    for nb in FAMILIES["contracted-tube"]():
         om = nb.omega
         FO = frame_matroid(om)
         classes = enumerate_representations(FO, q)
@@ -548,8 +543,11 @@ def _bias_witness(om):
     return {"edges": list(om.graph.edges), "balanced": [sorted(c) for c in om.balanced]}
 
 
-def _tangled_targets():
-    return _proper_k4() + list(catalog.classify_2c3_proper())
+def _uncovered(members, patterns, search):
+    """The failure record of each member in which search(member, pattern)
+    finds none of the named patterns."""
+    return [_bias_witness(om) for om in members
+            if not any(search(om, nb.omega) is not None for nb in patterns)]
 
 
 @claim("tangled-minor")
@@ -557,17 +555,9 @@ def claim_tangled_minor(max_vertices=5, max_edges=8):
     """Thm: every tangled biased graph has a link minor that is a biased K4
     with no balanced triangle or a biased 2C3 with no balanced 2-cycle."""
     family = catalog.tangled_family(max_vertices, max_edges)
-    targets = _tangled_targets()
-    failures = []
-    for om in family:
-        if not any(find_link_minor(om, nb.omega) is not None for nb in targets):
-            failures.append(_bias_witness(om))
+    failures = _uncovered(family, FAMILIES["tangled-targets"](), find_link_minor)
     return failures, {"tangled_graphs": len(family),
                       "bounds": [max_vertices, max_edges]}
-
-
-def _subdivision_patterns():
-    return list(catalog.base_graphs()) + [catalog.t2_prime_split(i) for i in (1, 2, 3)]
 
 
 @claim("tangled-subgraph")
@@ -577,17 +567,10 @@ def claim_tangled_subgraph(max_vertices=5, max_edges=8):
 
     Checked on the tangled family (the non-tangled case is P:TubeMinor,
     covered by its own property test)."""
-    family = catalog.tangled_family(max_vertices, max_edges)
-    patterns = _subdivision_patterns()
-    failures = []
-    checked = 0
-    for om in family:
-        if not catalog.vertically_2_connected(om.graph):
-            continue
-        checked += 1
-        if not any(find_biased_subdivision(om, nb.omega) is not None for nb in patterns):
-            failures.append(_bias_witness(om))
-    return failures, {"tangled_2connected": checked,
+    family = [om for om in catalog.tangled_family(max_vertices, max_edges)
+              if catalog.vertically_2_connected(om.graph)]
+    failures = _uncovered(family, FAMILIES["subdivision-patterns"](), find_biased_subdivision)
+    return failures, {"tangled_2connected": len(family),
                       "bounds": [max_vertices, max_edges]}
 
 
@@ -597,7 +580,7 @@ def claim_tangled_no_extend(fields=(4, 5)):
     joint column to a representation of the lift matroid, and vice versa."""
     failures = []
     checked = 0
-    for nb in _tangled_targets():
+    for nb in FAMILIES["tangled-targets"]():
         om = nb.omega
         g = om.graph
         for q in fields:
@@ -658,36 +641,27 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
     subdivision of D_{1,0}, B_0', B_1' or B_2'.
 
     Exhaustive on small loopless graphs plus seeded random instances."""
-    patterns = [catalog.dwarf("D_{1,0}")] + list(catalog.contracted_tubes())
-    failures = []
-    hypotheses = 0
 
-    def check(om):
-        nonlocal hypotheses
-        if len(balancing_vertices(om)) != 1:
-            return
-        if not any(
+    def hypothesis(om):
+        return len(balancing_vertices(om)) == 1 and any(
             all(c not in om.balanced for c in inside)
-            for _, inside in theta_subgraphs(om.graph)
-        ):
-            return
-        hypotheses += 1
-        if not any(find_biased_subdivision(om, nb.omega) is not None for nb in patterns):
-            failures.append(_bias_witness(om))
+            for _, inside in theta_subgraphs(om.graph))
 
     # vertical 2-connectivity depends only on the graph: test it first
-    for om in catalog.biased_family(max_vertices, max_edges, catalog.vertically_2_connected):
-        check(om)
+    instances = [om for om in catalog.biased_family(max_vertices, max_edges,
+                                                    catalog.vertically_2_connected)
+                 if hypothesis(om)]
     rng = random.Random(seed)
-    tried = 0
-    while tried < samples:
+    for _ in range(samples):
         g = _random_multigraph(rng, 6, 9, allow_loops=False)
         group = CyclicGroup(rng.choice((2, 3)))
         gg = GainGraph(g, group, {e: rng.choice(group.elements) for e in range(g.m)})
-        tried += 1
         if catalog.vertically_2_connected(g):
-            check(induced_bias(gg))
-    return failures, {"hypothesis_instances": hypotheses}
+            om = induced_bias(gg)
+            if hypothesis(om):
+                instances.append(om)
+    failures = _uncovered(instances, FAMILIES["balancing-patterns"](), find_biased_subdivision)
+    return failures, {"hypothesis_instances": len(instances)}
 
 
 @claim("inequivalence-localized")
@@ -699,8 +673,7 @@ def claim_inequivalence_localized():
     of realizations at (4, 7), in generation order."""
     failures = []
     pairs = 0
-    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
-                                    catalog.properly_unbalanced):
+    for om in FAMILIES["proper-4-7"]():
         for group in (CyclicGroup(2), CyclicGroup(3)):
             for phi, psi in combinations(realizations(om, group), 2):
                 pairs += 1
@@ -723,7 +696,7 @@ def _gain_minors(om, phi, psi, pattern):
 
 def _localization_certificate(om, phi, psi):
     if any(switching_equivalent(mphi, mpsi) is None
-           for nb in catalog.base_graphs()
+           for nb in FAMILIES["base"]()
            for mphi, mpsi in _gain_minors(om, phi, psi, nb.omega)):
         return True
     # U_3 + U_2 route (only when not tangled)
@@ -743,7 +716,7 @@ def _localization_certificate(om, phi, psi):
 @claim("main2")
 def claim_main2(fields=(4, 5), seed=DEFAULT_SEED):
     """Thm T:ProjectiveIsSwitching bundled over all 13 base graphs."""
-    base = list(catalog.base_graphs())
+    base = list(FAMILIES["base"]())
     parts = {
         "frame": _biconditional(base, fields, FRAME, seed),
         "lift": _biconditional(base, fields, LIFT),
@@ -760,9 +733,8 @@ def claim_main3_roundtrip(seed=DEFAULT_SEED, samples=100, q=5):
     equivalent gains."""
     rng = random.Random(seed)
     f = gf(q)
-    graphs = [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"), catalog.biased_2c3("T_0")]
     jobs = []
-    for nb in graphs:
+    for nb in FAMILIES["roundtrip"]():
         for kind in (FRAME, LIFT):
             reps = realizations(nb.omega, kind_parts(kind).group(q))
             if reps:
@@ -780,7 +752,7 @@ def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5):
     particular to the graph or to a roll-up variant (reported)."""
     rng = random.Random(seed)
     f = gf(q)
-    instances = [(nb.name, nb.omega) for nb in catalog.contracted_tubes()]
+    instances = [(nb.name, nb.omega) for nb in FAMILIES["contracted-tube"]()]
     instances.append(("D_{1,0}", catalog.dwarf("D_{1,0}").omega))
     p2 = MultiGraph(3, [(0, 2), (2, 1)])
     instances.append(("fat-theta-3x2", catalog.fat_theta([p2, p2, p2])))
@@ -837,7 +809,7 @@ def claim_contraction_inequiv():
     failures = []
     pairs_checked = 0
     seen = set()
-    for nb in catalog.base_graphs():
+    for nb in FAMILIES["base"]():
         g = nb.omega.graph
         if (g.n, g.edges) in seen:
             continue
@@ -892,7 +864,7 @@ def _contraction_classes(g, gfs, F):
 def _deltawye_instances():
     """(named graph, X, Delta_X omega) for each biased K4 and proper biased
     2C3 with a balanced triangle, X the least one by sorted edges."""
-    for nb in list(catalog.classify_k4()) + list(catalog.classify_2c3_proper()):
+    for nb in list(FAMILIES["k4"]()) + list(FAMILIES["2c3"]()):
         tris = [c for c in nb.omega.balanced if len(c) == 3]
         if tris:
             X = min(tris, key=sorted)
@@ -949,7 +921,7 @@ def claim_rollup_frame():
     failures = []
     checked = 0
     instances = [catalog.dwarf("D_{1,0}"), catalog.dwarf("D_{2,1}")]
-    instances += catalog.contracted_tubes()
+    instances += FAMILIES["contracted-tube"]()
     for nb in instances:
         om = nb.omega
         cls = classify_balance(om)

@@ -532,6 +532,36 @@ MUTANTS = [
         "        r += 1\n",
         ["tests/test_matroid.py::test_rank_table_matches_the_per_subset_ranks"],
     ),
+    # the lift row of the tube representations checked on the frame side:
+    # every tube passes there too, so only the pinned counts tell
+    Mutant(
+        "verify.py",
+        '("allreps-tube-lift", _allreps_check, "tube", LIFT),',
+        '("allreps-tube-lift", _allreps_check, "tube", FRAME),',
+        ["tests/test_verify.py::test_claim_counts_at_default_options[allreps-tube-lift]"],
+    ),
+    # the K4 lemmas run on every biased K4, balanced triangles and all
+    Mutant(
+        "verify.py",
+        '    ("lemma-k4-frame", _biconditional_check, "proper-k4", FRAME),\n'
+        '    ("lemma-k4-lift", _biconditional_check, "proper-k4", LIFT),\n'
+        '    ("lemma-k4-frame-vs-lift", _cross_check, "proper-k4", None),\n',
+        '    ("lemma-k4-frame", _biconditional_check, "k4", FRAME),\n'
+        '    ("lemma-k4-lift", _biconditional_check, "k4", LIFT),\n'
+        '    ("lemma-k4-frame-vs-lift", _cross_check, "k4", None),\n',
+        ["tests/test_verify.py::test_claim_counts_at_default_options[lemma-k4-frame]",
+         "tests/test_verify.py::test_claim_counts_at_default_options[lemma-k4-lift]",
+         "tests/test_verify.py::test_claim_counts_at_default_options[lemma-k4-frame-vs-lift]"],
+    ),
+    # a family bound at import: a replaced catalog builder no longer reaches
+    # the claims that read it
+    Mutant(
+        "verify.py",
+        '"k4": lambda: catalog.classify_k4(),',
+        '"k4": catalog.classify_k4,',
+        ["tests/test_verify.py::test_rewritten_claims_fail_under_sabotage"
+         "[seven-dwarves-classify_k4]"],
+    ),
 ]
 
 TIMEOUT_S = 120

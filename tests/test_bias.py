@@ -526,7 +526,8 @@ def _link_minor_patterns():
     """The tangled targets, U_3 and the unbalanced 2-cycle: the patterns
     that find_link_minor and verify._localization_certificate search."""
     two_cycle = BiasedGraph(MultiGraph(2, [(0, 1), (0, 1)]), [])
-    return [nb.omega for nb in verify._tangled_targets()] + [catalog.u3().omega, two_cycle]
+    targets = [nb.omega for nb in verify.FAMILIES["tangled-targets"]()]
+    return targets + [catalog.u3().omega, two_cycle]
 
 
 def test_link_minors_recipe_for_recipe():
@@ -620,7 +621,7 @@ def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
     # two stages drops pairs there.  The bias stage builds no biased minor
     # and tries edge bijections only on the graph stage's minors whose
     # balanced images have the pattern's sorted lengths.
-    target = verify._tangled_targets()[0].omega
+    target = verify.FAMILIES["tangled-targets"]()[0].omega
     om = [
         om for om in catalog.tangled_family(4, 8)
         if om.graph.m == 8 and find_link_minor(om, target)
@@ -709,7 +710,7 @@ def test_link_minors_checks_its_bound_at_the_first_step():
 
 
 def test_find_link_minor_matches_parent_loop():
-    targets = [nb.omega for nb in verify._tangled_targets()]
+    targets = [nb.omega for nb in verify.FAMILIES["tangled-targets"]()]
     found = 0
     for om in catalog.tangled_family(4, 7):
         for t in targets:
@@ -1004,7 +1005,7 @@ def _embedding_items(emb):
 
 
 def test_find_biased_subdivision_matches_filter_oracle_on_tangled_members():
-    patterns = [nb.omega for nb in verify._subdivision_patterns()]
+    patterns = [nb.omega for nb in verify.FAMILIES["subdivision-patterns"]()]
     assert len(patterns) == 16
     members = [om for om in catalog.tangled_family(4, 7)
                if om.is_vertically_k_connected(2)[0]]
@@ -1089,7 +1090,7 @@ def test_iter_subdivisions_matches_the_two_generator_search():
     # full embedding sequences, vertex maps and paths in order, with and
     # without pruning and symmetry breaking
     hosts = list(catalog.tangled_family(4, 7)) + [nb.omega for nb in catalog.base_graphs()]
-    patterns = [nb.omega for nb in verify._subdivision_patterns()]
+    patterns = [nb.omega for nb in verify.FAMILIES["subdivision-patterns"]()]
     assert len(patterns) == 16
     seen = Counter()
     for pattern in patterns:
@@ -1146,7 +1147,7 @@ def test_subdivision_cuts_reject_only_fruitless_searches(monkeypatch):
     # every pair the tangled-subgraph claim would search; a search that
     # passes both cuts reads the pattern's automorphisms when it starts
     # its vertex maps, and one that a cut rejects never does
-    patterns = [nb.omega for nb in verify._subdivision_patterns()]
+    patterns = [nb.omega for nb in verify.FAMILIES["subdivision-patterns"]()]
     started = []
     real = bias.iter_subdivisions
 

@@ -1186,7 +1186,7 @@ def _fresh_copy(omega):
 def _claim_graphs():
     """The biased graphs of the allreps-*, main3-roundtrip and
     main4-samples claims, each once."""
-    named = list(catalog.classify_2c3_proper()) + verify._proper_k4()
+    named = list(catalog.classify_2c3_proper()) + verify.FAMILIES["proper-k4"]()
     named += list(catalog.classify_tube_proper()) + list(catalog.contracted_tubes())
     named += [catalog.t2_prime_split(i) for i in (1, 2, 3)]
     named += [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"), catalog.biased_2c3("T_0"),

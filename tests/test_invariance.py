@@ -65,7 +65,7 @@ def test_multigraph_key_and_orbit_counts_survive_a_relabelling():
 
 def _claim_graphs():
     """The biased graphs of allreps-2c3, allreps-k4 and the tube claims."""
-    return (list(catalog.classify_2c3_proper()) + list(verify._proper_k4())
+    return (list(catalog.classify_2c3_proper()) + list(verify.FAMILIES["proper-k4"]())
             + list(catalog.classify_tube_proper()))
 
 

@@ -33,7 +33,13 @@ from bmlab.gains import (
 )
 from bmlab.graph import MultiGraph, OrientedEdge
 from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
-from bmlab.matroid import extend_with_joint, frame_matroid, lift_matroid, matroids_equal
+from bmlab.matroid import (
+    extend_with_joint,
+    frame_equals_lift,
+    frame_matroid,
+    lift_matroid,
+    matroids_equal,
+)
 from bmlab.verify import _contraction_failures, all_claims, run_claim
 from oracles import (
     contraction_classes_by_minors,
@@ -70,10 +76,40 @@ def test_seeded_claims_deterministic():
     assert a.counts == b.counts
 
 
+FIELDS = verify.DEFAULT_FIELDS
+SEED = verify.DEFAULT_SEED
+# every claim's options, in order, with their defaults: `bmlab verify` and
+# the benchmark read them off the signature
+CLAIM_OPTIONS = {
+    **dict.fromkeys(["seven-dwarves", "2c3-proper-count", "tube-count", "base-count",
+                     "contraction-inequiv", "deltawye-gains", "inequivalence-localized",
+                     "rollup-frame"], {}),
+    **dict.fromkeys(["canonical-frame", "canonical-lift"], {"seed": SEED, "samples": 200, "q": 5}),
+    **dict.fromkeys(["lemma-2c3-frame", "lemma-k4-frame", "lemma-tube-frame"],
+                    {"fields": FIELDS, "seed": SEED}),
+    **dict.fromkeys(["lemma-2c3-lift", "lemma-2c3-frame-vs-lift", "lemma-k4-lift",
+                     "lemma-k4-frame-vs-lift", "lemma-tube-lift", "u2-criterion",
+                     "u3-lift-criterion"], {"fields": FIELDS}),
+    **dict.fromkeys(["allreps-2c3", "allreps-k4", "allreps-tube-frame", "allreps-tube-lift",
+                     "subdivision-classes"], {"q": 4}),
+    **dict.fromkeys(["tangled-minor", "tangled-subgraph"], {"max_vertices": 5, "max_edges": 8}),
+    **dict.fromkeys(["tangled-no-extend", "deltawye-matroid"], {"fields": (4, 5)}),
+    "main2": {"fields": (4, 5), "seed": SEED},
+    "main3-roundtrip": {"seed": SEED, "samples": 100, "q": 5},
+    "main4-samples": {"seed": SEED, "samples": 30, "q": 5},
+    "allreps-contracted-tube": {"q": 5},
+    "allreps-t2prime-splits": {"q": 4, "seed": SEED, "samples": 12},
+    "unique-balancing-subdivision": {"max_vertices": 4, "max_edges": 7, "seed": SEED,
+                                     "samples": 40},
+}
+
+
 def test_claims_declare_their_options():
+    assert sorted(CLAIM_OPTIONS) == all_claims()
     for name, fn in verify.CLAIMS.items():
-        kinds = [p.kind for p in inspect.signature(fn).parameters.values()]
-        assert inspect.Parameter.VAR_KEYWORD not in kinds, name
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params), name
+        assert [(p.name, p.default) for p in params] == list(CLAIM_OPTIONS[name].items()), name
 
 
 def test_undeclared_option_is_an_error():
@@ -110,9 +146,9 @@ def test_tangled_subgraph_counts_the_members_it_checks(monkeypatch):
 
 def test_tangled_minor_negative_control(monkeypatch):
     # without the 2C3 targets some tangled graphs have no target minor
-    k4_targets = [nb for nb in verify._tangled_targets() if nb.omega.graph.n == 4]
-    assert 0 < len(k4_targets) < len(verify._tangled_targets())
-    monkeypatch.setattr(verify, "_tangled_targets", lambda: k4_targets)
+    k4_targets = [nb for nb in verify.FAMILIES["tangled-targets"]() if nb.omega.graph.n == 4]
+    assert 0 < len(k4_targets) < len(verify.FAMILIES["tangled-targets"]())
+    monkeypatch.setitem(verify.FAMILIES, "tangled-targets", lambda: k4_targets)
     rep = run_claim("tangled-minor", max_vertices=4, max_edges=6)
     assert rep.status == "fail"
     assert len(rep.witnesses) == 6
@@ -121,10 +157,10 @@ def test_tangled_minor_negative_control(monkeypatch):
 
 def test_tangled_subgraph_negative_control(monkeypatch):
     # without the biased 2C3 patterns the 2C3 members contain no pattern
-    patterns = verify._subdivision_patterns()
+    patterns = verify.FAMILIES["subdivision-patterns"]()
     kept = [nb for nb in patterns if nb.omega.graph.n > 3]
     assert 0 < len(kept) < len(patterns)
-    monkeypatch.setattr(verify, "_subdivision_patterns", lambda: kept)
+    monkeypatch.setitem(verify.FAMILIES, "subdivision-patterns", lambda: kept)
     rep = run_claim("tangled-subgraph", max_vertices=4, max_edges=6)
     assert rep.status == "fail"
     assert len(rep.witnesses) == 6
@@ -428,7 +464,7 @@ def test_extension_exists_matches_brute_force():
     extends to its own kind's."""
     f = gf(3)
     answers = []
-    for nb in verify._tangled_targets():
+    for nb in verify.FAMILIES["tangled-targets"]():
         om = nb.omega
         frames = [frame_matrix(gg).matrix for gg in realizations(om, MultiplicativeGroup(3))[:2]]
         lifts = [lift_matrix(gg).matrix for gg in realizations(om, AdditiveGroup(3))[:2]]
@@ -597,7 +633,7 @@ def test_theorem_2_on_every_biased_graph_with_5_vertices_and_8_edges():
 def test_allreps_counts_the_other_kind_on_both_sides_where_frame_equals_lift(q):
     # F = L on some proper 2C3s and K4s: their lift classes canonicalize as
     # frame forms too, which the lift side counts as the frame side does
-    named = list(catalog.classify_2c3_proper()) + list(verify._proper_k4())
+    named = list(catalog.classify_2c3_proper()) + list(verify.FAMILIES["proper-k4"]())
     frame_failures, frame_counts = verify._allreps(named, q)
     lift_failures, lift_counts = verify._allreps(named, q, canonical.LIFT)
     assert frame_failures == [] and lift_failures == []
@@ -640,6 +676,28 @@ def test_allreps_reports_why_a_class_has_no_canonical_form():
          "kind": None, "reason": "frame: no frame shaping found"},
     ]
     assert verify._allreps([nb], 3)[0] == []  # GF(3)^x has -1
+
+
+def test_theorem_2_fails_by_count_without_vertical_2_connectivity():
+    # Theorem 2's hypothesis as its negative control: four parallel links,
+    # then a link to a 2-cycle (cut vertices 0 and 2), no balanced cycle.  Over GF(4) its frame
+    # matroid has 2 projective classes but no frame gain class, and F != L,
+    # so none of its 6 lift gain classes counts on the frame side
+    g = MultiGraph(4, [(0, 1)] * 4 + [(0, 2), (2, 3), (2, 3)])
+    om = BiasedGraph(g, [])
+    assert not catalog.vertically_2_connected(g)
+    assert catalog.properly_unbalanced(om)
+    assert not frame_equals_lift(om)
+    assert verify._gain_class_count(om, 4, canonical.FRAME) == 0
+    assert verify._gain_class_count(om, 4, canonical.LIFT) == 6
+    nb = catalog.NamedBiasedGraph("surplus", om, "")
+    failures, counts = verify._allreps([nb], 4)
+    # the count is the evidence; the refusals after it are canonical's guard
+    assert failures[0] == {"graph": "surplus", "q": 4, "classes": 2, "expected": 0}
+    assert {w.get("reason") for w in failures[1:]} == {
+        "canonicalization needs vertical 2-connectivity"}
+    assert counts["per_graph"]["surplus"] == {"classes": 2, "frame_classes": 0,
+                                              "lift_classes": 0}
 
 
 def test_allreps_reports_a_class_of_the_wrong_kind(monkeypatch):
@@ -723,6 +781,28 @@ GOLDEN_COUNTS = {
     "2c3-proper-count": {"classes": 6},
     "tube-count": {"classes": 3},
     "base-count": {"classes": 13},
+    "canonical-frame": {"q": 5, "samples": 200},
+    "canonical-lift": {"q": 5, "samples": 200},
+    "allreps-2c3": {"q": 4, "per_graph": {
+        "T_0": {"classes": 2, "frame_classes": 0, "lift_classes": 2},
+        "T_1": {"classes": 0, "frame_classes": 0, "lift_classes": 0},
+        "T_2": {"classes": 2, "frame_classes": 0, "lift_classes": 2},
+        "T_2'": {"classes": 4, "frame_classes": 2, "lift_classes": 2},
+        "T_3": {"classes": 2, "frame_classes": 2, "lift_classes": 0},
+        "T_4": {"classes": 1, "frame_classes": 0, "lift_classes": 1}}},
+    "allreps-k4": {"q": 4, "per_graph": {
+        "D_{0,0}": {"classes": 0, "frame_classes": 0, "lift_classes": 0},
+        "D_{0,1}": {"classes": 2, "frame_classes": 0, "lift_classes": 2},
+        "D_{0,2}": {"classes": 2, "frame_classes": 2, "lift_classes": 0},
+        "D_{0,3}": {"classes": 1, "frame_classes": 0, "lift_classes": 1}}},
+    "allreps-tube-frame": {"q": 4, "per_graph": {
+        "B_0": {"classes": 0, "frame_classes": 0, "lift_classes": 0},
+        "B_1": {"classes": 2, "frame_classes": 2, "lift_classes": 0},
+        "B_2": {"classes": 2, "frame_classes": 2, "lift_classes": 0}}},
+    "allreps-tube-lift": {"q": 4, "per_graph": {
+        "B_0": {"classes": 2, "lift_classes": 2},
+        "B_1": {"classes": 2, "lift_classes": 2},
+        "B_2": {"classes": 1, "lift_classes": 1}}},
     "lemma-2c3-frame": {"fields": [2, 3, 4, 5], "graphs": 6, "pairs": 26, "realizations": 22},
     "lemma-2c3-lift": {"fields": [2, 3, 4, 5], "graphs": 6, "pairs": 390, "realizations": 82},
     "lemma-2c3-frame-vs-lift": {"cross_pairs": 188, "fields": [2, 3, 4, 5], "graphs": 6},
