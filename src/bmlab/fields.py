@@ -6,7 +6,8 @@ coefficient of x^i), reduced modulo a fixed irreducible polynomial: the
 lexicographically smallest monic irreducible of degree k, chosen
 deterministically so that encodings are stable across runs.  Addition and
 multiplication are table lookups, and the row kernels axpy and scale do a
-whole row with one multiplication-table row.
+whole row with one multiplication-table row; reduce takes a row through a
+list of pivot rows in one call.
 
 Rational arithmetic wraps fractions.Fraction.
 """
@@ -176,6 +177,18 @@ class GF:
         mc = self._mul[c]
         return [mc[x] for x in xs]
 
+    def reduce(self, basis, row):
+        """row minus c*b for each (lead, b) of basis in turn, c being the
+        entry at lead of the row so far; each b is 1 at lead.  The row
+        itself when no entry at a lead is nonzero."""
+        mul, neg, add = self._mul, self._neg, self._add
+        for lead, b in basis:
+            c = row[lead]
+            if c:
+                mc = mul[neg[c]]
+                row = [add[mc[x]][y] for x, y in zip(b, row)]
+        return row
+
     # -- structure -------------------------------------------------------
     @property
     def elements(self):
@@ -237,6 +250,13 @@ class Rationals:
 
     def scale(self, c, xs):
         return [c * x for x in xs]
+
+    def reduce(self, basis, row):
+        for lead, b in basis:
+            c = row[lead]
+            if c:
+                row = [y - c * x for x, y in zip(b, row)]
+        return row
 
     @property
     def elements(self):

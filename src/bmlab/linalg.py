@@ -43,6 +43,20 @@ class FieldMatrix:
         if len(set(self.row_labels)) != self.nrows or len(set(self.col_labels)) != self.ncols:
             raise ValueError("labels must be unique")
 
+    @classmethod
+    def _of(cls, field, rows, row_labels, col_labels):
+        """The matrix on rows with these labels, unchecked: for rows that
+        linalg made from an already checked matrix, of equal length, with
+        one unique label per row and per column (tuples)."""
+        M = cls.__new__(cls)
+        M.field = field
+        M.rows = tuple(map(tuple, rows))
+        M.nrows = len(M.rows)
+        M.ncols = len(M.rows[0]) if M.rows else 0
+        M.row_labels = row_labels
+        M.col_labels = col_labels
+        return M
+
     # -- construction helpers ------------------------------------------------
     @staticmethod
     def identity(field, n, labels=None):
@@ -74,11 +88,11 @@ class FieldMatrix:
         )
 
     def submatrix_cols(self, col_indices):
-        return FieldMatrix(
+        return FieldMatrix._of(
             self.field,
             [[r[j] for j in col_indices] for r in self.rows],
             self.row_labels,
-            [self.col_labels[j] for j in col_indices],
+            tuple(self.col_labels[j] for j in col_indices),
         )
 
     def mul(self, other):
@@ -93,7 +107,7 @@ class FieldMatrix:
                 if a != f.zero:
                     acc = f.axpy(a, brow, acc)
             out.append(acc)
-        return FieldMatrix(f, out, self.row_labels, other.col_labels)
+        return FieldMatrix._of(f, out, self.row_labels, other.col_labels)
 
     def is_zero(self):
         z = self.field.zero
@@ -106,18 +120,21 @@ class FieldMatrix:
         return "FieldMatrix(%dx%d over %r)" % (self.nrows, self.ncols, self.field)
 
 
-def rref(A):
-    """Reduced row echelon form.
-
-    Returns (R, E, pivots) with E invertible, E*A = R, pivot choice
-    deterministic: leftmost column, then smallest row index.  The rows of
-    [A | I] are eliminated once, pivoting on A's columns: R is the left
-    block and E the right."""
+def _with_identity(A):
+    """The rows of [A | I], as lists."""
     f = A.field
     zero = f.zero
-    n, m = A.nrows, A.ncols
-    rows = [list(r) + [f.one if i == j else zero for j in range(n)]
+    return [list(r) + [f.one if i == j else zero for j in range(A.nrows)]
             for i, r in enumerate(A.rows)]
+
+
+def _eliminate(f, rows, m):
+    """Reduce the row lists rows in place to reduced row echelon form on
+    their first m columns, carrying any later entries along, and return
+    the pivot columns.  Pivot choice is deterministic: leftmost column,
+    then smallest row index."""
+    zero = f.zero
+    n = len(rows)
     pivots = []
     pr = 0
     for col in range(m):
@@ -138,9 +155,22 @@ def rref(A):
         pr += 1
         if pr == n:
             break
-    R = FieldMatrix(f, [r[:m] for r in rows], A.row_labels, A.col_labels)
-    Em = FieldMatrix(f, [r[m:] for r in rows], A.row_labels, A.row_labels)
-    return R, Em, tuple(pivots)
+    return tuple(pivots)
+
+
+def rref(A):
+    """Reduced row echelon form.
+
+    Returns (R, E, pivots) with E invertible, E*A = R, pivot choice
+    deterministic: leftmost column, then smallest row index.  The rows of
+    [A | I] are eliminated once, pivoting on A's columns: R is the left
+    block and E the right."""
+    m = A.ncols
+    rows = _with_identity(A)
+    pivots = _eliminate(A.field, rows, m)
+    R = FieldMatrix._of(A.field, [r[:m] for r in rows], A.row_labels, A.col_labels)
+    E = FieldMatrix._of(A.field, [r[m:] for r in rows], A.row_labels, A.row_labels)
+    return R, E, pivots
 
 
 def _pivot(f, basis, col):
@@ -148,11 +178,7 @@ def _pivot(f, basis, col):
     row scaled to 1 at lead, its first nonzero entry; None when basis
     spans col."""
     zero = f.zero
-    vec = col
-    for lead, row in basis:
-        c = vec[lead]
-        if c != zero:
-            vec = f.axpy(f.neg(c), row, vec)
+    vec = f.reduce(basis, col)
     for lead, x in enumerate(vec):
         if x != zero:
             return lead, f.scale(f.inv(x), vec)
@@ -173,17 +199,19 @@ def invert(A):
     """Inverse of a square matrix (ValueError if singular)."""
     if A.nrows != A.ncols:
         raise ValueError("not square")
-    R, E, pivots = rref(A)
-    if len(pivots) != A.nrows:
+    rows = _with_identity(A)
+    if len(_eliminate(A.field, rows, A.ncols)) != A.nrows:
         raise ValueError("singular matrix")
-    return FieldMatrix(A.field, E.rows, A.col_labels, A.row_labels)
+    return FieldMatrix._of(A.field, [r[A.ncols:] for r in rows], A.col_labels, A.row_labels)
 
 
 def left_null_space(A):
-    """Basis (list of row tuples) of {t : t*A = 0}."""
-    R, E, pivots = rref(A)
-    r = len(pivots)
-    return [tuple(E.rows[i]) for i in range(r, A.nrows)]
+    """Basis (list of row tuples) of {t : t*A = 0}: the rows of the
+    transform of rref(A) past its rank."""
+    m = A.ncols
+    rows = _with_identity(A)
+    r = len(_eliminate(A.field, rows, m))
+    return [tuple(row[m:]) for row in rows[r:]]
 
 
 def dual_matrix(A):
@@ -192,14 +220,15 @@ def dual_matrix(A):
     (Oxley, Matroid Theory, 2nd ed., 2.2).  A free matroid, whose dual has
     rank zero, gives one zero row."""
     f = A.field
-    R, _, piv = rref(A)
+    R = [list(r) for r in A.rows]
+    piv = _eliminate(f, R, A.ncols)
     rows = []
     for j in range(A.ncols):
         if j not in piv:
             row = [f.zero] * A.ncols
             row[j] = f.one
             for i, p in enumerate(piv):
-                row[p] = f.neg(R.rows[i][j])
+                row[p] = f.neg(R[i][j])
             rows.append(row)
     return FieldMatrix(f, rows or [[f.zero] * A.ncols], None, A.col_labels)
 
@@ -270,21 +299,20 @@ def _scaling_normal_form(f, rows, ncols):
     return d1, [f.one if d is None else d for d in d2]
 
 
-def _projective_normal_form(A):
-    """(key, E, d1, d2) for a nonzero A: E is the transform of rref(A), and
-    d1, d2 are the scaling normal form scales of its first r = rank(A) rows,
-    whose scaled entries the key holds."""
-    f = A.field
-    R, E, piv = rref(A)
+def _projective_normal_form(f, rows, m):
+    """(key, d1, d2) for the row lists of a nonzero matrix on their first m
+    columns, reduced in place by _eliminate: d1, d2 are the scaling normal
+    form scales of the first r = rank rows, whose scaled entries the key
+    holds.  Entries past column m (the transform, for the rows of [A | I])
+    are carried along and never read."""
+    piv = _eliminate(f, rows, m)
     r = len(piv)
-    rows = R.rows[:r]
-    m = A.ncols
-    d1, d2 = _scaling_normal_form(f, rows, m)
+    d1, d2 = _scaling_normal_form(f, rows[:r], m)
     normal = tuple(
         tuple(f.mul(d1[i], f.mul(rows[i][j], d2[j])) for j in range(m))
         for i in range(r)
     )
-    return ("mat", r, piv, normal), E, d1, d2
+    return ("mat", r, piv, normal), d1, d2
 
 
 def projectively_equivalent(A, B):
@@ -306,13 +334,16 @@ def projectively_equivalent(A, B):
                 FieldMatrix.identity(f, A.ncols, A.col_labels),
             )
         return None
-    key_a, EA, a1, a2 = _projective_normal_form(A)
-    key_b, EB, b1, b2 = _projective_normal_form(B)
+    m = A.ncols
+    rows_a, rows_b = _with_identity(A), _with_identity(B)
+    key_a, a1, a2 = _projective_normal_form(f, rows_a, m)
+    key_b, b1, b2 = _projective_normal_form(f, rows_b, m)
     if key_a != key_b:
         return None
-    stack_rows = [f.scale(f.div(a, b), row) for a, b, row in zip(a1, b1, EA.rows)]
+    stack_rows = [f.scale(f.div(a, b), row[m:]) for a, b, row in zip(a1, b1, rows_a)]
     stack_rows += [[f.zero] * A.nrows for _ in range(B.nrows - len(a1))]
-    T = invert(EB).mul(FieldMatrix(f, stack_rows, None, A.row_labels))
+    EB = FieldMatrix._of(f, [row[m:] for row in rows_b], B.row_labels, B.row_labels)
+    T = invert(EB).mul(FieldMatrix._of(f, stack_rows, B.row_labels, A.row_labels))
     S = FieldMatrix.diagonal(f, [f.div(a, b) for a, b in zip(a2, b2)], A.col_labels)
     witness = ProjWitness(T, S)
     assert witness.verify(A, B), "witness reassembly failed"
@@ -328,4 +359,4 @@ def projective_key(A):
     fixes a spanning forest of the support graph to 1)."""
     if A.is_zero():
         return ("zero", A.nrows)
-    return _projective_normal_form(A)[0]
+    return _projective_normal_form(A.field, [list(r) for r in A.rows], A.ncols)[0]

@@ -605,9 +605,9 @@ def _extension_exists(A, target_oracle, f):
     A single-element extension is fixed by its modular cut (Oxley, *Matroid
     Theory*, 2nd ed., 7.2): v must lie in span(A_S) for every S with
     r(S + l1) = r(S).  Only one v per projective point of the intersection
-    W of those spans is tried, and each is still checked on every subset.
-    The ranks of M(A) and of the target on all subsets are read off one
-    rank_table each."""
+    W of those spans (_cut_span) is tried, and each is still checked on
+    every subset.  The ranks of M(A) and of the target on all subsets are
+    read off one rank_table each."""
     n = A.ncols
     labels = A.col_labels + ("l1",)
     if target_oracle.labels != labels:
@@ -616,11 +616,7 @@ def _extension_exists(A, target_oracle, f):
     target = rank_table(target_oracle)
     if target[:1 << n] != ranks:
         return False
-    H = []  # rows whose common null space is W; W = {0} when l1 is a loop
-    for S in range(1 << n):
-        if target[S | 1 << n] == ranks[S]:
-            H += left_null_space(A.submatrix_cols([j for j in range(n) if S >> j & 1]))
-    W = left_null_space(FieldMatrix(f, [[h[i] for h in H] for i in range(A.nrows)]))
+    W = _cut_span(A, ranks, target, f)
     for lead in range(len(W)):
         for tail in product(range(f.q), repeat=len(W) - lead - 1):
             vec = W[lead]
@@ -631,6 +627,24 @@ def _extension_exists(A, target_oracle, f):
             if matroids_equal(vector_matroid(B), target_oracle)[0]:
                 return True
     return False
+
+
+def _cut_span(A, ranks, target, f):
+    """A basis of W, the intersection of span(A_S) over the S with
+    r(S + l1) = r(S), from the ranks of M(A) and the target's (l1 the
+    target's last element); W = {0} when l1 is a loop.  The cut is closed
+    upward and span(A_S) lies in span(A_S') when S is a subset of S', so
+    the inclusion-minimal S of the cut fix W: the subsets are walked by
+    size, and a superset of a kept S is skipped before its rank test."""
+    n = A.ncols
+    kept, H = [], []  # H: rows whose common null space is W
+    for S in sorted(range(1 << n), key=int.bit_count):
+        if any(K & S == K for K in kept):
+            continue
+        if target[S | 1 << n] == ranks[S]:
+            kept.append(S)
+            H += left_null_space(A.submatrix_cols([j for j in range(n) if S >> j & 1]))
+    return left_null_space(FieldMatrix(f, [[h[i] for h in H] for i in range(A.nrows)]))
 
 
 @claim("unique-balancing-subdivision")

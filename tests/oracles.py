@@ -22,17 +22,21 @@ with the switching decisions built on it, each on a forest search of its
 own.  Then graph isomorphisms by filtering every vertex permutation, and
 automorphism generators with each edge map taken from an edge-bijection
 search.  Then the number of multigraph isomorphism classes by the
-Cauchy-Frobenius (Burnside) lemma, which lists no class.  Last, the
-routines that kept oracles and rank tables replaced: ranks by one greedy
-per subset, the kind match by two matroid walks, and roll reachability
-from fresh unrollings.
+Cauchy-Frobenius (Burnside) lemma, which lists no class, and the same
+count for the bias-set orbits of a biased family.  Then the routines
+that kept oracles and rank tables replaced: ranks by one greedy per
+subset, the kind match by two matroid walks, and roll reachability from
+fresh unrollings.  Last, the routines that plain-row elimination and the
+minimal modular cut replaced: reduction by one axpy per pivot row, the
+projective key read off rref with its transform, and the single-element
+extension over every set of the modular cut.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from bmlab import catalog
@@ -89,10 +93,12 @@ from bmlab.linalg import (
     ProjWitness,
     _scaling_normal_form,
     invert,
+    left_null_space,
     rank_of_columns,
     rref,
+    vector_matroid,
 )
-from bmlab.matroid import MatroidOracle, frame_matroid, greedy, matroids_equal
+from bmlab.matroid import MatroidOracle, frame_matroid, greedy, matroids_equal, rank_table
 
 
 def matroids_equal_on_all_subsets(m1, m2):
@@ -1187,6 +1193,51 @@ def multigraph_classes_by_burnside(max_vertices, max_edges):
     return total
 
 
+def bias_set_orbits_by_burnside(max_vertices, max_edges, graph_ok, predicate):
+    """The number of members of catalog.biased_family(max_vertices,
+    max_edges, graph_ok, predicate), by the Cauchy-Frobenius lemma on each
+    graph: the mean over its full edge-automorphism group of the number of
+    theta-closed bias sets passing the predicate that an element fixes.
+    An element is a vertex automorphism (every vertex permutation kept by
+    graph_isomorphisms_by_permutations) with a bijection from each class
+    of parallel edges onto the class it maps to; one whose edge map
+    repeats another's only counts it twice, which leaves the mean at the
+    number of orbits.  An edge map permutes the cycles, and a bias set is
+    fixed when it is a union of that permutation's orbits.  The predicate
+    must be invariant under relabelling.  No orbit is listed, and
+    catalog.automorphism_generators is not used, so this fails differently
+    from catalog.bias_sets_up_to_aut."""
+    total = 0
+    for g in catalog.multigraphs_up_to_iso(max_vertices, max_edges):
+        if not graph_ok(g):
+            continue
+        cycles = g.cycles()
+        index = g.cycle_masks().index
+        passing = [bal for bal in catalog.theta_closed_subsets(g) if predicate(BiasedGraph(
+            g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1], check=False))]
+        classes = parallel_classes(g)
+        order = fixed = 0
+        for perm in graph_isomorphisms_by_permutations(g, g):
+            targets = [classes[tuple(sorted((perm[u], perm[v])))] for u, v in classes]
+            for images in product(*(permutations(es) for es in targets)):
+                emap = {e: f for es, img in zip(classes.values(), images)
+                        for e, f in zip(es, img)}
+                cmap = [index[frozenset(emap[e] for e in c.edges)] for c in cycles]
+                orbits = []
+                for i in range(len(cycles)):
+                    orbit, j = 0, i
+                    while not orbit >> j & 1:
+                        orbit |= 1 << j
+                        j = cmap[j]
+                    if orbit.bit_count() > 1 and orbit not in orbits:
+                        orbits.append(orbit)
+                order += 1
+                fixed += sum(all(bal & o in (0, o) for o in orbits) for bal in passing)
+        assert fixed % order == 0
+        total += fixed // order
+    return total
+
+
 # -- the routines that the kept oracles and rank tables replaced -----------------
 
 def ranks_by_greedy(M):
@@ -1216,3 +1267,60 @@ def roll_reachable_by_unrolling(omega, variant):
         if biased_equal_unoriented(a, b):
             return True
     return False
+
+
+# -- the linalg and modular-cut routines that plain-row elimination replaced ------
+
+def reduce_by_axpy(f, basis, row):
+    """The reference for the fields' reduce: one axpy per pivot row whose
+    lead entry in the row so far is nonzero."""
+    for lead, b in basis:
+        c = row[lead]
+        if c != f.zero:
+            row = f.axpy(f.neg(c), b, row)
+    return row
+
+
+def projective_key_through_rref(A):
+    """The reference for linalg.projective_key: the key read off rref(A),
+    whose transform E is built and never read, and the scaling normal
+    form of its nonzero rows."""
+    f = A.field
+    if A.is_zero():
+        return ("zero", A.nrows)
+    R, _, piv = rref(A)
+    r = len(piv)
+    rows = R.rows[:r]
+    d1, d2 = _scaling_normal_form(f, rows, A.ncols)
+    normal = tuple(tuple(f.mul(d1[i], f.mul(rows[i][j], d2[j])) for j in range(A.ncols))
+                   for i in range(r))
+    return ("mat", r, piv, normal)
+
+
+def extension_over_every_cut_set(A, target_oracle, f):
+    """The reference for verify._extension_exists and verify._cut_span:
+    (answer, W), with W's basis the left null space of the rows that span
+    the left null spaces of A_S for every S of the modular cut, not only
+    the inclusion-minimal ones.  W is None when M(A) is not the target
+    with l1 deleted, which answers False at once."""
+    n = A.ncols
+    ranks = rank_table(vector_matroid(A))
+    target = rank_table(target_oracle)
+    if target[:1 << n] != ranks:
+        return False, None
+    H = []
+    for S in range(1 << n):
+        if target[S | 1 << n] == ranks[S]:
+            H += left_null_space(A.submatrix_cols([j for j in range(n) if S >> j & 1]))
+    W = left_null_space(FieldMatrix(f, [[h[i] for h in H] for i in range(A.nrows)]))
+    labels = A.col_labels + ("l1",)
+    for lead in range(len(W)):
+        for tail in product(range(f.q), repeat=len(W) - lead - 1):
+            vec = W[lead]
+            for c, w in zip(tail, W[lead + 1:]):
+                vec = f.axpy(c, w, vec)
+            B = FieldMatrix(f, [list(r) + [vec[i]] for i, r in enumerate(A.rows)],
+                            A.row_labels, labels)
+            if matroids_equal(vector_matroid(B), target_oracle)[0]:
+                return True, W
+    return False, W

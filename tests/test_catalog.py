@@ -21,6 +21,7 @@ from bmlab.graph import MultiGraph, edge_bijections, graph_isomorphisms
 from bmlab.matroid import frame_matroid, lift_matroid, matroids_equal, uniform_matroid
 from oracles import (
     automorphism_generators_by_edge_bijections,
+    bias_set_orbits_by_burnside,
     drop_isolated,
     mask_edge_sets,
     multigraph_classes_by_burnside,
@@ -401,6 +402,17 @@ def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
 def test_multigraph_classes_match_the_burnside_count(max_vertices, max_edges, count):
     assert multigraph_classes_by_burnside(max_vertices, max_edges) == count
     assert len(catalog.multigraphs_up_to_iso(max_vertices, max_edges)) == count
+
+
+@pytest.mark.parametrize("max_vertices, max_edges, graph_ok, predicate, count", [
+    (4, 7, catalog.vertically_2_connected, catalog.properly_unbalanced, 87),
+    (5, 8, catalog.can_be_tangled, catalog.tangled, 536),
+], ids=["v2c-proper-4-7", "tangled-5-8"])
+def test_bias_set_orbits_match_the_burnside_count(max_vertices, max_edges, graph_ok,
+                                                  predicate, count):
+    assert bias_set_orbits_by_burnside(max_vertices, max_edges, graph_ok, predicate) == count
+    family = catalog.biased_family(max_vertices, max_edges, graph_ok, predicate)
+    assert sum(1 for _ in family) == count
 
 
 @pytest.mark.parametrize("max_vertices, max_edges, digest", [

@@ -22,7 +22,9 @@ from oracles import (
     diagonally_equivalent,
     gf_tables_pair_by_pair,
     matrix_product_by_entries,
+    projective_key_through_rref,
     projectively_equivalent_by_basis_transfer,
+    reduce_by_axpy,
     rref_by_entries,
 )
 
@@ -71,6 +73,29 @@ def test_row_kernels_match_the_entry_operations():
     for c in els:
         assert QQ.axpy(c, xs, ys) == [QQ.add(QQ.mul(c, x), y) for x, y in zip(xs, ys)]
         assert QQ.scale(c, xs) == [QQ.mul(c, x) for x in xs]
+
+
+def test_reduce_matches_one_axpy_per_pivot_row():
+    # reduce against the axpy loop it replaced, on seeded bases of up to
+    # four pivot rows (each 1 at its lead, in any lead order) and rows that
+    # are zero at about a third of their entries, given as lists and as
+    # tuples, over GF(2) to GF(9) and QQ
+    rng = random.Random(45)
+    moved = 0
+    for f in [gf(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [QQ]:
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            basis = []
+            for lead in rng.sample(range(m), rng.randint(0, min(4, m))):
+                b = [_draw(rng, f) for _ in range(m)]
+                b[lead] = f.one
+                basis.append((lead, b))
+            row = [_draw(rng, f) if rng.random() < 0.7 else f.zero for _ in range(m)]
+            want = list(reduce_by_axpy(f, basis, row))
+            assert list(f.reduce(basis, row)) == want, (f, basis, row)
+            assert list(f.reduce(tuple(basis), tuple(row))) == want, (f, basis, row)
+            moved += want != row
+    assert moved == 839
 
 
 def _transpose(A):
@@ -463,6 +488,78 @@ def test_projective_witness_matches_the_basis_transfer():
         pairs += 1
         equivalent += got is not None
     assert (pairs, equivalent) == (2886, 2366)
+
+
+def _same_as_checked(M):
+    assert vars(M) == vars(FieldMatrix(M.field, M.rows, M.row_labels, M.col_labels)), M.rows
+
+
+def test_linalg_results_equal_the_checked_construction():
+    # every matrix that linalg builds unchecked (rref's R and E, products,
+    # column submatrices, inverses and witnesses) is, field by field, the
+    # checked construction on its rows and labels
+    f = gf(3)
+    empty = FieldMatrix(f, [])
+    for M in rref(empty)[:2]:
+        _same_as_checked(M)
+    rng = random.Random(45)
+    for A, B in _projective_pairs():
+        R, E, _ = rref(A)
+        cols = sorted(rng.sample(range(A.ncols), rng.randint(0, A.ncols)))
+        for M in (R, E, invert(E), E.mul(A), A.mul(_transpose(A)), A.submatrix_cols(cols)):
+            _same_as_checked(M)
+        w = projectively_equivalent(A, B)
+        if w is not None:
+            _same_as_checked(w.T)
+            _same_as_checked(w.T.mul(A).mul(w.S))
+
+
+def test_the_public_constructor_rejects_malformed_rows_and_labels():
+    f = gf(3)
+    with pytest.raises(ValueError, match="ragged"):
+        FieldMatrix(f, [[1, 2], [1]])
+    for labels in ((("a", "b"), None), (None, ("x",)), (None, ("x", "y", "z"))):
+        with pytest.raises(ValueError, match="label count mismatch"):
+            FieldMatrix(f, [[1, 2]], *labels)
+    for labels in ((("a", "a"), None), (None, ("x", "x"))):
+        with pytest.raises(ValueError, match="labels must be unique"):
+            FieldMatrix(f, [[1, 2], [0, 1]], *labels)
+        with pytest.raises(ValueError, match="labels must be unique"):
+            FieldMatrix(f, [[1, 2], [0, 1]]).with_labels(*labels)
+
+
+def test_projective_key_matches_the_key_read_off_rref():
+    # the key from A's rows alone against the key read off rref(A) with its
+    # transform, on seeded matrices up to 4 x 6 over GF(2) to GF(9) and QQ,
+    # entries zero half the time so that ranks fall short, a zero row put
+    # into about a third of them, and zero matrices of three shapes; each
+    # is paired with a scramble (0 to 2 extra rows) and a matrix of its
+    # width, and every witness found verifies
+    rng = random.Random(46)
+    pairs = equivalent = 0
+    for f in [gf(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [QQ]:
+        mats = [FieldMatrix(f, [[f.zero] * m for _ in range(n)]) for n, m in ((1, 1), (2, 3), (3, 2))]
+        for _ in range(60):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[_draw(rng, f) if rng.random() < 0.5 else f.zero for _ in range(m)]
+                    for _ in range(n)]
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, n), [f.zero] * m)
+            mats.append(FieldMatrix(f, rows))
+        for A in mats:
+            key = projective_key(A)
+            assert key == projective_key_through_rref(A), A.rows
+            others = [_scramble(rng, A, rng.randint(0, 2)),
+                      FieldMatrix(f, [[_draw(rng, f) for _ in range(A.ncols)]
+                                      for _ in range(rng.randint(1, 4))])]
+            for B in others:
+                assert projective_key(B) == projective_key_through_rref(B), B.rows
+                w = projectively_equivalent(A, B)
+                assert (w is not None) == (key == projective_key(B)), (A.rows, B.rows)
+                assert w is None or w.verify(A, B)
+                pairs += 1
+                equivalent += w is not None
+    assert (pairs, equivalent) == (1008, 543)
 
 
 def test_left_null_space():

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -14,7 +15,7 @@ from bmlab.bias import (
     find_biased_subdivision,
     is_tangled,
 )
-from bmlab.canonical import CanonicalizeResult, frame_matrix, lift_matrix
+from bmlab.canonical import FRAME, LIFT, CanonicalizeResult, frame_matrix, kind_parts, lift_matrix
 from bmlab.errors import StructureMissing, UnknownClaim
 from bmlab.fields import gf
 from bmlab.gains import (
@@ -32,18 +33,20 @@ from bmlab.gains import (
     walk_gain,
 )
 from bmlab.graph import MultiGraph, OrientedEdge
-from bmlab.linalg import FieldMatrix, ProjWitness, vector_matroid
+from bmlab.linalg import FieldMatrix, ProjWitness, rref, vector_matroid
 from bmlab.matroid import (
     extend_with_joint,
     frame_equals_lift,
     frame_matroid,
     lift_matroid,
     matroids_equal,
+    rank_table,
 )
 from bmlab.verify import _contraction_failures, all_claims, run_claim
 from oracles import (
     contraction_classes_by_minors,
     drop_isolated,
+    extension_over_every_cut_set,
     joint_extension,
     subdivide_edge_by_hand,
 )
@@ -478,6 +481,47 @@ def test_extension_exists_matches_brute_force():
                     assert found == _extension_exists_brute(A, target, f) == expected
                     answers.append(found)
     assert answers.count(False) == answers.count(True) == 16
+
+
+def _row_space(f, rows):
+    """The nonzero rows of the reduced echelon form of rows: one tuple per
+    subspace, () for the zero space."""
+    if not rows:
+        return ()
+    R, _, piv = rref(FieldMatrix(f, rows))
+    return R.rows[:len(piv)]
+
+
+def test_cut_span_and_answer_match_every_set_of_the_cut():
+    """_cut_span keeps only the inclusion-minimal sets of the modular cut:
+    its W spans the space that every set of the cut gives, and
+    _extension_exists answers as the extension over every set does.  On
+    the first two realizations per kind of every tangled target, a joint
+    at either vertex, over GF(3), GF(4) and GF(5), each matrix extended
+    towards its own kind's matroid (it extends) and the other's (never)."""
+    seen = Counter()
+    for nb in verify.FAMILIES["tangled-targets"]():
+        om = nb.omega
+        for q in (3, 4, 5):
+            f = gf(q)
+            mats = {kind: [kind_parts(kind).matrix(gg).matrix
+                           for gg in realizations(om, kind_parts(kind).group(q))[:2]]
+                    for kind in (FRAME, LIFT)}
+            for vertex in (0, 1):
+                ext = extend_with_joint(om, vertex=vertex, name="l1")
+                for kind, other in product((FRAME, LIFT), repeat=2):
+                    target = kind_parts(other).matroid(ext)
+                    for A in mats[kind]:
+                        want, W = extension_over_every_cut_set(A, target, f)
+                        got = verify._extension_exists(A, target, f)
+                        cut = verify._cut_span(A, rank_table(vector_matroid(A)),
+                                               rank_table(target), f)
+                        assert got == want, (nb.name, q, vertex, kind, other)
+                        assert _row_space(f, cut) == _row_space(f, W), (nb.name, q, kind, other)
+                        seen[kind == other, got, len(W)] += 1
+    # W is a line, except for frame matrices towards the lift matroid,
+    # where it is 0 (no column but zero lies in every span of the cut)
+    assert seen == {(True, True, 1): 120, (False, False, 1): 68, (False, False, 0): 52}
 
 
 def test_extension_to_a_loop_does_not_exist():
