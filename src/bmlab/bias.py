@@ -127,6 +127,7 @@ class BiasedGraph:
                 )
         self._balance_class = None
         self._automorphisms = None  # vertex parts, built on first use
+        self._closing = None  # find_biased_subdivision's cycle table, built on first use
         self._cycle_lengths = None  # by bias, longest first, built on first use
         self._bias_data = None  # matroid step data, built on first use
         self._oracles = {}  # matroid oracles by kind, built on first use
@@ -256,7 +257,7 @@ def _images(omega, K, emap, graph):
         rest = c - K
         if emap.keys() >= rest:
             image = frozenset(emap[x] for x in rest)
-            degree = Counter(v for x in image for v in graph.endpoints(x))
+            degree = Counter(v for x in image for v in graph.edges[x])
             if all(d == 2 for d in degree.values()):
                 yield image
 
@@ -336,13 +337,13 @@ def link_minors(omega, pattern):
     first biased isomorphism from G/K\\D with isolated vertices dropped
     onto the pattern.  The graph stage, MultiGraph.link_minor_pairs,
     memoised on the host graph, gives the pairs whose graph minor is
-    isomorphic to the pattern's graph, with that minor and its vertex
-    isomorphisms.  The bias stage builds no minor: the minor's balanced
-    cycles are the _images of omega's, as in biased_minor.  A pair whose
-    sorted image lengths differ from the pattern's balanced-cycle lengths
-    has no biased isomorphism; otherwise iso is the first vertex
-    isomorphism and edge bijection, in order, that carries the images onto
-    the pattern's balanced set.  So the recipes are those of building
+    isomorphic to the pattern's graph, with that minor, its vertex
+    isomorphisms and the host-to-minor edge map.  The bias stage builds no
+    minor: the minor's balanced cycles are the _images of omega's, as in
+    biased_minor.  A pair whose sorted image lengths differ from the
+    pattern's balanced-cycle lengths has no biased isomorphism; otherwise
+    iso is the first vertex isomorphism and edge bijection, in order, that
+    carries the images onto the pattern's balanced set.  So the recipes are those of building
     every pair's biased minor and searching its biased isomorphisms.  A
     host larger than LINK_MINOR_BOUND raises BoundExceeded at the first
     step; after the argument checks, a host with fewer edges than the
@@ -357,8 +358,7 @@ def link_minors(omega, pattern):
     if not _holds_cycles(omega, pattern):
         return
     lengths = sorted(map(len, pattern.balanced))
-    for K, D, minor, isos in g.link_minor_pairs(h):
-        emap = {e: i for i, e in enumerate(e for e in range(g.m) if e not in K and e not in D)}
+    for K, D, minor, isos, emap in g.link_minor_pairs(h):
         images = list(_images(omega, K, emap, minor))
         if sorted(map(len, images)) != lengths:
             continue
@@ -638,6 +638,17 @@ def find_link_minor(omega, pattern):
     return next(link_minors(omega, pattern), None)
 
 
+def _closing(pattern):
+    """Pattern edge -> the cycles it completes (whose greatest edge it is),
+    each with its bias, built once per pattern."""
+    if pattern._closing is None:
+        closing = {}
+        for c in pattern.graph.cycles():
+            closing.setdefault(max(c.edges), []).append((c.edges, c.edges in pattern.balanced))
+        pattern._closing = closing
+    return pattern._closing
+
+
 def find_biased_subdivision(omega, pattern):
     """Find a subgraph of `omega` that is a subdivision of the biased graph
     `pattern` (bias transported along the subdivision).  Returns the first
@@ -659,9 +670,7 @@ def find_biased_subdivision(omega, pattern):
         return None
     if pattern._automorphisms is None:
         pattern._automorphisms = tuple({perm for perm, _ in biased_isomorphisms(pattern, pattern)})
-    closing = {}  # pattern edge -> the cycles it completes, with their bias
-    for c in pattern.graph.cycles():
-        closing.setdefault(max(c.edges), []).append((c.edges, c.edges in pattern.balanced))
+    closing = _closing(pattern)
 
     def accept(e, edge_paths):
         for edges, balanced in closing.get(e, ()):

@@ -31,7 +31,7 @@ from .bias import (
     theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
-from .graph import MultiGraph, graph_isomorphisms, parallel_classes
+from .graph import MultiGraph, graph_isomorphisms
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ def _classify(g, predicate, name_of, names, note):
     named = sorted((NamedBiasedGraph(name_of(om), om, note)
                     for om in bias_sets_up_to_aut(g, predicate)), key=lambda nb: nb.name)
     found = [nb.name for nb in named]
-    assert found == names, "expected %s, got %s" % (names, found)
+    if found != names:
+        raise AssertionError("expected %s, got %s" % (names, found))
     return tuple(named)
 
 
@@ -193,10 +194,13 @@ def base_graphs():
     biased tubes."""
     dwarves = [nb for nb in classify_k4() if _count_by_length(nb.omega, 3) == 0]
     out = tuple(dwarves) + classify_2c3_proper() + classify_tube_proper()
-    assert len(out) == 13
+    if len(out) != 13:
+        raise AssertionError()
     for nb in out:
-        assert properly_unbalanced(nb.omega), nb.name
-        assert vertically_2_connected(nb.omega.graph), nb.name
+        if not properly_unbalanced(nb.omega):
+            raise AssertionError(nb.name)
+        if not vertically_2_connected(nb.omega.graph):
+            raise AssertionError(nb.name)
     return out
 
 
@@ -238,7 +242,7 @@ def contracted_tubes():
     underlying graph is 2C_3 minus an edge."""
     out = []
     for nb in classify_tube_proper():
-        single = next(es[0] for es in parallel_classes(nb.omega.graph).values() if len(es) == 1)
+        single = next(es[0] for es in nb.omega.graph.parallel_classes.values() if len(es) == 1)
         mn = biased_minor(nb.omega, {single}, set())
         out.append(
             NamedBiasedGraph(nb.name + "'", mn.omega, "single-link contraction of " + nb.name)
@@ -454,7 +458,7 @@ def automorphism_generators(g):
     bijections composed with a permutation inside the parallel classes.  The
     identity is left out."""
     identity = tuple(range(g.m))
-    classes = parallel_classes(g)
+    classes = g.parallel_classes
     gens = []
     for perm in graph_isomorphisms(g, g):
         # the i-th edge of class (u, v) goes to the i-th edge of the class
@@ -474,11 +478,26 @@ def automorphism_generators(g):
 
 
 def bias_sets_up_to_aut(g, predicate=None):
-    """Theta-closed bias sets on g, one per orbit of the automorphism group.
+    """Theta-closed bias sets on g that satisfy predicate, one per orbit of
+    the automorphism group: the _orbit_masks of g, in order, each built as
+    a fresh BiasedGraph."""
+    cycles = g.cycles()
+    reps = []
+    for bal in _orbit_masks(g):
+        om = BiasedGraph(g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1], check=False)
+        if predicate is None or predicate(om):
+            reps.append(om)
+    return reps
 
-    Each orbit is the closure of its first mask (in `theta_closed_subsets`
-    order) under `automorphism_generators(g)`.  A generator permutes cycles,
-    so it maps a mask to the sum of its tables' images of the mask's bytes."""
+
+def _orbit_masks(g):
+    """The first mask (in `theta_closed_subsets` order) of each orbit of
+    theta-closed bias sets under the automorphism group of g, computed once
+    per graph and kept on it.  Each orbit is the closure of its first mask
+    under `automorphism_generators(g)`.  A generator permutes cycles, so it
+    maps a mask to the sum of its tables' images of the mask's bytes."""
+    if g._orbit_masks is not None:
+        return g._orbit_masks
     cycles = g.cycles()
     index = g.cycle_masks().index
     gens = []
@@ -501,10 +520,9 @@ def bias_sets_up_to_aut(g, predicate=None):
                 if img not in seen:
                     seen.add(img)
                     todo.append(img)
-        om = BiasedGraph(g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1], check=False)
-        if predicate is None or predicate(om):
-            reps.append(om)
-    return reps
+        reps.append(bal)
+    g._orbit_masks = tuple(reps)
+    return g._orbit_masks
 
 
 def biased_family(max_vertices, max_edges, graph_ok=None, predicate=None):

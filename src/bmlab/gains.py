@@ -318,7 +318,8 @@ def switching_equivalent(gg1, gg2):
         return None
     group = gg1.group
     eta = {v: group.op(x, group.inv(eta2[v])) for v, x in eta1.items()}
-    assert switch(gg1, eta).gains == gg2.gains
+    if switch(gg1, eta).gains != gg2.gains:
+        raise AssertionError()
     return eta
 
 
@@ -338,7 +339,8 @@ def switching_scaling_equivalent(gg1, gg2):
         return None
     eta = {v: group.op(group.scale(a, x), group.inv(eta2[v])) for v, x in eta1.items()}
     scaled = gg1.with_gains({e: group.scale(a, x) for e, x in gg1.gains.items()})
-    assert switch(scaled, eta).gains == gg2.gains
+    if switch(scaled, eta).gains != gg2.gains:
+        raise AssertionError()
     return a, eta
 
 

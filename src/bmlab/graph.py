@@ -9,10 +9,10 @@ All values are immutable after construction; operations are pure functions
 returning new graphs.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from .errors import BoundExceeded, NotAWalk, UnknownEdge
 
@@ -79,6 +79,14 @@ class MultiGraph:
         self._cycle_masks = None  # CycleMasks of cycles(), built on first use
         self._vertical = {}  # is_vertically_k_connected by k
         self._link_minor_pairs = {}  # link_minor_pairs by (h.n, h.edges)
+        self._orbit_masks = None  # catalog.bias_sets_up_to_aut's orbit representatives
+        # the tables below, each built on first read; set here, not by
+        # functools.cached_property, whose write to the instance __dict__
+        # makes CPython 3.11 give up the graph's compact attribute layout
+        # and slows every later attribute read on it (cycles() on a fresh
+        # prism by 6-18 %)
+        self._degrees = self._links = self._profiles = None
+        self._multiplicity = self._parallel_classes = None
 
     # -- basics ----------------------------------------------------------
     def endpoints(self, e):
@@ -105,10 +113,70 @@ class MultiGraph:
         return self._incident[v]
 
     def links_at(self, v):
-        return tuple(e for e in self._incident[v] if not self.is_loop(e))
+        return tuple(e for e, _ in self.links[v])
 
     def degree(self, v):
-        return sum(2 if self.is_loop(e) else 1 for e in self._incident[v])
+        return self.degrees[v]
+
+    # -- tables, built on first read ----------------------------------------
+    @property
+    def degrees(self):
+        """The degree of each vertex, a loop counting twice."""
+        if self._degrees is None:
+            deg = [0] * self.n
+            for u, v in self.edges:
+                deg[u] += 1
+                deg[v] += 1
+            self._degrees = tuple(deg)
+        return self._degrees
+
+    @property
+    def links(self):
+        """Per vertex, (edge, far end) of each link at it, in incident_edges
+        order (by edge id)."""
+        if self._links is None:
+            links = [[] for _ in range(self.n)]
+            for e, (u, v) in enumerate(self.edges):
+                if u != v:
+                    links[u].append((e, v))
+                    links[v].append((e, u))
+            self._links = tuple(map(tuple, links))
+        return self._links
+
+    @property
+    def profiles(self):
+        """Per vertex, its adjacency profile: (loops at it, the sorted
+        numbers of edges joining it to each neighbour)."""
+        if self._profiles is None:
+            self._profiles = tuple(
+                (row[v], tuple(sorted(x for w, x in enumerate(row) if x and w != v)))
+                for v, row in enumerate(self.multiplicity))
+        return self._profiles
+
+    @property
+    def multiplicity(self):
+        """multiplicity[u][v]: the number of edges joining u and v (loops at
+        u on the diagonal)."""
+        if self._multiplicity is None:
+            mult = [[0] * self.n for _ in range(self.n)]
+            for u, v in self.edges:
+                mult[u][v] += 1
+                if u != v:
+                    mult[v][u] += 1
+            self._multiplicity = tuple(map(tuple, mult))
+        return self._multiplicity
+
+    @property
+    def parallel_classes(self):
+        """Edge ids grouped by unordered endpoint pair, each group a tuple in
+        id order, the pairs in order of their least edge; read-only."""
+        if self._parallel_classes is None:
+            classes = {}
+            for e, (u, v) in enumerate(self.edges):
+                classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
+            self._parallel_classes = MappingProxyType(
+                {key: tuple(es) for key, es in classes.items()})
+        return self._parallel_classes
 
     def tail(self, oe):
         u, v = self.endpoints(oe.edge)
@@ -459,10 +527,11 @@ class MultiGraph:
         return g, emap, tuple(joints), {emap[f]: x for f, x in rewritten.items() if f in emap}
 
     def link_minor_pairs(self, h):
-        """The (K, D, minor, isos) entries, in search order, whose minor
-        G/K\\D with isolated vertices dropped (minor) is isomorphic to h, a
-        graph without isolated vertices; isos are all its vertex
-        isomorphisms onto h.  K runs over the link forests by size, then by
+        """The (K, D, minor, isos, emap) entries, in search order, whose
+        minor G/K\\D with isolated vertices dropped (minor) is isomorphic to
+        h, a graph without isolated vertices; isos are all its vertex
+        isomorphisms onto h, and emap sends each edge of G outside K and D
+        to its id in minor.  K runs over the link forests by size, then by
         sorted edge ids, up to the size that leaves h.n K-classes; for each
         K the kept edges run over the combinations of the other edges in
         order, and D is the rest of them.  A pair whose kept edges meet a
@@ -474,7 +543,7 @@ class MultiGraph:
         key = (h.n, h.edges)
         if key in self._link_minor_pairs:
             return self._link_minor_pairs[key]
-        degrees = sorted(Counter(v for e in h.edges for v in e).values())
+        degrees = sorted(h.degrees)
         pairs = []
         for K in sorted(self.link_forests(self.n - h.n), key=lambda f: (len(f), sorted(f))):
             parent = list(range(self.n))
@@ -489,10 +558,11 @@ class MultiGraph:
                 if len(classes) != h.n or sorted(map(kept_ends.count, classes)) != degrees:
                     continue
                 D = frozenset(rest) - frozenset(keep)
-                minor = self.minor(K, D)[0].drop_isolated()[0]
+                minor, _, emap = self.minor(K, D)
+                minor = minor.drop_isolated()[0]
                 isos = tuple(graph_isomorphisms(minor, h))
                 if isos:
-                    pairs.append((K, D, minor, isos))
+                    pairs.append((K, D, minor, isos, emap))
         self._link_minor_pairs[key] = pairs
         return pairs
 
@@ -581,7 +651,7 @@ def check_subdivision_args(host, pattern):
     ValueError."""
     if host.n > SUBDIVISION_BOUND[0] or host.m > SUBDIVISION_BOUND[1]:
         raise BoundExceeded("subdivision host exceeds bound")
-    if any(pattern.is_loop(e) for e in range(pattern.m)):
+    if any(u == v for u, v in pattern.edges):
         raise ValueError("loop patterns are not supported")
 
 
@@ -612,8 +682,7 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     check_subdivision_args(host, pattern)
     if pattern.m > host.m or pattern.n > host.n:
         return
-    host_degree = [host.degree(v) for v in range(host.n)]
-    pattern_degree = [pattern.degree(v) for v in range(pattern.n)]
+    host_degree, pattern_degree, links = host.degrees, pattern.degrees, host.links
     if not all(h >= p for h, p in zip(sorted(host_degree, reverse=True),
                                       sorted(pattern_degree, reverse=True))):
         return
@@ -621,8 +690,6 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
     # each automorphism as the pattern vertices whose images, in pverts
     # order, make up the key of phi o perm
     moved = [[perm[v] for v in pverts] for perm in automorphisms]
-    links = [[(e, host.other_end(e, v)) for e in host.incident_edges(v) if not host.is_loop(e)]
-             for v in range(host.n)]
 
     def host_paths(v, end, path, used, blocked):
         # the paths from v to end on unused edges through unblocked
@@ -641,7 +708,7 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
         if e == pattern.m:
             yield Embedding(vmap, edge_paths)
             return
-        a, b = pattern.endpoints(e)
+        a, b = pattern.edges[e]
         for path, inner in host_paths(vmap[a], vmap[b], (), used, blocked):
             edge_paths[e] = path
             if accept is None or accept(e, edge_paths):
@@ -666,37 +733,6 @@ def iter_subdivisions(host, pattern, accept=None, automorphisms=()):
 
 # -- isomorphism -------------------------------------------------------------
 
-def parallel_classes(g):
-    """Edge ids grouped by unordered endpoint pair, each group in id order."""
-    classes = {}
-    for e, (u, v) in enumerate(g.edges):
-        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
-    return classes
-
-
-def _adjacency_profile(g, v):
-    mult = {}
-    loops = 0
-    for e in g.incident_edges(v):
-        if g.is_loop(e):
-            loops += 1
-        else:
-            w = g.other_end(e, v)
-            mult[w] = mult.get(w, 0) + 1
-    return loops, sorted(mult.values())
-
-
-def _multiplicities(g):
-    """mult[u][v]: the number of edges joining u and v (loops at u on the
-    diagonal)."""
-    mult = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        mult[u][v] += 1
-        if u != v:
-            mult[v][u] += 1
-    return mult
-
-
 def graph_isomorphisms(g, h):
     """Generate vertex bijections g -> h preserving edge multiplicities, as
     tuples in lexicographic order.  A backtrack maps g's vertices in order,
@@ -705,12 +741,11 @@ def graph_isomorphisms(g, h):
     multiplicities between it and every vertex already mapped agree."""
     if g.n != h.n or g.m != h.m:
         return
-    profile_g = [_adjacency_profile(g, v) for v in range(g.n)]
-    profile_h = [_adjacency_profile(h, v) for v in range(h.n)]
+    profile_g, profile_h = g.profiles, h.profiles
     if sorted(profile_g) != sorted(profile_h):
         return
     candidates = [[w for w, q in enumerate(profile_h) if q == p] for p in profile_g]
-    gm, hm = _multiplicities(g), _multiplicities(h)
+    gm, hm = g.multiplicity, h.multiplicity
     perm = [0] * g.n
     used = [False] * h.n
 
@@ -734,7 +769,7 @@ def graph_isomorphisms(g, h):
 
 def edge_bijections(g, h, perm):
     """Generate edge bijections compatible with a vertex bijection."""
-    gm, hm = parallel_classes(g), parallel_classes(h)
+    gm, hm = g.parallel_classes, h.parallel_classes
     keys = sorted(gm)
     target = []
     for key in keys:

@@ -346,7 +346,8 @@ def projectively_equivalent(A, B):
     T = invert(EB).mul(FieldMatrix._of(f, stack_rows, B.row_labels, A.row_labels))
     S = FieldMatrix.diagonal(f, [f.div(a, b) for a, b in zip(a2, b2)], A.col_labels)
     witness = ProjWitness(T, S)
-    assert witness.verify(A, B), "witness reassembly failed"
+    if not witness.verify(A, B):
+        raise AssertionError("witness reassembly failed")
     return witness
 
 

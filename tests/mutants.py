@@ -599,6 +599,42 @@ MUTANTS = [
         ["tests/test_catalog.py::test_bias_set_orbits_match_the_burnside_count[v2c-proper-4-7]",
          "tests/test_catalog.py::test_bias_set_orbits_match_the_burnside_count[tangled-5-8]"],
     ),
+    # the orbits kept on a graph are the ones the first call's predicate
+    # kept, so a later call with another predicate loses the rest
+    Mutant(
+        "catalog.py",
+        "            reps.append(om)\n    return reps\n",
+        "            reps.append(om)\n"
+        "    g._orbit_masks = tuple(bal for bal in g._orbit_masks if predicate is None or predicate(\n"
+        "        BiasedGraph(g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1])))\n"
+        "    return reps\n",
+        ["tests/test_catalog.py::test_bias_sets_up_to_aut_keeps_orbits_that_no_predicate_filtered"],
+    ),
+    # the degree table counting a loop once
+    Mutant(
+        "graph.py",
+        "                deg[u] += 1\n                deg[v] += 1\n",
+        "                deg[u] += 1\n                deg[v] += u != v\n",
+        ["tests/test_graph.py::test_graph_tables_match_their_oracles"],
+    ),
+    # the link-minor edge map of G\\D, which keeps K's edges and so
+    # numbers the kept edges wrongly
+    Mutant(
+        "graph.py",
+        "                minor, _, emap = self.minor(K, D)\n",
+        "                minor, emap = self.minor(K, D)[0], self.minor((), D)[2]\n",
+        ["tests/test_bias.py::test_link_minor_memo_matches_the_parent_search",
+         "tests/test_bias.py::test_link_minors_recipe_for_recipe"],
+    ),
+    # the pattern's cycle table recording every cycle as balanced
+    Mutant(
+        "bias.py",
+        "append((c.edges, c.edges in pattern.balanced))",
+        "append((c.edges, True))",
+        ["tests/test_bias.py::test_find_biased_subdivision_matches_filter_oracle_on_tangled_members",
+         "tests/test_bias.py::"
+         "test_find_biased_subdivision_matches_filter_oracle_on_unique_balancing_instances"],
+    ),
 ]
 
 TIMEOUT_S = 120

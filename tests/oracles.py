@@ -19,8 +19,9 @@ sweeps, and three constructions that simpler routines replaced: the Delta-Y
 matrix exchange through the I(K_4) template with its basis completion,
 the subdivision search with two path generators, and forest normalization
 with the switching decisions built on it, each on a forest search of its
-own.  Then graph isomorphisms by filtering every vertex permutation, and
-automorphism generators with each edge map taken from an edge-bijection
+own.  Then the graph tables (degrees, links, adjacency profiles,
+multiplicities, parallel classes) from the edge list, graph isomorphisms
+by filtering every vertex permutation, and automorphism generators with each edge map taken from an edge-bijection
 search.  Then the number of multigraph isomorphism classes by the
 Cauchy-Frobenius (Burnside) lemma, which lists no class, and the same
 count for the bias-set orbits of a biased family.  Then the routines
@@ -83,10 +84,8 @@ from bmlab.graph import (
     SUBDIVISION_BOUND,
     Embedding,
     MultiGraph,
-    _adjacency_profile,
     edge_bijections,
     find,
-    parallel_classes,
 )
 from bmlab.linalg import (
     FieldMatrix,
@@ -1054,6 +1053,55 @@ def switching_scaling_equivalent_by_dfs(gg1, gg2):
     return a, eta
 
 
+# -- graph tables from the edge list ----------------------------------------------
+
+def degrees(g):
+    """The reference for MultiGraph.degrees: each edge adds 1 at each end,
+    so a loop adds 2."""
+    return [sum((a == v) + (b == v) for a, b in g.edges) for v in range(g.n)]
+
+
+def links(g):
+    """The reference for MultiGraph.links: per vertex v, (edge, far end) of
+    each non-loop edge at v, by edge id."""
+    return [[(e, b if a == v else a) for e, (a, b) in enumerate(g.edges) if a != b and v in (a, b)]
+            for v in range(g.n)]
+
+
+def adjacency_profile(g, v):
+    """The reference for MultiGraph.profiles[v]: (loops at v, the sorted
+    numbers of edges joining v to each neighbour)."""
+    mult = {}
+    loops = 0
+    for e in g.incident_edges(v):
+        if g.is_loop(e):
+            loops += 1
+        else:
+            w = g.other_end(e, v)
+            mult[w] = mult.get(w, 0) + 1
+    return loops, sorted(mult.values())
+
+
+def multiplicities(g):
+    """The reference for MultiGraph.multiplicity: mult[u][v], the number of
+    edges joining u and v (loops at u on the diagonal)."""
+    mult = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+    return mult
+
+
+def parallel_classes(g):
+    """The reference for MultiGraph.parallel_classes: edge ids grouped by
+    unordered endpoint pair, each group in id order."""
+    classes = {}
+    for e, (u, v) in enumerate(g.edges):
+        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
+    return classes
+
+
 # -- isomorphisms by filtering every permutation ---------------------------------
 
 def graph_isomorphisms_by_permutations(g, h):
@@ -1062,13 +1110,13 @@ def graph_isomorphisms_by_permutations(g, h):
     each parallel class of g onto a class of h of the same size."""
     if g.n != h.n or g.m != h.m:
         return
-    if sorted(_adjacency_profile(g, v) for v in range(g.n)) != sorted(
-        _adjacency_profile(h, v) for v in range(h.n)
+    if sorted(adjacency_profile(g, v) for v in range(g.n)) != sorted(
+        adjacency_profile(h, v) for v in range(h.n)
     ):
         return
     gm, hm = parallel_classes(g), parallel_classes(h)
-    profile_g = {v: _adjacency_profile(g, v) for v in range(g.n)}
-    profile_h = {v: _adjacency_profile(h, v) for v in range(h.n)}
+    profile_g = {v: adjacency_profile(g, v) for v in range(g.n)}
+    profile_h = {v: adjacency_profile(h, v) for v in range(h.n)}
     for perm in permutations(range(h.n)):
         if any(profile_g[v] != profile_h[perm[v]] for v in range(g.n)):
             continue

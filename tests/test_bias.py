@@ -560,8 +560,9 @@ def _memo_host():
 
 def _brute_force_memo(host, h):
     """The graph stage's entry for the pattern graph h, pair by pair:
-    (K, D, minor, isos) for every (K, D) in search order whose minor
-    without isolated vertices has a graph isomorphism onto h."""
+    (K, D, minor, isos, emap) for every (K, D) in search order whose minor
+    without isolated vertices has a graph isomorphism onto h, emap
+    numbering the kept edges (those outside K and D) in id order."""
     out = []
     for K in sorted(host.link_forests(), key=lambda f: (len(f), sorted(f))):
         rest = [e for e in range(host.m) if e not in K]
@@ -570,7 +571,7 @@ def _brute_force_memo(host, h):
             minor = host.minor(K, D)[0].drop_isolated()[0]
             isos = tuple(graph_isomorphisms(minor, h))
             if isos:
-                out.append((K, D, minor, isos))
+                out.append((K, D, minor, isos, {e: i for i, e in enumerate(keep)}))
     return out
 
 
@@ -598,8 +599,8 @@ def test_link_minor_memo_matches_the_parent_search():
                 got = [(r.contract, r.delete, r.iso) for r in link_minors(om, pat)]
                 assert got == want[i, k]
         # the graph stage keeps exactly the pairs whose graph minor is
-        # isomorphic to the pattern's graph, each with that minor and all
-        # its isomorphisms
+        # isomorphic to the pattern's graph, each with that minor, all its
+        # isomorphisms and the host-to-minor edge map
         for (n, edges), memo in host._link_minor_pairs.items():
             assert memo == _brute_force_memo(host, MultiGraph(n, edges))
 

@@ -612,6 +612,23 @@ def test_bias_sets_up_to_aut_matches_every_automorphism_oracle():
         assert [om.balanced for om in got] == _bias_sets_up_to_aut_oracle(g)
 
 
+def test_bias_sets_up_to_aut_keeps_orbits_that_no_predicate_filtered():
+    # the orbits kept on a graph are those before any predicate: on one
+    # graph object, a call with one predicate and then one with another
+    # each give what a fresh copy of the graph gives, in order
+    predicates = [None, catalog.tangled, catalog.properly_unbalanced]
+    sizes = Counter()
+    for g in catalog.multigraphs_up_to_iso(4, 7):
+        want = {p: [om.balanced for om in catalog.bias_sets_up_to_aut(MultiGraph(g.n, g.edges), p)]
+                for p in predicates}
+        for pair in permutations(predicates, 2):
+            shared = MultiGraph(g.n, g.edges)
+            for p in pair:
+                assert [om.balanced for om in catalog.bias_sets_up_to_aut(shared, p)] == want[p]
+        sizes.update({p: len(want[p]) for p in predicates})
+    assert [sizes[p] for p in predicates] == [724, 60, 122]
+
+
 def _closure(gens, m):
     """Every edge map that a composition of the generators gives."""
     group = {tuple(range(m))}

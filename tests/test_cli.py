@@ -287,6 +287,17 @@ def test_verify_all_reports_a_bound_hit_as_undecided(monkeypatch, capsys):
     assert undecided[0]["counts"] == {"undecided": "link-minor search bound exceeded"}
 
 
+def test_a_failed_internal_check_is_raised_not_reported(monkeypatch):
+    # an AssertionError from a product self-check is a fault of the
+    # program, not a claim that fails (exit 1): main lets it through
+    def broken():
+        raise AssertionError("witness reassembly failed")
+
+    monkeypatch.setitem(verify.CLAIMS, "base-count", broken)
+    with pytest.raises(AssertionError, match="witness reassembly failed"):
+        main(["verify", "base-count"])
+
+
 def test_usage_exit_codes(capsys):
     assert main([]) == 2
     assert main(["verify"]) == 2

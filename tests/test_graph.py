@@ -15,6 +15,7 @@ from bmlab.graph import (
     graph_isomorphisms,
     iter_subdivisions,
 )
+import oracles
 from oracles import (
     edge_components,
     graph_isomorphisms_by_permutations,
@@ -381,6 +382,31 @@ def test_graph_isomorphisms_match_the_permutation_filter():
             pairs[bool(got)] += 1
             pairs["bijections"] += len(got)
     assert pairs == {True: 310, False: 1946, "bijections": 752}
+
+
+def test_graph_tables_match_their_oracles():
+    # every (5, 8) graph, each also with a balanced loop and a joint added,
+    # and seeded random multigraphs with loops: each table equals the
+    # function that builds it from the edge list, and cannot be changed
+    graphs = list(catalog.multigraphs_up_to_iso(5, 8))
+    graphs += [with_loops(BiasedGraph(g, [])).graph for g in graphs] + _graphs_with_loops()
+    loops = 0
+    for g in graphs:
+        assert g.degrees == tuple(oracles.degrees(g))
+        assert g.links == tuple(map(tuple, oracles.links(g)))
+        assert g.profiles == tuple((at, tuple(mult)) for at, mult in
+                                   (oracles.adjacency_profile(g, v) for v in range(g.n)))
+        assert g.multiplicity == tuple(map(tuple, oracles.multiplicities(g)))
+        assert dict(g.parallel_classes) == {
+            key: tuple(es) for key, es in oracles.parallel_classes(g).items()}
+        assert list(g.parallel_classes) == list(oracles.parallel_classes(g))
+        for v in range(g.n):
+            assert g.degree(v) == g.degrees[v]
+            assert g.links_at(v) == tuple(e for e, _ in g.links[v])
+        loops += any(u == v for u, v in g.edges)
+        with pytest.raises(TypeError):
+            g.parallel_classes[0, 0] = ()
+    assert (len(graphs), loops) == (493, 253)
 
 
 def test_edge_components():
