@@ -27,6 +27,7 @@ from .graph import (
     find,
     graph_isomorphisms,
     iter_subdivisions,
+    kept,
 )
 
 LINK_MINOR_BOUND = (10, 20)  # host vertices, host edges
@@ -125,16 +126,7 @@ class BiasedGraph:
                     theta=violation[0],
                     cycles=violation[1],
                 )
-        self._balance_class = None
-        self._automorphisms = None  # vertex parts, built on first use
-        self._closing = None  # find_biased_subdivision's cycle table, built on first use
-        self._cycle_lengths = None  # by bias, longest first, built on first use
-        self._bias_data = None  # matroid step data, built on first use
-        self._oracles = {}  # matroid oracles by kind, built on first use
-        self._frame_is_lift = None  # matroid.frame_equals_lift, decided on first use
-        self._realizations = {}  # gains.realizations by group, built on first use
-        self._unrolled = {}  # canonical._unrolled's unrollings by vertex
-        self._reachable = {}  # canonical._roll_reachable by the variant's (graph, bias)
+        self._kept = {}  # values built on first use, see graph.kept
 
     @classmethod
     def of_cycles(cls, graph, balanced):
@@ -196,6 +188,7 @@ def balancing_vertices(omega):
     return tuple(v for v, t in enumerate(masks.through) if t & unb == unb)
 
 
+@kept
 def classify_balance(omega):
     """Balanced / almost-balanced / properly-unbalanced classification.
 
@@ -205,20 +198,14 @@ def classify_balance(omega):
     cycle, so these are the vertices on every unbalanced cycle that is not
     a loop.
     """
-    if omega._balance_class is not None:
-        return omega._balance_class
     masks, unb = _unbalanced_mask(omega)
     if not unb:
-        result = BalanceClass(BALANCED, tuple(range(omega.graph.n)))
-    else:
-        unb &= masks.links
-        bv = tuple(v for v, t in enumerate(masks.through) if t & unb == unb)
-        if bv:
-            result = BalanceClass(ALMOST_BALANCED, bv)
-        else:
-            result = BalanceClass(PROPERLY_UNBALANCED, ())
-    omega._balance_class = result
-    return result
+        return BalanceClass(BALANCED, tuple(range(omega.graph.n)))
+    unb &= masks.links
+    bv = tuple(v for v, t in enumerate(masks.through) if t & unb == unb)
+    if bv:
+        return BalanceClass(ALMOST_BALANCED, bv)
+    return BalanceClass(PROPERLY_UNBALANCED, ())
 
 
 def is_tangled(omega):
@@ -294,15 +281,14 @@ def biased_minor(omega, contract, delete, check=True):
     return BiasedMinor(BiasedGraph(gg, balanced, check=False), vmap, emap, not joints)
 
 
+@kept
 def _cycle_lengths(omega):
     """The lengths of omega's balanced cycles and of its unbalanced ones,
-    each list longest first; memoised on omega."""
-    if omega._cycle_lengths is None:
-        lengths = ([], [])
-        for c in omega.graph.cycles():
-            lengths[c.edges not in omega.balanced].append(len(c.edges))
-        omega._cycle_lengths = [sorted(ls, reverse=True) for ls in lengths]
-    return omega._cycle_lengths
+    each list longest first."""
+    lengths = ([], [])
+    for c in omega.graph.cycles():
+        lengths[c.edges not in omega.balanced].append(len(c.edges))
+    return [sorted(ls, reverse=True) for ls in lengths]
 
 
 def _holds_cycles(omega, pattern):
@@ -458,13 +444,15 @@ class UnbalancingPartition:
     joints_at_vertex: frozenset
 
 
+@kept
 def unbalancing_classes(omega, u):
     """Partition of delta(u) and the off-u joints at a balancing vertex.
 
     Two links at u are equivalent when a balanced cycle contains both; all
     off-u joints form one class (any two of them make a loose-handcuff
     circuit with a connecting path); off-u joints are never equivalent to a
-    link at u (the corresponding sets are independent).
+    link at u (the corresponding sets are independent).  Kept on omega per
+    u, so a roll-up that picks a class and then checks it partitions once.
     """
     g = omega.graph
     if u not in classify_balance(omega).balancing_vertices:
@@ -638,15 +626,20 @@ def find_link_minor(omega, pattern):
     return next(link_minors(omega, pattern), None)
 
 
+@kept
 def _closing(pattern):
     """Pattern edge -> the cycles it completes (whose greatest edge it is),
-    each with its bias, built once per pattern."""
-    if pattern._closing is None:
-        closing = {}
-        for c in pattern.graph.cycles():
-            closing.setdefault(max(c.edges), []).append((c.edges, c.edges in pattern.balanced))
-        pattern._closing = closing
-    return pattern._closing
+    each with its bias."""
+    closing = {}
+    for c in pattern.graph.cycles():
+        closing.setdefault(max(c.edges), []).append((c.edges, c.edges in pattern.balanced))
+    return closing
+
+
+@kept
+def biased_automorphisms(omega):
+    """The vertex parts of omega's biased automorphisms."""
+    return tuple({perm for perm, _ in biased_isomorphisms(omega, omega)})
 
 
 def find_biased_subdivision(omega, pattern):
@@ -657,7 +650,7 @@ def find_biased_subdivision(omega, pattern):
     Each pattern cycle is checked as soon as the host path of its last edge
     is placed, so no partial embedding that already carries a cycle to the
     wrong bias is extended.  One vertex map is tried per orbit of the
-    pattern's biased automorphisms (their vertex parts, kept on `pattern`):
+    pattern's biased automorphisms (biased_automorphisms):
     composing an embedding with a biased automorphism gives an embedding,
     so the maps that admit one are a union of orbits, and as maps are
     tried in lexicographic order the first that admits one is the least
@@ -668,8 +661,6 @@ def find_biased_subdivision(omega, pattern):
     check_subdivision_args(omega.graph, pattern.graph)
     if not _holds_cycles(omega, pattern):
         return None
-    if pattern._automorphisms is None:
-        pattern._automorphisms = tuple({perm for perm, _ in biased_isomorphisms(pattern, pattern)})
     closing = _closing(pattern)
 
     def accept(e, edge_paths):
@@ -679,6 +670,7 @@ def find_biased_subdivision(omega, pattern):
                 return False
         return True
 
-    for emb in iter_subdivisions(omega.graph, pattern.graph, accept, pattern._automorphisms):
+    for emb in iter_subdivisions(omega.graph, pattern.graph, accept,
+                                 biased_automorphisms(pattern)):
         return emb
     return None

@@ -42,7 +42,7 @@ from .gains import (
     switching_equivalent,
     switching_scaling_equivalent,
 )
-from .graph import find
+from .graph import find, kept
 from .linalg import (
     FieldMatrix,
     ProjWitness,
@@ -568,35 +568,36 @@ def _column_scales(W, target, f):
     return scales
 
 
+@kept
 def _unrolled(omega, u):
     """unroll(omega, u), or None where it raises, kept on omega: every
     rolled candidate of omega is compared with the same unrollings."""
-    memo = omega._unrolled
-    if u not in memo:
-        try:
-            memo[u] = unroll(omega, u)
-        except BmlabError:
-            memo[u] = None
-    return memo[u]
+    try:
+        return unroll(omega, u)
+    except BmlabError:
+        return None
 
 
 def _roll_reachable(omega, variant):
     """Variant reachable from omega by rolling: compare full unrollings at
     each balancing vertex of omega (ignoring edge orientations, which
     unrolling does not preserve).  Kept on omega by the variant's graph
-    and bias, which are all the answer reads of it."""
-    key = variant.graph, variant.balanced
-    memo = omega._reachable
-    if key not in memo:
-        reachable = False
-        for u in classify_balance(omega).balancing_vertices:
-            a = _unrolled(omega, u)
-            b = None if a is None else _unrolled(variant, u)
-            if b is not None and biased_equal_unoriented(a, b):
-                reachable = True
-                break
-        memo[key] = reachable
-    return memo[key]
+    and bias, which are all the answer reads of it; a key holding the
+    variant itself would keep it alive with omega, and make a reference
+    cycle where the variant is omega."""
+    return _reachable(omega, variant.graph, variant.balanced)
+
+
+@kept
+def _reachable(omega, graph, balanced):
+    """_roll_reachable for the variant on graph with these balanced cycles."""
+    variant = BiasedGraph(graph, balanced, check=False)
+    for u in classify_balance(omega).balancing_vertices:
+        a = _unrolled(omega, u)
+        b = None if a is None else _unrolled(variant, u)
+        if b is not None and biased_equal_unoriented(a, b):
+            return True
+    return False
 
 
 # -- representation enumeration -------------------------------------------------

@@ -31,7 +31,7 @@ from .bias import (
     theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
-from .graph import MultiGraph, graph_isomorphisms
+from .graph import MultiGraph, graph_isomorphisms, kept
 
 
 @dataclass(frozen=True)
@@ -490,14 +490,13 @@ def bias_sets_up_to_aut(g, predicate=None):
     return reps
 
 
+@kept
 def _orbit_masks(g):
     """The first mask (in `theta_closed_subsets` order) of each orbit of
-    theta-closed bias sets under the automorphism group of g, computed once
-    per graph and kept on it.  Each orbit is the closure of its first mask
-    under `automorphism_generators(g)`.  A generator permutes cycles, so it
-    maps a mask to the sum of its tables' images of the mask's bytes."""
-    if g._orbit_masks is not None:
-        return g._orbit_masks
+    theta-closed bias sets under the automorphism group of g, kept on g.
+    Each orbit is the closure of its first mask under
+    `automorphism_generators(g)`.  A generator permutes cycles, so it maps
+    a mask to the sum of its tables' images of the mask's bytes."""
     cycles = g.cycles()
     index = g.cycle_masks().index
     gens = []
@@ -521,8 +520,7 @@ def _orbit_masks(g):
                     seen.add(img)
                     todo.append(img)
         reps.append(bal)
-    g._orbit_masks = tuple(reps)
-    return g._orbit_masks
+    return tuple(reps)
 
 
 def biased_family(max_vertices, max_edges, graph_ok=None, predicate=None):

@@ -14,7 +14,7 @@ from itertools import product
 from .bias import BiasedGraph
 from .errors import BmlabError, GraphMismatch, GroupMismatch, UnknownEdge
 from .fields import gf
-from .graph import OrientedEdge, find
+from .graph import OrientedEdge, find, kept
 
 class GainGroup:
     """Shared interface: identity, op, inv, elements, deterministic order."""
@@ -403,12 +403,10 @@ def realizations(omega, group):
     the gain functions gg with induced_bias(gg).balanced == omega.balanced,
     in the order normalized_gain_functions yields them.  They are searched
     once per group and kept on omega; each call returns a fresh list."""
-    memo = omega._realizations
-    if group not in memo:
-        memo[group] = _search_realizations(omega, group)
-    return list(memo[group])
+    return list(_search_realizations(omega, group))
 
 
+@kept
 def _search_realizations(omega, group):
     """The free (non-forest) edges get their gains one at a time in id order,
     and each cycle is checked as soon as its last free edge has one, so a

@@ -10,7 +10,7 @@ returning new graphs.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import wraps
 from itertools import combinations, permutations
 from types import MappingProxyType
 
@@ -27,6 +27,31 @@ def find(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def kept(build):
+    """Decorator: build(obj, *args), kept on obj.  The first call stores the
+    value in obj._kept, the one memo dict that MultiGraph, BiasedGraph and
+    CycleMasks each declare in __init__, keyed by the builder and its
+    arguments; a later call with equal arguments returns the stored value.
+    A build that raises stores nothing.  What is kept lives as long as obj.
+    The memo is a dict declared up front, not setattr or
+    functools.cached_property: a write to the instance __dict__ after
+    __init__ makes CPython 3.11 give up the object's compact attribute
+    layout and slows every later attribute read on it (cycles() on a fresh
+    prism by 6-18 %)."""
+
+    @wraps(build)
+    def read(obj, *args):
+        key = (build, args) if args else build
+        try:
+            return obj._kept[key]
+        except KeyError:
+            pass
+        value = obj._kept[key] = build(obj, *args)
+        return value
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -75,18 +100,8 @@ class MultiGraph:
             if v != u:
                 inc[v].append(e)
         self._incident = tuple(tuple(sorted(es)) for es in inc)
-        self._cycles = None
-        self._cycle_masks = None  # CycleMasks of cycles(), built on first use
-        self._vertical = {}  # is_vertically_k_connected by k
-        self._link_minor_pairs = {}  # link_minor_pairs by (h.n, h.edges)
-        self._orbit_masks = None  # catalog.bias_sets_up_to_aut's orbit representatives
-        # the tables below, each built on first read; set here, not by
-        # functools.cached_property, whose write to the instance __dict__
-        # makes CPython 3.11 give up the graph's compact attribute layout
-        # and slows every later attribute read on it (cycles() on a fresh
-        # prism by 6-18 %)
-        self._degrees = self._links = self._profiles = None
-        self._multiplicity = self._parallel_classes = None
+        self._cycles = None  # not kept: perfbench/spans.py reads it to count memo hits
+        self._kept = {}  # values built on first use, see kept
 
     # -- basics ----------------------------------------------------------
     def endpoints(self, e):
@@ -120,63 +135,56 @@ class MultiGraph:
 
     # -- tables, built on first read ----------------------------------------
     @property
+    @kept
     def degrees(self):
         """The degree of each vertex, a loop counting twice."""
-        if self._degrees is None:
-            deg = [0] * self.n
-            for u, v in self.edges:
-                deg[u] += 1
-                deg[v] += 1
-            self._degrees = tuple(deg)
-        return self._degrees
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     @property
+    @kept
     def links(self):
         """Per vertex, (edge, far end) of each link at it, in incident_edges
         order (by edge id)."""
-        if self._links is None:
-            links = [[] for _ in range(self.n)]
-            for e, (u, v) in enumerate(self.edges):
-                if u != v:
-                    links[u].append((e, v))
-                    links[v].append((e, u))
-            self._links = tuple(map(tuple, links))
-        return self._links
+        links = [[] for _ in range(self.n)]
+        for e, (u, v) in enumerate(self.edges):
+            if u != v:
+                links[u].append((e, v))
+                links[v].append((e, u))
+        return tuple(map(tuple, links))
 
     @property
+    @kept
     def profiles(self):
         """Per vertex, its adjacency profile: (loops at it, the sorted
         numbers of edges joining it to each neighbour)."""
-        if self._profiles is None:
-            self._profiles = tuple(
-                (row[v], tuple(sorted(x for w, x in enumerate(row) if x and w != v)))
-                for v, row in enumerate(self.multiplicity))
-        return self._profiles
+        return tuple((row[v], tuple(sorted(x for w, x in enumerate(row) if x and w != v)))
+                     for v, row in enumerate(self.multiplicity))
 
     @property
+    @kept
     def multiplicity(self):
         """multiplicity[u][v]: the number of edges joining u and v (loops at
         u on the diagonal)."""
-        if self._multiplicity is None:
-            mult = [[0] * self.n for _ in range(self.n)]
-            for u, v in self.edges:
-                mult[u][v] += 1
-                if u != v:
-                    mult[v][u] += 1
-            self._multiplicity = tuple(map(tuple, mult))
-        return self._multiplicity
+        mult = [[0] * self.n for _ in range(self.n)]
+        for u, v in self.edges:
+            mult[u][v] += 1
+            if u != v:
+                mult[v][u] += 1
+        return tuple(map(tuple, mult))
 
     @property
+    @kept
     def parallel_classes(self):
         """Edge ids grouped by unordered endpoint pair, each group a tuple in
         id order, the pairs in order of their least edge; read-only."""
-        if self._parallel_classes is None:
-            classes = {}
-            for e, (u, v) in enumerate(self.edges):
-                classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
-            self._parallel_classes = MappingProxyType(
-                {key: tuple(es) for key, es in classes.items()})
-        return self._parallel_classes
+        classes = {}
+        for e, (u, v) in enumerate(self.edges):
+            classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
+        return MappingProxyType({key: tuple(es) for key, es in classes.items()})
 
     def tail(self, oe):
         u, v = self.endpoints(oe.edge)
@@ -340,13 +348,13 @@ class MultiGraph:
         self._cycles = tuple(out)
         return self._cycles
 
+    @kept
     def cycle_masks(self):
-        """The CycleMasks of cycles(), built on first use."""
-        if self._cycle_masks is None:
-            self._cycle_masks = CycleMasks(self)
-        return self._cycle_masks
+        """The CycleMasks of cycles()."""
+        return CycleMasks(self)
 
     # -- vertical connectivity --------------------------------------------
+    @kept
     def is_vertically_k_connected(self, k):
         """Vertical k-connectivity with witness separation when false.
 
@@ -357,15 +365,10 @@ class MultiGraph:
         Returns (True, None) or (False, witness); the witness is a pair of
         edge-name tuples (A, B) forming a vertical r-separation (r < k), or
         None when the failure is degenerate (e.g. too few vertices).
-        The answer is computed once per k.
+        The answer is kept per k.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if k not in self._vertical:
-            self._vertical[k] = self._vertically_k_connected(k)
-        return self._vertical[k]
-
-    def _vertically_k_connected(self, k):
         comps = self.components()
         if self.n < k + 2:
             complete = all(
@@ -526,6 +529,7 @@ class MultiGraph:
                        [self.edge_names[f] for f in kept], self.vertex_names)
         return g, emap, tuple(joints), {emap[f]: x for f, x in rewritten.items() if f in emap}
 
+    @kept
     def link_minor_pairs(self, h):
         """The (K, D, minor, isos, emap) entries, in search order, whose
         minor G/K\\D with isolated vertices dropped (minor) is isomorphic to
@@ -538,11 +542,7 @@ class MultiGraph:
         number of K-classes (union-find roots) other than h.n, or whose
         sorted class degrees (kept edge ends per class) differ from h's, is
         dropped before its minor is built.  The list depends on G and h
-        alone, so it is memoised per (h.n, h.edges), one entry per pattern
-        graph."""
-        key = (h.n, h.edges)
-        if key in self._link_minor_pairs:
-            return self._link_minor_pairs[key]
+        alone, so it is kept per h."""
         degrees = sorted(h.degrees)
         pairs = []
         for K in sorted(self.link_forests(self.n - h.n), key=lambda f: (len(f), sorted(f))):
@@ -563,7 +563,6 @@ class MultiGraph:
                 isos = tuple(graph_isomorphisms(minor, h))
                 if isos:
                     pairs.append((K, D, minor, isos, emap))
-        self._link_minor_pairs[key] = pairs
         return pairs
 
     def with_edges(self, edges):
@@ -598,17 +597,17 @@ class CycleMasks:
     """What bias sets on g are tested on, as cycle-index masks (bit i stands
     for g.cycles()[i]): `index` sends each cycle's edge set to i, `every` is
     the mask of all cycles, `links` that of the cycles that are not loops,
-    and `through[v]` that of the cycles through vertex v, built on first
-    read."""
+    and `through[v]` that of the cycles through vertex v."""
 
     def __init__(self, g):
         self._n, self._ends, self._cycles = g.n, g.edges, g.cycles()  # read by `through`
         self.index = {c.edges: i for i, c in enumerate(self._cycles)}
         self.every = (1 << len(self._cycles)) - 1
         self.links = sum(1 << i for i, c in enumerate(self._cycles) if len(c) > 1)
-        self._disjoint = None
+        self._kept = {}  # values built on first use, see kept
 
-    @cached_property
+    @property
+    @kept
     def through(self):
         through = [0] * self._n
         for i, c in enumerate(self._cycles):
@@ -619,19 +618,18 @@ class CycleMasks:
                 through[v] |= bit
         return tuple(through)
 
+    @kept
     def disjoint_pairs(self):
         """The masks 1 << i | 1 << j of the vertex-disjoint pairs of cycles
-        i < j, in combinations order, listed on first use."""
-        if self._disjoint is None:
-            n = self.every.bit_length()
-            meets = [0] * n  # meets[i]: the cycles sharing a vertex with cycle i
-            for t in self.through:
-                for i in range(n):
-                    if t >> i & 1:
-                        meets[i] |= t
-            self._disjoint = [1 << i | 1 << j for i, j in combinations(range(n), 2)
-                              if not meets[i] >> j & 1]
-        return self._disjoint
+        i < j, in combinations order."""
+        n = self.every.bit_length()
+        meets = [0] * n  # meets[i]: the cycles sharing a vertex with cycle i
+        for t in self.through:
+            for i in range(n):
+                if t >> i & 1:
+                    meets[i] |= t
+        return [1 << i | 1 << j for i, j in combinations(range(n), 2)
+                if not meets[i] >> j & 1]
 
 
 # -- subdivision search ----------------------------------------------------

@@ -10,7 +10,7 @@ of X is the size of a greedy independent subset of X (step_oracle).
 
 from .bias import BiasedGraph, is_tangled
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
-from .graph import MultiGraph
+from .graph import MultiGraph, kept
 
 EQUALITY_BOUND = 20
 AXIOM_CHECK_BOUND = 12
@@ -275,44 +275,34 @@ def _bias_step(data, frame):
     return (tuple(range(data.n)), 0, 0), extend
 
 
+@kept
 def _bias_data(omega):
-    if omega._bias_data is None:
-        g = omega.graph
-        unbalanced = [sum(1 << e for e in c.edges)
-                      for c in g.cycles() if c.edges not in omega.balanced]
-        omega._bias_data = _BiasData(g.n, g.edges, unbalanced)
-    return omega._bias_data
+    g = omega.graph
+    unbalanced = [sum(1 << e for e in c.edges)
+                  for c in g.cycles() if c.edges not in omega.balanced]
+    return _BiasData(g.n, g.edges, unbalanced)
 
 
-def _kept_oracle(omega, kind, build):
-    """omega's oracle of the kind, built once per biased graph, so that its
-    rank memo serves every check on omega."""
-    oracles = omega._oracles
-    if kind not in oracles:
-        oracles[kind] = build()
-    return oracles[kind]
-
-
+@kept
 def frame_matroid(omega):
-    return _kept_oracle(omega, "frame", lambda: step_oracle(
-        omega.graph.edge_names, _bias_step(_bias_data(omega), frame=True)))
+    """F(omega), kept on omega so that its rank memo serves every check on
+    it; so are L(omega) and L0(omega)."""
+    return step_oracle(omega.graph.edge_names, _bias_step(_bias_data(omega), frame=True))
 
 
+@kept
 def lift_matroid(omega):
-    return _kept_oracle(omega, "lift", lambda: step_oracle(
-        omega.graph.edge_names, _bias_step(_bias_data(omega), frame=False)))
+    return step_oracle(omega.graph.edge_names, _bias_step(_bias_data(omega), frame=False))
 
 
+@kept
 def frame_equals_lift(omega):
-    """Whether F(omega) = L(omega), decided on the graph once per biased
-    graph: exactly when omega has no two vertex-disjoint unbalanced cycles.
-    A set independent in L is independent in F.  A set independent in F
-    and not in L has two components each holding an unbalanced cycle, and
-    two vertex-disjoint unbalanced cycles form such a set (Zaslavsky,
-    Biased graphs II)."""
-    if omega._frame_is_lift is None:
-        omega._frame_is_lift = is_tangled(omega)[1] is None
-    return omega._frame_is_lift
+    """Whether F(omega) = L(omega), decided on the graph: exactly when
+    omega has no two vertex-disjoint unbalanced cycles.  A set independent
+    in L is independent in F.  A set independent in F and not in L has two
+    components each holding an unbalanced cycle, and two vertex-disjoint
+    unbalanced cycles form such a set (Zaslavsky, Biased graphs II)."""
+    return is_tangled(omega)[1] is None
 
 
 def extend_with_joint(omega, vertex, name):
@@ -323,17 +313,15 @@ def extend_with_joint(omega, vertex, name):
     return BiasedGraph(g2, omega.balanced, check=False)
 
 
+@kept
 def complete_lift_matroid(omega):
     """L0(G,B) = L(G_0,B): ground set E plus the extra joint e0.  G_0's
     cycles are G's and the joint, an unbalanced loop at a new vertex, so its
     step data is G's with that loop added."""
-    def build():
-        data = _bias_data(omega)
-        n, m = data.n, len(data.endpoints)
-        joint = _BiasData(n + 1, data.endpoints + ((n, n),), data.unbalanced + [1 << m])
-        return step_oracle(omega.graph.edge_names + ("e0",), _bias_step(joint, frame=False))
-
-    return _kept_oracle(omega, "lift0", build)
+    data = _bias_data(omega)
+    n, m = data.n, len(data.endpoints)
+    joint = _BiasData(n + 1, data.endpoints + ((n, n),), data.unbalanced + [1 << m])
+    return step_oracle(omega.graph.edge_names + ("e0",), _bias_step(joint, frame=False))
 
 
 def uniform_matroid(r, labels):

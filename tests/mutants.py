@@ -183,7 +183,7 @@ MUTANTS = [
     # classify_balance tests balancing vertices on the loops too
     Mutant(
         "bias.py",
-        "        unb &= masks.links\n",
+        "    unb &= masks.links\n",
         "",
         ["tests/test_bias.py::test_balance_and_tangledness_match_the_span_oracles"],
     ),
@@ -225,8 +225,8 @@ MUTANTS = [
     # the cycle lengths compared shortest first
     Mutant(
         "bias.py",
-        "omega._cycle_lengths = [sorted(ls, reverse=True) for ls in lengths]",
-        "omega._cycle_lengths = [sorted(ls) for ls in lengths]",
+        "return [sorted(ls, reverse=True) for ls in lengths]",
+        "return [sorted(ls) for ls in lengths]",
         ["tests/test_bias.py::test_subdivision_cuts_reject_only_fruitless_searches",
          "tests/test_bias.py::test_link_minor_cut_rejects_only_fruitless_searches"],
     ),
@@ -496,12 +496,9 @@ MUTANTS = [
     # first k's answer
     Mutant(
         "graph.py",
-        "        if k not in self._vertical:\n"
-        "            self._vertical[k] = self._vertically_k_connected(k)\n"
-        "        return self._vertical[k]\n",
-        "        if None not in self._vertical:\n"
-        "            self._vertical[None] = self._vertically_k_connected(k)\n"
-        "        return self._vertical[None]\n",
+        "    @kept\n    def is_vertically_k_connected(self, k):\n",
+        "    @lambda build: lambda self, k: self._kept.setdefault(build, build(self, k))\n"
+        "    def is_vertically_k_connected(self, k):\n",
         ["tests/test_graph.py::test_vertical_connectivity_memo_matches_a_fresh_graph",
          "tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
     ),
@@ -517,8 +514,9 @@ MUTANTS = [
     # another bias gets the first answer on that graph
     Mutant(
         "canonical.py",
-        "key = variant.graph, variant.balanced",
-        "key = variant.graph",
+        "    return _reachable(omega, variant.graph, variant.balanced)\n",
+        "    return omega._kept.setdefault(\n"
+        "        variant.graph, _reachable(omega, variant.graph, variant.balanced))\n",
         ["tests/test_canonical.py::test_roll_reachability_matches_fresh_unrollings"],
     ),
     # rank_table counting a dependent element: the rank grows below it as
@@ -605,16 +603,17 @@ MUTANTS = [
         "catalog.py",
         "            reps.append(om)\n    return reps\n",
         "            reps.append(om)\n"
-        "    g._orbit_masks = tuple(bal for bal in g._orbit_masks if predicate is None or predicate(\n"
-        "        BiasedGraph(g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1])))\n"
+        "    g._kept[_orbit_masks.__wrapped__] = tuple(\n"
+        "        bal for bal in _orbit_masks(g) if predicate is None or predicate(\n"
+        "            BiasedGraph(g, [c.edges for i, c in enumerate(cycles) if bal >> i & 1])))\n"
         "    return reps\n",
         ["tests/test_catalog.py::test_bias_sets_up_to_aut_keeps_orbits_that_no_predicate_filtered"],
     ),
     # the degree table counting a loop once
     Mutant(
         "graph.py",
-        "                deg[u] += 1\n                deg[v] += 1\n",
-        "                deg[u] += 1\n                deg[v] += u != v\n",
+        "            deg[u] += 1\n            deg[v] += 1\n",
+        "            deg[u] += 1\n            deg[v] += u != v\n",
         ["tests/test_graph.py::test_graph_tables_match_their_oracles"],
     ),
     # the link-minor edge map of G\\D, which keeps K's edges and so
@@ -634,6 +633,15 @@ MUTANTS = [
         ["tests/test_bias.py::test_find_biased_subdivision_matches_filter_oracle_on_tangled_members",
          "tests/test_bias.py::"
          "test_find_biased_subdivision_matches_filter_oracle_on_unique_balancing_instances"],
+    ),
+    # the kept-value helper keyed on the builder alone: a call with other
+    # arguments gets the first call's value
+    Mutant(
+        "graph.py",
+        "        key = (build, args) if args else build\n",
+        "        key = build\n",
+        ["tests/test_caches.py::test_one_builder_with_other_arguments_does_not_collide",
+         "tests/test_graph.py::test_vertical_connectivity_memo_matches_a_fresh_graph"],
     ),
 ]
 

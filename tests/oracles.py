@@ -27,16 +27,19 @@ Cauchy-Frobenius (Burnside) lemma, which lists no class, and the same
 count for the bias-set orbits of a biased family.  Then the routines
 that kept oracles and rank tables replaced: ranks by one greedy per
 subset, the kind match by two matroid walks, and roll reachability from
-fresh unrollings.  Last, the routines that plain-row elimination and the
+fresh unrollings.  Then the routines that plain-row elimination and the
 minimal modular cut replaced: reduction by one axpy per pivot row, the
 projective key read off rref with its transform, and the single-element
-extension over every set of the modular cut.
+extension over every set of the modular cut.  Last, a counter of the
+builder runs behind the values kept on a graph (graph.kept).
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
@@ -1372,3 +1375,23 @@ def extension_over_every_cut_set(A, target_oracle, f):
             if matroids_equal(vector_matroid(B), target_oracle)[0]:
                 return True, W
     return False, W
+
+
+@contextmanager
+def count_builds(*kept_fns):
+    """A Counter, while the block runs, from the name of each function made
+    by graph.kept (for a kept property, its fget) to the number of times
+    its builder ran: a call answered from the memo counts nothing."""
+    names = {fn.__wrapped__.__code__: fn.__name__ for fn in kept_fns}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(outer)

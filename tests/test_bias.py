@@ -601,20 +601,23 @@ def test_link_minor_memo_matches_the_parent_search():
         # the graph stage keeps exactly the pairs whose graph minor is
         # isomorphic to the pattern's graph, each with that minor, all its
         # isomorphisms and the host-to-minor edge map
-        for (n, edges), memo in host._link_minor_pairs.items():
-            assert memo == _brute_force_memo(host, MultiGraph(n, edges))
+        with oracles.count_builds(MultiGraph.link_minor_pairs) as builds:
+            for h in dict.fromkeys(p.graph for p in patterns):
+                assert host.link_minor_pairs(h) == _brute_force_memo(host, h)
+        assert not builds
 
 
 def test_link_minor_memo_holds_one_entry_per_pattern_graph():
     host = _memo_host()
     patterns = _memo_patterns()
-    for bal in oracles.theta_closed_edge_sets(host)[:20]:
-        om = BiasedGraph(host, bal, check=False)
-        for pat in patterns:
-            list(link_minors(om, pat))
+    with oracles.count_builds(MultiGraph.link_minor_pairs) as builds:
+        for bal in oracles.theta_closed_edge_sets(host)[:20]:
+            om = BiasedGraph(host, bal, check=False)
+            for pat in patterns:
+                list(link_minors(om, pat))
     graphs = {(p.graph.n, p.graph.edges) for p in patterns}
     assert len(graphs) == 5
-    assert host._link_minor_pairs.keys() == graphs
+    assert builds == {"link_minor_pairs": len(graphs)}
 
 
 def test_link_minors_builds_only_pairs_with_the_vertex_count(monkeypatch):
@@ -1055,7 +1058,7 @@ def test_find_biased_subdivision_prunes_by_biased_automorphisms_only(monkeypatch
     monkeypatch.setattr(bias, "biased_isomorphisms", lambda g, h: (
         (perm, None) for perm in graph_isomorphisms(g.graph, h.graph)))
     assert find_biased_subdivision(om, plain) is None
-    assert len(plain._automorphisms) == 24 > len(pattern._automorphisms)
+    assert len(bias.biased_automorphisms(plain)) == 24 > len(bias.biased_automorphisms(pattern))
 
 
 def test_iter_subdivisions_prunes_rejected_placements():

@@ -78,6 +78,7 @@ from bmlab.matroid import (
 from bmlab.verify import run_claim
 from oracles import (
     contract,
+    count_builds,
     delta_y_matrix_by_template,
     drop_isolated,
     formula_matroid,
@@ -1172,7 +1173,9 @@ def test_unrolled_memo_does_not_outlive_its_biased_graph():
     om = _almost_balanced_with_roll_ups()[-1]
     u = classify_balance(om).balancing_vertices[0]
     assert canonical._roll_reachable(om, om)
-    assert u in om._unrolled
+    with count_builds(canonical._unrolled) as builds:
+        canonical._unrolled(om, u)
+    assert not builds  # kept on om
     ref = weakref.ref(om)
     del om
     assert ref() is None
@@ -1297,15 +1300,30 @@ def test_derived_biased_graphs_start_with_empty_caches():
     of the graph it came from, and each builds its own correct ones."""
     om = _fresh_copy(catalog.contracted_tubes()[0].omega)
     u = classify_balance(om).balancing_vertices[0]
-    for build in (frame_matroid, lift_matroid, complete_lift_matroid, frame_equals_lift):
-        build(om)
-    assert canonical._roll_reachable(om, om)
-    assert om._oracles and om._frame_is_lift is not None and om._reachable and om._unrolled
+    kinds = (frame_matroid, lift_matroid, complete_lift_matroid, frame_equals_lift)
+    kept = kinds + (canonical._unrolled, canonical._reachable)
+
+    def build_all(omega):
+        for build in kinds:
+            build(omega)
+        for v in range(omega.graph.n):
+            canonical._unrolled(omega, v)
+        return canonical._roll_reachable(omega, omega)
+
+    assert build_all(om)
+    with count_builds(*kept) as builds:
+        build_all(om)
+    assert not builds
     derived = [biased_minor(om, {0}, ()).omega, biased_minor(om, (), {0}).omega,
                extend_with_joint(om, 0, "l1")]
     derived += [roll_up(om, u, c) for c in unbalancing_classes(om, u).classes]
     for d in derived:
-        assert (d._oracles, d._frame_is_lift, d._reachable, d._unrolled) == ({}, None, {}, {})
+        with count_builds(*kept) as builds:
+            build_all(d)
+        # every vertex of d is unrolled, and so are some of the fresh
+        # variant's that the reachability build compares with
+        assert builds.pop("_unrolled") >= d.graph.n
+        assert builds == dict.fromkeys([f.__name__ for f in kinds + (canonical._reachable,)], 1)
         F, L = frame_matroid(d), lift_matroid(d)
         assert F is frame_matroid(d) and F is not frame_matroid(om)
         assert matroids_equal_on_all_subsets(F, formula_matroid(d, True)) == (True, None)

@@ -11,7 +11,7 @@ from bmlab.cli import main
 from bmlab.errors import BoundExceeded
 from bmlab.graph import MultiGraph
 from bmlab.matroid import AXIOM_CHECK_BOUND, uniform_matroid
-from oracles import witness_from_json
+from oracles import count_builds, witness_from_json
 
 
 def write(tmp_path, name, text):
@@ -210,6 +210,23 @@ def test_rollup_unroll_cli(tmp_path, capsys):
     rolled = capsys.readouterr().out
     rolled_path = write(tmp_path, "rolled.bg", rolled)
     assert main(["unroll", rolled_path, "--vertex", str(u)]) == 0
+
+
+def test_rollup_without_a_class_partitions_the_links_once(tmp_path, capsys):
+    """rollup picks the first unbalancing class and roll_up checks it: both
+    read the one partition kept on the parsed graph."""
+    from bmlab.bias import classify_balance, unbalancing_classes
+
+    runs = 0
+    for nb in catalog.classify_k4() + catalog.contracted_tubes():
+        path = write(tmp_path, "om.bg", formats.emit_biased_graph(nb.omega))
+        for u in classify_balance(nb.omega).balancing_vertices:
+            with count_builds(unbalancing_classes) as builds:
+                assert main(["rollup", path, "--vertex", str(u)]) == 0
+            assert builds == {"unbalancing_classes": 1}, (nb.name, u)
+            runs += 1
+    assert runs >= 10
+    capsys.readouterr()
 
 
 def test_verify_cli(capsys):
