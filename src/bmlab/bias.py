@@ -535,9 +535,9 @@ def fat_theta_parts(omega):
     vertices x < y.  Atomic pieces are the x-y links and the components of
     G - {x,y} (each with its edges into {x,y}); pieces joined by a balanced
     cycle must lie in a common part, so parts are the unions of pieces
-    under that relation.  The decomposition is valid when every balanced
-    cycle lies within a single part and every cross-part cycle is
-    unbalanced.
+    under that relation, and two parts share no vertex but x and y.  The
+    decomposition is valid when every balanced cycle lies within a single
+    part and every cross-part cycle is unbalanced.
     """
     bv = balancing_vertices(omega)
     if len(bv) < 2 or not omega.unbalanced_cycles():
@@ -573,9 +573,6 @@ def fat_theta_parts(omega):
     parts = sorted((frozenset(es) for es in groups.values()), key=min)
     if len(parts) < 2:
         return None
-    for p, q in combinations(parts, 2):
-        if g.vertices_of(p) & g.vertices_of(q) - {x, y}:
-            return None
     for c in omega.cycles():
         inside = any(c.edges <= p for p in parts)
         if inside != (c.edges in omega.balanced):

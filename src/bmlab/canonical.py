@@ -373,14 +373,11 @@ def _attempt(A, MA, omega, kind, rows):
         else:
             gg, variant = GainGraph(g, group, gains), omega
         form = parts.matrix(gg)
-        scales = _column_scales(W, form.matrix, f)
-        if scales is None:
-            continue
         witness = ProjWitness(
             T.mul(E).with_labels(
                 row_labels=form.matrix.row_labels, col_labels=A.row_labels
             ),
-            FieldMatrix.diagonal(f, scales, A.col_labels),
+            FieldMatrix.diagonal(f, _column_scales(W, form.matrix, f), A.col_labels),
         )
         if not witness.verify(A, form.matrix):
             continue
@@ -546,25 +543,15 @@ def _parse_lift_columns(W, omega, f):
 
 
 def _column_scales(W, target, f):
-    """Per-column scalars s with W[:,e] * s_e = target[:,e]; None if some
-    column is not a scalar multiple."""
+    """Per-column scalars s with W[:,e] * s_e = target[:,e], read at W's
+    first nonzero entry in each column (1 for a zero column).  The column
+    parsers make each column of W a nonzero multiple of the target's or
+    zero with it, so each scale is nonzero; the witness check confirms the
+    rest of each column."""
     scales = []
     for j in range(W.ncols):
-        wcol = [W.rows[i][j] for i in range(W.nrows)]
-        tcol = [target.rows[i][j] for i in range(target.nrows)]
-        if len(wcol) != len(tcol):
-            return None
-        s = None
-        for a, b in zip(wcol, tcol):
-            if (a == f.zero) != (b == f.zero):
-                return None
-            if a != f.zero:
-                cand = f.div(b, a)
-                if s is None:
-                    s = cand
-                elif s != cand:
-                    return None
-        scales.append(s if s is not None else f.one)
+        i = next((i for i in range(W.nrows) if W.rows[i][j] != f.zero), None)
+        scales.append(f.one if i is None else f.div(target.rows[i][j], W.rows[i][j]))
     return scales
 
 

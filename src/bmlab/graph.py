@@ -366,70 +366,31 @@ class MultiGraph:
         edge-name tuples (A, B) forming a vertical r-separation (r < k), or
         None when the failure is degenerate (e.g. too few vertices).
         The answer is kept per k.
+
+        The test reads this off vertex cuts: a vertical separation with cut
+        size at most r exists exactly when some r vertices S leave G - S
+        with two components that carry edges.  The cut V(A) & V(B) of a
+        separation is such an S, since every path from V(A) - V(B) to
+        V(B) - V(A) passes through it; and for such an S the edges touching
+        one of those components, against all the rest, form a separation
+        whose cut lies in S.  The first S by size, then in combinations
+        order, gives the witness; S = () splits a disconnected G.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         comps = self.components()
-        if self.n < k + 2:
-            complete = all(
-                any(set(self.edges[e]) == {u, v} for e in self._incident[u])
-                for u, v in combinations(range(self.n), 2)
-            )
-            if len(comps) <= 1 and complete and self.n >= 1:
-                return True, None
-        if len(comps) > 1:
-            withedges = [c for c in comps if any(self._incident[v] for v in c)]
-            if len(withedges) < 2:
-                return False, None
-            a = {e for v in withedges[0] for e in self._incident[v]}
-            return False, (self.names_of(a), self.names_of(set(range(self.m)) - a))
-        for r in range(1, k):
-            sep = self._vertical_separation(r)
-            if sep is not None:
-                return False, sep
+        if 1 <= self.n < k + 2 and len(comps) == 1 and all(
+                self.multiplicity[u][v] for u, v in combinations(range(self.n), 2)):
+            return True, None
+        for r in range(k):
+            for S in combinations(range(self.n), r):
+                live = [c for c in self.components(S) if any(self._incident[v] for v in c)]
+                if len(live) > 1:
+                    a = {e for v in live[0] for e in self._incident[v]}
+                    return False, (self.names_of(a), self.names_of(set(range(self.m)) - a))
+            if len(comps) > 1:
+                return False, None  # disconnected, at most one component with edges
         return self.n >= k + 2, None
-
-    def _vertical_separation(self, r):
-        for S in combinations(range(self.n), r):
-            comps = self.components(S)
-            comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
-            cid = len(comps)
-            edges_of_comp = [[] for _ in range(cid)]
-            flexible = []
-            for e, (u, v) in enumerate(self.edges):
-                c = comp_of.get(u)
-                if c is None:
-                    c = comp_of.get(v)
-                if c is None:
-                    flexible.append(e)
-                else:
-                    edges_of_comp[c].append(e)
-            live = [c for c in range(cid) if edges_of_comp[c]]
-            if len(live) < 2:
-                continue
-            for size in range(1, len(live)):
-                for group in combinations(live, size):
-                    forced_a = [e for c in group for e in edges_of_comp[c]]
-                    forced_b = [
-                        e for c in live if c not in group for e in edges_of_comp[c]
-                    ]
-                    need_a = max(0, r - len(forced_a))
-                    if need_a > len(flexible):
-                        continue
-                    if len(forced_b) + len(flexible) - need_a < r:
-                        continue
-                    A = set(forced_a) | set(flexible[:need_a])
-                    B = set(forced_b) | set(flexible[need_a:])
-                    VA = self.vertices_of(A)
-                    VB = self.vertices_of(B)
-                    cut = VA & VB
-                    if len(cut) > r:
-                        continue
-                    if len(A) < len(cut) or len(B) < len(cut):
-                        continue
-                    if VA - VB and VB - VA:
-                        return (self.names_of(A), self.names_of(B))
-        return None
 
     # -- minors ------------------------------------------------------------
     def minor(self, contract, delete):

@@ -502,6 +502,39 @@ MUTANTS = [
         ["tests/test_graph.py::test_vertical_connectivity_memo_matches_a_fresh_graph",
          "tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
     ),
+    # the cut search started at one vertex: a disconnected graph is never
+    # split by S = (), so it loses its witness, and at k = 1 it passes
+    Mutant(
+        "graph.py",
+        "        for r in range(k):\n",
+        "        for r in range(1, k):\n",
+        ["tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
+    ),
+    # a cut that must leave three components with edges: two-sided
+    # separations are missed
+    Mutant(
+        "graph.py",
+        "if len(live) > 1:",
+        "if len(live) > 2:",
+        ["tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
+    ),
+    # the small-graph clause from two vertices up: a lone vertex is not
+    # vertically connected
+    Mutant(
+        "graph.py",
+        "if 1 <= self.n < k + 2",
+        "if 2 <= self.n < k + 2",
+        ["tests/test_graph.py::test_vertical_connectivity_matches_the_parent_routine"],
+    ),
+    # each column scale inverted: the witness no longer carries W onto the
+    # form wherever a scale is not 1 or -1
+    Mutant(
+        "canonical.py",
+        "f.div(target.rows[i][j], W.rows[i][j])",
+        "f.div(W.rows[i][j], target.rows[i][j])",
+        ["tests/test_canonical.py::test_column_scales_match_the_entry_oracle_on_every_candidate",
+         "tests/test_canonical.py::test_attempt_matches_certifying_every_candidate"],
+    ),
     # the F = L deduction inverted: the other kind is matched exactly when
     # F(omega) != L(omega)
     Mutant(

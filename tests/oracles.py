@@ -1320,6 +1320,30 @@ def roll_reachable_by_unrolling(omega, variant):
     return False
 
 
+def column_scales_by_entries(W, target, f):
+    """The reference for canonical._column_scales: per-column scalars s with
+    W[:,e] * s_e = target[:,e], each agreed on by every entry of the column;
+    None if some column is not a scalar multiple."""
+    scales = []
+    for j in range(W.ncols):
+        wcol = [W.rows[i][j] for i in range(W.nrows)]
+        tcol = [target.rows[i][j] for i in range(target.nrows)]
+        if len(wcol) != len(tcol):
+            return None
+        s = None
+        for a, b in zip(wcol, tcol):
+            if (a == f.zero) != (b == f.zero):
+                return None
+            if a != f.zero:
+                cand = f.div(b, a)
+                if s is None:
+                    s = cand
+                elif s != cand:
+                    return None
+        scales.append(s if s is not None else f.one)
+    return scales
+
+
 # -- the linalg and modular-cut routines that plain-row elimination replaced ------
 
 def reduce_by_axpy(f, basis, row):

@@ -76,6 +76,7 @@ from bmlab.matroid import (
     uniform_matroid,
 )
 from bmlab.verify import run_claim
+import oracles
 from oracles import (
     contract,
     count_builds,
@@ -822,7 +823,7 @@ def attempt_certifying_every_candidate(A, MA, omega, kind, rows):
         if rolled and not canonical._roll_reachable(omega, variant):
             continue
         form = parts.matrix(gg)
-        scales = canonical._column_scales(W, form.matrix, f)
+        scales = oracles.column_scales_by_entries(W, form.matrix, f)
         if scales is None:
             continue
         witness = ProjWitness(
@@ -850,11 +851,11 @@ def _result_fields(res):
             entries(res.witness.S) if ok else None)
 
 
-def test_attempt_matches_certifying_every_candidate(monkeypatch):
-    # every canonicalization made by the round-trip claims and by
-    # allreps-contracted-tube at the default options, and the frame matrices
-    # of the GF(4) realizations of every roll-up of the contracted tubes,
-    # some of which canonicalize only to a form particular to a roll-up
+def _attempt_cases(monkeypatch):
+    """Every canonicalization made by the round-trip claims and by
+    allreps-contracted-tube at the default options, and the frame matrices
+    of the GF(4) realizations of every roll-up of the contracted tubes,
+    some of which canonicalize only to a form particular to a roll-up."""
     cases = []
     real = verify.canonicalize_representation
 
@@ -873,11 +874,37 @@ def test_attempt_matches_certifying_every_candidate(monkeypatch):
                 if not any(om.graph.is_loop(e) for e in cls):
                     for gg in realizations(roll_up(om, u, cls), MultiplicativeGroup(4)):
                         cases.append((frame_matrix(gg).matrix, om, FRAME))
+    return cases
+
+
+def test_attempt_matches_certifying_every_candidate(monkeypatch):
+    cases = _attempt_cases(monkeypatch)
     got = [canonicalize_representation(*case) for case in cases]
     monkeypatch.setattr(canonical, "_attempt", attempt_certifying_every_candidate)
     for case, res in zip(cases, got):
         assert _result_fields(res) == _result_fields(canonicalize_representation(*case))
     assert sum(bool(res.rolled_edges) for res in got) >= 10
+
+
+def test_column_scales_match_the_entry_oracle_on_every_candidate(monkeypatch):
+    # every candidate the certifying reference shapes on those cases: the
+    # scale read at W's first nonzero entry of each column is the one every
+    # entry of the column agrees on, never None
+    cases = _attempt_cases(monkeypatch)
+    candidates = []
+    entries = oracles.column_scales_by_entries
+
+    def recording(W, target, f):
+        candidates.append((W, target, f))
+        return entries(W, target, f)
+
+    monkeypatch.setattr(oracles, "column_scales_by_entries", recording)
+    monkeypatch.setattr(canonical, "_attempt", attempt_certifying_every_candidate)
+    for case in cases:
+        canonicalize_representation(*case)
+    for W, target, f in candidates:
+        assert canonical._column_scales(W, target, f) == entries(W, target, f)
+    assert len(candidates) == 547
 
 
 # -- enumeration -----------------------------------------------------------------

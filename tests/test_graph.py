@@ -510,7 +510,8 @@ def test_components_match_brute_force_on_every_vertex_subset():
 
 
 def _parent_vertical(g, k):
-    """is_vertically_k_connected before components(avoid): with its own
+    """The separation search that is_vertically_k_connected's vertex-cut
+    test replaced, as it stood before components(avoid): with its own
     component search and a separate _any_vertical_separation."""
     def components(avoid):
         comp_of, cid = {}, 0
@@ -599,16 +600,35 @@ def _parent_vertical(g, k):
 
 
 def test_vertical_connectivity_matches_the_parent_routine():
+    # full (answer, witness) pairs for every k up to 5, on the (5, 8)
+    # multigraphs, graphs with loops, and a seeded corpus of multigraphs
+    # with loops and parallel edges on 0-7 vertices
     graphs = list(catalog.multigraphs_up_to_iso(5, 8)) + _graphs_with_loops()
     graphs += [MultiGraph(0, []), MultiGraph(1, []), MultiGraph(3, [(0, 1)])]
-    outcomes = Counter()
-    for g in graphs:
-        for k in (1, 2, 3):
-            got = g.is_vertically_k_connected(k)
-            assert got == _parent_vertical(g, k), (g.n, g.edges, k)
-            outcomes[got[0], got[1] is None] += 1
+    rng = random.Random(48)
+    corpus = []
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        corpus.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 10) if n else 0)]))
+
+    def outcomes(graphs, ks):
+        count = Counter()
+        for g in graphs:
+            for k in ks:
+                got = g.is_vertically_k_connected(k)
+                assert got == _parent_vertical(g, k), (g.n, g.edges, k)
+                count[got[0], got[1] is None] += 1
+        return count
+
     assert len(graphs) == 261
-    assert outcomes == {(True, True): 420, (False, False): 339, (False, True): 24}
+    assert outcomes(graphs, (1, 2, 3)) == {(True, True): 420, (False, False): 339,
+                                           (False, True): 24}
+    assert outcomes(graphs, (4, 5)) == {(True, True): 84, (False, False): 422,
+                                        (False, True): 16}
+    assert sum(any(u == v for u, v in g.edges) for g in corpus) == 173
+    assert outcomes(corpus, range(1, 6)) == {(True, True): 483, (False, False): 447,
+                                             (False, True): 570}
 
 
 def test_vertical_connectivity_memo_matches_a_fresh_graph():
