@@ -16,12 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bias import (
-    BiasedGraph,
-    biased_equal_unoriented,
-    classify_balance,
-    unroll,
-)
+from .bias import BiasedGraph, classify_balance, unbalancing_classes
 from .errors import (
     BmlabError,
     BoundExceeded,
@@ -42,7 +37,7 @@ from .gains import (
     switching_equivalent,
     switching_scaling_equivalent,
 )
-from .graph import find, kept
+from .graph import MultiGraph
 from .linalg import (
     FieldMatrix,
     ProjWitness,
@@ -278,7 +273,7 @@ def canonicalize_representation(A, omega, hint=None):
         if isinstance(rows, CanonicalizeResult):
             res = rows
         else:
-            res = _attempt(A, MA, omega, kind, rows)
+            res = _attempt(A, omega, kind, rows)
         if result is not None:
             result.other_kind = "ok" if res.status == "ok" else "no"
         elif res.status == "ok":
@@ -335,18 +330,18 @@ def _vertex_rows(A, omega):
     return FieldMatrix(f, Rr), FieldMatrix(f, E.rows[:r]), fixed, free
 
 
-def _attempt(A, MA, omega, kind, rows):
+def _attempt(A, omega, kind, rows):
     """Shape the vertex rows for one kind, read a gain graph off the shaped
-    matrix and certify it.  MA must be omega's matroid of the kind.  A form
-    particular to omega itself is returned at once; the first one particular
-    to a roll-up variant only if none is found.
+    matrix and certify it.  M(A) must be omega's matroid of the kind.  A
+    form particular to omega itself is returned at once; the first one
+    particular to a roll-up variant only if none is found.
 
-    A candidate with no edge rolled has omega's own graph and bias, so
-    omega is its variant.  The column parsers make every column of the
-    shaped matrix W = T R a nonzero multiple of the candidate's canonical
-    column (or zero with it), and T has full column rank, so the
-    candidate's kind matroid is M(A) = MA.  A cycle is balanced iff it is
-    a circuit of that matroid, so its bias is omega's."""
+    The column parsers make every column of the shaped matrix W = T R a
+    nonzero multiple of the candidate's canonical column (or zero with
+    it), and T has full column rank, so the candidate's kind matroid is
+    M(A), omega's.  A cycle is balanced iff it is a circuit, so a
+    candidate with no edge rolled has omega's bias (omega is its variant)
+    and a rolled one bias._roll's."""
     parts = kind_parts(kind)
     f = A.field
     g = omega.graph
@@ -366,8 +361,6 @@ def _attempt(A, MA, omega, kind, rows):
         if rolled:
             gg = GainGraph(g.with_edges(edges), group, gains)
             variant = induced_bias(gg)
-            if not matroids_equal(MA, parts.matroid(variant))[0]:
-                continue
             if not _roll_reachable(omega, variant):
                 continue
         else:
@@ -555,34 +548,37 @@ def _column_scales(W, target, f):
     return scales
 
 
-@kept
-def _unrolled(omega, u):
-    """unroll(omega, u), or None where it raises, kept on omega: every
-    rolled candidate of omega is compared with the same unrollings."""
-    try:
-        return unroll(omega, u)
-    except BmlabError:
-        return None
-
-
 def _roll_reachable(omega, variant):
-    """Variant reachable from omega by rolling: compare full unrollings at
-    each balancing vertex of omega (ignoring edge orientations, which
-    unrolling does not preserve).  Kept on omega by the variant's graph
-    and bias, which are all the answer reads of it; a key holding the
-    variant itself would keep it alive with omega, and make a reference
-    cycle where the variant is omega."""
-    return _reachable(omega, variant.graph, variant.balanced)
+    """Whether omega and variant have the same unrolling, ignoring edge
+    orientations, at some balancing vertex u of omega (the reference in
+    tests/oracles.py builds both), read off omega's unbalancing classes.
 
-
-@kept
-def _reachable(omega, graph, balanced):
-    """_roll_reachable for the variant on graph with these balanced cycles."""
-    variant = BiasedGraph(graph, balanced, check=False)
+    Let R be the edges whose ends differ.  The answer is yes exactly when
+    the variant's bias is bias._roll's (omega's balanced cycles avoiding
+    R) and, at some u, R is empty or the variant is roll_up(omega, u, R)
+    with every joint of omega at u; such a roll-up unrolls back to omega's
+    unrolling.  Conversely, let the unrollings at u agree.  Unrolling
+    moves only joints off u, each to a link at u, so each edge of R is a
+    link at u rolled to its far end; it keeps every other cycle's bias
+    (through u, balanced iff its two edges at u share a class; off u,
+    balanced), so the bias is bias._roll's and the variant's joints off u
+    form one class.  omega is vertically 2-connected, as
+    canonicalize_representation requires, so G - u is connected and any
+    two links at u lie on a cycle meeting u in them alone.  Each failure
+    gives such a cycle balanced in one unrolling and not in the other:
+    R a proper part of a class (an edge of R, one of the class outside
+    R); R meeting two classes (an edge of R in each); a joint of omega
+    off u (an edge of R, the joint's unrolled link)."""
+    g, h = omega.graph, variant.graph
+    rolled = frozenset(e for e in range(g.m) if {*h.edges[e]} != {*g.edges[e]})
+    if variant.balanced != frozenset(c for c in omega.balanced if not c & rolled):
+        return False
     for u in classify_balance(omega).balancing_vertices:
-        a = _unrolled(omega, u)
-        b = None if a is None else _unrolled(variant, u)
-        if b is not None and biased_equal_unoriented(a, b):
+        if not rolled:
+            return True
+        part = unbalancing_classes(omega, u)
+        if (rolled in part.classes and set(omega.joints()) <= part.joints_at_vertex
+                and all(h.edges[e] == (g.other_end(e, u),) * 2 for e in rolled)):
             return True
     return False
 
@@ -656,25 +652,20 @@ def enumerate_representations(M, q, biased_graph=None, hint=None,
             support[cols[0]].append(rows[0])
     for j in nonbasis:
         tests[j].sort(key=lambda test: len(test[1]))
-    # support graph on the elements: basis rows and non-basis columns.  Its
-    # greedy spanning forest's entries are 1 (in ones[j]); the other support
+    # support graph on the elements: an edge joins non-basis column j to
+    # basis row k for each support entry, in (column, row) order.  Its
+    # spanning forest's entries are 1 (in ones[j]); the other support
     # entries, at rows free_rows[j], range over the nonzero elements
-    parent = list(range(n))
-    forest_size = 0
-    ones = {}
-    free_rows = {}
-    for j in nonbasis:
-        ones[j] = [f.zero] * r
-        free_rows[j] = []
-        for k in sorted(support[j]):
-            rj, rb = find(parent, j), find(parent, basis[k])
-            if rj != rb:
-                parent[rj] = rb
-                forest_size += 1
-                ones[j][k] = f.one
-            else:
-                free_rows[j].append(k)
-    orbit_size = (q - 1) ** forest_size
+    entries = [(j, k) for j in nonbasis for k in sorted(support[j])]
+    forest = MultiGraph(n, [(j, basis[k]) for j, k in entries]).spanning_forest()
+    ones = {j: [f.zero] * r for j in nonbasis}
+    free_rows = {j: [] for j in nonbasis}
+    for e, (j, k) in enumerate(entries):
+        if e in forest:
+            ones[j][k] = f.one
+        else:
+            free_rows[j].append(k)
+    orbit_size = (q - 1) ** len(forest)
     all_cols = [None] * n
     for k, b in enumerate(basis):
         all_cols[b] = [f.one if i == k else f.zero for i in range(r)]

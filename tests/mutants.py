@@ -543,14 +543,47 @@ MUTANTS = [
         "return [first] if same else [first, other]",
         ["tests/test_canonical.py::test_kinds_and_results_match_the_two_walk_match"],
     ),
-    # the reachability memo keyed without the bias: a variant's graph under
-    # another bias gets the first answer on that graph
+    # roll reachability without the bias clause: a variant on a roll-up's
+    # graph under another bias (every cycle balanced) counts as reachable
     Mutant(
         "canonical.py",
-        "    return _reachable(omega, variant.graph, variant.balanced)\n",
-        "    return omega._kept.setdefault(\n"
-        "        variant.graph, _reachable(omega, variant.graph, variant.balanced))\n",
-        ["tests/test_canonical.py::test_roll_reachability_matches_fresh_unrollings"],
+        "    if variant.balanced != frozenset(c for c in omega.balanced if not c & rolled):\n"
+        "        return False\n",
+        "",
+        ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively",
+         "tests/test_canonical.py::test_roll_reachability_matches_fresh_unrollings"],
+    ),
+    # roll reachability without the joint clause: omega's joints off u,
+    # which unroll into a class of their own, are not looked at
+    Mutant(
+        "canonical.py",
+        " and set(omega.joints()) <= part.joints_at_vertex",
+        "",
+        ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively"],
+    ),
+    # roll reachability with a part of a class rolled: a proper subset of
+    # an unbalancing class passes as the class
+    Mutant(
+        "canonical.py",
+        "rolled in part.classes",
+        "any(rolled <= c for c in part.classes)",
+        ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively"],
+    ),
+    # roll reachability with the rolled edges expected at u instead of at
+    # their far ends
+    Mutant(
+        "canonical.py",
+        "(g.other_end(e, u),) * 2",
+        "(u,) * 2",
+        ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively"],
+    ),
+    # roll reachability counting a reversed link as rolled, where the
+    # unrollings are compared ignoring orientations
+    Mutant(
+        "canonical.py",
+        "{*h.edges[e]} != {*g.edges[e]}",
+        "h.edges[e] != g.edges[e]",
+        ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively"],
     ),
     # rank_table counting a dependent element: the rank grows below it as
     # if the step had accepted it.  _extension_exists still answers right

@@ -1,5 +1,4 @@
 import random
-import weakref
 from collections import Counter
 from itertools import combinations, product
 
@@ -15,7 +14,6 @@ from bmlab.bias import (
     delta_y,
     roll_up,
     unbalancing_classes,
-    unroll,
     y_delta,
 )
 from bmlab.canonical import (
@@ -89,6 +87,7 @@ from oracles import (
     roll_reachable_by_unrolling,
     scaling_orbits,
     std_basis_completion,
+    with_loops,
 )
 
 
@@ -794,13 +793,15 @@ def test_canonicalize_contracted_tube_rolls():
         assert lres.other_kind == "ok"
 
 
-def attempt_certifying_every_candidate(A, MA, omega, kind, rows):
+def attempt_certifying_every_candidate(A, omega, kind, rows):
     """Reference for canonical._attempt: every parsed candidate gets a gain
     graph on a new MultiGraph, and its variant's matroid is compared with
-    MA on all subsets, although an unrolled candidate has omega's matroid;
+    M(A) on all subsets, although every candidate has omega's matroid;
     every rolled candidate is certified, although only the first is kept.
-    It asserts that every unrolled candidate has omega's bias, which
-    _attempt takes for granted."""
+    It asserts what _attempt takes for granted: every unrolled candidate
+    has omega's bias, and every rolled one bias._roll's, the cycles
+    balanced in omega that avoid the rolled edges."""
+    MA = vector_matroid(A)
     parts = kind_parts(kind)
     f = A.field
     g = omega.graph
@@ -817,7 +818,7 @@ def attempt_certifying_every_candidate(A, MA, omega, kind, rows):
         group, edges, gains, rolled = parsed
         gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
         variant = induced_bias(gg)
-        assert rolled or variant.balanced == omega.balanced
+        assert variant.balanced == frozenset(c for c in omega.balanced if not c & set(rolled))
         if not matroids_equal_on_all_subsets(MA, parts.matroid(variant))[0]:
             continue
         if rolled and not canonical._roll_reachable(omega, variant):
@@ -1166,46 +1167,59 @@ def test_roundtrip_every_catalog_realization():
                 assert switching_scaling_equivalent(res.form.gain_graph, gg) is not None
 
 
-def _almost_balanced_with_roll_ups():
-    """The rollup-frame instances and their roll-ups, which carry joints."""
-    omegas = []
-    for nb in (catalog.dwarf("D_{1,0}"), catalog.dwarf("D_{2,1}"), *catalog.contracted_tubes()):
-        om = BiasedGraph(nb.omega.graph, nb.omega.balanced)
-        omegas.append(om)
-        for u in classify_balance(om).balancing_vertices:
-            omegas += [roll_up(om, u, c) for c in unbalancing_classes(om, u).classes
-                       if not any(om.graph.is_loop(e) for e in c)]
-    return omegas
+def _rolled_sets(omega, u):
+    """Edge sets to roll at u: every link class of omega's unbalancing
+    partition at u, every union of two of them, and every class less one
+    edge (the joint class off u is no candidate)."""
+    part = unbalancing_classes(omega, u)
+    links = [c for c in part.classes if not any(omega.graph.is_loop(e) for e in c)]
+    yield from links
+    for a, b in combinations(links, 2):
+        yield a | b
+    for c in links:
+        if len(c) > 1:
+            for e in sorted(c):
+                yield c - {e}
 
 
-def test_unrolled_memo_matches_a_fresh_unroll():
-    # at every vertex, balancing or not, so that unroll also raises
-    outcomes = Counter()
-    for om in _almost_balanced_with_roll_ups():
-        for u in range(om.graph.n):
-            kept = canonical._unrolled(om, u)
-            assert canonical._unrolled(om, u) is kept
-            try:
-                fresh = unroll(om, u)
-            except BmlabError:
-                assert kept is None
-                outcomes["raises"] += 1
+def _rolled_variants(omega, u, rolled):
+    """The rolled edges turned into joints at their far ends from u, at u,
+    and at their far ends with every other edge reversed; each graph with
+    bias._roll's bias and with every cycle balanced."""
+    g = omega.graph
+    bias = [c for c in omega.balanced if not c & rolled]
+    far = [(g.other_end(e, u),) * 2 if e in rolled else g.edges[e] for e in range(g.m)]
+    near = [(u, u) if e in rolled else g.edges[e] for e in range(g.m)]
+    for edges in (far, near, [(b, a) for a, b in far]):
+        h = g.with_edges(edges)
+        yield BiasedGraph(h, bias, check=False)
+        yield BiasedGraph(h, [c.edges for c in h.cycles()], check=False)
+
+
+def test_roll_reachability_matches_the_unrolling_oracle_exhaustively():
+    """_roll_reachable against fresh unrollings on every vertically
+    2-connected biased graph with a balancing vertex on
+    multigraphs_up_to_iso(4, 5), one per automorphism orbit of bias sets,
+    each also with a balanced loop and a joint (with_loops), so that some
+    joints lie off the balancing vertex.  Every way the class test can
+    fail is met: a part of a class, two classes, a joint off u, the wrong
+    end, and a bias other than the roll rule's."""
+    seen = Counter()
+    for g in catalog.multigraphs_up_to_iso(4, 5):
+        if not g.is_vertically_k_connected(2)[0]:
+            continue
+        for om in catalog.bias_sets_up_to_aut(g):
+            if not classify_balance(om).balancing_vertices:
                 continue
-            assert (kept.graph.edges, kept.balanced) == (fresh.graph.edges, fresh.balanced)
-            outcomes["unrolled"] += 1
-    assert outcomes["raises"] and outcomes["unrolled"] >= 20, outcomes
-
-
-def test_unrolled_memo_does_not_outlive_its_biased_graph():
-    om = _almost_balanced_with_roll_ups()[-1]
-    u = classify_balance(om).balancing_vertices[0]
-    assert canonical._roll_reachable(om, om)
-    with count_builds(canonical._unrolled) as builds:
-        canonical._unrolled(om, u)
-    assert not builds  # kept on om
-    ref = weakref.ref(om)
-    del om
-    assert ref() is None
+            for omega in (om, with_loops(om)):
+                for u in classify_balance(omega).balancing_vertices:
+                    for rolled in _rolled_sets(omega, u):
+                        for variant in _rolled_variants(omega, u, rolled):
+                            got = canonical._roll_reachable(omega, variant)
+                            assert got == roll_reachable_by_unrolling(omega, variant), (
+                                omega, u, rolled, variant)
+                            seen[got] += 1
+    assert seen == {True: 816, False: 6660}
 
 
 def _fresh_copy(omega):
@@ -1275,8 +1289,8 @@ def test_kinds_and_results_match_the_two_walk_match(monkeypatch):
     """_matched_kinds, which walks M(A) against one kind's matroid and
     decides the other from F = L, against the two walks it replaced; then
     every CanonicalizeResult field against canonicalization with the
-    two-walk match on a fresh copy of omega, so that no kept oracle,
-    reachability or unrolling is shared.  Over GF(3), GF(4) and GF(5) on
+    two-walk match on a fresh copy of omega, so that no kept oracle or
+    unbalancing partition is shared.  Over GF(3), GF(4) and GF(5) on
     every class and scramble of the claim graphs."""
     seen = Counter()
     inputs = [x for q in (3, 4, 5) for x in _claim_inputs(q)]
@@ -1323,34 +1337,28 @@ def test_roll_reachability_matches_fresh_unrollings(monkeypatch):
 
 def test_derived_biased_graphs_start_with_empty_caches():
     """Minors, joint extensions and roll-ups are new biased graphs: none
-    inherits the kept oracles, F = L answer, reachability or unrollings
-    of the graph it came from, and each builds its own correct ones."""
+    inherits the kept oracles or F = L answer of the graph it came from,
+    and each builds its own correct ones."""
     om = _fresh_copy(catalog.contracted_tubes()[0].omega)
     u = classify_balance(om).balancing_vertices[0]
     kinds = (frame_matroid, lift_matroid, complete_lift_matroid, frame_equals_lift)
-    kept = kinds + (canonical._unrolled, canonical._reachable)
 
     def build_all(omega):
         for build in kinds:
             build(omega)
-        for v in range(omega.graph.n):
-            canonical._unrolled(omega, v)
         return canonical._roll_reachable(omega, omega)
 
     assert build_all(om)
-    with count_builds(*kept) as builds:
+    with count_builds(*kinds) as builds:
         build_all(om)
     assert not builds
     derived = [biased_minor(om, {0}, ()).omega, biased_minor(om, (), {0}).omega,
                extend_with_joint(om, 0, "l1")]
     derived += [roll_up(om, u, c) for c in unbalancing_classes(om, u).classes]
     for d in derived:
-        with count_builds(*kept) as builds:
+        with count_builds(*kinds) as builds:
             build_all(d)
-        # every vertex of d is unrolled, and so are some of the fresh
-        # variant's that the reachability build compares with
-        assert builds.pop("_unrolled") >= d.graph.n
-        assert builds == dict.fromkeys([f.__name__ for f in kinds + (canonical._reachable,)], 1)
+        assert builds == dict.fromkeys([f.__name__ for f in kinds], 1)
         F, L = frame_matroid(d), lift_matroid(d)
         assert F is frame_matroid(d) and F is not frame_matroid(om)
         assert matroids_equal_on_all_subsets(F, formula_matroid(d, True)) == (True, None)
