@@ -132,7 +132,8 @@ class BiasedGraph:
     def of_cycles(cls, graph, balanced):
         """The biased graph on graph whose balanced cycles are the cycles c
         of graph.cycles() with balanced(c.edges): the one rebias rule of
-        every edit (Delta-Y, Y-Delta, roll-ups, unrolling, fat thetas)."""
+        every edit (Delta-Y, Y-Delta, unrolling, fat thetas) but the roll
+        step, which reads its bias off omega's (bias._roll)."""
         return cls(graph, [c.edges for c in graph.cycles() if balanced(c.edges)])
 
     # -- basics ------------------------------------------------------------
@@ -479,15 +480,20 @@ def unbalancing_classes(omega, u):
 
 
 def _roll(omega, far):
-    """The roll step of roll_up and double_roll_up: each edge e of far
-    becomes a joint at vertex far[e]; a cycle is balanced iff it was
-    balanced in omega and avoids the rolled edges.  A rolled edge is a
-    loop, on no cycle but its own, which was no cycle of omega, so being
-    balanced in omega is the whole test."""
+    """The roll step of roll_up, double_roll_up and the canonicalization
+    of roll-up variants: each edge e of far becomes a joint at vertex
+    far[e]; a cycle is balanced iff it was balanced in omega and avoids
+    the rolled edges.  A rolled edge is a loop, on no cycle but its own,
+    which was no cycle of omega, and every other cycle is one of omega's,
+    so the balanced cycles are read off omega's without listing cycles.
+    The result is omega with the rolled edges deleted, which keeps the
+    theta property, plus unbalanced loops, which lie on no theta, so it
+    needs no check."""
     edges = list(omega.graph.edges)
     for e, w in far.items():
         edges[e] = (w, w)
-    return BiasedGraph.of_cycles(omega.graph.with_edges(edges), lambda c: c in omega.balanced)
+    return BiasedGraph(omega.graph.with_edges(edges),
+                       [c for c in omega.balanced if far.keys().isdisjoint(c)], check=False)
 
 
 def roll_up(omega, u, cls):

@@ -16,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bias import BiasedGraph, classify_balance, unbalancing_classes
+from .bias import BiasedGraph, _roll, classify_balance, unbalancing_classes
 from .errors import (
     BmlabError,
     BoundExceeded,
@@ -33,7 +33,6 @@ from .gains import (
     AdditiveGroup,
     GainGraph,
     MultiplicativeGroup,
-    induced_bias,
     switching_equivalent,
     switching_scaling_equivalent,
 )
@@ -42,7 +41,6 @@ from .linalg import (
     FieldMatrix,
     ProjWitness,
     dual_matrix,
-    invert,
     left_null_space,
     projective_key,
     rank_of_columns,
@@ -359,10 +357,10 @@ def _attempt(A, omega, kind, rows):
         if rolled and fallback is not None:
             continue  # only the first roll-up result is kept
         if rolled:
-            gg = GainGraph(g.with_edges(edges), group, gains)
-            variant = induced_bias(gg)
+            variant = _roll(omega, {e: edges[e][0] for e in rolled})
             if not _roll_reachable(omega, variant):
                 continue
+            gg = GainGraph(variant.graph, group, gains)
         else:
             gg, variant = GainGraph(g, group, gains), omega
         form = parts.matrix(gg)
@@ -392,27 +390,29 @@ def _attempt(A, omega, kind, rows):
 
 def _frame_rows(f, rows):
     """Frame row transform: the vertex rows, kept only when invertible."""
-    T = FieldMatrix(f, rows)
-    try:
-        invert(T)
-    except ValueError:
+    if rank_of_columns(f, rows) != len(rows):
         return None
-    return T
+    return FieldMatrix(f, rows)
 
 
 def _lift_rows(f, rows):
     """Lift row transform: the vertex rows scaled to sum to zero, then the
-    first standard basis row completing them to full rank (the v0 row)."""
+    first standard basis row completing them to full rank (the v0 row).
+
+    The r square rows qualify when their left null space is spanned by one
+    vector a with no zero entry: they have rank r - 1, and so do the
+    scaled rows a_x row_x, whose row space is then the hyperplane
+    orthogonal to c, a spanning vector of their right null space.  So e_i
+    completes them exactly when c_i != 0, and the first such i is the
+    row."""
     r = len(rows)
-    null = [a for a in left_null_space(FieldMatrix(f, rows)) if f.zero not in a]
-    if len(null) != 1:
+    null = left_null_space(FieldMatrix(f, rows))
+    if len(null) != 1 or f.zero in null[0]:
         return None
     vrows = [f.scale(a, row) for a, row in zip(null[0], rows)]
-    for i in range(r):
-        v0 = [f.one if k == i else f.zero for k in range(r)]
-        if rank_of_columns(f, [list(col) for col in zip(*(vrows + [v0]))]) == r:
-            return FieldMatrix(f, vrows + [v0])
-    return None
+    (c,) = left_null_space(FieldMatrix(f, [list(col) for col in zip(*vrows)]))
+    i = next(k for k, x in enumerate(c) if x != f.zero)
+    return FieldMatrix(f, vrows + [[f.one if k == i else f.zero for k in range(r)]])
 
 
 def _line_choices(f, free_rows):

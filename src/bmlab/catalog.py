@@ -301,35 +301,6 @@ def by_name(name):
 
 # -- exhaustive small families (for the verify harness) --------------------------
 
-def multigraph_key(nv, mult):
-    """Canonical key of the loopless multigraph on range(nv) whose vertex
-    pairs (u, v), u < v, carry the multiplicities in `mult`, a list of
-    ((u, v), m) items.  The key is the least sorted item tuple over the
-    relabelings that number the vertices by decreasing degree, so only
-    the orders within each degree class are tried.  Isomorphic graphs
-    have the same set of such relabelings, so equal keys mean isomorphic
-    graphs."""
-    deg = [0] * nv
-    for (u, v), m in mult:
-        deg[u] += m
-        deg[v] += m
-    order = sorted(range(nv), key=lambda v: -deg[v])
-    classes = [permutations(c) for _, c in groupby(order, key=deg.__getitem__)]
-    label = [0] * nv
-    key = None
-    for arrangement in product(*classes):
-        for i, v in enumerate(chain.from_iterable(arrangement)):
-            label[v] = i
-        cand = []
-        for (u, v), m in mult:
-            a, b = label[u], label[v]
-            cand.append(((a, b) if a < b else (b, a), m))
-        cand = tuple(sorted(cand))
-        if key is None or cand < key:
-            key = cand
-    return key
-
-
 @functools.lru_cache(maxsize=1)
 def _latest_multigraphs():
     """The latest build of multigraphs_up_to_iso: a dict holding at most
@@ -339,8 +310,8 @@ def _latest_multigraphs():
 
 def multigraphs_up_to_iso(max_vertices, max_edges):
     """Connected loopless multigraphs of minimum degree 2, up to
-    isomorphism, as MultiGraphs labelled by `multigraph_key`, in a fresh
-    list.
+    isomorphism, as MultiGraphs labelled by their class's key (see
+    `_build_multigraphs`), in a fresh list.
 
     Bounds that the latest build covers are served from it, keeping the
     graphs with at most max_vertices vertices and max_edges edges: a
@@ -369,11 +340,12 @@ def _build_multigraphs(max_vertices, max_edges):
     all set (degrees only grow), when a vertex's last pair leaves it
     with degree below 2, or when the degree still missing, the sum of
     max(0, 2 - deg) over the vertices, exceeds twice the edges left (an
-    edge supplies two degrees at most).  Each class is keyed once, by
-    `multigraph_key`, at its first such vector: the class's other
-    degree-sorted vectors are its images under the orders within each
-    degree class (the relabelings the key tries), and they are all marked
-    seen then.  The classes come by vertex count, then by their
+    edge supplies two degrees at most).  Each class is keyed once, at its
+    first such vector: its images under the orders within each degree
+    class are exactly the class's degree-sorted vectors, so they are all
+    marked seen then, and the least sorted ((u, v), m) tuple among them
+    depends only on the class.  That tuple is the class's key and gives
+    the graph its labels.  The classes come by vertex count, then by their
     lexicographically least multiplicity vector over all vertex
     relabelings (the vector met first by a scan of all vectors in
     lexicographic order)."""
@@ -412,8 +384,11 @@ def _build_multigraphs(max_vertices, max_edges):
             if idx > last:
                 if own(mult) in seen:
                     return
-                key = multigraph_key(nv, [(p, m) for p, m in zip(pairs, mult) if m])
-                seen.update(get(mult) for get in within_classes())
+                images = [get(mult) for get in within_classes()]
+                seen.update(images)
+                if nv == 2:  # the getters return the one multiplicity
+                    images = [(m,) for m in images]
+                key = min(tuple((p, m) for p, m in zip(pairs, image) if m) for image in images)
                 edges = []
                 for (u, v), m in key:
                     edges.extend([(u, v)] * m)

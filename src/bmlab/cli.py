@@ -347,6 +347,15 @@ def cmd_verify(args):
         kwargs["seed"] = args.seed
     if args.q is not None:
         kwargs["q"] = _field_order(args.q)
+    if not args.all:
+        params = inspect.signature(verify.CLAIMS[args.claim]).parameters
+        refused = [k for k in kwargs if k not in params]
+        if refused:
+            print("verify: %s takes no %s; its options: %s" % (
+                args.claim, " ".join("--" + k for k in refused),
+                " ".join("--" + k for k in ("seed", "q") if k in params) or "none"),
+                file=sys.stderr)
+            return EXIT_USAGE
     scale = bounds_scale()
     reports = []
     worst = EXIT_PASS

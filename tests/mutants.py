@@ -401,7 +401,7 @@ MUTANTS = [
     # degree-sorted vector of the class is keyed again and listed again
     Mutant(
         "catalog.py",
-        "seen.update(get(mult) for get in within_classes())",
+        "seen.update(images)",
         "seen.add(own(mult))",
         ["tests/test_catalog.py::test_multigraph_generation_keys_degree_sorted_vectors_only",
          "tests/test_catalog.py::test_multigraph_classes_match_the_burnside_count",
@@ -708,6 +708,42 @@ MUTANTS = [
         "        key = build\n",
         ["tests/test_caches.py::test_one_builder_with_other_arguments_does_not_collide",
          "tests/test_graph.py::test_vertical_connectivity_memo_matches_a_fresh_graph"],
+    ),
+    # each class keyed by its greatest image, not its least: the labels
+    # are no longer the oracle key's
+    Mutant(
+        "catalog.py",
+        "key = min(tuple((p, m) for p, m in zip(pairs, image) if m) for image in images)",
+        "key = max(tuple((p, m) for p, m in zip(pairs, image) if m) for image in images)",
+        ["tests/test_catalog.py::test_multigraphs_match_degree_class_oracle",
+         "tests/test_catalog.py::test_multigraphs_at_5_9",
+         "tests/test_catalog.py::test_multigraphs_keep_their_labels_and_order",
+         "tests/test_catalog.py::test_multigraph_key_is_a_relabeling_invariant"],
+    ),
+    # the latest multigraph build serves only its own bounds, not every
+    # bound it covers: the same graphs, built again
+    Mutant(
+        "catalog.py",
+        "if max_vertices <= nv and max_edges <= ne:",
+        "if (max_vertices, max_edges) == (nv, ne):",
+        ["tests/test_catalog.py::test_shared_multigraph_build_serves_every_bound_it_covers"],
+    ),
+    # the v0 row at the last coordinate that completes the lift rows, not
+    # the first: another T, though still a full-rank one
+    Mutant(
+        "canonical.py",
+        "i = next(k for k, x in enumerate(c) if x != f.zero)",
+        "i = max(k for k, x in enumerate(c) if x != f.zero)",
+        ["tests/test_canonical.py::"
+         "test_row_transforms_match_the_inverse_and_rank_loop_references"],
+    ),
+    # the roll step keeps omega's balanced cycles through the rolled edges,
+    # which are no cycles of the rolled graph
+    Mutant(
+        "bias.py",
+        "[c for c in omega.balanced if far.keys().isdisjoint(c)]",
+        "omega.balanced",
+        ["tests/test_bias.py::test_edits_match_their_by_hand_rebuilds"],
     ),
 ]
 

@@ -22,7 +22,9 @@ with the switching decisions built on it, each on a forest search of its
 own.  Then the graph tables (degrees, links, adjacency profiles,
 multiplicities, parallel classes) from the edge list, graph isomorphisms
 by filtering every vertex permutation, and automorphism generators with each edge map taken from an edge-bijection
-search.  Then the number of multigraph isomorphism classes by the
+search.  Then the multigraph class key rebuilt from the degrees alone,
+which catalog.multigraphs_up_to_iso now reads off the images it lists.
+Then the number of multigraph isomorphism classes by the
 Cauchy-Frobenius (Burnside) lemma, which lists no class, and the same
 count for the bias-set orbits of a biased family.  Then the routines
 that kept oracles and rank tables replaced: ranks by one greedy per
@@ -40,7 +42,7 @@ that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from math import factorial, prod
 
 from bmlab import catalog
@@ -1144,6 +1146,37 @@ def automorphism_generators_by_edge_bijections(g):
             t[a], t[b] = b, a
             gens.append(tuple(t))
     return [t for t in gens if t != identity]
+
+
+# -- the multigraph class key from the degrees alone ---------------------------
+
+def multigraph_key(nv, mult):
+    """Canonical key of the loopless multigraph on range(nv) whose vertex
+    pairs (u, v), u < v, carry the multiplicities in `mult`, a list of
+    ((u, v), m) items.  The key is the least sorted item tuple over the
+    relabelings that number the vertices by decreasing degree, so only
+    the orders within each degree class are tried.  Isomorphic graphs
+    have the same set of such relabelings, so equal keys mean isomorphic
+    graphs."""
+    deg = [0] * nv
+    for (u, v), m in mult:
+        deg[u] += m
+        deg[v] += m
+    order = sorted(range(nv), key=lambda v: -deg[v])
+    classes = [permutations(c) for _, c in groupby(order, key=deg.__getitem__)]
+    label = [0] * nv
+    key = None
+    for arrangement in product(*classes):
+        for i, v in enumerate(chain.from_iterable(arrangement)):
+            label[v] = i
+        cand = []
+        for (u, v), m in mult:
+            a, b = label[u], label[v]
+            cand.append(((a, b) if a < b else (b, a), m))
+        cand = tuple(sorted(cand))
+        if key is None or cand < key:
+            key = cand
+    return key
 
 
 # -- orbit counts that list no orbit --------------------------------------------

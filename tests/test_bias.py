@@ -899,8 +899,9 @@ FAT_THETA_PARTS = ([P2], [P2] * 2, [P2] * 3, [P2] * 4, [K2] * 3, [K2, P2, P2, K2
 
 def test_edits_match_their_by_hand_rebuilds():
     """Delta-Y, Y-Delta, roll-ups, unrolling and fat thetas, each through
-    BiasedGraph.of_cycles, give the biased graph (and vertex map) of the
-    by-hand rebuilds they replace, and raise where those raise."""
+    BiasedGraph.of_cycles but the roll step (which reads omega's bias),
+    give the biased graph (and vertex map) of the by-hand rebuilds they
+    replace, and raise where those raise."""
     named = [nb.omega for nb in catalog.classify_k4() + catalog.classify_2c3_proper()
              + catalog.classify_tube_proper() + catalog.contracted_tubes()]
     fat = [catalog.fat_theta(parts) for parts in FAT_THETA_PARTS[1:-1]]

@@ -842,6 +842,60 @@ def attempt_certifying_every_candidate(A, omega, kind, rows):
     return fallback or CanonicalizeResult(status="undecided", reason="no %s shaping found" % kind)
 
 
+def _frame_rows_by_inverse(f, rows):
+    """Reference for canonical._frame_rows: the rows, kept when invert
+    finds an inverse."""
+    T = FieldMatrix(f, rows)
+    try:
+        invert(T)
+    except ValueError:
+        return None
+    return T
+
+
+def _lift_rows_by_rank_loop(f, rows):
+    """Reference for canonical._lift_rows: the rows scaled by the one
+    zero-free left null vector, then the first e_i that one rank
+    computation per i finds completing them to full rank."""
+    r = len(rows)
+    null = [a for a in left_null_space(FieldMatrix(f, rows)) if f.zero not in a]
+    if len(null) != 1:
+        return None
+    vrows = [f.scale(a, row) for a, row in zip(null[0], rows)]
+    for i in range(r):
+        v0 = [f.one if k == i else f.zero for k in range(r)]
+        if rank_of_columns(f, [list(col) for col in zip(*(vrows + [v0]))]) == r:
+            return FieldMatrix(f, vrows + [v0])
+    return None
+
+
+def test_row_transforms_match_the_inverse_and_rank_loop_references():
+    # seeded square rows over GF(2..7): half uniform, half with a last row
+    # that makes a random combination of all of them vanish, some of whose
+    # coefficients are zero
+    rng = random.Random(50)
+    lifted = framed = 0
+    for q in (2, 3, 4, 5, 7):
+        f = gf(q)
+        for _ in range(400):
+            r = rng.randint(1, 5)
+            rows = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+            if rng.random() < 0.5:
+                a = [rng.randrange(q) for _ in range(r - 1)] + [rng.randrange(1, q)]
+                last = [f.zero] * r
+                for ai, row in zip(a, rows[:-1]):
+                    last = f.axpy(ai, row, last)
+                rows[-1] = f.scale(f.neg(f.inv(a[-1])), last)
+            for got, want in ((canonical._frame_rows(f, rows), _frame_rows_by_inverse(f, rows)),
+                              (canonical._lift_rows(f, rows), _lift_rows_by_rank_loop(f, rows))):
+                assert (got is None) == (want is None), (q, rows)
+                if got is not None:
+                    assert got.rows == want.rows, (q, rows)
+            framed += canonical._frame_rows(f, rows) is not None
+            lifted += canonical._lift_rows(f, rows) is not None
+    assert (framed, lifted) == (648, 701)
+
+
 def _result_fields(res):
     def entries(M):
         return M.field.q, M.rows, M.row_labels, M.col_labels

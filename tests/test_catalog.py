@@ -25,6 +25,7 @@ from oracles import (
     drop_isolated,
     mask_edge_sets,
     multigraph_classes_by_burnside,
+    multigraph_key,
     relabel,
     sweep_graphs,
     theta_closed_edge_sets,
@@ -363,7 +364,7 @@ def test_multigraphs_match_full_scan_oracle(max_vertices):
 def test_multigraphs_match_degree_class_oracle(max_vertices):
     for max_edges in range(9):
         got = catalog.multigraphs_up_to_iso(max_vertices, max_edges)
-        want = _vector_scan_oracle(max_vertices, max_edges, catalog.multigraph_key)
+        want = _vector_scan_oracle(max_vertices, max_edges, multigraph_key)
         assert [(g.n, g.edges) for g in got] == [(h.n, h.edges) for h in want]
 
 
@@ -371,30 +372,31 @@ def test_multigraphs_at_5_9():
     got = catalog.multigraphs_up_to_iso(5, 9)
     assert len(got) == 528
     assert [(g.n, g.edges) for g in got] == [
-        (h.n, h.edges) for h in _vector_scan_oracle(5, 9, catalog.multigraph_key)]
+        (h.n, h.edges) for h in _vector_scan_oracle(5, 9, multigraph_key)]
 
 
 def test_multigraph_generation_keys_degree_sorted_vectors_only(monkeypatch):
-    real = catalog.multigraph_key
-    degrees = []
-    keys = []
+    # every keyed class builds its graph, disconnected or not, on its key's
+    # labels: one of the class's degree-sorted vectors
+    real = catalog.MultiGraph
+    built = []
 
-    def key(nv, mult):
-        deg = [0] * nv
-        for (u, v), m in mult:
-            deg[u] += m
-            deg[v] += m
-        degrees.append(deg)
-        keys.append(real(nv, mult))
-        return keys[-1]
+    def leaf(n, edges):
+        built.append((n, tuple(edges)))
+        return real(n, edges)
 
-    monkeypatch.setattr(catalog, "multigraph_key", key)
+    monkeypatch.setattr(catalog, "MultiGraph", leaf)
     catalog._latest_multigraphs.cache_clear()
     assert len(catalog.multigraphs_up_to_iso(5, 8)) == 235
-    assert all(d == sorted(d, reverse=True) and d[-1] >= 2 for d in degrees)
-    # one call per class: the 235 connected ones and 30 disconnected ones
-    assert len(degrees) == 265
-    assert len(set(keys)) == len(keys)
+    for n, edges in built:
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        assert deg == sorted(deg, reverse=True) and deg[-1] >= 2
+    # one build per class: the 235 connected ones and 30 disconnected ones
+    assert len(built) == 265
+    assert len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("max_vertices, max_edges, count", [
@@ -435,11 +437,11 @@ def test_shared_multigraph_build_serves_every_bound_it_covers(monkeypatch):
     shared = catalog.multigraphs_up_to_iso(5, 8)
     assert _rows(shared) == fresh[5, 8]
 
-    def no_build(nv, mult):
+    def no_build(max_vertices, max_edges):
         raise AssertionError("built again")
 
     with monkeypatch.context() as m:
-        m.setattr(catalog, "multigraph_key", no_build)
+        m.setattr(catalog, "_build_multigraphs", no_build)
         for bounds, want in fresh.items():
             got = catalog.multigraphs_up_to_iso(*bounds)
             assert _rows(got) == want, bounds
@@ -459,39 +461,45 @@ def test_shared_multigraph_build_serves_every_bound_it_covers(monkeypatch):
 def test_failed_multigraph_build_keeps_the_latest_build(monkeypatch):
     catalog._latest_multigraphs.cache_clear()
     catalog.multigraphs_up_to_iso(4, 6)
-    real = catalog.multigraph_key
+    real = catalog.MultiGraph
     calls = []
 
-    def third_call_fails(nv, mult):
-        calls.append(nv)
+    def third_leaf_fails(n, edges):
+        calls.append(n)
         if len(calls) == 3:
             raise BoundExceeded("injected")
-        return real(nv, mult)
+        return real(n, edges)
 
-    monkeypatch.setattr(catalog, "multigraph_key", third_call_fails)
+    monkeypatch.setattr(catalog, "MultiGraph", third_leaf_fails)
     with pytest.raises(BoundExceeded):
         catalog.multigraphs_up_to_iso(4, 7)
+    assert len(calls) == 3
     assert list(catalog._latest_multigraphs()) == [(4, 6)]
-    monkeypatch.setattr(catalog, "multigraph_key", real)
+    monkeypatch.setattr(catalog, "MultiGraph", real)
     assert len(catalog.multigraphs_up_to_iso(4, 7)) == 63
     assert list(catalog._latest_multigraphs()) == [(4, 7)]
 
 
 def test_multigraph_key_is_a_relabeling_invariant():
+    # the oracle's key is the same under relabelings, and each generated
+    # graph carries its own key as its labels
     rng = random.Random(11)
     keys = set()
     graphs = catalog.multigraphs_up_to_iso(5, 7)
     for g in graphs:
-        key = catalog.multigraph_key(g.n, _mult(g))
+        key = multigraph_key(g.n, _mult(g))
         assert tuple(_mult(g)) == key
         for _ in range(5):
             perm = rng.sample(range(g.n), g.n)
             edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
                      for u, v in g.edges]
             rng.shuffle(edges)
-            assert catalog.multigraph_key(g.n, _mult(MultiGraph(g.n, edges))) == key
+            assert multigraph_key(g.n, _mult(MultiGraph(g.n, edges))) == key
         keys.add(key)
     assert len(keys) == len(graphs) == 98
+    graphs = catalog.multigraphs_up_to_iso(6, 8)
+    assert len(graphs) == 311
+    assert all(tuple(_mult(g)) == multigraph_key(g.n, _mult(g)) for g in graphs)
 
 
 def _theta_closed_subsets_oracle(g, candidate_cycles=None):

@@ -274,6 +274,23 @@ def test_verify_bounds_scale_each_claims_own_defaults(monkeypatch, capsys):
     assert calls["unique-balancing-subdivision"] == {}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["main2", "--q", "7"], "verify: main2 takes no --q; its options: --seed\n"),
+    (["base-count", "--seed", "3"], "verify: base-count takes no --seed; its options: none\n"),
+    (["base-count", "--seed", "3", "--q", "4"],
+     "verify: base-count takes no --seed --q; its options: none\n"),
+    (["allreps-k4", "--q", "5", "--seed", "2"],
+     "verify: allreps-k4 takes no --seed; its options: --q\n"),
+])
+def test_verify_refuses_an_option_the_claim_does_not_declare(monkeypatch, capsys, argv,
+                                                              message):
+    ran = []
+    monkeypatch.setattr(verify, "run_claim", lambda name, **kwargs: ran.append(name))
+    assert main(["verify"] + argv) == 2
+    assert capsys.readouterr().err == message
+    assert ran == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "abc", "0"])
 def test_bad_bounds_scale_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
     from bmlab.matroid import uniform_matroid
