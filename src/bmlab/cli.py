@@ -36,7 +36,7 @@ from .canonical import (
     enumerate_representations,
     kind_parts,
 )
-from .errors import BmlabError, BoundExceeded, ParseError
+from .errors import BmlabError, BoundExceeded, NotACycle, ParseError
 from .fields import gf
 from .gains import induced_bias, switching_equivalent, switching_scaling_equivalent
 from .linalg import projectively_equivalent
@@ -79,14 +79,23 @@ def _read(path):
     raise ParseError("cannot read %s: %s" % (path, reason))
 
 
-def _emit(payload, as_json, text=None):
+def _emit(payload, as_json, text):
+    print(formats.dumps(payload) if as_json else text)
+
+
+def _emit_file(text, as_json, **fields):
+    """A file in one of the text formats: the file as it is, or under --json
+    {"file": text, **fields}."""
     if as_json:
-        print(formats.dumps(payload))
+        print(formats.dumps({"file": text, **fields}))
     else:
-        print(text if text is not None else formats.dumps(payload))
+        sys.stdout.write(text)
 
 
 def cmd_catalog(args):
+    if args.all == bool(args.name):
+        print("catalog: need a name or --all, not both", file=sys.stderr)
+        return EXIT_USAGE
     if args.all:
         table = []
         for nb in catalog.named_graphs():
@@ -105,9 +114,6 @@ def cmd_catalog(args):
                   r["name"], r["vertices"], r["edges"], r["balanced_cycles"], r["balance"])
                   for r in table))
         return EXIT_PASS
-    if not args.name:
-        print("catalog: need a name or --all", file=sys.stderr)
-        return EXIT_USAGE
     try:
         nb = catalog.by_name(args.name)
     except BmlabError:
@@ -115,17 +121,16 @@ def cmd_catalog(args):
             args.name, ", ".join(known.name for known in catalog.named_graphs())),
             file=sys.stderr)
         return EXIT_USAGE
-    text = formats.emit_biased_graph(nb.omega)
-    if args.json:
-        _emit({"name": nb.name, "file": text}, True)
-    else:
-        sys.stdout.write(text)
+    _emit_file(formats.emit_biased_graph(nb.omega), args.json, name=nb.name)
     return EXIT_PASS
 
 
 def cmd_check_theta(args):
     om = formats.parse_biased_graph(_read(args.biased_graph), check=False)
-    violation = check_theta_property(om.graph, om.balanced)
+    try:
+        violation = check_theta_property(om.graph, om.balanced)
+    except NotACycle as exc:  # a malformed file, as every other subcommand reports it
+        raise ParseError(str(exc))
     if violation is None:
         _emit({"status": "ok"}, args.json, "ok: theta property holds")
         return EXIT_PASS
@@ -172,8 +177,8 @@ def cmd_matrix(args):
     form = kind_parts(args.kind).matrix(gg)
     text = formats.emit_matrix(form.matrix)
     if args.json:
-        _emit({"kind": args.kind, "matrix": text,
-               "rows": list(form.matrix.row_labels)}, True)
+        print(formats.dumps({"kind": args.kind, "matrix": text,
+                             "rows": list(form.matrix.row_labels)}))
     else:
         sys.stdout.write(text)
     return EXIT_PASS
@@ -182,13 +187,8 @@ def cmd_matrix(args):
 def cmd_bias(args):
     gg = formats.parse_gain_graph(_read(args.gain_graph))
     om = induced_bias(gg)
-    text = formats.emit_biased_graph(om)
-    if args.json:
-        _emit({"file": text, "balanced": [
-            formats.edge_names_json(om.graph, c) for c in sorted(om.balanced, key=sorted)
-        ]}, True)
-    else:
-        sys.stdout.write(text)
+    _emit_file(formats.emit_biased_graph(om), args.json, balanced=[
+        formats.edge_names_json(om.graph, c) for c in sorted(om.balanced, key=sorted)])
     return EXIT_PASS
 
 
@@ -282,26 +282,21 @@ def cmd_minor(args):
               % " ".join(om.graph.names_of(contract & delete)), file=sys.stderr)
         return EXIT_USAGE
     res = biased_minor(om, contract, delete)
-    text = formats.emit_biased_graph(res.omega)
-    if args.json:
-        _emit({"file": text, "link_minor": res.is_link_minor}, True)
-    else:
-        sys.stdout.write(text)
+    _emit_file(formats.emit_biased_graph(res.omega), args.json, link_minor=res.is_link_minor)
     return EXIT_PASS
 
 
 def cmd_deltawye(args):
     om = formats.parse_biased_graph(_read(args.biased_graph))
     X = om.graph.edge_set(args.at)
-    out = delta_y(om, X)
-    sys.stdout.write(formats.emit_biased_graph(out))
+    _emit_file(formats.emit_biased_graph(delta_y(om, X)), args.json)
     return EXIT_PASS
 
 
 def cmd_wyedelta(args):
     om = formats.parse_biased_graph(_read(args.biased_graph))
     out, _ = y_delta(om, args.vertex)
-    sys.stdout.write(formats.emit_biased_graph(out))
+    _emit_file(formats.emit_biased_graph(out), args.json)
     return EXIT_PASS
 
 
@@ -312,15 +307,13 @@ def cmd_rollup(args):
     else:
         part = unbalancing_classes(om, args.vertex)
         cls = part.classes[0]
-    out = roll_up(om, args.vertex, cls)
-    sys.stdout.write(formats.emit_biased_graph(out))
+    _emit_file(formats.emit_biased_graph(roll_up(om, args.vertex, cls)), args.json)
     return EXIT_PASS
 
 
 def cmd_unroll(args):
     om = formats.parse_biased_graph(_read(args.biased_graph))
-    out = unroll(om, args.vertex)
-    sys.stdout.write(formats.emit_biased_graph(out))
+    _emit_file(formats.emit_biased_graph(unroll(om, args.vertex)), args.json)
     return EXIT_PASS
 
 
@@ -337,6 +330,9 @@ def _claim_kwargs(claim, kwargs, scale):
 
 
 def cmd_verify(args):
+    if args.all == bool(args.claim):
+        print("verify: need a claim id or --all, not both", file=sys.stderr)
+        return EXIT_USAGE
     names = verify.all_claims() if args.all else [args.claim]
     if not args.all and args.claim not in verify.CLAIMS:
         print("unknown claim %r; known: %s" % (args.claim, ", ".join(verify.all_claims())),
@@ -473,9 +469,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_help()
-        return EXIT_USAGE
-    if args.command == "verify" and not args.all and not args.claim:
-        print("verify: need a claim id or --all", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

@@ -463,57 +463,63 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
     reduces each T'_{2,i} to a smaller graph whose representations are
     exhaustively canonical, Whittle's exchange bijection is checked on
     matrix representatives, and scrambles of canonical T'_{2,i} matrices
-    round-trip."""
+    round-trip.  With no realization over GF(q)^x, only the vertex is sought."""
     rng = random.Random(seed)
+    f = gf(q)
     failures = []
     counts = {}
     for i in (1, 2, 3):
         nb = catalog.t2_prime_split(i)
         om = nb.omega
-        reported = len(failures)
         reps = realizations(om, MultiplicativeGroup(q))
-        # nabla at a degree-3 vertex whose star is a genuine triad
-        done = False
-        g = om.graph
-        for v in range(g.n):
-            if g.degree(v) != 3 or len(set(g.links_at(v))) != 3:
-                continue
-            try:
-                img, _ = y_delta(om, v)
-            except BmlabError:
-                continue
-            star = [g.edge_names[e] for e in g.incident_edges(v)]
-            # matrix-level exchange on a canonical representative
-            if not reps:
-                break
-            A = frame_matrix(reps[0]).matrix
-            try:
-                NA = y_delta_matrix(A, star)
-            except BmlabError as exc:
-                failures.append({"graph": nb.name, "why": "nabla failed: %s" % exc})
-                break
-            eq, w = matroids_equal(vector_matroid(NA), frame_matroid(img))
-            if not eq:
-                failures.append({"graph": nb.name, "why": "nabla matroid mismatch",
-                                 "subset": w})
-            try:
-                back = delta_y_matrix(NA, star)
-            except NotTriangle as exc:  # the star is no triangle of NA
-                failures.append({"graph": nb.name, "why": "exchange not involutive",
-                                 "reason": str(exc)})
-            else:
-                if projectively_equivalent(A, back) is None:
-                    failures.append({"graph": nb.name, "why": "exchange not involutive"})
-            done = True
-            break
-        if not done and len(failures) == reported:
-            failures.append({"graph": nb.name, "why": "no usable degree-3 vertex"})
-        # scramble round-trips directly on T'_{2,i}
         counts[nb.name] = {"frame_classes": len(reps)}
-        f = gf(q)
+        nabla = _nabla_star(om)
+        if nabla is None:
+            failures.append({"graph": nb.name, "why": "no usable degree-3 vertex"})
+        elif reps:
+            failures += _exchange_failures(nb.name, frame_matrix(reps[0]).matrix, *nabla)
+        # scramble round-trips directly on T'_{2,i}
         for k in range(samples if reps else 0):
             failures += _round_trip(rng, f, nb.name, om, FRAME, reps[k % len(reps)])
     return failures, {"q": q, "per_graph": counts}
+
+
+def _nabla_star(om):
+    """(the edge names of the star, nabla_Y om) at the first degree-3
+    vertex whose star is a genuine triad and where y_delta applies, or None
+    when no vertex qualifies."""
+    g = om.graph
+    for v in range(g.n):
+        if g.degree(v) != 3 or len(set(g.links_at(v))) != 3:
+            continue
+        try:
+            img, _ = y_delta(om, v)
+        except BmlabError:
+            continue
+        return [g.edge_names[e] for e in g.incident_edges(v)], img
+    return None
+
+
+def _exchange_failures(name, A, star, img):
+    """The failures of Whittle's exchange on the frame matrix A at the
+    star whose nabla_Y image is img: nabla A must represent F(img), and
+    Delta nabla A must be projectively equivalent to A."""
+    try:
+        NA = y_delta_matrix(A, star)
+    except BmlabError as exc:
+        return [{"graph": name, "why": "nabla failed: %s" % exc}]
+    failures = []
+    eq, w = matroids_equal(vector_matroid(NA), frame_matroid(img))
+    if not eq:
+        failures.append({"graph": name, "why": "nabla matroid mismatch", "subset": w})
+    try:
+        back = delta_y_matrix(NA, star)
+    except NotTriangle as exc:  # the star is no triangle of NA
+        failures.append({"graph": name, "why": "exchange not involutive", "reason": str(exc)})
+    else:
+        if projectively_equivalent(A, back) is None:
+            failures.append({"graph": name, "why": "exchange not involutive"})
+    return failures
 
 
 def _scramble(rng, f, A):
@@ -745,47 +751,43 @@ def claim_main3_roundtrip(seed=DEFAULT_SEED, samples=100, q=5):
     """Thm T:MainTheorem1 mechanics: seeded scrambles of canonical matrices
     on B_0, D_{0,2}, T_0 are recovered with the correct kind and
     equivalent gains."""
-    rng = random.Random(seed)
-    f = gf(q)
-    jobs = []
-    for nb in FAMILIES["roundtrip"]():
-        for kind in (FRAME, LIFT):
-            reps = realizations(nb.omega, kind_parts(kind).group(q))
-            if reps:
-                jobs.append((nb.name, nb.omega, kind, reps))
-    failures = []
-    for k in range(samples):
-        name, om, kind, reps = jobs[k % len(jobs)]
-        failures += _round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
-    return failures, {"samples": samples, "q": q}
+    return _round_trips(seed, samples, q, [(nb.name, nb.omega, kind)
+                                           for nb in FAMILIES["roundtrip"]()
+                                           for kind in (FRAME, LIFT)])
 
 
 @claim("main4-samples")
 def claim_main4_samples(seed=DEFAULT_SEED, samples=30, q=5):
     """Thm on almost-balanced graphs: scrambles canonicalize to a form
     particular to the graph or to a roll-up variant (reported)."""
-    rng = random.Random(seed)
-    f = gf(q)
     instances = [(nb.name, nb.omega) for nb in FAMILIES["contracted-tube"]()]
     instances.append(("D_{1,0}", catalog.dwarf("D_{1,0}").omega))
     p2 = MultiGraph(3, [(0, 2), (2, 1)])
     instances.append(("fat-theta-3x2", catalog.fat_theta([p2, p2, p2])))
+    n = len(instances)
+    # instance and kind alternate together, so the order repeats after 2n
+    return _round_trips(seed, samples, q, [instances[k % n] + ((LIFT, FRAME)[k % 2],)
+                                           for k in range(2 * n)])
+
+
+def _round_trips(seed, samples, q, cases):
+    """Seeded round trips over the (name, omega, kind) cases that have
+    realizations over the kind's group of GF(q), kept in order as jobs: the
+    k-th of the samples scrambles a realization, drawn at random, of job
+    k mod their number.  With no job none is drawn, and `samples` reads 0."""
+    jobs = []
+    for name, om, kind in cases:
+        reps = realizations(om, kind_parts(kind).group(q))
+        if reps:
+            jobs.append((name, om, kind, reps))
+    drawn = samples if jobs else 0
+    rng = random.Random(seed)
+    f = gf(q)
     failures = []
-    done = 0
-    k = 0
-    reps_of = {}
-    while done < samples:
-        name, om = instances[k % len(instances)]
-        k += 1
-        kind = (FRAME, LIFT)[k % 2]
-        if (name, kind) not in reps_of:
-            reps_of[name, kind] = realizations(om, kind_parts(kind).group(q))
-        reps = reps_of[name, kind]
-        if not reps:
-            continue
+    for k in range(drawn):
+        name, om, kind, reps = jobs[k % len(jobs)]
         failures += _round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
-        done += 1
-    return failures, {"samples": done, "q": q}
+    return failures, {"samples": drawn, "q": q}
 
 
 def _round_trip(rng, f, name, om, kind, gg):

@@ -324,8 +324,8 @@ MUTANTS = [
     # an unknown catalog name exits as a negative answer
     Mutant(
         "cli.py",
-        "        return EXIT_USAGE\n    text = formats.emit_biased_graph(nb.omega)",
-        "        return EXIT_FAIL\n    text = formats.emit_biased_graph(nb.omega)",
+        "        return EXIT_USAGE\n    _emit_file(formats.emit_biased_graph(nb.omega)",
+        "        return EXIT_FAIL\n    _emit_file(formats.emit_biased_graph(nb.omega)",
         ["tests/test_cli.py::test_catalog_unknown_name_is_a_usage_error"],
     ),
     # biased_family keeps every graph, whatever graph_ok says
@@ -744,6 +744,39 @@ MUTANTS = [
         "[c for c in omega.balanced if far.keys().isdisjoint(c)]",
         "omega.balanced",
         ["tests/test_bias.py::test_edits_match_their_by_hand_rebuilds"],
+    ),
+    # a round-trip job without realizations: drawing from it raises
+    Mutant(
+        "verify.py",
+        "        if reps:\n            jobs.append((name, om, kind, reps))",
+        "        jobs.append((name, om, kind, reps))",
+        ["tests/test_verify.py::test_round_trips_draw_nothing_without_a_realization",
+         "tests/test_verify.py::"
+         "test_round_trips_scramble_what_the_claims_own_loops_did[main3-roundtrip]"],
+    ),
+    # samples drawn with no job to draw from
+    Mutant(
+        "verify.py",
+        "drawn = samples if jobs else 0",
+        "drawn = samples",
+        ["tests/test_verify.py::test_round_trips_draw_nothing_without_a_realization",
+         "tests/test_cli.py::test_verify_all_over_gf2_reports_every_claim"],
+    ),
+    # the exchange checked on a T'_{2,i} without a realization
+    Mutant(
+        "verify.py",
+        "        elif reps:\n",
+        "        else:\n",
+        ["tests/test_verify.py::"
+         "test_t2prime_splits_without_a_realization_check_only_the_vertex"],
+    ),
+    # main4-samples visits frame first: a different sequence of scrambles
+    Mutant(
+        "verify.py",
+        "(LIFT, FRAME)[k % 2]",
+        "(FRAME, LIFT)[k % 2]",
+        ["tests/test_verify.py::"
+         "test_round_trips_scramble_what_the_claims_own_loops_did[main4-samples]"],
     ),
 ]
 

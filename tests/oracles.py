@@ -32,13 +32,16 @@ subset, the kind match by two matroid walks, and roll reachability from
 fresh unrollings.  Then the routines that plain-row elimination and the
 minimal modular cut replaced: reduction by one axpy per pivot row, the
 projective key read off rref with its transform, and the single-element
-extension over every set of the modular cut.  Last, a counter of the
-builder runs behind the values kept on a graph (graph.kept).
+extension over every set of the modular cut.  Then the sampling loops of
+main3-roundtrip and main4-samples that verify._round_trips replaced.
+Last, a counter of the builder runs behind the values kept on a graph
+(graph.kept).
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
 """
 
+import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -82,9 +85,10 @@ from bmlab.fields import (
     _min_irreducible,
     _poly_mod,
     _poly_mul,
+    gf,
 )
 from bmlab.formats import parse_matrix
-from bmlab.gains import induced_gain, normalize, switch, switching_equivalent
+from bmlab.gains import induced_gain, normalize, realizations, switch, switching_equivalent
 from bmlab.graph import (
     SUBDIVISION_BOUND,
     Embedding,
@@ -1432,6 +1436,52 @@ def extension_over_every_cut_set(A, target_oracle, f):
             if matroids_equal(vector_matroid(B), target_oracle)[0]:
                 return True, W
     return False, W
+
+
+# -- the sampling loops that verify._round_trips replaced ------------------------
+
+def main3_round_trips_by_loop(round_trip, seed, samples, q):
+    """main3-roundtrip's own loop: round_trip(rng, f, name, omega, kind, gg)
+    for each sample, on the (graph, kind) jobs with realizations, graph by
+    graph and frame before lift, each sample drawing its realization."""
+    rng = random.Random(seed)
+    f = gf(q)
+    jobs = []
+    for nb in [catalog.tube("B_0"), catalog.dwarf("D_{0,2}"), catalog.biased_2c3("T_0")]:
+        for kind in (FRAME, LIFT):
+            reps = realizations(nb.omega, kind_parts(kind).group(q))
+            if reps:
+                jobs.append((nb.name, nb.omega, kind, reps))
+    for k in range(samples):
+        name, om, kind, reps = jobs[k % len(jobs)]
+        round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
+
+
+def main4_round_trips_by_loop(round_trip, seed, samples, q):
+    """main4-samples' own loop: the k-th visit takes instance k mod n and
+    kind (LIFT, FRAME)[k mod 2], skips it when it has no realization, and
+    calls round_trip until `samples` have run; the realizations of each
+    (instance, kind) are listed once."""
+    rng = random.Random(seed)
+    f = gf(q)
+    instances = [(nb.name, nb.omega) for nb in catalog.contracted_tubes()]
+    instances.append(("D_{1,0}", catalog.dwarf("D_{1,0}").omega))
+    p2 = MultiGraph(3, [(0, 2), (2, 1)])
+    instances.append(("fat-theta-3x2", catalog.fat_theta([p2, p2, p2])))
+    done = 0
+    k = 0
+    reps_of = {}
+    while done < samples:
+        name, om = instances[k % len(instances)]
+        k += 1
+        kind = (FRAME, LIFT)[k % 2]
+        if (name, kind) not in reps_of:
+            reps_of[name, kind] = realizations(om, kind_parts(kind).group(q))
+        reps = reps_of[name, kind]
+        if not reps:
+            continue
+        round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
+        done += 1
 
 
 @contextmanager

@@ -212,6 +212,44 @@ def test_rollup_unroll_cli(tmp_path, capsys):
     assert main(["unroll", rolled_path, "--vertex", str(u)]) == 0
 
 
+def test_file_outputs_take_json(tmp_path, capsys):
+    # each output in the text format is, under --json, the "file" field
+    from bmlab.bias import classify_balance
+
+    t2p = catalog.biased_2c3("T_2'").omega
+    d10 = catalog.dwarf("D_{1,0}").omega
+    u = str(classify_balance(d10).balancing_vertices[0])
+    p_t2p = write(tmp_path, "t2p.bg", formats.emit_biased_graph(t2p))
+    p_d10 = write(tmp_path, "d10.bg", formats.emit_biased_graph(d10))
+    X = t2p.graph.names_of(min(t2p.balanced, key=sorted))
+    assert main(["deltawye", p_t2p, "--at", *X]) == 0
+    p_wye = write(tmp_path, "wye.bg", capsys.readouterr().out)
+    for argv, fields in [
+        (["deltawye", p_t2p, "--at", *X], {}),
+        (["wyedelta", p_wye, "--vertex", str(t2p.graph.n)], {}),
+        (["rollup", p_d10, "--vertex", u], {}),
+        (["unroll", p_d10, "--vertex", u], {}),
+        (["catalog", "B_0"], {"name": "B_0"}),
+    ]:
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"file": text, **fields}, argv
+
+
+@pytest.mark.parametrize("argv", [["verify", "no-such-claim", "--all"],
+                                  ["verify", "base-count", "--all"], ["verify"],
+                                  ["catalog", "--all", "T_0"], ["catalog"]])
+def test_all_and_a_name_exclude_each_other(monkeypatch, capsys, argv):
+    ran = []
+    monkeypatch.setattr(verify, "run_claim", lambda name, **kwargs: ran.append(name))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ran == []
+    assert err == "%s: need a %s or --all, not both\n" % (
+        argv[0], "claim id" if argv[0] == "verify" else "name")
+
+
 def test_rollup_without_a_class_partitions_the_links_once(tmp_path, capsys):
     """rollup picks the first unbalancing class and roll_up checks it: both
     read the one partition kept on the parsed graph."""
@@ -243,6 +281,15 @@ def test_verify_json(capsys):
     assert main(["verify", "base-count", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["reports"][0]["status"] == "pass"
+
+
+def test_verify_all_over_gf2_reports_every_claim(capsys):
+    # GF(2)^x is trivial, so claims over it may find no realization; each
+    # still reports, and only allreps-contracted-tube may fail
+    assert main(["verify", "--all", "--q", "2", "--json"]) in (0, 1)
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["claim"] for r in reports] == verify.all_claims()
+    assert {r["claim"] for r in reports if r["status"] != "pass"} <= {"allreps-contracted-tube"}
 
 
 def test_python_dash_m_bmlab_runs_the_cli():
@@ -356,6 +403,8 @@ GAIN_HEAD = "vertices 2\nedge e1 0 1\n"
     ("bias", GAIN_HEAD + "group mul 6\ngain e1 1\n", "line 3: 6 is not a prime power"),
     ("bias", GAIN_HEAD + "group zn y\ngain e1 0\n", "line 3: group order must be an integer"),
     ("classify", GAIN_HEAD + "balanced e2\n", "line 3: no edge named 'e2'"),
+    ("classify", GAIN_HEAD + "balanced e1\n", "balanced set member [0] is not a cycle"),
+    ("check-theta", GAIN_HEAD + "balanced e1\n", "balanced set member [0] is not a cycle"),
     ("enumerate-reps", "ground a\nrank - x\nrank a 1\n", "line 2: rank must be an integer"),
     ("enumerate-reps", "source missing.bg\nkind frame\n",
      "line 1: cannot read source 'missing.bg'"),

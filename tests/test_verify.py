@@ -48,6 +48,8 @@ from oracles import (
     drop_isolated,
     extension_over_every_cut_set,
     joint_extension,
+    main3_round_trips_by_loop,
+    main4_round_trips_by_loop,
     subdivide_edge_by_hand,
 )
 
@@ -697,6 +699,50 @@ def test_t2prime_splits_reports_each_graph_without_a_usable_vertex(monkeypatch):
     assert rep.status == "fail"
     assert rep.witnesses == [{"graph": catalog.t2_prime_split(i).name,
                               "why": "no usable degree-3 vertex"} for i in (1, 2, 3)]
+
+
+def test_t2prime_splits_without_a_realization_check_only_the_vertex():
+    # GF(3)^x = {1, 2} realizes no T'_{2,i}: no matrix to exchange, no
+    # round trip, and the nabla vertex is still there
+    rep = run_claim("allreps-t2prime-splits", q=3)
+    assert rep.status == "pass"
+    assert all(c == {"frame_classes": 0} for c in rep.counts["per_graph"].values())
+
+
+ROUND_TRIP_LOOPS = {"main3-roundtrip": main3_round_trips_by_loop,
+                    "main4-samples": main4_round_trips_by_loop}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_LOOPS))
+def test_round_trips_scramble_what_the_claims_own_loops_did(monkeypatch, name):
+    # the (graph, kind, gains) of every round trip, in order, as the loop
+    # each claim ran before its cases went through _round_trips
+    real = verify._round_trip
+    calls = []
+
+    def recording(rng, f, graph, om, kind, gg):
+        calls.append((graph, kind, gg.gains))
+        return real(rng, f, graph, om, kind, gg)
+
+    monkeypatch.setattr(verify, "_round_trip", recording)
+    samples = CLAIM_OPTIONS[name]["samples"]
+    kinds = set()
+    for seed, q in product((SEED, 3, 11), (3, 5, 7)):
+        assert run_claim(name, seed=seed, q=q).status == "pass"
+        got = calls[:]
+        del calls[:]
+        ROUND_TRIP_LOOPS[name](recording, seed, samples, q)
+        assert got == calls and len(got) == samples, (seed, q)
+        kinds |= {kind for _, kind, _ in got}
+        del calls[:]
+    assert kinds == {FRAME, LIFT}
+
+
+def test_round_trips_draw_nothing_without_a_realization():
+    # GF(2)^x is trivial and GF(2)^+ realizes none of B_0, D_{0,2}, T_0
+    rep = run_claim("main3-roundtrip", q=2)
+    assert rep.status == "pass"
+    assert rep.counts == {"samples": 0, "q": 2}
 
 
 def test_subdivide_edge_matches_the_hand_rebuild():
