@@ -27,6 +27,7 @@ from .errors import (
     NotTriad,
     NotTriangle,
     NotVertically2Connected,
+    UnsupportedField,
 )
 from .fields import gf
 from .gains import (
@@ -241,7 +242,8 @@ def canonicalize_representation(A, omega, hint=None):
 
     Requires vector_matroid(A) to equal F(omega) or L(omega), that is to
     have the same rank and the same bases (MatroidMismatch otherwise), and
-    omega vertically 2-connected.
+    omega vertically 2-connected, and A over a finite field
+    (UnsupportedField otherwise).
     For properly unbalanced omega the result is particular to omega; for
     almost-balanced omega it may be particular to a roll-up variant, with
     the rolled edges reported.  Returns witness with T*A*S equal to the
@@ -265,6 +267,8 @@ def canonicalize_representation(A, omega, hint=None):
     matched = _matched_kinds(MA, omega, hint)
     if not matched:
         raise MatroidMismatch("matrix does not represent F(omega) or L(omega)")
+    if A.field.q is None:  # the gain groups are built from an order q
+        raise UnsupportedField("canonicalization needs a finite field GF(q), got %r" % A.field)
     rows = _vertex_rows(A, omega)
     result, reasons = None, []
     for kind in matched:

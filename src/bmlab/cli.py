@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 pass/success, 1 fail/negative answer, 2 usage or parse
-error, 3 bound exhausted / undecided.  Every subcommand takes --json.
+error, 3 bound exhausted / undecided, 141 (128 + SIGPIPE) stdout closed
+before the output was written.  Every subcommand takes --json.
 The BMLAB_BOUNDS environment variable scales the default search bounds
 (for `enumerate-reps`, canonical.ENUMERATION_WORK_BOUND; for `verify`, each
 claim's own max_vertices/max_edges defaults).
@@ -45,6 +46,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_CLOSED_PIPE = 141
 
 
 def bounds_scale():
@@ -471,7 +473,14 @@ def main(argv=None):
         parser.print_help()
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # flush at exit reports nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

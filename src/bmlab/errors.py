@@ -78,6 +78,10 @@ class NotVertically2Connected(BmlabError):
     pass
 
 
+class UnsupportedField(BmlabError):
+    """A routine that needs a finite field was given one with no order q."""
+
+
 class NoBasis(BmlabError):
     pass
 

@@ -12,6 +12,9 @@ the orientation u -> v of the edge declaration):
     group mul <q> | group add <q> | group zn <n>
     gain <edge-name> <element>
 
+A biased-graph file with a group or gain line, or a gain-graph file with a
+balanced line, is a parse error ("unknown declaration").
+
 Matrix format:
     rows <r> cols <c> field gf <q> | rows <r> cols <c> field rational
     labels <col-label> ...       (optional)
@@ -68,6 +71,13 @@ def _construct(make, order, i):
 
 
 def parse_graph(text):
+    """The graph of a graph, biased-graph or gain-graph file."""
+    return _parse_graph(text, ("balanced", "group", "gain"))
+
+
+def _parse_graph(text, declarations):
+    """The graph of text, whose other lines may only be the given
+    declarations; any other line is an unknown declaration."""
     n = None
     edges = []
     names = []
@@ -85,9 +95,7 @@ def parse_graph(text):
                 raise ParseError("edge before vertices", i)
             names.append(parts[1])
             edges.append((_int(parts[2], "edge endpoint", i), _int(parts[3], "edge endpoint", i)))
-        elif parts[0] in ("balanced", "group", "gain"):
-            continue
-        else:
+        elif parts[0] not in declarations:
             raise ParseError("unknown declaration %r" % parts[0], i)
     if n is None:
         raise ParseError("missing vertices line")
@@ -105,7 +113,7 @@ def emit_graph(g):
 
 
 def parse_biased_graph(text, check=True):
-    g = parse_graph(text)
+    g = _parse_graph(text, ("balanced",))
     balanced = []
     for i, parts in _lines(text):
         if parts[0] == "balanced":
@@ -133,7 +141,7 @@ def _parse_group(parts, i):
 
 
 def parse_gain_graph(text):
-    g = parse_graph(text)
+    g = _parse_graph(text, ("group", "gain"))
     group = None
     gains = {}
     for i, parts in _lines(text):

@@ -272,11 +272,12 @@ def _random_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True):
 
 # -- section 4.1 biconditionals ----------------------------------------------------
 
-def _reps_with_matrices(om, q, kind):
+def _keyed_realizations(om, q, kind):
     """The normalized realizations of om over the kind's group of GF(q),
-    each with its canonical matrix of that kind."""
+    and the projective keys of their canonical matrices of that kind."""
     parts = kind_parts(kind)
-    return [(gg, parts.matrix(gg).matrix) for gg in realizations(om, parts.group(q))]
+    reps = realizations(om, parts.group(q))
+    return reps, [projective_key(parts.matrix(gg).matrix) for gg in reps]
 
 
 def _disagreements(keys, classes):
@@ -291,42 +292,47 @@ def _disagreements(keys, classes):
             if (keys[i] == keys[j]) != (classes[i] == classes[j])]
 
 
-def _partition_failures(name, q, keys, classes):
-    """A failure for each pair of realizations of the named graph over GF(q)
-    whose matrices' projective keys and whose gain classes disagree."""
-    return [{"graph": name, "q": q, "pair": (i, j), "same_class": classes[i] == classes[j],
-             "proj_equiv": keys[i] == keys[j]} for i, j in _disagreements(keys, classes)]
+def _partitions(graphs, fields, kind, classes_of, rng=None):
+    """Theorem 1 over each named graph and GF(q), exhaustively: two
+    realizations have projectively equivalent canonical matrices of the kind
+    iff classes_of(realizations) puts them in one class.  The projective key
+    decides equivalence, so the partitions are compared by key.  With rng
+    (frame), up to three realizations per graph and field are switched by a
+    drawn eta, and each switched copy must stay equivalent (exact witness).
+    Returns (failures, realizations, pairs)."""
+    failures = []
+    total = pairs = 0
+    for nb in graphs:
+        for q in fields:
+            reps, keys = _keyed_realizations(nb.omega, q, kind)
+            classes = classes_of(reps)
+            total += len(reps)
+            pairs += comb(len(reps), 2)
+            failures += [{"graph": nb.name, "q": q, "pair": (i, j),
+                          "same_class": classes[i] == classes[j], "proj_equiv": keys[i] == keys[j]}
+                         for i, j in _disagreements(keys, classes)]
+            if rng is None:
+                continue
+            for i in _sample_indices(rng, len(reps), 3):
+                gg = reps[i]
+                eta = {v: rng.choice(gg.group.elements) for v in range(nb.omega.graph.n)}
+                if projectively_equivalent(frame_matrix(gg).matrix,
+                                           frame_matrix(switch(gg, eta)).matrix) is None:
+                    failures.append({"graph": nb.name, "q": q, "rep": i,
+                                     "why": "switched copy not equivalent"})
+    return failures, total, pairs
 
 
 def _biconditional(graphs, fields, kind, seed=None):
-    """Exhaustive: two realizations have projectively equivalent canonical
-    matrices iff they are in one gain class, switching classes for frame
+    """Theorem 1 for the kind: gain classes are switching classes for frame
     (distinct normalized realizations are distinct classes),
-    switching-and-scaling orbits for lift.  The projective key decides
-    equivalence, so the pairs are compared by key; for frame, switched
-    copies drawn with `seed` must stay equivalent (exact witnesses)."""
+    switching-and-scaling orbits for lift.  Only frame draws switched
+    copies, with `seed`."""
     rng = random.Random(seed) if kind == FRAME else None
-    failures = []
-    pairs = reps_total = 0
-    for nb in graphs:
-        om = nb.omega
-        for q in fields:
-            reps = _reps_with_matrices(om, q, kind)
-            reps_total += len(reps)
-            keys = [projective_key(A) for _, A in reps]
-            classes = gain_classes(kind, [gg for gg, _ in reps])
-            pairs += comb(len(reps), 2)
-            failures += _partition_failures(nb.name, q, keys, classes)
-            if kind != FRAME:
-                continue
-            for i in _sample_indices(rng, len(reps), 3):
-                gg, A = reps[i]
-                eta = {v: rng.choice(gg.group.elements) for v in range(om.graph.n)}
-                if projectively_equivalent(A, frame_matrix(switch(gg, eta)).matrix) is None:
-                    failures.append({"graph": nb.name, "q": q, "rep": i,
-                                     "why": "switched copy not equivalent"})
+    failures, total, pairs = _partitions(graphs, fields, kind,
+                                         lambda reps: gain_classes(kind, reps), rng)
     return failures, {"graphs": len(graphs), "fields": list(fields),
-                      "realizations": reps_total, "pairs": pairs}
+                      "realizations": total, "pairs": pairs}
 
 
 def _biconditional_cross(graphs, fields):
@@ -334,15 +340,11 @@ def _biconditional_cross(graphs, fields):
     failures = []
     checked = 0
     for nb in graphs:
-        om = nb.omega
         for q in fields:
-            fr = _reps_with_matrices(om, q, FRAME)
-            lf = _reps_with_matrices(om, q, LIFT)
-            fkeys = {projective_key(A) for _, A in fr}
-            lkeys = {projective_key(A) for _, A in lf}
-            checked += len(fr) * len(lf)
-            both = fkeys & lkeys
-            if both:
+            _, fkeys = _keyed_realizations(nb.omega, q, FRAME)
+            _, lkeys = _keyed_realizations(nb.omega, q, LIFT)
+            checked += len(fkeys) * len(lkeys)
+            if set(fkeys) & set(lkeys):
                 failures.append({"graph": nb.name, "q": q,
                                  "why": "frame and lift forms equivalent"})
     return failures, {"graphs": len(graphs), "fields": list(fields), "cross_pairs": checked}
@@ -358,13 +360,7 @@ def _criterion(nb, fields, kind, classes_of):
     """A lemma "two realizations of nb have projectively equivalent
     canonical matrices iff classes_of puts them in one class", checked
     exhaustively over each field."""
-    failures = []
-    pairs = 0
-    for q in fields:
-        reps = _reps_with_matrices(nb.omega, q, kind)
-        pairs += comb(len(reps), 2)
-        failures += _partition_failures(nb.name, q, [projective_key(A) for _, A in reps],
-                                        classes_of([gg for gg, _ in reps]))
+    failures, _, pairs = _partitions([nb], fields, kind, classes_of)
     return failures, {"fields": list(fields), "pairs": pairs}
 
 
@@ -463,24 +459,22 @@ def claim_allreps_t2prime_splits(q=4, seed=DEFAULT_SEED, samples=12):
     reduces each T'_{2,i} to a smaller graph whose representations are
     exhaustively canonical, Whittle's exchange bijection is checked on
     matrix representatives, and scrambles of canonical T'_{2,i} matrices
-    round-trip.  With no realization over GF(q)^x, only the vertex is sought."""
-    rng = random.Random(seed)
-    f = gf(q)
+    round-trip, `samples` per graph.  With no realization over GF(q)^x,
+    only the vertex is sought."""
+    splits = [catalog.t2_prime_split(i) for i in (1, 2, 3)]
     failures = []
     counts = {}
-    for i in (1, 2, 3):
-        nb = catalog.t2_prime_split(i)
-        om = nb.omega
-        reps = realizations(om, MultiplicativeGroup(q))
+    for nb in splits:
+        reps = realizations(nb.omega, MultiplicativeGroup(q))
         counts[nb.name] = {"frame_classes": len(reps)}
-        nabla = _nabla_star(om)
+        nabla = _nabla_star(nb.omega)
         if nabla is None:
             failures.append({"graph": nb.name, "why": "no usable degree-3 vertex"})
         elif reps:
             failures += _exchange_failures(nb.name, frame_matrix(reps[0]).matrix, *nabla)
-        # scramble round-trips directly on T'_{2,i}
-        for k in range(samples if reps else 0):
-            failures += _round_trip(rng, f, nb.name, om, FRAME, reps[k % len(reps)])
+    # scramble round-trips directly on T'_{2,i}
+    failures += _round_trips(seed, 3 * samples, q,
+                             [(nb.name, nb.omega, FRAME) for nb in splits])[0]
     return failures, {"q": q, "per_graph": counts}
 
 

@@ -778,6 +778,30 @@ MUTANTS = [
         ["tests/test_verify.py::"
          "test_round_trips_scramble_what_the_claims_own_loops_did[main4-samples]"],
     ),
+    # the partition driver never switches a realization
+    Mutant(
+        "verify.py",
+        "            if rng is None:\n                continue\n",
+        "            continue\n",
+        ["tests/test_verify.py::test_partitions_check_what_the_parent_loops_did[2c3-frame]",
+         "tests/test_verify.py::"
+         "test_frame_biconditional_fails_when_a_switched_copy_is_not_equivalent"],
+    ),
+    # the cross check compares frame keys with frame keys
+    Mutant(
+        "verify.py",
+        "_, lkeys = _keyed_realizations(nb.omega, q, LIFT)",
+        "_, lkeys = _keyed_realizations(nb.omega, q, FRAME)",
+        ["tests/test_verify.py::test_partitions_check_what_the_parent_loops_did[2c3-frame]",
+         "tests/test_verify.py::test_claim_counts_at_default_options[lemma-2c3-frame-vs-lift]"],
+    ),
+    # t2prime's round trips shared out as `samples` in all, not per graph
+    Mutant(
+        "verify.py",
+        "_round_trips(seed, 3 * samples, q,",
+        "_round_trips(seed, samples, q,",
+        ["tests/test_verify.py::test_t2prime_splits_run_samples_round_trips_per_graph"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -33,7 +33,8 @@ fresh unrollings.  Then the routines that plain-row elimination and the
 minimal modular cut replaced: reduction by one axpy per pivot row, the
 projective key read off rref with its transform, and the single-element
 extension over every set of the modular cut.  Then the sampling loops of
-main3-roundtrip and main4-samples that verify._round_trips replaced.
+main3-roundtrip and main4-samples that verify._round_trips replaced, and
+the three loops of Theorem 1's checks that verify._partitions replaced.
 Last, a counter of the builder runs behind the values kept on a graph
 (graph.kept).
 
@@ -64,7 +65,7 @@ from bmlab.bias import (
     unbalancing_classes,
     unroll,
 )
-from bmlab.canonical import FRAME, LIFT, kind_parts
+from bmlab.canonical import FRAME, LIFT, frame_matrix, gain_classes, kind_parts
 from bmlab.errors import (
     BadGlue,
     BmlabError,
@@ -102,6 +103,8 @@ from bmlab.linalg import (
     _scaling_normal_form,
     invert,
     left_null_space,
+    projective_key,
+    projectively_equivalent,
     rank_of_columns,
     rref,
     vector_matroid,
@@ -1482,6 +1485,81 @@ def main4_round_trips_by_loop(round_trip, seed, samples, q):
             continue
         round_trip(rng, f, name, om, kind, reps[rng.randrange(len(reps))])
         done += 1
+
+
+# -- the loops of Theorem 1's checks that verify._partitions replaced ------------
+
+def _reps_with_matrices(om, q, kind):
+    parts = kind_parts(kind)
+    return [(gg, parts.matrix(gg).matrix) for gg in realizations(om, parts.group(q))]
+
+
+def _pair_failures(name, q, keys, classes):
+    """A failure for each pair, in (i, j) order, whose keys and classes
+    disagree, every pair compared."""
+    return [{"graph": name, "q": q, "pair": (i, j), "same_class": classes[i] == classes[j],
+             "proj_equiv": keys[i] == keys[j]}
+            for i, j in combinations(range(len(keys)), 2)
+            if (keys[i] == keys[j]) != (classes[i] == classes[j])]
+
+
+def biconditional_by_loop(graphs, fields, kind, seed=None, switch=switch):
+    """verify._biconditional with its own loop: each (graph, field) builds
+    its realizations with their matrices, compares keys and gain classes,
+    and, for frame, switches up to three drawn realizations by a drawn
+    eta (through `switch`), keeping each matrix to compare with."""
+    rng = random.Random(seed) if kind == FRAME else None
+    failures = []
+    pairs = reps_total = 0
+    for nb in graphs:
+        om = nb.omega
+        for q in fields:
+            reps = _reps_with_matrices(om, q, kind)
+            reps_total += len(reps)
+            keys = [projective_key(A) for _, A in reps]
+            classes = gain_classes(kind, [gg for gg, _ in reps])
+            pairs += len(reps) * (len(reps) - 1) // 2
+            failures += _pair_failures(nb.name, q, keys, classes)
+            if kind != FRAME:
+                continue
+            drawn = sorted({rng.randrange(len(reps)) for _ in range(3)}) if reps else []
+            for i in drawn:
+                gg, A = reps[i]
+                eta = {v: rng.choice(gg.group.elements) for v in range(om.graph.n)}
+                if projectively_equivalent(A, frame_matrix(switch(gg, eta)).matrix) is None:
+                    failures.append({"graph": nb.name, "q": q, "rep": i,
+                                     "why": "switched copy not equivalent"})
+    return failures, {"graphs": len(graphs), "fields": list(fields),
+                      "realizations": reps_total, "pairs": pairs}
+
+
+def biconditional_cross_by_loop(graphs, fields):
+    """verify._biconditional_cross with its own loop over both kinds'
+    realizations and matrices."""
+    failures = []
+    checked = 0
+    for nb in graphs:
+        for q in fields:
+            fr = _reps_with_matrices(nb.omega, q, FRAME)
+            lf = _reps_with_matrices(nb.omega, q, LIFT)
+            checked += len(fr) * len(lf)
+            if {projective_key(A) for _, A in fr} & {projective_key(A) for _, A in lf}:
+                failures.append({"graph": nb.name, "q": q,
+                                 "why": "frame and lift forms equivalent"})
+    return failures, {"graphs": len(graphs), "fields": list(fields), "cross_pairs": checked}
+
+
+def criterion_by_loop(nb, fields, kind, classes_of):
+    """verify._criterion with its own loop: keys against classes_of's
+    classes on nb's realizations over each field."""
+    failures = []
+    pairs = 0
+    for q in fields:
+        reps = _reps_with_matrices(nb.omega, q, kind)
+        pairs += len(reps) * (len(reps) - 1) // 2
+        failures += _pair_failures(nb.name, q, [projective_key(A) for _, A in reps],
+                                   classes_of([gg for gg, _ in reps]))
+    return failures, {"fields": list(fields), "pairs": pairs}
 
 
 @contextmanager

@@ -405,6 +405,10 @@ GAIN_HEAD = "vertices 2\nedge e1 0 1\n"
     ("classify", GAIN_HEAD + "balanced e2\n", "line 3: no edge named 'e2'"),
     ("classify", GAIN_HEAD + "balanced e1\n", "balanced set member [0] is not a cycle"),
     ("check-theta", GAIN_HEAD + "balanced e1\n", "balanced set member [0] is not a cycle"),
+    # a file of the other format: no contrabalanced answer for a gain graph
+    ("classify", GAIN_HEAD + "group mul 5\ngain e1 1\n", "line 3: unknown declaration 'group'"),
+    ("bias", GAIN_HEAD + "edge e2 0 1\nbalanced e1 e2\ngroup mul 5\ngain e1 1\ngain e2 1\n",
+     "line 4: unknown declaration 'balanced'"),
     ("enumerate-reps", "ground a\nrank - x\nrank a 1\n", "line 2: rank must be an integer"),
     ("enumerate-reps", "source missing.bg\nkind frame\n",
      "line 1: cannot read source 'missing.bg'"),
@@ -574,3 +578,37 @@ def test_shared_parser_answers_like_a_fresh_one(monkeypatch, capsys, b0_file):
     assert cli.build_parser() is not cli.build_parser()
     assert answers() == shared
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [["catalog", "--all"], ["verify", "base-count"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end is closed before the command starts, so its output meets
+    # a pipe with no reader, as under `bmlab catalog --all | true`
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bmlab", *argv], stdout=w,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_PIPE, "")
+    assert cli.EXIT_CLOSED_PIPE == 128 + 13  # SIGPIPE
+
+
+def test_canonicalize_over_the_rationals_is_an_error_not_a_crash(tmp_path, capsys):
+    # a frame matrix of D_{0,0} over Q with gains 2, 11, 13, 5, 7, 3 on
+    # e1-e6: it represents F(omega), but the gain groups need an order q
+    om = catalog.dwarf("D_{0,0}").omega
+    g = om.graph
+    rows = [[0] * g.m for _ in range(g.n)]
+    for e, ((u, v), gain) in enumerate(zip(g.edges, (2, 11, 13, 5, 7, 3))):
+        rows[u][e], rows[v][e] = 1, -gain
+    text = "rows %d cols %d field rational\nlabels %s\n" % (g.n, g.m, " ".join(g.edge_names))
+    text += "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    mat = write(tmp_path, "q.mat", text)
+    bg = write(tmp_path, "d00.bg", formats.emit_biased_graph(om))
+    assert main(["canonicalize", mat, bg]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: canonicalization needs a finite field GF(q), got QQ\n"

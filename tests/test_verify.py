@@ -15,7 +15,15 @@ from bmlab.bias import (
     find_biased_subdivision,
     is_tangled,
 )
-from bmlab.canonical import FRAME, LIFT, CanonicalizeResult, frame_matrix, kind_parts, lift_matrix
+from bmlab.canonical import (
+    FRAME,
+    LIFT,
+    CanonicalizeResult,
+    frame_matrix,
+    gain_classes,
+    kind_parts,
+    lift_matrix,
+)
 from bmlab.errors import StructureMissing, UnknownClaim
 from bmlab.fields import gf
 from bmlab.gains import (
@@ -44,7 +52,10 @@ from bmlab.matroid import (
 )
 from bmlab.verify import _contraction_failures, all_claims, run_claim
 from oracles import (
+    biconditional_by_loop,
+    biconditional_cross_by_loop,
     contraction_classes_by_minors,
+    criterion_by_loop,
     drop_isolated,
     extension_over_every_cut_set,
     joint_extension,
@@ -820,6 +831,85 @@ def test_disagreements_match_the_pair_loop_on_every_small_labelling():
                 inputs += 1
                 differ += bool(got)
     assert inputs == sum(9 ** n for n in range(6)) and 0 < differ < inputs
+
+
+# q = 7 adds a field where every partition is larger than at the defaults
+PARTITION_FIELDS = (2, 3, 4, 5, 7)
+
+
+def _recording(switcher, calls):
+    """switcher, recording the gains of each realization it switches and eta."""
+    def recording(gg, eta):
+        calls.append((gg.gains, eta))
+        return switcher(gg, eta)
+    return recording
+
+
+def _corrupt_switch(gg, eta):
+    """switch, then the first edge's gain replaced by another element."""
+    out = switch(gg, eta)
+    other = next(x for x in gg.group.elements if x != out.gains[0])
+    return GainGraph(out.graph, out.group, {**out.gains, 0: other})
+
+
+@pytest.mark.parametrize("kind", [FRAME, LIFT])
+@pytest.mark.parametrize("family", ["2c3", "proper-k4", "tube", "base"])
+def test_partitions_check_what_the_parent_loops_did(monkeypatch, family, kind):
+    # equal failures and counts, and, for frame, the same (realization, eta)
+    # draws for the switched copies, whether each copy is sound or corrupted
+    graphs = verify.FAMILIES[family]()
+    for switcher in (switch, _corrupt_switch):
+        got, want = [], []
+        monkeypatch.setattr(verify, "switch", _recording(switcher, got))
+        assert verify._biconditional(graphs, PARTITION_FIELDS, kind, SEED) == biconditional_by_loop(
+            graphs, PARTITION_FIELDS, kind, SEED, _recording(switcher, want))
+        assert got == want and bool(got) == (kind == FRAME)
+    if kind == FRAME:
+        assert verify._biconditional_cross(graphs, PARTITION_FIELDS) == \
+            biconditional_cross_by_loop(graphs, PARTITION_FIELDS)
+
+
+@pytest.mark.parametrize("kind", [FRAME, LIFT])
+@pytest.mark.parametrize("name", ["u2", "u3"])
+def test_criterion_checks_what_the_parent_loop_did(name, kind):
+    # the claim's class rule (U_3's on the kind's classes), the kind's gain
+    # classes, and one class for all, which disagrees with distinct keys
+    nb = getattr(catalog, name)()
+    two_cycle = next(c for c in catalog.u2().omega.graph.cycles() if len(c) == 2)
+    own = {"u2": lambda reps: [walk_gain(gg, two_cycle.walk) for gg in reps],
+           "u3": lambda reps: gain_classes(kind, [verify._links_only(gg) for gg in reps])}
+    rules = [own[name], lambda reps: gain_classes(kind, reps), lambda reps: [0] * len(reps)]
+    failing = 0
+    for rule in rules:
+        got = verify._criterion(nb, PARTITION_FIELDS, kind, rule)
+        assert got == criterion_by_loop(nb, PARTITION_FIELDS, kind, rule)
+        failing += bool(got[0])
+    assert failing
+
+
+def test_frame_biconditional_fails_when_a_switched_copy_is_not_equivalent(monkeypatch):
+    monkeypatch.setattr(verify, "switch", _corrupt_switch)
+    rep = run_claim("lemma-2c3-frame")
+    assert rep.status == "fail" and rep.witnesses
+    assert all(set(w) == {"graph", "q", "rep", "why"}
+               and w["why"] == "switched copy not equivalent" for w in rep.witnesses)
+
+
+def test_t2prime_splits_run_samples_round_trips_per_graph(monkeypatch):
+    real = verify._round_trip
+    calls = []
+
+    def recording(rng, f, graph, om, kind, gg):
+        calls.append((graph, kind))
+        return real(rng, f, graph, om, kind, gg)
+
+    monkeypatch.setattr(verify, "_round_trip", recording)
+    for q in (2, 3):  # no realization over GF(q)^x
+        assert run_claim("allreps-t2prime-splits", q=q).status == "pass"
+    assert calls == []
+    assert run_claim("allreps-t2prime-splits", q=4).status == "pass"
+    assert len(calls) == 36
+    assert Counter(calls) == {(catalog.t2_prime_split(i).name, FRAME): 12 for i in (1, 2, 3)}
 
 
 PAIR_WITNESS = {"graph", "q", "pair", "same_class", "proj_equiv"}
