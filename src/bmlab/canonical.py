@@ -14,7 +14,7 @@ lift matrix drops the e0 column.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .bias import BiasedGraph, _roll, classify_balance, unbalancing_classes
 from .errors import (
@@ -55,6 +55,7 @@ from .matroid import (
     greedy,
     lift_matroid,
     matroids_equal,
+    r_subset_bases,
 )
 
 FRAME = "frame"
@@ -257,18 +258,34 @@ def canonicalize_representation(A, omega, hint=None):
     at all: over GF(2), F of a link with a joint at each end is U_{2,3},
     but the trivial gain group GF(2)^x makes no loop unbalanced.
     """
+    matched = _shapeable_kinds(A.col_labels, lambda: vector_matroid(A), omega, hint)
+    if A.field.q is None:  # the gain groups are built from an order q
+        raise UnsupportedField("canonicalization needs a finite field GF(q), got %r" % A.field)
+    return _canonicalize_kinds(A, omega, matched)
+
+
+def _shapeable_kinds(labels, matroid, omega, hint):
+    """The checks of canonicalize_representation that read the matroid
+    alone, in its order: the labels are omega's edges, omega is vertically
+    2-connected, and then _matched_kinds(matroid(), omega, hint), which
+    must be some kind (MatroidMismatch otherwise).  matroid() is built
+    only once the first two checks pass."""
     g = omega.graph
-    if tuple(A.col_labels) != tuple(g.edge_names):
+    if tuple(labels) != tuple(g.edge_names):
         raise MatroidMismatch("matrix columns must be labeled by the edges")
     ok2, _ = g.is_vertically_k_connected(2)
     if not ok2:
         raise NotVertically2Connected("canonicalization needs vertical 2-connectivity")
-    MA = vector_matroid(A)
-    matched = _matched_kinds(MA, omega, hint)
+    matched = _matched_kinds(matroid(), omega, hint)
     if not matched:
         raise MatroidMismatch("matrix does not represent F(omega) or L(omega)")
-    if A.field.q is None:  # the gain groups are built from an order q
-        raise UnsupportedField("canonicalization needs a finite field GF(q), got %r" % A.field)
+    return matched
+
+
+def _canonicalize_kinds(A, omega, matched):
+    """canonicalize_representation once its checks have passed: A is over
+    GF(q) and M(A) is omega's matroid of each kind in matched, the first
+    tried first."""
     rows = _vertex_rows(A, omega)
     result, reasons = None, []
     for kind in matched:
@@ -292,13 +309,19 @@ def _matched_kinds(MA, omega, hint):
     walked against MA.  Matroid equality is transitive, so the other kind
     matches exactly when the first does and F(omega) = L(omega), which
     frame_equals_lift decides on the graph; when the first does not match,
-    the other is walked only if F(omega) != L(omega)."""
+    the other is walked only if F(omega) != L(omega).  A kind's matroid
+    that is MA itself, the oracle kept on omega, matches with no walk."""
     first = hint if hint in (FRAME, LIFT) else FRAME
     other = LIFT if first == FRAME else FRAME
     same = frame_equals_lift(omega)
-    if matroids_equal(MA, kind_parts(first).matroid(omega))[0]:
+
+    def matches(kind):
+        K = kind_parts(kind).matroid(omega)
+        return MA is K or matroids_equal(MA, K)[0]
+
+    if matches(first):
         return [first, other] if same else [first]
-    if same or not matroids_equal(MA, kind_parts(other).matroid(omega))[0]:
+    if same or not matches(other):
         return []
     return [other]
 
@@ -613,8 +636,15 @@ def enumerate_representations(M, q, biased_graph=None, hint=None,
     the other; fixing to 1 the entries on a spanning forest of the support
     graph, grown greedily in (column, row) order, leaves the lex-first
     member of each scaling orbit (Brylawski-Lucas; Oxley section 6.4).
-    So each complete form is its own class, of count (q-1)^|forest|.  With
-    a biased graph, each class is classified by canonicalize_representation.
+    So each complete form is its own class, of count (q-1)^|forest|.
+
+    With a biased graph, each class is classified as
+    canonicalize_representation(A, biased_graph, hint) would, but its
+    checks that read the matroid (labels, vertical 2-connectivity, the
+    kind match) run once, on M: every class has M(A) = M, as above, so
+    they answer alike for every class.  When they fail, every class is
+    undecided with the reason.  The r-subsets' basis statuses come from
+    one walk of M's independence step (r_subset_bases).
 
     The work, one unit per r-subset listed and per basis test, raises
     BoundExceeded past max_work.
@@ -643,13 +673,12 @@ def enumerate_representations(M, q, biased_graph=None, hint=None,
     # more non-basis elements, the last of them j, smaller (cheaper) first
     support = {j: [] for j in nonbasis}
     tests = {j: [] for j in nonbasis}
-    for subset in combinations(range(n), r):
+    for subset, is_basis in r_subset_bases(M):
         spend()
         cols = [j for j in subset if j not in pos_of]
         if not cols:
             continue
         rows = [pos_of[b] for b in basis if b not in subset]
-        is_basis = M.rank_mask(sum(1 << i for i in subset)) == r
         if len(cols) > 1:
             tests[cols[-1]].append((rows, cols, is_basis))
         elif is_basis:
@@ -706,13 +735,16 @@ def enumerate_representations(M, q, biased_graph=None, hint=None,
                 rec(idx + 1)
 
     rec(0)
-    if biased_graph is not None:
+    if biased_graph is None or not out:
+        return out
+    try:
+        matched = _shapeable_kinds(M.labels, lambda: M, biased_graph, hint)
+    except (MatroidMismatch, NotVertically2Connected) as exc:
         for cls in out:
-            try:
-                res = canonicalize_representation(cls.matrix, biased_graph, hint=hint)
-            except (MatroidMismatch, NotVertically2Connected) as exc:
-                res = CanonicalizeResult(status="undecided", reason=str(exc))
-            cls.canonical = res
-            if res.status == "ok":
-                cls.kind = res.kind
+            cls.canonical = CanonicalizeResult(status="undecided", reason=str(exc))
+        return out
+    for cls in out:
+        cls.canonical = _canonicalize_kinds(cls.matrix, biased_graph, matched)
+        if cls.canonical.status == "ok":
+            cls.kind = cls.canonical.kind
     return out

@@ -81,6 +81,21 @@ def _read(path):
     raise ParseError("cannot read %s: %s" % (path, reason))
 
 
+def _to_devnull(stream):
+    """Point stream's descriptor at os.devnull: its reader is gone, and
+    what is still buffered must not fail again at exit."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _complain(text):
+    """Print text on stderr.  A closed stderr loses it but changes no exit
+    code."""
+    try:
+        print(text, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def _emit(payload, as_json, text):
     print(formats.dumps(payload) if as_json else text)
 
@@ -96,7 +111,7 @@ def _emit_file(text, as_json, **fields):
 
 def cmd_catalog(args):
     if args.all == bool(args.name):
-        print("catalog: need a name or --all, not both", file=sys.stderr)
+        _complain("catalog: need a name or --all, not both")
         return EXIT_USAGE
     if args.all:
         table = []
@@ -119,9 +134,8 @@ def cmd_catalog(args):
     try:
         nb = catalog.by_name(args.name)
     except BmlabError:
-        print("unknown catalog name %r; known: %s" % (
-            args.name, ", ".join(known.name for known in catalog.named_graphs())),
-            file=sys.stderr)
+        _complain("unknown catalog name %r; known: %s" % (
+            args.name, ", ".join(known.name for known in catalog.named_graphs())))
         return EXIT_USAGE
     _emit_file(formats.emit_biased_graph(nb.omega), args.json, name=nb.name)
     return EXIT_PASS
@@ -203,7 +217,7 @@ def cmd_switch_equiv(args):
     elif g1.group.is_additive_field_group:
         res = switching_scaling_equivalent(g1, g2)
     else:
-        print("switch-equiv: --scaling needs additive gains (group add q)", file=sys.stderr)
+        _complain("switch-equiv: --scaling needs additive gains (group add q)")
         return EXIT_USAGE
     if res is None:
         _emit({"equivalent": False}, args.json, "not equivalent")
@@ -254,11 +268,16 @@ def cmd_canonicalize(args):
 
 def cmd_enumerate_reps(args):
     q = _field_order(args.q)
+    # a source that is the --biased-graph file is parsed once, so M is
+    # that graph's own kept matroid
+    graphs = {}
     M = formats.parse_matroid(_read(args.matroid),
-                              base_dir=os.path.dirname(args.matroid) or ".")
+                              base_dir=os.path.dirname(args.matroid) or ".", graphs=graphs)
     om = None
     if args.biased_graph:
-        om = formats.parse_biased_graph(_read(args.biased_graph))
+        om = graphs.get(os.path.realpath(args.biased_graph))
+        if om is None:
+            om = formats.parse_biased_graph(_read(args.biased_graph))
     classes = enumerate_representations(
         M, q, biased_graph=om,
         max_work=int(ENUMERATION_WORK_BOUND * bounds_scale()),
@@ -280,8 +299,8 @@ def cmd_minor(args):
     contract = om.graph.edge_set(args.contract or [])
     delete = om.graph.edge_set(args.delete or [])
     if contract & delete:
-        print("minor: --contract and --delete share %s"
-              % " ".join(om.graph.names_of(contract & delete)), file=sys.stderr)
+        _complain("minor: --contract and --delete share %s"
+                  % " ".join(om.graph.names_of(contract & delete)))
         return EXIT_USAGE
     res = biased_minor(om, contract, delete)
     _emit_file(formats.emit_biased_graph(res.omega), args.json, link_minor=res.is_link_minor)
@@ -333,12 +352,11 @@ def _claim_kwargs(claim, kwargs, scale):
 
 def cmd_verify(args):
     if args.all == bool(args.claim):
-        print("verify: need a claim id or --all, not both", file=sys.stderr)
+        _complain("verify: need a claim id or --all, not both")
         return EXIT_USAGE
     names = verify.all_claims() if args.all else [args.claim]
     if not args.all and args.claim not in verify.CLAIMS:
-        print("unknown claim %r; known: %s" % (args.claim, ", ".join(verify.all_claims())),
-              file=sys.stderr)
+        _complain("unknown claim %r; known: %s" % (args.claim, ", ".join(verify.all_claims())))
         return EXIT_USAGE
     kwargs = {}
     if args.seed is not None:
@@ -349,10 +367,9 @@ def cmd_verify(args):
         params = inspect.signature(verify.CLAIMS[args.claim]).parameters
         refused = [k for k in kwargs if k not in params]
         if refused:
-            print("verify: %s takes no %s; its options: %s" % (
+            _complain("verify: %s takes no %s; its options: %s" % (
                 args.claim, " ".join("--" + k for k in refused),
-                " ".join("--" + k for k in ("seed", "q") if k in params) or "none"),
-                file=sys.stderr)
+                " ".join("--" + k for k in ("seed", "q") if k in params) or "none"))
             return EXIT_USAGE
     scale = bounds_scale()
     reports = []
@@ -479,16 +496,16 @@ def main(argv=None):
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to devnull, so the
         # flush at exit reports nothing either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         return EXIT_CLOSED_PIPE
     except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
+        _complain("parse error: %s" % exc)
         return EXIT_USAGE
     except BoundExceeded as exc:
-        print("bound exceeded: %s" % exc, file=sys.stderr)
+        _complain("bound exceeded: %s" % exc)
         return EXIT_UNDECIDED
     except BmlabError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _complain("error: %s" % exc)
         return EXIT_FAIL
 
 

@@ -239,7 +239,12 @@ def emit_matrix(A, with_labels=True):
     return "\n".join(out) + "\n"
 
 
-def parse_matroid(text, base_dir="."):
+def parse_matroid(text, base_dir=".", graphs=None):
+    """The matroid of a matroid file.  A source file is read relative to
+    base_dir.  graphs, when given, maps the real path of each biased-graph
+    file parsed so far to its graph: a source found there is not read
+    again, and one read here is added, so the matroid is that graph's own
+    kept kind matroid."""
     ground = None
     ranks = {}
     source = None
@@ -267,14 +272,19 @@ def parse_matroid(text, base_dir="."):
         if kind not in KINDS:
             raise ParseError("kind must be frame, lift or lift0")
         path, i = source
-        try:
-            with open(os.path.join(base_dir, path), encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError("cannot read source %r: %s" % (path, exc.strerror), i)
-        except UnicodeDecodeError:
-            raise ParseError("cannot read source %r: not UTF-8 text" % (path,), i)
-        return kind_parts(kind).matroid(parse_biased_graph(text))
+        full = os.path.join(base_dir, path)
+        key = os.path.realpath(full)
+        graphs = {} if graphs is None else graphs
+        if key not in graphs:
+            try:
+                with open(full, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ParseError("cannot read source %r: %s" % (path, exc.strerror), i)
+            except UnicodeDecodeError:
+                raise ParseError("cannot read source %r: not UTF-8 text" % (path,), i)
+            graphs[key] = parse_biased_graph(text)
+        return kind_parts(kind).matroid(graphs[key])
     if ground is None:
         raise ParseError("missing ground line")
     for subset, (_, i) in ranks.items():

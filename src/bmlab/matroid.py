@@ -8,6 +8,8 @@ Frame, lift and vector matroids are defined by their step alone: the rank
 of X is the size of a greedy independent subset of X (step_oracle).
 """
 
+from itertools import combinations
+
 from .bias import BiasedGraph, is_tangled
 from .errors import BoundExceeded, GroundSetMismatch, UnknownEdge
 from .graph import MultiGraph, kept
@@ -157,6 +159,32 @@ def rank_table(M):
 
     walk(0, 0, start, 0)
     return out
+
+
+def r_subset_bases(M):
+    """(S, whether S is a basis) for every r-subset S of M's ground set, r
+    = r(M), S an index tuple, in combinations order, from one depth-first
+    walk of the independence step: each prefix is grown by one step, and
+    a dependent prefix lies in no basis, so every subset below it is a
+    non-basis with no further step.  A generator, so a caller that stops
+    early pays only for what it read."""
+    start, extend = M.independence_step()
+    n, r = M.size, M.full_rank()
+
+    def walk(prefix, state):
+        k = len(prefix)
+        if k == r:
+            yield prefix, True
+            return
+        for i in range(prefix[-1] + 1 if prefix else 0, n - r + k + 1):
+            grown = extend(state, i)
+            if grown is None:
+                for rest in combinations(range(i + 1, n), r - k - 1):
+                    yield prefix + (i,) + rest, False
+            else:
+                yield from walk(prefix + (i,), grown)
+
+    return walk((), start)
 
 
 def step_oracle(labels, step):

@@ -598,6 +598,28 @@ MUTANTS = [
         "        r += 1\n",
         ["tests/test_matroid.py::test_rank_table_matches_the_per_subset_ranks"],
     ),
+    # the prefix walk counting a dependent prefix's subsets as bases
+    Mutant(
+        "matroid.py",
+        "yield prefix + (i,) + rest, False",
+        "yield prefix + (i,) + rest, True",
+        ["tests/test_matroid.py::test_r_subset_bases_match_the_rank_of_each_subset",
+         "tests/test_canonical.py::test_enumerate_matches_scaling_every_entry"],
+    ),
+    # enumeration with no matroid check: every class shaped for both kinds
+    Mutant(
+        "canonical.py",
+        "matched = _shapeable_kinds(M.labels, lambda: M, biased_graph, hint)",
+        "matched = [FRAME, LIFT]",
+        ["tests/test_canonical.py::test_one_matroid_check_matches_canonicalizing_each_class"],
+    ),
+    # enumerate-reps reusing the source's graph whatever --biased-graph names
+    Mutant(
+        "cli.py",
+        "om = graphs.get(os.path.realpath(args.biased_graph))",
+        "om = next(iter(graphs.values()), None)",
+        ["tests/test_cli.py::test_enumerate_reps_parses_a_shared_source_once"],
+    ),
     # the lift row of the tube representations checked on the frame side:
     # every tube passes there too, so only the pinned counts tell
     Mutant(

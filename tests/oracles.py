@@ -28,8 +28,10 @@ Then the number of multigraph isomorphism classes by the
 Cauchy-Frobenius (Burnside) lemma, which lists no class, and the same
 count for the bias-set orbits of a biased family.  Then the routines
 that kept oracles and rank tables replaced: ranks by one greedy per
-subset, the kind match by two matroid walks, and roll reachability from
-fresh unrollings.  Then the routines that plain-row elimination and the
+subset, the kind match by two matroid walks, enumeration canonicalizing
+each class with checks of its own, and roll reachability from fresh
+unrollings.  Then Tutte connectivity, on a rank table and by trying
+every partition.  Then the routines that plain-row elimination and the
 minimal modular cut replaced: reduction by one axpy per pivot row, the
 projective key read off rref with its transform, and the single-element
 extension over every set of the modular cut.  Then the sampling loops of
@@ -65,7 +67,16 @@ from bmlab.bias import (
     unbalancing_classes,
     unroll,
 )
-from bmlab.canonical import FRAME, LIFT, frame_matrix, gain_classes, kind_parts
+from bmlab.canonical import (
+    FRAME,
+    LIFT,
+    CanonicalizeResult,
+    canonicalize_representation,
+    enumerate_representations,
+    frame_matrix,
+    gain_classes,
+    kind_parts,
+)
 from bmlab.errors import (
     BadGlue,
     BmlabError,
@@ -73,9 +84,11 @@ from bmlab.errors import (
     GraphMismatch,
     GroundSetMismatch,
     GroupMismatch,
+    MatroidMismatch,
     NotBalancedTriangle,
     NotTriad,
     NotTriangle,
+    NotVertically2Connected,
     ParseError,
     StructureMissing,
 )
@@ -1346,6 +1359,23 @@ def matched_kinds_by_two_walks(MA, omega, hint):
     return sorted(matched, key=lambda k: k != hint)
 
 
+def enumerate_canonicalizing_each_class(M, q, biased_graph, hint=None):
+    """The reference for enumerate_representations with a biased graph: its
+    classes, each canonicalized by a canonicalize_representation call of
+    its own, which checks M(A) against the kind matroids once per class; a
+    failed check makes that class undecided with the reason."""
+    out = enumerate_representations(M, q)
+    for cls in out:
+        try:
+            res = canonicalize_representation(cls.matrix, biased_graph, hint=hint)
+        except (MatroidMismatch, NotVertically2Connected) as exc:
+            res = CanonicalizeResult(status="undecided", reason=str(exc))
+        cls.canonical = res
+        if res.status == "ok":
+            cls.kind = res.kind
+    return out
+
+
 def roll_reachable_by_unrolling(omega, variant):
     """The reference for canonical._roll_reachable: the full unrollings of
     omega and of the variant at each balancing vertex of omega, each
@@ -1382,6 +1412,41 @@ def column_scales_by_entries(W, target, f):
                     return None
         scales.append(s if s is not None else f.one)
     return scales
+
+
+# -- Tutte connectivity ------------------------------------------------------------
+
+def tutte_connectivity(M):
+    """The least k such that M has a k-separation, a partition (X, Y) of
+    the ground set with |X|, |Y| >= k and r(X) + r(Y) - r(M) <= k - 1
+    (Oxley, Matroid Theory, section 8.1), or None when there is none.  A
+    set X with connectivity l = r(X) + r(E - X) - r(M) is a k-separation
+    for l + 1 <= k <= min(|X|, |E - X|), so the answer is the least such
+    l + 1, read off rank_table."""
+    table = rank_table(M)
+    full = len(table) - 1
+    r = table[full]
+    best = None
+    for X in range(1, full):
+        k = table[X] + table[full ^ X] - r + 1
+        if k <= min(X.bit_count(), (full ^ X).bit_count()) and (best is None or k < best):
+            best = k
+    return best
+
+
+def tutte_connectivity_by_partitions(M):
+    """The reference for tutte_connectivity: k = 1, 2, ... in turn, every
+    partition of the labels into two sets of at least k elements, each
+    side's rank by a rank call of its own."""
+    labels = M.labels
+    r = M.full_rank()
+    for k in range(1, len(labels) // 2 + 1):
+        for size in range(k, len(labels) - k + 1):
+            for X in combinations(labels, size):
+                Y = [x for x in labels if x not in X]
+                if M.rank(X) + M.rank(Y) - r <= k - 1:
+                    return k
+    return None
 
 
 # -- the linalg and modular-cut routines that plain-row elimination replaced ------

@@ -66,11 +66,13 @@ from bmlab.linalg import (
 )
 from bmlab.matroid import (
     complete_lift_matroid,
+    explicit_matroid,
     extend_with_joint,
     frame_equals_lift,
     frame_matroid,
     lift_matroid,
     matroids_equal,
+    rank_table,
     uniform_matroid,
 )
 from bmlab.verify import run_claim
@@ -80,6 +82,7 @@ from oracles import (
     count_builds,
     delta_y_matrix_by_template,
     drop_isolated,
+    enumerate_canonicalizing_each_class,
     formula_matroid,
     graphic_matroid,
     matched_kinds_by_two_walks,
@@ -87,6 +90,7 @@ from oracles import (
     roll_reachable_by_unrolling,
     scaling_orbits,
     std_basis_completion,
+    tutte_connectivity,
     with_loops,
 )
 
@@ -1100,6 +1104,101 @@ def test_enumerate_matches_scaling_every_entry():
     assert n_classes == 312
 
 
+def _explicit_copy(M, labels=None):
+    """M as an explicit rank table, on its own labels or on the given ones."""
+    labels = M.labels if labels is None else tuple(labels)
+    return explicit_matroid(labels, {
+        frozenset(labels[i] for i in range(M.size) if mask >> i & 1): r
+        for mask, r in enumerate(rank_table(M))})
+
+
+def _one_check_cases():
+    """(case, M, q, omega, hint) for the one-check differential test: F and
+    L of the base graphs and of the vertically 2-connected, properly
+    unbalanced (4, 7) family, over GF(2) to GF(5), with no hint and with
+    the lift hint: so M is matched first by identity (F with no hint, L
+    with the lift hint) and after a walk of the other kind (the other
+    two).  Then over GF(4) and GF(5), the failed checks: an explicit copy
+    of F of the base graph with no cycle balanced where that is neither
+    F(omega) nor L(omega), the (4, 7) graphs that are not vertically
+    2-connected, and F of each base graph on labels that are not its
+    edges."""
+    bases = [nb.omega for nb in catalog.base_graphs()]
+    family = bases + list(catalog.biased_family(
+        4, 7, catalog.vertically_2_connected, catalog.properly_unbalanced))
+    split = list(catalog.biased_family(
+        4, 7, lambda g: not catalog.vertically_2_connected(g), catalog.properly_unbalanced))
+    for q in (2, 3, 4, 5):
+        for om in family:
+            for kind in (FRAME, LIFT):
+                for hint in (None, LIFT):
+                    yield "match", kind_parts(kind).matroid(om), q, om, hint
+    neither = []
+    for om in bases:
+        M = _explicit_copy(frame_matroid(BiasedGraph(om.graph, ())))
+        if not any(matroids_equal(M, kind_parts(kind).matroid(om))[0] for kind in (FRAME, LIFT)):
+            neither.append((om, M))
+    for q in (4, 5):
+        for om, M in neither:
+            yield "neither", M, q, om, None
+        for om in bases:
+            renamed = ["x" + e for e in om.graph.edge_names]
+            yield "labels", _explicit_copy(frame_matroid(om), renamed), q, om, None
+        for om in split:
+            for kind in (FRAME, LIFT):
+                yield "split", kind_parts(kind).matroid(om), q, om, kind
+
+
+def _classes_with_results(classes):
+    return [(c.matrix.rows, c.matrix.col_labels, c.count, c.kind, _result_key(c.canonical))
+            for c in classes]
+
+
+def test_one_matroid_check_matches_canonicalizing_each_class():
+    """enumerate_representations checks M once and shapes every class
+    through _canonicalize_kinds; canonicalizing each class with checks of
+    its own (enumerate_canonicalizing_each_class) gives every class the
+    same result: status, kind, reason, form, witness and the rest."""
+    seen = Counter()
+    for case, M, q, om, hint in _one_check_cases():
+        got = enumerate_representations(M, q, biased_graph=om, hint=hint)
+        want = enumerate_canonicalizing_each_class(M, q, om, hint)
+        assert _classes_with_results(got) == _classes_with_results(want), (case, om, q, hint)
+        seen.update((case, c.canonical.status if case == "match" else c.canonical.reason)
+                    for c in got)
+    assert seen == {
+        ("match", "ok"): 2488,
+        ("neither", "matrix does not represent F(omega) or L(omega)"): 70,
+        ("labels", "matrix columns must be labeled by the edges"): 82,
+        ("split", "canonicalization needs vertical 2-connectivity"): 367,
+    }
+
+
+def test_enumerated_counts_obey_the_classical_bounds():
+    """Every 3-connected F or L of the vertically 2-connected, properly
+    unbalanced (4, 7) family has at most 1 class over GF(2) and GF(3)
+    (Brylawski and Lucas 1976), 2 over GF(4) (Kahn 1988) and 6 over GF(5)
+    (Oxley, Vertigan and Whittle 1996).  The maxima are those of the probe
+    behind the bounds: they are met, and the matroids that are not
+    3-connected exceed them at GF(4) and GF(5)."""
+    bound = {2: 1, 3: 1, 4: 2, 5: 6}
+    three, maxima = Counter(), Counter()
+    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    catalog.properly_unbalanced):
+        for kind in (FRAME, LIFT):
+            M = kind_parts(kind).matroid(om)
+            k = tutte_connectivity(M)
+            connected = k is None or k >= 3
+            three[kind] += connected
+            for q in (2, 3, 4, 5):
+                count = len(enumerate_representations(M, q))
+                assert not connected or count <= bound[q], (om, kind, q)
+                maxima[q, connected] = max(maxima[q, connected], count)
+    assert three == {FRAME: 42, LIFT: 38}
+    assert maxima == {(2, True): 1, (3, True): 1, (4, True): 2, (5, True): 6,
+                      (2, False): 1, (3, False): 1, (4, False): 4, (5, False): 9}
+
+
 def test_enumerate_raises_on_a_repeated_class(monkeypatch):
     # after forest normalization no two standard forms share a class, so a
     # repeated key is a bug, not a member to count
@@ -1110,11 +1209,12 @@ def test_enumerate_raises_on_a_repeated_class(monkeypatch):
 
 
 def test_enumerate_reports_a_canonicalization_bound_hit(monkeypatch):
-    # a bound hit is undecided, not a class that failed to canonicalize
+    # a bound hit is undecided, not a class that failed to canonicalize;
+    # enumeration shapes each class through _canonicalize_kinds
     def hit_bound(*args, **kwargs):
         raise BoundExceeded("canonicalization bound")
 
-    monkeypatch.setattr(canonical, "canonicalize_representation", hit_bound)
+    monkeypatch.setattr(canonical, "_canonicalize_kinds", hit_bound)
     b1 = catalog.tube("B_1").omega
     with pytest.raises(BoundExceeded):
         enumerate_representations(frame_matroid(b1), 4, biased_graph=b1)

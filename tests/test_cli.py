@@ -455,6 +455,56 @@ def test_enumerate_reps_beyond_the_work_bound_is_undecided(tmp_path, capsys):
         "bound exceeded: representation enumeration work bound exceeded\n")
 
 
+def _counting_parses(monkeypatch):
+    """A list that grows by one on each formats.parse_biased_graph call."""
+    calls = []
+    real = formats.parse_biased_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formats, "parse_biased_graph", counting)
+    return calls
+
+
+def test_enumerate_reps_parses_a_shared_source_once(tmp_path, monkeypatch, capsys):
+    # the source named as the --biased-graph file, or through a symlink to
+    # it, is parsed once; a second file with the same text is parsed again
+    # and gives the same answer; a file with another bias is parsed again
+    # and leaves every class undecided
+    om = catalog.dwarf("D_{0,2}").omega
+    text = formats.emit_biased_graph(om)
+    bg = write(tmp_path, "d02.bg", text)
+    copy = write(tmp_path, "copy.bg", text)
+    other = write(tmp_path, "other.bg", formats.emit_biased_graph(
+        catalog.dwarf("D_{0,0}").omega))
+    (tmp_path / "link.bg").symlink_to("d02.bg")
+    mat = write(tmp_path, "d02.matroid", "source d02.bg\nkind frame\n")
+    mat_link = write(tmp_path, "link.matroid", "source link.bg\nkind frame\n")
+    calls = _counting_parses(monkeypatch)
+    answers = []
+    for matroid, graph in ((mat, bg), (mat_link, bg), (mat, copy), (mat, other)):
+        del calls[:]
+        assert main(["enumerate-reps", matroid, "--q", "3", "--biased-graph", graph,
+                     "--json"]) == 0
+        answers.append((len(calls), [c["kind"] for c in
+                                     json.loads(capsys.readouterr().out)["classes"]]))
+    assert answers == [(1, ["lift"]), (1, ["lift"]), (2, ["lift"]), (2, [None])]
+
+
+def test_enumerate_reps_reports_the_matroid_file_first(tmp_path, capsys):
+    # a malformed matroid file is reported, not the malformed biased graph
+    # named after it, whether or not its source is that graph
+    bad_bg = write(tmp_path, "bad.bg", "vertices x\n")
+    for text, message in (("ground a\nrank - x\nrank a 1\n", "line 2: rank must be an integer"),
+                          ("source bad.bg\nkind lift1\n", "kind must be frame, lift or lift0")):
+        mat = write(tmp_path, "m.matroid", text)
+        assert main(["enumerate-reps", mat, "--q", "3", "--biased-graph", bad_bg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err
+
+
 def test_bounds_scale_multiplies_the_enumeration_work_bound(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "enumerate_representations",
@@ -595,6 +645,32 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv):
         os.close(w)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_PIPE, "")
     assert cli.EXIT_CLOSED_PIPE == 128 + 13  # SIGPIPE
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "{missing}"], 2),
+    (["catalog", "nosuch"], 2),
+    (["wyedelta", "{bg}", "--vertex", "99"], 1),
+    (["enumerate-reps", "{u37}", "--q", "251"], 3),
+], ids=["parse-error", "usage", "error", "bound"])
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, argv, code):
+    # as under `bmlab classify missing 2>&1 | head -c0`: the message meets a
+    # pipe with no reader, and the exit code is still the error's own
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    files = {"{missing}": str(tmp_path / "missing.bg"),
+             "{bg}": write(tmp_path, "b0.bg", formats.emit_biased_graph(
+                 catalog.tube("B_0").omega)),
+             "{u37}": write(tmp_path, "u37.matroid", formats.emit_matroid(
+                 uniform_matroid(3, ["x%d" % i for i in range(7)])))}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bmlab", *[files.get(a, a) for a in argv]],
+                              stdout=w, stderr=w, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == code
 
 
 def test_canonicalize_over_the_rationals_is_an_error_not_a_crash(tmp_path, capsys):

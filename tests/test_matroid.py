@@ -2,7 +2,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,6 +22,7 @@ from bmlab.matroid import (
     frame_matroid,
     lift_matroid,
     matroids_equal,
+    r_subset_bases,
     rank_table,
     uniform_matroid,
 )
@@ -38,6 +39,8 @@ from oracles import (
     ranks_by_greedy,
     sweep_graphs,
     theta_closed_edge_sets,
+    tutte_connectivity,
+    tutte_connectivity_by_partitions,
     with_loops,
 )
 
@@ -318,6 +321,38 @@ def test_rank_table_matches_the_per_subset_ranks():
             assert table == [M.rank_mask(mask) for mask in range(1 << M.size)]
             subsets += len(table)
     assert subsets == 97260
+
+
+def _bases_by_rank(M):
+    """(S, whether S is a basis) for every r-subset S, by one rank call each."""
+    r = M.full_rank()
+    return [(S, M.rank_mask(sum(1 << i for i in S)) == r)
+            for S in combinations(range(M.size), r)]
+
+
+def test_r_subset_bases_match_the_rank_of_each_subset():
+    """The prefix walk's (subset, is basis) sequence against a rank call
+    per r-subset, in combinations order: F, L and L0 of each sweep graph
+    with no cycle balanced, every cycle balanced and its middle
+    theta-closed set; explicit copies of the frame ones, which have no
+    step of their own; and every uniform matroid on up to six elements."""
+    seen = Counter()
+    for g in sweep_graphs():
+        closed = theta_closed_edge_sets(g)
+        for bal in (closed[0], closed[-1], closed[len(closed) // 2]):
+            om = BiasedGraph(g, bal, check=False)
+            F = frame_matroid(om)
+            copy = explicit_matroid(F.labels, {F.subset_of(mask): r
+                                               for mask, r in enumerate(rank_table(F))})
+            for M in (F, lift_matroid(om), complete_lift_matroid(om), copy):
+                got = list(r_subset_bases(M))
+                assert got == _bases_by_rank(M), (g.edges, bal)
+                seen.update(is_basis for _, is_basis in got)
+    for n in range(7):
+        for r in range(n + 1):
+            M = uniform_matroid(r, ["e%d" % i for i in range(n)])
+            assert list(r_subset_bases(M)) == _bases_by_rank(M)
+    assert seen == {True: 14463, False: 10473}
 
 
 def test_circuits_match_graphical_characterization():
@@ -639,3 +674,23 @@ def test_rank_data_does_not_outlive_its_biased_graph():
     del om
     assert ref() is None
     assert F.rank_mask(0b111) == 3
+
+
+def test_tutte_connectivity_matches_every_partition():
+    """tutte_connectivity, read off rank_table, against trying every
+    partition for k = 1, 2, ...: F, L and L0 (at most six elements) of
+    every biased graph of multigraphs_up_to_iso(4, 5), one per
+    automorphism orbit of bias sets, M(K_4), and every uniform matroid on
+    up to six elements."""
+    seen = Counter()
+    matroids = [graphic_matroid(catalog.graph_k4())]
+    matroids += [uniform_matroid(r, ["e%d" % i for i in range(n)])
+                 for n in range(7) for r in range(n + 1)]
+    for g in catalog.multigraphs_up_to_iso(4, 5):
+        for om in catalog.bias_sets_up_to_aut(g):
+            matroids += [frame_matroid(om), lift_matroid(om), complete_lift_matroid(om)]
+    for M in matroids:
+        k = tutte_connectivity(M)
+        assert k == tutte_connectivity_by_partitions(M), M.labels
+        seen[k] += 1
+    assert seen == {None: 27, 1: 94, 2: 90, 3: 7}
