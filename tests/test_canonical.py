@@ -6,6 +6,7 @@ import pytest
 
 from bmlab import canonical, catalog, graph, verify
 from bmlab.bias import (
+    ALMOST_BALANCED,
     BiasedGraph,
     balancing_vertices,
     biased_isomorphic,
@@ -914,7 +915,11 @@ def _attempt_cases(monkeypatch):
     """Every canonicalization made by the round-trip claims and by
     allreps-contracted-tube at the default options, and the frame matrices
     of the GF(4) realizations of every roll-up of the contracted tubes,
-    some of which canonicalize only to a form particular to a roll-up."""
+    some of which canonicalize only to a form particular to a roll-up.
+    Then, over GF(3), every lift class of a vertically 2-connected,
+    almost-balanced (4, 7) graph that canonicalizes only to a roll-up,
+    and every frame and lift class of that graph with a balanced loop and
+    a joint added (with_loops), so that loops meet both column parsers."""
     cases = []
     real = verify.canonicalize_representation
 
@@ -933,6 +938,16 @@ def _attempt_cases(monkeypatch):
                 if not any(om.graph.is_loop(e) for e in cls):
                     for gg in realizations(roll_up(om, u, cls), MultiplicativeGroup(4)):
                         cases.append((frame_matrix(gg).matrix, om, FRAME))
+    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    lambda om: classify_balance(om).tag == ALMOST_BALANCED):
+        rolled = [cls.matrix for cls in enumerate_representations(
+            lift_matroid(om), 3, biased_graph=om, hint=LIFT) if cls.canonical.rolled_edges]
+        if rolled:
+            cases += [(A, om, LIFT) for A in rolled]
+            loops = with_loops(om)
+            for kind in (FRAME, LIFT):
+                for cls in enumerate_representations(kind_parts(kind).matroid(loops), 3):
+                    cases.append((cls.matrix, loops, kind))
     return cases
 
 
@@ -963,7 +978,7 @@ def test_column_scales_match_the_entry_oracle_on_every_candidate(monkeypatch):
         canonicalize_representation(*case)
     for W, target, f in candidates:
         assert canonical._column_scales(W, target, f) == entries(W, target, f)
-    assert len(candidates) == 547
+    assert len(candidates) == 640
 
 
 # -- enumeration -----------------------------------------------------------------
