@@ -356,17 +356,21 @@ def _vertex_rows(A, omega):
 
 
 def _attempt(A, omega, kind, rows):
-    """Shape the vertex rows for one kind, read a gain graph off the shaped
-    matrix and certify it.  M(A) must be omega's matroid of the kind.  A
+    """Shape the vertex rows for one kind, read gains off the shaped
+    matrix and certify them.  M(A) must be omega's matroid of the kind.  A
     form particular to omega itself is returned at once; the first one
     particular to a roll-up variant only if none is found.
 
     The column parsers make every column of the shaped matrix W = T R a
-    nonzero multiple of the candidate's canonical column (or zero with
-    it), and T has full column rank, so the candidate's kind matroid is
-    M(A), omega's.  A cycle is balanced iff it is a circuit, so a
-    candidate with no edge rolled has omega's bias (omega is its variant)
-    and a rolled one bias._roll's."""
+    nonzero multiple of the canonical column of omega's edge, or of a
+    joint's for a rolled link (or zero with it), and T has full column
+    rank, so the candidate's kind matroid is M(A), omega's.  A cycle is
+    balanced iff it is a circuit, so a candidate with no edge rolled has
+    omega's bias (omega is its variant).  A rolled one is tried on the
+    roll-up at each vertex of _roll_vertices, the one rule placing rolled
+    joints, and kept on the first whose form the witness check confirms:
+    a frame joint's column is supported at its vertex, a lift joint's at
+    v0 alone."""
     parts = kind_parts(kind)
     f = A.field
     g = omega.graph
@@ -380,36 +384,36 @@ def _attempt(A, omega, kind, rows):
         parsed = parts.parse(W, omega, f)
         if parsed is None:
             continue
-        group, edges, gains, rolled = parsed
-        if rolled and fallback is not None:
-            continue  # only the first roll-up result is kept
-        if rolled:
-            variant = _roll(omega, {e: edges[e][0] for e in rolled})
-            if not _roll_reachable(omega, variant):
-                continue
-            gg = GainGraph(variant.graph, group, gains)
-        else:
-            gg, variant = GainGraph(g, group, gains), omega
-        form = parts.matrix(gg)
-        witness = ProjWitness(
-            T.mul(E).with_labels(
-                row_labels=form.matrix.row_labels, col_labels=A.row_labels
-            ),
-            FieldMatrix.diagonal(f, _column_scales(W, form.matrix, f), A.col_labels),
-        )
-        if not witness.verify(A, form.matrix):
-            continue
-        result = CanonicalizeResult(
-            status="ok",
-            kind=kind,
-            form=form,
-            witness=witness,
-            variant=variant,
-            rolled_edges=tuple(sorted(rolled)),
-        )
+        group, gains, rolled = parsed
         if not rolled:
-            return result
-        fallback = result
+            variants = [omega]
+        elif fallback is None:
+            variants = [_roll(omega, {e: g.other_end(e, u) for e in rolled})
+                        for u in _roll_vertices(omega, rolled)]
+        else:
+            continue  # only the first roll-up result is kept
+        for variant in variants:
+            form = parts.matrix(GainGraph(variant.graph, group, gains))
+            witness = ProjWitness(
+                T.mul(E).with_labels(
+                    row_labels=form.matrix.row_labels, col_labels=A.row_labels
+                ),
+                FieldMatrix.diagonal(f, _column_scales(W, form.matrix, f), A.col_labels),
+            )
+            if not witness.verify(A, form.matrix):
+                continue
+            result = CanonicalizeResult(
+                status="ok",
+                kind=kind,
+                form=form,
+                witness=witness,
+                variant=variant,
+                rolled_edges=tuple(sorted(rolled)),
+            )
+            if not rolled:
+                return result
+            fallback = result
+            break
     return fallback or CanonicalizeResult(
         status="undecided", reason="no %s shaping found" % kind
     )
@@ -462,112 +466,65 @@ def _line_choices(f, free_rows):
 
 def _parse_frame_columns(W, omega, f):
     """Read multiplicative gains off a vertex-row-shaped matrix; returns
-    (group, edges, gains, rolled edge ids) or None."""
+    (group, gains, rolled edge ids) or None.  A link whose column is
+    supported at one of its ends alone has a joint's column: it is rolled,
+    with a joint's gain, and _attempt places it."""
     g = omega.graph
     group = MultiplicativeGroup(f.q)
-    new_edges = []
+    joint = group.smallest_non_identity() if f.q > 2 else None  # GF(2)^x is trivial
     gains = {}
-    rolled = []
-    for e in range(g.m):
-        u, v = g.edges[e]
+    rolled = set()
+    for e, (u, v) in enumerate(g.edges):
         support = [i for i in range(g.n) if W.rows[i][e] != f.zero]
-        if u == v:
-            if frozenset((e,)) in omega.balanced:
-                if support:
-                    return None
-                new_edges.append((u, v))
-                gains[e] = f.one
-            else:
-                if support != [u]:
-                    return None
-                new_edges.append((u, v))
-                gains[e] = _joint_gain_mul(group)
-                if gains[e] is None:
-                    return None
-        else:
-            if support == [u, v] or support == [v, u]:
-                new_edges.append((u, v))
-                gains[e] = f.neg(f.div(W.rows[v][e], W.rows[u][e]))
-                if gains[e] == f.zero:
-                    return None
-            elif len(support) == 1 and support[0] in (u, v):
-                w = support[0]
-                new_edges.append((w, w))
-                gains[e] = _joint_gain_mul(group)
-                if gains[e] is None:
-                    return None
-                rolled.append(e)
-            else:
+        if support in ([u, v], [v, u]):
+            gains[e] = f.neg(f.div(W.rows[v][e], W.rows[u][e]))
+        elif u == v and frozenset((e,)) in omega.balanced:
+            if support:
                 return None
-    return group, new_edges, gains, rolled
-
-
-def _joint_gain_mul(group):
-    try:
-        return group.smallest_non_identity()
-    except BmlabError:
-        return None
+            gains[e] = f.one
+        elif len(support) == 1 and support[0] in (u, v) and joint is not None:
+            gains[e] = joint
+            if u != v:
+                rolled.add(e)
+        else:
+            return None
+    return group, gains, rolled
 
 
 def _parse_lift_columns(W, omega, f):
     """Read additive gains off a (vertex rows + v0)-shaped matrix; returns
-    (group, edges, gains, edge ids turned into joints) or None."""
+    (group, gains, rolled edge ids) or None.  A link whose column is
+    supported at v0 alone has a joint's column: it is rolled, with a
+    joint's gain, and _attempt places it."""
     g = omega.graph
     group = AdditiveGroup(f.q)
-    v0 = g.n
-    new_edges = []
     gains = {}
-    moved = []
-    for e in range(g.m):
-        u, v = g.edges[e]
+    rolled = set()
+    for e, (u, v) in enumerate(g.edges):
         support = [i for i in range(g.n) if W.rows[i][e] != f.zero]
-        gain_entry = W.rows[v0][e]
-        if u == v:
-            if frozenset((e,)) in omega.balanced:
-                if support or gain_entry != f.zero:
-                    return None
-                new_edges.append((u, v))
-                gains[e] = f.zero
-            else:
-                if support or gain_entry == f.zero:
-                    return None
-                new_edges.append((u, v))
-                gains[e] = f.one
-        else:
-            if support in ([u, v], [v, u]):
-                a = W.rows[u][e]
-                if f.add(a, W.rows[v][e]) != f.zero:
-                    return None
-                new_edges.append((u, v))
-                gains[e] = f.div(gain_entry, a)
-            elif not support and gain_entry != f.zero:
-                # column is v0_hat: the edge becomes a joint; attach at the
-                # far end of the balancing vertex when possible
-                moved.append(e)
-                new_edges.append(None)  # resolved below
-                gains[e] = f.one
-            else:
+        gain_entry = W.rows[g.n][e]
+        zero = u == v and frozenset((e,)) in omega.balanced  # a zero column
+        if support in ([u, v], [v, u]):
+            a = W.rows[u][e]
+            if f.add(a, W.rows[v][e]) != f.zero:
                 return None
-    if moved:
-        bal = classify_balance(omega).balancing_vertices
-        if not bal:
+            gains[e] = f.div(gain_entry, a)
+        elif support or (gain_entry == f.zero) != zero:
             return None
-        vbal = bal[0]
-        for e in moved:
-            u, v = g.edges[e]
-            if vbal not in (u, v):
-                return None
-            w = v if u == vbal else u
-            new_edges[e] = (w, w)
-    return group, new_edges, gains, moved
+        else:
+            gains[e] = f.zero if zero else f.one
+            if u != v:
+                rolled.add(e)
+    return group, gains, rolled
 
 
 def _column_scales(W, target, f):
     """Per-column scalars s with W[:,e] * s_e = target[:,e], read at W's
     first nonzero entry in each column (1 for a zero column).  The column
     parsers make each column of W a nonzero multiple of the target's or
-    zero with it, so each scale is nonzero; the witness check confirms the
-    rest of each column."""
+    zero with it, so each scale is nonzero, except at a frame joint that a
+    roll-up puts off the vertex where W's column is supported: its scale
+    is zero.  The witness check confirms the rest of each column."""
     scales = []
     for j in range(W.ncols):
         i = next((i for i in range(W.nrows) if W.rows[i][j] != f.zero), None)
@@ -600,14 +557,25 @@ def _roll_reachable(omega, variant):
     rolled = frozenset(e for e in range(g.m) if {*h.edges[e]} != {*g.edges[e]})
     if variant.balanced != frozenset(c for c in omega.balanced if not c & rolled):
         return False
+    if not rolled:
+        return bool(classify_balance(omega).balancing_vertices)
+    return any(all(h.edges[e] == (g.other_end(e, u),) * 2 for e in rolled)
+               for u in _roll_vertices(omega, rolled))
+
+
+def _roll_vertices(omega, rolled):
+    """The roll rule: the balancing vertices u of omega, in order, at which
+    the edge set rolled is an unbalancing class and every joint of omega
+    lies at u.  Rolling the class at such a u turns each of its links into
+    a joint at its far end from u (bias.roll_up); _roll_reachable shows
+    these are exactly the roll-ups that unroll as omega does."""
+    joints = set(omega.joints())
+    out = []
     for u in classify_balance(omega).balancing_vertices:
-        if not rolled:
-            return True
         part = unbalancing_classes(omega, u)
-        if (rolled in part.classes and set(omega.joints()) <= part.joints_at_vertex
-                and all(h.edges[e] == (g.other_end(e, u),) * 2 for e in rolled)):
-            return True
-    return False
+        if rolled in part.classes and joints <= part.joints_at_vertex:
+            out.append(u)
+    return out
 
 
 # -- representation enumeration -------------------------------------------------

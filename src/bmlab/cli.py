@@ -39,6 +39,7 @@ from .canonical import (
 )
 from .errors import BmlabError, BoundExceeded, NotACycle, ParseError
 from .fields import gf
+from .formats import read_text
 from .gains import induced_bias, switching_equivalent, switching_scaling_equivalent
 from .linalg import projectively_equivalent
 
@@ -68,17 +69,6 @@ def _field_order(q):
         return gf(q).q
     except BmlabError as exc:
         raise ParseError("--q: %s" % exc)
-
-
-def _read(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        reason = exc.strerror
-    except UnicodeDecodeError:
-        reason = "not UTF-8 text"
-    raise ParseError("cannot read %s: %s" % (path, reason))
 
 
 def _to_devnull(stream):
@@ -142,7 +132,7 @@ def cmd_catalog(args):
 
 
 def cmd_check_theta(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph), check=False)
+    om = formats.parse_biased_graph(read_text(args.biased_graph), check=False)
     try:
         violation = check_theta_property(om.graph, om.balanced)
     except NotACycle as exc:  # a malformed file, as every other subcommand reports it
@@ -162,7 +152,7 @@ def cmd_check_theta(args):
 
 
 def cmd_classify(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     cls = classify_balance(om)
     tangled, witness = is_tangled(om)
     payload = {
@@ -181,7 +171,7 @@ def cmd_classify(args):
 
 
 def cmd_rank(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     M = kind_parts(args.kind).matroid(om)
     r = M.rank(args.subset) if args.subset else M.full_rank()
     _emit({"kind": args.kind, "rank": r}, args.json, str(r))
@@ -189,7 +179,7 @@ def cmd_rank(args):
 
 
 def cmd_matrix(args):
-    gg = formats.parse_gain_graph(_read(args.gain_graph))
+    gg = formats.parse_gain_graph(read_text(args.gain_graph))
     form = kind_parts(args.kind).matrix(gg)
     text = formats.emit_matrix(form.matrix)
     if args.json:
@@ -201,7 +191,7 @@ def cmd_matrix(args):
 
 
 def cmd_bias(args):
-    gg = formats.parse_gain_graph(_read(args.gain_graph))
+    gg = formats.parse_gain_graph(read_text(args.gain_graph))
     om = induced_bias(gg)
     _emit_file(formats.emit_biased_graph(om), args.json, balanced=[
         formats.edge_names_json(om.graph, c) for c in sorted(om.balanced, key=sorted)])
@@ -209,8 +199,8 @@ def cmd_bias(args):
 
 
 def cmd_switch_equiv(args):
-    g1 = formats.parse_gain_graph(_read(args.gg1))
-    g2 = formats.parse_gain_graph(_read(args.gg2))
+    g1 = formats.parse_gain_graph(read_text(args.gg1))
+    g2 = formats.parse_gain_graph(read_text(args.gg2))
     if not args.scaling:
         eta = switching_equivalent(g1, g2)
         res = None if eta is None else (None, eta)
@@ -230,8 +220,8 @@ def cmd_switch_equiv(args):
 
 
 def cmd_proj_equiv(args):
-    A = formats.parse_matrix(_read(args.mat1))
-    B = formats.parse_matrix(_read(args.mat2))
+    A = formats.parse_matrix(read_text(args.mat1))
+    B = formats.parse_matrix(read_text(args.mat2))
     w = projectively_equivalent(A, B)
     if w is None:
         _emit({"equivalent": False}, args.json, "not projectively equivalent")
@@ -242,8 +232,8 @@ def cmd_proj_equiv(args):
 
 
 def cmd_canonicalize(args):
-    A = formats.parse_matrix(_read(args.matrix))
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    A = formats.parse_matrix(read_text(args.matrix))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     res = canonicalize_representation(A, om, hint=args.kind)
     if res.status != "ok":
         _emit({"status": res.status, "reason": res.reason}, args.json,
@@ -271,13 +261,13 @@ def cmd_enumerate_reps(args):
     # a source that is the --biased-graph file is parsed once, so M is
     # that graph's own kept matroid
     graphs = {}
-    M = formats.parse_matroid(_read(args.matroid),
+    M = formats.parse_matroid(read_text(args.matroid),
                               base_dir=os.path.dirname(args.matroid) or ".", graphs=graphs)
     om = None
     if args.biased_graph:
         om = graphs.get(os.path.realpath(args.biased_graph))
         if om is None:
-            om = formats.parse_biased_graph(_read(args.biased_graph))
+            om = formats.parse_biased_graph(read_text(args.biased_graph))
     classes = enumerate_representations(
         M, q, biased_graph=om,
         max_work=int(ENUMERATION_WORK_BOUND * bounds_scale()),
@@ -295,7 +285,7 @@ def cmd_enumerate_reps(args):
 
 
 def cmd_minor(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     contract = om.graph.edge_set(args.contract or [])
     delete = om.graph.edge_set(args.delete or [])
     if contract & delete:
@@ -308,21 +298,21 @@ def cmd_minor(args):
 
 
 def cmd_deltawye(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     X = om.graph.edge_set(args.at)
     _emit_file(formats.emit_biased_graph(delta_y(om, X)), args.json)
     return EXIT_PASS
 
 
 def cmd_wyedelta(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     out, _ = y_delta(om, args.vertex)
     _emit_file(formats.emit_biased_graph(out), args.json)
     return EXIT_PASS
 
 
 def cmd_rollup(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     if args.cls:
         cls = om.graph.edge_set(args.cls)
     else:
@@ -333,7 +323,7 @@ def cmd_rollup(args):
 
 
 def cmd_unroll(args):
-    om = formats.parse_biased_graph(_read(args.biased_graph))
+    om = formats.parse_biased_graph(read_text(args.biased_graph))
     _emit_file(formats.emit_biased_graph(unroll(om, args.vertex)), args.json)
     return EXIT_PASS
 

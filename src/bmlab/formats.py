@@ -239,6 +239,20 @@ def emit_matrix(A, with_labels=True):
     return "\n".join(out) + "\n"
 
 
+def read_text(path, name=None, line=None):
+    """The UTF-8 text of the file at path; a file that cannot be read is a
+    ParseError "cannot read NAME: REASON" (name defaults to path), at the
+    line that named it when given."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise ParseError("cannot read %s: %s" % (name or path, reason), line)
+
+
 def parse_matroid(text, base_dir=".", graphs=None):
     """The matroid of a matroid file.  A source file is read relative to
     base_dir.  graphs, when given, maps the real path of each biased-graph
@@ -276,14 +290,7 @@ def parse_matroid(text, base_dir=".", graphs=None):
         key = os.path.realpath(full)
         graphs = {} if graphs is None else graphs
         if key not in graphs:
-            try:
-                with open(full, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ParseError("cannot read source %r: %s" % (path, exc.strerror), i)
-            except UnicodeDecodeError:
-                raise ParseError("cannot read source %r: not UTF-8 text" % (path,), i)
-            graphs[key] = parse_biased_graph(text)
+            graphs[key] = parse_biased_graph(read_text(full, "source %r" % (path,), i))
         return kind_parts(kind).matroid(graphs[key])
     if ground is None:
         raise ParseError("missing ground line")

@@ -423,15 +423,13 @@ def _search_realizations(omega, group):
     op = {a: {b: group.op(a, b) for b in els} for a in els}
     inv = {a: group.inv(a) for a in els}
     # due[k]: the cycles whose last free edge is free[k], each as the
-    # (slot, forward) steps of its walk on free edges and its bias
+    # (slot, forward) steps of its walk on free edges and its bias; every
+    # cycle has a free edge, as the forest holds no cycle
     due = [[] for _ in free]
     for c in cycles:
         steps = [(slot[oe.edge], oe.forward) for oe in c.walk if oe.edge in slot]
         balanced = c.edges in omega.balanced
-        if steps:
-            due[max(k for k, _ in steps)].append((steps, balanced))
-        elif not balanced:
-            return []  # a cycle on forest edges has identity gain
+        due[max(k for k, _ in steps)].append((steps, balanced))
     values = [identity] * len(free)
     out = []
 

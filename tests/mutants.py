@@ -553,21 +553,40 @@ MUTANTS = [
         ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively",
          "tests/test_canonical.py::test_roll_reachability_matches_fresh_unrollings"],
     ),
-    # roll reachability without the joint clause: omega's joints off u,
-    # which unroll into a class of their own, are not looked at
+    # the roll rule without the joint clause: omega's joints off u, which
+    # unroll into a class of their own, are not looked at
     Mutant(
         "canonical.py",
-        " and set(omega.joints()) <= part.joints_at_vertex",
+        " and joints <= part.joints_at_vertex",
         "",
         ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively"],
     ),
-    # roll reachability with a part of a class rolled: a proper subset of
-    # an unbalancing class passes as the class
+    # the roll rule with a part of a class rolled: a proper subset of an
+    # unbalancing class passes as the class
     Mutant(
         "canonical.py",
         "rolled in part.classes",
         "any(rolled <= c for c in part.classes)",
         ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively"],
+    ),
+    # the roll rule at the first balancing vertex only, as the lift parser
+    # once placed every rolled edge: a graph whose joints lie at a later
+    # balancing vertex rolls up nowhere
+    Mutant(
+        "canonical.py",
+        "    for u in classify_balance(omega).balancing_vertices:\n"
+        "        part = unbalancing_classes(omega, u)\n",
+        "    for u in classify_balance(omega).balancing_vertices[:1]:\n"
+        "        part = unbalancing_classes(omega, u)\n",
+        ["tests/test_canonical.py::test_roll_reachability_matches_the_unrolling_oracle_exhaustively",
+         "tests/test_canonical.py::test_attempt_matches_certifying_every_candidate"],
+    ),
+    # a roll-up built with its joints at u instead of at their far ends
+    Mutant(
+        "canonical.py",
+        "_roll(omega, {e: g.other_end(e, u) for e in rolled})",
+        "_roll(omega, {e: u for e in rolled})",
+        ["tests/test_canonical.py::test_attempt_matches_certifying_every_candidate"],
     ),
     # roll reachability with the rolled edges expected at u instead of at
     # their far ends

@@ -1390,6 +1390,22 @@ def roll_reachable_by_unrolling(omega, variant):
     return False
 
 
+def roll_ups_by_unrolling(omega, rolled):
+    """The reference for canonical._roll_vertices and the roll-ups that
+    canonical._attempt builds at them: (u, roll_up_by_cases(omega, u,
+    rolled)) for each balancing vertex u of omega, in order, at which
+    rolled is a link class and the roll-up unrolls as omega does."""
+    out = []
+    for u in classify_balance(omega).balancing_vertices:
+        try:
+            variant = roll_up_by_cases(omega, u, rolled)
+        except StructureMissing:
+            continue
+        if roll_reachable_by_unrolling(omega, variant):
+            out.append((u, variant))
+    return out
+
+
 def column_scales_by_entries(W, target, f):
     """The reference for canonical._column_scales: per-column scalars s with
     W[:,e] * s_e = target[:,e], each agreed on by every entry of the column;

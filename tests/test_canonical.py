@@ -8,6 +8,7 @@ from bmlab import canonical, catalog, graph, verify
 from bmlab.bias import (
     ALMOST_BALANCED,
     BiasedGraph,
+    _roll,
     balancing_vertices,
     biased_isomorphic,
     biased_minor,
@@ -89,6 +90,7 @@ from oracles import (
     matched_kinds_by_two_walks,
     matroids_equal_on_all_subsets,
     roll_reachable_by_unrolling,
+    roll_ups_by_unrolling,
     scaling_orbits,
     std_basis_completion,
     tutte_connectivity,
@@ -799,13 +801,17 @@ def test_canonicalize_contracted_tube_rolls():
 
 
 def attempt_certifying_every_candidate(A, omega, kind, rows):
-    """Reference for canonical._attempt: every parsed candidate gets a gain
-    graph on a new MultiGraph, and its variant's matroid is compared with
-    M(A) on all subsets, although every candidate has omega's matroid;
-    every rolled candidate is certified, although only the first is kept.
-    It asserts what _attempt takes for granted: every unrolled candidate
-    has omega's bias, and every rolled one bias._roll's, the cycles
-    balanced in omega that avoid the rolled edges."""
+    """Reference for canonical._attempt, certifying each parsed candidate
+    on its own.  An unrolled candidate's gains go on a new MultiGraph with
+    omega's edges.  A rolled candidate's go on each roll-up of its rolled
+    edges at a balancing vertex of omega, in order, built cycle by cycle
+    and kept when it unrolls as omega does (roll_ups_by_unrolling).  Each
+    variant's matroid is compared with M(A) on
+    all subsets, although every one has omega's matroid, and its column
+    scales are read by the entry oracle; every rolled candidate is
+    certified, although only the first is kept.  It asserts what _attempt
+    takes for granted: every unrolled candidate has omega's bias, and each
+    roll-up the bias its gains induce."""
     MA = vector_matroid(A)
     parts = kind_parts(kind)
     f = A.field
@@ -820,30 +826,34 @@ def attempt_certifying_every_candidate(A, omega, kind, rows):
         parsed = parts.parse(W, omega, f)
         if parsed is None:
             continue
-        group, edges, gains, rolled = parsed
-        gg = GainGraph(MultiGraph(g.n, edges, g.edge_names, g.vertex_names), group, gains)
-        variant = induced_bias(gg)
-        assert variant.balanced == frozenset(c for c in omega.balanced if not c & set(rolled))
-        if not matroids_equal_on_all_subsets(MA, parts.matroid(variant))[0]:
-            continue
-        if rolled and not canonical._roll_reachable(omega, variant):
-            continue
-        form = parts.matrix(gg)
-        scales = oracles.column_scales_by_entries(W, form.matrix, f)
-        if scales is None:
-            continue
-        witness = ProjWitness(
-            T.mul(E).with_labels(row_labels=form.matrix.row_labels, col_labels=A.row_labels),
-            FieldMatrix.diagonal(f, scales, A.col_labels),
-        )
-        if not witness.verify(A, form.matrix):
-            continue
-        result = CanonicalizeResult(status="ok", kind=kind, form=form, witness=witness,
-                                    variant=variant, rolled_edges=tuple(sorted(rolled)))
-        if not rolled:
-            return result
-        if fallback is None:
-            fallback = result
+        group, gains, rolled = parsed
+        if rolled:
+            variants = [variant for _, variant in roll_ups_by_unrolling(omega, rolled)]
+        else:
+            variants = [BiasedGraph(MultiGraph(g.n, g.edges, g.edge_names, g.vertex_names),
+                                    omega.balanced, check=False)]
+        for variant in variants:
+            gg = GainGraph(variant.graph, group, gains)
+            assert induced_bias(gg).balanced == variant.balanced
+            if not matroids_equal_on_all_subsets(MA, parts.matroid(variant))[0]:
+                continue
+            form = parts.matrix(gg)
+            scales = oracles.column_scales_by_entries(W, form.matrix, f)
+            if scales is None:
+                continue
+            witness = ProjWitness(
+                T.mul(E).with_labels(row_labels=form.matrix.row_labels, col_labels=A.row_labels),
+                FieldMatrix.diagonal(f, scales, A.col_labels),
+            )
+            if not witness.verify(A, form.matrix):
+                continue
+            result = CanonicalizeResult(status="ok", kind=kind, form=form, witness=witness,
+                                        variant=variant, rolled_edges=tuple(sorted(rolled)))
+            if not rolled:
+                return result
+            if fallback is None:
+                fallback = result
+            break
     return fallback or CanonicalizeResult(status="undecided", reason="no %s shaping found" % kind)
 
 
@@ -908,7 +918,8 @@ def _result_fields(res):
     ok = res.status == "ok"
     return (res.status, res.kind, entries(res.form.matrix) if ok else None, res.rolled_edges,
             res.other_kind, res.reason, entries(res.witness.T) if ok else None,
-            entries(res.witness.S) if ok else None)
+            entries(res.witness.S) if ok else None,
+            (res.variant.graph.edges, res.variant.balanced) if ok else None)
 
 
 def _attempt_cases(monkeypatch):
@@ -917,9 +928,11 @@ def _attempt_cases(monkeypatch):
     of the GF(4) realizations of every roll-up of the contracted tubes,
     some of which canonicalize only to a form particular to a roll-up.
     Then, over GF(3), every lift class of a vertically 2-connected,
-    almost-balanced (4, 7) graph that canonicalizes only to a roll-up,
-    and every frame and lift class of that graph with a balanced loop and
-    a joint added (with_loops), so that loops meet both column parsers."""
+    almost-balanced (4, 6) graph that canonicalizes only to a roll-up; and
+    every frame and lift class of such a graph of at most 5 edges with a
+    balanced loop and a joint added (with_loops) when the joint's vertex,
+    the last, is a balancing vertex but not the first.  So loops meet both column
+    parsers, and some frame classes roll up only at that later vertex."""
     cases = []
     real = verify.canonicalize_representation
 
@@ -938,16 +951,16 @@ def _attempt_cases(monkeypatch):
                 if not any(om.graph.is_loop(e) for e in cls):
                     for gg in realizations(roll_up(om, u, cls), MultiplicativeGroup(4)):
                         cases.append((frame_matrix(gg).matrix, om, FRAME))
-    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+    for om in catalog.biased_family(4, 6, catalog.vertically_2_connected,
                                     lambda om: classify_balance(om).tag == ALMOST_BALANCED):
-        rolled = [cls.matrix for cls in enumerate_representations(
+        cases += [(cls.matrix, om, LIFT) for cls in enumerate_representations(
             lift_matroid(om), 3, biased_graph=om, hint=LIFT) if cls.canonical.rolled_edges]
-        if rolled:
-            cases += [(A, om, LIFT) for A in rolled]
+        bal = classify_balance(om).balancing_vertices
+        if om.graph.m <= 5 and bal[0] < om.graph.n - 1 == bal[-1]:
             loops = with_loops(om)
             for kind in (FRAME, LIFT):
-                for cls in enumerate_representations(kind_parts(kind).matroid(loops), 3):
-                    cases.append((cls.matrix, loops, kind))
+                cases += [(cls.matrix, loops, kind)
+                          for cls in enumerate_representations(kind_parts(kind).matroid(loops), 3)]
     return cases
 
 
@@ -978,7 +991,7 @@ def test_column_scales_match_the_entry_oracle_on_every_candidate(monkeypatch):
         canonicalize_representation(*case)
     for W, target, f in candidates:
         assert canonical._column_scales(W, target, f) == entries(W, target, f)
-    assert len(candidates) == 640
+    assert len(candidates) == 732
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -1372,8 +1385,10 @@ def test_roll_reachability_matches_the_unrolling_oracle_exhaustively():
     each also with a balanced loop and a joint (with_loops), so that some
     joints lie off the balancing vertex.  Every way the class test can
     fail is met: a part of a class, two classes, a joint off u, the wrong
-    end, and a bias other than the roll rule's."""
-    seen = Counter()
+    end, and a bias other than the roll rule's.  Each rolled set's
+    _roll_vertices are also checked against the vertices whose roll-up
+    unrolls as omega does; some sets are classes at two of them."""
+    seen, places = Counter(), Counter()
     for g in catalog.multigraphs_up_to_iso(4, 5):
         if not g.is_vertically_k_connected(2)[0]:
             continue
@@ -1383,12 +1398,16 @@ def test_roll_reachability_matches_the_unrolling_oracle_exhaustively():
             for omega in (om, with_loops(om)):
                 for u in classify_balance(omega).balancing_vertices:
                     for rolled in _rolled_sets(omega, u):
+                        vertices = [w for w, _ in roll_ups_by_unrolling(omega, rolled)]
+                        assert canonical._roll_vertices(omega, rolled) == vertices
+                        places[len(vertices)] += 1
                         for variant in _rolled_variants(omega, u, rolled):
                             got = canonical._roll_reachable(omega, variant)
                             assert got == roll_reachable_by_unrolling(omega, variant), (
                                 omega, u, rolled, variant)
                             seen[got] += 1
     assert seen == {True: 816, False: 6660}
+    assert places == {0: 892, 1: 188, 2: 166}
 
 
 def _fresh_copy(omega):
@@ -1480,28 +1499,38 @@ def test_kinds_and_results_match_the_two_walk_match(monkeypatch):
 
 
 def test_roll_reachability_matches_fresh_unrollings(monkeypatch):
-    """_roll_reachable, kept on omega by the variant's graph and bias,
-    against fresh unrollings, on every rolled candidate that the claim
-    graphs' classes and scrambles meet over GF(3), GF(4) and GF(5); each
-    candidate's graph is also asked with no cycle and with every cycle
-    balanced, right after the candidate itself."""
-    kept = canonical._roll_reachable
-    seen = Counter()
+    """_roll_reachable against fresh unrollings on every rolled candidate
+    that the frame parser reads off the claim graphs' classes and
+    scrambles over GF(3), GF(4) and GF(5), each joint placed at the end
+    where its column is supported (the lift parser rolls none of them).
+    Each candidate's graph is also asked with no cycle and with every
+    cycle balanced."""
+    candidates = []
+    parse = canonical._parse_frame_columns
 
-    def checked(omega, variant):
-        got = kept(omega, variant)
-        assert got == roll_reachable_by_unrolling(omega, variant), (omega, variant)
-        for bal in ((), [c.edges for c in variant.graph.cycles()]):
-            other = BiasedGraph(variant.graph, bal, check=False)
-            assert kept(omega, other) == roll_reachable_by_unrolling(omega, other)
-        seen[got] += 1
-        return got
+    def recording(W, omega, f):
+        parsed = parse(W, omega, f)
+        if parsed is not None and parsed[2]:
+            candidates.append((W, omega, parsed[2]))
+        return parsed
 
-    monkeypatch.setattr(canonical, "_roll_reachable", checked)
+    monkeypatch.setattr(canonical, "_parse_frame_columns", recording)
     for q in (3, 4, 5):
         for om, hint, A in _claim_inputs(q):
             _canonicalized(A, om, hint)
-    assert seen == {True: 177, False: 66}
+    seen = Counter()
+    for W, omega, rolled in candidates:
+        g = omega.graph
+        variant = _roll(omega, {e: next(x for x in range(g.n) if W.rows[x][e] != W.field.zero)
+                                for e in rolled})
+        got = canonical._roll_reachable(omega, variant)
+        assert got == roll_reachable_by_unrolling(omega, variant), (omega, variant)
+        for cycles in ((), [c.edges for c in variant.graph.cycles()]):
+            other = BiasedGraph(variant.graph, cycles, check=False)
+            assert canonical._roll_reachable(omega, other) == roll_reachable_by_unrolling(
+                omega, other)
+        seen[got] += 1
+    assert seen == {True: 626, False: 166}
 
 
 def test_derived_biased_graphs_start_with_empty_caches():

@@ -11,7 +11,7 @@ from bmlab.cli import main
 from bmlab.errors import BoundExceeded
 from bmlab.graph import MultiGraph
 from bmlab.matroid import AXIOM_CHECK_BOUND, uniform_matroid
-from oracles import count_builds, witness_from_json
+from oracles import count_builds, drop_isolated, witness_from_json
 
 
 def write(tmp_path, name, text):
@@ -90,6 +90,9 @@ def test_matrix_and_bias(capsys, gain_file):
     assert main(["matrix", "frame", gain_file]) == 0
     out = capsys.readouterr().out
     assert out.startswith("rows 3 cols 6 field gf 5")
+    assert main(["matrix", "frame", gain_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "frame", "matrix": out,
+                                                   "rows": ["v1", "v2", "v3"]}
     assert main(["bias", gain_file]) == 0
     out = capsys.readouterr().out
     assert "balanced" in out
@@ -151,6 +154,20 @@ def test_proj_equiv_identity(tmp_path, capsys):
     assert w.verify(A, A)
 
 
+def test_proj_equiv_of_inequivalent_matrices(tmp_path, capsys):
+    # the two classes of U_{2,4} over GF(4): exit 1, and no witness
+    from bmlab.fields import gf
+    from bmlab.linalg import FieldMatrix
+
+    paths = [write(tmp_path, "%d.mat" % x, formats.emit_matrix(
+        FieldMatrix(gf(4), [[1, 0, 1, 1], [0, 1, 1, x]], None, ("a", "b", "c", "d"))))
+        for x in (2, 3)]
+    assert main(["proj-equiv", *paths]) == 1
+    assert capsys.readouterr().out == "not projectively equivalent\n"
+    assert main(["proj-equiv", *paths, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"equivalent": False}
+
+
 def test_canonicalize_cli(tmp_path, capsys, b0_file):
     from bmlab.canonical import frame_matrix
     from bmlab.gains import MultiplicativeGroup, realizations
@@ -162,6 +179,45 @@ def test_canonicalize_cli(tmp_path, capsys, b0_file):
     assert main(["canonicalize", mat, b0_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "frame"
+
+
+def test_canonicalize_cli_reports_the_rolled_edges(tmp_path, capsys):
+    # a GF(4) frame class of B_0' canonicalizes only to a form particular
+    # to a roll-up: the text names the rolled edge, the JSON lists it, and
+    # the witness carries the matrix onto the form
+    from bmlab.canonical import enumerate_representations
+    from bmlab.matroid import frame_matroid
+
+    b0p = drop_isolated(catalog.by_name("B_0'").omega)
+    A = enumerate_representations(frame_matroid(b0p), 4)[0].matrix
+    mat = write(tmp_path, "a.mat", formats.emit_matrix(A))
+    bg = write(tmp_path, "b0p.bg", formats.emit_biased_graph(b0p))
+    assert main(["canonicalize", mat, bg, "--kind", "frame"]) == 0
+    assert capsys.readouterr().out == "frame form (rolled: e1)\n"
+    assert main(["canonicalize", mat, bg, "--kind", "frame", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["rolled_edges"]) == ("frame", ["e1"])
+    w = witness_from_json(payload["witness"])
+    assert w.verify(A, formats.parse_matrix(payload["matrix"]))
+
+
+def test_canonicalize_cli_without_a_form_is_undecided(tmp_path, capsys):
+    # F and L of a balanced K_4 have rank |V| - 1, so neither kind has a
+    # canonical form of its representations: exit 3 with the reasons
+    from bmlab.bias import BiasedGraph
+    from bmlab.canonical import frame_matrix
+    from bmlab.gains import GainGraph, MultiplicativeGroup
+
+    k4 = catalog.graph_k4()
+    om = BiasedGraph(k4, [c.edges for c in k4.cycles()])
+    gg = GainGraph(k4, MultiplicativeGroup(5), dict.fromkeys(range(k4.m), 1))
+    mat = write(tmp_path, "k4.mat", formats.emit_matrix(frame_matrix(gg).matrix))
+    bg = write(tmp_path, "k4.bg", formats.emit_biased_graph(om))
+    reason = "frame: rank != |V|; lift: rank != |V|"
+    assert main(["canonicalize", mat, bg]) == 3
+    assert capsys.readouterr().out == "undecided: %s\n" % reason
+    assert main(["canonicalize", mat, bg, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"status": "undecided", "reason": reason}
 
 
 def test_enumerate_reps_cli(tmp_path, capsys):
@@ -210,6 +266,24 @@ def test_rollup_unroll_cli(tmp_path, capsys):
     rolled = capsys.readouterr().out
     rolled_path = write(tmp_path, "rolled.bg", rolled)
     assert main(["unroll", rolled_path, "--vertex", str(u)]) == 0
+
+
+def test_rollup_cli_rolls_the_named_class(tmp_path, capsys):
+    # D_{1,0} has three one-edge classes at its balancing vertex: --class
+    # picks one, where no --class takes the first
+    from bmlab.bias import classify_balance, roll_up, unbalancing_classes
+
+    d10 = catalog.dwarf("D_{1,0}").omega
+    u = classify_balance(d10).balancing_vertices[0]
+    path = write(tmp_path, "d10.bg", formats.emit_biased_graph(d10))
+    classes = unbalancing_classes(d10, u).classes
+    assert len(classes) == 3
+    for cls in classes:
+        assert main(["rollup", path, "--vertex", str(u), "--class",
+                     *d10.graph.names_of(cls)]) == 0
+        assert capsys.readouterr().out == formats.emit_biased_graph(roll_up(d10, u, cls))
+    assert main(["rollup", path, "--vertex", str(u)]) == 0
+    assert capsys.readouterr().out == formats.emit_biased_graph(roll_up(d10, u, classes[0]))
 
 
 def test_file_outputs_take_json(tmp_path, capsys):
