@@ -26,6 +26,7 @@ from .graph import (
     edge_bijections,
     find,
     graph_isomorphisms,
+    is_theta_union,
     iter_subdivisions,
     kept,
 )
@@ -37,47 +38,16 @@ ALMOST_BALANCED = "almost-balanced"
 PROPERLY_UNBALANCED = "properly-unbalanced"
 
 
-def _is_theta(g, union):
-    """Whether the union of two distinct cycles that share an edge is a
-    theta.  Such a union is connected and has no bridge, so it is a theta
-    iff it is loopless with exactly two degree-3 vertices and every other
-    vertex of degree 2."""
-    deg = {}
-    for e in union:
-        u, v = g.endpoints(e)
-        if u == v:
-            return False
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    degs = list(deg.values())
-    return degs.count(3) == 2 and all(d in (2, 3) for d in degs)
-
-
 def theta_subgraphs(g):
-    """All theta subgraphs as (edge set, tuple of its three cycles).
-
-    A theta is the union of two distinct cycles a and b that share an edge
-    and whose union passes the degree test of _is_theta; its three cycles
-    are a, b and a ^ b.  Thetas are listed by the indices of their two
-    lowest cycles in g.cycles(), and each theta's cycles are in that order:
-    the first pair of a theta's cycles met is its two lowest, so a ^ b is
-    its highest.
-    """
-    masks = [c.edges for c in g.cycles()]
-    cycle_set = set(masks)
-    seen = set()
+    """All theta subgraphs as (edge set, tuple of its three cycles): the
+    triples of `CycleMasks.thetas` as edge sets, in that order, so thetas
+    come by the indices of their two lowest cycles in g.cycles(), and each
+    theta's cycles in index order."""
+    cycles = g.cycles()
     out = []
-    for i, j in combinations(range(len(masks)), 2):
-        union = masks[i] | masks[j]
-        if union in seen:
-            continue
-        if len(union) == len(masks[i]) + len(masks[j]):
-            continue  # edge-disjoint cycles never form a theta
-        third = masks[i] ^ masks[j]
-        if third not in cycle_set or not _is_theta(g, union):
-            continue
-        seen.add(union)
-        out.append((union, (masks[i], masks[j], third)))
+    for i, j, k in g.cycle_masks().thetas:
+        a, b = cycles[i].edges, cycles[j].edges
+        out.append((a | b, (a, b, cycles[k].edges)))
     return out
 
 
@@ -107,7 +77,7 @@ def check_theta_property(g, balanced):
         if best is not None and key >= best[0]:
             continue
         union = a | b
-        if _is_theta(g, union):
+        if is_theta_union(len(union), len(g.vertices_of(union))):
             best = key, union, tuple(inside)
     return None if best is None else best[1:]
 
@@ -177,16 +147,23 @@ class BalanceClass:
     balancing_vertices: tuple
 
 
+@kept
 def _unbalanced_mask(omega):
-    """The CycleMasks of omega's graph and the mask of its unbalanced cycles."""
+    """The mask of omega's unbalanced cycles, over its graph's CycleMasks."""
     masks = omega.graph.cycle_masks()
-    return masks, masks.every & ~sum(1 << masks.index[c] for c in omega.balanced)
+    return masks.every & ~sum(1 << masks.index[c] for c in omega.balanced)
+
+
+def has_contrabalanced_theta(omega):
+    """Whether some theta of omega's graph has its three cycles unbalanced."""
+    unb = _unbalanced_mask(omega)
+    return any(unb >> i & unb >> j & unb >> k & 1 for i, j, k in omega.graph.cycle_masks().thetas)
 
 
 def balancing_vertices(omega):
     """Vertices contained in every unbalanced cycle (loops included)."""
-    masks, unb = _unbalanced_mask(omega)
-    return tuple(v for v, t in enumerate(masks.through) if t & unb == unb)
+    unb = _unbalanced_mask(omega)
+    return tuple(v for v, t in enumerate(omega.graph.cycle_masks().through) if t & unb == unb)
 
 
 @kept
@@ -199,7 +176,7 @@ def classify_balance(omega):
     cycle, so these are the vertices on every unbalanced cycle that is not
     a loop.
     """
-    masks, unb = _unbalanced_mask(omega)
+    masks, unb = omega.graph.cycle_masks(), _unbalanced_mask(omega)
     if not unb:
         return BalanceClass(BALANCED, tuple(range(omega.graph.n)))
     unb &= masks.links
@@ -213,16 +190,13 @@ def is_tangled(omega):
     """Tangled: properly unbalanced with no two vertex-disjoint unbalanced
     cycles.  Returns (flag, witness) where the witness is a disjoint
     unbalanced pair when one exists: the first in combinations order."""
-    masks, unb = _unbalanced_mask(omega)
-    witness = None
-    for d in masks.disjoint_pairs():
+    unb = _unbalanced_mask(omega)
+    for d in omega.graph.cycle_masks().disjoint_pairs():
         if unb & d == d:
             cycles = omega.graph.cycles()
-            witness = (cycles[(d & -d).bit_length() - 1].edges, cycles[d.bit_length() - 1].edges)
-            break
-    if classify_balance(omega).tag != PROPERLY_UNBALANCED:
-        return False, witness
-    return witness is None, witness
+            first, last = cycles[(d & -d).bit_length() - 1], cycles[d.bit_length() - 1]
+            return False, (first.edges, last.edges)
+    return classify_balance(omega).tag == PROPERLY_UNBALANCED, None
 
 
 # -- minors ------------------------------------------------------------------

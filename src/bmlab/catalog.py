@@ -16,9 +16,10 @@ Fixed labelings (chosen to match the matrix displays used in the tests):
 """
 
 import functools
+import struct
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby, permutations, product
-from operator import itemgetter
+from itertools import chain, combinations, groupby, permutations, product, repeat
+from operator import itemgetter, lshift, or_
 
 from .bias import (
     PROPERLY_UNBALANCED,
@@ -28,7 +29,6 @@ from .bias import (
     classify_balance,
     delta_y,
     is_tangled,
-    theta_subgraphs,
 )
 from .errors import BadGlue, BmlabError
 from .graph import MultiGraph, graph_isomorphisms, kept
@@ -90,13 +90,11 @@ def theta_closed_subsets(g):
     projection mask & rel[i]: balanced unless such a theta has exactly one
     lower cycle balanced, unbalanced unless one has both."""
     cycles = g.cycles()
-    index = g.cycle_masks().index
     # lows[i]: the masks of the two lower cycles of each theta whose last
-    # cycle is i (theta_subgraphs lists a theta's cycles in index order)
+    # cycle is i
     lows = [[] for _ in cycles]
     rel = [0] * len(cycles)
-    for _, inside in theta_subgraphs(g):
-        a, b, c = map(index.__getitem__, inside)
+    for a, b, c in g.cycle_masks().thetas:
         lows[c].append(1 << a | 1 << b)
         rel[c] |= 1 << a | 1 << b
     found = [0]
@@ -465,36 +463,88 @@ def bias_sets_up_to_aut(g, predicate=None):
     return reps
 
 
+def _byte_columns(masks, bits):
+    """Byte b of every mask of at most `bits` bits, for each byte b that
+    such masks have (at least one): one bytes object per b, the masks in
+    order."""
+    width = (bits + 7) // 8 or 1
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    return [data[b::width] for b in range(width)]
+
+
+# _SET_BIT[k] sends each byte x to x | 1 << k, as a bytes.translate table
+_SET_BIT = [bytes(x | 1 << k for x in range(256)) for k in range(8)]
+
+
+def _images(perm, columns):
+    """The images of the masks that `_byte_columns` split into columns
+    under the bit permutation perm (bit i to bit perm[i]), in order.
+
+    Byte d of every image is the OR over the source bytes b of one
+    `bytes.translate` of column b, through the table of what each byte
+    value at b puts in byte d.  The image bytes are laid out in 64-bit
+    little-endian words, one or more per mask, and unpacked at once."""
+    width, n = len(columns), len(columns[0])
+    words = -(-width // 8)
+    out = bytearray(8 * words * n)
+    for d in range(width):
+        acc = 0
+        for b, column in enumerate(columns):
+            # table[x]: byte d of the image of x at byte b, one source bit
+            # at a time (x with the bit is x without it plus its image)
+            table = b"\0"
+            for i in perm[8 * b:8 * b + 8]:
+                k = i - 8 * d
+                table += table.translate(_SET_BIT[k]) if 0 <= k < 8 else table
+            acc |= int.from_bytes(column.translate(table.ljust(256, b"\0")), "little")
+        out[d::8 * words] = acc.to_bytes(n, "little")
+    values = struct.unpack("<%dQ" % (words * n), out)
+    images = values[::words]
+    for w in range(1, words):
+        images = map(or_, images, map(lshift, values[w::words], repeat(64 * w)))
+    return images
+
+
+def _cycle_permutations(g):
+    """The permutation of the cycle indices of g that each generator of
+    `automorphism_generators(g)` induces, as a list (i -> image): each
+    cycle's edge mask sent through the generator's byte tables."""
+    masks = g.cycle_masks()
+    columns = _byte_columns(masks.edge_masks, g.m)
+    return [list(map(masks.by_edges.__getitem__, _images(t, columns)))
+            for t in automorphism_generators(g)]
+
+
 @kept
 def _orbit_masks(g):
     """The first mask (in `theta_closed_subsets` order) of each orbit of
     theta-closed bias sets under the automorphism group of g, kept on g.
-    Each orbit is the closure of its first mask under
-    `automorphism_generators(g)`.  A generator permutes cycles, so it maps
-    a mask to the sum of its tables' images of the mask's bytes."""
-    cycles = g.cycles()
-    index = g.cycle_masks().index
-    gens = []
-    for t in automorphism_generators(g):
-        images = [1 << index[frozenset(t[e] for e in c.edges)] for c in cycles]
-        tables = [[0] for _ in range(0, len(cycles), 8)]
-        for i, bit in enumerate(images):
-            tables[i >> 3] += [x | bit for x in tables[i >> 3]]
-        gens.append(tables)
+
+    Each generator maps every mask at once: the masks' bytes are split out
+    once, `_images` reads them through the generator's byte tables, and
+    each image becomes its position in the list.  Each orbit is then the
+    closure of its first mask under these position maps (Seress,
+    *Permutation Group Algorithms*, 2003, §2.1.1)."""
+    found = theta_closed_subsets(g)
+    columns = _byte_columns(found, len(g.cycles()))
+    position = {mask: p for p, mask in enumerate(found)}
+    images = [list(map(position.__getitem__, _images(perm, columns)))
+              for perm in _cycle_permutations(g)]
+    seen = bytearray(len(found))
     reps = []
-    seen = set()
-    for bal in theta_closed_subsets(g):
-        if bal in seen:
+    for p, mask in enumerate(found):
+        if seen[p]:
             continue
-        todo = [bal]
+        seen[p] = 1
+        reps.append(mask)
+        todo = [p]
         while todo:
             cur = todo.pop()
-            for t in gens:
-                img = sum(map(list.__getitem__, t, cur.to_bytes(len(t), "little")))
-                if img not in seen:
-                    seen.add(img)
-                    todo.append(img)
-        reps.append(bal)
+            for t in images:
+                q = t[cur]
+                if not seen[q]:
+                    seen[q] = 1
+                    todo.append(q)
     return tuple(reps)
 
 

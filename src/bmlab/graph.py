@@ -554,14 +554,29 @@ class Cycle:
         return len(self.edges)
 
 
+def is_theta_union(edges, vertices):
+    """Whether the union of two distinct cycles that share an edge, with
+    this many edges and vertices, is a theta.
+
+    Such a union is connected, of minimum degree 2, and has |E| - |V| >= 1.
+    It is a theta exactly when |E| - |V| = 1: a connected graph with
+    |E| = |V| + 1 and no degree below 2 subdivides a theta, a figure eight
+    or a handcuff, and only in the theta do two cycles share an edge; a
+    larger excess is a union such as two quadrilaterals of K_4."""
+    return edges == vertices + 1
+
+
 class CycleMasks:
     """What bias sets on g are tested on, as cycle-index masks (bit i stands
     for g.cycles()[i]): `index` sends each cycle's edge set to i, `every` is
     the mask of all cycles, `links` that of the cycles that are not loops,
-    and `through[v]` that of the cycles through vertex v."""
+    and `through[v]` that of the cycles through vertex v.  The cycles
+    themselves are bit masks too: `edge_masks[i]` holds the edges of cycle
+    i, `vertex_masks[i]` its vertices, and `by_edges` sends each edge mask
+    back to i.  What is not built in __init__ is built on first read."""
 
     def __init__(self, g):
-        self._n, self._ends, self._cycles = g.n, g.edges, g.cycles()  # read by `through`
+        self._n, self._ends, self._cycles = g.n, g.edges, g.cycles()  # read on first use
         self.index = {c.edges: i for i, c in enumerate(self._cycles)}
         self.every = (1 << len(self._cycles)) - 1
         self.links = sum(1 << i for i, c in enumerate(self._cycles) if len(c) > 1)
@@ -570,27 +585,57 @@ class CycleMasks:
     @property
     @kept
     def through(self):
-        through = [0] * self._n
-        for i, c in enumerate(self._cycles):
-            bit = 1 << i
+        return tuple(sum(1 << i for i, vs in enumerate(self.vertex_masks) if vs >> v & 1)
+                     for v in range(self._n))
+
+    @property
+    @kept
+    def edge_masks(self):
+        return tuple(sum(1 << e for e in c.edges) for c in self._cycles)
+
+    @property
+    @kept
+    def vertex_masks(self):
+        ends = [1 << u | 1 << v for u, v in self._ends]
+        out = []
+        for c in self._cycles:
+            mask = 0
             for e in c.edges:
-                u, v = self._ends[e]
-                through[u] |= bit
-                through[v] |= bit
-        return tuple(through)
+                mask |= ends[e]
+            out.append(mask)
+        return tuple(out)
+
+    @property
+    @kept
+    def by_edges(self):
+        return {mask: i for i, mask in enumerate(self.edge_masks)}
+
+    @property
+    @kept
+    def thetas(self):
+        """The theta subgraphs as index triples (i, j, k), i < j < k, in
+        lexicographic order: cycles i and j are the theta's two lowest and
+        k, their symmetric difference, its highest.  A theta's three cycles
+        are a, b and a ^ b, and each two of them share an edge, so it is
+        listed once, at its two lowest (see `is_theta_union`)."""
+        em, vm, by_edges = self.edge_masks, self.vertex_masks, self.by_edges
+        out = []
+        for i, a in enumerate(em):
+            for j in range(i + 1, len(em)):
+                b = em[j]
+                if a & b and is_theta_union((a | b).bit_count(), (vm[i] | vm[j]).bit_count()):
+                    k = by_edges[a ^ b]
+                    if k > j:
+                        out.append((i, j, k))
+        return tuple(out)
 
     @kept
     def disjoint_pairs(self):
         """The masks 1 << i | 1 << j of the vertex-disjoint pairs of cycles
         i < j, in combinations order."""
-        n = self.every.bit_length()
-        meets = [0] * n  # meets[i]: the cycles sharing a vertex with cycle i
-        for t in self.through:
-            for i in range(n):
-                if t >> i & 1:
-                    meets[i] |= t
-        return [1 << i | 1 << j for i, j in combinations(range(n), 2)
-                if not meets[i] >> j & 1]
+        vm = self.vertex_masks
+        return [1 << i | 1 << j for i, j in combinations(range(len(vm)), 2)
+                if not vm[i] & vm[j]]
 
 
 # -- subdivision search ----------------------------------------------------

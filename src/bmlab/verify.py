@@ -21,10 +21,10 @@ from .bias import (
     fat_theta_parts,
     find_biased_subdivision,
     find_link_minor,
+    has_contrabalanced_theta,
     is_tangled,
     link_minors,
     roll_up,
-    theta_subgraphs,
     unbalancing_classes,
     unroll,
     double_roll_up,
@@ -657,9 +657,7 @@ def claim_unique_balancing_subdivision(max_vertices=4, max_edges=7,
     Exhaustive on small loopless graphs plus seeded random instances."""
 
     def hypothesis(om):
-        return len(balancing_vertices(om)) == 1 and any(
-            all(c not in om.balanced for c in inside)
-            for _, inside in theta_subgraphs(om.graph))
+        return len(balancing_vertices(om)) == 1 and has_contrabalanced_theta(om)
 
     # vertical 2-connectivity depends only on the graph: test it first
     instances = [om for om in catalog.biased_family(max_vertices, max_edges,

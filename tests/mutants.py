@@ -63,19 +63,47 @@ MUTANTS = [
          "tests/test_catalog.py::test_theta_closed_subsets_matches_the_per_node_theta_test",
          "tests/test_catalog.py::test_classifiers_return_the_pairwise_iso_classes_in_order"],
     ),
-    # an orbit loop that never marks its images seen runs away
+    # each orbit's representative is another mask of it, the first
+    # generator's image of its first mask
     Mutant(
         "catalog.py",
-        "                    seen.add(img)\n",
-        "",
-        ["tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle"],
+        "        reps.append(mask)\n",
+        "        reps.append(found[images[0][p]] if images else mask)\n",
+        ["tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle",
+         "tests/test_catalog.py::test_orbits_match_the_closure_on_every_5_8_graph"],
     ),
-    # a byte table that drops the generator's image of the byte's top cycle
+    # the closure drops the first generator, so orbits split
     Mutant(
         "catalog.py",
-        "tables[i >> 3] += [x | bit for x in tables[i >> 3]]",
-        "tables[i >> 3] += [x | bit * (i % 8 < 7) for x in tables[i >> 3]]",
-        ["tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle"],
+        "for perm in _cycle_permutations(g)]",
+        "for perm in _cycle_permutations(g)[1:]]",
+        ["tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle",
+         "tests/test_catalog.py::test_orbits_match_the_closure_on_every_5_8_graph"],
+    ),
+    # a byte table that drops the permutation's image of the byte's top bit
+    Mutant(
+        "catalog.py",
+        "for i in perm[8 * b:8 * b + 8]:",
+        "for i in perm[8 * b:8 * b + 7]:",
+        ["tests/test_catalog.py::test_images_permute_the_bits_of_masks_of_any_width",
+         "tests/test_catalog.py::test_bias_sets_up_to_aut_matches_every_automorphism_oracle",
+         "tests/test_catalog.py::test_orbits_match_the_closure_on_every_5_8_graph"],
+    ),
+    # the third 64-bit word of a wide image lands on the second
+    Mutant(
+        "catalog.py",
+        "repeat(64 * w)",
+        "repeat(64)",
+        ["tests/test_catalog.py::test_images_permute_the_bits_of_masks_of_any_width"],
+    ),
+    # the theta test without |E| - |V| = 1: two cycles sharing an edge whose
+    # symmetric difference is a cycle, such as two quadrilaterals of K_4
+    Mutant(
+        "graph.py",
+        "    return edges == vertices + 1\n",
+        "    return edges >= vertices + 1\n",
+        ["tests/test_bias.py::test_k4_has_six_thetas",
+         "tests/test_bias.py::test_theta_subgraphs_match_the_cycle_scan_oracle"],
     ),
     # the tangled family keeps every bias set: is_tangled's (flag, witness)
     # pair is always true

@@ -21,9 +21,11 @@ the subdivision search with two path generators, and forest normalization
 with the switching decisions built on it, each on a forest search of its
 own.  Then the graph tables (degrees, links, adjacency profiles,
 multiplicities, parallel classes) from the edge list, graph isomorphisms
-by filtering every vertex permutation, and automorphism generators with each edge map taken from an edge-bijection
-search.  Then the multigraph class key rebuilt from the degrees alone,
-which catalog.multigraphs_up_to_iso now reads off the images it lists.
+by filtering every vertex permutation, automorphism generators with each
+edge map taken from an edge-bijection search, and the bias-set orbits
+closed one at a time.  Then the multigraph class key rebuilt from the
+degrees alone, which catalog.multigraphs_up_to_iso now reads off the
+images it lists.
 Then the number of multigraph isomorphism classes by the
 Cauchy-Frobenius (Burnside) lemma, which lists no class, and the same
 count for the bias-set orbits of a biased family.  Then the routines
@@ -1168,6 +1170,37 @@ def automorphism_generators_by_edge_bijections(g):
     return [t for t in gens if t != identity]
 
 
+def orbit_masks_by_closure(g):
+    """The reference for catalog._orbit_masks: each orbit closed on its own
+    from its first theta-closed mask, one generator image at a time, each
+    image the sum of byte-table images of the mask's bytes, with each
+    generator's cycle images found through frozensets of edges."""
+    cycles = g.cycles()
+    index = g.cycle_masks().index
+    gens = []
+    for t in catalog.automorphism_generators(g):
+        images = [1 << index[frozenset(t[e] for e in c.edges)] for c in cycles]
+        tables = [[0] for _ in range(0, len(cycles), 8)]
+        for i, bit in enumerate(images):
+            tables[i >> 3] += [x | bit for x in tables[i >> 3]]
+        gens.append(tables)
+    reps = []
+    seen = set()
+    for bal in catalog.theta_closed_subsets(g):
+        if bal in seen:
+            continue
+        todo = [bal]
+        while todo:
+            cur = todo.pop()
+            for t in gens:
+                img = sum(map(list.__getitem__, t, cur.to_bytes(len(t), "little")))
+                if img not in seen:
+                    seen.add(img)
+                    todo.append(img)
+        reps.append(bal)
+    return tuple(reps)
+
+
 # -- the multigraph class key from the degrees alone ---------------------------
 
 def multigraph_key(nv, mult):
@@ -1448,6 +1481,21 @@ def tutte_connectivity(M):
         if k <= min(X.bit_count(), (full ^ X).bit_count()) and (best is None or k < best):
             best = k
     return best
+
+
+def frobenius_image(A):
+    """A with x -> x^p applied to every entry, p the characteristic of its
+    field.  That is a field automorphism, so it maps a representation of a
+    matroid to another representation of the same matroid."""
+    f = A.field
+    images = []
+    for a in f.elements:
+        power = f.one
+        for _ in range(f.p):
+            power = f.mul(power, a)
+        images.append(power)
+    return FieldMatrix(f, [[images[x] for x in row] for row in A.rows],
+                       A.row_labels, A.col_labels)
 
 
 def tutte_connectivity_by_partitions(M):

@@ -100,6 +100,17 @@ def test_theta_subgraphs_match_the_cycle_scan_oracle():
         assert got == _theta_subgraphs_oracle(g), g.edges
         thetas += len(got)
     assert (len(graphs), thetas) == (839, 9904)
+    # and a seeded relabelling of every (5, 8) graph, whose cycles come in
+    # another order
+    rng = random.Random(55)
+    copies = 0
+    for g in catalog.multigraphs_up_to_iso(5, 8):
+        h = oracles.relabel(BiasedGraph(g, []), rng.sample(range(g.n), g.n),
+                            rng.sample(range(g.m), g.m)).graph
+        got = theta_subgraphs(h)
+        assert got == _theta_subgraphs_oracle(h), h.edges
+        copies += len(got)
+    assert copies == 1903
 
 
 def test_theta_property_empty_ok():

@@ -86,6 +86,7 @@ from oracles import (
     drop_isolated,
     enumerate_canonicalizing_each_class,
     formula_matroid,
+    frobenius_image,
     graphic_matroid,
     matched_kinds_by_two_walks,
     matroids_equal_on_all_subsets,
@@ -1225,6 +1226,28 @@ def test_enumerated_counts_obey_the_classical_bounds():
     assert three == {FRAME: 42, LIFT: 38}
     assert maxima == {(2, True): 1, (3, True): 1, (4, True): 2, (5, True): 6,
                       (2, False): 1, (3, False): 1, (4, False): 4, (5, False): 9}
+
+
+def test_frobenius_swaps_the_two_gf4_classes_of_a_3_connected_matroid():
+    """A 3-connected quaternary matroid has at most two GF(4) classes, and
+    when it has two, x -> x^2 on every entry swaps them (Kahn 1988).  On
+    the vertically 2-connected, properly unbalanced (4, 7) family the
+    matroids with two classes are those of the probe behind the bound."""
+    swapped = Counter()
+    for om in catalog.biased_family(4, 7, catalog.vertically_2_connected,
+                                    catalog.properly_unbalanced):
+        for kind in (FRAME, LIFT):
+            M = kind_parts(kind).matroid(om)
+            k = tutte_connectivity(M)
+            if k is not None and k < 3:
+                continue
+            reps = enumerate_representations(M, 4)
+            if len(reps) == 2:
+                keys = [projective_key(cls.matrix) for cls in reps]
+                images = [projective_key(frobenius_image(cls.matrix)) for cls in reps]
+                assert images == keys[::-1], (om, kind)
+                swapped[kind] += 1
+    assert swapped == {FRAME: 18, LIFT: 21}
 
 
 def test_enumerate_raises_on_a_repeated_class(monkeypatch):

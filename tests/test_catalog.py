@@ -26,6 +26,7 @@ from oracles import (
     mask_edge_sets,
     multigraph_classes_by_burnside,
     multigraph_key,
+    orbit_masks_by_closure,
     relabel,
     sweep_graphs,
     theta_closed_edge_sets,
@@ -679,6 +680,35 @@ def test_automorphism_generators_match_the_edge_bijection_oracle():
             assert got == automorphism_generators_by_edge_bijections(h), h.edges
             total[h is g] += len(got)
     assert total == {True: 837, False: 837}
+
+
+def test_images_permute_the_bits_of_masks_of_any_width():
+    # _images against the bit-by-bit definition, on seeded masks that fill
+    # part of a byte, one 64-bit word, or three
+    rng = random.Random(55)
+    for bits in (0, 5, 8, 63, 64, 65, 150):
+        perm = rng.sample(range(bits), bits)
+        masks = [rng.getrandbits(bits) for _ in range(20)] + [0, (1 << bits) - 1]
+        want = [sum(1 << perm[i] for i in range(bits) if m >> i & 1) for m in masks]
+        got = catalog._images(perm, catalog._byte_columns(masks, bits))
+        assert list(got) == want, bits
+
+
+def test_orbits_match_the_closure_on_every_5_8_graph():
+    # every graph of multigraphs_up_to_iso(5, 8) and a seeded relabelling
+    # of each: the orbits are those closed one at a time by the generators'
+    # byte tables, with the same first masks in the same order
+    rng = random.Random(55)
+    graphs = catalog.multigraphs_up_to_iso(5, 8)
+    orbits = 0
+    for g in graphs:
+        copy = relabel(BiasedGraph(g, []), rng.sample(range(g.n), g.n),
+                       rng.sample(range(g.m), g.m)).graph
+        for h in (g, copy):
+            got = catalog._orbit_masks(h)
+            assert got == orbit_masks_by_closure(h), h.edges
+            orbits += len(got)
+    assert (len(graphs), orbits) == (235, 8850)
 
 
 def test_orbits_take_one_edge_bijection_per_vertex_automorphism():

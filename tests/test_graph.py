@@ -9,6 +9,7 @@ from bmlab.bias import BiasedGraph
 from bmlab.errors import BoundExceeded, NotACycle
 from bmlab.graph import (
     Cycle,
+    CycleMasks,
     MultiGraph,
     OrientedEdge,
     find,
@@ -17,6 +18,7 @@ from bmlab.graph import (
 )
 import oracles
 from oracles import (
+    count_builds,
     edge_components,
     graph_isomorphisms_by_permutations,
     relabel,
@@ -157,22 +159,35 @@ def test_cycles_match_every_edge_subset():
 
 
 def test_cycle_masks_build_the_vertex_masks_on_first_read():
-    # the theta check and the theta backtrack read only the index; each
-    # graph is built afresh so that nothing of it is memoised yet
+    # the theta check reads only the index, and the theta backtrack the
+    # theta triples, which read the edge and vertex masks; the cycles
+    # through each vertex wait for their first read, and each table is
+    # built once.  Each graph is built afresh so that nothing of it is
+    # memoised yet
     graphs = list(catalog.multigraphs_up_to_iso(4, 6))
     graphs += [nb.omega.graph for nb in catalog.base_graphs()]
     graphs.append(MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 0)]))
+    tables = [getattr(CycleMasks, name).fget
+              for name in ("edge_masks", "vertex_masks", "by_edges", "thetas", "through")]
     for old in graphs:
         g = MultiGraph(old.n, old.edges)
         first = frozenset(c.edges for c in g.cycles()[:1])
-        BiasedGraph(g, first)
-        catalog.theta_closed_subsets(g)
-        masks = g.cycle_masks()
-        assert "through" not in vars(masks)
-        assert masks.through == tuple(
-            sum(1 << i for i, c in enumerate(g.cycles()) if v in g.vertices_of(c.edges))
-            for v in range(g.n))
-        assert masks.through is g.cycle_masks().through
+        with count_builds(*tables) as builds:
+            BiasedGraph(g, first)
+            assert builds == {}
+            for _ in range(2):
+                catalog.theta_closed_subsets(g)
+            assert builds == {"edge_masks": 1, "vertex_masks": 1, "by_edges": 1, "thetas": 1}
+            masks = g.cycle_masks()
+            assert masks.through == tuple(
+                sum(1 << i for i, c in enumerate(g.cycles()) if v in g.vertices_of(c.edges))
+                for v in range(g.n))
+            assert masks.through is g.cycle_masks().through
+            assert builds["through"] == 1
+        assert masks.edge_masks == tuple(sum(1 << e for e in c.edges) for c in g.cycles())
+        assert masks.vertex_masks == tuple(
+            sum(1 << v for v in g.vertices_of(c.edges)) for c in g.cycles())
+        assert all(masks.by_edges[e] == i for i, e in enumerate(masks.edge_masks))
 
 
 def test_cycle_bound():

@@ -6,7 +6,15 @@ import random
 from collections import Counter
 
 from bmlab import catalog, verify
-from bmlab.bias import BiasedGraph, classify_balance
+from bmlab.bias import (
+    ALMOST_BALANCED,
+    BALANCED,
+    PROPERLY_UNBALANCED,
+    BiasedGraph,
+    balancing_vertices,
+    classify_balance,
+    is_tangled,
+)
 from bmlab.canonical import (
     FRAME,
     LIFT,
@@ -14,9 +22,14 @@ from bmlab.canonical import (
     enumerate_representations,
     kind_parts,
 )
-from bmlab.fields import gf
 from bmlab.linalg import FieldMatrix, projective_key
-from oracles import multigraph_key, relabel, sweep_graphs
+from oracles import (
+    frobenius_image,
+    multigraph_key,
+    relabel,
+    sweep_graphs,
+    theta_closed_edge_sets,
+)
 
 
 def test_balance_and_gain_class_counts_survive_a_relabelling():
@@ -38,6 +51,41 @@ def test_balance_and_gain_class_counts_survive_a_relabelling():
                 total += count
     assert total == 632
     assert moved == 87  # every relabelling changed the edge list
+
+
+def test_biased_answers_survive_a_relabelling():
+    # one seeded relabelling of every theta-closed bias set on each
+    # vertically 2-connected (4, 7) graph: its tangled flag, its balance
+    # tag and its balancing vertices, mapped by the vertex permutation; and
+    # one of each graph: its number of tangled bias sets up to automorphism
+    rng = random.Random(16)
+    flags, tags = Counter(), Counter()
+    vertices = orbits = 0
+    for g in catalog.multigraphs_up_to_iso(4, 7):
+        if not catalog.vertically_2_connected(g):
+            continue
+        for bal in theta_closed_edge_sets(g):
+            om = BiasedGraph(g, bal)
+            perm = rng.sample(range(g.n), g.n)
+            other = relabel(om, perm, rng.sample(range(g.m), g.m))
+            flag = is_tangled(om)[0]
+            assert is_tangled(other)[0] == flag, (g.edges, bal)
+            cls = classify_balance(om)
+            assert classify_balance(other).tag == cls.tag, (g.edges, bal)
+            for got, want in ((classify_balance(other).balancing_vertices, cls.balancing_vertices),
+                              (balancing_vertices(other), balancing_vertices(om))):
+                assert got == tuple(sorted(perm[v] for v in want)), (g.edges, bal)
+            flags[flag] += 1
+            tags[cls.tag] += 1
+            vertices += len(cls.balancing_vertices)
+        h = relabel(BiasedGraph(g, []), rng.sample(range(g.n), g.n),
+                    rng.sample(range(g.m), g.m)).graph
+        count = len(catalog.bias_sets_up_to_aut(g, catalog.tangled))
+        assert len(catalog.bias_sets_up_to_aut(h, catalog.tangled)) == count, g.edges
+        orbits += count
+    assert flags == {False: 2673, True: 356}
+    assert tags == {ALMOST_BALANCED: 2526, PROPERLY_UNBALANCED: 466, BALANCED: 37}
+    assert (vertices, orbits) == (4536, 60)
 
 
 def _multiplicities(g):
@@ -103,13 +151,6 @@ def test_frobenius_permutes_the_representation_classes():
     # also canonicalized, and its image's class has the same kind
     classes = moved = 0
     for q in (8, 9):
-        f = gf(q)
-        frobenius = []
-        for a in f.elements:
-            power = f.one
-            for _ in range(f.p):
-                power = f.mul(power, a)
-            frobenius.append(power)
         for nb in _claim_graphs():
             om = nb.omega
             for kind in (FRAME, LIFT):
@@ -118,13 +159,10 @@ def test_frobenius_permutes_the_representation_classes():
                 kinds = {projective_key(cls.matrix): cls.kind for cls in reps}
                 images = set()
                 for cls in reps:
-                    A = cls.matrix
-                    image = projective_key(FieldMatrix(
-                        f, [[frobenius[x] for x in row] for row in A.rows],
-                        A.row_labels, A.col_labels))
+                    image = projective_key(frobenius_image(cls.matrix))
                     assert kinds.get(image, "missing") == cls.kind, (nb.name, kind, q)
                     images.add(image)
-                    moved += image != projective_key(A)
+                    moved += image != projective_key(cls.matrix)
                 assert len(images) == len(reps), (nb.name, kind, q)
                 classes += len(reps)
     assert (classes, moved) == (4884, 4866)  # 18 classes are fixed
