@@ -384,7 +384,9 @@ def cmd_verify(args):
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The bmlab argument parser, built once per process: parse_args keeps
-    no state between calls, so every main() call shares it."""
+    no state between calls, so every main() call shares it.  Its
+    `subcommands` attribute is argparse's own table from each subcommand
+    name to that subcommand's parser."""
     p = argparse.ArgumentParser(
         prog="bmlab",
         description="biased graphs, gain graphs, frame/lift matroids, and "
@@ -470,12 +472,27 @@ def build_parser():
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--q", type=int)
+    p.subcommands = sub.choices
     return p
 
 
 def main(argv=None):
+    """Run the bmlab command line argv (default sys.argv[1:]) and return its
+    exit code.  An argv that starts with a subcommand name is parsed once,
+    by that subcommand's parser, with leftover arguments the top-level
+    parser's "unrecognized arguments" error, as parse_args reports them.
+    Any other argv (empty, -h, an unknown word) goes through the top-level
+    parser, which answers those."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)  # any iterable, as parse_args takes
+    sp = parser.subcommands.get(argv[0]) if argv else None
+    if sp is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sp.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: %s" % " ".join(extras))
+        args.command = argv[0]
     if not getattr(args, "command", None):
         parser.print_help()
         return EXIT_USAGE

@@ -13,7 +13,10 @@ the orientation u -> v of the edge declaration):
     gain <edge-name> <element>
 
 A biased-graph file with a group or gain line, or a gain-graph file with a
-balanced line, is a parse error ("unknown declaration").
+balanced line, is a parse error ("unknown declaration").  So is a second
+vertices, group, rows, labels, ground, source or kind line ("repeated
+<declaration> line") or gain for one edge, which would replace the first,
+and a balanced line that names an edge twice.
 
 Matrix format:
     rows <r> cols <c> field gf <q> | rows <r> cols <c> field rational
@@ -72,17 +75,22 @@ def _construct(make, order, i):
 
 def parse_graph(text):
     """The graph of a graph, biased-graph or gain-graph file."""
-    return _parse_graph(text, ("balanced", "group", "gain"))
+    return _parse_graph(text, ("balanced", "group", "gain"))[0]
 
 
 def _parse_graph(text, declarations):
-    """The graph of text, whose other lines may only be the given
-    declarations; any other line is an unknown declaration."""
+    """The graph of text, and the (line number, parts) of each line whose
+    first word is one of the given declarations, in file order: the one
+    split of the text that the biased- and gain-graph readers then read.
+    Any other line but vertices and edge is an unknown declaration."""
     n = None
     edges = []
     names = []
+    passed = []
     for i, parts in _lines(text):
         if parts[0] == "vertices":
+            if n is not None:
+                raise ParseError("repeated vertices line", i)
             if len(parts) != 2:
                 raise ParseError("vertices takes one argument", i)
             n = _int(parts[1], "vertex count", i)
@@ -95,12 +103,14 @@ def _parse_graph(text, declarations):
                 raise ParseError("edge before vertices", i)
             names.append(parts[1])
             edges.append((_int(parts[2], "edge endpoint", i), _int(parts[3], "edge endpoint", i)))
-        elif parts[0] not in declarations:
+        elif parts[0] in declarations:
+            passed.append((i, parts))
+        else:
             raise ParseError("unknown declaration %r" % parts[0], i)
     if n is None:
         raise ParseError("missing vertices line")
     try:
-        return MultiGraph(n, edges, names or None)
+        return MultiGraph(n, edges, names or None), passed
     except (UnknownEdge, ValueError) as exc:
         raise ParseError(str(exc))
 
@@ -113,11 +123,13 @@ def emit_graph(g):
 
 
 def parse_biased_graph(text, check=True):
-    g = _parse_graph(text, ("balanced",))
+    g, lines = _parse_graph(text, ("balanced",))
     balanced = []
-    for i, parts in _lines(text):
-        if parts[0] == "balanced":
-            balanced.append(frozenset(_edge(g, name, i) for name in parts[1:]))
+    for i, parts in lines:
+        cycle = frozenset(_edge(g, name, i) for name in parts[1:])
+        if len(cycle) < len(parts) - 1:
+            raise ParseError("balanced line names an edge twice", i)
+        balanced.append(cycle)
     try:
         return BiasedGraph(g, balanced, check=check)
     except (NotACycle, ThetaViolation) as exc:
@@ -141,11 +153,13 @@ def _parse_group(parts, i):
 
 
 def parse_gain_graph(text):
-    g = _parse_graph(text, ("group", "gain"))
+    g, lines = _parse_graph(text, ("group", "gain"))
     group = None
     gains = {}
-    for i, parts in _lines(text):
+    for i, parts in lines:
         if parts[0] == "group":
+            if group is not None:
+                raise ParseError("repeated group line", i)
             if len(parts) != 3:
                 raise ParseError("group takes kind and order", i)
             group = _parse_group(parts, i)
@@ -155,6 +169,8 @@ def parse_gain_graph(text):
             if len(parts) != 3:
                 raise ParseError("gain takes edge-name element", i)
             e = _edge(g, parts[1], i)
+            if e in gains:
+                raise ParseError("repeated gain for %s" % parts[1], i)
             val = _int(parts[2], "gain", i)
             if val not in group.elements:
                 raise ParseError("element %d not in %r" % (val, group), i)
@@ -183,6 +199,8 @@ def parse_matrix(text):
     field = None
     for i, parts in _lines(text):
         if parts[0] == "rows":
+            if header is not None:
+                raise ParseError("repeated rows line", i)
             if (
                 len(parts) < 6
                 or parts[2] != "cols"
@@ -202,6 +220,8 @@ def parse_matrix(text):
                 raise ParseError("unknown field %r" % parts[5], i)
             header = (r, c)
         elif parts[0] == "labels":
+            if labels is not None:
+                raise ParseError("repeated labels line", i)
             labels = tuple(parts[1:])
             if len(set(labels)) != len(labels):
                 raise ParseError("repeated column label", i)
@@ -265,6 +285,8 @@ def parse_matroid(text, base_dir=".", graphs=None):
     kind = None
     for i, parts in _lines(text):
         if parts[0] == "ground":
+            if ground is not None:
+                raise ParseError("repeated ground line", i)
             ground = tuple(parts[1:])
             if len(set(ground)) != len(ground):
                 raise ParseError("repeated ground label", i)
@@ -277,8 +299,12 @@ def parse_matroid(text, base_dir=".", graphs=None):
             if len(parts) != 2:
                 raise ParseError("%s takes one argument" % parts[0], i)
             if parts[0] == "source":
+                if source is not None:
+                    raise ParseError("repeated source line", i)
                 source = parts[1], i
             else:
+                if kind is not None:
+                    raise ParseError("repeated kind line", i)
                 kind = parts[1]
         else:
             raise ParseError("unknown declaration %r" % parts[0], i)

@@ -99,7 +99,7 @@ class MultiGraph:
             inc[u].append(e)
             if v != u:
                 inc[v].append(e)
-        self._incident = tuple(tuple(sorted(es)) for es in inc)
+        self._incident = tuple(map(tuple, inc))  # each in edge-id order, as built
         self._cycles = None  # not kept: perfbench/spans.py reads it to count memo hits
         self._kept = {}  # values built on first use, see kept
 

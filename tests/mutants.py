@@ -871,6 +871,110 @@ MUTANTS = [
         "_round_trips(seed, samples, q,",
         ["tests/test_verify.py::test_t2prime_splits_run_samples_round_trips_per_graph"],
     ),
+    # main runs a subcommand whatever follows its arguments
+    Mutant(
+        "cli.py",
+        'parser.error("unrecognized arguments: %s" % " ".join(extras))',
+        "pass",
+        ["tests/test_cli.py::test_main_answers_like_the_two_pass_parse[minor b0 extra]",
+         "tests/test_cli.py::test_main_answers_like_the_two_pass_parse[minor b0 --bogus]"],
+    ),
+    # the one-pass dispatch never names its subcommand, so main prints help
+    Mutant(
+        "cli.py",
+        "        args.command = argv[0]\n",
+        "",
+        ["tests/test_cli.py::test_main_answers_like_the_two_pass_parse[classify b0 --json]",
+         "tests/test_cli.py::test_shared_parser_answers_like_a_fresh_one"],
+    ),
+    # the graph reader hands back its declaration lines last first
+    Mutant(
+        "formats.py",
+        "return MultiGraph(n, edges, names or None), passed",
+        "return MultiGraph(n, edges, names or None), passed[::-1]",
+        ["tests/test_formats.py::test_the_first_bad_balanced_line_is_the_one_reported"],
+    ),
+    # a second vertices line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated vertices line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[vertices]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a balanced line naming an edge twice is read as a set
+    Mutant(
+        "formats.py",
+        'raise ParseError("balanced line names an edge twice", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[balanced-edge]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second group line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated group line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[group]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second gain for an edge replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated gain for %s" % parts[1], i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[gain]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second rows line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated rows line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[rows]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second labels line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated labels line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[labels]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second ground line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated ground line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[ground]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second source line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated source line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[source]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
+    # a second kind line replaces the first
+    Mutant(
+        "formats.py",
+        'raise ParseError("repeated kind line", i)',
+        "pass",
+        ["tests/test_formats.py::"
+         "test_a_repeated_declaration_is_a_parse_error_at_its_second_line[kind]",
+         "tests/test_cli.py::test_malformed_input_is_a_parse_error"],
+    ),
 ]
 
 TIMEOUT_S = 120

@@ -39,8 +39,10 @@ projective key read off rref with its transform, and the single-element
 extension over every set of the modular cut.  Then the sampling loops of
 main3-roundtrip and main4-samples that verify._round_trips replaced, and
 the three loops of Theorem 1's checks that verify._partitions replaced.
-Last, a counter of the builder runs behind the values kept on a graph
-(graph.kept).
+Then a counter of the builder runs behind the values kept on a graph
+(graph.kept).  Last, the command line parsed twice, by the top-level parser
+and then by its subcommand's, as cli.main did before it called the
+subcommand's parser itself.
 
 No bmlab command, claim or export needs them, so they live beside the tests
 that use them as oracles (tests/test_unreferenced.py keeps src/ that way).
@@ -53,7 +55,7 @@ from contextlib import contextmanager
 from itertools import chain, combinations, groupby, permutations, product
 from math import factorial, prod
 
-from bmlab import catalog
+from bmlab import catalog, cli
 from bmlab.bias import (
     ALMOST_BALANCED,
     BALANCED,
@@ -1709,3 +1711,31 @@ def count_builds(*kept_fns):
         yield counts
     finally:
         sys.setprofile(outer)
+
+
+def main_parsing_twice(argv):
+    """cli.main's exit code for argv by the two-pass route: the top-level
+    parser's parse_args, whose subparsers action parses the rest of argv
+    again with the subcommand's parser, then the subcommand with main's
+    error handling.  argparse's own exits raise SystemExit, as in main."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "command", None):
+        parser.print_help()
+        return cli.EXIT_USAGE
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        cli._to_devnull(sys.stdout)
+        return cli.EXIT_CLOSED_PIPE
+    except ParseError as exc:
+        cli._complain("parse error: %s" % exc)
+        return cli.EXIT_USAGE
+    except BoundExceeded as exc:
+        cli._complain("bound exceeded: %s" % exc)
+        return cli.EXIT_UNDECIDED
+    except BmlabError as exc:
+        cli._complain("error: %s" % exc)
+        return cli.EXIT_FAIL

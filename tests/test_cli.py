@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,14 @@ from pathlib import Path
 import pytest
 
 from bmlab import catalog, cli, formats, verify
+from bmlab.bias import delta_y, roll_up, unbalancing_classes
+from bmlab.canonical import frame_matrix
 from bmlab.cli import main
 from bmlab.errors import BoundExceeded
+from bmlab.gains import induced_bias
 from bmlab.graph import MultiGraph
 from bmlab.matroid import AXIOM_CHECK_BOUND, uniform_matroid
-from oracles import count_builds, drop_isolated, witness_from_json
+from oracles import count_builds, drop_isolated, main_parsing_twice, witness_from_json
 
 
 def write(tmp_path, name, text):
@@ -497,6 +501,20 @@ GAIN_HEAD = "vertices 2\nedge e1 0 1\n"
     ("proj-equiv", "rows 1 cols 2 field gf 3\nlabels a a\n1 0\n", "line 2: repeated column label"),
     ("proj-equiv", "rows 0 cols 2 field gf 3\nlabels a b\n",
      "line 1: row and column counts must be >= 1"),
+    # a single-valued declaration given twice, in each format: the second
+    # no longer replaces the first (proj-equiv read GF(5) on one side only)
+    ("classify", GAIN_HEAD + "vertices 3\n", "line 3: repeated vertices line"),
+    ("check-theta", GAIN_HEAD + "edge e2 0 1\nbalanced e1 e1 e2\n",
+     "line 4: balanced line names an edge twice"),
+    ("bias", GAIN_HEAD + "group mul 5\ngroup mul 7\ngain e1 1\n", "line 4: repeated group line"),
+    ("bias", GAIN_HEAD + "group mul 5\ngain e1 1\ngain e1 2\n", "line 5: repeated gain for e1"),
+    ("proj-equiv", "rows 1 cols 2 field gf 3\nrows 1 cols 2 field gf 5\n1 0\n",
+     "line 2: repeated rows line"),
+    ("proj-equiv", "rows 1 cols 2 field gf 3\nlabels a b\nlabels c d\n1 0\n",
+     "line 3: repeated labels line"),
+    ("enumerate-reps", "ground a\nground b\nrank - 0\nrank b 1\n", "line 2: repeated ground line"),
+    ("enumerate-reps", "source a.bg\nsource b.bg\nkind frame\n", "line 2: repeated source line"),
+    ("enumerate-reps", "source a.bg\nkind frame\nkind lift\n", "line 3: repeated kind line"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, command, text, message):
     path = write(tmp_path, "bad.txt", text)
@@ -702,6 +720,79 @@ def test_shared_parser_answers_like_a_fresh_one(monkeypatch, capsys, b0_file):
     assert cli.build_parser() is not cli.build_parser()
     assert answers() == shared
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 2, 0]
+
+
+@pytest.fixture
+def dispatch_files(tmp_path, b0_file, gain_file):
+    """One input file per argument kind of the subcommands, by name."""
+    gg = formats.parse_gain_graph(open(gain_file).read())
+    d10 = catalog.dwarf("D_{1,0}").omega
+    rolled = roll_up(d10, 2, unbalancing_classes(d10, 2).classes[0])
+    star = delta_y(d10, d10.graph.edge_set(["e1", "e2", "e6"]))
+    return {
+        "b0": b0_file,
+        "gg": gain_file,
+        "mat": write(tmp_path, "g.mat", formats.emit_matrix(frame_matrix(gg).matrix)),
+        "bg": write(tmp_path, "g.bg", formats.emit_biased_graph(induced_bias(gg))),
+        "matroid": write(tmp_path, "b0.matroid", "source b0.bg\nkind frame\n"),
+        "d10": write(tmp_path, "d10.bg", formats.emit_biased_graph(d10)),
+        "star": write(tmp_path, "star.bg", formats.emit_biased_graph(star)),
+        "rolled": write(tmp_path, "rolled.bg", formats.emit_biased_graph(rolled)),
+    }
+
+
+# (argv, exit code): every subcommand with valid arguments, then argvs that
+# name no subcommand and argvs that argparse itself answers or refuses
+DISPATCH_CASES = [
+    (["catalog", "B_0"], 0),
+    (["check-theta", "{b0}"], 0),
+    (["classify", "{b0}", "--json"], 0),
+    (["rank", "lift", "{b0}", "e1", "e2"], 0),
+    (["matrix", "frame", "{gg}"], 0),
+    (["bias", "{gg}", "--json"], 0),
+    (["switch-equiv", "{gg}", "{gg}"], 0),
+    (["proj-equiv", "{mat}", "{mat}", "--json"], 0),
+    (["canonicalize", "{mat}", "{bg}", "--kind", "frame"], 0),
+    (["enumerate-reps", "{matroid}", "--q", "3", "--biased-graph", "{b0}"], 0),
+    (["minor", "{b0}", "--contract", "e3", "--delete", "e1"], 0),
+    (["deltawye", "{d10}", "--at", "e1", "e2", "e6"], 0),
+    (["wyedelta", "{star}", "--vertex", "4"], 0),
+    (["rollup", "{d10}", "--vertex", "2"], 0),
+    (["unroll", "{rolled}", "--vertex", "2"], 0),
+    (["verify", "base-count"], 0),
+    ([], 2),
+    (["-h"], 0),
+    (["--help"], 0),
+    (["nosuch"], 2),
+    (["--json", "minor", "{b0}"], 2),
+    (["minor", "{b0}", "extra"], 2),
+    (["minor", "{b0}", "--bogus"], 2),
+    (["minor", "{b0}", "--he"], 0),  # an abbreviated --help
+    (["minor", "--", "{b0}"], 0),
+    (["rank"], 2),
+    (["rank", "bogus", "{b0}"], 2),
+    (["wyedelta", "{b0}", "--vertex", "x"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", DISPATCH_CASES,
+                         ids=[" ".join(a.strip("{}") for a in argv) or "empty"
+                              for argv, _ in DISPATCH_CASES])
+def test_main_answers_like_the_two_pass_parse(capsys, dispatch_files, argv, code):
+    argv = [arg.format(**dispatch_files) for arg in argv]
+
+    def answer(run):
+        try:
+            got = run(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        # a verify report line carries its own wall time
+        return got, re.sub(r" \d+\.\d\ds ", " ", out), err
+
+    once = answer(main)
+    assert once == answer(main_parsing_twice)
+    assert once[0] == code
 
 
 @pytest.mark.parametrize("argv", [["catalog", "--all"], ["verify", "base-count"]])

@@ -129,3 +129,45 @@ def test_witness_json_round_trip():
     blob = json.loads(formats.dumps(formats.witness_to_json(w)))
     again = witness_from_json(blob)
     assert again.verify(A, A)
+
+
+GAIN_TEXT = "vertices 2\nedge e1 0 1\nedge e2 0 1\ngroup add 5\ngain e1 1\ngain e2 2\n"
+MATRIX_TEXT = "rows 1 cols 2 field gf 3\nlabels a b\n1 2\n"
+
+
+# (reader, text, line, message): each single-valued declaration given
+# twice, and a balanced line naming an edge twice
+REPEATS = {
+    "vertices": (formats.parse_graph, "vertices 2\nvertices 3\nedge e1 0 2\n", 2,
+                 "repeated vertices line"),
+    "balanced-edge": (formats.parse_biased_graph,
+                      "vertices 2\nedge e1 0 1\nedge e2 0 1\nbalanced e1 e1 e2\n", 4,
+                      "balanced line names an edge twice"),
+    "group": (formats.parse_gain_graph, GAIN_TEXT + "group mul 5\n", 7, "repeated group line"),
+    "gain": (formats.parse_gain_graph, GAIN_TEXT + "gain e1 3\n", 7, "repeated gain for e1"),
+    "rows": (formats.parse_matrix, "rows 1 cols 2 field gf 5\n" + MATRIX_TEXT, 2,
+             "repeated rows line"),
+    "labels": (formats.parse_matrix, MATRIX_TEXT.replace("1 2\n", "labels c d\n1 2\n"), 3,
+               "repeated labels line"),
+    "ground": (formats.parse_matroid, "ground a\nrank - 0\nrank a 1\nground b\n", 4,
+               "repeated ground line"),
+    "source": (formats.parse_matroid, "source a.bg\nkind frame\nsource b.bg\n", 3,
+               "repeated source line"),
+    "kind": (formats.parse_matroid, "source a.bg\nkind frame\nkind lift\n", 3,
+             "repeated kind line"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATS)
+def test_a_repeated_declaration_is_a_parse_error_at_its_second_line(case):
+    parse, text, line, message = REPEATS[case]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line) == ("line %d: %s" % (line, message), line)
+
+
+def test_the_first_bad_balanced_line_is_the_one_reported():
+    # the balanced lines are read in file order after the graph is built
+    text = "vertices 2\nbalanced e1 x\nedge e1 0 1\nedge e2 0 1\nbalanced e2 y\n"
+    with pytest.raises(ParseError, match=r"^line 2: no edge named 'x'$"):
+        formats.parse_biased_graph(text)
